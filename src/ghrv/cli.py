@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("--p", required=True)
 
-    p = sub.add_parser("resolve-k", help="complete resolution of the residue field")
+    p = sub.add_parser("resolve-k", help="complete resolution of R/(y, x): the Shamash tail")
     p.add_argument("ring")
     p.add_argument("--out", required=True)
 

@@ -7,8 +7,9 @@ fraction free: determinants and polynomial ranks use Bareiss elimination
 enumeration use cofactor expansion with a shared memo keyed by (row set,
 column set).
 
-Field-level routines (rank, generalized inverse) take grids of field scalars
-and use plain Gauss elimination with deterministic pivoting.
+Field-level routines (rank, generalized inverse, product, sum) take grids of
+field scalars; rank and inverse use plain Gauss elimination with
+deterministic pivoting.
 """
 
 from __future__ import annotations
@@ -292,3 +293,22 @@ def generalized_inverse(rows: Sequence[Sequence], field: Field) -> list[list]:
     for t, j in pivots:
         G[j] = A[t][n:]
     return G
+
+
+def mat_mul_field(a, b, field: Field) -> list[list]:
+    m, k, n = len(a), len(b), len(b[0]) if b else 0
+    out = [[field.zero] * n for _ in range(m)]
+    for i in range(m):
+        for t in range(k):
+            x = a[i][t]
+            if field.is_zero(x):
+                continue
+            row_b = b[t]
+            row_o = out[i]
+            for j in range(n):
+                row_o[j] = field.add(row_o[j], field.mul(x, row_b[j]))
+    return out
+
+
+def mat_add_field(a, b, field: Field) -> list[list]:
+    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

@@ -301,7 +301,7 @@ def reproduce_examples(field: Field | None = None, seed: int = 0) -> ReproReport
                verdict.empty_up_to, verdict.describe())
 
     k = fixture_k(ring)
-    report.add("2x2 resolution pair of the residue field certifies", k.certified)
+    report.add("2x2 resolution pair of R/(y)R certifies", k.certified)
 
     amb = ring.ambient
     s, t = (amb.variable(n) for n in ring.xvars)

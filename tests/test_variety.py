@@ -3,17 +3,30 @@
 rank_over_R goes through the x_1 elimination; every test here plays it
 against the exhaustive minor search, and membership is played against the
 specialize-and-reduce contractibility test, which never looks at ideals.
+The residue pencil y -> 0, which both the minor images and the residue
+matrices read, is played against the routes it replaced: normal forms mod w
+before the image in k[x], and specialize-then-residue along preimages.
 """
 
 import random
 
 import pytest
 
-from ghrv.complexes import cone_mul, raw_periodic, trivial_pair
+import ghrv.variety
+from ghrv.complexes import cone_mul, dual, raw_periodic, shift, trivial_pair
 from ghrv.errors import InvalidComplex, NotContractible, UnsupportedField
-from ghrv.fields import QQ
-from ghrv.pipelines import documented_cone_pair, fixture_k, fixture_rank_one
+from ghrv.fields import QQ, make_extension, prime_field
+from ghrv.matrix import all_minors
+from ghrv.pipelines import (
+    complete_resolution_of_k,
+    documented_cone_pair,
+    fixture_k,
+    fixture_rank_one,
+    worked_ring,
+)
+from ghrv.ring import RingSpec, make_alpha, residue, specialize
 from ghrv.variety import (
+    _canonical_gens,
     construct_contraction,
     contractible_at,
     enumerate_points,
@@ -243,3 +256,75 @@ def test_preimage_perturbations_never_move_the_verdict(ring5):
     assert rep_off.baseline is True and rep_off.stable
     again = preimage_independence_check(cone, on, trials=6, seed=5)
     assert again.verdicts == rep_on.verdicts
+
+
+# -- the residue pencil against its oracles -----------------------------------
+
+@pytest.mark.parametrize("field", [prime_field(5), make_extension(3, 2)], ids=str)
+def test_residue_matrices_match_specialize_then_residue(field):
+    ring = worked_ring(field)
+    suite = [complete_resolution_of_k(ring)]
+    for base in (fixture_k(ring), fixture_rank_one(ring)):
+        suite += [base, shift(base), dual(base), cone_mul(base, ring.parse("x1*x2"))]
+    points = enumerate_points(field, 2) + enumerate_points(extension_of(field, 2), 2)
+    for pt in points:
+        amb = ring.ambient_over(pt.field)
+        x, y = (amb.variable(n) for n in ring.yvars)
+        a1, a2 = (amb.const(a) for a in pt.coords)
+        choices = [
+            make_alpha(ring, pt.coords, field=pt.field),
+            make_alpha(ring, pt.coords, preimages=(a1 + y, a2 + x * y + x * x), field=pt.field),
+        ]
+        for C in suite:
+            a_bar, b_bar, _ = residue_matrices(C, pt)
+            for alpha in choices:
+                oracle = [
+                    [[residue(specialize(e, alpha, ring), ring) for e in row] for row in grid]
+                    for grid in (C.A.entries, C.B.entries)
+                ]
+                assert [a_bar, b_bar] == oracle, (C.size, str(pt), alpha.preimages)
+
+
+def _minor_image_by_normal_form(rows, r, ring):
+    nf_rows = [[ring.normal_form(e) for e in row] for row in rows]
+    images = (ring.image_in_kx(ring.normal_form(m)) for m in all_minors(nf_rows, r, ring.ambient))
+    return _canonical_gens(ring.kx, images)
+
+
+@pytest.mark.parametrize("field", [prime_field(3), QQ], ids=str)
+def test_minor_images_match_the_normal_form_route(field):
+    ring = worked_ring(field)
+    k, pair = fixture_k(ring), fixture_rank_one(ring)
+    cones = [cone_mul(k, ring.parse(p)) for p in ("x1*x2", "x1^2 + x2^2")]
+    cones.append(cone_mul(pair, ring.parse("x1")))
+    for C in cones:
+        for grid in (C.A.entries, C.B.entries):
+            for r in range(1, C.size + 1):
+                assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
+    tail = complete_resolution_of_k(ring)
+    for grid in (tail.A.entries, tail.B.entries):
+        r = rank_over_R(grid, ring)
+        assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
+
+
+def test_fast_paths_skip_normal_form_and_specialize(ring3, monkeypatch):
+    tail = complete_resolution_of_k(ring3)
+    r_a = rank_over_R(tail.A.entries, ring3)
+    pt = proj_point(ring3.field, (1, 2))
+    calls = {"normal_form": 0, "specialize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RingSpec, "normal_form", counted("normal_form", RingSpec.normal_form))
+    monkeypatch.setattr(ghrv.variety, "specialize", counted("specialize", specialize))
+    assert minor_ideal_image(tail.A.entries, r_a, ring3).gens
+    assert calls["normal_form"] == 0
+    assert contractible_at(tail, pt)
+    assert calls["specialize"] == 0
+    report = preimage_independence_check(tail, pt, trials=2, seed=0)
+    assert report.stable and report.baseline
+    assert calls["specialize"] >= 1
