@@ -8,6 +8,9 @@ generator degrees for the two underlying modules:
 
     .. --A--> C_0(degrees0) --B(+1 twist)--> C_1(degrees1) --A--> ..
 
+PeriodicComplex(ring, a_grid, b_grid, degrees0, degrees1, certified) is the
+only way a pair is built, and it owns the degree rule: A maps degrees1 to
+degrees0, and B maps degrees0 twisted by 1 (the x-degree of w) to degrees1.
 A is the odd-to-even differential.  Homogeneity: a nonzero entry (i, j) of a
 map has x-degree  deg_source(j) - deg_target(i), judged on normal forms mod w
 since entries only matter as R-classes.  Certification (the exact A*B = w*I
@@ -34,7 +37,7 @@ from .errors import (
     RingMismatch,
 )
 from .matrix import Grid, as_grid, block_matrix, identity, mat_mul, mat_neg, mat_shape, mat_transpose, zero_matrix
-from .poly import NEG_INF, Poly
+from .poly import NEG_INF
 from .ring import RElem, RingSpec
 
 
@@ -47,9 +50,6 @@ class GradedFreeModule:
     @property
     def rank(self) -> int:
         return len(self.degrees)
-
-    def twist(self, t: int) -> "GradedFreeModule":
-        return GradedFreeModule(tuple(d + t for d in self.degrees))
 
 
 @dataclass(frozen=True)
@@ -93,21 +93,28 @@ class HomMatrix:
 class PeriodicComplex:
     """2-periodic complex of free R-modules, represented by the pair (A, B).
 
-    Going up in homological degree the module degrees gain 1 per period (the
-    x-degree of w), so the two reference modules determine every module in
-    the doubly infinite complex.
+    The only constructor of a pair.  It takes the two grids and the reference
+    degrees and applies the degree rule: A maps degrees1 to degrees0, and B
+    maps degrees0 twisted by 1 (the x-degree of w) to degrees1.  Going up in
+    homological degree the module degrees gain 1 per period, so the two
+    reference tuples determine every module in the doubly infinite complex.
+    Entries are coerced with ring.coerce; nothing beyond shapes is checked
+    (periodic_from_pair and validate do that).
     """
 
-    def __init__(self, ring: RingSpec, A: HomMatrix, B: HomMatrix, certified: bool):
-        if A.source.degrees != B.target.degrees:
-            raise ValueError("A.source and B.target disagree")
-        if B.source.degrees != tuple(d + 1 for d in A.target.degrees):
-            raise ValueError("B.source must be A.target twisted by the period drift 1")
-        if A.target.rank != A.source.rank:
+    def __init__(self, ring: RingSpec, a_grid, b_grid, degrees0, degrees1, certified: bool):
+        degrees0 = tuple(degrees0)
+        degrees1 = tuple(degrees1)
+        if len(degrees0) != len(degrees1):
             raise ValueError("pair must be square of equal size")
+
+        def hom(grid, source, target):
+            entries = as_grid([[ring.coerce(e) for e in row] for row in grid])
+            return HomMatrix(GradedFreeModule(source), GradedFreeModule(target), entries)
+
         self.ring = ring
-        self.A = A
-        self.B = B
+        self.A = hom(a_grid, degrees1, degrees0)
+        self.B = hom(b_grid, tuple(d + 1 for d in degrees0), degrees1)
         self.certified = certified
 
     @property
@@ -133,14 +140,6 @@ class PeriodicComplex:
     def __repr__(self):
         cert = "certified" if self.certified else "uncertified"
         return f"<periodic pair, size {self.size}, {cert}>"
-
-
-def make_hom(ring: RingSpec, grid, degrees_source, degrees_target) -> HomMatrix:
-    return HomMatrix(
-        GradedFreeModule(tuple(degrees_source)),
-        GradedFreeModule(tuple(degrees_target)),
-        as_grid([[ring.coerce(e) for e in row] for row in grid]),
-    )
 
 
 @dataclass
@@ -173,16 +172,11 @@ class ValidationReport:
 def validate_pair(ring: RingSpec, A: HomMatrix, B: HomMatrix, claims_certified: bool,
                   check_rank: bool = True) -> ValidationReport:
     """Full structural report: complex condition mod w, entrywise
-    homogeneity, drift consistency, certification when claimed, and the
-    rank partition rank(A) + rank(B) = size."""
+    homogeneity, certification when claimed, and the rank partition
+    rank(A) + rank(B) = size.  Shapes and the degree drift are fixed by the
+    PeriodicComplex constructor that built A and B."""
     report = ValidationReport()
     n = A.source.rank
-    if A.target.rank != n or B.source.rank != n or B.target.rank != n:
-        report.add("ShapeMismatch", "pair is not square of equal size")
-        return report
-    if B.source.degrees != tuple(d + 1 for d in A.target.degrees):
-        report.add("DriftMismatch", "module degrees do not gain 1 per period")
-
     ab = mat_mul(A.entries, B.entries, ring.ambient)
     ba = mat_mul(B.entries, A.entries, ring.ambient)
     for name, prod in (("A*B", ab), ("B*A", ba)):
@@ -220,11 +214,8 @@ def periodic_from_pair(ring: RingSpec, a_grid, b_grid, degrees0, degrees1,
                        certify: bool = False) -> PeriodicComplex:
     """Validating constructor.  With certify=True the exact w*I identity is
     required and the result is marked certified."""
-    degrees0 = tuple(degrees0)
-    degrees1 = tuple(degrees1)
-    A = make_hom(ring, a_grid, degrees1, degrees0)
-    B = make_hom(ring, b_grid, tuple(d + 1 for d in degrees0), degrees1)
-    report = validate_pair(ring, A, B, claims_certified=certify, check_rank=False)
+    C = PeriodicComplex(ring, a_grid, b_grid, degrees0, degrees1, certified=certify)
+    report = validate_pair(ring, C.A, C.B, claims_certified=certify, check_rank=False)
     for code, message in report.findings:
         if code == "NotAComplex":
             raise NotAComplex(message)
@@ -233,17 +224,7 @@ def periodic_from_pair(ring: RingSpec, a_grid, b_grid, degrees0, degrees1,
         if code == "CertificationFailed":
             raise CertificationFailed(message)
         raise ValueError(message)
-    return PeriodicComplex(ring, A, B, certified=certify)
-
-
-def raw_periodic(ring: RingSpec, a_grid, b_grid, degrees0, degrees1, certified: bool) -> PeriodicComplex:
-    """Non-validating constructor for loaded data; `check` style callers run
-    validate_pair on the result explicitly."""
-    degrees0 = tuple(degrees0)
-    degrees1 = tuple(degrees1)
-    A = make_hom(ring, a_grid, degrees1, degrees0)
-    B = make_hom(ring, b_grid, tuple(d + 1 for d in degrees0), degrees1)
-    return PeriodicComplex(ring, A, B, certified=certified)
+    return C
 
 
 def validate(C: PeriodicComplex, check_rank: bool = True) -> ValidationReport:
@@ -260,16 +241,10 @@ def shift(C: PeriodicComplex) -> PeriodicComplex:
     degree relabeling; shift(shift(C)) has all degrees down by 1."""
     return PeriodicComplex(
         C.ring,
-        HomMatrix(
-            GradedFreeModule(C.degrees0),
-            GradedFreeModule(tuple(d - 1 for d in C.degrees1)),
-            mat_neg(C.B.entries),
-        ),
-        HomMatrix(
-            GradedFreeModule(C.degrees1),
-            GradedFreeModule(C.degrees0),
-            mat_neg(C.A.entries),
-        ),
+        mat_neg(C.B.entries),
+        mat_neg(C.A.entries),
+        degrees0=tuple(d - 1 for d in C.degrees1),
+        degrees1=C.degrees0,
         certified=C.certified,
     )
 
@@ -279,16 +254,10 @@ def dual(C: PeriodicComplex) -> PeriodicComplex:
     involution: dual(dual(C)) == C."""
     return PeriodicComplex(
         C.ring,
-        HomMatrix(
-            GradedFreeModule(tuple(-d for d in C.degrees1)),
-            GradedFreeModule(tuple(-d - 1 for d in C.degrees0)),
-            mat_transpose(C.B.entries),
-        ),
-        HomMatrix(
-            GradedFreeModule(tuple(-d for d in C.degrees0)),
-            GradedFreeModule(tuple(-d for d in C.degrees1)),
-            mat_transpose(C.A.entries),
-        ),
+        mat_transpose(C.B.entries),
+        mat_transpose(C.A.entries),
+        degrees0=tuple(-d - 1 for d in C.degrees0),
+        degrees1=tuple(-d for d in C.degrees1),
         certified=C.certified,
     )
 
@@ -308,16 +277,10 @@ def direct_sum(C: PeriodicComplex, D: PeriodicComplex) -> PeriodicComplex:
     ])
     return PeriodicComplex(
         ring,
-        HomMatrix(
-            GradedFreeModule(C.degrees1 + D.degrees1),
-            GradedFreeModule(C.degrees0 + D.degrees0),
-            a,
-        ),
-        HomMatrix(
-            GradedFreeModule(tuple(d + 1 for d in C.degrees0 + D.degrees0)),
-            GradedFreeModule(C.degrees1 + D.degrees1),
-            b,
-        ),
+        a,
+        b,
+        degrees0=C.degrees0 + D.degrees0,
+        degrees1=C.degrees1 + D.degrees1,
         certified=C.certified and D.certified,
     )
 
@@ -355,16 +318,7 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
         if mat_mul(a, b, amb) != w_id or mat_mul(b, a, amb) != w_id:
             raise CertificationFailed("cone blocks do not multiply to w*I")  # pragma: no cover
         certified = True
-    return PeriodicComplex(
-        ring,
-        HomMatrix(GradedFreeModule(degrees1), GradedFreeModule(degrees0), a),
-        HomMatrix(
-            GradedFreeModule(tuple(d + 1 for d in degrees0)),
-            GradedFreeModule(degrees1),
-            b,
-        ),
-        certified=certified,
-    )
+    return PeriodicComplex(ring, a, b, degrees0, degrees1, certified=certified)
 
 
 def trivial_pair(ring: RingSpec, degree: int = 0) -> PeriodicComplex:

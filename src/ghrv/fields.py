@@ -78,10 +78,6 @@ class Field:
         """Grammar-parseable form; raises NotSerializable when none exists."""
         return self.format(a)
 
-    def sort_key(self, a):
-        """Total order on elements, used only for deterministic output."""
-        raise NotImplementedError
-
 
 class PrimeField(Field):
     """GF(p), elements are ints reduced to [0, p)."""
@@ -116,9 +112,6 @@ class PrimeField(Field):
 
     def elements(self):
         return iter(range(self.p))
-
-    def sort_key(self, a):
-        return a
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -156,9 +149,6 @@ class RationalField(Field):
 
     def from_int(self, n: int):
         return Fraction(n)
-
-    def sort_key(self, a):
-        return a
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -340,9 +330,6 @@ class ExtensionField(Field):
                 m //= self.p
             yield tuple(digits)
 
-    def element_index(self, a) -> int:
-        return sum(c * self.p**i for i, c in enumerate(a))
-
     def in_prime_subfield(self, a) -> bool:
         return all(c == 0 for c in a[1:])
 
@@ -369,9 +356,6 @@ class ExtensionField(Field):
                 "subfield and has no expression-grammar form"
             )
         return str(a[0])
-
-    def sort_key(self, a):
-        return self.element_index(a)
 
     def __eq__(self, other):
         return (

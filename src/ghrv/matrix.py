@@ -15,13 +15,18 @@ deterministic pivoting.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
-from .errors import NotSquare
+from .errors import BoundExceeded, NotSquare
 from .fields import Field
 from .poly import Poly, PolyRing, exact_div
 
 Grid = tuple[tuple[Poly, ...], ...]
+
+# all_minors refuses to enumerate more than this many minors: its memo grows
+# with the count, and 12x12 at r = 6 (853,776 minors) already takes seconds.
+MAX_MINORS = 10**6
 
 
 def as_grid(rows: Sequence[Sequence[Poly]]) -> Grid:
@@ -54,10 +59,6 @@ def mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]], ring: Poly
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_sub(a, b) -> Grid:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_neg(a) -> Grid:
@@ -122,11 +123,19 @@ def _cofactor_det(grid: Grid, rset: tuple[int, ...], cset: tuple[int, ...], memo
 
 def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
     """Yield every r x r minor determinant, rows and columns in ascending
-    lexicographic order of index sets.  Shared memo across subsets."""
+    lexicographic order of index sets.  Shared memo across subsets.
+
+    Raises BoundExceeded, before any minor is computed, when there are more
+    than MAX_MINORS of them."""
     grid = as_grid(rows)
     m, n = mat_shape(grid)
     if r < 0 or r > min(m, n):
         return
+    count = comb(m, r) * comb(n, r)
+    if count > MAX_MINORS:
+        raise BoundExceeded(
+            f"{count} minors of size {r} in a {m}x{n} matrix exceed the cap of {MAX_MINORS}"
+        )
     memo: dict = {}
     for rset in combinations(range(m), r):
         for cset in combinations(range(n), r):

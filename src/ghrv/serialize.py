@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .complexes import PeriodicComplex, raw_periodic
+from .complexes import PeriodicComplex
 from .errors import ParseError
 from .fields import ExtensionField, field_name, parse_field
 from .parser import parse_poly
@@ -85,7 +85,7 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
             raise ParseError(f"'periodic' block lacks {key!r}")
     a = [[parse_poly(ring.ambient, e) for e in row] for row in periodic["A"]]
     b = [[parse_poly(ring.ambient, e) for e in row] for row in periodic["B"]]
-    return raw_periodic(
+    return PeriodicComplex(
         ring,
         a,
         b,

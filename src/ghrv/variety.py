@@ -66,7 +66,6 @@ def _eliminate_x1(rows, ring: RingSpec):
     for row in rows:
         degs = [e.degree_in(x1) for e in row]
         top = max((d for d in degs if d >= 0), default=0)
-        top = max(int(top) if top >= 0 else 0, 0)
         new_row = []
         for e in row:
             if e.is_zero():

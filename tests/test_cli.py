@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,21 @@ def test_realize(ring_file, tmp_path, capsys):
     final = load_complex(trace_path)
     assert final.size == 32
     assert json.loads(trace_path.read_text())["requested-zero-set"] == ["x1", "x2"]
+
+
+def test_ideal_refuses_a_minor_count_over_the_cap(ring_file, tmp_path, capsys):
+    # The 16x16 realize stage has C(16, 8)^2, about 1.7e8, minors of size 8:
+    # too many to enumerate in memory, so the verb must refuse at once.
+    trace_path = tmp_path / "trace16.json"
+    assert run(["realize", ring_file, "--p", "x1*x2", "--out", str(trace_path)]) == 0
+    assert load_complex(trace_path).size == 16
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["ideal", str(trace_path), "--which", "A"]) == 1
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("BoundExceeded: ")
 
 
 def test_module_variety(pair_file, capsys):

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from ghrv.complexes import (
+    PeriodicComplex,
     cone_mul,
     direct_sum,
     dual,
@@ -18,7 +19,6 @@ from ghrv.complexes import (
     koszul,
     koszul_differential,
     periodic_from_pair,
-    raw_periodic,
     shamash_resolution,
     shift,
     trivial_pair,
@@ -228,13 +228,13 @@ def test_constructor_rejects_false_certification(ring5):
 
 
 def test_validate_reports_rank_defect(ring5):
-    bad = raw_periodic(ring5, [["0"]], [["0"]], (0,), (0,), certified=False)
+    bad = PeriodicComplex(ring5, [["0"]], [["0"]], (0,), (0,), certified=False)
     report = validate(bad)
     assert any(code == "RankDefect" for code, _ in report.findings)
 
 
 def test_validate_notes_uncertified_assumption(ring5):
-    c = raw_periodic(ring5, [["x1"]], [["0"]], (0,), (1,), certified=False)
+    c = PeriodicComplex(ring5, [["x1"]], [["0"]], (0,), (1,), certified=False)
     report = validate(c, check_rank=False)
     assert report.ok
     assert any("not claimed" in note for note in report.notes)
@@ -325,18 +325,16 @@ def test_cone_rank_partition(ring5):
     assert r_a + r_b == cone.size
 
 
-def test_periodic_requires_matching_degree_drift(ring5):
-    from ghrv.complexes import GradedFreeModule, HomMatrix, PeriodicComplex
-
-    k = fixture_k(ring5)
+def test_periodic_rejects_non_square_pair(ring5):
+    # degrees of unequal length: the shapes themselves agree with the degrees
+    with pytest.raises(ValueError, match="square"):
+        PeriodicComplex(ring5, [["x1", "0"]], [["0"], ["0"]], (0,), (0, 1), certified=False)
+    # grids that disagree with the degrees, and a ragged grid
     with pytest.raises(ValueError):
-        PeriodicComplex(
-            ring5,
-            k.A,
-            HomMatrix(
-                GradedFreeModule(tuple(d + 2 for d in k.degrees0)),
-                k.B.target,
-                k.B.entries,
-            ),
-            certified=False,
-        )
+        PeriodicComplex(ring5, [["x1", "0"]], [["0", "0"]], (0,), (0,), certified=False)
+    with pytest.raises(ValueError):
+        PeriodicComplex(ring5, [["x1", "0"], ["0"]], [["0", "0"], ["0", "0"]], (0, 0), (0, 0), certified=False)
+    # the drift is the constructor's own: B starts from degrees0 twisted by 1
+    k = fixture_k(ring5)
+    assert k.A.source.degrees == k.B.target.degrees == k.degrees1
+    assert k.B.source.degrees == tuple(d + 1 for d in k.degrees0)

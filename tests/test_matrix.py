@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ghrv.errors import NotSquare
+from ghrv.errors import BoundExceeded, NotSquare
 from ghrv.fields import QQ, prime_field
 from ghrv.matrix import (
     all_minors,
@@ -143,6 +143,11 @@ def test_all_minors_counts(ring):
     assert len(list(all_minors(g, 2, ring))) == 3 * 6
     assert len(list(all_minors(g, 5, ring))) == 0
     assert list(all_minors(g, 0, ring)) == [ring.one()]
+    # C(12, 6)^2 = 853,776 minors are enumerated; C(13, 6)^2 = 2,944,656
+    # exceed MAX_MINORS and are refused before the first one is computed.
+    assert next(all_minors(identity(ring, 12), 6, ring)) == ring.one()
+    with pytest.raises(BoundExceeded):
+        next(all_minors(identity(ring, 13), 6, ring))
 
 
 def test_block_matrix_layout(ring):

@@ -9,7 +9,7 @@ entry by entry against fixture_k.
 
 import pytest
 
-from ghrv.complexes import cone_mul, raw_periodic, validate
+from ghrv.complexes import PeriodicComplex, cone_mul, validate
 from ghrv.errors import InvalidComplex, NotHomogeneousScalar, UnsupportedField
 from ghrv.fields import QQ, prime_field
 from ghrv.matrix import as_grid, mat_mul
@@ -142,7 +142,7 @@ def test_module_variety_matches_the_complex(ring5):
 
 def test_module_presentation_needs_certification(ring5):
     pair = fixture_rank_one(ring5)
-    loose = raw_periodic(
+    loose = PeriodicComplex(
         ring5,
         pair.A.entries,
         pair.B.entries,

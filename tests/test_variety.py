@@ -13,7 +13,7 @@ import random
 import pytest
 
 import ghrv.variety
-from ghrv.complexes import cone_mul, dual, raw_periodic, shift, trivial_pair
+from ghrv.complexes import PeriodicComplex, cone_mul, dual, shift, trivial_pair
 from ghrv.errors import InvalidComplex, NotContractible, UnsupportedField
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import all_minors
@@ -76,7 +76,14 @@ def test_rank_matches_minor_oracle_random(ring5):
     rng = random.Random(101)
     for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)] * 3:
         g = _random_grid(rng, ring5, m, n)
-        assert rank_over_R(g, ring5) == rank_over_R_by_minors(g, ring5), g
+        rank = rank_over_R(g, ring5)
+        assert rank == rank_over_R_by_minors(g, ring5), g
+        # The same classes by representatives outside normal form: random
+        # multiples of w on every entry, so rank_over_R's normal_form acts.
+        shifts = _random_grid(rng, ring5, m, n)
+        perturbed = [[e + ring5.w * (q + 1) for e, q in zip(row, qs)] for row, qs in zip(g, shifts)]
+        assert any(ring5.normal_form(e) != e for row in perturbed for e in row)
+        assert rank_over_R(perturbed, ring5) == rank_over_R_by_minors(perturbed, ring5) == rank, g
 
 
 def test_rank_degenerate_inputs(ring5):
@@ -133,7 +140,7 @@ def test_variety_of_the_resolution_pair_is_everything(ring5):
 
 def test_variety_needs_a_valid_pair(ring5):
     zero = ring5.ambient.zero()
-    bad = raw_periodic(ring5, [[zero]], [[zero]], (0,), (0,), certified=False)
+    bad = PeriodicComplex(ring5, [[zero]], [[zero]], (0,), (0,), certified=False)
     with pytest.raises(InvalidComplex):
         rank_variety(bad)
 
