@@ -26,6 +26,7 @@ pair used as the complete resolution of k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -99,7 +100,8 @@ class PeriodicComplex:
     homological degree the module degrees gain 1 per period, so the two
     reference tuples determine every module in the doubly infinite complex.
     Entries are coerced with ring.coerce; nothing beyond shapes is checked
-    (periodic_from_pair and validate do that).
+    (periodic_from_pair and validate do that).  A and B are never reassigned
+    after construction, which is what lets the pair keep its residue pencil.
     """
 
     def __init__(self, ring: RingSpec, a_grid, b_grid, degrees0, degrees1, certified: bool):
@@ -128,6 +130,12 @@ class PeriodicComplex:
     @property
     def degrees1(self) -> tuple[int, ...]:
         return self.A.source.degrees
+
+    @cached_property
+    def pencil(self) -> tuple[Grid, Grid]:
+        """The residue pencil (Abar, Bbar) = (A, B)|_{y=0}, grids over k[x];
+        built on first use and kept with the pair."""
+        return self.ring.image_grid(self.A.entries), self.ring.image_grid(self.B.entries)
 
     def __eq__(self, other):
         return (

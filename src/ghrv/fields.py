@@ -11,6 +11,14 @@ coefficient order (constant coefficient fastest) and the first monic degree-e
 polynomial that passes the Rabin irreducibility test wins.  Embeddings
 between extensions of the same characteristic are found by root search, again
 in deterministic element order, so every tower computation is reproducible.
+Each GF(p^e) is built once per process.
+
+Extension elements keep the tuple form at every boundary; only the
+arithmetic behind it changes with the order.  Up to 4096 elements each
+field carries log, antilog and Zech tables keyed by those tuples, so a
+product, sum, negation or inverse is a lookup.  Larger fields multiply
+coefficient lists and reduce by the modulus.  That list route also builds
+the tables and is the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -269,8 +277,27 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+# Extension fields of at most this many elements do their arithmetic by
+# table lookup; larger ones keep the coefficient-list route.
+_TABLE_MAX = 4096
+
+
 class ExtensionField(Field):
-    """GF(p^e) = GF(p)[t]/(modulus); elements are length-e coefficient tuples."""
+    """GF(p^e) = GF(p)[t]/(modulus); elements are length-e coefficient tuples.
+
+    Up to _TABLE_MAX elements the arithmetic is table lookup (Lidl and
+    Niederreiter, Finite Fields, ch. 9).  With g the first primitive element
+    in elements() order, `_log` maps each element a = g^i to i, `_exp` is the
+    antilog list, doubled so a product needs no reduction of la + lb, and
+    `_zech[i]` is the log of 1 + g^i.  Zero gets the log 2(q-1), past every
+    sum of two nonzero logs, and `_exp` reads zero from there on, so
+    products and sums with zero need no branch.  A tuple that is not a
+    reduced element has no log and raises FieldError.
+
+    The coefficient-list route (`_add_list`, `_mul_list`, ...) builds the
+    tables, does all arithmetic above the cap, and is the reference the
+    tables are tested against.
+    """
 
     finite = True
 
@@ -286,21 +313,107 @@ class ExtensionField(Field):
         self.modulus = tuple(c % p for c in modulus)
         self.zero = (0,) * e
         self.one = tuple([1 % p] + [0] * (e - 1))
+        self._log = None
+        if self.order <= _TABLE_MAX:
+            self._build_tables()
+
+    def _build_tables(self):
+        q1 = self.order - 1
+        gen = next(
+            g for g in self.elements()
+            if g != self.zero and all(self._pow_list(g, q1 // r) != self.one for r in _prime_factors(q1))
+        )
+        exp = [self.one]
+        for _ in range(q1 - 1):
+            exp.append(self._mul_list(exp[-1], gen))
+        zero_log = 2 * q1
+        log = {a: i for i, a in enumerate(exp)}
+        log[self.zero] = zero_log
+        zech = [log[self._add_list(self.one, a)] for a in exp]
+        # a difference lb - la past q - 1 means b is zero: a + 0 = g^(la + 0)
+        self._zech = zech + [0] * (q1 + 1)
+        self._exp = exp + exp + [self.zero] * (2 * q1 + 1)
+        self._neg_shift = 0 if self.p == 2 else q1 // 2
+        self._zero_log = zero_log
+        self._log = log
+
+    def _foreign(self, *values) -> FieldError:
+        bad = next(v for v in values if not isinstance(v, tuple) or v not in self._log)
+        return FieldError(f"{bad!r} is not an element of {self}")
+
+    def _element(self, a):
+        """a itself when it is a reduced length-e tuple; FieldError otherwise."""
+        if len(a) != self.e or any(not 0 <= c < self.p for c in a):
+            raise FieldError(f"{a!r} is not an element of {self}")
+        return a
 
     def _wrap(self, coeffs: list[int]) -> tuple[int, ...]:
         return tuple(coeffs + [0] * (self.e - len(coeffs)))
 
+    # -- table route ----------------------------------------------------
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        log = self._log
+        if log is None:
+            return self._add_list(self._element(a), self._element(b))
+        try:
+            la, lb = log[a], log[b]
+        except (KeyError, TypeError):
+            raise self._foreign(a, b) from None
+        if la > lb:
+            la, lb = lb, la
+        return self._exp[la + self._zech[lb - la]]
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        log = self._log
+        if log is None:
+            return self._neg_list(self._element(a))
+        try:
+            return self._exp[log[a] + self._neg_shift]
+        except (KeyError, TypeError):
+            raise self._foreign(a) from None
 
     def mul(self, a, b):
+        log = self._log
+        if log is None:
+            return self._mul_list(self._element(a), self._element(b))
+        try:
+            return self._exp[log[a] + log[b]]
+        except (KeyError, TypeError):
+            raise self._foreign(a, b) from None
+
+    def inv(self, a):
+        log = self._log
+        if log is None:
+            return self._inv_list(self._element(a))
+        try:
+            la = log[a]
+        except (KeyError, TypeError):
+            raise self._foreign(a) from None
+        if la == self._zero_log:
+            raise ZeroDivisionError("inverse of 0")
+        return self._exp[self.order - 1 - la]
+
+    # -- coefficient-list route -----------------------------------------
+    def _add_list(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def _neg_list(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def _mul_list(self, a, b):
         prod = _fp_mul(_fp_trim(list(a)), _fp_trim(list(b)), self.p)
         return self._wrap(_fp_mod(prod, list(self.modulus), self.p))
 
-    def inv(self, a):
+    def _pow_list(self, a, n: int):
+        acc = self.one
+        while n:
+            if n & 1:
+                acc = self._mul_list(acc, a)
+            a = self._mul_list(a, a)
+            n >>= 1
+        return acc
+
+    def _inv_list(self, a):
         if all(c == 0 for c in a):
             raise ZeroDivisionError("inverse of 0")
         # extended Euclid in GF(p)[t]
@@ -380,18 +493,23 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-@lru_cache(maxsize=None)
 def make_extension(p: int, e: int, bound: int = 4) -> ExtensionField:
     """Deterministic GF(p^e): first monic irreducible modulus in base-p order.
 
     `bound` caps the extension degree for user-facing calls; internal tower
-    constructions pass bound=e explicitly.
+    constructions pass bound=e explicitly.  Each GF(p^e) is built once, so
+    every caller gets the same object and its tables.
     """
     prime_field(p)  # validates primality
     if e < 2:
         raise FieldError("make_extension needs degree >= 2; use prime_field for e = 1")
     if e > bound:
         raise BoundExceeded(f"extension degree {e} exceeds bound {bound}")
+    return _extension(p, e)
+
+
+@lru_cache(maxsize=None)
+def _extension(p: int, e: int) -> ExtensionField:
     for n in range(p**e):
         digits = []
         m = n

@@ -326,22 +326,7 @@ class Poly:
     def evaluate(self, assignment: Mapping[str, object], target: Field | None = None):
         """Full evaluation to a scalar; assignment must cover every mentioned
         variable.  With `target`, coefficients go through the field embedding."""
-        ring = self.ring
-        fld = target if target is not None else ring.field
-        emb = embedding(ring.field, fld)
-        values: dict[int, object] = {}
-        for name, v in assignment.items():
-            values[ring.var_index(name)] = v
-        acc = fld.zero
-        for m, c in self.terms.items():
-            term = emb(c)
-            for i, e in enumerate(m):
-                if e:
-                    if i not in values:
-                        raise ValueError(f"no value for {ring.vars[i]}")
-                    term = fld.mul(term, fld.pow(values[i], e))
-            acc = fld.add(acc, term)
-        return acc
+        return evaluator(self.ring, assignment, target)(self)
 
     # -- printing -----------------------------------------------------------
     def sorted_terms(self):
@@ -387,6 +372,38 @@ class Poly:
 
     def __repr__(self):
         return f"<{self.to_string(strict=False)}>"
+
+
+def evaluator(ring: PolyRing, assignment: Mapping[str, object],
+              target: Field | None = None) -> Callable[[Poly], object]:
+    """p -> p(assignment) for polynomials of `ring`, as a scalar of `target`
+    (default: the ring's field).  The embedding is looked up once and each
+    variable's powers are kept in one table, so evaluating many polynomials
+    at one point shares that work.  A mentioned variable without a value
+    raises ValueError when a polynomial needs it."""
+    fld = target if target is not None else ring.field
+    emb = embedding(ring.field, fld)
+    mul, add = fld.mul, fld.add
+    powers: list = [None] * ring.nvars
+    for name, v in assignment.items():
+        powers[ring.var_index(name)] = [fld.one, v]
+
+    def evaluate(p: Poly):
+        acc = fld.zero
+        for m, c in p.terms.items():
+            term = emb(c)
+            for i, e in enumerate(m):
+                if e:
+                    table = powers[i]
+                    if table is None:
+                        raise ValueError(f"no value for {ring.vars[i]}")
+                    while len(table) <= e:
+                        table.append(mul(table[-1], table[1]))
+                    term = mul(term, table[e])
+            acc = add(acc, term)
+        return acc
+
+    return evaluate
 
 
 def divide_single(p: Poly, d: Poly) -> tuple[Poly, Poly]:

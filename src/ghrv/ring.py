@@ -94,6 +94,10 @@ class RingSpec:
                 out[key] = coef
         return Poly(self.kx, out)
 
+    def image_grid(self, rows) -> tuple[tuple[Poly, ...], ...]:
+        """image_in_kx entry by entry: a grid over P as a grid over k[x]."""
+        return tuple(tuple(self.image_in_kx(e) for e in row) for row in rows)
+
     def ambient_over(self, field: Field) -> PolyRing:
         """Same variables over an extension coefficient field."""
         if field == self.field:

@@ -23,7 +23,11 @@ minor-ideal images are the minors of the pencil, with no reduction mod w.
 Membership of a point is evaluation of generators, optionally through a
 deterministic field embedding, so a variety computed over GF(p) can be
 scanned over GF(p^j) towers.  Contractibility at a point alpha evaluates the
-pencil at alpha and tests rank(Abar(alpha)) + rank(Bbar(alpha)) = n.
+pencil at alpha and tests rank(Abar(alpha)) + rank(Bbar(alpha)) = n.  Each
+pair builds its pencil once and keeps it (PeriodicComplex.pencil), so a scan
+over many points pays for y -> 0 once.  Both membership and the residue
+matrices evaluate through poly.evaluator, which looks up the embedding once
+and keeps one power table per coordinate for all entries at a point.
 Specializing x -> a along chosen preimages a of alpha and then reducing
 y -> 0 gives the same scalars for every choice of preimages; that route is
 kept as the oracle the preimage perturbation check runs.
@@ -47,7 +51,7 @@ from .matrix import (
     rank_over_domain,
     rank_over_field,
 )
-from .poly import Poly, PolyRing, order_key
+from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import Alpha, RingSpec, make_alpha, residue, specialize
 
 
@@ -149,14 +153,11 @@ def _canonical_gens(ring: PolyRing, gens) -> tuple[Poly, ...]:
     return tuple(ordered)
 
 
-def _residue_grid(rows, ring: RingSpec):
-    return tuple(tuple(ring.image_in_kx(e) for e in row) for row in rows)
-
-
 def residue_pencil(C: PeriodicComplex) -> tuple:
     """The grids (Abar, Bbar) over k[x]: both differentials under y -> 0.
-    One linear pass over the entries; nothing is kept between calls."""
-    return _residue_grid(C.A.entries, C.ring), _residue_grid(C.B.entries, C.ring)
+    The pair builds them in one linear pass on first use and keeps them, so
+    every later point of a scan reads the same grids."""
+    return C.pencil
 
 
 def minor_ideal_image(rows, r: int, ring: RingSpec) -> IdealGens:
@@ -165,7 +166,7 @@ def minor_ideal_image(rows, r: int, ring: RingSpec) -> IdealGens:
     gives the unit ideal by the usual convention I_0 = (1)."""
     if r <= 0:
         return IdealGens(ring.kx, (ring.kx.one(),))
-    gens = all_minors(_residue_grid(rows, ring), r, ring.kx)
+    gens = all_minors(ring.image_grid(rows), r, ring.kx)
     return IdealGens(ring.kx, _canonical_gens(ring.kx, gens))
 
 
@@ -243,15 +244,9 @@ def enumerate_points(field: Field, c: int) -> list[ProjPoint]:
 def membership(V: ZeroSetUnion, point: ProjPoint) -> bool:
     """Evaluation test; scaling invariance holds because generators are
     homogeneous.  The point may live in an extension of V's field."""
-    names = V.ring.vars
-    assignment = dict(zip(names, point.coords))
-    for comp in V.components:
-        if all(
-            point.field.is_zero(g.evaluate(assignment, target=point.field))
-            for g in comp.gens
-        ):
-            return True
-    return False
+    at = evaluator(V.ring, dict(zip(V.ring.vars, point.coords)), point.field)
+    is_zero = point.field.is_zero
+    return any(all(is_zero(at(g)) for g in comp.gens) for comp in V.components)
 
 
 def extension_of(field: Field, j: int) -> Field:
@@ -309,13 +304,12 @@ def _as_alpha(C: PeriodicComplex, alpha) -> Alpha:
 def residue_matrices(C: PeriodicComplex, alpha) -> tuple[list[list], list[list], Alpha]:
     """The residue pencil evaluated at alpha: field-scalar grids over
     alpha's field.  They equal the specialize-then-residue grids for every
-    choice of preimages, which is why alpha's preimages are not read."""
+    choice of preimages, which is why alpha's preimages are not read.  One
+    evaluator serves every entry, so the embedding and the powers of each
+    coordinate are computed once per point."""
     alpha = _as_alpha(C, alpha)
-    fld = alpha.field
-    at = dict(zip(C.ring.xvars, alpha.point))
-    a_bar, b_bar = (
-        [[e.evaluate(at, target=fld) for e in row] for row in grid] for grid in residue_pencil(C)
-    )
+    at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, alpha.point)), alpha.field)
+    a_bar, b_bar = ([[at(e) for e in row] for row in grid] for grid in residue_pencil(C))
     return a_bar, b_bar, alpha
 
 

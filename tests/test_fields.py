@@ -1,9 +1,9 @@
 """Field arithmetic against brute-force oracles.
 
 Prime fields are checked against plain integer arithmetic mod p, extension
-fields against exhaustive enumeration (the fields are tiny), and the
-irreducibility certificate against trial division over all lower-degree
-monic polynomials.
+fields against exhaustive enumeration (the fields are tiny) and their
+log/Zech tables against the coefficient-list route, and the irreducibility
+certificate against trial division over all lower-degree monic polynomials.
 """
 
 import random
@@ -22,6 +22,7 @@ from ghrv.fields import (
     parse_field,
     prime_field,
 )
+from ghrv.variety import extension_of
 
 
 def test_prime_field_matches_integer_arithmetic():
@@ -125,23 +126,62 @@ def test_reducible_product_of_two_quadratics_is_rejected():
     assert not is_irreducible(prod, 3)
 
 
-def test_extension_field_is_a_field():
-    f9 = make_extension(3, 2)
-    elems = list(f9.elements())
-    assert len(elems) == 9
-    assert len(set(elems)) == 9
-    for a in elems:
-        assert f9.add(a, f9.zero) == a
-        assert f9.mul(a, f9.one) == a
-        assert f9.pow(a, 9) == a  # Frobenius fixed by q-power
-        if not f9.is_zero(a):
-            assert f9.mul(a, f9.inv(a)) == f9.one
-    # commutativity and distributivity on a sample
+TABLE_FIELDS = [
+    make_extension(p, e, bound=e) for p, e in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4))
+]
+# above the table cap, so arithmetic takes the coefficient-list route
+LIST_FIELD = make_extension(101, 2)
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS + [LIST_FIELD], ids=str)
+def test_extension_field_is_a_field(f):
+    """Field axioms, and every operation equal to the coefficient-list
+    route: on all pairs below the table cap, on a seeded sample above it."""
+    q = f.order
     rng = random.Random(5)
+    if f is LIST_FIELD:
+        elems = [f.zero, f.one] + rng.sample(list(f.elements()), 30)
+    else:
+        elems = list(f.elements())
+        assert len(elems) == q and len(set(elems)) == q
+    for a in elems:
+        assert f.add(a, f.zero) == a
+        assert f.mul(a, f.one) == a
+        assert f.pow(a, q) == a  # Frobenius fixed by q-power
+        assert f.neg(a) == f._neg_list(a)
+        if not f.is_zero(a):
+            assert f.inv(a) == f._inv_list(a)
+            assert f.mul(a, f.inv(a)) == f.one
+        for b in elems:
+            assert f.add(a, b) == f._add_list(a, b)
+            assert f.sub(a, b) == f._add_list(a, f._neg_list(b))
+            assert f.mul(a, b) == f._mul_list(a, b)
+    # commutativity and distributivity on a sample
     for _ in range(60):
-        a, b, c = (elems[rng.randrange(9)] for _ in range(3))
-        assert f9.mul(a, b) == f9.mul(b, a)
-        assert f9.mul(a, f9.add(b, c)) == f9.add(f9.mul(a, b), f9.mul(a, c))
+        a, b, c = (rng.choice(elems) for _ in range(3))
+        assert f.mul(a, b) == f.mul(b, a)
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    # a tuple that is not a reduced element raises; it is never read as zero
+    for bad in ((f.p,) + (0,) * (f.e - 1), (0,) * (f.e + 1), (1,) * (f.e - 1)):
+        for op in (
+            lambda: f.add(bad, f.zero),
+            lambda: f.sub(f.zero, bad),
+            lambda: f.mul(bad, f.zero),
+            lambda: f.mul(f.one, bad),
+            lambda: f.neg(bad),
+            lambda: f.inv(bad),
+        ):
+            with pytest.raises(FieldError):
+                op()
+    with pytest.raises(ZeroDivisionError):
+        f.inv(f.zero)
+
+
+def test_each_extension_is_built_once():
+    f9 = make_extension(3, 2)
+    assert parse_field("GF(9)") is f9
+    assert parse_field("GF(3^2)") is f9
+    assert extension_of(prime_field(3), 2) is f9
 
 
 def test_extension_field_multiplicative_group_order():
@@ -160,7 +200,7 @@ def test_extension_field_multiplicative_group_order():
 
 
 def test_make_extension_bound():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="extension degree 9 exceeds bound 4"):
         make_extension(3, 9, bound=4)
     make_extension(3, 4, bound=4)
 

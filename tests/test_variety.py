@@ -314,11 +314,11 @@ def test_minor_images_match_the_normal_form_route(field):
         assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
 
 
-def test_fast_paths_skip_normal_form_and_specialize(ring3, monkeypatch):
+def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     tail = complete_resolution_of_k(ring3)
     r_a = rank_over_R(tail.A.entries, ring3)
     pt = proj_point(ring3.field, (1, 2))
-    calls = {"normal_form": 0, "specialize": 0}
+    calls = {"normal_form": 0, "specialize": 0, "image_in_kx": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -328,10 +328,33 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, monkeypatch):
 
     monkeypatch.setattr(RingSpec, "normal_form", counted("normal_form", RingSpec.normal_form))
     monkeypatch.setattr(ghrv.variety, "specialize", counted("specialize", specialize))
+    monkeypatch.setattr(RingSpec, "image_in_kx", counted("image_in_kx", RingSpec.image_in_kx))
     assert minor_ideal_image(tail.A.entries, r_a, ring3).gens
     assert calls["normal_form"] == 0
+    assert calls["image_in_kx"] > 0  # the symbolic path takes its own residue grid
+    calls["image_in_kx"] = 0
     assert contractible_at(tail, pt)
     assert calls["specialize"] == 0
+    assert calls["image_in_kx"] == 2 * tail.size**2  # the pencil, built once
+    assert contractible_at(tail, pt) and contractible_at(tail, proj_point(ring3.field, (0, 1)))
+    assert calls["image_in_kx"] == 2 * tail.size**2
     report = preimage_independence_check(tail, pt, trials=2, seed=0)
     assert report.stable and report.baseline
     assert calls["specialize"] >= 1
+
+    # pairs built from a scanned pair get their own pencils, and their
+    # verdicts agree with the specialize-then-residue oracle everywhere
+    base = fixture_k(ring5)
+    points = enumerate_points(ring5.field, 2) + enumerate_points(extension_of(ring5.field, 2), 2)
+    assert not any(contractible_at(base, p) for p in points)
+    derived = [shift(base), dual(base), cone_mul(base, ring5.parse("x1^2 + 2*x2^2"))]
+    for C in derived:
+        assert "pencil" not in vars(C)
+        for p in points:
+            report = preimage_independence_check(C, p, trials=1, seed=3)
+            assert report.verdicts == [report.baseline] == [contractible_at(C, p)], str(p)
+        assert C.pencil is not base.pencil
+        assert C.pencil == (ring5.image_grid(C.A.entries), ring5.image_grid(C.B.entries))
+    # the cone's variety is Z(x1^2 + 2*x2^2): two points, both over F_25 only
+    cone_points = [p for p in points if not contractible_at(derived[2], p)]
+    assert len(cone_points) == 2 and all(p.field != ring5.field for p in cone_points)
