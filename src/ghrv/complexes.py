@@ -187,26 +187,29 @@ def validate_pair(ring: RingSpec, A: HomMatrix, B: HomMatrix, claims_certified: 
     n = A.source.rank
     ab = mat_mul(A.entries, B.entries, ring.ambient)
     ba = mat_mul(B.entries, A.entries, ring.ambient)
-    for name, prod in (("A*B", ab), ("B*A", ba)):
-        bad = [
-            (i, j)
-            for i, row in enumerate(prod)
-            for j, e in enumerate(row)
-            if not ring.normal_form(e).is_zero()
-        ]
-        if bad:
-            report.add("NotAComplex", f"{name} is nonzero mod w at entries {bad[:4]}")
+    # A*B = B*A = w*I exactly makes both products zero mod w, so a certified
+    # pair that passes the exact comparison needs no normal forms
+    w_id = identity(ring.ambient, n, ring.w)
+    certified = claims_certified and ab == w_id and ba == w_id
+    if not certified:
+        for name, prod in (("A*B", ab), ("B*A", ba)):
+            bad = [
+                (i, j)
+                for i, row in enumerate(prod)
+                for j, e in enumerate(row)
+                if not ring.normal_form(e).is_zero()
+            ]
+            if bad:
+                report.add("NotAComplex", f"{name} is nonzero mod w at entries {bad[:4]}")
 
     for label, hom in (("A", A), ("B", B)):
         for msg in hom.homogeneity_violations(ring):
             report.add("NotHomogeneous", f"{label}: {msg}")
 
-    if claims_certified:
-        w_id = identity(ring.ambient, n, ring.w)
-        if ab != w_id or ba != w_id:
-            report.add("CertificationFailed", "A*B = B*A = w*I fails on stored representatives")
-    else:
+    if not claims_certified:
         report.notes.append("certification not claimed; total acyclicity is assumed, not checked")
+    elif not certified:
+        report.add("CertificationFailed", "A*B = B*A = w*I fails on stored representatives")
 
     if check_rank and not any(code == "NotAComplex" for code, _ in report.findings):
         from .variety import rank_over_R

@@ -578,7 +578,10 @@ def embedding(src: Field, dst: Field):
     Identity for equal fields; from_int for a prime field into anything of the
     same characteristic; for extension towers GF(p^m) -> GF(p^(mj)) the image
     of the generator is the first root of src's modulus in dst's element
-    order, which pins the embedding deterministically.
+    order, which pins the embedding deterministically.  Each pair of fields
+    gets one embedding.  A source of at most _TABLE_MAX elements is mapped
+    by a table of the images of all its elements, built here by Horner's
+    rule; a larger one is mapped by Horner's rule on every call.
     """
     if src == dst:
         return lambda a: a
@@ -589,24 +592,46 @@ def embedding(src: Field, dst: Field):
     if isinstance(src, PrimeField):
         return dst.from_int
     if isinstance(src, ExtensionField) and isinstance(dst, ExtensionField):
-        if dst.e % src.e != 0:
-            raise RingMismatch(f"{src} does not embed in {dst}")
-        root = None
-        for cand in dst.elements():
-            acc = dst.zero
-            for c in reversed(src.modulus):
-                acc = dst.add(dst.mul(acc, cand), dst.from_int(c))
-            if acc == dst.zero:
-                root = cand
-                break
-        if root is None:
-            raise RingMismatch(f"modulus of {src} has no root in {dst}")  # pragma: no cover
-
-        def embed(a, _root=root, _dst=dst):
-            acc = _dst.zero
-            for c in reversed(a):
-                acc = _dst.add(_dst.mul(acc, _root), _dst.from_int(c))
-            return acc
-
-        return embed
+        embed = _horner_embedding(src, dst)
+        if src.order > _TABLE_MAX:
+            return embed
+        return _Images(src, embed).__getitem__
     raise RingMismatch(f"no embedding {src} -> {dst}")
+
+
+class _Images(dict):
+    """The image of every element of `src` under `embed`; a value that is
+    not an element of `src` raises FieldError."""
+
+    def __init__(self, src: Field, embed):
+        super().__init__((a, embed(a)) for a in src.elements())
+        self.src = src
+
+    def __missing__(self, a):
+        raise FieldError(f"{a!r} is not an element of {self.src}")
+
+
+def _horner_embedding(src: ExtensionField, dst: ExtensionField):
+    """GF(p^m) -> GF(p^(mj)) sending the generator to the first root of
+    src's modulus in dst's element order; each element is mapped by
+    Horner's rule in that root."""
+    if dst.e % src.e != 0:
+        raise RingMismatch(f"{src} does not embed in {dst}")
+    root = None
+    for cand in dst.elements():
+        acc = dst.zero
+        for c in reversed(src.modulus):
+            acc = dst.add(dst.mul(acc, cand), dst.from_int(c))
+        if acc == dst.zero:
+            root = cand
+            break
+    if root is None:
+        raise RingMismatch(f"modulus of {src} has no root in {dst}")  # pragma: no cover
+
+    def embed(a, _root=root, _dst=dst):
+        acc = _dst.zero
+        for c in reversed(a):
+            acc = _dst.add(_dst.mul(acc, _root), _dst.from_int(c))
+        return acc
+
+    return embed

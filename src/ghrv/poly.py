@@ -125,9 +125,13 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable sparse polynomial; arithmetic goes through the ring's field."""
+    """Immutable sparse polynomial; arithmetic goes through the ring's field.
 
-    __slots__ = ("ring", "terms")
+    `_powers`, set on the first power of a polynomial with two or more
+    terms, holds p^0, p^1, .. as far as they have been computed.  It is
+    derived data and never changes `terms`."""
+
+    __slots__ = ("ring", "terms", "_powers")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], object]):
         self.ring = ring
@@ -249,16 +253,27 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """p^n for n >= 0.  A polynomial of at most one term is raised
+        directly, by exponents times n and one field power, so a large n
+        costs no table.  Any other keeps every power it has computed, built
+        as p^k = p^(k-1) * p, so later powers of the same polynomial reuse
+        them: specialize raises each preimage once per point, not once per
+        entry.  For a sparse p that chain also costs fewer monomial products
+        than repeated squaring, whose squares of large powers dominate."""
         if n < 0:
             raise ValueError("negative exponent")
-        acc = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        if len(self.terms) <= 1:
+            if n == 0:
+                return self.ring.one()
+            pw = self.ring.field.pow
+            return Poly(self.ring, {tuple(e * n for e in m): pw(c, n) for m, c in self.terms.items()})
+        try:
+            table = self._powers
+        except AttributeError:
+            table = self._powers = [self.ring.one(), self]
+        while len(table) <= n:
+            table.append(table[-1] * self)
+        return table[n]
 
     def scale(self, c) -> "Poly":
         fld = self.ring.field
@@ -290,28 +305,25 @@ class Poly:
 
     # -- substitution and base change ---------------------------------------
     def substitute(self, bindings: Mapping[str, object]) -> "Poly":
-        """Simultaneous substitution; values are coerced into this ring."""
+        """Simultaneous substitution; values are coerced into this ring.
+
+        Powers of each value come from the value's own power table (see
+        __pow__), so substituting the same values into many polynomials, as
+        specialize does for every entry of a pair at one point, computes
+        each power once."""
         ring = self.ring
         bound: dict[int, Poly] = {}
         for name, value in bindings.items():
             bound[ring.var_index(name)] = ring.coerce(value)
         if not bound:
             return self
-        pow_cache: dict[tuple[int, int], Poly] = {}
-
-        def power(i: int, e: int) -> Poly:
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = bound[i] ** e
-            return pow_cache[key]
-
         total = ring.zero()
         for m, c in self.terms.items():
             residual = tuple(0 if i in bound else e for i, e in enumerate(m))
             acc = ring.monomial(residual, c)
             for i, e in enumerate(m):
                 if e and i in bound:
-                    acc = acc * power(i, e)
+                    acc = acc * bound[i] ** e
             total = total + acc
         return total
 

@@ -42,6 +42,7 @@ class RingSpec:
         self.xvars = xvars
         self.ambient = PolyRing(field, xvars, yvars)
         self.kx = PolyRing(field, xvars, ())
+        self._ambients = {field: self.ambient}
         self.f = f
         self.regularity_verified = regularity_verified
         w = self.ambient.zero()
@@ -99,11 +100,13 @@ class RingSpec:
         return tuple(tuple(self.image_in_kx(e) for e in row) for row in rows)
 
     def ambient_over(self, field: Field) -> PolyRing:
-        """Same variables over an extension coefficient field."""
-        if field == self.field:
-            return self.ambient
-        embedding(self.field, field)  # raises RingMismatch if incompatible
-        return PolyRing(field, self.xvars, self.yvars)
+        """Same variables over an extension coefficient field; one ring per
+        field, so polynomials moved to a field share it."""
+        ambient = self._ambients.get(field)
+        if ambient is None:
+            embedding(self.field, field)  # raises RingMismatch if incompatible
+            ambient = self._ambients[field] = PolyRing(field, self.xvars, self.yvars)
+        return ambient
 
     def __eq__(self, other):
         return (
@@ -200,17 +203,26 @@ class Alpha:
         return "(" + ", ".join(self.field.format(a) for a in self.point) + ")"
 
 
-def make_alpha(ring: RingSpec, coords, preimages=None, field: Field | None = None) -> Alpha:
-    """Validate point data against the ring; coordinates may be ints (mapped
-    through the coefficient field) or scalars of `field`."""
+def point_coords(ring: RingSpec, coords, field: Field | None = None) -> tuple:
+    """Validate point data against the ring: `field` (default the ring's)
+    must contain the ring's field, and there must be c coordinates, not all
+    zero.  Coordinates may be ints (mapped through the field) or scalars of
+    `field`; the result holds scalars only."""
     fld = field if field is not None else ring.field
-    emb = embedding(ring.field, fld)  # compatibility check
-    del emb
+    embedding(ring.field, fld)  # compatibility check
     if len(coords) != ring.c:
         raise ValueError(f"expected {ring.c} coordinates, got {len(coords)}")
     point = tuple(fld.from_int(a) if isinstance(a, int) else a for a in coords)
     if all(fld.is_zero(a) for a in point):
         raise ValueError("the zero tuple is not a point")
+    return point
+
+
+def make_alpha(ring: RingSpec, coords, preimages=None, field: Field | None = None) -> Alpha:
+    """Validate point data against the ring (see point_coords) and lift it
+    to preimages in K[y]: the constants themselves by default."""
+    fld = field if field is not None else ring.field
+    point = point_coords(ring, coords, fld)
     ambient = ring.ambient_over(fld)
     if preimages is None:
         lifted = tuple(ambient.const(a) for a in point)

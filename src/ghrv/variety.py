@@ -30,7 +30,12 @@ matrices evaluate through poly.evaluator, which looks up the embedding once
 and keeps one power table per coordinate for all entries at a point.
 Specializing x -> a along chosen preimages a of alpha and then reducing
 y -> 0 gives the same scalars for every choice of preimages; that route is
-kept as the oracle the preimage perturbation check runs.
+kept as the oracle the preimage perturbation check runs.  The oracle
+substitutes the preimages into every entry of A and B and reduces the whole
+specialized polynomial, so it costs more than the verdict it checks; each
+preimage keeps its powers (Poly.__pow__), so a trial raises each preimage
+once for all 2n^2 entries.  A verdict at a ProjPoint validates the point
+and evaluates the pencil; it builds no Alpha and no preimages.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .matrix import (
     rank_over_field,
 )
 from .poly import Poly, PolyRing, evaluator, order_key
-from .ring import Alpha, RingSpec, make_alpha, residue, specialize
+from .ring import Alpha, RingSpec, make_alpha, point_coords, residue, specialize
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +306,37 @@ def _as_alpha(C: PeriodicComplex, alpha) -> Alpha:
     return make_alpha(C.ring, tuple(alpha))
 
 
+def _field_and_point(C: PeriodicComplex, alpha) -> tuple[Field, tuple]:
+    """alpha's field and coordinates, validated as make_alpha validates
+    them but without lifting them to preimages, which the pencil never
+    reads."""
+    if isinstance(alpha, Alpha):
+        return alpha.field, alpha.point
+    if isinstance(alpha, ProjPoint):
+        return alpha.field, point_coords(C.ring, alpha.coords, alpha.field)
+    return C.ring.field, point_coords(C.ring, tuple(alpha))
+
+
+def _pencil_at(C: PeriodicComplex, fld: Field, point: tuple) -> list:
+    """[Abar(point), Bbar(point)] as grids of scalars of fld.  One evaluator
+    serves every entry, so the embedding and the powers of each coordinate
+    are computed once per point."""
+    at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, point)), fld)
+    return [[[at(e) for e in row] for row in grid] for grid in residue_pencil(C)]
+
+
 def residue_matrices(C: PeriodicComplex, alpha) -> tuple[list[list], list[list], Alpha]:
     """The residue pencil evaluated at alpha: field-scalar grids over
     alpha's field.  They equal the specialize-then-residue grids for every
-    choice of preimages, which is why alpha's preimages are not read.  One
-    evaluator serves every entry, so the embedding and the powers of each
-    coordinate are computed once per point."""
+    choice of preimages, which is why alpha's preimages are not read."""
     alpha = _as_alpha(C, alpha)
-    at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, alpha.point)), alpha.field)
-    a_bar, b_bar = ([[at(e) for e in row] for row in grid] for grid in residue_pencil(C))
+    a_bar, b_bar = _pencil_at(C, alpha.field, alpha.point)
     return a_bar, b_bar, alpha
 
 
 def residue_ranks(C: PeriodicComplex, alpha) -> tuple[int, int]:
-    a_bar, b_bar, alpha = residue_matrices(C, alpha)
-    fld = alpha.field
+    fld, point = _field_and_point(C, alpha)
+    a_bar, b_bar = _pencil_at(C, fld, point)
     return rank_over_field(a_bar, fld), rank_over_field(b_bar, fld)
 
 

@@ -37,6 +37,7 @@ from ghrv.errors import (
 from ghrv.matrix import as_grid, identity, mat_mul, mat_neg, rank_over_domain, rank_over_field
 from ghrv.pipelines import documented_cone_pair, fixture_k, fixture_rank_one
 from ghrv.poly import monomial_divides
+from ghrv.ring import RingSpec
 from ghrv.variety import rank_over_R
 
 
@@ -225,6 +226,26 @@ def test_constructor_rejects_inhomogeneous_entries(ring5):
 def test_constructor_rejects_false_certification(ring5):
     with pytest.raises(CertificationFailed):
         periodic_from_pair(ring5, [["2"]], [["x^2*x1 + y^2*x2"]], (0,), (0,), certify=True)
+
+
+def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
+    k = fixture_k(ring5)
+    assert k.certified
+    plain = PeriodicComplex(ring5, k.A.entries, k.B.entries, k.degrees0, k.degrees1, certified=False)
+    false_claim = PeriodicComplex(ring5, [["x1"]], [["1"]], (0,), (1,), certified=True)
+    calls = []
+    normal_form = RingSpec.normal_form
+    monkeypatch.setattr(RingSpec, "normal_form", lambda *a: calls.append(1) or normal_form(*a))
+    assert validate(k, check_rank=False).findings == []
+    assert len(calls) == 2 * k.size**2  # homogeneity: one normal form per entry
+    # the same pair uncertified, and a claimed certification that fails the
+    # exact comparison, still take the pass over A*B and B*A, with findings
+    # in the same order
+    calls.clear()
+    assert validate(plain, check_rank=False).findings == []
+    assert len(calls) == 2 * k.size**2 + 2 * k.size**2
+    codes = [code for code, _ in validate(false_claim, check_rank=False).findings]
+    assert codes == ["NotAComplex", "NotAComplex", "CertificationFailed"]
 
 
 def test_validate_reports_rank_defect(ring5):

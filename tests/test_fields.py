@@ -14,6 +14,7 @@ from ghrv.errors import BoundExceeded, FieldError, NotIrreducible
 from ghrv.fields import (
     QQ,
     ExtensionField,
+    _horner_embedding,
     embedding,
     field_name,
     finite_field,
@@ -243,6 +244,33 @@ def test_embedding_into_towers():
         for b in elems:
             assert emb(f9.mul(a, b)) == f81.mul(emb(a), emb(b))
             assert emb(f9.add(a, b)) == f81.add(emb(a), emb(b))
+
+
+@pytest.mark.parametrize("p, m, e", [(2, 2, 4), (3, 2, 4)], ids=["GF(4)->GF(16)", "GF(9)->GF(81)"])
+def test_embedding_table_equals_horner(p, m, e):
+    src, dst = make_extension(p, m), make_extension(p, e)
+    emb = embedding(src, dst)
+    assert emb is embedding(src, dst)
+
+    def modulus_at(r):
+        acc = dst.zero
+        for c in reversed(src.modulus):
+            acc = dst.add(dst.mul(acc, r), dst.from_int(c))
+        return acc
+
+    # the generator goes to the first root of src's modulus in dst's order
+    root = next(r for r in dst.elements() if modulus_at(r) == dst.zero)
+    assert emb(src.generator()) == root
+    horner = _horner_embedding(src, dst)
+    for a in src.elements():
+        assert emb(a) == horner(a)
+        image = dst.zero
+        for c in reversed(a):
+            image = dst.add(dst.mul(image, root), dst.from_int(c))
+        assert emb(a) == image
+    for foreign in ((p,) + (0,) * (m - 1), (0,) * (m + 1), dst.one):
+        with pytest.raises(FieldError):
+            emb(foreign)
 
 
 def test_incompatible_embedding_rejected():

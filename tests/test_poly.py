@@ -220,3 +220,54 @@ def test_mul_monomial_matches_product(r5):
     p = r5.variable("x1") + r5.variable("x2") * 2
     mono = (1, 0, 2, 0)
     assert p.mul_monomial(mono, r5.field.from_int(3)) == p * r5.monomial(mono, r5.field.from_int(3))
+
+
+def _power_ring(field):
+    return PolyRing(field, ("x1", "x2"), ("x", "y"))
+
+
+@pytest.mark.parametrize("field", [prime_field(5), make_extension(3, 2), QQ], ids=str)
+def test_power_equals_repeated_product(field):
+    ring = _power_ring(field)
+    rng = random.Random(61)
+    elems = [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2)] if field == QQ else [
+        e for e in field.elements() if not field.is_zero(e)
+    ]
+    polys = [ring.zero(), ring.one(), ring.const(elems[-1]),
+             ring.monomial((1, 0, 2, 0), elems[0])]
+    for size in (2, 3, 6):
+        terms = {}
+        while len(terms) < size:
+            terms[tuple(rng.randrange(3) for _ in range(ring.nvars))] = rng.choice(elems)
+        polys.append(Poly(ring, terms))
+
+    def product(p, n):
+        acc = ring.one()
+        for _ in range(n):
+            acc = acc * p
+        return acc
+
+    # ascending, descending and shuffled exponents, each order on its own
+    # copies and all polynomials interleaved, so a power kept on one
+    # polynomial can never stand in for another's
+    orders = [list(range(8)), list(range(7, -1, -1)), rng.sample(range(8), 8)]
+    for order in orders:
+        fresh = [Poly(ring, p.terms) for p in polys]
+        for n in order:
+            for p in fresh:
+                assert p ** n == product(p, n), (str(p), n)
+
+
+def test_power_leaves_the_polynomial_unchanged(r5):
+    x1, x2, u = (r5.variable(n) for n in ("x1", "x2", "x"))
+    p = x1 * 2 + x2 * u + r5.one()
+    before = dict(p.terms)
+    assert p ** 5 == (p ** 2) * (p ** 3)
+    assert p ** 3 is p ** 3  # kept, not recomputed
+    assert p.terms == before
+    q = x1 + x2
+    assert q ** 2 == x1 * x1 + x1 * x2 * 2 + x2 * x2
+    assert p.terms == before and q.terms == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}
+    for base in (p, x1, r5.zero()):
+        with pytest.raises(ValueError):
+            base ** -1

@@ -12,7 +12,7 @@ from ghrv.errors import (
     NotRegularSequence,
     VariableLeak,
 )
-from ghrv.fields import QQ, prime_field
+from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.poly import Poly
 from ghrv.ring import is_local_unit, make_alpha, make_ring, residue, specialize, specialized_modulus
 
@@ -97,6 +97,15 @@ def test_element_wrapper(ring5):
     e = ring5.element("x^2*x1 + y^2*x2")
     assert e.is_zero()
     assert not ring5.element("x1").is_zero()
+
+
+def test_one_ambient_ring_per_field(ring5):
+    f25 = make_extension(5, 2)
+    assert ring5.ambient_over(ring5.field) is ring5.ambient
+    over = ring5.ambient_over(f25)
+    assert over is ring5.ambient_over(make_extension(5, 2))
+    assert over.field == f25 and over.vars == ring5.ambient.vars
+    assert make_alpha(ring5, (1, 0), field=f25).preimages[0].ring is over
 
 
 def test_make_alpha_guards(ring5):

@@ -14,7 +14,7 @@ import pytest
 
 import ghrv.variety
 from ghrv.complexes import PeriodicComplex, cone_mul, dual, shift, trivial_pair
-from ghrv.errors import InvalidComplex, NotContractible, UnsupportedField
+from ghrv.errors import InvalidComplex, NotContractible, RingMismatch, UnsupportedField
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import all_minors
 from ghrv.pipelines import (
@@ -24,8 +24,10 @@ from ghrv.pipelines import (
     fixture_rank_one,
     worked_ring,
 )
+from ghrv.poly import Poly
 from ghrv.ring import RingSpec, make_alpha, residue, specialize
 from ghrv.variety import (
+    ProjPoint,
     _canonical_gens,
     construct_contraction,
     contractible_at,
@@ -238,6 +240,29 @@ def test_trivial_pair_is_contractible_everywhere(ring5):
         assert contractible_at(t, pt)
 
 
+def test_points_are_checked_against_the_ring(ring5):
+    """A ProjPoint is checked as make_alpha checks it: the same errors with
+    the same messages, from every pointwise entry point."""
+    f5, f7 = ring5.field, prime_field(7)
+    k = fixture_k(ring5)
+    bad = [
+        (ProjPoint(f5, (f5.one, f5.zero, f5.zero)), ValueError),
+        (ProjPoint(f5, (f5.zero, f5.zero)), ValueError),
+        (ProjPoint(f7, (f7.one, f7.zero)), RingMismatch),
+    ]
+    for pt, error in bad:
+        with pytest.raises(error) as expected:
+            make_alpha(ring5, pt.coords, field=pt.field)
+        for check in (contractible_at, residue_ranks, residue_matrices, construct_contraction):
+            with pytest.raises(error) as got:
+                check(k, pt)
+            assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+        contractible_at(k, bad[0][0])
+    with pytest.raises(RingMismatch, match="characteristic mismatch"):
+        contractible_at(k, bad[2][0])
+
+
 def test_contraction_construction(ring5):
     pair = fixture_rank_one(ring5)
     for pt in enumerate_points(ring5.field, 2):
@@ -318,7 +343,7 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     tail = complete_resolution_of_k(ring3)
     r_a = rank_over_R(tail.A.entries, ring3)
     pt = proj_point(ring3.field, (1, 2))
-    calls = {"normal_form": 0, "specialize": 0, "image_in_kx": 0}
+    calls = {"normal_form": 0, "specialize": 0, "image_in_kx": 0, "mul": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -340,7 +365,18 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     assert calls["image_in_kx"] == 2 * tail.size**2
     report = preimage_independence_check(tail, pt, trials=2, seed=0)
     assert report.stable and report.baseline
-    assert calls["specialize"] >= 1
+    assert calls["specialize"] == 2 * 2 * tail.size**2
+
+    # one perturbed trial still specializes every entry, but the powers of
+    # each preimage are computed once for all of them: raising the preimages
+    # afresh in every entry took 48 products here
+    calls["specialize"] = 0
+    monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
+    report = preimage_independence_check(tail, pt, trials=1, seed=0)
+    assert report.verdicts == [report.baseline] == [True]
+    assert calls["specialize"] == 2 * tail.size**2
+    assert 0 < calls["mul"] < 48
+    monkeypatch.undo()
 
     # pairs built from a scanned pair get their own pencils, and their
     # verdicts agree with the specialize-then-residue oracle everywhere
