@@ -3,8 +3,6 @@ rings, computed through matrix factorizations in exact arithmetic."""
 
 from .complexes import (
     FiniteComplex,
-    GradedFreeModule,
-    HomMatrix,
     PeriodicComplex,
     ValidationReport,
     cone_mul,
@@ -16,7 +14,7 @@ from .complexes import (
     shamash_resolution,
     shift,
     trivial_pair,
-    validate,
+    validate_pair,
 )
 from .fields import (
     ExtensionField,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .complexes import cone_mul, validate
+from .complexes import cone_mul, validate_pair
 from .errors import FieldError, GhrvError, ParseError
 from .fields import RationalField, field_name, parse_field
 from .parser import parse_poly
@@ -152,15 +152,15 @@ def _alpha_from_args(C, args):
 
 def _cmd_check(args) -> int:
     C = load_complex(args.complex)
-    report = validate(C)
+    report = validate_pair(C)
     print(report.describe())
     return 0 if report.ok else 1
 
 
 def _cmd_rank(args) -> int:
     C = load_complex(args.complex)
-    r_a = rank_over_R(C.A.entries, C.ring)
-    r_b = rank_over_R(C.B.entries, C.ring)
+    r_a = rank_over_R(C.A, C.ring)
+    r_b = rank_over_R(C.B, C.ring)
     if args.which in (None, "A"):
         print(f"rank(A) = {r_a}")
     if args.which in (None, "B"):
@@ -174,7 +174,7 @@ def _cmd_ideal(args) -> int:
     from .variety import minor_ideal_image
 
     C = load_complex(args.complex)
-    grid = C.A.entries if args.which == "A" else C.B.entries
+    grid = C.A if args.which == "A" else C.B
     r = rank_over_R(grid, C.ring)
     ideal = minor_ideal_image(grid, r, C.ring)
     print(f"image of I_{r}({args.which}) in k[x]: {ideal.describe()}")
@@ -211,8 +211,8 @@ def _cmd_specialize(args) -> int:
     ring = C.ring
     print(f"alpha = {alpha}")
     print(f"w_alpha = {specialized_modulus(alpha, ring)}")
-    a_spec = [[specialize_elem(e, alpha, ring) for e in row] for row in C.A.entries]
-    b_spec = [[specialize_elem(e, alpha, ring) for e in row] for row in C.B.entries]
+    a_spec = [[specialize_elem(e, alpha, ring) for e in row] for row in C.A]
+    b_spec = [[specialize_elem(e, alpha, ring) for e in row] for row in C.B]
     print(_format_matrix("A|alpha", a_spec))
     print(_format_matrix("B|alpha", b_spec))
     r_a, r_b = residue_ranks(C, alpha)
@@ -237,8 +237,8 @@ def _cmd_cone(args) -> int:
           f"certified {cone.certified}")
     print(f"degrees0 = {list(cone.degrees0)}")
     print(f"degrees1 = {list(cone.degrees1)}")
-    print(_format_matrix("A", cone.A.entries))
-    print(_format_matrix("B", cone.B.entries))
+    print(_format_matrix("A", cone.A))
+    print(_format_matrix("B", cone.B))
     return 0
 
 
@@ -313,10 +313,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _DISPATCH[args.verb](args)
-    except (ParseError, FieldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ParseError, FieldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GhrvError as exc:

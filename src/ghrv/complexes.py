@@ -8,13 +8,16 @@ generator degrees for the two underlying modules:
 
     .. --A--> C_0(degrees0) --B(+1 twist)--> C_1(degrees1) --A--> ..
 
+A pair is two n x n grids over the ambient ring plus the two degree tuples.
 PeriodicComplex(ring, a_grid, b_grid, degrees0, degrees1, certified) is the
-only way a pair is built, and it owns the degree rule: A maps degrees1 to
-degrees0, and B maps degrees0 twisted by 1 (the x-degree of w) to degrees1.
-A is the odd-to-even differential.  Homogeneity: a nonzero entry (i, j) of a
-map has x-degree  deg_source(j) - deg_target(i), judged on normal forms mod w
-since entries only matter as R-classes.  Certification (the exact A*B = w*I
-check over P) is judged on the stored representatives.
+only way a pair is built, and it checks shapes only.  validate_pair is the
+one place the degree rule is applied: A maps degrees1 to degrees0, and B maps
+degrees0 twisted by 1 (the x-degree of w) to degrees1.  A is the
+odd-to-even differential.  Homogeneity: a nonzero entry (i, j) of a map has
+x-degree  deg_source(j) - deg_target(i), judged on normal forms mod w since
+entries only matter as R-classes (homogeneity_violations, shared with
+validate_finite).  Certification (the exact A*B = w*I check over P) is
+judged on the stored representatives.
 
 The Koszul complex here is taken on all c + d variables of P, and the Shamash
 construction G_n = sum_j F_{n-2j} with differential d = del + xi-wedge turns
@@ -42,66 +45,40 @@ from .poly import NEG_INF
 from .ring import RElem, RingSpec
 
 
-@dataclass(frozen=True)
-class GradedFreeModule:
-    """Free module with a generator degree for each basis element."""
-
-    degrees: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
-
-
-@dataclass(frozen=True)
-class HomMatrix:
-    """Matrix of a degree-0 map between graded free modules; entry (i, j) is
-    the coefficient of target generator i in the image of source generator j."""
-
-    source: GradedFreeModule
-    target: GradedFreeModule
-    entries: Grid
-
-    def __post_init__(self):
-        m, n = mat_shape(self.entries)
-        if (m, n) != (self.target.rank, self.source.rank):
-            raise ValueError(
-                f"entry grid is {m}x{n}, expected {self.target.rank}x{self.source.rank}"
-            )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.target.rank, self.source.rank)
-
-    def homogeneity_violations(self, ring: RingSpec) -> list[str]:
-        out = []
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                nf = ring.normal_form(e)
-                if nf.is_zero():
-                    continue
-                want = self.source.degrees[j] - self.target.degrees[i]
-                if not nf.is_x_homogeneous():
-                    out.append(f"entry ({i},{j}) = {nf} is not x-homogeneous")
-                elif nf.x_homogeneous_degree() != want:
-                    out.append(
-                        f"entry ({i},{j}) = {nf} has x-degree "
-                        f"{nf.x_homogeneous_degree()}, expected {want}"
-                    )
-        return out
+def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
+                           target: tuple[int, ...]) -> list[str]:
+    """Entries of `grid`, the matrix of a degree-0 map from generators of
+    degrees `source` to generators of degrees `target`, whose normal form mod
+    w is not x-homogeneous of degree source[j] - target[i]."""
+    out = []
+    for i, row in enumerate(grid):
+        for j, e in enumerate(row):
+            nf = ring.normal_form(e)
+            if nf.is_zero():
+                continue
+            want = source[j] - target[i]
+            if not nf.is_x_homogeneous():
+                out.append(f"entry ({i},{j}) = {nf} is not x-homogeneous")
+            elif nf.x_homogeneous_degree() != want:
+                out.append(
+                    f"entry ({i},{j}) = {nf} has x-degree "
+                    f"{nf.x_homogeneous_degree()}, expected {want}"
+                )
+    return out
 
 
 class PeriodicComplex:
     """2-periodic complex of free R-modules, represented by the pair (A, B).
 
-    The only constructor of a pair.  It takes the two grids and the reference
-    degrees and applies the degree rule: A maps degrees1 to degrees0, and B
-    maps degrees0 twisted by 1 (the x-degree of w) to degrees1.  Going up in
-    homological degree the module degrees gain 1 per period, so the two
-    reference tuples determine every module in the doubly infinite complex.
-    Entries are coerced with ring.coerce; nothing beyond shapes is checked
-    (periodic_from_pair and validate do that).  A and B are never reassigned
-    after construction, which is what lets the pair keep its residue pencil.
+    The only constructor of a pair: two n x n grids A and B over the ambient
+    ring and the reference degrees of C_0 and C_1, of length n each.  Going
+    up in homological degree the module degrees gain 1 per period, so the
+    two reference tuples determine every module in the doubly infinite
+    complex.  Entries are coerced with ring.coerce; nothing beyond shapes is
+    checked here.  validate_pair applies the degree rule and the complex
+    condition, and periodic_from_pair refuses a pair that fails them.  A and
+    B are never reassigned after construction, which is what lets the pair
+    keep its residue pencil.
     """
 
     def __init__(self, ring: RingSpec, a_grid, b_grid, degrees0, degrees1, certified: bool):
@@ -109,33 +86,31 @@ class PeriodicComplex:
         degrees1 = tuple(degrees1)
         if len(degrees0) != len(degrees1):
             raise ValueError("pair must be square of equal size")
+        n = len(degrees0)
 
-        def hom(grid, source, target):
-            entries = as_grid([[ring.coerce(e) for e in row] for row in grid])
-            return HomMatrix(GradedFreeModule(source), GradedFreeModule(target), entries)
+        def square(grid) -> Grid:
+            grid = as_grid([[ring.coerce(e) for e in row] for row in grid])
+            shape = mat_shape(grid)
+            if shape != (n, n):
+                raise ValueError(f"entry grid is {shape[0]}x{shape[1]}, expected {n}x{n}")
+            return grid
 
         self.ring = ring
-        self.A = hom(a_grid, degrees1, degrees0)
-        self.B = hom(b_grid, tuple(d + 1 for d in degrees0), degrees1)
+        self.A = square(a_grid)
+        self.B = square(b_grid)
+        self.degrees0 = degrees0
+        self.degrees1 = degrees1
         self.certified = certified
 
     @property
     def size(self) -> int:
-        return self.A.source.rank
-
-    @property
-    def degrees0(self) -> tuple[int, ...]:
-        return self.A.target.degrees
-
-    @property
-    def degrees1(self) -> tuple[int, ...]:
-        return self.A.source.degrees
+        return len(self.degrees0)
 
     @cached_property
     def pencil(self) -> tuple[Grid, Grid]:
         """The residue pencil (Abar, Bbar) = (A, B)|_{y=0}, grids over k[x];
         built on first use and kept with the pair."""
-        return self.ring.image_grid(self.A.entries), self.ring.image_grid(self.B.entries)
+        return self.ring.image_grid(self.A), self.ring.image_grid(self.B)
 
     def __eq__(self, other):
         return (
@@ -143,6 +118,8 @@ class PeriodicComplex:
             and other.ring == self.ring
             and other.A == self.A
             and other.B == self.B
+            and other.degrees0 == self.degrees0
+            and other.degrees1 == self.degrees1
         )
 
     def __repr__(self):
@@ -177,20 +154,21 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_pair(ring: RingSpec, A: HomMatrix, B: HomMatrix, claims_certified: bool,
-                  check_rank: bool = True) -> ValidationReport:
+def validate_pair(C: PeriodicComplex, check_rank: bool = True) -> ValidationReport:
     """Full structural report: complex condition mod w, entrywise
     homogeneity, certification when claimed, and the rank partition
-    rank(A) + rank(B) = size.  Shapes and the degree drift are fixed by the
-    PeriodicComplex constructor that built A and B."""
+    rank(A) + rank(B) = size.  This is where the degree rule is applied: A
+    maps degrees1 to degrees0, and B maps degrees0 twisted by 1 (the x-degree
+    of w) to degrees1."""
     report = ValidationReport()
-    n = A.source.rank
-    ab = mat_mul(A.entries, B.entries, ring.ambient)
-    ba = mat_mul(B.entries, A.entries, ring.ambient)
+    ring = C.ring
+    n = C.size
+    ab = mat_mul(C.A, C.B, ring.ambient)
+    ba = mat_mul(C.B, C.A, ring.ambient)
     # A*B = B*A = w*I exactly makes both products zero mod w, so a certified
     # pair that passes the exact comparison needs no normal forms
     w_id = identity(ring.ambient, n, ring.w)
-    certified = claims_certified and ab == w_id and ba == w_id
+    certified = C.certified and ab == w_id and ba == w_id
     if not certified:
         for name, prod in (("A*B", ab), ("B*A", ba)):
             bad = [
@@ -202,11 +180,13 @@ def validate_pair(ring: RingSpec, A: HomMatrix, B: HomMatrix, claims_certified: 
             if bad:
                 report.add("NotAComplex", f"{name} is nonzero mod w at entries {bad[:4]}")
 
-    for label, hom in (("A", A), ("B", B)):
-        for msg in hom.homogeneity_violations(ring):
+    twisted0 = tuple(d + 1 for d in C.degrees0)
+    for label, grid, source, target in (("A", C.A, C.degrees1, C.degrees0),
+                                        ("B", C.B, twisted0, C.degrees1)):
+        for msg in homogeneity_violations(ring, grid, source, target):
             report.add("NotHomogeneous", f"{label}: {msg}")
 
-    if not claims_certified:
+    if not C.certified:
         report.notes.append("certification not claimed; total acyclicity is assumed, not checked")
     elif not certified:
         report.add("CertificationFailed", "A*B = B*A = w*I fails on stored representatives")
@@ -214,11 +194,20 @@ def validate_pair(ring: RingSpec, A: HomMatrix, B: HomMatrix, claims_certified: 
     if check_rank and not any(code == "NotAComplex" for code, _ in report.findings):
         from .variety import rank_over_R
 
-        r_a = rank_over_R(A.entries, ring)
-        r_b = rank_over_R(B.entries, ring)
+        r_a = rank_over_R(C.A, ring)
+        r_b = rank_over_R(C.B, ring)
         if r_a + r_b != n:
             report.add("RankDefect", f"rank(A) + rank(B) = {r_a} + {r_b} != {n}")
     return report
+
+
+# the exception periodic_from_pair raises for each finding of validate_pair
+# without the rank check
+_FINDING_ERRORS = {
+    "NotAComplex": NotAComplex,
+    "NotHomogeneous": NotHomogeneous,
+    "CertificationFailed": CertificationFailed,
+}
 
 
 def periodic_from_pair(ring: RingSpec, a_grid, b_grid, degrees0, degrees1,
@@ -226,20 +215,11 @@ def periodic_from_pair(ring: RingSpec, a_grid, b_grid, degrees0, degrees1,
     """Validating constructor.  With certify=True the exact w*I identity is
     required and the result is marked certified."""
     C = PeriodicComplex(ring, a_grid, b_grid, degrees0, degrees1, certified=certify)
-    report = validate_pair(ring, C.A, C.B, claims_certified=certify, check_rank=False)
-    for code, message in report.findings:
-        if code == "NotAComplex":
-            raise NotAComplex(message)
-        if code == "NotHomogeneous":
-            raise NotHomogeneous(message)
-        if code == "CertificationFailed":
-            raise CertificationFailed(message)
-        raise ValueError(message)
+    findings = validate_pair(C, check_rank=False).findings
+    if findings:
+        code, message = findings[0]
+        raise _FINDING_ERRORS[code](message)
     return C
-
-
-def validate(C: PeriodicComplex, check_rank: bool = True) -> ValidationReport:
-    return validate_pair(C.ring, C.A, C.B, claims_certified=C.certified, check_rank=check_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +232,8 @@ def shift(C: PeriodicComplex) -> PeriodicComplex:
     degree relabeling; shift(shift(C)) has all degrees down by 1."""
     return PeriodicComplex(
         C.ring,
-        mat_neg(C.B.entries),
-        mat_neg(C.A.entries),
+        mat_neg(C.B),
+        mat_neg(C.A),
         degrees0=tuple(d - 1 for d in C.degrees1),
         degrees1=C.degrees0,
         certified=C.certified,
@@ -265,8 +245,8 @@ def dual(C: PeriodicComplex) -> PeriodicComplex:
     involution: dual(dual(C)) == C."""
     return PeriodicComplex(
         C.ring,
-        mat_transpose(C.B.entries),
-        mat_transpose(C.A.entries),
+        mat_transpose(C.B),
+        mat_transpose(C.A),
         degrees0=tuple(-d - 1 for d in C.degrees0),
         degrees1=tuple(-d for d in C.degrees1),
         certified=C.certified,
@@ -279,12 +259,12 @@ def direct_sum(C: PeriodicComplex, D: PeriodicComplex) -> PeriodicComplex:
     ring = C.ring
     n, m = C.size, D.size
     a = block_matrix([
-        [C.A.entries, zero_matrix(ring.ambient, n, m)],
-        [zero_matrix(ring.ambient, m, n), D.A.entries],
+        [C.A, zero_matrix(ring.ambient, n, m)],
+        [zero_matrix(ring.ambient, m, n), D.A],
     ])
     b = block_matrix([
-        [C.B.entries, zero_matrix(ring.ambient, n, m)],
-        [zero_matrix(ring.ambient, m, n), D.B.entries],
+        [C.B, zero_matrix(ring.ambient, n, m)],
+        [zero_matrix(ring.ambient, m, n), D.B],
     ])
     return PeriodicComplex(
         ring,
@@ -314,12 +294,12 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     amb = ring.ambient
     p_block = identity(amb, n, rep)
     a = block_matrix([
-        [C.A.entries, p_block],
-        [zero_matrix(amb, n, n), mat_neg(C.B.entries)],
+        [C.A, p_block],
+        [zero_matrix(amb, n, n), mat_neg(C.B)],
     ])
     b = block_matrix([
-        [C.B.entries, p_block],
-        [zero_matrix(amb, n, n), mat_neg(C.A.entries)],
+        [C.B, p_block],
+        [zero_matrix(amb, n, n), mat_neg(C.A)],
     ])
     degrees0 = C.degrees0 + tuple(d + g - 1 for d in C.degrees1)
     degrees1 = C.degrees1 + tuple(d + g for d in C.degrees0)
@@ -327,7 +307,7 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     if C.certified:
         w_id = identity(amb, 2 * n, ring.w)
         if mat_mul(a, b, amb) != w_id or mat_mul(b, a, amb) != w_id:
-            raise CertificationFailed("cone blocks do not multiply to w*I")  # pragma: no cover
+            raise CertificationFailed("cone blocks do not multiply to w*I")
         certified = True
     return PeriodicComplex(ring, a, b, degrees0, degrees1, certified=certified)
 
@@ -350,25 +330,26 @@ def trivial_pair(ring: RingSpec, degree: int = 0) -> PeriodicComplex:
 
 @dataclass
 class FiniteComplex:
-    """Complex in a finite window [lo, hi]; diffs[i] maps slot lo+i+1 to
-    slot lo+i.  `over` records whether d*d vanishes exactly (P) or mod w (R)."""
+    """Complex in the window [0, hi]: degrees[n] holds the generator degrees
+    of slot n, and diffs[n - 1] is the grid of the differential from slot n
+    to slot n - 1.  `over` records whether d*d vanishes exactly (P) or mod w
+    (R)."""
 
     ring: RingSpec
-    lo: int
-    modules: tuple[GradedFreeModule, ...]
-    diffs: tuple[HomMatrix, ...]
+    degrees: tuple[tuple[int, ...], ...]
+    diffs: tuple[Grid, ...]
     over: str
 
     @property
     def hi(self) -> int:
-        return self.lo + len(self.modules) - 1
+        return len(self.degrees) - 1
 
-    def module(self, n: int) -> GradedFreeModule:
-        return self.modules[n - self.lo]
+    def degrees_at(self, n: int) -> tuple[int, ...]:
+        return self.degrees[n]
 
-    def diff(self, n: int) -> HomMatrix:
+    def diff(self, n: int) -> Grid:
         """The differential leaving slot n downward."""
-        return self.diffs[n - self.lo - 1]
+        return self.diffs[n - 1]
 
 
 def _koszul_basis(m: int, n: int):
@@ -423,14 +404,9 @@ def xi_wedge(ring: RingSpec, n: int) -> Grid:
 def koszul(ring: RingSpec) -> FiniteComplex:
     """The full Koszul complex over P on (x_1..x_c, y_1..y_d)."""
     m = ring.c + ring.d
-    modules = []
-    diffs = []
-    for n in range(m + 1):
-        basis = _koszul_basis(m, n)
-        modules.append(GradedFreeModule(_basis_degrees(ring, basis)))
-    for n in range(1, m + 1):
-        diffs.append(HomMatrix(modules[n], modules[n - 1], koszul_differential(ring, n)))
-    return FiniteComplex(ring, 0, tuple(modules), tuple(diffs), over="P")
+    degrees = tuple(_basis_degrees(ring, _koszul_basis(m, n)) for n in range(m + 1))
+    diffs = tuple(koszul_differential(ring, n) for n in range(1, m + 1))
+    return FiniteComplex(ring, degrees, diffs, over="P")
 
 
 def _shamash_summands(m: int, n: int):
@@ -456,9 +432,8 @@ def shamash_resolution(ring: RingSpec, N: int) -> FiniteComplex:
     koszul_diff = {n: koszul_differential(ring, n) for n in range(1, m + 1)}
     wedge = {n: xi_wedge(ring, n) for n in range(0, m)}
     basis_deg = {n: _basis_degrees(ring, _koszul_basis(m, n)) for n in range(m + 1)}
-    ranks = {n: len(basis_deg[n]) for n in range(m + 1)}
 
-    modules = []
+    degrees = []
     layouts = []
     for n in range(N + 1):
         summands = _shamash_summands(m, n)
@@ -468,13 +443,13 @@ def shamash_resolution(ring: RingSpec, N: int) -> FiniteComplex:
             offsets[(j, kn)] = len(degs)
             degs.extend(d + j for d in basis_deg[kn])
         layouts.append((summands, offsets))
-        modules.append(GradedFreeModule(tuple(degs)))
+        degrees.append(tuple(degs))
 
     diffs = []
     for n in range(1, N + 1):
         src_summands, src_off = layouts[n]
         tgt_summands, tgt_off = layouts[n - 1]
-        grid = [[amb.zero() for _ in range(modules[n].rank)] for _ in range(modules[n - 1].rank)]
+        grid = [[amb.zero() for _ in degrees[n]] for _ in degrees[n - 1]]
 
         def paste(block, row0, col0):
             for i, row in enumerate(block):
@@ -487,9 +462,9 @@ def shamash_resolution(ring: RingSpec, N: int) -> FiniteComplex:
                 paste(koszul_diff[kn], tgt_off[(j, kn - 1)], src_off[(j, kn)])
             if (j - 1, kn + 1) in tgt_off:
                 paste(wedge[kn], tgt_off[(j - 1, kn + 1)], src_off[(j, kn)])
-        diffs.append(HomMatrix(modules[n], modules[n - 1], as_grid(grid)))
+        diffs.append(as_grid(grid))
         del paste
-    return FiniteComplex(ring, 0, tuple(modules), tuple(diffs), over="R")
+    return FiniteComplex(ring, tuple(degrees), tuple(diffs), over="R")
 
 
 def extract_mf(resolution: FiniteComplex, ring: RingSpec) -> PeriodicComplex:
@@ -499,17 +474,17 @@ def extract_mf(resolution: FiniteComplex, ring: RingSpec) -> PeriodicComplex:
     m = ring.c + ring.d
     if resolution.hi < m + 2:
         raise NotStabilized(f"window reaches {resolution.hi}, need {m + 2}")
-    a_hom = resolution.diff(m + 1)
-    b_hom = resolution.diff(m + 2)
-    n0, n1 = a_hom.shape
-    if n0 != n1 or b_hom.shape != (n1, n0):
+    a = resolution.diff(m + 1)
+    b = resolution.diff(m + 2)
+    n0, n1 = mat_shape(a)
+    if n0 != n1 or mat_shape(b) != (n1, n0):
         raise NotStabilized(f"ranks {n0}, {n1} have not stabilized")  # pragma: no cover
     return periodic_from_pair(
         ring,
-        a_hom.entries,
-        b_hom.entries,
-        degrees0=a_hom.target.degrees,
-        degrees1=a_hom.source.degrees,
+        a,
+        b,
+        degrees0=resolution.degrees_at(m),
+        degrees1=resolution.degrees_at(m + 1),
         certify=True,
     )
 
@@ -518,8 +493,8 @@ def validate_finite(fc: FiniteComplex) -> ValidationReport:
     """d o d = 0 (exactly over P, mod w over R) plus homogeneity."""
     report = ValidationReport()
     ring = fc.ring
-    for n in range(fc.lo + 2, fc.hi + 1):
-        prod = mat_mul(fc.diff(n - 1).entries, fc.diff(n).entries, ring.ambient)
+    for n in range(2, fc.hi + 1):
+        prod = mat_mul(fc.diff(n - 1), fc.diff(n), ring.ambient)
         for i, row in enumerate(prod):
             for j, e in enumerate(row):
                 bad = not e.is_zero() if fc.over == "P" else not ring.normal_form(e).is_zero()
@@ -529,7 +504,7 @@ def validate_finite(fc: FiniteComplex) -> ValidationReport:
             else:
                 continue
             break
-    for n in range(fc.lo + 1, fc.hi + 1):
-        for msg in fc.diff(n).homogeneity_violations(ring):
+    for n in range(1, fc.hi + 1):
+        for msg in homogeneity_violations(ring, fc.diff(n), fc.degrees_at(n), fc.degrees_at(n - 1)):
             report.add("NotHomogeneous", f"d_{n}: {msg}")
     return report

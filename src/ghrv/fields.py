@@ -493,18 +493,24 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def make_extension(p: int, e: int, bound: int = 4) -> ExtensionField:
+# make_extension refuses degrees above this: the search for a modulus and the
+# arithmetic above the table cap grow with e, and GF(2^150) already takes
+# seconds to build.
+MAX_EXTENSION_DEGREE = 64
+
+
+def make_extension(p: int, e: int) -> ExtensionField:
     """Deterministic GF(p^e): first monic irreducible modulus in base-p order.
 
-    `bound` caps the extension degree for user-facing calls; internal tower
-    constructions pass bound=e explicitly.  Each GF(p^e) is built once, so
-    every caller gets the same object and its tables.
+    Degrees above MAX_EXTENSION_DEGREE raise BoundExceeded before any work.
+    Each GF(p^e) is built once, so every caller gets the same object and its
+    tables.
     """
     prime_field(p)  # validates primality
     if e < 2:
         raise FieldError("make_extension needs degree >= 2; use prime_field for e = 1")
-    if e > bound:
-        raise BoundExceeded(f"extension degree {e} exceeds bound {bound}")
+    if e > MAX_EXTENSION_DEGREE:
+        raise BoundExceeded(f"extension degree {e} exceeds bound {MAX_EXTENSION_DEGREE}")
     return _extension(p, e)
 
 
@@ -522,12 +528,12 @@ def _extension(p: int, e: int) -> ExtensionField:
     raise NotIrreducible(f"no irreducible modulus of degree {e} over GF({p})")  # pragma: no cover
 
 
-def finite_field(q: int, bound: int = 64) -> Field:
+def finite_field(q: int) -> Field:
     """GF(q) for a prime power q, prime or extension as needed."""
     p, e = _prime_power(q)
     if e == 1:
         return prime_field(p)
-    return make_extension(p, e, bound=bound)
+    return make_extension(p, e)
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -556,7 +562,7 @@ def parse_field(text: str) -> Field:
         if "^" in body:
             p_str, e_str = body.split("^", 1)
             p, e = int(p_str), int(e_str)
-            return prime_field(p) if e == 1 else make_extension(p, e, bound=max(4, e))
+            return prime_field(p) if e == 1 else make_extension(p, e)
         return finite_field(int(body))
     raise FieldError(f"unrecognized field {text!r}; expected QQ or GF(q)")
 

@@ -1,8 +1,8 @@
 """Exact matrix algebra over the ambient polynomial ring and over fields.
 
-A matrix is a rectangular tuple-of-tuples grid; graded bookkeeping lives in
-complexes.HomMatrix, which wraps one of these grids.  Everything here is
-fraction free: determinants and polynomial ranks use Bareiss elimination
+A matrix is a rectangular tuple-of-tuples grid; a periodic pair is two such
+grids plus its generator degrees (complexes.PeriodicComplex).  Everything
+here is fraction free: determinants and polynomial ranks use Bareiss elimination
 (each division is exact by the minor identity), small determinants and minor
 enumeration use cofactor expansion with a shared memo keyed by (row set,
 column set).

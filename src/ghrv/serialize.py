@@ -3,8 +3,6 @@
 Ring file:    {"field": "GF(5)"|"QQ", "yvars": [..], "xvars": [..], "f": ["x^2", ..]}
 Complex file: {"ring": <path or inline ring>, "periodic": {"A": [[..]], "B": [[..]],
                "degrees0": [..], "degrees1": [..], "certified": bool}}
-Variety:      {"components": [{"generators": [..]}, ..],
-               "points": {"field": "GF(5)", "members": [[1,0], ..]}}  (points on request)
 Trace file:   the complex file format for the final pair, plus a "trace" array
               of {"p": str|null, "size": int, "variety-summary": str} records,
               so every trace file is also loadable as a complex file.
@@ -21,11 +19,10 @@ from pathlib import Path
 
 from .complexes import PeriodicComplex
 from .errors import ParseError
-from .fields import ExtensionField, field_name, parse_field
+from .fields import field_name, parse_field
 from .parser import parse_poly
 from .pipelines import RealizationTrace
 from .ring import RingSpec, make_ring
-from .variety import ProjPoint, ZeroSetUnion
 
 
 def ring_to_obj(ring: RingSpec) -> dict:
@@ -57,8 +54,8 @@ def complex_to_obj(C: PeriodicComplex) -> dict:
     return {
         "ring": ring_to_obj(C.ring),
         "periodic": {
-            "A": [[e.to_string() for e in row] for row in C.A.entries],
-            "B": [[e.to_string() for e in row] for row in C.B.entries],
+            "A": [[e.to_string() for e in row] for row in C.A],
+            "B": [[e.to_string() for e in row] for row in C.B],
             "degrees0": list(C.degrees0),
             "degrees1": list(C.degrees1),
             "certified": C.certified,
@@ -103,31 +100,6 @@ def load_complex(path: str | Path) -> PeriodicComplex:
 
 def save_complex(C: PeriodicComplex, path: str | Path):
     Path(path).write_text(json.dumps(complex_to_obj(C), indent=2) + "\n")
-
-
-def _point_coords(pt: ProjPoint) -> list:
-    fld = pt.field
-    out = []
-    for a in pt.coords:
-        if isinstance(fld, ExtensionField):
-            out.append(int(a[0]) if fld.in_prime_subfield(a) else [int(x) for x in a])
-        else:
-            out.append(int(a) if isinstance(a, int) else str(a))
-    return out
-
-
-def variety_to_obj(V: ZeroSetUnion, points: list[ProjPoint] | None = None) -> dict:
-    obj = {
-        "components": [
-            {"generators": [g.to_string() for g in comp.gens]} for comp in V.components
-        ]
-    }
-    if points is not None:
-        obj["points"] = {
-            "field": field_name(points[0].field) if points else field_name(V.ring.field),
-            "members": [_point_coords(pt) for pt in points],
-        }
-    return obj
 
 
 def trace_to_obj(trace: RealizationTrace) -> dict:

@@ -158,13 +158,6 @@ def _canonical_gens(ring: PolyRing, gens) -> tuple[Poly, ...]:
     return tuple(ordered)
 
 
-def residue_pencil(C: PeriodicComplex) -> tuple:
-    """The grids (Abar, Bbar) over k[x]: both differentials under y -> 0.
-    The pair builds them in one linear pass on first use and keeps them, so
-    every later point of a scan reads the same grids."""
-    return C.pencil
-
-
 def minor_ideal_image(rows, r: int, ring: RingSpec) -> IdealGens:
     """Image in k[x] of the ideal of r x r minors, taken mod w: the r x r
     minors of rows|_{y=0}, since y -> 0 is a ring map that kills w.  r <= 0
@@ -191,8 +184,8 @@ def rank_variety(C: PeriodicComplex, ring: RingSpec | None = None) -> ZeroSetUni
     """V(C) as the union of the two critical minor-ideal zero sets.  The two
     components are kept separate; they are not intersected or combined."""
     ring = ring if ring is not None else C.ring
-    r_a = rank_over_R(C.A.entries, ring)
-    r_b = rank_over_R(C.B.entries, ring)
+    r_a = rank_over_R(C.A, ring)
+    r_b = rank_over_R(C.B, ring)
     if r_a + r_b != C.size:
         raise InvalidComplex(
             f"rank(A) + rank(B) = {r_a} + {r_b} != {C.size}; pair is not a valid complex"
@@ -200,8 +193,8 @@ def rank_variety(C: PeriodicComplex, ring: RingSpec | None = None) -> ZeroSetUni
     return ZeroSetUnion(
         ring.kx,
         (
-            minor_ideal_image(C.A.entries, r_a, ring),
-            minor_ideal_image(C.B.entries, r_b, ring),
+            minor_ideal_image(C.A, r_a, ring),
+            minor_ideal_image(C.B, r_b, ring),
         ),
     )
 
@@ -260,9 +253,9 @@ def extension_of(field: Field, j: int) -> Field:
     if j <= 1:
         return field
     if isinstance(field, PrimeField):
-        return make_extension(field.p, j, bound=j)
+        return make_extension(field.p, j)
     if isinstance(field, ExtensionField):
-        return make_extension(field.p, field.e * j, bound=field.e * j)
+        return make_extension(field.p, field.e * j)
     raise UnsupportedField(f"cannot extend {field}")
 
 
@@ -322,7 +315,7 @@ def _pencil_at(C: PeriodicComplex, fld: Field, point: tuple) -> list:
     serves every entry, so the embedding and the powers of each coordinate
     are computed once per point."""
     at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, point)), fld)
-    return [[[at(e) for e in row] for row in grid] for grid in residue_pencil(C)]
+    return [[[at(e) for e in row] for row in grid] for grid in C.pencil]
 
 
 def residue_matrices(C: PeriodicComplex, alpha) -> tuple[list[list], list[list], Alpha]:
@@ -392,8 +385,8 @@ def verify_contraction(C: PeriodicComplex, data: ContractionData) -> bool:
     ring = C.ring
     alpha = data.alpha
     amb = ring.ambient_over(alpha.field)
-    a_spec = [[specialize(e, alpha, ring) for e in row] for row in C.A.entries]
-    b_spec = [[specialize(e, alpha, ring) for e in row] for row in C.B.entries]
+    a_spec = [[specialize(e, alpha, ring) for e in row] for row in C.A]
+    b_spec = [[specialize(e, alpha, ring) for e in row] for row in C.B]
     s0 = [[amb.const(v) for v in row] for row in data.s0]
     sm1 = [[amb.const(v) for v in row] for row in data.s_minus1]
     total = mat_mul(a_spec, s0, amb)
@@ -467,7 +460,7 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
         perturbed = make_alpha(ring, alpha.point, preimages=tuple(preimages), field=fld)
         a_bar, b_bar = (
             [[residue(specialize(e, perturbed, ring), ring) for e in row] for row in grid]
-            for grid in (C.A.entries, C.B.entries)
+            for grid in (C.A, C.B)
         )
         verdicts.append(rank_over_field(a_bar, fld) + rank_over_field(b_bar, fld) == C.size)
     return PerturbationReport(alpha, trials, seed, baseline, verdicts)

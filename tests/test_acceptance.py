@@ -28,7 +28,7 @@ from ghrv.complexes import (
     koszul_differential,
     shift,
     trivial_pair,
-    validate,
+    validate_pair,
     xi_wedge,
 )
 from ghrv.fields import finite_field, prime_field
@@ -146,13 +146,13 @@ def test_criterion_1_rank_one_pair_reproduction():
     pair = fixture_rank_one(ring)
     if not pair.certified:
         failures.append("pair did not certify")
-    r_a = rank_over_R(pair.A.entries, ring)
-    r_b = rank_over_R(pair.B.entries, ring)
+    r_a = rank_over_R(pair.A, ring)
+    r_b = rank_over_R(pair.B, ring)
     if (r_a, r_b) != (1, 1):
         failures.append(f"ranks over R are {r_a}, {r_b}, expected 1, 1")
     x1 = ring.kx.variable("x1")
     x2 = ring.kx.variable("x2")
-    for which, grid in (("A", pair.A.entries), ("B", pair.B.entries)):
+    for which, grid in (("A", pair.A), ("B", pair.B)):
         ideal = minor_ideal_image(grid, 1, ring)
         if ideal.gens != (x1, x2):
             failures.append(f"image of I_1({which}) is {ideal.describe()}, expected (x1, x2)")
@@ -173,7 +173,7 @@ def test_criterion_2_cone_fixture_reproduction():
             continue
         cone = cone_mul(k, ring.parse("x1*x2"))
         d_grid, d_prime_grid = documented_cone_pair(ring)
-        if cone.A.entries != d_grid or cone.B.entries != d_prime_grid:
+        if cone.A != d_grid or cone.B != d_prime_grid:
             failures.append(f"cone by x1*x2 deviates from the documented 4x4 pair over {field}")
         v = rank_variety(cone)
         members = [pt for pt in enumerate_points(field, 2) if membership(v, pt)]
@@ -354,7 +354,7 @@ def test_criterion_8_structural_invariants():
         everything.append((f"realize-stage{i}|GF(5)", stage.complex))
 
     for label, c in everything:
-        report = validate(c, check_rank=True)
+        report = validate_pair(c, check_rank=True)
         if not report.ok:
             failures.append(f"{label}: {report.describe()}")
 

@@ -130,6 +130,16 @@ def test_cone_rejects_bad_scalar(k_file, capsys):
     assert "NotHomogeneousScalar" in capsys.readouterr().err
 
 
+def test_cone_rechecks_a_false_certification(ring_file, tmp_path, capsys):
+    path = tmp_path / "liar.json"
+    periodic = {"A": [["x1"]], "B": [["x2"]], "degrees0": [0], "degrees1": [1], "certified": True}
+    path.write_text(json.dumps({"ring": ring_file, "periodic": periodic}))
+    assert run(["cone", str(path), "--p", "x1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "CertificationFailed: cone blocks do not multiply to w*I\n"
+    assert captured.out == ""
+
+
 def test_resolve_k(ring_file, tmp_path, ring5, capsys):
     out_path = tmp_path / "res.json"
     assert run(["resolve-k", ring_file, "--out", str(out_path)]) == 0

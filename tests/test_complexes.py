@@ -22,7 +22,7 @@ from ghrv.complexes import (
     shamash_resolution,
     shift,
     trivial_pair,
-    validate,
+    validate_pair,
     validate_finite,
     xi_wedge,
 )
@@ -47,7 +47,7 @@ def test_koszul_is_a_complex(ring5):
     kz = koszul(ring5)
     report = validate_finite(kz)
     assert report.ok, report.describe()
-    assert [m.rank for m in kz.modules] == [1, 4, 6, 4, 1]
+    assert [len(d) for d in kz.degrees] == [1, 4, 6, 4, 1]
 
 
 def test_koszul_generic_exactness(ring5):
@@ -56,10 +56,10 @@ def test_koszul_generic_exactness(ring5):
     # d_(n+1) = C(4, n) with rank d_1 = 1
     kz = koszul(ring5)
     amb = ring5.ambient
-    ranks = [rank_over_domain(kz.diff(n).entries, amb) for n in range(1, 5)]
+    ranks = [rank_over_domain(kz.diff(n), amb) for n in range(1, 5)]
     assert ranks[0] == 1
     for n in range(1, 4):
-        assert ranks[n - 1] + ranks[n] == kz.module(n).rank
+        assert ranks[n - 1] + ranks[n] == len(kz.degrees_at(n))
 
 
 def test_wedge_is_a_null_homotopy_for_w(ring5):
@@ -99,7 +99,7 @@ def test_resolution_is_a_complex_with_stable_ranks(ring5):
     res = shamash_resolution(ring5, 8)
     report = validate_finite(res)
     assert report.ok, report.describe()
-    assert [m.rank for m in res.modules] == [1, 4, 7, 8, 8, 8, 8, 8, 8]
+    assert [len(d) for d in res.degrees] == [1, 4, 7, 8, 8, 8, 8, 8, 8]
 
 
 def _r_monomials(ring, t):
@@ -119,8 +119,8 @@ def _r_monomials(ring, t):
     return [m for m in out if not monomial_divides(lm, m)]
 
 
-def _graded_piece(ring, hom, gen_deg_src, gen_deg_tgt, t):
-    """Matrix of the degree-t piece of hom over the base field, in the
+def _graded_piece(ring, grid, gen_deg_src, gen_deg_tgt, t):
+    """Matrix of the degree-t piece of the map `grid` over the base field, in the
     R-monomial bases; generator degrees are total degrees."""
     fld = ring.field
     src_basis = []
@@ -137,7 +137,7 @@ def _graded_piece(ring, hom, gen_deg_src, gen_deg_tgt, t):
     rows = [[fld.zero] * len(src_basis) for _ in range(len(tgt_index))]
     for col, (j, mono) in enumerate(src_basis):
         for i in range(len(gen_deg_tgt)):
-            e = hom.entries[i][j]
+            e = grid[i][j]
             if e.is_zero():
                 continue
             prod = ring.normal_form(e.mul_monomial(mono, fld.one))
@@ -159,7 +159,7 @@ def _total_gen_degrees(ring, res, n):
     degs = []
     for j, kn in _shamash_summands(m, n):
         degs.extend(kn + 3 * j for _ in _koszul_basis(m, kn))
-    assert len(degs) == res.module(n).rank
+    assert len(degs) == len(res.degrees_at(n))
     return degs
 
 
@@ -189,17 +189,17 @@ def test_extracted_pair_is_certified_and_minimal(ring5):
     pair = extract_mf(res, ring5)
     assert pair.certified
     assert pair.size == 8
-    assert pair.A.entries == res.diff(5).entries
-    assert pair.B.entries == res.diff(6).entries
-    for hom in (pair.A, pair.B):
-        for row in hom.entries:
+    assert pair.A == res.diff(5)
+    assert pair.B == res.diff(6)
+    for grid in (pair.A, pair.B):
+        for row in grid:
             for e in row:
                 assert ring5.field.is_zero(e.constant_term())
 
 
 def test_extract_needs_a_long_enough_window(ring5):
     res = shamash_resolution(ring5, 6)
-    short = type(res)(res.ring, 0, res.modules[:5], res.diffs[:4], res.over)
+    short = type(res)(res.ring, res.degrees[:5], res.diffs[:4], res.over)
     with pytest.raises(NotStabilized):
         extract_mf(short, ring5)
 
@@ -209,7 +209,7 @@ def test_extract_needs_a_long_enough_window(ring5):
 def test_trivial_pair(ring5):
     t = trivial_pair(ring5)
     assert t.certified and t.size == 1
-    assert validate(t).ok
+    assert validate_pair(t).ok
 
 
 def test_constructor_rejects_non_complexes(ring5):
@@ -231,32 +231,32 @@ def test_constructor_rejects_false_certification(ring5):
 def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     k = fixture_k(ring5)
     assert k.certified
-    plain = PeriodicComplex(ring5, k.A.entries, k.B.entries, k.degrees0, k.degrees1, certified=False)
+    plain = PeriodicComplex(ring5, k.A, k.B, k.degrees0, k.degrees1, certified=False)
     false_claim = PeriodicComplex(ring5, [["x1"]], [["1"]], (0,), (1,), certified=True)
     calls = []
     normal_form = RingSpec.normal_form
     monkeypatch.setattr(RingSpec, "normal_form", lambda *a: calls.append(1) or normal_form(*a))
-    assert validate(k, check_rank=False).findings == []
+    assert validate_pair(k, check_rank=False).findings == []
     assert len(calls) == 2 * k.size**2  # homogeneity: one normal form per entry
     # the same pair uncertified, and a claimed certification that fails the
     # exact comparison, still take the pass over A*B and B*A, with findings
     # in the same order
     calls.clear()
-    assert validate(plain, check_rank=False).findings == []
+    assert validate_pair(plain, check_rank=False).findings == []
     assert len(calls) == 2 * k.size**2 + 2 * k.size**2
-    codes = [code for code, _ in validate(false_claim, check_rank=False).findings]
+    codes = [code for code, _ in validate_pair(false_claim, check_rank=False).findings]
     assert codes == ["NotAComplex", "NotAComplex", "CertificationFailed"]
 
 
 def test_validate_reports_rank_defect(ring5):
     bad = PeriodicComplex(ring5, [["0"]], [["0"]], (0,), (0,), certified=False)
-    report = validate(bad)
+    report = validate_pair(bad)
     assert any(code == "RankDefect" for code, _ in report.findings)
 
 
 def test_validate_notes_uncertified_assumption(ring5):
     c = PeriodicComplex(ring5, [["x1"]], [["0"]], (0,), (1,), certified=False)
-    report = validate(c, check_rank=False)
+    report = validate_pair(c, check_rank=False)
     assert report.ok
     assert any("not claimed" in note for note in report.notes)
 
@@ -265,18 +265,18 @@ def test_shift_swaps_the_pair(ring5):
     k = fixture_k(ring5)
     s = shift(k)
     assert s.certified
-    assert validate(s).ok
-    assert s.A.entries == mat_neg(k.B.entries)
-    assert s.B.entries == mat_neg(k.A.entries)
+    assert validate_pair(s).ok
+    assert s.A == mat_neg(k.B)
+    assert s.B == mat_neg(k.A)
     ss = shift(s)
-    assert ss.A.entries == k.A.entries
+    assert ss.A == k.A
     assert ss.degrees0 == tuple(d - 1 for d in k.degrees0)
 
 
 def test_dual_is_an_involution(ring5):
     for c in (fixture_k(ring5), fixture_rank_one(ring5)):
         d = dual(c)
-        assert validate(d).ok
+        assert validate_pair(d).ok
         assert dual(d) == c
 
 
@@ -285,10 +285,10 @@ def test_direct_sum_blocks(ring5):
     r = fixture_rank_one(ring5)
     s = direct_sum(k, r)
     assert s.size == 4
-    assert validate(s).ok
-    assert s.A.entries[0][0] == k.A.entries[0][0]
-    assert s.A.entries[2][2] == r.A.entries[0][0]
-    assert s.A.entries[0][2].is_zero()
+    assert validate_pair(s).ok
+    assert s.A[0][0] == k.A[0][0]
+    assert s.A[2][2] == r.A[0][0]
+    assert s.A[0][2].is_zero()
     assert s.certified
 
 
@@ -302,10 +302,10 @@ def test_cone_reproduces_documented_pair(ring5):
     p = ring5.parse("x1*x2")
     cone = cone_mul(k, p)
     d_grid, d_prime_grid = documented_cone_pair(ring5)
-    assert cone.A.entries == d_grid
-    assert cone.B.entries == d_prime_grid
+    assert cone.A == d_grid
+    assert cone.B == d_prime_grid
     assert cone.certified
-    assert validate(cone).ok
+    assert validate_pair(cone).ok
     assert cone.degrees0 == (0, 0, 1, 2)
     assert cone.degrees1 == (0, 1, 2, 2)
 
@@ -332,17 +332,24 @@ def test_cone_by_the_zero_class(ring5):
     assert cone.size == 4
     assert cone.certified
     assert all(
-        cone.A.entries[i][j + 2].is_zero() for i in range(2) for j in range(2)
+        cone.A[i][j + 2].is_zero() for i in range(2) for j in range(2)
     )
-    assert validate(cone).ok
+    assert validate_pair(cone).ok
+
+
+def test_cone_rechecks_a_false_certification(ring5):
+    # the constructor takes the certified flag on trust; cone_mul re-tests it
+    liar = PeriodicComplex(ring5, [["x1"]], [["x2"]], (0,), (1,), certified=True)
+    with pytest.raises(CertificationFailed, match="cone blocks do not multiply to w\\*I"):
+        cone_mul(liar, ring5.parse("x1"))
 
 
 def test_cone_rank_partition(ring5):
     # rank(A) + rank(B) = size survives the cone construction
     k = fixture_k(ring5)
     cone = cone_mul(k, ring5.parse("x1"))
-    r_a = rank_over_R(cone.A.entries, ring5)
-    r_b = rank_over_R(cone.B.entries, ring5)
+    r_a = rank_over_R(cone.A, ring5)
+    r_b = rank_over_R(cone.B, ring5)
     assert r_a + r_b == cone.size
 
 
@@ -350,12 +357,18 @@ def test_periodic_rejects_non_square_pair(ring5):
     # degrees of unequal length: the shapes themselves agree with the degrees
     with pytest.raises(ValueError, match="square"):
         PeriodicComplex(ring5, [["x1", "0"]], [["0"], ["0"]], (0,), (0, 1), certified=False)
-    # grids that disagree with the degrees, and a ragged grid
-    with pytest.raises(ValueError):
-        PeriodicComplex(ring5, [["x1", "0"]], [["0", "0"]], (0,), (0,), certified=False)
-    with pytest.raises(ValueError):
+    # grids that disagree with the degrees, on either side, and a ragged grid
+    with pytest.raises(ValueError, match="entry grid is 1x2, expected 1x1"):
+        PeriodicComplex(ring5, [["x1", "0"]], [["0"]], (0,), (0,), certified=False)
+    with pytest.raises(ValueError, match="entry grid is 2x1, expected 1x1"):
+        PeriodicComplex(ring5, [["x1"]], [["0"], ["0"]], (0,), (0,), certified=False)
+    with pytest.raises(ValueError, match="ragged matrix"):
         PeriodicComplex(ring5, [["x1", "0"], ["0"]], [["0", "0"], ["0", "0"]], (0, 0), (0, 0), certified=False)
-    # the drift is the constructor's own: B starts from degrees0 twisted by 1
-    k = fixture_k(ring5)
-    assert k.A.source.degrees == k.B.target.degrees == k.degrees1
-    assert k.B.source.degrees == tuple(d + 1 for d in k.degrees0)
+
+
+def test_validate_applies_the_twist_to_b(ring5):
+    # A maps degrees1 to degrees0; B maps degrees0 twisted by 1 to degrees1,
+    # so x1 fits A here (1 - 0) but not B ((0 + 1) - 1)
+    c = PeriodicComplex(ring5, [["x1"]], [["x1"]], (0,), (1,), certified=False)
+    homogeneity = [m for code, m in validate_pair(c, check_rank=False).findings if code == "NotHomogeneous"]
+    assert homogeneity == ["B: entry (0,0) = x1 has x-degree 1, expected 0"]

@@ -7,6 +7,7 @@ certificate against trial division over all lower-degree monic polynomials.
 """
 
 import random
+import time
 
 import pytest
 
@@ -128,7 +129,7 @@ def test_reducible_product_of_two_quadratics_is_rejected():
 
 
 TABLE_FIELDS = [
-    make_extension(p, e, bound=e) for p, e in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4))
+    make_extension(p, e) for p, e in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4))
 ]
 # above the table cap, so arithmetic takes the coefficient-list route
 LIST_FIELD = make_extension(101, 2)
@@ -201,9 +202,19 @@ def test_extension_field_multiplicative_group_order():
 
 
 def test_make_extension_bound():
-    with pytest.raises(BoundExceeded, match="extension degree 9 exceeds bound 4"):
-        make_extension(3, 9, bound=4)
-    make_extension(3, 4, bound=4)
+    with pytest.raises(BoundExceeded, match="extension degree 65 exceeds bound 64"):
+        make_extension(3, 65)
+    # degree 64 still builds, in either spelling
+    for p in (2, 3):
+        assert parse_field(f"GF({p}^64)") is parse_field(f"GF({p**64})") is make_extension(p, 64)
+
+
+@pytest.mark.parametrize("text", ["GF(2^65)", f"GF({2**65})", "GF(2^300)"])
+def test_large_extension_degrees_fail_fast(text):
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="exceeds bound 64"):
+        parse_field(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_finite_field_dispatch_and_names():

@@ -9,7 +9,7 @@ entry by entry against fixture_k.
 
 import pytest
 
-from ghrv.complexes import PeriodicComplex, cone_mul, validate
+from ghrv.complexes import PeriodicComplex, cone_mul, validate_pair
 from ghrv.errors import InvalidComplex, NotHomogeneousScalar, UnsupportedField
 from ghrv.fields import QQ, prime_field
 from ghrv.matrix import as_grid, mat_mul
@@ -47,10 +47,10 @@ def test_complete_resolution_is_minimal_and_certified(ring5):
     res = complete_resolution_of_k(ring5)
     assert res.size == 8
     assert res.certified
-    assert validate(res).ok
+    assert validate_pair(res).ok
     fld = ring5.field
-    for hom in (res.A, res.B):
-        for row in hom.entries:
+    for grid in (res.A, res.B):
+        for row in grid:
             for e in row:
                 assert fld.is_zero(e.constant_term())
 
@@ -92,8 +92,8 @@ def test_fixture_k_is_the_folded_y_koszul(ring5):
     tail_odd = as_grid([[s1[0][0], s1[0][1]], [d1[0][0], d1[0][1]]])
     tail_even = as_grid([[d2[0][0], s0[0][0]], [d2[1][0], s0[1][0]]])
     k = fixture_k(ring5)
-    assert k.A.entries == tail_even
-    assert k.B.entries == tail_odd
+    assert k.A == tail_even
+    assert k.B == tail_odd
 
 
 # -- realizability -------------------------------------------------------------
@@ -144,8 +144,8 @@ def test_module_presentation_needs_certification(ring5):
     pair = fixture_rank_one(ring5)
     loose = PeriodicComplex(
         ring5,
-        pair.A.entries,
-        pair.B.entries,
+        pair.A,
+        pair.B,
         pair.degrees0,
         pair.degrees1,
         certified=False,

@@ -5,9 +5,12 @@ file must itself be loadable as a complex file.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from ghrv.complexes import validate_pair
 from ghrv.errors import ParseError
 from ghrv.fields import make_extension
 from ghrv.pipelines import (
@@ -30,9 +33,8 @@ from ghrv.serialize import (
     save_ring,
     save_trace,
     trace_to_obj,
-    variety_to_obj,
 )
-from ghrv.variety import IdealGens, ZeroSetUnion, proj_point, rank_variety
+from ghrv.variety import IdealGens, ZeroSetUnion, proj_point
 
 
 def test_ring_round_trip(ring5, ringq, tmp_path):
@@ -83,28 +85,16 @@ def test_complex_obj_wants_all_keys(ring5):
         complex_from_obj({"ring": ring_to_obj(ring5), "periodic": "nope"})
 
 
-def test_variety_obj(ring5):
-    v = rank_variety(fixture_rank_one(ring5))
-    obj = variety_to_obj(v)
-    assert obj["components"] == [
-        {"generators": ["x1", "x2"]},
-        {"generators": ["x1", "x2"]},
-    ]
-    assert "points" not in obj
-
-    pts = [proj_point(ring5.field, (1, 0)), proj_point(ring5.field, (0, 1))]
-    obj = variety_to_obj(v, points=pts)
-    assert obj["points"] == {"field": "GF(5)", "members": [[1, 0], [0, 1]]}
-
-
-def test_variety_obj_extension_points():
-    f9 = make_extension(3, 2)
-    ring = worked_ring(f9)
-    v = rank_variety(fixture_k(ring))
-    pt = proj_point(f9, (f9.one, f9.generator()))
-    obj = variety_to_obj(v, points=[pt])
-    assert obj["points"]["field"] == "GF(9)"
-    assert obj["points"]["members"] == [[1, [0, 1]]]
+def test_readme_file_format_examples(ring5, tmp_path):
+    # the ring and complex blocks of the README, the complex naming the ring
+    # file by a relative path
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    ring_text, complex_text = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+    (tmp_path / "ring.json").write_text(ring_text)
+    (tmp_path / "C.json").write_text(complex_text)
+    C = load_complex(tmp_path / "C.json")
+    assert validate_pair(C).ok
+    assert C.certified and C == fixture_k(ring5)
 
 
 def test_trace_file_is_a_complex_file(ring5, tmp_path):

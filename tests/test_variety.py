@@ -51,7 +51,7 @@ from ghrv.variety import (
 def test_rank_matches_minor_oracle_on_fixtures(ring5):
     grids = []
     for c in (fixture_k(ring5), fixture_rank_one(ring5)):
-        grids.extend([c.A.entries, c.B.entries])
+        grids.extend([c.A, c.B])
     grids.extend(documented_cone_pair(ring5))
     for g in grids:
         assert rank_over_R(g, ring5) == rank_over_R_by_minors(g, ring5)
@@ -107,12 +107,12 @@ def test_minor_images_of_the_rank_one_pair(ring5):
     pair = fixture_rank_one(ring5)
     x1 = ring5.kx.variable("x1")
     x2 = ring5.kx.variable("x2")
-    for grid in (pair.A.entries, pair.B.entries):
+    for grid in (pair.A, pair.B):
         ideal = minor_ideal_image(grid, 1, ring5)
         assert ideal.gens == (x1, x2)
         assert ideal.describe() == "(x1, x2)"
     # the 2x2 minor is det = +-w, which is zero in R
-    top = minor_ideal_image(pair.A.entries, 2, ring5)
+    top = minor_ideal_image(pair.A, 2, ring5)
     assert top.gens == ()
     assert top.describe() == "(0)"
 
@@ -312,7 +312,7 @@ def test_residue_matrices_match_specialize_then_residue(field):
             for alpha in choices:
                 oracle = [
                     [[residue(specialize(e, alpha, ring), ring) for e in row] for row in grid]
-                    for grid in (C.A.entries, C.B.entries)
+                    for grid in (C.A, C.B)
                 ]
                 assert [a_bar, b_bar] == oracle, (C.size, str(pt), alpha.preimages)
 
@@ -330,18 +330,18 @@ def test_minor_images_match_the_normal_form_route(field):
     cones = [cone_mul(k, ring.parse(p)) for p in ("x1*x2", "x1^2 + x2^2")]
     cones.append(cone_mul(pair, ring.parse("x1")))
     for C in cones:
-        for grid in (C.A.entries, C.B.entries):
+        for grid in (C.A, C.B):
             for r in range(1, C.size + 1):
                 assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
     tail = complete_resolution_of_k(ring)
-    for grid in (tail.A.entries, tail.B.entries):
+    for grid in (tail.A, tail.B):
         r = rank_over_R(grid, ring)
         assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
 
 
 def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     tail = complete_resolution_of_k(ring3)
-    r_a = rank_over_R(tail.A.entries, ring3)
+    r_a = rank_over_R(tail.A, ring3)
     pt = proj_point(ring3.field, (1, 2))
     calls = {"normal_form": 0, "specialize": 0, "image_in_kx": 0, "mul": 0}
 
@@ -354,7 +354,7 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     monkeypatch.setattr(RingSpec, "normal_form", counted("normal_form", RingSpec.normal_form))
     monkeypatch.setattr(ghrv.variety, "specialize", counted("specialize", specialize))
     monkeypatch.setattr(RingSpec, "image_in_kx", counted("image_in_kx", RingSpec.image_in_kx))
-    assert minor_ideal_image(tail.A.entries, r_a, ring3).gens
+    assert minor_ideal_image(tail.A, r_a, ring3).gens
     assert calls["normal_form"] == 0
     assert calls["image_in_kx"] > 0  # the symbolic path takes its own residue grid
     calls["image_in_kx"] = 0
@@ -390,7 +390,7 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
             report = preimage_independence_check(C, p, trials=1, seed=3)
             assert report.verdicts == [report.baseline] == [contractible_at(C, p)], str(p)
         assert C.pencil is not base.pencil
-        assert C.pencil == (ring5.image_grid(C.A.entries), ring5.image_grid(C.B.entries))
+        assert C.pencil == (ring5.image_grid(C.A), ring5.image_grid(C.B))
     # the cone's variety is Z(x1^2 + 2*x2^2): two points, both over F_25 only
     cone_points = [p for p in points if not contractible_at(derived[2], p)]
     assert len(cone_points) == 2 and all(p.field != ring5.field for p in cone_points)
