@@ -56,6 +56,7 @@ from .variety import (
     proj_point,
     rank_over_R,
     rank_variety,
+    ranks_over_R,
 )
 
 __version__ = "0.1.0"

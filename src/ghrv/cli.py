@@ -34,6 +34,7 @@ from .variety import (
     membership,
     rank_over_R,
     rank_variety,
+    ranks_over_R,
     residue_ranks,
 )
 
@@ -159,8 +160,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_rank(args) -> int:
     C = load_complex(args.complex)
-    r_a = rank_over_R(C.A, C.ring)
-    r_b = rank_over_R(C.B, C.ring)
+    r_a, r_b = ranks_over_R(C)
     if args.which in (None, "A"):
         print(f"rank(A) = {r_a}")
     if args.which in (None, "B"):

@@ -78,7 +78,7 @@ class PeriodicComplex:
     checked here.  validate_pair applies the degree rule and the complex
     condition, and periodic_from_pair refuses a pair that fails them.  A and
     B are never reassigned after construction, which is what lets the pair
-    keep its residue pencil.
+    keep its residue pencil and its is_factorization verdict.
     """
 
     def __init__(self, ring: RingSpec, a_grid, b_grid, degrees0, degrees1, certified: bool):
@@ -105,6 +105,15 @@ class PeriodicComplex:
     @property
     def size(self) -> int:
         return len(self.degrees0)
+
+    @cached_property
+    def is_factorization(self) -> bool:
+        """A*B = B*A = w*I exactly over P, judged on the stored grids and
+        never on the `certified` flag, which a file may claim falsely.
+        Computed on first use and kept with the pair."""
+        amb = self.ring.ambient
+        w_id = identity(amb, self.size, self.ring.w)
+        return mat_mul(self.A, self.B, amb) == w_id and mat_mul(self.B, self.A, amb) == w_id
 
     @cached_property
     def pencil(self) -> tuple[Grid, Grid]:
@@ -159,18 +168,22 @@ def validate_pair(C: PeriodicComplex, check_rank: bool = True) -> ValidationRepo
     homogeneity, certification when claimed, and the rank partition
     rank(A) + rank(B) = size.  This is where the degree rule is applied: A
     maps degrees1 to degrees0, and B maps degrees0 twisted by 1 (the x-degree
-    of w) to degrees1."""
+    of w) to degrees1.
+
+    The exact identity A*B = B*A = w*I (C.is_factorization) is tested on
+    the stored grids whatever the file claims.  When it holds, both products
+    are zero mod w, so a pair that claims certification skips the mod-w pass
+    (a pair that does not claim it still takes the pass).  The identity also
+    gives the rank partition by the complement rule: the complex over R is
+    then exact (if B v = w u then w v = A B v = w A u, so v = A u, P being a
+    domain), so over the fraction field of the domain R, rank(B) = size -
+    rank(A).  The RankDefect check therefore runs only on pairs that are
+    complexes mod w without being exact factorizations."""
     report = ValidationReport()
     ring = C.ring
-    n = C.size
-    ab = mat_mul(C.A, C.B, ring.ambient)
-    ba = mat_mul(C.B, C.A, ring.ambient)
-    # A*B = B*A = w*I exactly makes both products zero mod w, so a certified
-    # pair that passes the exact comparison needs no normal forms
-    w_id = identity(ring.ambient, n, ring.w)
-    certified = C.certified and ab == w_id and ba == w_id
-    if not certified:
-        for name, prod in (("A*B", ab), ("B*A", ba)):
+    if not (C.certified and C.is_factorization):
+        for name, prod in (("A*B", mat_mul(C.A, C.B, ring.ambient)),
+                           ("B*A", mat_mul(C.B, C.A, ring.ambient))):
             bad = [
                 (i, j)
                 for i, row in enumerate(prod)
@@ -188,16 +201,16 @@ def validate_pair(C: PeriodicComplex, check_rank: bool = True) -> ValidationRepo
 
     if not C.certified:
         report.notes.append("certification not claimed; total acyclicity is assumed, not checked")
-    elif not certified:
+    elif not C.is_factorization:
         report.add("CertificationFailed", "A*B = B*A = w*I fails on stored representatives")
 
-    if check_rank and not any(code == "NotAComplex" for code, _ in report.findings):
-        from .variety import rank_over_R
+    if (check_rank and not any(code == "NotAComplex" for code, _ in report.findings)
+            and not C.is_factorization):
+        from .variety import ranks_over_R
 
-        r_a = rank_over_R(C.A, ring)
-        r_b = rank_over_R(C.B, ring)
-        if r_a + r_b != n:
-            report.add("RankDefect", f"rank(A) + rank(B) = {r_a} + {r_b} != {n}")
+        r_a, r_b = ranks_over_R(C)
+        if r_a + r_b != C.size:
+            report.add("RankDefect", f"rank(A) + rank(B) = {r_a} + {r_b} != {C.size}")
     return report
 
 
@@ -303,13 +316,10 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     ])
     degrees0 = C.degrees0 + tuple(d + g - 1 for d in C.degrees1)
     degrees1 = C.degrees1 + tuple(d + g for d in C.degrees0)
-    certified = False
-    if C.certified:
-        w_id = identity(amb, 2 * n, ring.w)
-        if mat_mul(a, b, amb) != w_id or mat_mul(b, a, amb) != w_id:
-            raise CertificationFailed("cone blocks do not multiply to w*I")
-        certified = True
-    return PeriodicComplex(ring, a, b, degrees0, degrees1, certified=certified)
+    cone = PeriodicComplex(ring, a, b, degrees0, degrees1, certified=C.certified)
+    if C.certified and not cone.is_factorization:
+        raise CertificationFailed("cone blocks do not multiply to w*I")
+    return cone
 
 
 def trivial_pair(ring: RingSpec, degree: int = 0) -> PeriodicComplex:

@@ -23,6 +23,7 @@ the tables and is the reference they are tested against.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -537,9 +538,11 @@ def finite_field(q: int) -> Field:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e.  Trial division stops at isqrt(q): a q with no
+    factor up to there is prime."""
     if q < 2:
         raise FieldError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
+    for p in range(2, math.isqrt(q) + 1):
         if q % p == 0:
             e = 0
             m = q
@@ -549,7 +552,7 @@ def _prime_power(q: int) -> tuple[int, int]:
             if m != 1:
                 raise FieldError(f"{q} is not a prime power")
             return p, e
-    raise FieldError(f"{q} is not a prime power")  # pragma: no cover
+    return q, 1
 
 
 def parse_field(text: str) -> Field:

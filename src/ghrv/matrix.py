@@ -42,22 +42,31 @@ def mat_shape(rows: Sequence[Sequence[Poly]]) -> tuple[int, int]:
 
 
 def mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]], ring: PolyRing) -> Grid:
+    """Sparse product: only nonzero entries of a row of `a` meet the nonzero
+    entries of the matching row of `b`, listed once up front, and each output
+    entry is summed in one monomial -> coefficient dict and becomes one Poly."""
     m, k1 = mat_shape(a)
     k2, n = mat_shape(b)
     if k1 != k2:
         raise ValueError(f"shape mismatch {m}x{k1} times {k2}x{n}")
+    fld = ring.field
+    add, mul = fld.add, fld.mul
+    b_rows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in b]
+    zero = ring.zero()
     out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            acc = ring.zero()
-            for t in range(k1):
-                e = a[i][t]
-                if e.is_zero() or b[t][j].is_zero():
-                    continue
-                acc = acc + e * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        sums: dict[int, dict] = {}
+        for e, b_row in zip(row, b_rows):
+            if not e.terms or not b_row:
+                continue
+            for j, b_terms in b_row:
+                acc = sums.setdefault(j, {})
+                for m1, c1 in e.terms.items():
+                    for m2, c2 in b_terms.items():
+                        mono = tuple(x + y for x, y in zip(m1, m2))
+                        c = mul(c1, c2)
+                        acc[mono] = add(acc[mono], c) if mono in acc else c
+        out.append(tuple(Poly(ring, sums[j]) if j in sums else zero for j in range(n)))
     return tuple(out)
 
 
@@ -196,15 +205,25 @@ def _bareiss(grid: Grid, ring: PolyRing, want_det: bool) -> tuple[int, Poly]:
             for row in M:
                 row[k], row[pj] = row[pj], row[k]
             sign = -sign
-        pivot = M[k][k]
+        pivot_row = M[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, m):
-            mik = M[i][k]
+            row = M[i]
+            mik = row[k]
+            mik_live = not mik.is_zero()
             for j in range(k + 1, n):
-                num = pivot * M[i][j]
-                if not mik.is_zero() and not M[k][j].is_zero():
-                    num = num - mik * M[k][j]
-                M[i][j] = exact_div(num, prev)
-            M[i][k] = ring.zero()
+                mij = row[j]
+                cross = mik_live and not pivot_row[j].is_zero()
+                if mij.is_zero():
+                    # pivot * 0 - 0 stays zero exactly
+                    if cross:
+                        row[j] = exact_div(-(mik * pivot_row[j]), prev)
+                    continue
+                num = pivot * mij
+                if cross:
+                    num = num - mik * pivot_row[j]
+                row[j] = exact_div(num, prev)
+            row[k] = ring.zero()
         prev = pivot
         rank += 1
     if not want_det:

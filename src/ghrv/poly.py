@@ -310,22 +310,25 @@ class Poly:
         Powers of each value come from the value's own power table (see
         __pow__), so substituting the same values into many polynomials, as
         specialize does for every entry of a pair at one point, computes
-        each power once."""
+        each power once.  The images of the terms are summed into one dict,
+        so the cost is linear in the number of result terms."""
         ring = self.ring
         bound: dict[int, Poly] = {}
         for name, value in bindings.items():
             bound[ring.var_index(name)] = ring.coerce(value)
         if not bound:
             return self
-        total = ring.zero()
+        add = ring.field.add
+        total: dict = {}
         for m, c in self.terms.items():
             residual = tuple(0 if i in bound else e for i, e in enumerate(m))
             acc = ring.monomial(residual, c)
             for i, e in enumerate(m):
                 if e and i in bound:
                     acc = acc * bound[i] ** e
-            total = total + acc
-        return total
+            for mm, cc in acc.terms.items():
+                total[mm] = add(total[mm], cc) if mm in total else cc
+        return Poly(ring, total)
 
     def map_coefficients(self, target: PolyRing, fn: Callable | None = None) -> "Poly":
         """Move to a ring with the same variables over another field."""
@@ -461,9 +464,32 @@ def divide_single(p: Poly, d: Poly) -> tuple[Poly, Poly]:
 
 def exact_div(p: Poly, d: Poly) -> Poly:
     """Quotient p/d when the division is exact; ArithmeticError otherwise.
-    This is the denominator-clearing step of fraction-free elimination."""
+    This is the denominator-clearing step of fraction-free elimination.
+
+    A one-term divisor, which is what Bareiss divides by almost always,
+    takes a direct path: each term's exponents are shifted and its
+    coefficient scaled, and any term the monomial does not divide is the
+    remainder divide_single would leave."""
     if p.is_zero():
         return p
+    if len(d.terms) == 1:
+        ring = p.ring
+        if d.ring is not ring and d.ring != ring:
+            raise RingMismatch("divisor in a different ring")
+        fld = ring.field
+        ((dm, dc),) = d.terms.items()
+        inv = fld.inv(dc)
+        q: dict = {}
+        rest: dict = {}
+        for m, c in p.terms.items():
+            shifted = tuple(y - x for x, y in zip(dm, m))
+            if min(shifted, default=0) < 0:
+                rest[m] = c
+            else:
+                q[shifted] = fld.mul(c, inv)
+        if rest:
+            raise ArithmeticError(f"inexact division: remainder {Poly(ring, rest)}")
+        return Poly(ring, q)
     q, r = divide_single(p, d)
     if not r.is_zero():
         raise ArithmeticError(f"inexact division: remainder {r}")

@@ -12,7 +12,13 @@ R[1/f_1] with a localized polynomial ring in (x_2..x_c, y), sending x_1 to
 -(f_2 x_2 + .. + f_c x_c)/f_1, and row scaling by powers of f_1 clears the
 denominators without changing the rank.  Fraction-free elimination then gives
 the rank.  The exhaustive descending minor search is kept in matrix.py as the
-oracle this path is tested against.
+oracle this path is tested against.  A pair needs one such elimination when
+it is an exact matrix factorization, A*B = B*A = w*I over P
+(PeriodicComplex.is_factorization): then the complex over R is exact,
+because B v = w u gives w v = A B v = w A u and so v = A u in the domain P,
+and exactness over the domain R gives rank(B) = n - rank(A) over its
+fraction field (Eisenbud, Trans. AMS 260, 1980).  ranks_over_R applies this
+complement rule and eliminates B as well only when the identity fails.
 
 Both sides rest on one reduction, the ring map P = Q[x] -> k[x], y -> 0.
 It kills w, because every term of w has positive y-degree, so it factors
@@ -103,6 +109,15 @@ def rank_over_R(rows, ring: RingSpec) -> int:
     return rank_over_domain(_eliminate_x1(nf_rows, ring), ring.ambient)
 
 
+def ranks_over_R(C: PeriodicComplex) -> tuple[int, int]:
+    """(rank A, rank B) over R.  B's rank is n - rank A by the complement
+    rule when C.is_factorization holds, and is eliminated otherwise."""
+    r_a = rank_over_R(C.A, C.ring)
+    if C.is_factorization:
+        return r_a, C.size - r_a
+    return r_a, rank_over_R(C.B, C.ring)
+
+
 def rank_over_R_by_minors(rows, ring: RingSpec) -> int:
     """Oracle path: largest r with some r x r minor nonzero mod w,
     descending exhaustive search.  Exponential; small matrices only."""
@@ -180,12 +195,11 @@ class ZeroSetUnion:
         return " union ".join(f"Z{c.describe()}" for c in self.components)
 
 
-def rank_variety(C: PeriodicComplex, ring: RingSpec | None = None) -> ZeroSetUnion:
+def rank_variety(C: PeriodicComplex) -> ZeroSetUnion:
     """V(C) as the union of the two critical minor-ideal zero sets.  The two
     components are kept separate; they are not intersected or combined."""
-    ring = ring if ring is not None else C.ring
-    r_a = rank_over_R(C.A, ring)
-    r_b = rank_over_R(C.B, ring)
+    ring = C.ring
+    r_a, r_b = ranks_over_R(C)
     if r_a + r_b != C.size:
         raise InvalidComplex(
             f"rank(A) + rank(B) = {r_a} + {r_b} != {C.size}; pair is not a valid complex"

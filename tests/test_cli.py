@@ -140,6 +140,29 @@ def test_cone_rechecks_a_false_certification(ring_file, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_a_false_certification_gets_both_ranks(ring_file, tmp_path, capsys):
+    # the resolve-k file with A[0][0] changed but "certified" kept: the
+    # claim is re-tested on the grids, so rank eliminates both matrices
+    res = tmp_path / "res.json"
+    assert run(["resolve-k", ring_file, "--out", str(res)]) == 0
+    obj = json.loads(res.read_text())
+    assert obj["periodic"]["certified"] is True
+    obj["periodic"]["A"][0][0] = "x1 + " + obj["periodic"]["A"][0][0]
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    assert not load_complex(bad).is_factorization
+    capsys.readouterr()
+    assert run(["rank", str(bad)]) == 0
+    assert capsys.readouterr().out == "rank(A) = 5\nrank(B) = 4\nsize = 8\n"
+    assert run(["variety", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == "InvalidComplex: rank(A) + rank(B) = 5 + 4 != 8; pair is not a valid complex\n"
+    assert run(["check", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("finding NotAComplex: A*B is nonzero mod w")
+    assert "finding CertificationFailed" in out
+
+
 def test_resolve_k(ring_file, tmp_path, ring5, capsys):
     out_path = tmp_path / "res.json"
     assert run(["resolve-k", ring_file, "--out", str(out_path)]) == 0

@@ -235,6 +235,19 @@ def test_parse_field_round_trip():
         parse_field("ZZ")
 
 
+def test_large_prime_orders_parse_fast():
+    # trial division stops at isqrt(q), so a large prime costs sqrt(q) steps
+    start = time.perf_counter()
+    field = parse_field("GF(10000019)")
+    assert time.perf_counter() - start < 0.2
+    assert field_name(field) == "GF(10000019)"
+    assert finite_field(1000003) == prime_field(1000003)
+    assert finite_field(7**3) is make_extension(7, 3)
+    for q in (1000003 * 1000033, 10007**2 * 3, 12):
+        with pytest.raises(FieldError, match=f"^{q} is not a prime power$"):
+            finite_field(q)
+
+
 def test_embedding_is_a_field_homomorphism():
     f3 = prime_field(3)
     f9 = make_extension(3, 2)

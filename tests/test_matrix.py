@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from ghrv.errors import BoundExceeded, NotSquare
-from ghrv.fields import QQ, prime_field
+from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import (
     all_minors,
     block_matrix,
@@ -129,6 +129,69 @@ def test_rank_of_outer_products(ring):
         g = mat_mul(u, v, ring)
         assert rank_over_domain(g, ring) == 1
         assert rank_by_minors(g, ring) == 1
+
+
+def _sparse_grid(ring, rng, m, n, elems, density=0.4):
+    """m x n grid whose entries are zero with probability 1 - density and
+    otherwise carry one to three terms with coefficients from `elems`."""
+    grid = []
+    for _ in range(m):
+        row = []
+        for _ in range(n):
+            terms = {}
+            if rng.random() < density:
+                for _ in range(rng.randrange(1, 4)):
+                    terms[tuple(rng.randrange(3) for _ in range(ring.nvars))] = rng.choice(elems)
+            row.append(Poly(ring, terms))
+        grid.append(row)
+    return grid
+
+
+@pytest.mark.parametrize("field", [make_extension(3, 2), QQ], ids=str)
+def test_mat_mul_matches_the_dense_product(field):
+    ring = PolyRing(field, ("a", "b"), ("t",))
+    elems = [Fraction(k, d) for k in (-2, -1, 1, 3) for d in (1, 2)] if field == QQ else [
+        e for e in field.elements() if not field.is_zero(e)
+    ]
+    rng = random.Random(83)
+    for m, k, n in ((1, 1, 1), (2, 3, 4), (3, 1, 2), (4, 4, 1), (1, 5, 3), (3, 3, 3), (5, 2, 4)):
+        for _ in range(3):
+            a = _sparse_grid(ring, rng, m, k, elems, density=0.6)
+            b = _sparse_grid(ring, rng, k, n, elems, density=0.6)
+            a[rng.randrange(m)] = [ring.zero()] * k  # a zero row of a
+            zero_col = rng.randrange(n)
+            for row in b:  # and a zero column of b
+                row[zero_col] = ring.zero()
+            dense = []
+            for i in range(m):
+                out_row = []
+                for j in range(n):
+                    acc = ring.zero()
+                    for t in range(k):
+                        acc = acc + a[i][t] * b[t][j]
+                    out_row.append(acc)
+                dense.append(tuple(out_row))
+            got = mat_mul(a, b, ring)
+            assert got == tuple(dense)
+            assert all(e.terms == d.terms for r, s in zip(got, dense) for e, d in zip(r, s))
+    with pytest.raises(ValueError, match="shape mismatch 2x3 times 2x2"):
+        mat_mul(zero_matrix(ring, 2, 3), zero_matrix(ring, 2, 2), ring)
+
+
+def test_rank_matches_minor_search_on_sparse_grids(ring):
+    # sparse grids, and sparse products of planted inner dimension r, so that
+    # elimination meets zero entries, zero cross terms and true cancellation
+    rng = random.Random(89)
+    elems = [ring.field.from_int(k) for k in range(1, 5)]
+    for _ in range(30):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        g = _sparse_grid(ring, rng, m, n, elems)
+        assert rank_over_domain(g, ring) == rank_by_minors(g, ring)
+        r = rng.randrange(1, 4)
+        u = _sparse_grid(ring, rng, m, r, elems, density=0.5)
+        v = _sparse_grid(ring, rng, r, n, elems, density=0.5)
+        g = mat_mul(u, v, ring)
+        assert rank_over_domain(g, ring) == rank_by_minors(g, ring) <= r
 
 
 def test_zero_and_identity_ranks(ring):

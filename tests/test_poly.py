@@ -6,6 +6,7 @@ defining contract p = q*d + r with no term of r divisible by LM(d).
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -226,20 +227,31 @@ def _power_ring(field):
     return PolyRing(field, ("x1", "x2"), ("x", "y"))
 
 
-@pytest.mark.parametrize("field", [prime_field(5), make_extension(3, 2), QQ], ids=str)
+def _nonzero_elems(field):
+    if field == QQ:
+        return [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2)]
+    return [e for e in field.elements() if not field.is_zero(e)]
+
+
+def _sized_poly(ring, rng, elems, size):
+    terms = {}
+    while len(terms) < size:
+        terms[tuple(rng.randrange(3) for _ in range(ring.nvars))] = rng.choice(elems)
+    return Poly(ring, terms)
+
+
+FIELDS = [prime_field(5), make_extension(3, 2), QQ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_power_equals_repeated_product(field):
     ring = _power_ring(field)
     rng = random.Random(61)
-    elems = [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2)] if field == QQ else [
-        e for e in field.elements() if not field.is_zero(e)
-    ]
+    elems = _nonzero_elems(field)
     polys = [ring.zero(), ring.one(), ring.const(elems[-1]),
              ring.monomial((1, 0, 2, 0), elems[0])]
     for size in (2, 3, 6):
-        terms = {}
-        while len(terms) < size:
-            terms[tuple(rng.randrange(3) for _ in range(ring.nvars))] = rng.choice(elems)
-        polys.append(Poly(ring, terms))
+        polys.append(_sized_poly(ring, rng, elems, size))
 
     def product(p, n):
         acc = ring.one()
@@ -271,3 +283,47 @@ def test_power_leaves_the_polynomial_unchanged(r5):
     for base in (p, x1, r5.zero()):
         with pytest.raises(ValueError):
             base ** -1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_substitute_equals_the_term_by_term_sum(field):
+    ring = _power_ring(field)
+    rng = random.Random(67)
+    elems = _nonzero_elems(field)
+    for _ in range(15):
+        p = _sized_poly(ring, rng, elems, rng.randrange(9))
+        names = rng.sample(ring.vars, rng.randrange(1, ring.nvars + 1))
+        bindings = {n: _sized_poly(ring, rng, elems, rng.randrange(4)) for n in names}
+        want = ring.zero()
+        for m, c in p.terms.items():
+            term = ring.const(c)
+            for name, e in zip(ring.vars, m):
+                for _ in range(e):
+                    term = term * bindings.get(name, ring.variable(name))
+            want = want + term
+        assert p.substitute(bindings) == want
+    # terms that cancel leave no zero coefficient behind
+    x1, x2 = ring.variable("x1"), ring.variable("x2")
+    assert (x1 + x2).substitute({"x1": -x2}).terms == {}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_exact_div_by_a_monomial_matches_divide_single(field):
+    ring = _power_ring(field)
+    rng = random.Random(71)
+    elems = _nonzero_elems(field)
+    for _ in range(40):
+        p = _sized_poly(ring, rng, elems, rng.randrange(7))
+        d = _sized_poly(ring, rng, elems, 1)
+        assert exact_div(p * d, d) == divide_single(p * d, d)[0] == p
+        q, r = divide_single(p, d)
+        if r.is_zero():
+            assert exact_div(p, d) == q
+        else:
+            with pytest.raises(ArithmeticError, match=re.escape(f"inexact division: remainder {r}")):
+                exact_div(p, d)
+    x1, x2 = ring.variable("x1"), ring.variable("x2")
+    with pytest.raises(ArithmeticError):
+        exact_div(x1, x2)
+    with pytest.raises(RingMismatch):
+        exact_div(x1, PolyRing(field, ("a",), ()).variable("a"))

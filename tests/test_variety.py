@@ -9,11 +9,12 @@ before the image in k[x], and specialize-then-residue along preimages.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
 import ghrv.variety
-from ghrv.complexes import PeriodicComplex, cone_mul, dual, shift, trivial_pair
+from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair
 from ghrv.errors import InvalidComplex, NotContractible, RingMismatch, UnsupportedField
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import all_minors
@@ -22,6 +23,7 @@ from ghrv.pipelines import (
     documented_cone_pair,
     fixture_k,
     fixture_rank_one,
+    realize,
     worked_ring,
 )
 from ghrv.poly import Poly
@@ -41,6 +43,7 @@ from ghrv.variety import (
     rank_over_R,
     rank_over_R_by_minors,
     rank_variety,
+    ranks_over_R,
     residue_matrices,
     residue_ranks,
 )
@@ -93,6 +96,60 @@ def test_rank_degenerate_inputs(ring5):
     assert rank_over_R([[ring5.ambient.zero()]], ring5) == 0
     assert rank_over_R([[ring5.w]], ring5) == 0  # w is zero in R
     assert rank_over_R([[ring5.ambient.one()]], ring5) == 1
+
+
+# -- the complement rule ------------------------------------------------------
+
+def _exact_factorizations(ring):
+    """Every exact factorization the tests build over a worked ring: the
+    fixtures and the 8x8 resolution tail, their shifts, duals, cones and
+    pairwise sums, and the 16x16 and 32x32 realize stages."""
+    amb = ring.ambient
+    x1, x2 = (amb.variable(n) for n in ring.xvars)
+    base = [fixture_k(ring), fixture_rank_one(ring), complete_resolution_of_k(ring)]
+    out = []
+    for C in base:
+        out += [C, shift(C), dual(C), cone_mul(C, x1 * x2)]
+    out += [direct_sum(C, D) for C, D in combinations(base, 2)]
+    trace = realize(ring, [x1 * x2, x1 + x2 * 2], verify=False)
+    assert trace.sizes == [8, 16, 32]
+    return out + [stage.complex for stage in trace.stages[1:]]
+
+
+@pytest.mark.parametrize("ring_name", ["ring5", "ringq"])
+def test_complement_rule_on_every_exact_factorization(ring_name, request, monkeypatch):
+    ring = request.getfixturevalue(ring_name)
+    pairs = _exact_factorizations(ring)
+    for C in pairs:
+        assert C.certified and C.is_factorization
+        r_a, r_b = rank_over_R(C.A, ring), rank_over_R(C.B, ring)
+        assert r_b == C.size - r_a
+        assert ranks_over_R(C) == (r_a, r_b)
+    # ranks_over_R eliminates A only
+    eliminated = []
+    rank = ghrv.variety.rank_over_R
+    monkeypatch.setattr(ghrv.variety, "rank_over_R", lambda g, R: eliminated.append(g) or rank(g, R))
+    for C in pairs:
+        ranks_over_R(C)
+        assert eliminated.pop() is C.A and not eliminated
+
+
+def test_complement_rule_reads_the_grids_not_the_claim(ring5, monkeypatch):
+    k = fixture_k(ring5)
+    unclaimed = PeriodicComplex(ring5, k.A, k.B, k.degrees0, k.degrees1, certified=False)
+    assert unclaimed.is_factorization and ranks_over_R(unclaimed) == (1, 1)
+    # a claim the grids break: both matrices are eliminated
+    amb = ring5.ambient
+    tampered = [[k.A[0][0] + amb.variable("x1"), k.A[0][1]], list(k.A[1])]
+    false_claim = PeriodicComplex(ring5, tampered, k.B, k.degrees0, k.degrees1, certified=True)
+    assert not false_claim.is_factorization
+    eliminated = []
+    rank = ghrv.variety.rank_over_R
+    monkeypatch.setattr(ghrv.variety, "rank_over_R", lambda g, R: eliminated.append(g) or rank(g, R))
+    assert ranks_over_R(false_claim) == (2, 1)
+    assert eliminated == [false_claim.A, false_claim.B]
+    zero = amb.zero()
+    assert ranks_over_R(PeriodicComplex(ring5, [[zero]], [[zero]], (0,), (0,), certified=False)) == (0, 0)
 
 
 # -- minor ideal images -------------------------------------------------------
