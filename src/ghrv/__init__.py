@@ -9,7 +9,6 @@ from .complexes import (
     direct_sum,
     dual,
     extract_mf,
-    koszul,
     periodic_from_pair,
     shamash_resolution,
     shift,
@@ -39,7 +38,7 @@ from .pipelines import (
     worked_ring,
 )
 from .poly import Poly, PolyRing
-from .ring import Alpha, RElem, RingSpec, make_alpha, make_ring, specialize
+from .ring import Alpha, RingSpec, make_alpha, make_ring, specialize
 from .variety import (
     ContractionData,
     EmptinessVerdict,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .complexes import cone_mul, validate_pair
 from .errors import FieldError, GhrvError, ParseError
@@ -25,13 +26,13 @@ from .pipelines import (
     realize,
     reproduce_examples,
 )
-from .ring import make_alpha, specialized_modulus
+from .ring import make_alpha, specialize, specialized_modulus
 from .serialize import load_complex, load_ring, save_complex, save_trace
 from .variety import (
-    contractible_at,
     enumerate_points,
     extension_of,
     membership,
+    minor_ideal_image,
     rank_over_R,
     rank_variety,
     ranks_over_R,
@@ -116,8 +117,6 @@ def _parse_coords(text: str, field):
         except ValueError:
             pass
         if "/" in tok and isinstance(field, RationalField):
-            from fractions import Fraction
-
             try:
                 coords.append(Fraction(tok))
                 continue
@@ -171,8 +170,6 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
-    from .variety import minor_ideal_image
-
     C = load_complex(args.complex)
     grid = C.A if args.which == "A" else C.B
     r = rank_over_R(grid, C.ring)
@@ -204,15 +201,13 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_specialize(args) -> int:
-    from .ring import specialize as specialize_elem
-
     C = load_complex(args.complex)
     alpha = _alpha_from_args(C, args)
     ring = C.ring
     print(f"alpha = {alpha}")
     print(f"w_alpha = {specialized_modulus(alpha, ring)}")
-    a_spec = [[specialize_elem(e, alpha, ring) for e in row] for row in C.A]
-    b_spec = [[specialize_elem(e, alpha, ring) for e in row] for row in C.B]
+    a_spec = [[specialize(e, alpha, ring) for e in row] for row in C.A]
+    b_spec = [[specialize(e, alpha, ring) for e in row] for row in C.B]
     print(_format_matrix("A|alpha", a_spec))
     print(_format_matrix("B|alpha", b_spec))
     r_a, r_b = residue_ranks(C, alpha)

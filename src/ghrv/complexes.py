@@ -42,7 +42,7 @@ from .errors import (
 )
 from .matrix import Grid, as_grid, block_matrix, identity, mat_mul, mat_neg, mat_shape, mat_transpose, zero_matrix
 from .poly import NEG_INF
-from .ring import RElem, RingSpec
+from .ring import RingSpec
 
 
 def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
@@ -206,7 +206,7 @@ def validate_pair(C: PeriodicComplex, check_rank: bool = True) -> ValidationRepo
 
     if (check_rank and not any(code == "NotAComplex" for code, _ in report.findings)
             and not C.is_factorization):
-        from .variety import ranks_over_R
+        from .variety import ranks_over_R  # local: variety imports this module
 
         r_a, r_b = ranks_over_R(C)
         if r_a + r_b != C.size:
@@ -297,7 +297,7 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     which is re-verified exactly when C is certified.
     """
     ring = C.ring
-    rep = ring.normal_form(p.rep if isinstance(p, RElem) else p)
+    rep = ring.normal_form(p)
     if not rep.is_x_homogeneous():
         raise NotHomogeneousScalar(f"cone scalar {rep} is not x-homogeneous mod w")
     g_deg = rep.x_homogeneous_degree()
@@ -340,15 +340,13 @@ def trivial_pair(ring: RingSpec, degree: int = 0) -> PeriodicComplex:
 
 @dataclass
 class FiniteComplex:
-    """Complex in the window [0, hi]: degrees[n] holds the generator degrees
-    of slot n, and diffs[n - 1] is the grid of the differential from slot n
-    to slot n - 1.  `over` records whether d*d vanishes exactly (P) or mod w
-    (R)."""
+    """Complex over R in the window [0, hi]: degrees[n] holds the generator
+    degrees of slot n, and diffs[n - 1] is the grid of the differential from
+    slot n to slot n - 1."""
 
     ring: RingSpec
     degrees: tuple[tuple[int, ...], ...]
     diffs: tuple[Grid, ...]
-    over: str
 
     @property
     def hi(self) -> int:
@@ -411,14 +409,6 @@ def xi_wedge(ring: RingSpec, n: int) -> Grid:
     return as_grid(grid)
 
 
-def koszul(ring: RingSpec) -> FiniteComplex:
-    """The full Koszul complex over P on (x_1..x_c, y_1..y_d)."""
-    m = ring.c + ring.d
-    degrees = tuple(_basis_degrees(ring, _koszul_basis(m, n)) for n in range(m + 1))
-    diffs = tuple(koszul_differential(ring, n) for n in range(1, m + 1))
-    return FiniteComplex(ring, degrees, diffs, over="P")
-
-
 def _shamash_summands(m: int, n: int):
     """(j, koszul index n - 2j) pairs with nonempty Koszul piece, j ascending."""
     out = []
@@ -474,7 +464,7 @@ def shamash_resolution(ring: RingSpec, N: int) -> FiniteComplex:
                 paste(wedge[kn], tgt_off[(j - 1, kn + 1)], src_off[(j, kn)])
         diffs.append(as_grid(grid))
         del paste
-    return FiniteComplex(ring, tuple(degrees), tuple(diffs), over="R")
+    return FiniteComplex(ring, tuple(degrees), tuple(diffs))
 
 
 def extract_mf(resolution: FiniteComplex, ring: RingSpec) -> PeriodicComplex:
@@ -500,15 +490,14 @@ def extract_mf(resolution: FiniteComplex, ring: RingSpec) -> PeriodicComplex:
 
 
 def validate_finite(fc: FiniteComplex) -> ValidationReport:
-    """d o d = 0 (exactly over P, mod w over R) plus homogeneity."""
+    """d o d = 0 mod w plus homogeneity."""
     report = ValidationReport()
     ring = fc.ring
     for n in range(2, fc.hi + 1):
         prod = mat_mul(fc.diff(n - 1), fc.diff(n), ring.ambient)
         for i, row in enumerate(prod):
             for j, e in enumerate(row):
-                bad = not e.is_zero() if fc.over == "P" else not ring.normal_form(e).is_zero()
-                if bad:
+                if not ring.normal_form(e).is_zero():
                     report.add("NotAComplex", f"d_{n-1} d_{n} nonzero at ({i},{j})")
                     break
             else:

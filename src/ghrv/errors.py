@@ -47,10 +47,6 @@ class RingMismatch(GhrvError):
     """Operands belong to different rings or fields."""
 
 
-class NotSquare(GhrvError):
-    """Square-matrix operation applied to a non-square matrix."""
-
-
 class BadArity(GhrvError):
     """Hypersurface data with fewer than two x-variables."""
 

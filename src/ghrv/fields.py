@@ -28,7 +28,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import BoundExceeded, FieldError, NotIrreducible, RingMismatch, UnsupportedField
+from .errors import (
+    BoundExceeded,
+    FieldError,
+    NotIrreducible,
+    NotSerializable,
+    RingMismatch,
+    UnsupportedField,
+)
 
 
 class Field:
@@ -94,7 +101,7 @@ class PrimeField(Field):
     finite = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p < 2 or _smallest_factor(p) != p:
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -243,17 +250,25 @@ def _fp_powmod(base, n, mod, p):
     return acc
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= n:
+@lru_cache(maxsize=None)
+def _smallest_factor(n: int) -> int:
+    """The least prime factor of n >= 2, n itself when n is prime.  Trial
+    division stops at isqrt(n); the cache means a large prime is divided
+    once, however many callers ask."""
+    for q in range(2, math.isqrt(n) + 1):
         if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
+            return q
+    return n
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending."""
+    out = []
+    while n > 1:
+        q = _smallest_factor(n)
+        out.append(q)
+        while n % q == 0:
+            n //= q
     return out
 
 
@@ -462,8 +477,6 @@ class ExtensionField(Field):
         return "(" + " + ".join(parts) + ")"
 
     def format_strict(self, a) -> str:
-        from .errors import NotSerializable
-
         if not self.in_prime_subfield(a):
             raise NotSerializable(
                 f"element {self.format(a)} of {self} lies outside the prime "
@@ -538,21 +551,17 @@ def finite_field(q: int) -> Field:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e.  Trial division stops at isqrt(q): a q with no
-    factor up to there is prime."""
+    """(p, e) with q = p^e, p the smallest prime factor of q."""
     if q < 2:
         raise FieldError(f"{q} is not a prime power")
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise FieldError(f"{q} is not a prime power")
-            return p, e
-    return q, 1
+    p = _smallest_factor(q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise FieldError(f"{q} is not a prime power")
+    return p, e
 
 
 def parse_field(text: str) -> Field:

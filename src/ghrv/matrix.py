@@ -2,10 +2,9 @@
 
 A matrix is a rectangular tuple-of-tuples grid; a periodic pair is two such
 grids plus its generator degrees (complexes.PeriodicComplex).  Everything
-here is fraction free: determinants and polynomial ranks use Bareiss elimination
-(each division is exact by the minor identity), small determinants and minor
-enumeration use cofactor expansion with a shared memo keyed by (row set,
-column set).
+here is fraction free: polynomial ranks use Bareiss elimination (each
+division is exact by the minor identity), and minor enumeration uses
+cofactor expansion with a shared memo keyed by (row set, column set).
 
 Field-level routines (rank, generalized inverse, product, sum) take grids of
 field scalars; rank and inverse use plain Gauss elimination with
@@ -18,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .errors import BoundExceeded, NotSquare
+from .errors import BoundExceeded
 from .fields import Field
 from .poly import Poly, PolyRing, exact_div
 
@@ -104,7 +103,7 @@ def block_matrix(blocks: Sequence[Sequence[Sequence[Sequence[Poly]]]]) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# determinants and minors
+# minors and ranks
 # ---------------------------------------------------------------------------
 
 def _cofactor_det(grid: Grid, rset: tuple[int, ...], cset: tuple[int, ...], memo: dict, ring: PolyRing) -> Poly:
@@ -151,37 +150,18 @@ def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
             yield _cofactor_det(grid, rset, cset, memo, ring)
 
 
-def det(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> Poly:
-    """Exact determinant: cofactor expansion for n <= 3, Bareiss above."""
-    grid = as_grid(rows)
-    m, n = mat_shape(grid)
-    if m != n:
-        raise NotSquare(f"determinant of a {m}x{n} matrix")
-    if n == 0:
-        return ring.one()
-    if n <= 3:
-        return _cofactor_det(grid, tuple(range(n)), tuple(range(n)), {}, ring)
-    return _bareiss(grid, ring, want_det=True)[1]
-
-
 def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
-    """Rank over the fraction field of the (integral) ambient ring."""
-    grid = as_grid(rows)
-    if not grid or not grid[0]:
-        return 0
-    return _bareiss(grid, ring, want_det=False)[0]
-
-
-def _bareiss(grid: Grid, ring: PolyRing, want_det: bool) -> tuple[int, Poly]:
-    """Fraction-free elimination.  Returns (rank, det-if-square).
+    """Rank over the fraction field of the (integral) ambient ring, by
+    fraction-free (Bareiss) elimination.
 
     Pivots are chosen to minimize (term count, row, column) over the live
     block: deterministic, and keeping pivots sparse keeps the exact divisions
-    cheap.  Column swaps are tracked only through the determinant sign.
+    cheap.
     """
-    M = [list(r) for r in grid]
+    M = [list(r) for r in as_grid(rows)]
+    if not M or not M[0]:
+        return 0
     m, n = len(M), len(M[0])
-    sign = 1
     prev = ring.one()
     rank = 0
     steps = min(m, n)
@@ -200,11 +180,9 @@ def _bareiss(grid: Grid, ring: PolyRing, want_det: bool) -> tuple[int, Poly]:
         _, pi, pj = best
         if pi != k:
             M[k], M[pi] = M[pi], M[k]
-            sign = -sign
         if pj != k:
             for row in M:
                 row[k], row[pj] = row[pj], row[k]
-            sign = -sign
         pivot_row = M[k]
         pivot = pivot_row[k]
         for i in range(k + 1, m):
@@ -226,12 +204,7 @@ def _bareiss(grid: Grid, ring: PolyRing, want_det: bool) -> tuple[int, Poly]:
             row[k] = ring.zero()
         prev = pivot
         rank += 1
-    if not want_det:
-        return rank, ring.zero()
-    if rank < n:
-        return rank, ring.zero()
-    d = M[n - 1][n - 1]
-    return rank, (-d if sign < 0 else d)
+    return rank
 
 
 def rank_by_minors(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:

@@ -142,17 +142,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(m) for m in self.terms)
-
-    def x_degree(self):
-        if not self.terms:
-            return NEG_INF
-        xd = self.ring.x_degree_of
-        return max(xd(m) for m in self.terms)
-
     def is_x_homogeneous(self) -> bool:
         xd = self.ring.x_degree_of
         degs = {xd(m) for m in self.terms}
@@ -182,10 +171,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
-
-    def mentions(self, name: str) -> bool:
-        i = self.ring.var_index(name)
-        return any(m[i] for m in self.terms)
 
     def degree_in(self, name: str):
         i = self.ring.var_index(name)
@@ -279,13 +264,6 @@ class Poly:
         fld = self.ring.field
         return Poly(self.ring, {m: fld.mul(coef, c) for m, coef in self.terms.items()})
 
-    def mul_monomial(self, mono: tuple[int, ...], coeff) -> "Poly":
-        fld = self.ring.field
-        return Poly(
-            self.ring,
-            {monomial_mul(m, mono): fld.mul(c, coeff) for m, c in self.terms.items()},
-        )
-
     def monic(self) -> "Poly":
         if not self.terms:
             return self
@@ -330,12 +308,12 @@ class Poly:
                 total[mm] = add(total[mm], cc) if mm in total else cc
         return Poly(ring, total)
 
-    def map_coefficients(self, target: PolyRing, fn: Callable | None = None) -> "Poly":
-        """Move to a ring with the same variables over another field."""
+    def map_coefficients(self, target: PolyRing) -> "Poly":
+        """Move to a ring with the same variables over another field, through
+        the field embedding."""
         if target.vars != self.ring.vars:
             raise RingMismatch(f"variable mismatch: {self.ring} vs {target}")
-        if fn is None:
-            fn = embedding(self.ring.field, target.field)
+        fn = embedding(self.ring.field, target.field)
         return Poly(target, {m: fn(c) for m, c in self.terms.items()})
 
     def evaluate(self, assignment: Mapping[str, object], target: Field | None = None):

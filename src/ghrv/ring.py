@@ -1,8 +1,8 @@
 """The generic hypersurface ring R = Q[x_1..x_c]/(w), w = f_1 x_1 + .. + f_c x_c.
 
 Q is modeled as the polynomial ring k[y_1..y_d]; locality of Q enters only
-through the residue map y -> 0 and the unit test "constant term nonzero", so
-no localized arithmetic is ever materialized.  The ambient ring P = Q[x] is
+through the residue map y -> 0 (an element is a unit iff its constant term
+is nonzero), so no localized arithmetic is ever materialized.  The ambient ring P = Q[x] is
 poly.PolyRing with the x-block first; R-elements are represented by their
 normal form under division by w (grevlex leading term), which is a canonical
 coset representative because division by a single polynomial is.
@@ -25,10 +25,10 @@ from .errors import (
     BadArity,
     NotInMaximalIdeal,
     NotRegularSequence,
-    RingMismatch,
     VariableLeak,
 )
 from .fields import Field, embedding
+from .parser import parse_poly
 from .poly import Poly, PolyRing, divide_single
 
 
@@ -59,13 +59,9 @@ class RingSpec:
         return len(self.yvars)
 
     def parse(self, text: str) -> Poly:
-        from .parser import parse_poly
-
         return parse_poly(self.ambient, text)
 
     def coerce(self, value) -> Poly:
-        if isinstance(value, RElem):
-            return value.rep
         if isinstance(value, str):
             return self.parse(value)
         return self.ambient.coerce(value)
@@ -74,9 +70,6 @@ class RingSpec:
         """Canonical representative of p mod w."""
         p = self.coerce(p)
         return divide_single(p, self.w)[1]
-
-    def element(self, value) -> "RElem":
-        return RElem(self.normal_form(value))
 
     def image_in_kx(self, p) -> Poly:
         """The map R -> k[x] killing every y; well defined on classes since
@@ -125,19 +118,6 @@ class RingSpec:
         return f"{self.field}[{', '.join(self.yvars)}][{', '.join(self.xvars)}] / (w), f = ({fs})"
 
 
-@dataclass(frozen=True)
-class RElem:
-    """An element of R, stored as the canonical normal-form representative."""
-
-    rep: Poly
-
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
-    def __str__(self):
-        return str(self.rep)
-
-
 def make_ring(field: Field, yvars, xvars, f) -> RingSpec:
     """Validate and build the hypersurface data.
 
@@ -153,8 +133,6 @@ def make_ring(field: Field, yvars, xvars, f) -> RingSpec:
     ambient = PolyRing(field, xvars, yvars)  # validates names
     if len(f) != len(xvars):
         raise ValueError(f"expected {len(xvars)} coefficients f_i, got {len(f)}")
-
-    from .parser import parse_poly
 
     polys: list[Poly] = []
     for fi in f:
@@ -229,8 +207,6 @@ def make_alpha(ring: RingSpec, coords, preimages=None, field: Field | None = Non
     else:
         if len(preimages) != ring.c:
             raise ValueError(f"expected {ring.c} preimages, got {len(preimages)}")
-        from .parser import parse_poly
-
         lifted = []
         for a, pre in zip(point, preimages):
             p = parse_poly(ambient, pre) if isinstance(pre, str) else ambient.coerce(pre)
@@ -275,8 +251,3 @@ def residue(q: Poly, ring: RingSpec):
         if any(m[:cdx]):
             raise VariableLeak(f"{q} still mentions an x-variable")
     return q.constant_term()
-
-
-def is_local_unit(q: Poly) -> bool:
-    """Unit test in the local base ring: nonzero constant term."""
-    return not q.ring.field.is_zero(q.constant_term())

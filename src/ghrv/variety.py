@@ -143,10 +143,6 @@ class IdealGens:
     ring: PolyRing
     gens: tuple[Poly, ...]
 
-    @property
-    def is_unit(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.gens)
-
     def describe(self) -> str:
         if not self.gens:
             return "(0)"
@@ -240,9 +236,11 @@ def proj_point(field: Field, coords) -> ProjPoint:
 
 def enumerate_points(field: Field, c: int) -> list[ProjPoint]:
     """All of P^(c-1) over a finite field: leading-one position ascending,
-    trailing coordinates in field element order."""
+    trailing coordinates in field element order.  c < 1 raises ValueError."""
     if not field.finite:
         raise UnsupportedField("point enumeration needs a finite field")
+    if c < 1:
+        raise ValueError(f"point enumeration needs c >= 1 coordinates, got {c}")
     pts = []
     elems = list(field.elements())
     one = field.one
@@ -363,7 +361,6 @@ class ContractionData:
     alpha: Alpha
     s0: list[list]
     s_minus1: list[list]
-    index: int = 0
     verified: bool = False
 
 

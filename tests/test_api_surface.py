@@ -1,0 +1,72 @@
+"""Every public name of the package is reached by the package itself.
+
+A public module-level function or class of src/ghrv, or a public method of
+such a class, counts as reached when its name occurs as a name or an
+attribute somewhere in src/ghrv (the re-exports in __init__.py left out) or
+in perfbench/.  A name nothing reaches is dead code unless it is an oracle
+or certificate the tests run against the fast path, or a fixture the tests
+share; those are listed below with their reason.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ghrv"
+
+ALLOWED = {
+    "matrix.rank_by_minors": "oracle: exhaustive minor search for rank_over_domain",
+    "variety.rank_over_R_by_minors": "oracle: exhaustive minor search for rank_over_R",
+    "variety.construct_contraction": "certificate: explicit null-homotopy at a contractible point",
+    "complexes.validate_finite": "certificate: d o d = 0 and homogeneity of the Shamash window",
+    "complexes.trivial_pair": "shared fixture: the contractible pair (1, w)",
+    "fields.ExtensionField.generator": "shared fixture: a named element outside the prime subfield",
+}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def public_definitions() -> list[str]:
+    """Qualified names module.name and module.Class.method of every public
+    definition in src/ghrv."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+                out.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef) and _public(node.name):
+                out.extend(
+                    f"{module}.{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and _public(item.name)
+                )
+    return out
+
+
+def reached_names() -> set[str]:
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_reached_or_allowed():
+    reached = reached_names()
+    defined = public_definitions()
+
+    def unreached(qualified):
+        return qualified.rsplit(".", 1)[1] not in reached
+
+    dead = [q for q in defined if unreached(q) and q not in ALLOWED]
+    assert dead == [], "public names nothing in src/ghrv or perfbench/ reaches: " + ", ".join(dead)
+    stale = [q for q in ALLOWED if q not in defined or not unreached(q)]
+    assert stale == [], "allowed names that are gone or now reached: " + ", ".join(stale)

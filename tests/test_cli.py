@@ -228,6 +228,12 @@ def test_reproduce(capsys):
 def test_usage_errors(pair_file, tmp_path, capsys):
     assert run(["rank", str(tmp_path / "missing.json")]) == 2
     assert run(["points", "--field", "ZZ", "--c", "2"]) == 2
+    capsys.readouterr()
+    for c in ("0", "-2"):
+        assert run(["points", "--field", "GF(5)", "--c", c]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: point enumeration needs c >= 1 coordinates, got {c}\n"
     assert run(["contractible", pair_file, "--alpha", "1,oops"]) == 2
     assert run(["frobnicate"]) == 2
     garbled = tmp_path / "garbled.json"

@@ -15,6 +15,7 @@ from ghrv.errors import BoundExceeded, FieldError, NotIrreducible
 from ghrv.fields import (
     QQ,
     ExtensionField,
+    PrimeField,
     _horner_embedding,
     embedding,
     field_name,
@@ -246,6 +247,9 @@ def test_large_prime_orders_parse_fast():
     for q in (1000003 * 1000033, 10007**2 * 3, 12):
         with pytest.raises(FieldError, match=f"^{q} is not a prime power$"):
             finite_field(q)
+    for p in (12, 1, 1000003**2):
+        with pytest.raises(FieldError, match=f"^{p} is not prime$"):
+            PrimeField(p)
 
 
 def test_embedding_is_a_field_homomorphism():

@@ -1,22 +1,19 @@
 """Exact linear algebra over polynomial rings and fields.
 
-Oracle layout: Bareiss determinants against cofactor expansion and against
-sympy; elimination rank against exhaustive minor search; field rank against
-matrices of planted rank r built as products of r-column factors.
+Oracle layout: elimination rank against exhaustive minor search; field rank
+against matrices of planted rank r built as products of r-column factors.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-import sympy
 
-from ghrv.errors import BoundExceeded, NotSquare
+from ghrv.errors import BoundExceeded
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import (
     all_minors,
     block_matrix,
-    det,
     generalized_inverse,
     identity,
     mat_mul,
@@ -46,68 +43,6 @@ def _random_poly(ring, rng, max_terms=3):
 
 def _random_grid(ring, rng, m, n, max_terms=3):
     return [[_random_poly(ring, rng, max_terms) for _ in range(n)] for _ in range(m)]
-
-
-def _cofactor_det(grid, ring):
-    n = len(grid)
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return grid[0][0]
-    acc = ring.zero()
-    for j in range(n):
-        sub = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = grid[0][j] * _cofactor_det(sub, ring)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def test_det_bareiss_matches_cofactor(ring):
-    rng = random.Random(47)
-    for n in (1, 2, 3, 4, 5):
-        for _ in range(6):
-            g = _random_grid(ring, rng, n, n, max_terms=2)
-            assert det(g, ring) == _cofactor_det(g, ring)
-
-
-def test_det_matches_sympy_over_qq():
-    rq = PolyRing(QQ, ("a", "b"), ())
-    syms = sympy.symbols("a b")
-    rng = random.Random(53)
-    for n in (2, 3, 4):
-        for _ in range(4):
-            g = []
-            for _ in range(n):
-                row = []
-                for _ in range(n):
-                    terms = {}
-                    for _ in range(rng.randrange(3)):
-                        mono = (rng.randrange(2), rng.randrange(2))
-                        c = Fraction(rng.randrange(-4, 5))
-                        if c:
-                            terms[mono] = c
-                    row.append(Poly(rq, terms))
-                g.append(row)
-            sg = sympy.Matrix([
-                [
-                    sum(
-                        sympy.Rational(c) * syms[0] ** m[0] * syms[1] ** m[1]
-                        for m, c in e.terms.items()
-                    )
-                    for e in row
-                ]
-                for row in g
-            ])
-            ours = det(g, rq)
-            ours_s = sum(
-                sympy.Rational(c) * syms[0] ** m[0] * syms[1] ** m[1] for m, c in ours.terms.items()
-            )
-            assert sympy.expand(ours_s - sg.det()) == 0
-
-
-def test_det_requires_square(ring):
-    with pytest.raises(NotSquare):
-        det([[ring.one(), ring.zero()]], ring)
 
 
 def test_rank_matches_minor_search(ring):
@@ -197,8 +132,6 @@ def test_rank_matches_minor_search_on_sparse_grids(ring):
 def test_zero_and_identity_ranks(ring):
     assert rank_over_domain(zero_matrix(ring, 3, 4), ring) == 0
     assert rank_over_domain(identity(ring, 4), ring) == 4
-    w = ring.variable("a")
-    assert det(identity(ring, 3, w), ring) == w**3
 
 
 def test_all_minors_counts(ring):

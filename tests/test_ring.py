@@ -14,7 +14,7 @@ from ghrv.errors import (
 )
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.poly import Poly
-from ghrv.ring import is_local_unit, make_alpha, make_ring, residue, specialize, specialized_modulus
+from ghrv.ring import make_alpha, make_ring, residue, specialize, specialized_modulus
 
 
 def test_worked_ring_data(ring5):
@@ -94,9 +94,8 @@ def test_image_in_kx(ring5):
 
 
 def test_element_wrapper(ring5):
-    e = ring5.element("x^2*x1 + y^2*x2")
-    assert e.is_zero()
-    assert not ring5.element("x1").is_zero()
+    assert ring5.normal_form("x^2*x1 + y^2*x2").is_zero()
+    assert not ring5.normal_form("x1").is_zero()
 
 
 def test_one_ambient_ring_per_field(ring5):
@@ -140,8 +139,6 @@ def test_specialized_modulus(ring5):
     w_a = specialized_modulus(alpha, ring5)
     expected = ring5.ambient.variable("x") ** 2 * 2 + ring5.ambient.variable("y") ** 2 * 3
     assert w_a == expected
-    assert not is_local_unit(w_a)
-    assert is_local_unit(w_a + ring5.ambient.one())
 
 
 def test_specialize_with_nonconstant_preimages(ring5):

@@ -156,7 +156,7 @@ def test_complement_rule_reads_the_grids_not_the_claim(ring5, monkeypatch):
 
 def test_minor_image_unit_convention(ring5):
     ideal = minor_ideal_image([[ring5.ambient.zero()]], 0, ring5)
-    assert ideal.is_unit
+    assert ideal.gens == (ring5.kx.one(),)
     assert ideal.describe() == "(1)"
 
 
@@ -206,7 +206,7 @@ def test_variety_needs_a_valid_pair(ring5):
 
 def test_trivial_pair_has_empty_variety(ring5):
     v = rank_variety(trivial_pair(ring5))
-    assert all(comp.is_unit for comp in v.components)
+    assert all(comp.gens == (ring5.kx.one(),) for comp in v.components)
     assert is_empty(v, bound=2).empty_up_to
 
 
@@ -228,6 +228,10 @@ def test_point_enumeration(f2, f3, f5):
     assert len(seven) == len(set(seven)) == 7
     with pytest.raises(UnsupportedField):
         enumerate_points(QQ, 2)
+    assert len(enumerate_points(f5, 1)) == 1
+    for c in (0, -2):
+        with pytest.raises(ValueError, match=f"needs c >= 1 coordinates, got {c}$"):
+            enumerate_points(f5, c)
 
 
 def test_extension_tower(f3, f5, f9):
@@ -325,7 +329,6 @@ def test_contraction_construction(ring5):
     for pt in enumerate_points(ring5.field, 2):
         data = construct_contraction(pair, pt)
         assert data.verified
-        assert data.index == 0
         assert len(data.s0) == len(data.s_minus1) == 2
 
 
