@@ -3,8 +3,10 @@
 A matrix is a rectangular tuple-of-tuples grid; a periodic pair is two such
 grids plus its generator degrees (complexes.PeriodicComplex).  Everything
 here is fraction free: polynomial ranks use Bareiss elimination (each
-division is exact by the minor identity), and minor enumeration uses
-cofactor expansion with a shared memo keyed by (row set, column set).
+division is exact by the minor identity), and minor enumeration takes
+exterior products of rows, v_i1 ^ .. ^ v_ir, whose coefficients are the
+r x r minors on those rows; only nonzero coefficients are kept, so a sparse
+matrix costs in proportion to its nonzero minors rather than to all of them.
 
 Field-level routines (rank, generalized inverse, product, sum) take grids of
 field scalars; rank and inverse use plain Gauss elimination with
@@ -13,7 +15,7 @@ deterministic pivoting.
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_left
 from math import comb
 from typing import Sequence
 
@@ -23,8 +25,9 @@ from .poly import Poly, PolyRing, exact_div
 
 Grid = tuple[tuple[Poly, ...], ...]
 
-# all_minors refuses to enumerate more than this many minors: its memo grows
-# with the count, and 12x12 at r = 6 (853,776 minors) already takes seconds.
+# all_minors refuses a minor size with more than this many minors, zero or
+# not, before computing any: the fail-fast bound on the count, since a dense
+# 12x12 at r = 6 (853,776 minors) already takes seconds.
 MAX_MINORS = 10**6
 
 
@@ -106,35 +109,18 @@ def block_matrix(blocks: Sequence[Sequence[Sequence[Sequence[Poly]]]]) -> Grid:
 # minors and ranks
 # ---------------------------------------------------------------------------
 
-def _cofactor_det(grid: Grid, rset: tuple[int, ...], cset: tuple[int, ...], memo: dict, ring: PolyRing) -> Poly:
-    if not rset:
-        return ring.one()
-    key = (rset, cset)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    r0 = rset[0]
-    rest = rset[1:]
-    acc = ring.zero()
-    for t, c in enumerate(cset):
-        e = grid[r0][c]
-        if e.is_zero():
-            continue
-        sub = _cofactor_det(grid, rest, cset[:t] + cset[t + 1 :], memo, ring)
-        if sub.is_zero():
-            continue
-        contrib = e * sub
-        acc = acc + contrib if t % 2 == 0 else acc - contrib
-    memo[key] = acc
-    return acc
-
-
 def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
-    """Yield every r x r minor determinant, rows and columns in ascending
-    lexicographic order of index sets.  Shared memo across subsets.
+    """Yield every nonzero r x r minor determinant, in ascending
+    lexicographic order of (row set, column set); zero minors are left out.
+
+    Row subsets i1 < .. < ik are walked depth first, keeping the exterior
+    product w = v_i1 ^ .. ^ v_ik of their rows as a dict from a sorted
+    column tuple to the terms of its nonzero coefficient, which is the minor
+    on those rows and columns.  A prefix whose w is empty is pruned, since
+    every minor through it is zero.  r = 0 yields the one empty minor, 1.
 
     Raises BoundExceeded, before any minor is computed, when there are more
-    than MAX_MINORS of them."""
+    than MAX_MINORS r x r minors, zero or not."""
     grid = as_grid(rows)
     m, n = mat_shape(grid)
     if r < 0 or r > min(m, n):
@@ -144,10 +130,50 @@ def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
         raise BoundExceeded(
             f"{count} minors of size {r} in a {m}x{n} matrix exceed the cap of {MAX_MINORS}"
         )
-    memo: dict = {}
-    for rset in combinations(range(m), r):
-        for cset in combinations(range(n), r):
-            yield _cofactor_det(grid, rset, cset, memo, ring)
+    if r == 0:
+        yield ring.one()
+        return
+    fld = ring.field
+    add, mul, neg, is_zero = fld.add, fld.mul, fld.neg, fld.is_zero
+    row_entries = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in grid]
+
+    def wedge(w: dict, entries: list) -> dict:
+        # w ^ v: coefficient w_S v_j lands on S + {j} with sign
+        # (-1)^(number of columns in S greater than j), the Laplace expansion
+        # of the new minor along its last row.
+        sums: dict = {}
+        for cols, w_terms in w.items():
+            k = len(cols)
+            for j, v_terms in entries:
+                pos = bisect_left(cols, j)
+                if pos < k and cols[pos] == j:
+                    continue
+                acc = sums.setdefault(cols[:pos] + (j,) + cols[pos:], {})
+                odd = (k - pos) % 2
+                for m1, c1 in w_terms.items():
+                    for m2, c2 in v_terms.items():
+                        mono = tuple(x + y for x, y in zip(m1, m2))
+                        c = neg(mul(c1, c2)) if odd else mul(c1, c2)
+                        acc[mono] = add(acc[mono], c) if mono in acc else c
+        out = {}
+        for cols, acc in sums.items():
+            terms = {mono: c for mono, c in acc.items() if not is_zero(c)}
+            if terms:
+                out[cols] = terms
+        return out
+
+    def walk(start: int, depth: int, w: dict):
+        for i in range(start, m - r + depth + 1):
+            ext = wedge(w, row_entries[i])
+            if not ext:
+                continue
+            if depth + 1 == r:
+                for cols in sorted(ext):
+                    yield Poly(ring, ext[cols])
+            else:
+                yield from walk(i + 1, depth + 1, ext)
+
+    yield from walk(0, 0, {(): {(0,) * ring.nvars: fld.one}})
 
 
 def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
@@ -208,15 +234,14 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
 
 
 def rank_by_minors(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
-    """Reference implementation: largest r with a nonzero r x r minor,
-    searched downward by exhaustive enumeration.  Exponential; used as an
-    independent oracle for small matrices."""
+    """Reference implementation: the largest r for which all_minors yields
+    anything, searched downward by exhaustive enumeration.  Exponential;
+    used as an independent oracle for small matrices."""
     grid = as_grid(rows)
     m, n = mat_shape(grid)
     for r in range(min(m, n), 0, -1):
-        for minor in all_minors(grid, r, ring):
-            if not minor.is_zero():
-                return r
+        if next(all_minors(grid, r, ring), None) is not None:
+            return r
     return 0
 
 

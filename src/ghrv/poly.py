@@ -41,7 +41,7 @@ def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class PolyRing:
     """k[x_1..x_c, y_1..y_d]; owns variable names and the coefficient field."""
 
-    __slots__ = ("field", "xvars", "yvars", "vars", "_index")
+    __slots__ = ("field", "xvars", "yvars", "vars", "_index", "_zero")
 
     def __init__(self, field: Field, xvars: Iterable[str], yvars: Iterable[str]):
         self.field = field
@@ -54,6 +54,7 @@ class PolyRing:
             if not name.isidentifier():
                 raise ValueError(f"bad variable name {name!r}")
         self._index = {name: i for i, name in enumerate(self.vars)}
+        self._zero = Poly(self, {})
 
     # -- basic data -----------------------------------------------------
     @property
@@ -75,7 +76,9 @@ class PolyRing:
 
     # -- element constructors --------------------------------------------
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        """The ring's one zero polynomial, shared: a Poly is immutable, and a
+        zero never gets a power table."""
+        return self._zero
 
     def one(self) -> "Poly":
         return Poly(self, {(0,) * self.nvars: self.field.one})

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .complexes import PeriodicComplex
-from .errors import InvalidComplex, NotContractible, UnsupportedField
-from .fields import ExtensionField, Field, PrimeField, make_extension
+from .errors import BoundExceeded, InvalidComplex, NotContractible, UnsupportedField
+from .fields import ExtensionField, Field, PrimeField, field_name, make_extension
 from .matrix import (
     all_minors,
     generalized_inverse,
@@ -64,6 +64,11 @@ from .matrix import (
 )
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import Alpha, RingSpec, make_alpha, point_coords, residue, specialize
+
+
+# enumerate_points refuses a projective space with more than this many
+# points, before building any: a scan over them would not finish.
+MAX_POINTS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +241,21 @@ def proj_point(field: Field, coords) -> ProjPoint:
 
 def enumerate_points(field: Field, c: int) -> list[ProjPoint]:
     """All of P^(c-1) over a finite field: leading-one position ascending,
-    trailing coordinates in field element order.  c < 1 raises ValueError."""
+    trailing coordinates in field element order.  c < 1 raises ValueError;
+    more than MAX_POINTS points raise BoundExceeded before any is built."""
     if not field.finite:
         raise UnsupportedField("point enumeration needs a finite field")
     if c < 1:
         raise ValueError(f"point enumeration needs c >= 1 coordinates, got {c}")
+    count = 0
+    for _ in range(c):  # 1 + q + .. + q^(c-1), one term per leading position
+        count = count * field.order + 1
+        if count > MAX_POINTS:
+            raise BoundExceeded(
+                f"P^{c - 1}({field_name(field)}) has more than the cap of {MAX_POINTS} points"
+            )
     pts = []
-    elems = list(field.elements())
+    elems = list(field.elements()) if c > 1 else []  # P^0 needs no element list
     one = field.one
     zero = field.zero
     for lead in range(c):

@@ -51,6 +51,19 @@ def test_points(capsys):
     assert out.strip().splitlines()[1:] == ["(1:0)", "(1:1)", "(1:2)", "(0:1)"]
 
 
+def test_points_over_large_fields(capsys):
+    # the one point of P^0 needs no list of the field's elements
+    assert run(["points", "--field", "GF(1000000000039)", "--c", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "P^0(GF(1000000000039)): 1 points\n(1)\n"
+    assert captured.err == ""
+    # 1000004 points exceed MAX_POINTS and are refused before any is printed
+    assert run(["points", "--field", "GF(1000003)", "--c", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "BoundExceeded: P^1(GF(1000003)) has more than the cap of 1000000 points\n"
+
+
 def test_check_valid(pair_file, capsys):
     assert run(["check", pair_file]) == 0
     assert "valid: no findings" in capsys.readouterr().out

@@ -1,11 +1,13 @@
 """Exact linear algebra over polynomial rings and fields.
 
-Oracle layout: elimination rank against exhaustive minor search; field rank
-against matrices of planted rank r built as products of r-column factors.
+Oracle layout: elimination rank against exhaustive minor search; minor
+enumeration against Leibniz-formula determinants; field rank against
+matrices of planted rank r built as products of r-column factors.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,12 +19,14 @@ from ghrv.matrix import (
     generalized_inverse,
     identity,
     mat_mul,
+    mat_shape,
     mat_transpose,
     rank_by_minors,
     rank_over_domain,
     rank_over_field,
     zero_matrix,
 )
+from ghrv.pipelines import complete_resolution_of_k
 from ghrv.poly import Poly, PolyRing
 
 
@@ -66,28 +70,34 @@ def test_rank_of_outer_products(ring):
         assert rank_by_minors(g, ring) == 1
 
 
-def _sparse_grid(ring, rng, m, n, elems, density=0.4):
+def _sparse_grid(ring, rng, m, n, elems, density=0.4, max_terms=3):
     """m x n grid whose entries are zero with probability 1 - density and
-    otherwise carry one to three terms with coefficients from `elems`."""
+    otherwise carry one to max_terms terms with coefficients from `elems`."""
     grid = []
     for _ in range(m):
         row = []
         for _ in range(n):
             terms = {}
             if rng.random() < density:
-                for _ in range(rng.randrange(1, 4)):
+                for _ in range(rng.randrange(1, max_terms + 1)):
                     terms[tuple(rng.randrange(3) for _ in range(ring.nvars))] = rng.choice(elems)
             row.append(Poly(ring, terms))
         grid.append(row)
     return grid
 
 
+def _field_elems(field):
+    """Nonzero coefficients for random grids: a few small fractions over QQ,
+    every nonzero element of a finite field."""
+    if field == QQ:
+        return [Fraction(k, d) for k in (-2, -1, 1, 3) for d in (1, 2)]
+    return [e for e in field.elements() if not field.is_zero(e)]
+
+
 @pytest.mark.parametrize("field", [make_extension(3, 2), QQ], ids=str)
 def test_mat_mul_matches_the_dense_product(field):
     ring = PolyRing(field, ("a", "b"), ("t",))
-    elems = [Fraction(k, d) for k in (-2, -1, 1, 3) for d in (1, 2)] if field == QQ else [
-        e for e in field.elements() if not field.is_zero(e)
-    ]
+    elems = _field_elems(field)
     rng = random.Random(83)
     for m, k, n in ((1, 1, 1), (2, 3, 4), (3, 1, 2), (4, 4, 1), (1, 5, 3), (3, 3, 3), (5, 2, 4)):
         for _ in range(3):
@@ -134,9 +144,78 @@ def test_zero_and_identity_ranks(ring):
     assert rank_over_domain(identity(ring, 4), ring) == 4
 
 
+def _leibniz_det(grid, rset, cset, ring):
+    """sum over bijections rset -> cset of sign * product of entries, with
+    permutations through a zero entry skipped; the sign is the parity of
+    the inversion count of the column sequence."""
+    total = ring.zero()
+
+    def extend(depth, used, cols, prod):
+        nonlocal total
+        if depth == len(rset):
+            inversions = sum(1 for a, b in combinations(cols, 2) if a > b)
+            total = total + prod if inversions % 2 == 0 else total - prod
+            return
+        for c in cset:
+            e = grid[rset[depth]][c]
+            if c not in used and not e.is_zero():
+                extend(depth + 1, used | {c}, cols + (c,), prod * e)
+
+    extend(0, frozenset(), (), ring.one())
+    return total
+
+
+def _nonzero_minors_by_leibniz(grid, r, ring):
+    m, n = len(grid), len(grid[0])
+    dets = (
+        _leibniz_det(grid, rset, cset, ring)
+        for rset in combinations(range(m), r)
+        for cset in combinations(range(n), r)
+    )
+    return [d for d in dets if not d.is_zero()]
+
+
+def _assert_minors_match_leibniz(grid, ring):
+    m, n = len(grid), len(grid[0])
+    for r in range(min(m, n) + 1):
+        got = list(all_minors(grid, r, ring))
+        want = _nonzero_minors_by_leibniz(grid, r, ring)
+        assert got == want, (r, m, n)
+        assert all(g.terms == w.terms for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("field", [prime_field(5), make_extension(3, 2), QQ], ids=str)
+def test_all_minors_are_the_nonzero_leibniz_minors(field):
+    # every nonzero minor, in (row set, column set) order, on sparse and
+    # dense grids up to 6x6, at every size r from 0 to min(m, n)
+    ring = PolyRing(field, ("a", "b"), ("t",))
+    elems = _field_elems(field)
+    rng = random.Random(97)
+    shapes = ((1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (2, 5), (5, 3), (4, 6), (6, 6))
+    for m, n in shapes:
+        for density, max_terms in ((0.3, 3), (1.0, 2)):
+            g = _sparse_grid(ring, rng, m, n, elems, density, max_terms)
+            _assert_minors_match_leibniz(g, ring)
+    # rank-one rows cancel in every 2 x 2 minor
+    u = _sparse_grid(ring, rng, 4, 1, elems, density=1.0)
+    v = _sparse_grid(ring, rng, 1, 4, elems, density=1.0)
+    g = mat_mul(u, v, ring)
+    _assert_minors_match_leibniz(g, ring)
+    assert list(all_minors(g, 2, ring)) == []
+
+
+def test_all_minors_on_the_resolution_of_k_pencils(ring5):
+    C = complete_resolution_of_k(ring5)
+    for grid in C.pencil:
+        assert mat_shape(grid) == (8, 8)
+        _assert_minors_match_leibniz(grid, ring5.kx)
+
+
 def test_all_minors_counts(ring):
     g = _random_grid(ring, random.Random(67), 3, 4)
-    assert len(list(all_minors(g, 2, ring))) == 3 * 6
+    nonzero = _nonzero_minors_by_leibniz(g, 2, ring)
+    assert len(nonzero) == 3 * 6 - 4  # four of the eighteen 2 x 2 minors vanish
+    assert len(list(all_minors(g, 2, ring))) == len(nonzero)
     assert len(list(all_minors(g, 5, ring))) == 0
     assert list(all_minors(g, 0, ring)) == [ring.one()]
     # C(12, 6)^2 = 853,776 minors are enumerated; C(13, 6)^2 = 2,944,656

@@ -15,7 +15,7 @@ import pytest
 
 import ghrv.variety
 from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair
-from ghrv.errors import InvalidComplex, NotContractible, RingMismatch, UnsupportedField
+from ghrv.errors import BoundExceeded, InvalidComplex, NotContractible, RingMismatch, UnsupportedField
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import all_minors
 from ghrv.pipelines import (
@@ -26,9 +26,10 @@ from ghrv.pipelines import (
     realize,
     worked_ring,
 )
-from ghrv.poly import Poly
+from ghrv.poly import Poly, PolyRing
 from ghrv.ring import RingSpec, make_alpha, residue, specialize
 from ghrv.variety import (
+    MAX_POINTS,
     ProjPoint,
     _canonical_gens,
     construct_contraction,
@@ -234,6 +235,23 @@ def test_point_enumeration(f2, f3, f5):
             enumerate_points(f5, c)
 
 
+def test_point_enumeration_cap(f2, monkeypatch):
+    # P^0 of a field too large to list is its one point
+    big = prime_field(1000000000039)
+    assert [str(p) for p in enumerate_points(big, 1)] == ["(1)"]
+    # 2^20 - 1 and q + 1 = 1000004 points exceed MAX_POINTS; c = 10^6 is
+    # refused without computing 2^(10^6)
+    assert MAX_POINTS == 10**6
+    for field, c in ((f2, 20), (prime_field(1000003), 2), (f2, 10**6)):
+        with pytest.raises(BoundExceeded, match=f"^P\\^{c - 1}\\(GF\\({field.order}\\)\\) has more"):
+            enumerate_points(field, c)
+    # the cap itself is allowed: P^2(F_2) has 7 points
+    monkeypatch.setattr(ghrv.variety, "MAX_POINTS", 7)
+    assert len(enumerate_points(f2, 3)) == 7
+    with pytest.raises(BoundExceeded):
+        enumerate_points(f2, 4)
+
+
 def test_extension_tower(f3, f5, f9):
     assert extension_of(f5, 1) is f5
     e = extension_of(f3, 2)
@@ -397,6 +415,35 @@ def test_minor_images_match_the_normal_form_route(field):
     for grid in (tail.A, tail.B):
         r = rank_over_R(grid, ring)
         assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
+
+
+def test_minor_images_visit_only_nonzero_minors(ring5, monkeypatch):
+    # Each 8x8 of the resolution of k has 8 nonzero entries and 8 nonzero
+    # 4 x 4 minors among its 4900.  Enumerating only nonzero minors builds a
+    # few hundred polynomials for both images; visiting every (row set,
+    # column set) pair built over 11000, one of them a fresh zero per pair.
+    # ring.zero() is counted too: it returns a shared zero, which would hide
+    # a return to that route from a count of constructions alone.
+    tail = complete_resolution_of_k(ring5)
+    ranks = ranks_over_R(tail)
+    assert tail.pencil and ranks == (4, 4)
+    built = [0]
+    init, zero = Poly.__init__, PolyRing.zero
+
+    def counted_init(self, ring, terms):
+        built[0] += 1
+        init(self, ring, terms)
+
+    def counted_zero(self):
+        built[0] += 1
+        return zero(self)
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(PolyRing, "zero", counted_zero)
+    images = [minor_ideal_image(grid, r, ring5) for grid, r in zip((tail.A, tail.B), ranks)]
+    monkeypatch.undo()
+    assert all(image.gens for image in images)
+    assert built[0] <= 1000
 
 
 def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
