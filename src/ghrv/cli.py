@@ -45,12 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ghrv",
         description="rank varieties of periodic complexes over generic hypersurface rings",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker cap, accepted for compatibility; execution is sequential",
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check", help="validate a complex file and report findings")

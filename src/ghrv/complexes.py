@@ -14,10 +14,13 @@ only way a pair is built, and it checks shapes only.  validate_pair is the
 one place the degree rule is applied: A maps degrees1 to degrees0, and B maps
 degrees0 twisted by 1 (the x-degree of w) to degrees1.  A is the
 odd-to-even differential.  Homogeneity: a nonzero entry (i, j) of a map has
-x-degree  deg_source(j) - deg_target(i), judged on normal forms mod w since
-entries only matter as R-classes (homogeneity_violations, shared with
-validate_finite).  Certification (the exact A*B = w*I check over P) is
-judged on the stored representatives.
+x-degree  deg_source(j) - deg_target(i) as an R-class, that is, its normal
+form mod w is zero or x-homogeneous of that degree (homogeneity_violations,
+shared with validate_finite).  Every term of w has x-degree 1, so a division
+step by w removes a term and adds terms of that same x-degree: a stored entry
+that is zero or x-homogeneous of the wanted degree has such a normal form,
+and only the other entries are reduced.  Certification (the exact
+A*B = w*I check over P) is judged on the stored representatives.
 
 The Koszul complex here is taken on all c + d variables of P, and the Shamash
 construction G_n = sum_j F_{n-2j} with differential d = del + xi-wedge turns
@@ -49,14 +52,23 @@ def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
                            target: tuple[int, ...]) -> list[str]:
     """Entries of `grid`, the matrix of a degree-0 map from generators of
     degrees `source` to generators of degrees `target`, whose normal form mod
-    w is not x-homogeneous of degree source[j] - target[i]."""
+    w is neither zero nor x-homogeneous of degree source[j] - target[i].
+
+    The stored entry is looked at first.  Every term of w has x-degree 1, so
+    each division step by w replaces a term by terms of the same x-degree;
+    an entry that is zero or x-homogeneous of the wanted degree therefore
+    has a normal form that is too, and is passed without reducing it.  Any
+    other entry is judged, and reported, on its normal form."""
+    xd = ring.ambient.x_degree_of
     out = []
     for i, row in enumerate(grid):
         for j, e in enumerate(row):
+            want = source[j] - target[i]
+            if {xd(m) for m in e.terms} <= {want}:
+                continue
             nf = ring.normal_form(e)
             if nf.is_zero():
                 continue
-            want = source[j] - target[i]
             if not nf.is_x_homogeneous():
                 out.append(f"entry ({i},{j}) = {nf} is not x-homogeneous")
             elif nf.x_homogeneous_degree() != want:

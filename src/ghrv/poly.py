@@ -131,10 +131,12 @@ class Poly:
     """Immutable sparse polynomial; arithmetic goes through the ring's field.
 
     `_powers`, set on the first power of a polynomial with two or more
-    terms, holds p^0, p^1, .. as far as they have been computed.  It is
-    derived data and never changes `terms`."""
+    terms, holds p^0, p^1, .. as far as they have been computed.  `_lm`,
+    set on the first call of leading_monomial, keeps the leading monomial,
+    so the divisor w of every normal form is not searched again.  Both are
+    derived data and never change `terms`."""
 
-    __slots__ = ("ring", "terms", "_powers")
+    __slots__ = ("ring", "terms", "_powers", "_lm")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], object]):
         self.ring = ring
@@ -161,9 +163,13 @@ class Poly:
         return degs.pop()
 
     def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order_key)
+        try:
+            return self._lm
+        except AttributeError:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial") from None
+            lm = self._lm = max(self.terms, key=order_key)
+            return lm
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
@@ -405,14 +411,21 @@ def evaluator(ring: PolyRing, assignment: Mapping[str, object],
 def divide_single(p: Poly, d: Poly) -> tuple[Poly, Poly]:
     """Division with remainder by one divisor: p = q*d + r where no term of r
     is divisible by LM(d).  Deterministic: always cancels the current leading
-    term of the running dividend."""
+    term of the running dividend.
+
+    When LM(d) divides no term of p, p is already its own remainder and
+    (0, p) is returned at once, with no ordered walk over p's terms; this is
+    the common case of a normal form mod w.  LM(d) comes from the divisor's
+    kept leading monomial."""
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     ring = p.ring
     if d.ring != ring:
         raise RingMismatch("divisor in a different ring")
-    fld = ring.field
     lm = d.leading_monomial()
+    if not any(monomial_divides(lm, m) for m in p.terms):
+        return ring.zero(), p
+    fld = ring.field
     lc = d.leading_coeff()
     lc_inv = fld.inv(lc)
     work = dict(p.terms)

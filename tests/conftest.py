@@ -44,3 +44,8 @@ def ring3(f3):
 @pytest.fixture(scope="session")
 def ringq():
     return worked_ring(QQ)
+
+
+@pytest.fixture(scope="session")
+def ring9(f9):
+    return worked_ring(f9)

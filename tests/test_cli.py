@@ -18,7 +18,7 @@ import pytest
 
 import ghrv
 
-from ghrv.cli import run
+from ghrv.cli import build_parser, run
 from ghrv.pipelines import fixture_k, fixture_rank_one, named_fixture
 from ghrv.serialize import load_complex, save_complex, save_ring
 
@@ -255,9 +255,13 @@ def test_usage_errors(pair_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_jobs_flag_is_accepted(pair_file, capsys):
-    assert run(["--jobs", "4", "rank", pair_file]) == 0
-    capsys.readouterr()
+def test_jobs_flag_is_gone(pair_file, capsys):
+    # --jobs was a documented no-op and has been removed
+    assert run(["--jobs", "4", "rank", pair_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ghrv")
+    assert "--jobs" not in build_parser().format_help()
 
 
 def test_console_script(ring5, tmp_path):

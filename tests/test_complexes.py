@@ -6,6 +6,7 @@ algebra in each low internal degree, independently of any of the resolution
 machinery itself.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -243,6 +244,93 @@ def test_constructor_rejects_false_certification(ring5):
         periodic_from_pair(ring5, [["2"]], [["x^2*x1 + y^2*x2"]], (0,), (0,), certify=True)
 
 
+def _homogeneity_oracle(ring, grid, source, target):
+    """homogeneity_violations as it reads when every entry is reduced mod w
+    first: the route the stored-entry check is tested against."""
+    out = []
+    for i, row in enumerate(grid):
+        for j, e in enumerate(row):
+            nf = ring.normal_form(e)
+            if nf.is_zero():
+                continue
+            want = source[j] - target[i]
+            if not nf.is_x_homogeneous():
+                out.append(f"entry ({i},{j}) = {nf} is not x-homogeneous")
+            elif nf.x_homogeneous_degree() != want:
+                out.append(
+                    f"entry ({i},{j}) = {nf} has x-degree "
+                    f"{nf.x_homogeneous_degree()}, expected {want}"
+                )
+    return out
+
+
+def _x_homogeneous(ring, rng, degree):
+    """A seeded polynomial of P, x-homogeneous of `degree` (zero below 0):
+    up to three terms x^a * y^b with |a| = degree and small y-exponents."""
+    amb = ring.ambient
+    fld = ring.field
+    p = amb.zero()
+    if degree < 0:
+        return p
+    for _ in range(rng.randrange(1, 4)):
+        xs = [0] * ring.c
+        for _ in range(degree):
+            xs[rng.randrange(ring.c)] += 1
+        ys = [rng.randrange(3) for _ in range(ring.d)]
+        p = p + amb.monomial(tuple(xs + ys), fld.from_int(rng.randrange(1, 5)))
+    return p
+
+
+@pytest.mark.parametrize("ring_name", ["ring5", "ring9", "ringq"])
+def test_homogeneity_on_stored_entries_matches_normal_forms(ring_name, request, monkeypatch):
+    # seeded grids mixing zeros, entries of the wanted and of other
+    # x-degrees, multiples of w, inhomogeneous representatives of
+    # homogeneous classes (such as x1 + x1*w) and inhomogeneous classes
+    ring = request.getfixturevalue(ring_name)
+    rng = random.Random(83)
+    calls = []
+    normal_form = RingSpec.normal_form
+    monkeypatch.setattr(RingSpec, "normal_form", lambda *a: calls.append(1) or normal_form(*a))
+    w, x1 = ring.w, ring.ambient.variable("x1")
+    found = 0
+    for _ in range(25):
+        source = tuple(rng.randrange(4) for _ in range(4))
+        target = tuple(rng.randrange(3) for _ in range(3))
+        grid = []
+        reduced = 0
+        for i in range(3):
+            row = []
+            for j in range(4):
+                want = source[j] - target[i]
+                kind = rng.randrange(7)
+                if kind == 0:
+                    e = ring.ambient.zero()
+                elif kind == 1:
+                    e = _x_homogeneous(ring, rng, want)
+                elif kind == 2:
+                    e = _x_homogeneous(ring, rng, want + rng.choice((-1, 1, 2)))
+                elif kind == 3:
+                    e = w * (_x_homogeneous(ring, rng, rng.randrange(3)) + 1)
+                elif kind == 4:
+                    e = _x_homogeneous(ring, rng, want) + w * (x1 + 1)
+                elif kind == 5:
+                    e = x1 + x1 * w
+                else:
+                    e = _x_homogeneous(ring, rng, want) + _x_homogeneous(ring, rng, want + 1)
+                degrees = {ring.ambient.x_degree_of(m) for m in e.terms}
+                reduced += not degrees <= {want}
+                row.append(e)
+            grid.append(row)
+        calls.clear()
+        fast = homogeneity_violations(ring, grid, source, target)
+        # only entries that are neither zero nor of the wanted degree as
+        # stored are reduced mod w
+        assert len(calls) == reduced
+        assert fast == _homogeneity_oracle(ring, grid, source, target)
+        found += len(fast)
+    assert found > 0
+
+
 def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     k = fixture_k(ring5)
     assert k.certified
@@ -252,13 +340,14 @@ def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     normal_form = RingSpec.normal_form
     monkeypatch.setattr(RingSpec, "normal_form", lambda *a: calls.append(1) or normal_form(*a))
     assert validate_pair(k, check_rank=False).findings == []
-    assert len(calls) == 2 * k.size**2  # homogeneity: one normal form per entry
-    # the same pair uncertified, and a claimed certification that fails the
-    # exact comparison, still take the pass over A*B and B*A, with findings
-    # in the same order
+    certified_calls = len(calls)
+    # the same pair uncertified takes the pass over A*B and B*A: one normal
+    # form per entry of each product, and nothing else differs
     calls.clear()
     assert validate_pair(plain, check_rank=False).findings == []
-    assert len(calls) == 2 * k.size**2 + 2 * k.size**2
+    assert len(calls) == certified_calls + 2 * k.size**2
+    # a claimed certification that fails the exact comparison still takes
+    # the pass, with findings in the same order
     codes = [code for code, _ in validate_pair(false_claim, check_rank=False).findings]
     assert codes == ["NotAComplex", "NotAComplex", "CertificationFailed"]
 

@@ -123,6 +123,23 @@ def test_mat_mul_matches_the_dense_product(field):
         mat_mul(zero_matrix(ring, 2, 3), zero_matrix(ring, 2, 2), ring)
 
 
+def test_cancelled_entries_of_a_factorization_product_have_no_terms(ring5):
+    # A*B = w*I: every off-diagonal sum in which nonzero products meet
+    # cancels, so mat_mul must drop the zero coefficients it leaves (a
+    # constructor that trusted its terms to be nonzero would keep them)
+    C = complete_resolution_of_k(ring5)
+    prod = mat_mul(C.A, C.B, ring5.ambient)
+    cancelled = 0
+    for i, row in enumerate(prod):
+        for j, e in enumerate(row):
+            if i == j:
+                assert e == ring5.w
+                continue
+            assert e.terms == {}
+            cancelled += any(not C.A[i][t].is_zero() and not C.B[t][j].is_zero() for t in range(C.size))
+    assert cancelled > 0
+
+
 def test_rank_matches_minor_search_on_sparse_grids(ring):
     # sparse grids, and sparse products of planted inner dimension r, so that
     # elimination meets zero entries, zero cross terms and true cancellation

@@ -317,3 +317,46 @@ def test_exact_div_by_a_monomial_matches_divide_single(field):
         exact_div(x1, x2)
     with pytest.raises(RingMismatch):
         exact_div(x1, PolyRing(field, ("a",), ()).variable("a"))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_division_returns_an_undivisible_dividend_as_is(field):
+    # the contract on seeded pairs; when LM(d) divides no term of p, the
+    # quotient is zero and the remainder is p itself
+    ring = _power_ring(field)
+    rng = random.Random(73)
+    elems = _nonzero_elems(field)
+    undivisible = 0
+    for _ in range(80):
+        p = _sized_poly(ring, rng, elems, rng.randrange(7))
+        d = _sized_poly(ring, rng, elems, rng.randrange(1, 4))
+        q, r = divide_single(p, d)
+        lm = d.leading_monomial()
+        assert q * d + r == p
+        assert all(not monomial_divides(lm, m) for m in r.terms)
+        if not any(monomial_divides(lm, m) for m in p.terms):
+            undivisible += 1
+            assert q.is_zero() and r == p
+    assert undivisible > 10
+    x1, x2, y = ring.variable("x1"), ring.variable("x2"), ring.variable("y")
+    q, r = divide_single(x2 + y, x1 * y)
+    assert q.is_zero() and r == x2 + y
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_kept_leading_monomial_stays_the_largest_term(field):
+    ring = _power_ring(field)
+    rng = random.Random(79)
+    elems = _nonzero_elems(field)
+    for _ in range(30):
+        p = _sized_poly(ring, rng, elems, rng.randrange(1, 7))
+        d = _sized_poly(ring, rng, elems, rng.randrange(1, 3))
+        for _ in range(3):
+            assert p.leading_monomial() == max(p.terms, key=order_key)
+            assert p.leading_coeff() == p.terms[max(p.terms, key=order_key)]
+            divide_single(p * d, p)
+            divide_single(d, p)
+            p ** 2
+    for _ in range(2):  # a failed search is not kept
+        with pytest.raises(ValueError):
+            ring.zero().leading_monomial()

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from ghrv.complexes import validate_pair
+from ghrv import serialize
+from ghrv.cli import run
+from ghrv.complexes import PeriodicComplex, validate_pair
 from ghrv.errors import ParseError
 from ghrv.fields import make_extension
 from ghrv.pipelines import (
@@ -83,6 +85,43 @@ def test_complex_obj_wants_all_keys(ring5):
         complex_from_obj(obj)
     with pytest.raises(ParseError):
         complex_from_obj({"ring": ring_to_obj(ring5), "periodic": "nope"})
+
+
+def test_each_distinct_entry_is_parsed_once(ring5, monkeypatch):
+    # a realize trace repeats few entry strings many times; loading it equals
+    # parsing every entry on its own, with one parse per distinct string
+    obj = trace_to_obj(realize(ring5, ["x1", "x2"], verify=False))
+    texts = [e for key in ("A", "B") for row in obj["periodic"][key] for e in row]
+    assert len(set(texts)) < len(texts) // 10
+    seen = []
+    parse = serialize.parse_poly
+    monkeypatch.setattr(serialize, "parse_poly", lambda ring, text: seen.append(text) or parse(ring, text))
+    loaded = complex_from_obj(obj)
+    assert sorted(seen) == sorted(set(texts))
+    amb = ring5.ambient
+    one_by_one = PeriodicComplex(
+        ring5,
+        [[parse(amb, e) for e in row] for row in obj["periodic"]["A"]],
+        [[parse(amb, e) for e in row] for row in obj["periodic"]["B"]],
+        obj["periodic"]["degrees0"],
+        obj["periodic"]["degrees1"],
+        certified=obj["periodic"]["certified"],
+    )
+    assert loaded == one_by_one
+
+
+def test_first_malformed_entry_is_reported(ring5, tmp_path, capsys):
+    obj = complex_to_obj(fixture_k(ring5))
+    obj["periodic"]["A"][0][1] = "x1 +* 2"
+    obj["periodic"]["B"][0][0] = "q"
+    with pytest.raises(ParseError, match=re.escape("expected a term, got '*' (at position 4)")):
+        complex_from_obj(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected a term, got '*' (at position 4)\n"
 
 
 def test_readme_file_format_examples(ring5, tmp_path):
