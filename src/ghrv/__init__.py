@@ -2,13 +2,11 @@
 rings, computed through matrix factorizations in exact arithmetic."""
 
 from .complexes import (
-    FiniteComplex,
     PeriodicComplex,
     ValidationReport,
     cone_mul,
     direct_sum,
     dual,
-    extract_mf,
     periodic_from_pair,
     shamash_resolution,
     shift,

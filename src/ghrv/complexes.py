@@ -15,18 +15,19 @@ one place the degree rule is applied: A maps degrees1 to degrees0, and B maps
 degrees0 twisted by 1 (the x-degree of w) to degrees1.  A is the
 odd-to-even differential.  Homogeneity: a nonzero entry (i, j) of a map has
 x-degree  deg_source(j) - deg_target(i) as an R-class, that is, its normal
-form mod w is zero or x-homogeneous of that degree (homogeneity_violations,
-shared with validate_finite).  Every term of w has x-degree 1, so a division
-step by w removes a term and adds terms of that same x-degree: a stored entry
-that is zero or x-homogeneous of the wanted degree has such a normal form,
-and only the other entries are reduced.  Certification (the exact
-A*B = w*I check over P) is judged on the stored representatives.
+form mod w is zero or x-homogeneous of that degree (homogeneity_violations).
+Every term of w has x-degree 1, so a division step by w removes a term and
+adds terms of that same x-degree: a stored entry that is zero or
+x-homogeneous of the wanted degree has such a normal form, and only the
+other entries are reduced.  Certification (the exact A*B = w*I check over
+P) is judged on the stored representatives.
 
-The Koszul complex here is taken on all c + d variables of P, and the Shamash
-construction G_n = sum_j F_{n-2j} with differential d = del + xi-wedge turns
-it into an R-free resolution of the residue field whose tail is periodic;
-extracting consecutive differentials past index c + d gives the certified
-pair used as the complete resolution of k.
+The Koszul complex here is taken on all m = c + d variables of P.  The
+Shamash resolution of the residue field, G_n = sum_j F_(n-2j) with
+differential d = del + xi-wedge, is 2-periodic past index m, and its tail is
+del + xi-wedge between the even and the odd exterior powers of the Koszul
+complex.  shamash_resolution builds that tail directly and certifies it as
+the pair used as the complete resolution of k.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (
     NotAComplex,
     NotHomogeneous,
     NotHomogeneousScalar,
-    NotStabilized,
     RingMismatch,
 )
 from .matrix import Grid, as_grid, block_matrix, identity, mat_mul, mat_neg, mat_shape, mat_transpose, zero_matrix
@@ -119,13 +119,20 @@ class PeriodicComplex:
         return len(self.degrees0)
 
     @cached_property
-    def is_factorization(self) -> bool:
-        """A*B = B*A = w*I exactly over P, judged on the stored grids and
-        never on the `certified` flag, which a file may claim falsely.
-        Computed on first use and kept with the pair."""
+    def _misfit(self) -> tuple[Grid, Grid] | None:
+        """None when A*B = B*A = w*I exactly over P; otherwise the products
+        A*B and B*A, which only validate_pair's mod-w pass reads.  Judged on
+        the stored grids and never on the `certified` flag, which a file may
+        claim falsely.  Computed on first use and kept with the pair."""
         amb = self.ring.ambient
         w_id = identity(amb, self.size, self.ring.w)
-        return mat_mul(self.A, self.B, amb) == w_id and mat_mul(self.B, self.A, amb) == w_id
+        products = mat_mul(self.A, self.B, amb), mat_mul(self.B, self.A, amb)
+        return None if products == (w_id, w_id) else products
+
+    @property
+    def is_factorization(self) -> bool:
+        """A*B = B*A = w*I exactly over P."""
+        return self._misfit is None
 
     @cached_property
     def pencil(self) -> tuple[Grid, Grid]:
@@ -184,18 +191,17 @@ def validate_pair(C: PeriodicComplex, check_rank: bool = True) -> ValidationRepo
 
     The exact identity A*B = B*A = w*I (C.is_factorization) is tested on
     the stored grids whatever the file claims.  When it holds, both products
-    are zero mod w, so a pair that claims certification skips the mod-w pass
-    (a pair that does not claim it still takes the pass).  The identity also
-    gives the rank partition by the complement rule: the complex over R is
-    then exact (if B v = w u then w v = A B v = w A u, so v = A u, P being a
-    domain), so over the fraction field of the domain R, rank(B) = size -
-    rank(A).  The RankDefect check therefore runs only on pairs that are
-    complexes mod w without being exact factorizations."""
+    are zero mod w, so the mod-w pass runs only on a pair that fails it, and
+    reads the two products that test computed.  The identity also gives the
+    rank partition by the complement rule: the complex over R is then exact
+    (if B v = w u then w v = A B v = w A u, so v = A u, P being a domain),
+    so over the fraction field of the domain R, rank(B) = size - rank(A).
+    The RankDefect check therefore runs only on pairs that are complexes
+    mod w without being exact factorizations."""
     report = ValidationReport()
     ring = C.ring
-    if not (C.certified and C.is_factorization):
-        for name, prod in (("A*B", mat_mul(C.A, C.B, ring.ambient)),
-                           ("B*A", mat_mul(C.B, C.A, ring.ambient))):
+    if not C.is_factorization:
+        for name, prod in zip(("A*B", "B*A"), C._misfit):
             bad = [
                 (i, j)
                 for i, row in enumerate(prod)
@@ -235,11 +241,10 @@ _FINDING_ERRORS = {
 }
 
 
-def periodic_from_pair(ring: RingSpec, a_grid, b_grid, degrees0, degrees1,
-                       certify: bool = False) -> PeriodicComplex:
-    """Validating constructor.  With certify=True the exact w*I identity is
-    required and the result is marked certified."""
-    C = PeriodicComplex(ring, a_grid, b_grid, degrees0, degrees1, certified=certify)
+def periodic_from_pair(ring: RingSpec, a_grid, b_grid, degrees0, degrees1) -> PeriodicComplex:
+    """Validating constructor: the pair must satisfy the exact w*I identity,
+    and the result is marked certified."""
+    C = PeriodicComplex(ring, a_grid, b_grid, degrees0, degrees1, certified=True)
     findings = validate_pair(C, check_rank=False).findings
     if findings:
         code, message = findings[0]
@@ -342,7 +347,6 @@ def trivial_pair(ring: RingSpec, degree: int = 0) -> PeriodicComplex:
         [[ring.w]],
         degrees0=(degree,),
         degrees1=(degree,),
-        certify=True,
     )
 
 
@@ -350,35 +354,8 @@ def trivial_pair(ring: RingSpec, degree: int = 0) -> PeriodicComplex:
 # Koszul complex and the Shamash resolution of the residue field
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FiniteComplex:
-    """Complex over R in the window [0, hi]: degrees[n] holds the generator
-    degrees of slot n, and diffs[n - 1] is the grid of the differential from
-    slot n to slot n - 1."""
-
-    ring: RingSpec
-    degrees: tuple[tuple[int, ...], ...]
-    diffs: tuple[Grid, ...]
-
-    @property
-    def hi(self) -> int:
-        return len(self.degrees) - 1
-
-    def degrees_at(self, n: int) -> tuple[int, ...]:
-        return self.degrees[n]
-
-    def diff(self, n: int) -> Grid:
-        """The differential leaving slot n downward."""
-        return self.diffs[n - 1]
-
-
 def _koszul_basis(m: int, n: int):
     return list(combinations(range(m), n))
-
-
-def _basis_degrees(ring: RingSpec, basis) -> tuple[int, ...]:
-    c = ring.c
-    return tuple(sum(1 for i in s if i < c) for s in basis)
 
 
 def koszul_differential(ring: RingSpec, n: int) -> Grid:
@@ -421,101 +398,44 @@ def xi_wedge(ring: RingSpec, n: int) -> Grid:
     return as_grid(grid)
 
 
-def _shamash_summands(m: int, n: int):
-    """(j, koszul index n - 2j) pairs with nonempty Koszul piece, j ascending."""
-    out = []
-    j = 0
-    while n - 2 * j >= 0:
-        if n - 2 * j <= m:
-            out.append((j, n - 2 * j))
-        j += 1
-    return out
-
-
-def shamash_resolution(ring: RingSpec, N: int) -> FiniteComplex:
-    """R-free resolution of the residue field on the window [0, N]:
-    G_n = sum_j F_(n-2j) with generator degrees bumped by j, differential
-    del + xi-wedge.  Entries are y-variables, x-variables and the f_i, all
-    already in normal form mod w."""
+def shamash_resolution(ring: RingSpec) -> PeriodicComplex:
+    """The certified periodic tail of the Shamash resolution of the residue
+    field, G_n = sum_j F_(n-2j) with differential del + xi-wedge, which is
+    2-periodic past index m = c + d.  C_0 holds the exterior powers F_k with
+    k = m, m-2, .. and C_1 those with k = m-1, m-3, .., each side by
+    descending k and in combinations order within F_k.  From every source
+    summand F_k, A (C_1 -> C_0) and B (C_0 -> C_1) both map by del_k into
+    F_(k-1) and by xi-wedge into F_(k+1), where that target is present.
+    Generator e_S, with s of the x-variables in S, has degree
+    s + (m - k)/2 on C_0 and s + (m + 1 - k)/2 on C_1.  Entries are
+    y-variables, x-variables and the f_i, all already in normal form mod w."""
     m = ring.c + ring.d
-    if N < m + 2:
-        raise NotStabilized(f"window [0, {N}] too short; need N >= {m + 2} to reach the periodic tail")
     amb = ring.ambient
-    koszul_diff = {n: koszul_differential(ring, n) for n in range(1, m + 1)}
-    wedge = {n: xi_wedge(ring, n) for n in range(0, m)}
-    basis_deg = {n: _basis_degrees(ring, _koszul_basis(m, n)) for n in range(m + 1)}
+    sides = []
+    for parity in (0, 1):  # C_0, then C_1
+        offsets, degrees = {}, []
+        for k in range(m - parity, -1, -2):
+            offsets[k] = len(degrees)
+            degrees.extend(sum(1 for i in s if i < ring.c) + (m + parity - k) // 2
+                           for s in _koszul_basis(m, k))
+        sides.append((offsets, tuple(degrees)))
 
-    degrees = []
-    layouts = []
-    for n in range(N + 1):
-        summands = _shamash_summands(m, n)
-        offsets = {}
-        degs: list[int] = []
-        for j, kn in summands:
-            offsets[(j, kn)] = len(degs)
-            degs.extend(d + j for d in basis_deg[kn])
-        layouts.append((summands, offsets))
-        degrees.append(tuple(degs))
-
-    diffs = []
-    for n in range(1, N + 1):
-        src_summands, src_off = layouts[n]
-        tgt_summands, tgt_off = layouts[n - 1]
-        grid = [[amb.zero() for _ in degrees[n]] for _ in degrees[n - 1]]
+    def differential(source, target) -> Grid:
+        (src_off, src_deg), (tgt_off, tgt_deg) = source, target
+        grid = [[amb.zero() for _ in src_deg] for _ in tgt_deg]
 
         def paste(block, row0, col0):
             for i, row in enumerate(block):
-                for j2, e in enumerate(row):
+                for j, e in enumerate(row):
                     if not e.is_zero():
-                        grid[row0 + i][col0 + j2] = e
+                        grid[row0 + i][col0 + j] = e
 
-        for j, kn in src_summands:
-            if kn >= 1 and (j, kn - 1) in tgt_off:
-                paste(koszul_diff[kn], tgt_off[(j, kn - 1)], src_off[(j, kn)])
-            if (j - 1, kn + 1) in tgt_off:
-                paste(wedge[kn], tgt_off[(j - 1, kn + 1)], src_off[(j, kn)])
-        diffs.append(as_grid(grid))
-        del paste
-    return FiniteComplex(ring, tuple(degrees), tuple(diffs))
+        for k, col0 in src_off.items():
+            if k - 1 in tgt_off:
+                paste(koszul_differential(ring, k), tgt_off[k - 1], col0)
+            if k + 1 in tgt_off:
+                paste(xi_wedge(ring, k), tgt_off[k + 1], col0)
+        return grid
 
-
-def extract_mf(resolution: FiniteComplex, ring: RingSpec) -> PeriodicComplex:
-    """Take the two consecutive differentials just past homological degree
-    c + d, where the Shamash resolution has become strictly 2-periodic, and
-    certify them as a matrix factorization."""
-    m = ring.c + ring.d
-    if resolution.hi < m + 2:
-        raise NotStabilized(f"window reaches {resolution.hi}, need {m + 2}")
-    a = resolution.diff(m + 1)
-    b = resolution.diff(m + 2)
-    n0, n1 = mat_shape(a)
-    if n0 != n1 or mat_shape(b) != (n1, n0):
-        raise NotStabilized(f"ranks {n0}, {n1} have not stabilized")  # pragma: no cover
-    return periodic_from_pair(
-        ring,
-        a,
-        b,
-        degrees0=resolution.degrees_at(m),
-        degrees1=resolution.degrees_at(m + 1),
-        certify=True,
-    )
-
-
-def validate_finite(fc: FiniteComplex) -> ValidationReport:
-    """d o d = 0 mod w plus homogeneity."""
-    report = ValidationReport()
-    ring = fc.ring
-    for n in range(2, fc.hi + 1):
-        prod = mat_mul(fc.diff(n - 1), fc.diff(n), ring.ambient)
-        for i, row in enumerate(prod):
-            for j, e in enumerate(row):
-                if not ring.normal_form(e).is_zero():
-                    report.add("NotAComplex", f"d_{n-1} d_{n} nonzero at ({i},{j})")
-                    break
-            else:
-                continue
-            break
-    for n in range(1, fc.hi + 1):
-        for msg in homogeneity_violations(ring, fc.diff(n), fc.degrees_at(n), fc.degrees_at(n - 1)):
-            report.add("NotHomogeneous", f"d_{n}: {msg}")
-    return report
+    even, odd = sides
+    return periodic_from_pair(ring, differential(odd, even), differential(even, odd), even[1], odd[1])

@@ -79,10 +79,6 @@ class CertificationFailed(GhrvError):
     """Matrix pair does not multiply to w times the identity over P."""
 
 
-class NotStabilized(GhrvError):
-    """Resolution window too short to extract the periodic tail."""
-
-
 class InvalidComplex(GhrvError):
     """Operation requires a structurally valid (or certified) complex."""
 

@@ -1,6 +1,6 @@
-"""End-to-end constructions: the Shamash tail on all variables,
-realizability of closed sets by iterated cones, module-level varieties, and
-the scripted worked-example checks.
+"""End-to-end constructions: the Shamash tail on all variables (built by
+complexes.shamash_resolution), realizability of closed sets by iterated
+cones, module-level varieties, and the scripted worked-example checks.
 
 The realizability pipeline starts from the Shamash tail K, takes the cone by
 each requested x-homogeneous class in turn, and certifies pointwise that each
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field as dc_field
 from .complexes import (
     PeriodicComplex,
     cone_mul,
-    extract_mf,
     periodic_from_pair,
     shamash_resolution,
 )
@@ -50,16 +49,16 @@ from .variety import (
 def complete_resolution_of_k(ring: RingSpec) -> PeriodicComplex:
     """Certified periodic tail of the Shamash resolution of R/(y, x), the
     quotient of R by all c + d variables (the residue field of R itself, not
-    the residue field of Q/(f) extended to R; see fixture_k).
+    the residue field of Q/(f) extended to R; see fixture_k).  It is
+    shamash_resolution(ring): del + xi-wedge between the even and the odd
+    exterior powers of the Koszul complex, of size 2^(c+d-1).
 
     The tail is minimal (every entry lies in the irrelevant maximal ideal),
     so it is the canonical matrix factorization behind that module's
     eventual periodicity.  Its minor-ideal images are x-primary, hence its
     rank variety is empty; see the module docstring.
     """
-    m = ring.c + ring.d
-    resolution = shamash_resolution(ring, m + 2)
-    return extract_mf(resolution, ring)
+    return shamash_resolution(ring)
 
 
 @dataclass
@@ -187,7 +186,6 @@ def fixture_k(ring: RingSpec) -> PeriodicComplex:
         [[-v * t, u * s], [u, v]],
         degrees0=(0, 0),
         degrees1=(0, 1),
-        certify=True,
     )
 
 
@@ -203,7 +201,6 @@ def fixture_rank_one(ring: RingSpec) -> PeriodicComplex:
         [[u * u, v * v], [-t, s]],
         degrees0=(0, 0),
         degrees1=(1, 0),
-        certify=True,
     )
 
 

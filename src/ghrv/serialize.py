@@ -88,8 +88,9 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
     parsed: dict[str, Poly] = {}
 
     def entry(text) -> Poly:
-        # only strings are kept; parse_poly fails on any other entry, as before
-        poly = parsed.get(text) if isinstance(text, str) else None
+        if not isinstance(text, str):
+            raise ParseError(f"matrix entry {json.dumps(text)} is not a string")
+        poly = parsed.get(text)
         if poly is None:
             poly = parsed[text] = parse_poly(ring.ambient, text)
         return poly

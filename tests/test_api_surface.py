@@ -1,4 +1,5 @@
-"""Every public name of the package is reached by the package itself.
+"""Every public name of the package is reached by the package itself, and
+every name the benchmark tracer reads is defined.
 
 A public module-level function or class of src/ghrv, or a public method of
 such a class, counts as reached when its name occurs as a name or an
@@ -6,9 +7,14 @@ attribute somewhere in src/ghrv (the re-exports in __init__.py left out) or
 in perfbench/.  A name nothing reaches is dead code unless it is an oracle
 or certificate the tests run against the fast path, or a fixture the tests
 share; those are listed below with their reason.
+
+perfbench/tracer.py wraps the functions and methods of ghrv and reads its
+metrics by span name, module.function or module.Class.method; a metric whose
+span is never wrapped stops the traced run with a ValueError.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,7 +24,6 @@ ALLOWED = {
     "matrix.rank_by_minors": "oracle: exhaustive minor search for rank_over_domain",
     "variety.rank_over_R_by_minors": "oracle: exhaustive minor search for rank_over_R",
     "variety.construct_contraction": "certificate: explicit null-homotopy at a contractible point",
-    "complexes.validate_finite": "certificate: d o d = 0 and homogeneity of the Shamash window",
     "complexes.trivial_pair": "shared fixture: the contractible pair (1, w)",
     "fields.ExtensionField.generator": "shared fixture: a named element outside the prime subfield",
 }
@@ -70,3 +75,44 @@ def test_every_public_name_is_reached_or_allowed():
     assert dead == [], "public names nothing in src/ghrv or perfbench/ reaches: " + ", ".join(dead)
     stale = [q for q in ALLOWED if q not in defined or not unreached(q)]
     assert stale == [], "allowed names that are gone or now reached: " + ", ".join(stale)
+
+
+def traced_names() -> set[str]:
+    """Span names perfbench/tracer.py reads: the first argument of every
+    _busy, _calls and _self call, and the names in KEYED, HOOKS, METHODS
+    and the members of GROUPS.  GROUPS keys name sums of spans, not spans."""
+    names, groups = set(), {}
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "tracer.py").read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("_busy", "_calls", "_self")):
+            names.add(ast.literal_eval(node.args[0]))
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            target = node.targets[0].id
+            if target == "KEYED":
+                names.update(ast.literal_eval(node.value))
+            elif target == "HOOKS":
+                names.update(ast.literal_eval(key) for key in node.value.keys)
+            elif target == "METHODS":
+                names.update(".".join(m) for m in ast.literal_eval(node.value))
+            elif target == "GROUPS":
+                groups = ast.literal_eval(node.value)
+    names.update(member for members in groups.values() for member in members)
+    return names - set(groups)
+
+
+def _wrapped(name: str) -> bool:
+    """Whether the tracer finds `name`: a public function of ghrv.<module>,
+    or a method of a class there, defined in that module."""
+    module, *path = name.split(".")
+    obj = importlib.import_module(f"ghrv.{module}")
+    for attr in path:
+        obj = vars(obj).get(attr) if obj is not None else None
+    return (callable(obj) and not isinstance(obj, type) and not path[0].startswith("_")
+            and getattr(obj, "__module__", None) == f"ghrv.{module}")
+
+
+def test_every_traced_name_is_defined():
+    names = traced_names()
+    assert names
+    missing = sorted(name for name in names if not _wrapped(name))
+    assert missing == [], "names perfbench/tracer.py reads that src/ghrv lacks: " + ", ".join(missing)

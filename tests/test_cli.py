@@ -255,6 +255,26 @@ def test_usage_errors(pair_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_rejects_non_string_entries(k_file, tmp_path, capsys):
+    # a JSON number or null is not an expression; the first such entry in
+    # file order (A before B, row by row) is the one named
+    obj = json.loads(open(k_file).read())
+    obj["periodic"]["A"][0][1] = 0
+    obj["periodic"]["A"][1][1] = None
+    obj["periodic"]["B"][0][0] = 2.5
+    bad = tmp_path / "numbers.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["check", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix entry 0 is not a string\n"
+    obj = json.loads(open(k_file).read())
+    obj["periodic"]["B"][1][0] = None
+    bad.write_text(json.dumps(obj))
+    assert run(["rank", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: matrix entry null is not a string\n"
+
+
 def test_jobs_flag_is_gone(pair_file, capsys):
     # --jobs was a documented no-op and has been removed
     assert run(["--jobs", "4", "rank", pair_file]) == 2

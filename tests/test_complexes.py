@@ -1,22 +1,23 @@
 """Periodic pairs, the Koszul differentials, and the Shamash resolution.
 
-The heavyweight oracle here is graded exactness: the resolution the package
-extracts its canonical pair from is checked to be exact by finite linear
-algebra in each low internal degree, independently of any of the resolution
-machinery itself.
+The heavyweight oracle here is graded exactness: a window of the Shamash
+resolution, assembled in this file from the public Koszul blocks, is checked
+to be exact by finite linear algebra in each low internal degree, and its
+last two differentials are checked to be the package's canonical pair.
 """
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
+import ghrv.complexes as complexes
 from ghrv.complexes import (
     PeriodicComplex,
     cone_mul,
     direct_sum,
     dual,
-    extract_mf,
     homogeneity_violations,
     koszul_differential,
     periodic_from_pair,
@@ -24,7 +25,6 @@ from ghrv.complexes import (
     shift,
     trivial_pair,
     validate_pair,
-    validate_finite,
     xi_wedge,
 )
 from ghrv.errors import (
@@ -32,13 +32,19 @@ from ghrv.errors import (
     NotAComplex,
     NotHomogeneous,
     NotHomogeneousScalar,
-    NotStabilized,
     RingMismatch,
 )
+from ghrv.fields import parse_field
 from ghrv.matrix import as_grid, identity, mat_mul, mat_neg, rank_over_domain, rank_over_field
-from ghrv.pipelines import documented_cone_pair, fixture_k, fixture_rank_one
+from ghrv.pipelines import (
+    complete_resolution_of_k,
+    documented_cone_pair,
+    fixture_k,
+    fixture_rank_one,
+    worked_ring,
+)
 from ghrv.poly import monomial_divides
-from ghrv.ring import RingSpec
+from ghrv.ring import RingSpec, make_ring
 from ghrv.variety import rank_over_R
 
 
@@ -106,16 +112,75 @@ def test_wedge_squares_to_zero(ring5):
 
 # -- Shamash ------------------------------------------------------------------
 
-def test_resolution_window_guard(ring5):
-    with pytest.raises(NotStabilized):
-        shamash_resolution(ring5, 5)
+@pytest.fixture(scope="module")
+def shamash_pairs():
+    """The periodic tail on the worked ring over five fields, and on four
+    rings of other shapes: c = 3 (a 32x32 pair), a linear f_1, d = 3 with
+    c = 2 (16x16), and f_i with more than one term."""
+    rings = [worked_ring(parse_field(f)) for f in ("GF(3)", "GF(5)", "GF(7)", "GF(9)", "QQ")]
+    rings += [
+        make_ring(parse_field("GF(5)"), ["u", "v", "z"], ["x1", "x2", "x3"], ["u^2", "v^2", "z^3"]),
+        make_ring(parse_field("GF(3)"), ["u", "v"], ["x1", "x2"], ["u", "v^3"]),
+        make_ring(parse_field("GF(7)"), ["u", "v", "z"], ["x1", "x2"], ["u^2", "v*z"]),
+        make_ring(parse_field("QQ"), ["a", "b"], ["x1", "x2"], ["a + b^2", "b^3 + a*b"]),
+    ]
+    return [shamash_resolution(ring) for ring in rings]
 
 
-def test_resolution_is_a_complex_with_stable_ranks(ring5):
-    res = shamash_resolution(ring5, 8)
-    report = validate_finite(res)
-    assert report.ok, report.describe()
-    assert [len(d) for d in res.degrees] == [1, 4, 7, 8, 8, 8, 8, 8, 8]
+def test_resolution_is_a_complex_with_stable_ranks(shamash_pairs):
+    # the periodic tail is a certified factorization of size 2^(m-1):
+    # A B = B A = w I, and both maps are homogeneous
+    for pair in shamash_pairs:
+        ring = pair.ring
+        assert pair.certified and pair.is_factorization
+        report = validate_pair(pair)
+        assert report.ok, report.describe()
+        assert pair.size == 2 ** (ring.c + ring.d - 1)
+
+
+def _shamash_summands(m, n):
+    """(j, k) with G_n = sum_j F_k, k = n - 2j in [0, m], j ascending."""
+    return [(j, n - 2 * j) for j in range(n // 2 + 1) if n - 2 * j <= m]
+
+
+def _shamash_window(ring, top):
+    """Differentials d_1..d_top of the Shamash resolution of the residue
+    field, G_n = sum_j F_(n-2j) with d = del + xi-wedge, assembled here from
+    the public Koszul blocks: d_n[n - 1] is the map G_n -> G_(n-1)."""
+    m = ring.c + ring.d
+    amb = ring.ambient
+
+    def offsets(n):
+        out, at = {}, 0
+        for j, k in _shamash_summands(m, n):
+            out[(j, k)] = at
+            at += comb(m, k)
+        return out, at
+
+    diffs = []
+    for n in range(1, top + 1):
+        (src, cols), (tgt, rows) = offsets(n), offsets(n - 1)
+        grid = [[amb.zero() for _ in range(cols)] for _ in range(rows)]
+        for (j, k), col0 in src.items():
+            blocks = []
+            if (j, k - 1) in tgt:
+                blocks.append((tgt[(j, k - 1)], koszul_differential(ring, k)))
+            if (j - 1, k + 1) in tgt:
+                blocks.append((tgt[(j - 1, k + 1)], xi_wedge(ring, k)))
+            for row0, block in blocks:
+                for i, row in enumerate(block):
+                    for c, e in enumerate(row):
+                        grid[row0 + i][col0 + c] = e
+        diffs.append(as_grid(grid))
+    return diffs
+
+
+def _window_degrees(ring, n, koszul_degree, step):
+    """Generator degrees of G_n: koszul_degree(S) for e_S in the summand
+    F_(n-2j), plus step for each of the j levels."""
+    m = ring.c + ring.d
+    return [koszul_degree(s) + step * j
+            for j, k in _shamash_summands(m, n) for s in combinations(range(m), k)]
 
 
 def _r_monomials(ring, t):
@@ -166,30 +231,21 @@ def _graded_piece(ring, grid, gen_deg_src, gen_deg_tgt, t):
     return rows, len(src_basis), len(tgt_index)
 
 
-def _total_gen_degrees(ring, res, n):
-    # Koszul generator e_S has total degree |S|; each extra j-level multiplies
-    # by w, total degree 3 for this ring
-    from ghrv.complexes import _koszul_basis, _shamash_summands
-
-    m = ring.c + ring.d
-    degs = []
-    for j, kn in _shamash_summands(m, n):
-        degs.extend(kn + 3 * j for _ in _koszul_basis(m, kn))
-    assert len(degs) == len(res.degrees_at(n))
-    return degs
-
-
 def test_residue_field_resolution_is_exact_in_low_degrees(ring5):
     """H_0 = k and H_i = 0 for 1 <= i <= 4 in every internal degree <= 5,
-    checked by ranks of the graded pieces over the base field."""
-    res = shamash_resolution(ring5, 6)
-    degs = {n: _total_gen_degrees(ring5, res, n) for n in range(7)}
+    checked by ranks of the graded pieces over the base field; the window's
+    last two differentials are then the canonical pair."""
+    m = ring5.c + ring5.d
+    diffs = _shamash_window(ring5, m + 2)
+    # Koszul generator e_S has total degree |S|; each extra j-level
+    # multiplies by w, total degree 3 for this ring
+    degs = {n: _window_degrees(ring5, n, len, 3) for n in range(m + 3)}
     fld = ring5.field
     for t in range(6):
         pieces = {}
         dims = {}
-        for n in range(1, 7):
-            rows, src_dim, tgt_dim = _graded_piece(ring5, res.diff(n), degs[n], degs[n - 1], t)
+        for n in range(1, m + 3):
+            rows, src_dim, tgt_dim = _graded_piece(ring5, diffs[n - 1], degs[n], degs[n - 1], t)
             pieces[n] = rank_over_field(rows, fld)
             dims[n] = src_dim
             dims.setdefault(n - 1, tgt_dim)
@@ -199,25 +255,25 @@ def test_residue_field_resolution_is_exact_in_low_degrees(ring5):
         for n in range(1, 5):
             assert pieces[n] + pieces[n + 1] == dims[n], f"H_{n} nonzero in degree {t}"
 
+    pair = shamash_resolution(ring5)
+    assert pair.A == diffs[m]
+    assert pair.B == diffs[m + 1]
 
-def test_extracted_pair_is_certified_and_minimal(ring5):
-    res = shamash_resolution(ring5, 6)
-    pair = extract_mf(res, ring5)
-    assert pair.certified
-    assert pair.size == 8
-    assert pair.A == res.diff(5)
-    assert pair.B == res.diff(6)
-    for grid in (pair.A, pair.B):
-        for row in grid:
-            for e in row:
-                assert ring5.field.is_zero(e.constant_term())
+    def x_degree(s):
+        return sum(1 for i in s if i < ring5.c)
+
+    assert pair.degrees0 == tuple(_window_degrees(ring5, m, x_degree, 1))
+    assert pair.degrees1 == tuple(_window_degrees(ring5, m + 1, x_degree, 1))
 
 
-def test_extract_needs_a_long_enough_window(ring5):
-    res = shamash_resolution(ring5, 6)
-    short = type(res)(res.ring, res.degrees[:5], res.diffs[:4])
-    with pytest.raises(NotStabilized):
-        extract_mf(short, ring5)
+def test_extracted_pair_is_certified_and_minimal(shamash_pairs):
+    # every entry lies in the irrelevant maximal ideal
+    for pair in shamash_pairs:
+        assert pair.certified
+        for grid in (pair.A, pair.B):
+            for row in grid:
+                for e in row:
+                    assert pair.ring.field.is_zero(e.constant_term())
 
 
 # -- periodic pairs -----------------------------------------------------------
@@ -241,7 +297,7 @@ def test_constructor_rejects_inhomogeneous_entries(ring5):
 
 def test_constructor_rejects_false_certification(ring5):
     with pytest.raises(CertificationFailed):
-        periodic_from_pair(ring5, [["2"]], [["x^2*x1 + y^2*x2"]], (0,), (0,), certify=True)
+        periodic_from_pair(ring5, [["2"]], [["x^2*x1 + y^2*x2"]], (0,), (0,))
 
 
 def _homogeneity_oracle(ring, grid, source, target):
@@ -332,24 +388,35 @@ def test_homogeneity_on_stored_entries_matches_normal_forms(ring_name, request, 
 
 
 def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
-    k = fixture_k(ring5)
-    assert k.certified
-    plain = PeriodicComplex(ring5, k.A, k.B, k.degrees0, k.degrees1, certified=False)
+    # the mod-w pass runs only on a pair that fails A*B = B*A = w*I, whatever
+    # the pair claims, and reads the two products that test computed: at
+    # most two mat_mul calls per fresh pair, and none once the verdict is kept
+    tail = complete_resolution_of_k(ring5)
+    plain = PeriodicComplex(ring5, tail.A, tail.B, tail.degrees0, tail.degrees1, certified=False)
     false_claim = PeriodicComplex(ring5, [["x1"]], [["1"]], (0,), (1,), certified=True)
-    calls = []
-    normal_form = RingSpec.normal_form
-    monkeypatch.setattr(RingSpec, "normal_form", lambda *a: calls.append(1) or normal_form(*a))
-    assert validate_pair(k, check_rank=False).findings == []
-    certified_calls = len(calls)
-    # the same pair uncertified takes the pass over A*B and B*A: one normal
-    # form per entry of each product, and nothing else differs
-    calls.clear()
-    assert validate_pair(plain, check_rank=False).findings == []
-    assert len(calls) == certified_calls + 2 * k.size**2
-    # a claimed certification that fails the exact comparison still takes
-    # the pass, with findings in the same order
-    codes = [code for code, _ in validate_pair(false_claim, check_rank=False).findings]
-    assert codes == ["NotAComplex", "NotAComplex", "CertificationFailed"]
+    unclaimed = PeriodicComplex(ring5, [["x1"]], [["y"]], (0,), (1,), certified=False)
+    products, normal_forms = [], []
+    mat_mul_, normal_form = complexes.mat_mul, RingSpec.normal_form
+    monkeypatch.setattr(complexes, "mat_mul", lambda *a: products.append(1) or mat_mul_(*a))
+    monkeypatch.setattr(RingSpec, "normal_form", lambda *a: normal_forms.append(1) or normal_form(*a))
+
+    def run(C):
+        products.clear()
+        normal_forms.clear()
+        return [code for code, _ in validate_pair(C, check_rank=False).findings]
+
+    assert run(tail) == [] and products == []
+    certified_calls = len(normal_forms)
+    # the same pair uncertified costs the two products and no pass
+    assert run(plain) == [] and len(products) == 2
+    assert len(normal_forms) == certified_calls
+    assert run(plain) == [] and products == []
+    # a claimed certification that fails the exact comparison takes the
+    # pass, with findings in the same order; so does an unclaimed pair
+    assert run(false_claim) == ["NotAComplex", "NotAComplex", "CertificationFailed"]
+    assert len(products) == 2 and len(normal_forms) == 2
+    assert run(unclaimed) == ["NotAComplex", "NotAComplex"]
+    assert len(products) == 2 and len(normal_forms) == 2
 
 
 def test_validate_reports_rank_defect(ring5):
