@@ -9,6 +9,7 @@ mathematical failure (validation findings, invalid inputs at the math level),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -294,10 +295,14 @@ _DISPATCH = {
 }
 
 
+# One parser serves every run in a process: building the twelve subparsers
+# costs more than a small verb, and parsing leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

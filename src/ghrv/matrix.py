@@ -9,7 +9,9 @@ r x r minors on those rows; only nonzero coefficients are kept, so a sparse
 matrix costs in proportion to its nonzero minors rather than to all of them.
 
 Field-level routines (rank, generalized inverse, product, sum) take grids of
-field scalars; rank and inverse use plain Gauss elimination with
+field scalars.  Rank eliminates sparsely, keeping each row as a dict of its
+nonzero entries, so a residue pencil costs in proportion to its nonzero
+scalars; the generalized inverse uses plain Gauss elimination with
 deterministic pivoting.
 """
 
@@ -250,38 +252,54 @@ def rank_by_minors(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
 # ---------------------------------------------------------------------------
 
 def rank_over_field(rows: Sequence[Sequence], field: Field) -> int:
-    """Gauss elimination rank; pivot = first nonzero entry in a row-major
-    scan of the live block."""
-    M = [list(r) for r in rows]
-    if not M or not M[0]:
-        return 0
-    live_rows = list(range(len(M)))
-    live_cols = list(range(len(M[0])))
+    """Rank by sparse Gauss elimination.
+
+    Each row is kept as a dict of its nonzero entries, and rows with none
+    are dropped; a scalar is zero when it equals field.zero, as
+    Field.is_zero has it, compared inline since this is the one pass over
+    every entry.  A step takes a shortest live row as the pivot row, which
+    keeps fill-in low, and its first stored entry as the pivot.  Only rows
+    with an entry in the pivot column are updated, and only at the pivot
+    row's other nonzero columns: with f = -1/pivot computed once, each
+    touched entry costs one mul and one add.  An entry that cancels is
+    deleted and a row left empty is dropped, so the cost follows the
+    nonzero entries, not the shape.  Rank does not depend on pivot order."""
+    zero = field.zero
+    live = []
+    for row in rows:
+        entries = {j: e for j, e in enumerate(row) if e != zero}
+        if entries:
+            live.append(entries)
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     rank = 0
-    while live_rows and live_cols:
-        piv = None
-        for i in live_rows:
-            for j in live_cols:
-                if not field.is_zero(M[i][j]):
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        inv = field.inv(M[pi][pj])
-        for i in live_rows:
-            if i == pi:
-                continue
-            factor = field.mul(M[i][pj], inv)
-            if field.is_zero(factor):
-                continue
-            for j in live_cols:
-                M[i][j] = field.sub(M[i][j], field.mul(factor, M[pi][j]))
-        live_rows.remove(pi)
-        live_cols.remove(pj)
+    while live:
+        pivot_row = min(live, key=len)
         rank += 1
+        entries = iter(pivot_row.items())
+        pj, pivot = next(entries)
+        rest = list(entries)
+        f = neg(inv(pivot))
+        kept = []
+        for row in live:
+            if row is pivot_row:
+                continue
+            c = row.pop(pj, None)
+            if c is not None:
+                s = mul(c, f)
+                for j, e in rest:
+                    t = mul(s, e)
+                    if j in row:
+                        v = add(row[j], t)
+                        if v == zero:
+                            del row[j]
+                        else:
+                            row[j] = v
+                    else:
+                        row[j] = t
+                if not row:
+                    continue
+            kept.append(row)
+        live = kept
     return rank
 
 

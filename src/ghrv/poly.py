@@ -294,26 +294,39 @@ class Poly:
     def substitute(self, bindings: Mapping[str, object]) -> "Poly":
         """Simultaneous substitution; values are coerced into this ring.
 
-        Powers of each value come from the value's own power table (see
-        __pow__), so substituting the same values into many polynomials, as
-        specialize does for every entry of a pair at one point, computes
-        each power once.  The images of the terms are summed into one dict,
-        so the cost is linear in the number of result terms."""
+        For each term, the bound variables' powers come from each value's
+        own power table (see __pow__), so substituting the same values into
+        many polynomials, as specialize does for every entry of a pair at
+        one point, computes each power once.  A Poly product is formed only
+        when two bound variables occur in one term.  That product's terms are
+        shifted by the term's unbound exponents, scaled by its coefficient
+        and summed straight into one result dict, so no Poly is built per
+        term and the cost is linear in the number of result terms."""
         ring = self.ring
         bound: dict[int, Poly] = {}
         for name, value in bindings.items():
             bound[ring.var_index(name)] = ring.coerce(value)
         if not bound:
             return self
-        add = ring.field.add
+        fld = ring.field
+        add, mul = fld.add, fld.mul
         total: dict = {}
         for m, c in self.terms.items():
+            image = None
+            for i, value in bound.items():
+                e = m[i]
+                if e:
+                    power = value**e
+                    image = power if image is None else image * power
+            if image is None:
+                total[m] = add(total[m], c) if m in total else c
+                continue
             residual = tuple(0 if i in bound else e for i, e in enumerate(m))
-            acc = ring.monomial(residual, c)
-            for i, e in enumerate(m):
-                if e and i in bound:
-                    acc = acc * bound[i] ** e
-            for mm, cc in acc.terms.items():
+            shift = any(residual)
+            for mm, cc in image.terms.items():
+                if shift:
+                    mm = tuple(x + y for x, y in zip(mm, residual))
+                cc = mul(cc, c)
                 total[mm] = add(total[mm], cc) if mm in total else cc
         return Poly(ring, total)
 

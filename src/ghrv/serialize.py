@@ -12,8 +12,11 @@ tool writes it can parse back.  Loading a complex parses each distinct entry
 string once and lets equal entries share that one immutable polynomial (a
 32x32 realize trace holds about 2000 entry strings and 15 distinct ones);
 entries are parsed in file order, so the first bad one raises the error.
-Loading performs no validation beyond shapes; the stored "certified" flag is
-a claim that `check` re-tests.
+Loading performs no validation beyond shapes: a matrix, each of its rows,
+a degree list and a ring's variable and coefficient lists must be JSON
+arrays, and a string or number in their place raises ParseError naming the
+key (and the row), never being iterated.  The stored "certified" flag is a
+claim that `check` re-tests.
 """
 
 from __future__ import annotations
@@ -39,11 +42,29 @@ def ring_to_obj(ring: RingSpec) -> dict:
     }
 
 
+def _list(value, what: str) -> list:
+    """value itself when it is a JSON array; ParseError naming it otherwise,
+    so a string or number is never iterated as if it were one."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} is not a list")
+    return value
+
+
 def ring_from_obj(obj: dict) -> RingSpec:
+    if not isinstance(obj, dict):
+        raise ParseError("ring object is not a JSON object")
     for key in ("field", "yvars", "xvars", "f"):
         if key not in obj:
             raise ParseError(f"ring object lacks {key!r}")
-    return make_ring(parse_field(obj["field"]), obj["yvars"], obj["xvars"], obj["f"])
+    if not isinstance(obj["field"], str):
+        raise ParseError("ring object's 'field' is not a string")
+    for key in ("yvars", "xvars"):
+        names = _list(obj[key], f"ring object's {key!r}")
+        if not all(isinstance(name, str) for name in names):
+            raise ParseError(f"ring object's {key!r} holds a name that is not a string")
+    return make_ring(
+        parse_field(obj["field"]), obj["yvars"], obj["xvars"], _list(obj["f"], "ring object's 'f'")
+    )
 
 
 def load_ring(path: str | Path) -> RingSpec:
@@ -69,6 +90,8 @@ def complex_to_obj(C: PeriodicComplex) -> dict:
 
 
 def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicComplex:
+    if not isinstance(obj, dict):
+        raise ParseError("complex file is not a JSON object")
     ring_obj = obj.get("ring")
     if isinstance(ring_obj, str):
         ring_path = Path(ring_obj)
@@ -95,14 +118,23 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
             poly = parsed[text] = parse_poly(ring.ambient, text)
         return poly
 
-    a = [[entry(e) for e in row] for row in periodic["A"]]
-    b = [[entry(e) for e in row] for row in periodic["B"]]
+    def matrix(key: str) -> list[list[Poly]]:
+        rows = _list(periodic[key], f"'periodic' block's {key!r}")
+        return [[entry(e) for e in _list(row, f"row {i} of {key!r}")] for i, row in enumerate(rows)]
+
+    def degrees(key: str) -> tuple[int, ...]:
+        what = f"'periodic' block's {key!r}"
+        try:
+            return tuple(int(d) for d in _list(periodic[key], what))
+        except TypeError:
+            raise ParseError(f"{what} holds a degree that is not an integer") from None
+
     return PeriodicComplex(
         ring,
-        a,
-        b,
-        tuple(int(d) for d in periodic["degrees0"]),
-        tuple(int(d) for d in periodic["degrees1"]),
+        matrix("A"),
+        matrix("B"),
+        degrees("degrees0"),
+        degrees("degrees1"),
         certified=bool(periodic.get("certified", False)),
     )
 

@@ -33,14 +33,18 @@ pencil at alpha and tests rank(Abar(alpha)) + rank(Bbar(alpha)) = n.  Each
 pair builds its pencil once and keeps it (PeriodicComplex.pencil), so a scan
 over many points pays for y -> 0 once.  Both membership and the residue
 matrices evaluate through poly.evaluator, which looks up the embedding once
-and keeps one power table per coordinate for all entries at a point.
+and keeps one power table per coordinate for all entries at a point.  Only
+the nonzero pencil entries are evaluated; the rest are zero at every point,
+and the sparse field rank (matrix.rank_over_field) reads only the nonzero
+scalars, so a verdict costs in proportion to the nonzero entries.
 Specializing x -> a along chosen preimages a of alpha and then reducing
 y -> 0 gives the same scalars for every choice of preimages; that route is
 kept as the oracle the preimage perturbation check runs.  The oracle
-substitutes the preimages into every entry of A and B and reduces the whole
-specialized polynomial, so it costs more than the verdict it checks; each
-preimage keeps its powers (Poly.__pow__), so a trial raises each preimage
-once for all 2n^2 entries.  A verdict at a ProjPoint validates the point
+substitutes the preimages into every nonzero entry of A and B and reduces
+the whole specialized polynomial, so it costs more than the verdict it
+checks; each preimage keeps its powers (Poly.__pow__), so a trial raises
+each preimage once for all entries.  A zero entry skips the oracle, since
+specialize(0) = 0 exactly.  A verdict at a ProjPoint validates the point
 and evaluates the pencil; it builds no Alpha and no preimages.
 """
 
@@ -338,9 +342,11 @@ def _field_and_point(C: PeriodicComplex, alpha) -> tuple[Field, tuple]:
 def _pencil_at(C: PeriodicComplex, fld: Field, point: tuple) -> list:
     """[Abar(point), Bbar(point)] as grids of scalars of fld.  One evaluator
     serves every entry, so the embedding and the powers of each coordinate
-    are computed once per point."""
+    are computed once per point; a zero entry of the pencil is fld.zero
+    without being evaluated."""
     at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, point)), fld)
-    return [[[at(e) for e in row] for row in grid] for grid in C.pencil]
+    zero = fld.zero
+    return [[[at(e) if e.terms else zero for e in row] for row in grid] for grid in C.pencil]
 
 
 def residue_matrices(C: PeriodicComplex, alpha) -> tuple[list[list], list[list], Alpha]:
@@ -447,7 +453,9 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
     """Re-test contractibility under seeded random perturbations of the
     preimages by y-terms of degree 1 and 2; the verdict must never move.
     The baseline takes the residue pencil; each perturbed verdict takes the
-    oracle route, specialize then residue, so two routes are compared."""
+    oracle route, specialize then residue, so two routes are compared.  A
+    zero entry of A or B goes to fld.zero without that route, which is exact
+    because specialize(0) = 0; every nonzero entry takes it."""
     alpha = _as_alpha(C, alpha)
     fld = alpha.field
     if not fld.finite:
@@ -457,6 +465,7 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
     baseline = contractible_at(C, alpha)
     rng = random.Random(seed)
     elems = list(fld.elements())
+    zero = fld.zero
 
     monos = []
     nx, nd = ring.c, ring.d
@@ -483,7 +492,10 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
             preimages.append(p)
         perturbed = make_alpha(ring, alpha.point, preimages=tuple(preimages), field=fld)
         a_bar, b_bar = (
-            [[residue(specialize(e, perturbed, ring), ring) for e in row] for row in grid]
+            [
+                [residue(specialize(e, perturbed, ring), ring) if e.terms else zero for e in row]
+                for row in grid
+            ]
             for grid in (C.A, C.B)
         )
         verdicts.append(rank_over_field(a_bar, fld) + rank_over_field(b_bar, fld) == C.size)

@@ -275,6 +275,69 @@ def test_check_rejects_non_string_entries(k_file, tmp_path, capsys):
     assert capsys.readouterr().err == "error: matrix entry null is not a string\n"
 
 
+def _replaced(obj, path, value):
+    """obj with the item at `path` replaced by value; the empty path
+    replaces obj itself."""
+    if not path:
+        return value
+    *keys, last = path
+    inner = obj
+    for key in keys:
+        inner = inner[key]
+    inner[last] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("periodic", "A", 1), "yx", "row 1 of 'A' is not a list"),
+        (("periodic", "degrees0"), "01", "'periodic' block's 'degrees0' is not a list"),
+        (("periodic", "A"), 5, "'periodic' block's 'A' is not a list"),
+        (("periodic", "A", 0), 5, "row 0 of 'A' is not a list"),
+        (("periodic", "degrees0"), 5, "'periodic' block's 'degrees0' is not a list"),
+        (("ring", "xvars"), 7, "ring object's 'xvars' is not a list"),
+        (("ring", "xvars"), ["x1", 7], "ring object's 'xvars' holds a name that is not a string"),
+        (("ring", "f"), "x^2", "ring object's 'f' is not a list"),
+        (("ring", "field"), 5, "ring object's 'field' is not a string"),
+        (
+            ("periodic", "degrees1"),
+            [0, None],
+            "'periodic' block's 'degrees1' holds a degree that is not an integer",
+        ),
+        ((), [], "complex file is not a JSON object"),
+    ],
+    ids=[
+        "row-string", "degrees-string", "matrix-number", "row-number", "degrees-number",
+        "xvars-number", "xvars-entry", "f-string", "field-number", "degree-null", "top-level-list",
+    ],
+)
+def test_malformed_json_shapes_are_usage_errors(k_file, tmp_path, capsys, path, value, message):
+    # a string or number where a JSON array belongs is never iterated: a row
+    # "yx" was read as two entries, and a number raised a traceback
+    obj = _replaced(json.loads(open(k_file).read()), path, value)
+    bad = tmp_path / "shape.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["rank", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_one_parser_serves_every_run(ring_file, capsys):
+    # --p appends to a fresh list on every run, so scalars never carry over
+    # from one run to the next, and a bad flag still exits 2 afterwards
+    assert run(["realize", ring_file, "--p", "x1"]) == 0
+    assert "trace sizes: 8 -> 16\nrequested zero set: Z(x1)\n" in capsys.readouterr().out
+    assert run(["realize", ring_file, "--p", "x2"]) == 0
+    assert "trace sizes: 8 -> 16\nrequested zero set: Z(x2)\n" in capsys.readouterr().out
+    assert run(["realize", ring_file, "--bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ghrv")
+    assert run(["realize", ring_file]) == 0
+    assert "trace sizes: 8\n" in capsys.readouterr().out
+
+
 def test_jobs_flag_is_gone(pair_file, capsys):
     # --jobs was a documented no-op and has been removed
     assert run(["--jobs", "4", "rank", pair_file]) == 2

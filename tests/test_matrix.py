@@ -278,6 +278,95 @@ def test_field_rank_matches_lifted_minor_rank(f5):
         assert rank_over_field(g, f5) == rank_by_minors(lifted, lift)
 
 
+def _dense_rank(rows, field):
+    """The dense Gauss elimination rank_over_field replaced, kept as its
+    oracle: pivot = first nonzero entry in a row-major scan of the live
+    block, and every live entry of every other row is updated."""
+    M = [list(r) for r in rows]
+    if not M or not M[0]:
+        return 0
+    live_rows = list(range(len(M)))
+    live_cols = list(range(len(M[0])))
+    rank = 0
+    while live_rows and live_cols:
+        piv = None
+        for i in live_rows:
+            for j in live_cols:
+                if not field.is_zero(M[i][j]):
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        pi, pj = piv
+        inv = field.inv(M[pi][pj])
+        for i in live_rows:
+            if i == pi:
+                continue
+            factor = field.mul(M[i][pj], inv)
+            if field.is_zero(factor):
+                continue
+            for j in live_cols:
+                M[i][j] = field.sub(M[i][j], field.mul(factor, M[pi][j]))
+        live_rows.remove(pi)
+        live_cols.remove(pj)
+        rank += 1
+    return rank
+
+
+SMALL_FIELDS = [prime_field(2), make_extension(2, 2), prime_field(5), make_extension(3, 2), QQ]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
+def test_sparse_field_rank_matches_the_dense_oracle(field):
+    # seeded products U*V of inner dimension r, up to 9x9, whose factors are
+    # zero at each entry with probability 1 - density: low densities give
+    # empty rows and columns, high ones fill-in that cancels
+    elems = _field_elems(field)
+    zero = field.zero
+    rng = random.Random(101)
+    ranks = set()
+    for density in (0.15, 0.4, 0.7, 1.0):
+
+        def factor(rows, cols):
+            return [[rng.choice(elems) if rng.random() < density else zero for _ in range(cols)]
+                    for _ in range(rows)]
+
+        for _ in range(40):
+            m, n, r = rng.randrange(1, 10), rng.randrange(1, 10), rng.randrange(0, 6)
+            u, v = factor(m, r), factor(r, n)
+            prod = [[zero] * n for _ in range(m)]
+            for i in range(m):
+                for t in range(r):
+                    for j in range(n):
+                        prod[i][j] = field.add(prod[i][j], field.mul(u[i][t], v[t][j]))
+            before = [list(row) for row in prod]
+            got = rank_over_field(prod, field)
+            assert got == _dense_rank(prod, field) <= min(m, n, r)
+            assert prod == before  # the input grid is read, not changed
+            ranks.add(got)
+    assert ranks >= set(range(6))
+
+
+@pytest.mark.parametrize("field", [prime_field(5), make_extension(3, 2), QQ], ids=str)
+def test_sparse_field_rank_edge_cases(field):
+    one, zero = field.one, field.zero
+    two = field.add(one, one)
+    three = field.add(two, one)
+    assert rank_over_field([], field) == 0
+    assert rank_over_field([[]], field) == 0
+    assert rank_over_field([[zero] * 4 for _ in range(3)], field) == 0
+    # the pivot's update cancels the other rows' entries: each row empties
+    assert rank_over_field([[one, one], [one, one], [two, two]], field) == 1
+    # row 3 = row 1 + row 2: its fill-in in column 3 cancels to zero
+    grid = [[one, two, zero], [zero, one, three], [one, three, three]]
+    assert rank_over_field(grid, field) == _dense_rank(grid, field) == 2
+    grid[2][2] = one
+    assert rank_over_field(grid, field) == _dense_rank(grid, field) == 3
+    assert rank_over_field([[zero, one], [zero, zero], [one, zero]], field) == 2
+
+
 def test_generalized_inverse_identity(f5):
     rng = random.Random(79)
     for _ in range(40):

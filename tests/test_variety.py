@@ -17,7 +17,7 @@ import ghrv.variety
 from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair
 from ghrv.errors import BoundExceeded, InvalidComplex, NotContractible, RingMismatch, UnsupportedField
 from ghrv.fields import QQ, make_extension, prime_field
-from ghrv.matrix import all_minors
+from ghrv.matrix import all_minors, rank_over_field
 from ghrv.pipelines import (
     complete_resolution_of_k,
     documented_cone_pair,
@@ -395,6 +395,42 @@ def test_residue_matrices_match_specialize_then_residue(field):
                 assert [a_bar, b_bar] == oracle, (C.size, str(pt), alpha.preimages)
 
 
+def test_realize_stage_verdicts_match_specialize_then_residue(ring5):
+    # the 8 -> 16 -> 32 realize stages over GF(5), and cones on fixture_k for
+    # points in the variety, at every point of P^1(F_25): the pencil skips
+    # its zero entries and the rank its zero scalars, and both verdicts and
+    # ranks agree with specializing every entry, zero or not, then y -> 0
+    p1, p2 = ring5.parse("x1 + 2*x2"), ring5.parse("x1^2 + 3*x2^2")
+    trace = realize(ring5, [p1, p2], verify=False)
+    stages = [stage.complex for stage in trace.stages]
+    assert [C.size for C in stages] == [8, 16, 32]
+    stages += [cone_mul(fixture_k(ring5), p1), cone_mul(fixture_k(ring5), p2)]
+    f25 = extension_of(ring5.field, 2)
+    amb = ring5.ambient_over(f25)
+    x, y = (amb.variable(n) for n in ring5.yvars)
+    verdicts = []
+    for pt in enumerate_points(f25, 2):
+        a1, a2 = (amb.const(a) for a in pt.coords)
+        choices = [
+            make_alpha(ring5, pt.coords, field=f25),
+            make_alpha(ring5, pt.coords, preimages=(a1 + x * y, a2 + y), field=f25),
+        ]
+        for C in stages:
+            verdict = contractible_at(C, pt)
+            ranks = residue_ranks(C, pt)
+            for alpha in choices:
+                grids = (
+                    [[residue(specialize(e, alpha, ring5), ring5) for e in row] for row in grid]
+                    for grid in (C.A, C.B)
+                )
+                oracle = tuple(rank_over_field(g, f25) for g in grids)
+                assert ranks == oracle, (C.size, str(pt))
+                assert verdict == (sum(oracle) == C.size)
+            verdicts.append(verdict)
+    # Z(p1) is one F_5 point and Z(p2) two F_25 points off the F_5 line
+    assert verdicts.count(False) == 3
+
+
 def _minor_image_by_normal_form(rows, r, ring):
     nf_rows = [[ring.normal_form(e) for e in row] for row in rows]
     images = (ring.image_in_kx(ring.normal_form(m)) for m in all_minors(nf_rows, r, ring.ambient))
@@ -472,17 +508,30 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     assert calls["image_in_kx"] == 2 * tail.size**2
     report = preimage_independence_check(tail, pt, trials=2, seed=0)
     assert report.stable and report.baseline
-    assert calls["specialize"] == 2 * 2 * tail.size**2
+    # the oracle specializes each nonzero entry of A and B once per trial;
+    # zero entries go to zero without it
+    nonzero = sum(not e.is_zero() for grid in (tail.A, tail.B) for row in grid for e in row)
+    assert calls["specialize"] == 2 * nonzero == 96
 
-    # one perturbed trial still specializes every entry, but the powers of
-    # each preimage are computed once for all of them: raising the preimages
-    # afresh in every entry took 48 products here
+    # one perturbed trial specializes every nonzero entry, and substitutes
+    # in place: every term of the tail has one x-variable of degree one at
+    # most, so no Poly product is formed (a product per term would take 48)
     calls["specialize"] = 0
     monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
     report = preimage_independence_check(tail, pt, trials=1, seed=0)
     assert report.verdicts == [report.baseline] == [True]
-    assert calls["specialize"] == 2 * tail.size**2
-    assert 0 < calls["mul"] < 48
+    assert calls["specialize"] == nonzero
+    assert calls["mul"] == 0
+    # a degree-2 cone needs the powers of each preimage, computed once for
+    # all entries, and one product per term in both x-variables
+    cone = cone_mul(fixture_k(ring5), ring5.parse("x1^2 + 2*x2^2 + x1*x2"))
+    terms = [m for grid in (cone.A, cone.B) for row in grid for e in row for m in e.terms]
+    mixed = sum(1 for m in terms if m[0] and m[1])
+    chain = sum(max(m[i] for m in terms) - 1 for i in range(2))
+    assert 0 < mixed + chain < sum(1 for m in terms if m[0] or m[1])
+    calls["mul"] = 0
+    preimage_independence_check(cone, proj_point(ring5.field, (1, 2)), trials=1, seed=0)
+    assert 0 < calls["mul"] <= mixed + chain
     monkeypatch.undo()
 
     # pairs built from a scanned pair get their own pencils, and their
