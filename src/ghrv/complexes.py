@@ -182,7 +182,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_pair(C: PeriodicComplex, check_rank: bool = True) -> ValidationReport:
+def validate_pair(C: PeriodicComplex) -> ValidationReport:
     """Full structural report: complex condition mod w, entrywise
     homogeneity, certification when claimed, and the rank partition
     rank(A) + rank(B) = size.  This is where the degree rule is applied: A
@@ -197,7 +197,10 @@ def validate_pair(C: PeriodicComplex, check_rank: bool = True) -> ValidationRepo
     (if B v = w u then w v = A B v = w A u, so v = A u, P being a domain),
     so over the fraction field of the domain R, rank(B) = size - rank(A).
     The RankDefect check therefore runs only on pairs that are complexes
-    mod w without being exact factorizations."""
+    mod w without being exact factorizations.  Findings come in the order
+    NotAComplex, NotHomogeneous, CertificationFailed, RankDefect, so a
+    certified pair that fails the identity reports CertificationFailed
+    before any RankDefect."""
     report = ValidationReport()
     ring = C.ring
     if not C.is_factorization:
@@ -222,8 +225,7 @@ def validate_pair(C: PeriodicComplex, check_rank: bool = True) -> ValidationRepo
     elif not C.is_factorization:
         report.add("CertificationFailed", "A*B = B*A = w*I fails on stored representatives")
 
-    if (check_rank and not any(code == "NotAComplex" for code, _ in report.findings)
-            and not C.is_factorization):
+    if not C.is_factorization and not any(code == "NotAComplex" for code, _ in report.findings):
         from .variety import ranks_over_R  # local: variety imports this module
 
         r_a, r_b = ranks_over_R(C)
@@ -232,8 +234,10 @@ def validate_pair(C: PeriodicComplex, check_rank: bool = True) -> ValidationRepo
     return report
 
 
-# the exception periodic_from_pair raises for each finding of validate_pair
-# without the rank check
+# the exception periodic_from_pair raises for the first finding of
+# validate_pair; no RankDefect is needed, since periodic_from_pair marks the
+# pair certified, and a certified pair reaches the rank check only after
+# CertificationFailed is reported
 _FINDING_ERRORS = {
     "NotAComplex": NotAComplex,
     "NotHomogeneous": NotHomogeneous,
@@ -245,7 +249,7 @@ def periodic_from_pair(ring: RingSpec, a_grid, b_grid, degrees0, degrees1) -> Pe
     """Validating constructor: the pair must satisfy the exact w*I identity,
     and the result is marked certified."""
     C = PeriodicComplex(ring, a_grid, b_grid, degrees0, degrees1, certified=True)
-    findings = validate_pair(C, check_rank=False).findings
+    findings = validate_pair(C).findings
     if findings:
         code, message = findings[0]
         raise _FINDING_ERRORS[code](message)
@@ -339,63 +343,47 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     return cone
 
 
-def trivial_pair(ring: RingSpec, degree: int = 0) -> PeriodicComplex:
+def trivial_pair(ring: RingSpec) -> PeriodicComplex:
     """The contractible pair (1, w); its variety is empty."""
-    return periodic_from_pair(
-        ring,
-        [[ring.ambient.one()]],
-        [[ring.w]],
-        degrees0=(degree,),
-        degrees1=(degree,),
-    )
+    return periodic_from_pair(ring, [[ring.ambient.one()]], [[ring.w]], (0,), (0,))
 
 
 # ---------------------------------------------------------------------------
 # Koszul complex and the Shamash resolution of the residue field
 # ---------------------------------------------------------------------------
 
-def _koszul_basis(m: int, n: int):
-    return list(combinations(range(m), n))
+def _exterior_map(ring: RingSpec, n: int, coeffs, up: bool) -> Grid:
+    """A map out of F_n, the n-th exterior power of the free module on all
+    c + d variables, bases ordered by itertools.combinations: contracting
+    e_i to coeffs[i] into F_(n-1), or with `up` wedging with
+    sum coeffs[i] e_i into F_(n+1).  Either way e_S goes to
+    (-1)^#{s in S : s < i} coeffs[i] e_T with T = S minus or plus i, and
+    each (T, S) pair gets exactly one such term."""
+    m = ring.c + ring.d
+    src = list(combinations(range(m), n))
+    tgt = {t: row for row, t in enumerate(combinations(range(m), n + 1 if up else n - 1))}
+    grid = [[ring.ambient.zero() for _ in src] for _ in tgt]
+    for j, s in enumerate(src):
+        for i, coeff in enumerate(coeffs):
+            if (i in s) == up:
+                continue
+            t = tuple(sorted(s + (i,))) if up else tuple(v for v in s if v != i)
+            odd = sum(1 for v in s if v < i) % 2
+            grid[tgt[t]][j] = -coeff if odd else coeff
+    return as_grid(grid)
 
 
 def koszul_differential(ring: RingSpec, n: int) -> Grid:
     """del_n : F_n -> F_(n-1) of the Koszul complex on all c + d variables,
     bases ordered by itertools.combinations."""
-    m = ring.c + ring.d
     amb = ring.ambient
-    src = _koszul_basis(m, n)
-    tgt = _koszul_basis(m, n - 1)
-    tgt_index = {s: i for i, s in enumerate(tgt)}
-    grid = [[amb.zero() for _ in src] for _ in tgt]
-    gens = [amb.variable(v) for v in amb.vars]
-    for j, s in enumerate(src):
-        for t, i in enumerate(s):
-            rest = s[:t] + s[t + 1 :]
-            val = gens[i] if t % 2 == 0 else -gens[i]
-            row = tgt_index[rest]
-            grid[row][j] = grid[row][j] + val
-    return as_grid(grid)
+    return _exterior_map(ring, n, [amb.variable(v) for v in amb.vars], up=False)
 
 
 def xi_wedge(ring: RingSpec, n: int) -> Grid:
     """Wedging with xi = sum f_i e_(x_i) : F_n -> F_(n+1); the null-homotopy
     of multiplication by w on the Koszul complex (Cartan's identity)."""
-    m = ring.c + ring.d
-    amb = ring.ambient
-    src = _koszul_basis(m, n)
-    tgt = _koszul_basis(m, n + 1)
-    tgt_index = {s: i for i, s in enumerate(tgt)}
-    grid = [[amb.zero() for _ in src] for _ in tgt]
-    for j, s in enumerate(src):
-        members = set(s)
-        for i in range(ring.c):
-            if i in members:
-                continue
-            smaller = sum(1 for t in s if t < i)
-            val = ring.f[i] if smaller % 2 == 0 else -ring.f[i]
-            row = tgt_index[tuple(sorted(s + (i,)))]
-            grid[row][j] = grid[row][j] + val
-    return as_grid(grid)
+    return _exterior_map(ring, n, ring.f, up=True)
 
 
 def shamash_resolution(ring: RingSpec) -> PeriodicComplex:
@@ -417,7 +405,7 @@ def shamash_resolution(ring: RingSpec) -> PeriodicComplex:
         for k in range(m - parity, -1, -2):
             offsets[k] = len(degrees)
             degrees.extend(sum(1 for i in s if i < ring.c) + (m + parity - k) // 2
-                           for s in _koszul_basis(m, k))
+                           for s in combinations(range(m), k))
         sides.append((offsets, tuple(degrees)))
 
     def differential(source, target) -> Grid:

@@ -352,7 +352,3 @@ def mat_mul_field(a, b, field: Field) -> list[list]:
             for j in range(n):
                 row_o[j] = field.add(row_o[j], field.mul(x, row_b[j]))
     return out
-
-
-def mat_add_field(a, b, field: Field) -> list[list]:
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

@@ -119,12 +119,11 @@ def realize(ring: RingSpec, scalars, verify: bool = True) -> RealizationTrace:
         names = ring.kx.vars
         in_variety = {}
         for i, stage in enumerate(stages):
-            img = None if stage.scalar is None else ring.image_in_kx(stage.scalar)
             current_points = []
             for pt in points:
                 here = not contractible_at(stage.complex, pt)
                 if i > 0:
-                    value = img.evaluate(dict(zip(names, pt.coords)), target=pt.field)
+                    value = images[i - 1].evaluate(dict(zip(names, pt.coords)), target=pt.field)
                     expect = in_variety[pt] and pt.field.is_zero(value)
                     if here != expect:
                         raise InternalCheckError(

@@ -74,19 +74,9 @@ class RingSpec:
     def image_in_kx(self, p) -> Poly:
         """The map R -> k[x] killing every y; well defined on classes since
         each term of w has positive y-degree."""
-        p = self.coerce(p)
         c = self.c
-        out: dict = {}
-        fld = self.field
-        for m, coef in p.terms.items():
-            if any(m[c:]):
-                continue
-            key = m[:c]
-            if key in out:
-                out[key] = fld.add(out[key], coef)
-            else:
-                out[key] = coef
-        return Poly(self.kx, out)
+        terms = self.coerce(p).terms.items()
+        return Poly(self.kx, {m[:c]: coef for m, coef in terms if not any(m[c:])})
 
     def image_grid(self, rows) -> tuple[tuple[Poly, ...], ...]:
         """image_in_kx entry by entry: a grid over P as a grid over k[x]."""

@@ -15,8 +15,11 @@ entries are parsed in file order, so the first bad one raises the error.
 Loading performs no validation beyond shapes: a matrix, each of its rows,
 a degree list and a ring's variable and coefficient lists must be JSON
 arrays, and a string or number in their place raises ParseError naming the
-key (and the row), never being iterated.  The stored "certified" flag is a
-claim that `check` re-tests.
+key (and the row), never being iterated.  Each degree must be a JSON
+integer (not a float or a boolean), each variable name and each f_i a
+string, and "certified", when present, a JSON boolean; anything else
+raises ParseError naming the key, never being coerced.  The stored
+"certified" flag is a claim that `check` re-tests.
 """
 
 from __future__ import annotations
@@ -62,9 +65,11 @@ def ring_from_obj(obj: dict) -> RingSpec:
         names = _list(obj[key], f"ring object's {key!r}")
         if not all(isinstance(name, str) for name in names):
             raise ParseError(f"ring object's {key!r} holds a name that is not a string")
-    return make_ring(
-        parse_field(obj["field"]), obj["yvars"], obj["xvars"], _list(obj["f"], "ring object's 'f'")
-    )
+    field = parse_field(obj["field"])
+    f = _list(obj["f"], "ring object's 'f'")
+    if not all(isinstance(fi, str) for fi in f):
+        raise ParseError("ring object's 'f' holds an entry that is not a string")
+    return make_ring(field, obj["yvars"], obj["xvars"], f)
 
 
 def load_ring(path: str | Path) -> RingSpec:
@@ -108,6 +113,9 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
     for key in ("A", "B", "degrees0", "degrees1"):
         if key not in periodic:
             raise ParseError(f"'periodic' block lacks {key!r}")
+    certified = periodic.get("certified", False)
+    if not isinstance(certified, bool):
+        raise ParseError("'periodic' block's 'certified' is not a boolean")
     parsed: dict[str, Poly] = {}
 
     def entry(text) -> Poly:
@@ -124,10 +132,10 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
 
     def degrees(key: str) -> tuple[int, ...]:
         what = f"'periodic' block's {key!r}"
-        try:
-            return tuple(int(d) for d in _list(periodic[key], what))
-        except TypeError:
-            raise ParseError(f"{what} holds a degree that is not an integer") from None
+        values = _list(periodic[key], what)
+        if not all(type(d) is int for d in values):  # a JSON integer; bool is not one
+            raise ParseError(f"{what} holds a degree that is not an integer")
+        return tuple(values)
 
     return PeriodicComplex(
         ring,
@@ -135,7 +143,7 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
         matrix("B"),
         degrees("degrees0"),
         degrees("degrees1"),
-        certified=bool(periodic.get("certified", False)),
+        certified=certified,
     )
 
 

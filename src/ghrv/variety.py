@@ -39,7 +39,10 @@ and the sparse field rank (matrix.rank_over_field) reads only the nonzero
 scalars, so a verdict costs in proportion to the nonzero entries.
 Specializing x -> a along chosen preimages a of alpha and then reducing
 y -> 0 gives the same scalars for every choice of preimages; that route is
-kept as the oracle the preimage perturbation check runs.  The oracle
+kept as the oracle (_oracle_residues), and only two checks run it: the
+preimage perturbation check, and verify_contraction, the one check of a
+contraction's identity A s0 + s_minus1 B = I (s0 and s_minus1 are
+constant, so the identity is read on residues).  The oracle
 substitutes the preimages into every nonzero entry of A and B and reduces
 the whole specialized polynomial, so it costs more than the verdict it
 checks; each preimage keeps its powers (Poly.__pow__), so a trial raises
@@ -60,8 +63,6 @@ from .fields import ExtensionField, Field, PrimeField, field_name, make_extensio
 from .matrix import (
     all_minors,
     generalized_inverse,
-    mat_add_field,
-    mat_mul,
     mat_mul_field,
     rank_over_domain,
     rank_over_field,
@@ -371,21 +372,36 @@ def contractible_at(C: PeriodicComplex, alpha) -> bool:
     return r_a + r_b == C.size
 
 
+def _oracle_residues(C: PeriodicComplex, alpha: Alpha) -> list:
+    """[Abar, Bbar] at alpha by the oracle route: each nonzero entry of A and
+    B is specialized along alpha's preimages and then reduced y -> 0.  A zero
+    entry is fld.zero without that route, which is exact because
+    specialize(0) = 0; every nonzero entry takes it."""
+    ring = C.ring
+    zero = alpha.field.zero
+    return [
+        [[residue(specialize(e, alpha, ring), ring) if e.terms else zero for e in row] for row in grid]
+        for grid in (C.A, C.B)
+    ]
+
+
 @dataclass
 class ContractionData:
     """Explicit null-homotopy at contraction index 0: constant matrices s0
     (into odd) and s_minus1 (from even shifted) with A s0 + s_minus1 B = I
-    at the residue level, hence invertible over the local specialized ring."""
+    at the residue level, hence invertible over the local specialized ring.
+    construct_contraction returns only data that verify_contraction passes."""
 
     alpha: Alpha
     s0: list[list]
     s_minus1: list[list]
-    verified: bool = False
 
 
 def construct_contraction(C: PeriodicComplex, alpha) -> ContractionData:
     """Build contraction data from generalized inverses of the residue
-    matrices; NotContractible at points of the variety."""
+    matrices: s0 = G_A and s_minus1 = (I - Abar G_A) G_B.  NotContractible
+    at points of the variety, and when verify_contraction refuses the data,
+    which happens only on a pair that is not a complex at alpha."""
     a_bar, b_bar, alpha = residue_matrices(C, alpha)
     fld = alpha.field
     n = C.size
@@ -393,43 +409,31 @@ def construct_contraction(C: PeriodicComplex, alpha) -> ContractionData:
         raise NotContractible(f"{alpha} lies in the rank variety")
     g_a = generalized_inverse(a_bar, fld)
     e = mat_mul_field(a_bar, g_a, fld)
-    g_b = generalized_inverse(b_bar, fld)
     one_minus_e = [
         [fld.sub(fld.one if i == j else fld.zero, e[i][j]) for j in range(n)] for i in range(n)
     ]
-    s_minus1 = mat_mul_field(one_minus_e, g_b, fld)
-    composite = mat_add_field(mat_mul_field(a_bar, g_a, fld), mat_mul_field(s_minus1, b_bar, fld), fld)
-    ok = all(
-        composite[i][j] == (fld.one if i == j else fld.zero) for i in range(n) for j in range(n)
-    )
-    if not ok:  # pragma: no cover
-        raise NotContractible("section construction failed")
-    data = ContractionData(alpha=alpha, s0=g_a, s_minus1=s_minus1, verified=False)
-    data.verified = verify_contraction(C, data)
+    s_minus1 = mat_mul_field(one_minus_e, generalized_inverse(b_bar, fld), fld)
+    data = ContractionData(alpha=alpha, s0=g_a, s_minus1=s_minus1)
+    if not verify_contraction(C, data):
+        raise NotContractible(f"A s0 + s_minus1 B is not the identity at {alpha}")
     return data
 
 
 def verify_contraction(C: PeriodicComplex, data: ContractionData) -> bool:
-    """Lift the constant section over the specialized ring and check the
-    composite A s0 + s_minus1 B is a unit there (residue = identity)."""
-    ring = C.ring
-    alpha = data.alpha
-    amb = ring.ambient_over(alpha.field)
-    a_spec = [[specialize(e, alpha, ring) for e in row] for row in C.A]
-    b_spec = [[specialize(e, alpha, ring) for e in row] for row in C.B]
-    s0 = [[amb.const(v) for v in row] for row in data.s0]
-    sm1 = [[amb.const(v) for v in row] for row in data.s_minus1]
-    total = mat_mul(a_spec, s0, amb)
-    other = mat_mul(sm1, b_spec, amb)
-    n = C.size
-    fld = alpha.field
-    for i in range(n):
-        for j in range(n):
-            entry = total[i][j] + other[i][j]
-            want = fld.one if i == j else fld.zero
-            if entry.constant_term() != want:
-                return False
-    return True
+    """Check that the composite A s0 + s_minus1 B is a unit over the ring
+    specialized at data.alpha, by the oracle route: s0 and s_minus1 are
+    constant, so the composite's residue is res(A_spec) s0 + s_minus1
+    res(B_spec), built from the specialize-then-residue grids, and it must
+    be the identity."""
+    fld = data.alpha.field
+    a_res, b_res = _oracle_residues(C, data.alpha)
+    left = mat_mul_field(a_res, data.s0, fld)
+    right = mat_mul_field(data.s_minus1, b_res, fld)
+    return all(
+        fld.add(x, y) == (fld.one if i == j else fld.zero)
+        for i, (row_l, row_r) in enumerate(zip(left, right))
+        for j, (x, y) in enumerate(zip(row_l, row_r))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +457,8 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
     """Re-test contractibility under seeded random perturbations of the
     preimages by y-terms of degree 1 and 2; the verdict must never move.
     The baseline takes the residue pencil; each perturbed verdict takes the
-    oracle route, specialize then residue, so two routes are compared.  A
-    zero entry of A or B goes to fld.zero without that route, which is exact
-    because specialize(0) = 0; every nonzero entry takes it."""
+    oracle route, specialize then residue (_oracle_residues), so two routes
+    are compared."""
     alpha = _as_alpha(C, alpha)
     fld = alpha.field
     if not fld.finite:
@@ -465,7 +468,6 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
     baseline = contractible_at(C, alpha)
     rng = random.Random(seed)
     elems = list(fld.elements())
-    zero = fld.zero
 
     monos = []
     nx, nd = ring.c, ring.d
@@ -491,12 +493,6 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
                     p = p + amb.monomial(m, coef)
             preimages.append(p)
         perturbed = make_alpha(ring, alpha.point, preimages=tuple(preimages), field=fld)
-        a_bar, b_bar = (
-            [
-                [residue(specialize(e, perturbed, ring), ring) if e.terms else zero for e in row]
-                for row in grid
-            ]
-            for grid in (C.A, C.B)
-        )
+        a_bar, b_bar = _oracle_residues(C, perturbed)
         verdicts.append(rank_over_field(a_bar, fld) + rank_over_field(b_bar, fld) == C.size)
     return PerturbationReport(alpha, trials, seed, baseline, verdicts)

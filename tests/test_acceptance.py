@@ -354,7 +354,7 @@ def test_criterion_8_structural_invariants():
         everything.append((f"realize-stage{i}|GF(5)", stage.complex))
 
     for label, c in everything:
-        report = validate_pair(c, check_rank=True)
+        report = validate_pair(c)
         if not report.ok:
             failures.append(f"{label}: {report.describe()}")
 

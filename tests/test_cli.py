@@ -306,15 +306,42 @@ def _replaced(obj, path, value):
             "'periodic' block's 'degrees1' holds a degree that is not an integer",
         ),
         ((), [], "complex file is not a JSON object"),
+        (
+            ("periodic", "degrees0"),
+            [0.5, 0],
+            "'periodic' block's 'degrees0' holds a degree that is not an integer",
+        ),
+        (
+            ("periodic", "degrees1"),
+            [False, True],
+            "'periodic' block's 'degrees1' holds a degree that is not an integer",
+        ),
+        (
+            ("periodic", "degrees1"),
+            ["1", "0"],
+            "'periodic' block's 'degrees1' holds a degree that is not an integer",
+        ),
+        (
+            ("periodic", "degrees0"),
+            ["a", 0],
+            "'periodic' block's 'degrees0' holds a degree that is not an integer",
+        ),
+        (("ring", "f"), [5, "y^2"], "ring object's 'f' holds an entry that is not a string"),
+        (("ring", "f"), [None, "y^2"], "ring object's 'f' holds an entry that is not a string"),
+        (("periodic", "certified"), "false", "'periodic' block's 'certified' is not a boolean"),
     ],
     ids=[
         "row-string", "degrees-string", "matrix-number", "row-number", "degrees-number",
         "xvars-number", "xvars-entry", "f-string", "field-number", "degree-null", "top-level-list",
+        "degree-float", "degree-bool", "degree-string", "degree-letter", "f-number", "f-null",
+        "certified-string",
     ],
 )
 def test_malformed_json_shapes_are_usage_errors(k_file, tmp_path, capsys, path, value, message):
     # a string or number where a JSON array belongs is never iterated: a row
-    # "yx" was read as two entries, and a number raised a traceback
+    # "yx" was read as two entries, and a number raised a traceback; nor is a
+    # degree, an f_i or the certified flag coerced: 0.5 became 0, "1" became
+    # 1, and "false" counted as a claim
     obj = _replaced(json.loads(open(k_file).read()), path, value)
     bad = tmp_path / "shape.json"
     bad.write_text(json.dumps(obj))

@@ -403,7 +403,7 @@ def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     def run(C):
         products.clear()
         normal_forms.clear()
-        return [code for code, _ in validate_pair(C, check_rank=False).findings]
+        return [code for code, _ in validate_pair(C).findings]
 
     assert run(tail) == [] and products == []
     certified_calls = len(normal_forms)
@@ -427,7 +427,7 @@ def test_validate_reports_rank_defect(ring5):
 
 def test_validate_notes_uncertified_assumption(ring5):
     c = PeriodicComplex(ring5, [["x1"]], [["0"]], (0,), (1,), certified=False)
-    report = validate_pair(c, check_rank=False)
+    report = validate_pair(c)
     assert report.ok
     assert any("not claimed" in note for note in report.notes)
 
@@ -541,5 +541,5 @@ def test_validate_applies_the_twist_to_b(ring5):
     # A maps degrees1 to degrees0; B maps degrees0 twisted by 1 to degrees1,
     # so x1 fits A here (1 - 0) but not B ((0 + 1) - 1)
     c = PeriodicComplex(ring5, [["x1"]], [["x1"]], (0,), (1,), certified=False)
-    homogeneity = [m for code, m in validate_pair(c, check_rank=False).findings if code == "NotHomogeneous"]
+    homogeneity = [m for code, m in validate_pair(c).findings if code == "NotHomogeneous"]
     assert homogeneity == ["B: entry (0,0) = x1 has x-degree 1, expected 0"]

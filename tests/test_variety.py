@@ -30,6 +30,7 @@ from ghrv.poly import Poly, PolyRing
 from ghrv.ring import RingSpec, make_alpha, residue, specialize
 from ghrv.variety import (
     MAX_POINTS,
+    ContractionData,
     ProjPoint,
     _canonical_gens,
     construct_contraction,
@@ -47,6 +48,7 @@ from ghrv.variety import (
     ranks_over_R,
     residue_matrices,
     residue_ranks,
+    verify_contraction,
 )
 
 
@@ -346,8 +348,23 @@ def test_contraction_construction(ring5):
     pair = fixture_rank_one(ring5)
     for pt in enumerate_points(ring5.field, 2):
         data = construct_contraction(pair, pt)
-        assert data.verified
+        assert verify_contraction(pair, data)
         assert len(data.s0) == len(data.s_minus1) == 2
+        # A has rank one, so A s0 alone is not the identity: the check
+        # must read s_minus1
+        zero = ring5.field.zero
+        no_s_minus1 = ContractionData(data.alpha, data.s0, [[zero, zero], [zero, zero]])
+        assert not verify_contraction(pair, no_s_minus1)
+
+
+def test_contraction_refused_on_a_pair_that_is_not_a_complex(ring5):
+    # the residue ranks at (1:0) sum to the size, but A B != 0, so the
+    # constructed section fails A s0 + s_minus1 B = I
+    pair = PeriodicComplex(ring5, [["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]],
+                           (0, 0), (0, 0), certified=False)
+    assert residue_ranks(pair, (1, 0)) == (1, 1)
+    with pytest.raises(NotContractible, match="is not the identity at"):
+        construct_contraction(pair, (1, 0))
 
 
 def test_contraction_refused_on_the_variety(ring5):
