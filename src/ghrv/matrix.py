@@ -3,7 +3,10 @@
 A matrix is a rectangular tuple-of-tuples grid; a periodic pair is two such
 grids plus its generator degrees (complexes.PeriodicComplex).  Everything
 here is fraction free: polynomial ranks use Bareiss elimination (each
-division is exact by the minor identity), and minor enumeration takes
+division is exact by the minor identity) on sparse rows, where a row the
+pivot column misses is not touched.  Its skipped scalings p_t / p_(t-1)
+telescope, so one division by the pivot that last wrote it, when the row
+is next touched, is exact and catches it up.  Minor enumeration takes
 exterior products of rows, v_i1 ^ .. ^ v_ir, whose coefficients are the
 r x r minors on those rows; only nonzero coefficients are kept, so a sparse
 matrix costs in proportion to its nonzero minors rather than to all of them.
@@ -180,58 +183,49 @@ def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
 
 def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
     """Rank over the fraction field of the (integral) ambient ring, by
-    fraction-free (Bareiss) elimination.
+    fraction-free (Bareiss) elimination on rows kept as dicts of their
+    nonzero entries.  The pivot minimizes (term count, live-row index,
+    column), and only rows with an entry in its column are touched.
 
-    Pivots are chosen to minimize (term count, row, column) over the live
-    block: deterministic, and keeping pivots sparse keeps the exact divisions
-    cheap.
-    """
-    M = [list(r) for r in as_grid(rows)]
-    if not M or not M[0]:
-        return 0
-    m, n = len(M), len(M[0])
-    prev = ring.one()
-    rank = 0
-    steps = min(m, n)
-    for k in range(steps):
+    Each row keeps `lag`, the pivot of the step that last wrote it (one for
+    an input row).  The Bareiss scalings p_t / p_(t-1) it skipped telescope,
+    so its Bareiss row is row * prev / lag, prev the last pivot: a touched
+    row becomes (pivot * row - m * pivot_row) / lag, exactly, and a stale
+    pivot row is first brought up to date as row * prev / lag."""
+    one = ring.one()
+
+    def div(e: Poly, lag: Poly) -> Poly:
+        return e if lag is one else exact_div(e, lag)
+
+    sparse = ({j: e for j, e in enumerate(r) if e.terms} for r in as_grid(rows))
+    live = [(row, one) for row in sparse if row]
+    prev, rank = one, 0
+    while live:
         best = None
-        for i in range(k, m):
-            row = M[i]
-            for j in range(k, n):
-                e = row[j]
-                if not e.is_zero():
-                    score = (len(e.terms), i, j)
-                    if best is None or score < best[0]:
-                        best = (score, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != k:
-            M[k], M[pi] = M[pi], M[k]
-        if pj != k:
-            for row in M:
-                row[k], row[pj] = row[pj], row[k]
-        pivot_row = M[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, m):
-            row = M[i]
-            mik = row[k]
-            mik_live = not mik.is_zero()
-            for j in range(k + 1, n):
-                mij = row[j]
-                cross = mik_live and not pivot_row[j].is_zero()
-                if mij.is_zero():
-                    # pivot * 0 - 0 stays zero exactly
-                    if cross:
-                        row[j] = exact_div(-(mik * pivot_row[j]), prev)
-                    continue
-                num = pivot * mij
-                if cross:
-                    num = num - mik * pivot_row[j]
-                row[j] = exact_div(num, prev)
-            row[k] = ring.zero()
-        prev = pivot
-        rank += 1
+        for i, (row, _) in enumerate(live):
+            for j, e in row.items():
+                if best is None or (len(e.terms), i, j) < best:
+                    best = (len(e.terms), i, j)
+            if best[0] == 1:
+                break
+        _, pi, pc = best
+        pivot_row, lag = live.pop(pi)
+        if lag is not prev:
+            pivot_row = {j: div(e * prev, lag) for j, e in pivot_row.items()}
+        pivot = pivot_row.pop(pc)
+        kept = []
+        for row, lag in live:
+            m = row.pop(pc, None)
+            if m is None:
+                kept.append((row, lag))
+                continue
+            new = {j: pivot * e for j, e in row.items()}
+            for j, e in pivot_row.items():
+                new[j] = new[j] - m * e if j in new else -(m * e)
+            new = {j: div(e, lag) for j, e in new.items() if e.terms}
+            if new:
+                kept.append((new, pivot))
+        live, prev, rank = kept, pivot, rank + 1
     return rank
 
 

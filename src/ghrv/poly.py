@@ -181,12 +181,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def degree_in(self, name: str):
-        i = self.ring.var_index(name)
-        if not self.terms:
-            return NEG_INF
-        return max(m[i] for m in self.terms)
-
     # -- arithmetic -------------------------------------------------------
     def _check(self, other) -> "Poly":
         if isinstance(other, Poly):

@@ -10,12 +10,16 @@ ideals:
 Ranks over R are computed by eliminating x_1: inverting f_1 identifies
 R[1/f_1] with a localized polynomial ring in (x_2..x_c, y), sending x_1 to
 -(f_2 x_2 + .. + f_c x_c)/f_1, and row scaling by powers of f_1 clears the
-denominators without changing the rank.  Fraction-free elimination then gives
-the rank.  The exhaustive descending minor search is kept in matrix.py as the
-oracle this path is tested against.  A pair needs one such elimination when
-it is an exact matrix factorization, A*B = B*A = w*I over P
-(PeriodicComplex.is_factorization): then the complex over R is exact,
-because B v = w u gives w v = A B v = w A u and so v = A u in the domain P,
+denominators without changing the rank.  With u = f_1 x_1 - w and top a
+row's largest x_1-degree, a term c x_1^t m becomes c m u^t f_1^(top - t).
+Each multiplier u^t f_1^(top - t) is built once per elimination and kept as
+a term list, each entry is summed in one dict, and a row without x_1 passes
+unchanged.  Fraction-free elimination on sparse rows (rank_over_domain)
+then gives the rank.  The exhaustive descending minor search is kept in
+matrix.py as the oracle this path is tested against.  A pair needs one such
+elimination when it is an exact matrix factorization, A*B = B*A = w*I over
+P (PeriodicComplex.is_factorization): then the complex over R is exact,
+because B v = w z gives w v = A B v = w A z and so v = A z in the domain P,
 and exactness over the domain R gives rank(B) = n - rank(A) over its
 fraction field (Eisenbud, Trans. AMS 260, 1980).  ranks_over_R applies this
 complement rule and eliminates B as well only when the identity fails.
@@ -81,32 +85,33 @@ MAX_POINTS = 10**6
 # ---------------------------------------------------------------------------
 
 def _eliminate_x1(rows, ring: RingSpec):
-    """Image of the grid under x_1 -> -(f_2 x_2 + .. )/f_1 with per-row
-    denominator clearing; entries stay in the ambient ring but are x_1-free."""
+    """Image of the grid under x_1 -> u/f_1, each row scaled by f_1^top (see
+    the module docstring); entries stay in the ambient ring, x_1-free."""
     amb = ring.ambient
-    x1 = ring.xvars[0]
+    idx = amb.var_index(ring.xvars[0])
     f1 = ring.f[0]
-    u = f1 * amb.variable(x1) - ring.w  # the x_1-free part, negated
+    u = f1 * amb.variable(ring.xvars[0]) - ring.w  # the x_1-free part, negated
+    add, mul = amb.field.add, amb.field.mul
+    multipliers: dict[tuple[int, int], list] = {}
     out = []
     for row in rows:
-        degs = [e.degree_in(x1) for e in row]
-        top = max((d for d in degs if d >= 0), default=0)
+        top = max((m[idx] for e in row for m in e.terms), default=0)
+        if not top:
+            out.append(tuple(row))
+            continue
         new_row = []
         for e in row:
-            if e.is_zero():
-                new_row.append(e)
-                continue
-            acc = amb.zero()
-            idx = amb.var_index(x1)
-            by_exp: dict[int, dict] = {}
+            acc: dict = {}
             for m, c in e.terms.items():
                 t = m[idx]
-                stripped = tuple(0 if k == idx else v for k, v in enumerate(m))
-                by_exp.setdefault(t, {})[stripped] = c
-            for t, terms in by_exp.items():
-                piece = Poly(amb, terms) * u**t * f1 ** (top - t)
-                acc = acc + piece
-            new_row.append(acc)
+                if (t, top) not in multipliers:
+                    multipliers[t, top] = list((u**t * f1 ** (top - t)).terms.items())
+                stripped = m[:idx] + (0,) + m[idx + 1:]
+                for mm, cc in multipliers[t, top]:
+                    mono = tuple(a + b for a, b in zip(stripped, mm))
+                    v = mul(c, cc)
+                    acc[mono] = add(acc[mono], v) if mono in acc else v
+            new_row.append(Poly(amb, acc) if acc else e)
         out.append(tuple(new_row))
     return tuple(out)
 
@@ -160,22 +165,25 @@ class IdealGens:
 
 
 def _canonical_gens(ring: PolyRing, gens) -> tuple[Poly, ...]:
+    """The distinct monic generators by leading monomial, descending; those
+    sharing one are ordered by the repr of their sorted terms, descending,
+    a key built only for such groups.  A constant generator gives (1)."""
     seen = {}
     for g in gens:
-        if g.is_zero():
-            continue
-        g = g.monic()
-        seen[frozenset(g.terms.items())] = g
-    ordered = sorted(
-        seen.values(),
-        key=lambda g: (
-            order_key(g.leading_monomial()),
-            sorted(g.terms.items(), key=lambda kv: order_key(kv[0]), reverse=True).__repr__(),
-        ),
-        reverse=True,
-    )
-    if any(g.is_constant() for g in ordered):
+        if g.terms:
+            g = g.monic()
+            seen[frozenset(g.terms.items())] = g
+    if any(g.is_constant() for g in seen.values()):
         return (ring.one(),)
+    groups: dict = {}
+    for g in seen.values():
+        groups.setdefault(g.leading_monomial(), []).append(g)
+    ordered = []
+    for lm in sorted(groups, key=order_key, reverse=True):
+        group = groups[lm]
+        if len(group) > 1:
+            group.sort(key=lambda g: repr(g.sorted_terms()), reverse=True)
+        ordered += group
     return tuple(ordered)
 
 

@@ -156,6 +156,69 @@ def test_rank_matches_minor_search_on_sparse_grids(ring):
         assert rank_over_domain(g, ring) == rank_by_minors(g, ring) <= r
 
 
+def _lagging_grid(ring, rng, elems, extra, tail, dependent):
+    """A grid whose sparse Bareiss run is forced through lazy scaling.
+
+    Rows 0..3 have one-term entries on the diagonal of columns 0..3, no
+    other entry there but row 3's in column 2, and nothing in column 4;
+    one-term entries elsewhere lie in later rows, so rows 0..3 are the
+    pivots of steps 1 to 4 in that order, and row 3, touched at step 3,
+    pivots at step 4 up to date.  Row 4 has an entry
+    in column 0, none in columns 1..3 and a one-term entry in column 4: it
+    is touched at step 1, skipped at steps 2 to 4, and is the pivot of step
+    5 while stale.  Row 5 has entries in columns 0 and 3 only among 0..3:
+    it is touched at step 1 and again at step 4, after skipping two steps,
+    so its update divides by the step-1 pivot, which the step-3 pivot does
+    not stand in for.  `extra` further rows carry entries of two terms;
+    `tail` columns after column 4 are filled at random; with `dependent`
+    the last row is a combination of two others, so the grid is rank
+    deficient when it is not wide."""
+
+    def poly(nterms):
+        terms = {}
+        while len(terms) < nterms:
+            terms[tuple(rng.randrange(3) for _ in range(ring.nvars))] = rng.choice(elems)
+        return Poly(ring, terms)
+
+    zero = ring.zero()
+    rows = []
+    for s in range(4):
+        rows.append([poly(1) if j == s else zero for j in range(5)])
+    rows[3][2] = poly(2)
+    rows.append([poly(2), zero, zero, zero, poly(1)])
+    rows.append([poly(2), zero, zero, poly(2), zero])
+    for _ in range(extra):
+        rows.append([poly(2) if rng.random() < 0.5 else zero for _ in range(5)])
+    for row in rows:
+        row += [poly(2) if rng.random() < 0.5 else zero for _ in range(tail)]
+    if dependent:
+        a, b = rng.sample(range(len(rows)), 2)
+        ca, cb = poly(1), poly(1)
+        rows.append([ca * x + cb * y for x, y in zip(rows[a], rows[b])])
+    return rows
+
+
+@pytest.mark.parametrize("field", [prime_field(3), make_extension(3, 2), QQ], ids=str)
+def test_sparse_bareiss_lazy_scaling_matches_minor_search(field):
+    # Each grid makes a touched row skip two pivot steps before its next
+    # update and makes a stale row the pivot (see _lagging_grid), on
+    # rectangular and rank-deficient shapes; the transpose has the same
+    # rank and takes other pivots.
+    ring = PolyRing(field, ("a", "b"), ("t",))
+    elems = _field_elems(field)
+    rng = random.Random(107)
+    shapes = set()
+    for extra, tail, dependent in [(0, 1, False), (1, 0, False), (2, 1, False), (0, 2, True),
+                                   (0, 3, True), (1, 3, True), (2, 0, True)] * 2:
+        g = _lagging_grid(ring, rng, elems, extra, tail, dependent)
+        m, n = mat_shape(g)
+        want = rank_by_minors(g, ring)
+        assert rank_over_domain(g, ring) == want
+        assert rank_over_domain(mat_transpose(g), ring) == want
+        shapes.add((m == n, want < min(m, n)))
+    assert shapes >= {(False, False), (False, True), (True, True)}
+
+
 def test_zero_and_identity_ranks(ring):
     assert rank_over_domain(zero_matrix(ring, 3, 4), ring) == 0
     assert rank_over_domain(identity(ring, 4), ring) == 4

@@ -26,8 +26,8 @@ from ghrv.pipelines import (
     realize,
     worked_ring,
 )
-from ghrv.poly import Poly, PolyRing
-from ghrv.ring import RingSpec, make_alpha, residue, specialize
+from ghrv.poly import Poly, PolyRing, order_key
+from ghrv.ring import RingSpec, make_alpha, make_ring, residue, specialize
 from ghrv.variety import (
     MAX_POINTS,
     ContractionData,
@@ -101,6 +101,52 @@ def test_rank_degenerate_inputs(ring5):
     assert rank_over_R([[ring5.ambient.one()]], ring5) == 1
 
 
+def _elimination_rings():
+    """The worked ring, a c = 3 ring, and a ring whose f_1 is not a monomial."""
+    return [
+        worked_ring(prime_field(5)),
+        make_ring(prime_field(3), ["u", "v", "z"], ["x1", "x2", "x3"], ["u^2", "v^2", "z^3"]),
+        make_ring(QQ, ["x", "y"], ["x1", "x2"], ["x^2 + x*y", "y^2"]),
+    ]
+
+
+@pytest.mark.parametrize("ring", _elimination_rings(), ids=["worked", "c3", "nonmonomial"])
+def test_eliminate_x1_is_row_scaling_mod_w(ring):
+    # Row i of the image is f_1^top_i times row i mod w, top_i the row's
+    # largest x_1-degree, with x_1 gone; a row without x_1 is passed as is.
+    amb = ring.ambient
+    idx = amb.var_index(ring.xvars[0])
+    rng = random.Random(113)
+
+    def entry():
+        p = amb.zero()
+        for _ in range(rng.randrange(4)):
+            mono = tuple(rng.randrange(3) for _ in range(amb.nvars))
+            p = p + amb.monomial(mono, ring.field.from_int(rng.randrange(1, 5)))
+        return p
+
+    grids = [[[entry() for _ in range(n)] for _ in range(m)] for m, n in ((2, 3), (3, 3), (4, 2))]
+    grids.append([[ring.normal_form(e) for e in row] for row in grids[1]])
+    grids.append([[e + ring.w for e in row] for row in grids[2]])
+    grids.append([[e * amb.variable(ring.xvars[0]) ** 2 for e in row] for row in grids[0]])
+    grids.append([list(ring.f), [amb.zero()] * ring.c, [ring.w] * ring.c])
+    tops = set()
+    for grid in grids:
+        out = ghrv.variety._eliminate_x1(grid, ring)
+        assert len(out) == len(grid)
+        for row, new_row in zip(grid, out):
+            top = max((m[idx] for e in row for m in e.terms), default=0)
+            tops.add(top)
+            scale = ring.f[0] ** top
+            assert len(new_row) == len(row)
+            for e, image in zip(row, new_row):
+                assert all(m[idx] == 0 for m in image.terms)
+                assert ring.normal_form(image - scale * e).is_zero()
+            if top == 0:
+                assert list(new_row) == list(row)
+    assert {0, 1, 2} <= tops and max(tops) >= 4
+
+
 # -- the complement rule ------------------------------------------------------
 
 def _exact_factorizations(ring):
@@ -121,13 +167,23 @@ def _exact_factorizations(ring):
 
 @pytest.mark.parametrize("ring_name", ["ring5", "ringq"])
 def test_complement_rule_on_every_exact_factorization(ring_name, request, monkeypatch):
+    # B is eliminated on its own too, up to the 32x32 realize stage, where
+    # the minors cannot be enumerated: the two ranks partition n, and
+    # neither falls below the residue rank at a point of the base field.
     ring = request.getfixturevalue(ring_name)
     pairs = _exact_factorizations(ring)
+    if ring.field.finite:
+        points = enumerate_points(ring.field, 2)
+    else:
+        points = [proj_point(ring.field, c) for c in ((1, 0), (0, 1), (1, 1), (1, -2), (2, 1))]
     for C in pairs:
         assert C.certified and C.is_factorization
         r_a, r_b = rank_over_R(C.A, ring), rank_over_R(C.B, ring)
         assert r_b == C.size - r_a
         assert ranks_over_R(C) == (r_a, r_b)
+        for pt in points:
+            s_a, s_b = residue_ranks(C, pt)
+            assert r_a >= s_a and r_b >= s_b, (C.size, str(pt))
     # ranks_over_R eliminates A only
     eliminated = []
     rank = ghrv.variety.rank_over_R
@@ -468,6 +524,67 @@ def test_minor_images_match_the_normal_form_route(field):
     for grid in (tail.A, tail.B):
         r = rank_over_R(grid, ring)
         assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
+
+
+def _canonical_by_one_key(ring, gens):
+    """The order _canonical_gens replaced, kept as its oracle: one sort key
+    (leading monomial, repr of the sorted terms) for every generator."""
+    seen = {}
+    for g in gens:
+        if not g.is_zero():
+            g = g.monic()
+            seen[frozenset(g.terms.items())] = g
+    ordered = sorted(
+        seen.values(),
+        key=lambda g: (
+            order_key(g.leading_monomial()),
+            sorted(g.terms.items(), key=lambda kv: order_key(kv[0]), reverse=True).__repr__(),
+        ),
+        reverse=True,
+    )
+    if any(g.is_constant() for g in ordered):
+        return (ring.one(),)
+    return tuple(ordered)
+
+
+def _symbolic_suite(ring, rng):
+    """The complexes of the symbolic benchmark suite over one worked ring:
+    the two fixtures, their shifts, duals and sum, cones on them by random
+    forms of degree 1 and 2, and the 8x8 tail with its shift and dual."""
+    amb = ring.ambient
+    k, r1 = fixture_k(ring), fixture_rank_one(ring)
+    bases = [k, r1, shift(k), dual(k), shift(r1), dual(r1)]
+    if ring.field.finite:
+        units = [e for e in ring.field.elements() if not ring.field.is_zero(e)]
+    else:
+        units = [ring.field.from_int(a) for a in (1, 2, -1, -2)]
+    suite = bases + [direct_sum(k, r1)]
+    for base in bases:
+        for degree in (1, 2):
+            terms = {(i, degree - i) + (0,) * ring.d: rng.choice(units) for i in range(degree + 1)}
+            suite.append(cone_mul(base, Poly(amb, terms)))
+    tail = complete_resolution_of_k(ring)
+    return suite + [tail, shift(tail), dual(tail)]
+
+
+@pytest.mark.parametrize("field", [prime_field(3), prime_field(5), make_extension(3, 2), QQ], ids=str)
+def test_canonical_gens_keep_the_one_key_order(field):
+    # every minor list rank_variety orders on the symbolic suite, and the
+    # lists one size below the critical one, come out byte-identical to the
+    # one-key sort; some lists have generators sharing a leading monomial
+    ring = worked_ring(field)
+    shared = 0
+    for C in _symbolic_suite(ring, random.Random(127)):
+        for grid, r in zip((C.A, C.B), ranks_over_R(C)):
+            for size in {r, r - 1} - {0}:
+                gens = list(all_minors(ring.image_grid(grid), size, ring.kx))
+                got = _canonical_gens(ring.kx, gens)
+                want = _canonical_by_one_key(ring.kx, gens)
+                assert got == want
+                assert [g.to_string(strict=False) for g in got] == [g.to_string(strict=False) for g in want]
+                lms = [g.leading_monomial() for g in got]
+                shared += len(lms) > len(set(lms))
+    assert shared > 0
 
 
 def test_minor_images_visit_only_nonzero_minors(ring5, monkeypatch):
