@@ -44,7 +44,7 @@ from .errors import (
     RingMismatch,
 )
 from .matrix import Grid, as_grid, block_matrix, identity, mat_mul, mat_neg, mat_shape, mat_transpose, zero_matrix
-from .poly import NEG_INF
+from .poly import NEG_INF, Poly
 from .ring import RingSpec
 
 
@@ -79,6 +79,57 @@ def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
     return out
 
 
+@dataclass(frozen=True)
+class DistinctEntries:
+    """Two square grids of polynomials by their distinct nonzero entries.
+
+    values holds each distinct nonzero entry once, in the order first met
+    (the first grid row by row, then the second).  Entries share an index
+    when they are equal as polynomials, whether or not they are one object:
+    mat_neg and the parser make equal entries as separate objects.
+    rows[g][i] lists the (column, index) pairs of the nonzero entries of row
+    i of grid g, so entry (i, j) is values[k] for (j, k) in rows[g][i], and
+    zero when row i has no pair for column j."""
+
+    values: tuple[Poly, ...]
+    rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+    def dense(self, scalars, zero) -> list[list[list]]:
+        """Each grid in full as a list of row lists: scalars[k] at every
+        (column, k) pair and zero elsewhere.  scalars is indexed like
+        values, for example the values evaluated at one point."""
+        out = []
+        for rows in self.rows:
+            grid = []
+            for pairs in rows:
+                row = [zero] * len(rows)
+                for j, k in pairs:
+                    row[j] = scalars[k]
+                grid.append(row)
+            out.append(grid)
+        return out
+
+
+def distinct_entries(grids, image=None) -> DistinctEntries:
+    """The nonzero entries of square `grids`, or their images under `image`
+    when it is given, indexed by distinct value (see DistinctEntries).  Only
+    nonzero entries are read, and an image that is zero is left out."""
+    index: dict[Poly, int] = {}
+    out = []
+    for grid in grids:
+        rows = []
+        for row in grid:
+            pairs = []
+            for j, e in enumerate(row):
+                if e.terms:
+                    v = e if image is None else image(e)
+                    if v.terms:
+                        pairs.append((j, index.setdefault(v, len(index))))
+            rows.append(tuple(pairs))
+        out.append(tuple(rows))
+    return DistinctEntries(tuple(index), tuple(out))
+
+
 class PeriodicComplex:
     """2-periodic complex of free R-modules, represented by the pair (A, B).
 
@@ -90,7 +141,8 @@ class PeriodicComplex:
     checked here.  validate_pair applies the degree rule and the complex
     condition, and periodic_from_pair refuses a pair that fails them.  A and
     B are never reassigned after construction, which is what lets the pair
-    keep its residue pencil and its is_factorization verdict.
+    keep its residue pencil, its distinct entries and its is_factorization
+    verdict.
     """
 
     def __init__(self, ring: RingSpec, a_grid, b_grid, degrees0, degrees1, certified: bool):
@@ -135,10 +187,22 @@ class PeriodicComplex:
         return self._misfit is None
 
     @cached_property
-    def pencil(self) -> tuple[Grid, Grid]:
-        """The residue pencil (Abar, Bbar) = (A, B)|_{y=0}, grids over k[x];
-        built on first use and kept with the pair."""
-        return self.ring.image_grid(self.A), self.ring.image_grid(self.B)
+    def pencil_entries(self) -> DistinctEntries:
+        """The residue pencil (Abar, Bbar) = (A, B)|_{y=0} over k[x], kept by
+        its distinct nonzero entries: image_in_kx runs once on each nonzero
+        entry of A and B, an image that is zero is left out, and equal
+        images share one index.  A verdict at a point evaluates each
+        distinct entry once and reads the rows of (column, index) pairs, so
+        it costs in proportion to the distinct nonzero entries; no dense
+        grid is kept.  Built on first use and kept with the pair."""
+        return distinct_entries((self.A, self.B), self.ring.image_in_kx)
+
+    @cached_property
+    def pair_entries(self) -> DistinctEntries:
+        """A and B over P by their distinct nonzero entries, which the
+        specialize-then-residue oracle substitutes into, each once per
+        point.  Built on first use and kept with the pair."""
+        return distinct_entries((self.A, self.B))
 
     def __eq__(self, other):
         return (

@@ -12,10 +12,12 @@ r x r minors on those rows; only nonzero coefficients are kept, so a sparse
 matrix costs in proportion to its nonzero minors rather than to all of them.
 
 Field-level routines (rank, generalized inverse, product, sum) take grids of
-field scalars.  Rank eliminates sparsely, keeping each row as a dict of its
-nonzero entries, so a residue pencil costs in proportion to its nonzero
-scalars; the generalized inverse uses plain Gauss elimination with
-deterministic pivoting.
+field scalars.  Rank eliminates sparsely on rows kept as dicts of their
+nonzero scalars (rank_of_rows), so it costs in proportion to them.  A
+caller that already holds a matrix by its nonzero entries, as a verdict at
+a point holds the residue pencil, builds those dicts directly; a dense grid
+goes through rank_over_field, which converts it once.  The generalized
+inverse uses plain Gauss elimination with deterministic pivoting.
 """
 
 from __future__ import annotations
@@ -191,11 +193,44 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
     an input row).  The Bareiss scalings p_t / p_(t-1) it skipped telescope,
     so its Bareiss row is row * prev / lag, prev the last pivot: a touched
     row becomes (pivot * row - m * pivot_row) / lag, exactly, and a stale
-    pivot row is first brought up to date as row * prev / lag."""
+    pivot row is first brought up to date as row * prev / lag.
+
+    Each updated entry is summed in one monomial -> coefficient dict and
+    becomes one Poly.  A one-term lag, the usual case, is divided out of
+    that dict in the same pass, and a term it does not divide raises
+    ArithmeticError as exact_div would; any other lag goes to exact_div."""
     one = ring.one()
+    fld = ring.field
+    add, mul, neg, inv, is_zero = fld.add, fld.mul, fld.neg, fld.inv, fld.is_zero
 
     def div(e: Poly, lag: Poly) -> Poly:
         return e if lag is one else exact_div(e, lag)
+
+    def update(e: Poly | None, f: Poly | None, pivot_terms, neg_m_terms, lag: Poly, lag_term):
+        # (pivot * e - m * f) / lag as one Poly, e or f None for zero
+        acc: dict = {}
+        for left, right in ((pivot_terms, e), (neg_m_terms, f)):
+            if right is None:
+                continue
+            for m1, c1 in left:
+                for m2, c2 in right.terms.items():
+                    mono = tuple(x + y for x, y in zip(m1, m2))
+                    c = mul(c1, c2)
+                    acc[mono] = add(acc[mono], c) if mono in acc else c
+        if lag is one:
+            return Poly(ring, acc)
+        if lag_term is None:
+            return exact_div(Poly(ring, acc), lag)
+        dm, dc_inv = lag_term
+        q = {}
+        for mono, c in acc.items():
+            if is_zero(c):
+                continue
+            shifted = tuple(y - x for x, y in zip(dm, mono))
+            if min(shifted, default=0) < 0:
+                raise ArithmeticError(f"inexact division: remainder {Poly(ring, {mono: c})}")
+            q[shifted] = mul(c, dc_inv)
+        return Poly(ring, q)
 
     sparse = ({j: e for j, e in enumerate(r) if e.terms} for r in as_grid(rows))
     live = [(row, one) for row in sparse if row]
@@ -213,16 +248,23 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
         if lag is not prev:
             pivot_row = {j: div(e * prev, lag) for j, e in pivot_row.items()}
         pivot = pivot_row.pop(pc)
+        pivot_terms = list(pivot.terms.items())
         kept = []
         for row, lag in live:
             m = row.pop(pc, None)
             if m is None:
                 kept.append((row, lag))
                 continue
-            new = {j: pivot * e for j, e in row.items()}
-            for j, e in pivot_row.items():
-                new[j] = new[j] - m * e if j in new else -(m * e)
-            new = {j: div(e, lag) for j, e in new.items() if e.terms}
+            neg_m_terms = [(mono, neg(c)) for mono, c in m.terms.items()]
+            lag_term = None
+            if lag is not one and len(lag.terms) == 1:
+                ((dm, dc),) = lag.terms.items()
+                lag_term = (dm, inv(dc))
+            new = {}
+            for j in list(row) + [j for j in pivot_row if j not in row]:
+                e = update(row.get(j), pivot_row.get(j), pivot_terms, neg_m_terms, lag, lag_term)
+                if e.terms:
+                    new[j] = e
             if new:
                 kept.append((new, pivot))
         live, prev, rank = kept, pivot, rank + 1
@@ -246,24 +288,26 @@ def rank_by_minors(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
 # ---------------------------------------------------------------------------
 
 def rank_over_field(rows: Sequence[Sequence], field: Field) -> int:
-    """Rank by sparse Gauss elimination.
-
-    Each row is kept as a dict of its nonzero entries, and rows with none
-    are dropped; a scalar is zero when it equals field.zero, as
-    Field.is_zero has it, compared inline since this is the one pass over
-    every entry.  A step takes a shortest live row as the pivot row, which
-    keeps fill-in low, and its first stored entry as the pivot.  Only rows
-    with an entry in the pivot column are updated, and only at the pivot
-    row's other nonzero columns: with f = -1/pivot computed once, each
-    touched entry costs one mul and one add.  An entry that cancels is
-    deleted and a row left empty is dropped, so the cost follows the
-    nonzero entries, not the shape.  Rank does not depend on pivot order."""
+    """Rank of a dense grid of field scalars: each row is converted once to
+    a dict of its nonzero entries, a scalar being zero when it equals
+    field.zero as Field.is_zero has it, and rank_of_rows eliminates."""
     zero = field.zero
-    live = []
-    for row in rows:
-        entries = {j: e for j, e in enumerate(row) if e != zero}
-        if entries:
-            live.append(entries)
+    return rank_of_rows([{j: e for j, e in enumerate(row) if e != zero} for row in rows], field)
+
+
+def rank_of_rows(rows: list[dict], field: Field) -> int:
+    """Rank by sparse Gauss elimination on rows given as dicts column ->
+    nonzero scalar; the dicts are consumed, and an empty one is a zero row.
+
+    A step takes a shortest live row as the pivot row, which keeps fill-in
+    low, and its first stored entry as the pivot.  Only rows with an entry
+    in the pivot column are updated, and only at the pivot row's other
+    nonzero columns: with f = -1/pivot computed once, each touched entry
+    costs one mul and one add.  An entry that cancels is deleted and a row
+    left empty is dropped, so the cost follows the nonzero entries, not the
+    shape.  Rank does not depend on pivot order."""
+    zero = field.zero
+    live = [row for row in rows if row]
     add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     rank = 0
     while live:

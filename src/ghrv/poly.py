@@ -93,8 +93,7 @@ class PolyRing:
 
     def variable(self, name: str) -> "Poly":
         i = self.var_index(name)
-        mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Poly(self, {mono: self.field.one})
+        return self.monomial(tuple(1 if j == i else 0 for j in range(self.nvars)))
 
     def monomial(self, mono: tuple[int, ...], coeff=None) -> "Poly":
         if coeff is None:
@@ -268,9 +267,14 @@ class Poly:
         return Poly(self.ring, {m: fld.mul(coef, c) for m, coef in self.terms.items()})
 
     def monic(self) -> "Poly":
+        """This polynomial scaled to leading coefficient one; the zero
+        polynomial, and one already monic, come back as they are."""
         if not self.terms:
             return self
-        return self.scale(self.ring.field.inv(self.leading_coeff()))
+        lc = self.leading_coeff()
+        if lc == self.ring.field.one:
+            return self
+        return self.scale(self.ring.field.inv(lc))
 
     def __eq__(self, other):
         if isinstance(other, int):

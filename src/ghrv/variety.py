@@ -34,22 +34,27 @@ Membership of a point is evaluation of generators, optionally through a
 deterministic field embedding, so a variety computed over GF(p) can be
 scanned over GF(p^j) towers.  Contractibility at a point alpha evaluates the
 pencil at alpha and tests rank(Abar(alpha)) + rank(Bbar(alpha)) = n.  Each
-pair builds its pencil once and keeps it (PeriodicComplex.pencil), so a scan
-over many points pays for y -> 0 once.  Both membership and the residue
-matrices evaluate through poly.evaluator, which looks up the embedding once
-and keeps one power table per coordinate for all entries at a point.  Only
-the nonzero pencil entries are evaluated; the rest are zero at every point,
-and the sparse field rank (matrix.rank_over_field) reads only the nonzero
-scalars, so a verdict costs in proportion to the nonzero entries.
-Specializing x -> a along chosen preimages a of alpha and then reducing
-y -> 0 gives the same scalars for every choice of preimages; that route is
-kept as the oracle (_oracle_residues), and only two checks run it: the
-preimage perturbation check, and verify_contraction, the one check of a
-contraction's identity A s0 + s_minus1 B = I (s0 and s_minus1 are
-constant, so the identity is read on residues).  The oracle
-substitutes the preimages into every nonzero entry of A and B and reduces
-the whole specialized polynomial, so it costs more than the verdict it
-checks; each preimage keeps its powers (Poly.__pow__), so a trial raises
+pair keeps its pencil by its distinct nonzero entries
+(PeriodicComplex.pencil_entries): the images y -> 0 of the nonzero entries
+of A and B, equal images sharing one index, and for each of Abar and Bbar
+rows of (column, index) pairs.  A scan over many points therefore pays for
+y -> 0 once.  A verdict builds one poly.evaluator per point, which looks up
+the embedding once and keeps one power table per coordinate, evaluates
+each distinct entry once, and builds each row's dict of nonzero scalars
+straight from its pairs for the sparse field rank (matrix.rank_of_rows).
+So a verdict costs in proportion to the distinct nonzero entries, and no
+dense grid is formed; residue_matrices expands the same scalars into dense
+grids for construct_contraction and the tests.  Specializing x -> a along
+chosen preimages a of alpha and then reducing y -> 0 gives the same
+scalars for every choice of preimages; that route is kept as the oracle
+(_oracle_residues), and only two checks run it: the preimage perturbation
+check, and verify_contraction, the one check of a contraction's identity
+A s0 + s_minus1 B = I (s0 and s_minus1 are constant, so the identity is
+read on residues).  The oracle substitutes the full preimages into each
+distinct nonzero entry of A and B (PeriodicComplex.pair_entries), once per
+point, and reads the residue from the whole specialized polynomial, so it
+costs more than the verdict it checks; no oracle scalar comes from the
+pencil.  Each preimage keeps its powers (Poly.__pow__), so a trial raises
 each preimage once for all entries.  A zero entry skips the oracle, since
 specialize(0) = 0 exactly.  A verdict at a ProjPoint validates the point
 and evaluates the pencil; it builds no Alpha and no preimages.
@@ -68,6 +73,7 @@ from .matrix import (
     all_minors,
     generalized_inverse,
     mat_mul_field,
+    rank_of_rows,
     rank_over_domain,
     rank_over_field,
 )
@@ -348,14 +354,13 @@ def _field_and_point(C: PeriodicComplex, alpha) -> tuple[Field, tuple]:
     return C.ring.field, point_coords(C.ring, tuple(alpha))
 
 
-def _pencil_at(C: PeriodicComplex, fld: Field, point: tuple) -> list:
-    """[Abar(point), Bbar(point)] as grids of scalars of fld.  One evaluator
-    serves every entry, so the embedding and the powers of each coordinate
-    are computed once per point; a zero entry of the pencil is fld.zero
-    without being evaluated."""
+def _pencil_scalars(C: PeriodicComplex, fld: Field, point: tuple) -> list:
+    """The distinct nonzero entries of the pencil (C.pencil_entries.values)
+    evaluated at point, as scalars of fld.  One evaluator serves them all,
+    so the embedding and the powers of each coordinate are computed once
+    per point, and each distinct entry is evaluated once."""
     at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, point)), fld)
-    zero = fld.zero
-    return [[[at(e) if e.terms else zero for e in row] for row in grid] for grid in C.pencil]
+    return [at(e) for e in C.pencil_entries.values]
 
 
 def residue_matrices(C: PeriodicComplex, alpha) -> tuple[list[list], list[list], Alpha]:
@@ -363,14 +368,23 @@ def residue_matrices(C: PeriodicComplex, alpha) -> tuple[list[list], list[list],
     alpha's field.  They equal the specialize-then-residue grids for every
     choice of preimages, which is why alpha's preimages are not read."""
     alpha = _as_alpha(C, alpha)
-    a_bar, b_bar = _pencil_at(C, alpha.field, alpha.point)
+    scalars = _pencil_scalars(C, alpha.field, alpha.point)
+    a_bar, b_bar = C.pencil_entries.dense(scalars, alpha.field.zero)
     return a_bar, b_bar, alpha
 
 
 def residue_ranks(C: PeriodicComplex, alpha) -> tuple[int, int]:
+    """(rank Abar(alpha), rank Bbar(alpha)), eliminated on rows of the
+    nonzero scalars, each row's dict built straight from its (column,
+    index) pairs; no dense grid is formed."""
     fld, point = _field_and_point(C, alpha)
-    a_bar, b_bar = _pencil_at(C, fld, point)
-    return rank_over_field(a_bar, fld), rank_over_field(b_bar, fld)
+    scalars = _pencil_scalars(C, fld, point)
+    zero = fld.zero
+    r_a, r_b = (
+        rank_of_rows([{j: s for j, k in pairs if (s := scalars[k]) != zero} for pairs in rows], fld)
+        for rows in C.pencil_entries.rows
+    )
+    return r_a, r_b
 
 
 def contractible_at(C: PeriodicComplex, alpha) -> bool:
@@ -381,16 +395,14 @@ def contractible_at(C: PeriodicComplex, alpha) -> bool:
 
 
 def _oracle_residues(C: PeriodicComplex, alpha: Alpha) -> list:
-    """[Abar, Bbar] at alpha by the oracle route: each nonzero entry of A and
-    B is specialized along alpha's preimages and then reduced y -> 0.  A zero
-    entry is fld.zero without that route, which is exact because
-    specialize(0) = 0; every nonzero entry takes it."""
+    """[Abar, Bbar] at alpha by the oracle route: each distinct nonzero
+    entry of A and B (C.pair_entries) is specialized along alpha's
+    preimages and then reduced y -> 0, once, and the dense grids are filled
+    from those scalars.  A zero entry is fld.zero without that route, which
+    is exact because specialize(0) = 0."""
     ring = C.ring
-    zero = alpha.field.zero
-    return [
-        [[residue(specialize(e, alpha, ring), ring) if e.terms else zero for e in row] for row in grid]
-        for grid in (C.A, C.B)
-    ]
+    scalars = [residue(specialize(e, alpha, ring), ring) for e in C.pair_entries.values]
+    return C.pair_entries.dense(scalars, alpha.field.zero)
 
 
 @dataclass
@@ -477,8 +489,8 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
     rng = random.Random(seed)
     elems = list(fld.elements())
 
-    monos = []
     nx, nd = ring.c, ring.d
+    monos = []
     for i in range(nd):
         m = [0] * (nx + nd)
         m[nx + i] = 1
@@ -490,16 +502,15 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
             m[nx + j] += 1
             monos.append(tuple(m))
 
+    constant = (0,) * (nx + nd)
     verdicts = []
     for _ in range(trials):
         preimages = []
         for a in alpha.point:
-            p = amb.const(a)
+            terms = {constant: a}
             for m in monos:
-                coef = elems[rng.randrange(len(elems))]
-                if not fld.is_zero(coef):
-                    p = p + amb.monomial(m, coef)
-            preimages.append(p)
+                terms[m] = elems[rng.randrange(len(elems))]
+            preimages.append(Poly(amb, terms))  # zero coefficients drop out
         perturbed = make_alpha(ring, alpha.point, preimages=tuple(preimages), field=fld)
         a_bar, b_bar = _oracle_residues(C, perturbed)
         verdicts.append(rank_over_field(a_bar, fld) + rank_over_field(b_bar, fld) == C.size)

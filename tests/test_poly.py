@@ -234,6 +234,30 @@ FIELDS = [prime_field(5), make_extension(3, 2), QQ]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_monic_returns_a_monic_polynomial_itself(field):
+    # a leading coefficient of one leaves nothing to scale: the same object
+    # comes back; any other is scaled into a new polynomial
+    ring = PolyRing(field, ("x1", "x2"), ("x", "y"))
+    rng = random.Random(41)
+    monic_seen = scaled = 0
+    for _ in range(60):
+        p = _random_poly(ring, rng)
+        if p.is_zero():
+            continue
+        m = p.monic()
+        assert m.leading_coeff() == field.one
+        assert m == p.scale(field.inv(p.leading_coeff()))
+        assert m.monic() is m
+        if p.leading_coeff() == field.one:
+            assert m is p
+            monic_seen += 1
+        else:
+            assert m is not p and p.terms != m.terms
+            scaled += 1
+    assert monic_seen and scaled
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_power_equals_repeated_product(field):
     ring = _power_ring(field)
     rng = random.Random(61)

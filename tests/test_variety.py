@@ -26,7 +26,7 @@ from ghrv.pipelines import (
     realize,
     worked_ring,
 )
-from ghrv.poly import Poly, PolyRing, order_key
+from ghrv.poly import Poly, PolyRing, evaluator, order_key
 from ghrv.ring import RingSpec, make_alpha, make_ring, residue, specialize
 from ghrv.variety import (
     MAX_POINTS,
@@ -504,6 +504,73 @@ def test_realize_stage_verdicts_match_specialize_then_residue(ring5):
     assert verdicts.count(False) == 3
 
 
+# The integer points the pointwise benchmark scans over QQ; every zero of its
+# cone scalars, products of linear forms with coefficients +-1, +-2, is one.
+QQ_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
+
+
+@pytest.mark.parametrize("field", [prime_field(3), prime_field(5), make_extension(3, 2), QQ], ids=str)
+def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch):
+    # every complex of the seeded suite and the 8, 16 and 32 realize stages,
+    # at every point of P^1(F_q) and P^1(F_q^2), or the integer points over
+    # QQ: the ranks eliminated on rows of (column, index) pairs equal the
+    # dense ranks of residue_matrices, whose grids equal specializing every
+    # entry of A and B, zero or not, along non-constant preimages and then
+    # y -> 0; the oracle route over distinct entries gives those grids too.
+    # The reference specializes each entry object once per point (a shared
+    # zero block is one object), which does not depend on equal entries
+    # sharing an index.
+    ring = worked_ring(field)
+    stages = realize(ring, [ring.parse("x1 + 2*x2"), ring.parse("x1^2 + x1*x2 + 2*x2^2")], verify=False).stages
+    assert [stage.size for stage in stages] == [8, 16, 32]
+    suite = _symbolic_suite(ring, random.Random(131)) + [stage.complex for stage in stages]
+    if field.finite:
+        points = enumerate_points(field, 2) + enumerate_points(extension_of(field, 2), 2)
+    else:
+        points = [proj_point(field, pt) for pt in QQ_POINTS]
+
+    evaluated = []
+
+    def counting_evaluator(*args, **kwargs):
+        at = evaluator(*args, **kwargs)
+
+        def counted(p):
+            evaluated.append(p)
+            return at(p)
+        return counted
+
+    verdicts = set()
+    for C in suite:
+        entries = [e for grid in (C.A, C.B) for row in grid for e in row if not e.is_zero()]
+        images = {ring.image_in_kx(e) for e in entries} - {ring.kx.zero()}
+        for pt in points:
+            fld = pt.field
+            amb = ring.ambient_over(fld)
+            x, y = (amb.variable(n) for n in ring.yvars)
+            a1, a2 = (amb.const(a) for a in pt.coords)
+            alpha = make_alpha(ring, pt.coords, preimages=(a1 + x * y, a2 + y + x * x), field=fld)
+            memo = {}
+            for e in (e for grid in (C.A, C.B) for row in grid for e in row):
+                if id(e) not in memo:
+                    memo[id(e)] = residue(specialize(e, alpha, ring), ring)
+            oracle = [[[memo[id(e)] for e in row] for row in grid] for grid in (C.A, C.B)]
+            a_bar, b_bar, _ = residue_matrices(C, pt)
+            assert [a_bar, b_bar] == oracle, (C.size, str(pt))
+            assert ghrv.variety._oracle_residues(C, alpha) == oracle, (C.size, str(pt))
+            dense = (rank_over_field(a_bar, fld), rank_over_field(b_bar, fld))
+            monkeypatch.setattr(ghrv.variety, "evaluator", counting_evaluator)
+            evaluated.clear()
+            verdict = contractible_at(C, pt)
+            # each distinct nonzero image is evaluated once, and nothing else
+            assert len(evaluated) == len(set(evaluated)) == len(images)
+            assert set(evaluated) == images
+            monkeypatch.undo()
+            assert residue_ranks(C, pt) == dense, (C.size, str(pt))
+            assert verdict == (sum(dense) == C.size), (C.size, str(pt))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def _minor_image_by_normal_form(rows, r, ring):
     nf_rows = [[ring.normal_form(e) for e in row] for row in rows]
     images = (ring.image_in_kx(ring.normal_form(m)) for m in all_minors(nf_rows, r, ring.ambient))
@@ -587,6 +654,24 @@ def test_canonical_gens_keep_the_one_key_order(field):
     assert shared > 0
 
 
+@pytest.mark.parametrize("field", [prime_field(3), prime_field(5), make_extension(3, 2), QQ], ids=str)
+def test_canonical_gens_unchanged_when_monic_returns_itself(field, monkeypatch):
+    # Poly.monic returns a monic generator itself instead of a scaled copy;
+    # on every critical minor list of the symbolic suite, and the lists one
+    # size below, _canonical_gens prints the same as with the scaling monic
+    ring = worked_ring(field)
+    lists = []
+    for C in _symbolic_suite(ring, random.Random(127)):
+        for grid, r in zip((C.A, C.B), ranks_over_R(C)):
+            for size in {r, r - 1} - {0}:
+                lists.append(list(all_minors(ring.image_grid(grid), size, ring.kx)))
+    got = [[g.to_string(strict=False) for g in _canonical_gens(ring.kx, gens)] for gens in lists]
+    monkeypatch.setattr(Poly, "monic", lambda p: p.scale(field.inv(p.leading_coeff())) if p.terms else p)
+    want = [[g.to_string(strict=False) for g in _canonical_gens(ring.kx, gens)] for gens in lists]
+    assert got == want
+    assert any(g.leading_coeff() == field.one for gens in lists for g in gens)
+
+
 def test_minor_images_visit_only_nonzero_minors(ring5, monkeypatch):
     # Each 8x8 of the resolution of k has 8 nonzero entries and 8 nonzero
     # 4 x 4 minors among its 4900.  Enumerating only nonzero minors builds a
@@ -596,7 +681,7 @@ def test_minor_images_visit_only_nonzero_minors(ring5, monkeypatch):
     # a return to that route from a count of constructions alone.
     tail = complete_resolution_of_k(ring5)
     ranks = ranks_over_R(tail)
-    assert tail.pencil and ranks == (4, 4)
+    assert tail.pencil_entries.values and ranks == (4, 4)
     built = [0]
     init, zero = Poly.__init__, PolyRing.zero
 
@@ -637,24 +722,30 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     calls["image_in_kx"] = 0
     assert contractible_at(tail, pt)
     assert calls["specialize"] == 0
-    assert calls["image_in_kx"] == 2 * tail.size**2  # the pencil, built once
+    # the pencil is built once, from the nonzero entries of A and B only
+    entries = [e for grid in (tail.A, tail.B) for row in grid for e in row if not e.is_zero()]
+    assert calls["image_in_kx"] == len(entries) == 48
     assert contractible_at(tail, pt) and contractible_at(tail, proj_point(ring3.field, (0, 1)))
-    assert calls["image_in_kx"] == 2 * tail.size**2
+    assert calls["image_in_kx"] == len(entries)
     report = preimage_independence_check(tail, pt, trials=2, seed=0)
     assert report.stable and report.baseline
-    # the oracle specializes each nonzero entry of A and B once per trial;
-    # zero entries go to zero without it
-    nonzero = sum(not e.is_zero() for grid in (tail.A, tail.B) for row in grid for e in row)
-    assert calls["specialize"] == 2 * nonzero == 96
+    # the oracle specializes each distinct nonzero entry of A and B once per
+    # trial (equal entries by Poly equality, not by identity); zero entries
+    # go to zero without it
+    distinct = len(set(entries))
+    assert len(tail.pair_entries.values) == distinct == 10
+    assert len({id(e) for e in entries}) == 31  # what dedup by identity would keep
+    assert calls["specialize"] == 2 * distinct
 
-    # one perturbed trial specializes every nonzero entry, and substitutes
-    # in place: every term of the tail has one x-variable of degree one at
-    # most, so no Poly product is formed (a product per term would take 48)
+    # one perturbed trial specializes every distinct nonzero entry, and
+    # substitutes in place: every term of the tail has one x-variable of
+    # degree one at most, so no Poly product is formed (a product per term
+    # would take 48)
     calls["specialize"] = 0
     monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
     report = preimage_independence_check(tail, pt, trials=1, seed=0)
     assert report.verdicts == [report.baseline] == [True]
-    assert calls["specialize"] == nonzero
+    assert calls["specialize"] == distinct
     assert calls["mul"] == 0
     # a degree-2 cone needs the powers of each preimage, computed once for
     # all entries, and one product per term in both x-variables
@@ -669,18 +760,21 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     monkeypatch.undo()
 
     # pairs built from a scanned pair get their own pencils, and their
-    # verdicts agree with the specialize-then-residue oracle everywhere
+    # verdicts agree with the specialize-then-residue oracle everywhere; the
+    # kept pencil, expanded, is the image grid of A and B
     base = fixture_k(ring5)
     points = enumerate_points(ring5.field, 2) + enumerate_points(extension_of(ring5.field, 2), 2)
     assert not any(contractible_at(base, p) for p in points)
     derived = [shift(base), dual(base), cone_mul(base, ring5.parse("x1^2 + 2*x2^2"))]
     for C in derived:
-        assert "pencil" not in vars(C)
+        assert "pencil_entries" not in vars(C)
         for p in points:
             report = preimage_independence_check(C, p, trials=1, seed=3)
             assert report.verdicts == [report.baseline] == [contractible_at(C, p)], str(p)
-        assert C.pencil is not base.pencil
-        assert C.pencil == (ring5.image_grid(C.A), ring5.image_grid(C.B))
+        assert C.pencil_entries is not base.pencil_entries
+        kept = C.pencil_entries
+        dense = kept.dense(kept.values, ring5.kx.zero())
+        assert [tuple(map(tuple, grid)) for grid in dense] == [ring5.image_grid(C.A), ring5.image_grid(C.B)]
     # the cone's variety is Z(x1^2 + 2*x2^2): two points, both over F_25 only
     cone_points = [p for p in points if not contractible_at(derived[2], p)]
     assert len(cone_points) == 2 and all(p.field != ring5.field for p in cone_points)
