@@ -38,12 +38,10 @@ from .pipelines import (
 from .poly import Poly, PolyRing
 from .ring import Alpha, RingSpec, make_alpha, make_ring, specialize
 from .variety import (
-    ContractionData,
     EmptinessVerdict,
     IdealGens,
     ProjPoint,
     ZeroSetUnion,
-    construct_contraction,
     contractible_at,
     enumerate_points,
     is_empty,

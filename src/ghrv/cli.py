@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .complexes import cone_mul, validate_pair
-from .errors import FieldError, GhrvError, ParseError
+from .errors import FieldError, GhrvError, ParseError, UnsupportedField
 from .fields import RationalField, field_name, parse_field
 from .parser import parse_poly
 from .pipelines import (
@@ -128,6 +128,13 @@ def _format_matrix(name: str, grid) -> str:
     return "\n".join(lines)
 
 
+def _check_points(args, ring):
+    """--points lists points over finite fields only: refuse any other field
+    before the verb computes or prints anything."""
+    if args.points and not ring.field.finite:
+        raise UnsupportedField("point enumeration needs a finite field")
+
+
 def _print_points(V, field, ext_bound: int):
     for j in range(1, ext_bound + 1):
         fld = extension_of(field, j)
@@ -174,11 +181,15 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_variety(args) -> int:
+    if args.ext_bound < 1:
+        raise ValueError(f"--ext-bound needs a degree >= 1, got {args.ext_bound}")
     if args.fixture:
         ring = load_ring(args.complex)
+        _check_points(args, ring)
         C = named_fixture(args.fixture, ring)
     else:
         C = load_complex(args.complex)
+        _check_points(args, C.ring)
     V = rank_variety(C)
     print("components: " + V.describe())
     if args.points:
@@ -243,6 +254,7 @@ def _cmd_resolve_k(args) -> int:
 
 def _cmd_realize(args) -> int:
     ring = load_ring(args.ring)
+    _check_points(args, ring)
     scalars = [parse_poly(ring.ambient, p) for p in args.ps]
     trace = realize(ring, scalars)
     print("trace sizes: " + " -> ".join(str(s) for s in trace.sizes))

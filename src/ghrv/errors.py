@@ -83,10 +83,6 @@ class InvalidComplex(GhrvError):
     """Operation requires a structurally valid (or certified) complex."""
 
 
-class NotContractible(GhrvError):
-    """Contraction data requested at a point of the rank variety."""
-
-
 class UnsupportedField(GhrvError):
     """Operation needs a finite field (or a prime one) and got something else."""
 

@@ -11,13 +11,13 @@ exterior products of rows, v_i1 ^ .. ^ v_ir, whose coefficients are the
 r x r minors on those rows; only nonzero coefficients are kept, so a sparse
 matrix costs in proportion to its nonzero minors rather than to all of them.
 
-Field-level routines (rank, generalized inverse, product, sum) take grids of
-field scalars.  Rank eliminates sparsely on rows kept as dicts of their
-nonzero scalars (rank_of_rows), so it costs in proportion to them.  A
-caller that already holds a matrix by its nonzero entries, as a verdict at
-a point holds the residue pencil, builds those dicts directly; a dense grid
-goes through rank_over_field, which converts it once.  The generalized
-inverse uses plain Gauss elimination with deterministic pivoting.
+The one field-level routine is rank.  It eliminates sparsely on rows kept
+as dicts of their nonzero scalars (rank_of_rows), so it costs in
+proportion to them.  A caller that already holds a matrix by its nonzero
+entries, as a verdict at a point holds the residue pencil, builds those
+dicts directly; a dense grid of field scalars, such as the oracle's
+specialize-then-residue grids, goes through rank_over_field, which
+converts it once.
 """
 
 from __future__ import annotations
@@ -339,54 +339,3 @@ def rank_of_rows(rows: list[dict], field: Field) -> int:
             kept.append(row)
         live = kept
     return rank
-
-
-def generalized_inverse(rows: Sequence[Sequence], field: Field) -> list[list]:
-    """G with M*G*M = M, from the row-reduction certificate.
-
-    Row reduce [M | I] to get X with X*M = RREF; if the pivot columns are
-    j_1 < .. < j_r then G routes coordinate t of X back into slot j_t.  The
-    RREF expresses every column of M through its pivot columns with the same
-    coefficients, which is exactly M*G*M = M.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    A = [list(r) + [field.one if i == t else field.zero for t in range(m)] for i, r in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for j in range(n):
-        piv = None
-        for i in range(r, m):
-            if not field.is_zero(A[i][j]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = field.inv(A[r][j])
-        A[r] = [field.mul(v, inv) for v in A[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(A[i][j]):
-                f = A[i][j]
-                A[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(A[i], A[r])]
-        pivots.append((r, j))
-        r += 1
-    G = [[field.zero] * m for _ in range(n)]
-    for t, j in pivots:
-        G[j] = A[t][n:]
-    return G
-
-
-def mat_mul_field(a, b, field: Field) -> list[list]:
-    m, k, n = len(a), len(b), len(b[0]) if b else 0
-    out = [[field.zero] * n for _ in range(m)]
-    for i in range(m):
-        for t in range(k):
-            x = a[i][t]
-            if field.is_zero(x):
-                continue
-            row_b = b[t]
-            row_o = out[i]
-            for j in range(n):
-                row_o[j] = field.add(row_o[j], field.mul(x, row_b[j]))
-    return out

@@ -43,21 +43,18 @@ the embedding once and keeps one power table per coordinate, evaluates
 each distinct entry once, and builds each row's dict of nonzero scalars
 straight from its pairs for the sparse field rank (matrix.rank_of_rows).
 So a verdict costs in proportion to the distinct nonzero entries, and no
-dense grid is formed; residue_matrices expands the same scalars into dense
-grids for construct_contraction and the tests.  Specializing x -> a along
-chosen preimages a of alpha and then reducing y -> 0 gives the same
-scalars for every choice of preimages; that route is kept as the oracle
-(_oracle_residues), and only two checks run it: the preimage perturbation
-check, and verify_contraction, the one check of a contraction's identity
-A s0 + s_minus1 B = I (s0 and s_minus1 are constant, so the identity is
-read on residues).  The oracle substitutes the full preimages into each
-distinct nonzero entry of A and B (PeriodicComplex.pair_entries), once per
-point, and reads the residue from the whole specialized polynomial, so it
-costs more than the verdict it checks; no oracle scalar comes from the
-pencil.  Each preimage keeps its powers (Poly.__pow__), so a trial raises
-each preimage once for all entries.  A zero entry skips the oracle, since
-specialize(0) = 0 exactly.  A verdict at a ProjPoint validates the point
-and evaluates the pencil; it builds no Alpha and no preimages.
+dense grid is formed.  Specializing x -> a along chosen preimages a of
+alpha and then reducing y -> 0 gives the same scalars for every choice of
+preimages; that route is kept as the oracle (_oracle_residues), and only
+the preimage perturbation check runs it.  The oracle substitutes the full
+preimages into each distinct nonzero entry of A and B
+(PeriodicComplex.pair_entries), once per point, and reads the residue from
+the whole specialized polynomial, so it costs more than the verdict it
+checks; no oracle scalar comes from the pencil.  Each preimage keeps its
+powers (Poly.__pow__), so a trial raises each preimage once for all
+entries.  A zero entry skips the oracle, since specialize(0) = 0 exactly.
+A verdict at a ProjPoint validates the point and evaluates the pencil; it
+builds no Alpha and no preimages.
 """
 
 from __future__ import annotations
@@ -67,16 +64,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .complexes import PeriodicComplex
-from .errors import BoundExceeded, InvalidComplex, NotContractible, UnsupportedField
+from .errors import BoundExceeded, InvalidComplex, UnsupportedField
 from .fields import ExtensionField, Field, PrimeField, field_name, make_extension
-from .matrix import (
-    all_minors,
-    generalized_inverse,
-    mat_mul_field,
-    rank_of_rows,
-    rank_over_domain,
-    rank_over_field,
-)
+from .matrix import all_minors, rank_of_rows, rank_over_domain, rank_over_field
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import Alpha, RingSpec, make_alpha, point_coords, residue, specialize
 
@@ -318,10 +308,13 @@ class EmptinessVerdict:
 
 def is_empty(V: ZeroSetUnion, bound: int = 4) -> EmptinessVerdict:
     """Bounded semi-decision: scan P^(c-1)(F_(q^j)) for j = 1..bound in
-    deterministic order and report the first witness, if any."""
+    deterministic order and report the first witness, if any.  bound < 1
+    raises ValueError: a scan over no extension decides nothing."""
     base = V.ring.field
     if not base.finite:
         raise UnsupportedField("emptiness scan needs a finite base field")
+    if bound < 1:
+        raise ValueError(f"emptiness scan needs bound >= 1, got {bound}")
     c = len(V.ring.vars)
     for j in range(1, bound + 1):
         fld = extension_of(base, j)
@@ -354,31 +347,16 @@ def _field_and_point(C: PeriodicComplex, alpha) -> tuple[Field, tuple]:
     return C.ring.field, point_coords(C.ring, tuple(alpha))
 
 
-def _pencil_scalars(C: PeriodicComplex, fld: Field, point: tuple) -> list:
-    """The distinct nonzero entries of the pencil (C.pencil_entries.values)
-    evaluated at point, as scalars of fld.  One evaluator serves them all,
-    so the embedding and the powers of each coordinate are computed once
-    per point, and each distinct entry is evaluated once."""
-    at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, point)), fld)
-    return [at(e) for e in C.pencil_entries.values]
-
-
-def residue_matrices(C: PeriodicComplex, alpha) -> tuple[list[list], list[list], Alpha]:
-    """The residue pencil evaluated at alpha: field-scalar grids over
-    alpha's field.  They equal the specialize-then-residue grids for every
-    choice of preimages, which is why alpha's preimages are not read."""
-    alpha = _as_alpha(C, alpha)
-    scalars = _pencil_scalars(C, alpha.field, alpha.point)
-    a_bar, b_bar = C.pencil_entries.dense(scalars, alpha.field.zero)
-    return a_bar, b_bar, alpha
-
-
 def residue_ranks(C: PeriodicComplex, alpha) -> tuple[int, int]:
     """(rank Abar(alpha), rank Bbar(alpha)), eliminated on rows of the
     nonzero scalars, each row's dict built straight from its (column,
-    index) pairs; no dense grid is formed."""
+    index) pairs; no dense grid is formed.  One evaluator serves the
+    point, so the embedding and the powers of each coordinate are computed
+    once, and each distinct entry of C.pencil_entries.values is evaluated
+    once."""
     fld, point = _field_and_point(C, alpha)
-    scalars = _pencil_scalars(C, fld, point)
+    at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, point)), fld)
+    scalars = [at(e) for e in C.pencil_entries.values]
     zero = fld.zero
     r_a, r_b = (
         rank_of_rows([{j: s for j, k in pairs if (s := scalars[k]) != zero} for pairs in rows], fld)
@@ -403,57 +381,6 @@ def _oracle_residues(C: PeriodicComplex, alpha: Alpha) -> list:
     ring = C.ring
     scalars = [residue(specialize(e, alpha, ring), ring) for e in C.pair_entries.values]
     return C.pair_entries.dense(scalars, alpha.field.zero)
-
-
-@dataclass
-class ContractionData:
-    """Explicit null-homotopy at contraction index 0: constant matrices s0
-    (into odd) and s_minus1 (from even shifted) with A s0 + s_minus1 B = I
-    at the residue level, hence invertible over the local specialized ring.
-    construct_contraction returns only data that verify_contraction passes."""
-
-    alpha: Alpha
-    s0: list[list]
-    s_minus1: list[list]
-
-
-def construct_contraction(C: PeriodicComplex, alpha) -> ContractionData:
-    """Build contraction data from generalized inverses of the residue
-    matrices: s0 = G_A and s_minus1 = (I - Abar G_A) G_B.  NotContractible
-    at points of the variety, and when verify_contraction refuses the data,
-    which happens only on a pair that is not a complex at alpha."""
-    a_bar, b_bar, alpha = residue_matrices(C, alpha)
-    fld = alpha.field
-    n = C.size
-    if rank_over_field(a_bar, fld) + rank_over_field(b_bar, fld) != n:
-        raise NotContractible(f"{alpha} lies in the rank variety")
-    g_a = generalized_inverse(a_bar, fld)
-    e = mat_mul_field(a_bar, g_a, fld)
-    one_minus_e = [
-        [fld.sub(fld.one if i == j else fld.zero, e[i][j]) for j in range(n)] for i in range(n)
-    ]
-    s_minus1 = mat_mul_field(one_minus_e, generalized_inverse(b_bar, fld), fld)
-    data = ContractionData(alpha=alpha, s0=g_a, s_minus1=s_minus1)
-    if not verify_contraction(C, data):
-        raise NotContractible(f"A s0 + s_minus1 B is not the identity at {alpha}")
-    return data
-
-
-def verify_contraction(C: PeriodicComplex, data: ContractionData) -> bool:
-    """Check that the composite A s0 + s_minus1 B is a unit over the ring
-    specialized at data.alpha, by the oracle route: s0 and s_minus1 are
-    constant, so the composite's residue is res(A_spec) s0 + s_minus1
-    res(B_spec), built from the specialize-then-residue grids, and it must
-    be the identity."""
-    fld = data.alpha.field
-    a_res, b_res = _oracle_residues(C, data.alpha)
-    left = mat_mul_field(a_res, data.s0, fld)
-    right = mat_mul_field(data.s_minus1, b_res, fld)
-    return all(
-        fld.add(x, y) == (fld.one if i == j else fld.zero)
-        for i, (row_l, row_r) in enumerate(zip(left, right))
-        for j, (x, y) in enumerate(zip(row_l, row_r))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ A public module-level function or class of src/ghrv, or a public method of
 such a class, counts as reached when its name occurs as a name or an
 attribute somewhere in src/ghrv (the re-exports in __init__.py left out) or
 in perfbench/.  A name nothing reaches is dead code unless it is an oracle
-or certificate the tests run against the fast path, or a fixture the tests
-share; those are listed below with their reason.
+the tests run against the fast path, or a fixture the tests share; those
+are listed below with their reason.
 
 perfbench/tracer.py wraps the functions and methods of ghrv and reads its
 metrics by span name, module.function or module.Class.method; a metric whose
@@ -23,7 +23,6 @@ SRC = ROOT / "src" / "ghrv"
 ALLOWED = {
     "matrix.rank_by_minors": "oracle: exhaustive minor search for rank_over_domain",
     "variety.rank_over_R_by_minors": "oracle: exhaustive minor search for rank_over_R",
-    "variety.construct_contraction": "certificate: explicit null-homotopy at a contractible point",
     "complexes.trivial_pair": "shared fixture: the contractible pair (1, w)",
     "fields.ExtensionField.generator": "shared fixture: a named element outside the prime subfield",
 }

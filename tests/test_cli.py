@@ -203,6 +203,26 @@ def test_realize(ring_file, tmp_path, capsys):
     assert json.loads(trace_path.read_text())["requested-zero-set"] == ["x1", "x2"]
 
 
+def test_points_over_qq_are_refused_before_any_work(ringq, tmp_path, capsys):
+    # --points needs a finite field; over QQ the verb stops before it builds
+    # or prints anything, and writes no file
+    ring_path = tmp_path / "ringQQ.json"
+    save_ring(ringq, ring_path)
+    k_path = tmp_path / "kQQ.json"
+    save_complex(fixture_k(ringq), k_path)
+    trace_path = tmp_path / "t.json"
+    for argv in (
+        ["realize", str(ring_path), "--p", "x1", "--points", "--out", str(trace_path)],
+        ["variety", str(k_path), "--points"],
+        ["variety", str(ring_path), "--fixture", "k5-example", "--points"],
+    ):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "UnsupportedField: point enumeration needs a finite field\n"
+    assert not trace_path.exists()
+
+
 def test_ideal_refuses_a_minor_count_over_the_cap(ring_file, tmp_path, capsys):
     # The 16x16 realize stage has C(16, 8)^2, about 1.7e8, minors of size 8:
     # too many to enumerate in memory, so the verb must refuse at once.
@@ -247,6 +267,11 @@ def test_usage_errors(pair_file, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: point enumeration needs c >= 1 coordinates, got {c}\n"
+    for bound in ("0", "-3"):
+        assert run(["variety", pair_file, "--points", "--ext-bound", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --ext-bound needs a degree >= 1, got {bound}\n"
     assert run(["contractible", pair_file, "--alpha", "1,oops"]) == 2
     assert run(["frobnicate"]) == 2
     garbled = tmp_path / "garbled.json"

@@ -16,7 +16,6 @@ from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import (
     all_minors,
     block_matrix,
-    generalized_inverse,
     identity,
     mat_mul,
     mat_shape,
@@ -428,14 +427,3 @@ def test_sparse_field_rank_edge_cases(field):
     grid[2][2] = one
     assert rank_over_field(grid, field) == _dense_rank(grid, field) == 3
     assert rank_over_field([[zero, one], [zero, zero], [one, zero]], field) == 2
-
-
-def test_generalized_inverse_identity(f5):
-    rng = random.Random(79)
-    for _ in range(40):
-        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
-        a = [[f5.from_int(rng.randrange(5)) for _ in range(n)] for _ in range(m)]
-        g = generalized_inverse(a, f5)
-        ag = [[sum(a[i][s] * g[s][j] for s in range(n)) % 5 for j in range(m)] for i in range(m)]
-        aga = [[sum(ag[i][s] * a[s][j] for s in range(m)) % 5 for j in range(n)] for i in range(m)]
-        assert aga == a

@@ -3,8 +3,8 @@
 rank_over_R goes through the x_1 elimination; every test here plays it
 against the exhaustive minor search, and membership is played against the
 specialize-and-reduce contractibility test, which never looks at ideals.
-The residue pencil y -> 0, which both the minor images and the residue
-matrices read, is played against the routes it replaced: normal forms mod w
+The residue pencil y -> 0, which both the minor images and the pointwise
+verdicts read, is played against the routes it replaced: normal forms mod w
 before the image in k[x], and specialize-then-residue along preimages.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 import ghrv.variety
 from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair
-from ghrv.errors import BoundExceeded, InvalidComplex, NotContractible, RingMismatch, UnsupportedField
+from ghrv.errors import BoundExceeded, InvalidComplex, RingMismatch, UnsupportedField
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import all_minors, rank_over_field
 from ghrv.pipelines import (
@@ -30,10 +30,8 @@ from ghrv.poly import Poly, PolyRing, evaluator, order_key
 from ghrv.ring import RingSpec, make_alpha, make_ring, residue, specialize
 from ghrv.variety import (
     MAX_POINTS,
-    ContractionData,
     ProjPoint,
     _canonical_gens,
-    construct_contraction,
     contractible_at,
     enumerate_points,
     extension_of,
@@ -46,9 +44,7 @@ from ghrv.variety import (
     rank_over_R_by_minors,
     rank_variety,
     ranks_over_R,
-    residue_matrices,
     residue_ranks,
-    verify_contraction,
 )
 
 
@@ -254,6 +250,11 @@ def test_variety_of_the_resolution_pair_is_everything(ring5):
     assert str(verdict.witness) == "(1:0)"
     assert verdict.witness_degree == 1
     assert "(1:0)" in verdict.describe()
+    # a scan over no extension would report no points, here where every
+    # point is one
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match=f"emptiness scan needs bound >= 1, got {bound}"):
+            is_empty(v, bound=bound)
 
 
 def test_variety_needs_a_valid_pair(ring5):
@@ -354,11 +355,9 @@ def test_membership_is_scale_invariant(ring5):
 # -- pointwise data -----------------------------------------------------------
 
 def test_residue_data_of_the_resolution_pair(ring5):
+    # every entry has positive y-degree, so the pencil has no nonzero entry
     k = fixture_k(ring5)
-    a_bar, b_bar, alpha = residue_matrices(k, (1, 1))
-    fld = alpha.field
-    assert all(fld.is_zero(e) for row in a_bar for e in row)
-    assert all(fld.is_zero(e) for row in b_bar for e in row)
+    assert k.pencil_entries.values == ()
     assert residue_ranks(k, (1, 1)) == (0, 0)
     assert not contractible_at(k, (1, 1))
 
@@ -377,6 +376,10 @@ def test_trivial_pair_is_contractible_everywhere(ring5):
         assert contractible_at(t, pt)
 
 
+def _perturbation_check(C, pt):
+    return preimage_independence_check(C, pt, trials=1, seed=0)
+
+
 def test_points_are_checked_against_the_ring(ring5):
     """A ProjPoint is checked as make_alpha checks it: the same errors with
     the same messages, from every pointwise entry point."""
@@ -390,7 +393,7 @@ def test_points_are_checked_against_the_ring(ring5):
     for pt, error in bad:
         with pytest.raises(error) as expected:
             make_alpha(ring5, pt.coords, field=pt.field)
-        for check in (contractible_at, residue_ranks, residue_matrices, construct_contraction):
+        for check in (contractible_at, residue_ranks, _perturbation_check):
             with pytest.raises(error) as got:
                 check(k, pt)
             assert str(got.value) == str(expected.value)
@@ -398,34 +401,6 @@ def test_points_are_checked_against_the_ring(ring5):
         contractible_at(k, bad[0][0])
     with pytest.raises(RingMismatch, match="characteristic mismatch"):
         contractible_at(k, bad[2][0])
-
-
-def test_contraction_construction(ring5):
-    pair = fixture_rank_one(ring5)
-    for pt in enumerate_points(ring5.field, 2):
-        data = construct_contraction(pair, pt)
-        assert verify_contraction(pair, data)
-        assert len(data.s0) == len(data.s_minus1) == 2
-        # A has rank one, so A s0 alone is not the identity: the check
-        # must read s_minus1
-        zero = ring5.field.zero
-        no_s_minus1 = ContractionData(data.alpha, data.s0, [[zero, zero], [zero, zero]])
-        assert not verify_contraction(pair, no_s_minus1)
-
-
-def test_contraction_refused_on_a_pair_that_is_not_a_complex(ring5):
-    # the residue ranks at (1:0) sum to the size, but A B != 0, so the
-    # constructed section fails A s0 + s_minus1 B = I
-    pair = PeriodicComplex(ring5, [["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]],
-                           (0, 0), (0, 0), certified=False)
-    assert residue_ranks(pair, (1, 0)) == (1, 1)
-    with pytest.raises(NotContractible, match="is not the identity at"):
-        construct_contraction(pair, (1, 0))
-
-
-def test_contraction_refused_on_the_variety(ring5):
-    with pytest.raises(NotContractible):
-        construct_contraction(fixture_k(ring5), (1, 1))
 
 
 def test_preimage_perturbations_never_move_the_verdict(ring5):
@@ -443,8 +418,20 @@ def test_preimage_perturbations_never_move_the_verdict(ring5):
 
 # -- the residue pencil against its oracles -----------------------------------
 
+def _pencil_at(C, pt):
+    """The residue pencil at pt as dense grids, each entry's image y -> 0
+    (ring.image_grid) evaluated on its own: a route that does not read
+    C.pencil_entries."""
+    ring = C.ring
+    assignment = dict(zip(ring.xvars, pt.coords))
+    return [
+        [[e.evaluate(assignment, target=pt.field) for e in row] for row in ring.image_grid(grid)]
+        for grid in (C.A, C.B)
+    ]
+
+
 @pytest.mark.parametrize("field", [prime_field(5), make_extension(3, 2)], ids=str)
-def test_residue_matrices_match_specialize_then_residue(field):
+def test_residue_pencil_matches_specialize_then_residue(field):
     ring = worked_ring(field)
     suite = [complete_resolution_of_k(ring)]
     for base in (fixture_k(ring), fixture_rank_one(ring)):
@@ -459,13 +446,19 @@ def test_residue_matrices_match_specialize_then_residue(field):
             make_alpha(ring, pt.coords, preimages=(a1 + y, a2 + x * y + x * x), field=pt.field),
         ]
         for C in suite:
-            a_bar, b_bar, _ = residue_matrices(C, pt)
+            pencil = _pencil_at(C, pt)
+            # the kept pencil, its distinct entries evaluated and laid out
+            at = evaluator(ring.kx, dict(zip(ring.xvars, pt.coords)), pt.field)
+            kept = C.pencil_entries.dense([at(e) for e in C.pencil_entries.values], pt.field.zero)
+            assert kept == pencil, (C.size, str(pt))
+            ranks = tuple(rank_over_field(g, pt.field) for g in pencil)
+            assert residue_ranks(C, pt) == ranks, (C.size, str(pt))
             for alpha in choices:
                 oracle = [
                     [[residue(specialize(e, alpha, ring), ring) for e in row] for row in grid]
                     for grid in (C.A, C.B)
                 ]
-                assert [a_bar, b_bar] == oracle, (C.size, str(pt), alpha.preimages)
+                assert pencil == oracle, (C.size, str(pt), alpha.preimages)
 
 
 def test_realize_stage_verdicts_match_specialize_then_residue(ring5):
@@ -514,9 +507,10 @@ def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch
     # every complex of the seeded suite and the 8, 16 and 32 realize stages,
     # at every point of P^1(F_q) and P^1(F_q^2), or the integer points over
     # QQ: the ranks eliminated on rows of (column, index) pairs equal the
-    # dense ranks of residue_matrices, whose grids equal specializing every
-    # entry of A and B, zero or not, along non-constant preimages and then
-    # y -> 0; the oracle route over distinct entries gives those grids too.
+    # dense ranks of the pencil evaluated entrywise (_pencil_at), whose
+    # grids equal specializing every entry of A and B, zero or not, along
+    # non-constant preimages and then y -> 0; the oracle route over
+    # distinct entries gives those grids too.
     # The reference specializes each entry object once per point (a shared
     # zero block is one object), which does not depend on equal entries
     # sharing an index.
@@ -554,7 +548,7 @@ def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch
                 if id(e) not in memo:
                     memo[id(e)] = residue(specialize(e, alpha, ring), ring)
             oracle = [[[memo[id(e)] for e in row] for row in grid] for grid in (C.A, C.B)]
-            a_bar, b_bar, _ = residue_matrices(C, pt)
+            a_bar, b_bar = _pencil_at(C, pt)
             assert [a_bar, b_bar] == oracle, (C.size, str(pt))
             assert ghrv.variety._oracle_residues(C, alpha) == oracle, (C.size, str(pt))
             dense = (rank_over_field(a_bar, fld), rank_over_field(b_bar, fld))
