@@ -30,6 +30,7 @@ from .pipelines import (
 from .ring import make_alpha, specialize, specialized_modulus
 from .serialize import load_complex, load_ring, save_complex, save_trace
 from .variety import (
+    _check_point_count,
     enumerate_points,
     extension_of,
     membership,
@@ -128,11 +129,16 @@ def _format_matrix(name: str, grid) -> str:
     return "\n".join(lines)
 
 
-def _check_points(args, ring):
-    """--points lists points over finite fields only: refuse any other field
-    before the verb computes or prints anything."""
-    if args.points and not ring.field.finite:
+def _check_points(args, ring, ext_bound: int = 1):
+    """--points lists points over finite fields only, and over extensions of
+    degree up to ext_bound with at most MAX_POINTS points each: refuse any
+    other field, or the first extension over the cap, before the verb
+    computes or prints anything."""
+    if not args.points:
+        return
+    if not ring.field.finite:
         raise UnsupportedField("point enumeration needs a finite field")
+    _check_point_count(ring.field, ring.c, ext_bound)
 
 
 def _print_points(V, field, ext_bound: int):
@@ -185,11 +191,11 @@ def _cmd_variety(args) -> int:
         raise ValueError(f"--ext-bound needs a degree >= 1, got {args.ext_bound}")
     if args.fixture:
         ring = load_ring(args.complex)
-        _check_points(args, ring)
+        _check_points(args, ring, args.ext_bound)
         C = named_fixture(args.fixture, ring)
     else:
         C = load_complex(args.complex)
-        _check_points(args, C.ring)
+        _check_points(args, C.ring, args.ext_bound)
     V = rank_variety(C)
     print("components: " + V.describe())
     if args.points:

@@ -20,7 +20,8 @@ Every term of w has x-degree 1, so a division step by w removes a term and
 adds terms of that same x-degree: a stored entry that is zero or
 x-homogeneous of the wanted degree has such a normal form, and only the
 other entries are reduced.  Certification (the exact A*B = w*I check over
-P) is judged on the stored representatives.
+P) is judged on the stored representatives, by one matrix product per pair,
+and a cone of a certified pair inherits its parent's verdict (cone_mul).
 
 The Koszul complex here is taken on all m = c + d variables of P.  The
 Shamash resolution of the residue field, G_n = sum_j F_(n-2j) with
@@ -173,17 +174,26 @@ class PeriodicComplex:
     @cached_property
     def _misfit(self) -> tuple[Grid, Grid] | None:
         """None when A*B = B*A = w*I exactly over P; otherwise the products
-        A*B and B*A, which only validate_pair's mod-w pass reads.  Judged on
-        the stored grids and never on the `certified` flag, which a file may
-        claim falsely.  Computed on first use and kept with the pair."""
+        A*B and B*A, which only validate_pair's mod-w pass reads.
+
+        A*B = w*I alone decides it.  P is a domain and w is nonzero
+        (make_ring refuses a zero f_i), so det A * det B = w^n is nonzero:
+        A is invertible over the fraction field of P, B = w A^-1, and hence
+        B*A = w*I.  B*A is computed only when A*B fails, so a pair that is
+        a factorization costs one product.  Judged on the stored grids and
+        never on the `certified` flag, which a file may claim falsely.
+        Computed on first use and kept with the pair; cone_mul stores it on
+        the cone of a certified pair, which inherits its parent's verdict."""
         amb = self.ring.ambient
-        w_id = identity(amb, self.size, self.ring.w)
-        products = mat_mul(self.A, self.B, amb), mat_mul(self.B, self.A, amb)
-        return None if products == (w_id, w_id) else products
+        ab = mat_mul(self.A, self.B, amb)
+        if ab == identity(amb, self.size, self.ring.w):
+            return None
+        return ab, mat_mul(self.B, self.A, amb)
 
     @property
     def is_factorization(self) -> bool:
-        """A*B = B*A = w*I exactly over P."""
+        """A*B = B*A = w*I exactly over P, decided by the one product A*B
+        (see _misfit)."""
         return self._misfit is None
 
     @cached_property
@@ -254,9 +264,11 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     of w) to degrees1.
 
     The exact identity A*B = B*A = w*I (C.is_factorization) is tested on
-    the stored grids whatever the file claims.  When it holds, both products
-    are zero mod w, so the mod-w pass runs only on a pair that fails it, and
-    reads the two products that test computed.  The identity also gives the
+    the stored grids whatever the file claims, by the one product A*B: in
+    the domain P with w nonzero, A*B = w*I forces B*A = w*I.  When it holds,
+    both products are zero mod w, so the mod-w pass runs only on a pair
+    that fails it, and reads A*B and B*A, which that test computed in this
+    order once A*B failed.  The identity also gives the
     rank partition by the complement rule: the complex over R is then exact
     (if B v = w u then w v = A B v = w A u, so v = A u, P being a domain),
     so over the fraction field of the domain R, rank(B) = size - rank(A).
@@ -377,9 +389,14 @@ def direct_sum(C: PeriodicComplex, D: PeriodicComplex) -> PeriodicComplex:
 def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     """Mapping cone of multiplication by p on C.
 
-    p must be x-homogeneous as a class mod w (its normal form is tested); the
-    blocks [[A, pI], [0, -B]] and [[B, pI], [0, -A]] again multiply to w*I,
-    which is re-verified exactly when C is certified.
+    p must be x-homogeneous as a class mod w (its normal form is tested).
+    The blocks [[A, pI], [0, -B]] and [[B, pI], [0, -A]] multiply to
+    [[A*B, 0], [0, B*A]], and in the other order to [[B*A, 0], [0, A*B]],
+    whatever p is, so the cone is an exact factorization exactly when C is.
+    When C is certified, C's kept verdict (computed once if it is not yet
+    kept) decides: CertificationFailed when it is false, and otherwise the
+    cone keeps it, with no product of the cone's blocks.  An uncertified C
+    gives a cone whose verdict is computed on first use, as for any pair.
     """
     ring = C.ring
     rep = ring.normal_form(p)
@@ -402,8 +419,10 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     degrees0 = C.degrees0 + tuple(d + g - 1 for d in C.degrees1)
     degrees1 = C.degrees1 + tuple(d + g for d in C.degrees0)
     cone = PeriodicComplex(ring, a, b, degrees0, degrees1, certified=C.certified)
-    if C.certified and not cone.is_factorization:
-        raise CertificationFailed("cone blocks do not multiply to w*I")
+    if C.certified:
+        if not C.is_factorization:
+            raise CertificationFailed("cone blocks do not multiply to w*I")
+        cone._misfit = None
     return cone
 
 

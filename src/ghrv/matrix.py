@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import comb
+from operator import add as _mono_add, sub as _mono_sub
 from typing import Sequence
 
 from .errors import BoundExceeded
@@ -72,7 +73,7 @@ def mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]], ring: Poly
                 acc = sums.setdefault(j, {})
                 for m1, c1 in e.terms.items():
                     for m2, c2 in b_terms.items():
-                        mono = tuple(x + y for x, y in zip(m1, m2))
+                        mono = tuple(map(_mono_add, m1, m2))
                         c = mul(c1, c2)
                         acc[mono] = add(acc[mono], c) if mono in acc else c
         out.append(tuple(Poly(ring, sums[j]) if j in sums else zero for j in range(n)))
@@ -159,7 +160,7 @@ def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
                 odd = (k - pos) % 2
                 for m1, c1 in w_terms.items():
                     for m2, c2 in v_terms.items():
-                        mono = tuple(x + y for x, y in zip(m1, m2))
+                        mono = tuple(map(_mono_add, m1, m2))
                         c = neg(mul(c1, c2)) if odd else mul(c1, c2)
                         acc[mono] = add(acc[mono], c) if mono in acc else c
         out = {}
@@ -214,7 +215,7 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
                 continue
             for m1, c1 in left:
                 for m2, c2 in right.terms.items():
-                    mono = tuple(x + y for x, y in zip(m1, m2))
+                    mono = tuple(map(_mono_add, m1, m2))
                     c = mul(c1, c2)
                     acc[mono] = add(acc[mono], c) if mono in acc else c
         if lag is one:
@@ -226,7 +227,7 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
         for mono, c in acc.items():
             if is_zero(c):
                 continue
-            shifted = tuple(y - x for x, y in zip(dm, mono))
+            shifted = tuple(map(_mono_sub, mono, dm))
             if min(shifted, default=0) < 0:
                 raise ArithmeticError(f"inexact division: remainder {Poly(ring, {mono: c})}")
             q[shifted] = mul(c, dc_inv)

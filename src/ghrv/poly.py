@@ -12,6 +12,7 @@ Zero has no terms; its degree queries return NEG_INF.
 
 from __future__ import annotations
 
+from operator import add as _mono_add, sub as _mono_sub
 from typing import Callable, Iterable, Mapping
 
 from .errors import RingMismatch
@@ -31,11 +32,11 @@ def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def monomial_div(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(_mono_sub, b, a))
 
 
 def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_mono_add, a, b))
 
 
 class PolyRing:
@@ -323,7 +324,7 @@ class Poly:
             shift = any(residual)
             for mm, cc in image.terms.items():
                 if shift:
-                    mm = tuple(x + y for x, y in zip(mm, residual))
+                    mm = tuple(map(_mono_add, mm, residual))
                 cc = mul(cc, c)
                 total[mm] = add(total[mm], cc) if mm in total else cc
         return Poly(ring, total)
@@ -431,7 +432,7 @@ def divide_single(p: Poly, d: Poly) -> tuple[Poly, Poly]:
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     ring = p.ring
-    if d.ring != ring:
+    if d.ring is not ring and d.ring != ring:
         raise RingMismatch("divisor in a different ring")
     lm = d.leading_monomial()
     if not any(monomial_divides(lm, m) for m in p.terms):
@@ -487,7 +488,7 @@ def exact_div(p: Poly, d: Poly) -> Poly:
         q: dict = {}
         rest: dict = {}
         for m, c in p.terms.items():
-            shifted = tuple(y - x for x, y in zip(dm, m))
+            shifted = tuple(map(_mono_sub, m, dm))
             if min(shifted, default=0) < 0:
                 rest[m] = c
             else:

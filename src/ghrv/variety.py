@@ -62,10 +62,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import add as _mono_add
 
 from .complexes import PeriodicComplex
 from .errors import BoundExceeded, InvalidComplex, UnsupportedField
-from .fields import ExtensionField, Field, PrimeField, field_name, make_extension
+from .fields import ExtensionField, Field, PrimeField, make_extension
 from .matrix import all_minors, rank_of_rows, rank_over_domain, rank_over_field
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import Alpha, RingSpec, make_alpha, point_coords, residue, specialize
@@ -104,7 +105,7 @@ def _eliminate_x1(rows, ring: RingSpec):
                     multipliers[t, top] = list((u**t * f1 ** (top - t)).terms.items())
                 stripped = m[:idx] + (0,) + m[idx + 1:]
                 for mm, cc in multipliers[t, top]:
-                    mono = tuple(a + b for a, b in zip(stripped, mm))
+                    mono = tuple(map(_mono_add, stripped, mm))
                     v = mul(c, cc)
                     acc[mono] = add(acc[mono], v) if mono in acc else v
             new_row.append(Poly(amb, acc) if acc else e)
@@ -113,8 +114,9 @@ def _eliminate_x1(rows, ring: RingSpec):
 
 
 def rank_over_R(rows, ring: RingSpec) -> int:
-    """Rank of a matrix of representatives as a matrix over R."""
-    nf_rows = [[ring.normal_form(e) for e in row] for row in rows]
+    """Rank of a matrix of representatives as a matrix over R.  Nonzero
+    entries are reduced mod w first; a zero entry is its own normal form."""
+    nf_rows = [[ring.normal_form(e) if e.terms else e for e in row] for row in rows]
     if not nf_rows or not nf_rows[0]:
         return 0
     return rank_over_domain(_eliminate_x1(nf_rows, ring), ring.ambient)
@@ -248,6 +250,27 @@ def proj_point(field: Field, coords) -> ProjPoint:
     return ProjPoint(field, tuple(field.mul(a, inv) for a in coords))
 
 
+def _check_point_count(field: Field, c: int, degree: int = 1):
+    """Refuse, with BoundExceeded, a listing of P^(c-1) over the extensions
+    of the finite `field` of degree 1..degree when one of them has more than
+    MAX_POINTS points, naming the first such extension.  Only point counts
+    are computed, never a field or a point.  Once the order passes
+    MAX_POINTS, P^(c-1) has either been refused (c >= 2) or has one point
+    over every extension (c = 1), so the scan stops there."""
+    order = 1
+    for _ in range(degree):
+        order *= field.order
+        count = 0
+        for _ in range(c):  # 1 + q + .. + q^(c-1), one term per leading position
+            count = count * order + 1
+            if count > MAX_POINTS:
+                raise BoundExceeded(
+                    f"P^{c - 1}(GF({order})) has more than the cap of {MAX_POINTS} points"
+                )
+        if order > MAX_POINTS:
+            return
+
+
 def enumerate_points(field: Field, c: int) -> list[ProjPoint]:
     """All of P^(c-1) over a finite field: leading-one position ascending,
     trailing coordinates in field element order.  c < 1 raises ValueError;
@@ -256,13 +279,7 @@ def enumerate_points(field: Field, c: int) -> list[ProjPoint]:
         raise UnsupportedField("point enumeration needs a finite field")
     if c < 1:
         raise ValueError(f"point enumeration needs c >= 1 coordinates, got {c}")
-    count = 0
-    for _ in range(c):  # 1 + q + .. + q^(c-1), one term per leading position
-        count = count * field.order + 1
-        if count > MAX_POINTS:
-            raise BoundExceeded(
-                f"P^{c - 1}({field_name(field)}) has more than the cap of {MAX_POINTS} points"
-            )
+    _check_point_count(field, c)
     pts = []
     elems = list(field.elements()) if c > 1 else []  # P^0 needs no element list
     one = field.one

@@ -19,7 +19,8 @@ import pytest
 import ghrv
 
 from ghrv.cli import build_parser, run
-from ghrv.pipelines import fixture_k, fixture_rank_one, named_fixture
+from ghrv.fields import prime_field
+from ghrv.pipelines import fixture_k, fixture_rank_one, named_fixture, worked_ring
 from ghrv.serialize import load_complex, save_complex, save_ring
 
 
@@ -220,6 +221,37 @@ def test_points_over_qq_are_refused_before_any_work(ringq, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "UnsupportedField: point enumeration needs a finite field\n"
+    assert not trace_path.exists()
+
+
+def test_points_over_the_cap_are_refused_before_any_work(pair_file, ring_file, tmp_path, capsys):
+    # P^1(GF(5^9)) has more than MAX_POINTS points: the listing is refused
+    # before the variety is computed or any smaller extension is listed,
+    # naming the first extension over the cap however large the bound is
+    refusal = "BoundExceeded: P^1(GF(1953125)) has more than the cap of 1000000 points\n"
+    start = time.perf_counter()
+    for argv in (
+        ["variety", pair_file, "--points", "--ext-bound", "9"],
+        ["variety", pair_file, "--points", "--ext-bound", "1000000000"],
+        ["variety", ring_file, "--fixture", "k5-example", "--points", "--ext-bound", "9"],
+    ):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == refusal
+    assert time.perf_counter() - start < 5
+    # without --points the bound lists nothing, so it is not checked
+    assert run(["variety", pair_file, "--ext-bound", "9"]) == 0
+    assert capsys.readouterr().out == "components: Z(x1, x2) union Z(x1, x2)\n"
+    # realize lists the base field only: P^1(GF(1000003)) is refused before
+    # the trace is built, and no file is written
+    ring_path = tmp_path / "ring1000003.json"
+    save_ring(worked_ring(prime_field(1000003)), ring_path)
+    trace_path = tmp_path / "t.json"
+    assert run(["realize", str(ring_path), "--p", "x1", "--points", "--out", str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "BoundExceeded: P^1(GF(1000003)) has more than the cap of 1000000 points\n"
     assert not trace_path.exists()
 
 

@@ -41,6 +41,7 @@ from ghrv.pipelines import (
     documented_cone_pair,
     fixture_k,
     fixture_rank_one,
+    realize,
     worked_ring,
 )
 from ghrv.poly import monomial_divides
@@ -389,8 +390,10 @@ def test_homogeneity_on_stored_entries_matches_normal_forms(ring_name, request, 
 
 def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     # the mod-w pass runs only on a pair that fails A*B = B*A = w*I, whatever
-    # the pair claims, and reads the two products that test computed: at
-    # most two mat_mul calls per fresh pair, and none once the verdict is kept
+    # the pair claims, and reads the two products that test computed: one
+    # mat_mul call for a fresh factorization, since A*B = w*I forces
+    # B*A = w*I, two for a fresh pair that fails, and none once the verdict
+    # is kept
     tail = complete_resolution_of_k(ring5)
     plain = PeriodicComplex(ring5, tail.A, tail.B, tail.degrees0, tail.degrees1, certified=False)
     false_claim = PeriodicComplex(ring5, [["x1"]], [["1"]], (0,), (1,), certified=True)
@@ -407,8 +410,8 @@ def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
 
     assert run(tail) == [] and products == []
     certified_calls = len(normal_forms)
-    # the same pair uncertified costs the two products and no pass
-    assert run(plain) == [] and len(products) == 2
+    # the same pair uncertified costs the one product A*B and no pass
+    assert run(plain) == [] and len(products) == 1
     assert len(normal_forms) == certified_calls
     assert run(plain) == [] and products == []
     # a claimed certification that fails the exact comparison takes the
@@ -513,6 +516,48 @@ def test_cone_rechecks_a_false_certification(ring5):
     liar = PeriodicComplex(ring5, [["x1"]], [["x2"]], (0,), (1,), certified=True)
     with pytest.raises(CertificationFailed, match="cone blocks do not multiply to w\\*I"):
         cone_mul(liar, ring5.parse("x1"))
+
+
+def test_cone_of_a_certified_pair_inherits_its_verdict(ring5, monkeypatch):
+    # [[A, pI], [0, -B]] * [[B, pI], [0, -A]] = [[A*B, 0], [0, B*A]], and
+    # the other order gives [[B*A, 0], [0, A*B]]: a cone of a certified pair
+    # keeps its parent's verdict and multiplies no blocks, and a fresh copy,
+    # which multiplies them once, reaches the same verdict
+    amb = ring5.ambient
+    products = []
+    mat_mul_ = complexes.mat_mul
+    monkeypatch.setattr(complexes, "mat_mul", lambda *a: products.append(1) or mat_mul_(*a))
+    for C in (fixture_k(ring5), fixture_rank_one(ring5), complete_resolution_of_k(ring5)):
+        for p in ("x1", "x1*x2 + 2*x2^2", "0"):
+            products.clear()
+            cone = cone_mul(C, ring5.parse(p))
+            assert cone.is_factorization and validate_pair(cone).ok
+            assert products == []
+            fresh = PeriodicComplex(ring5, cone.A, cone.B, cone.degrees0, cone.degrees1, certified=True)
+            assert fresh.is_factorization and len(products) == 1
+    # the 8 -> 16 -> 32 realize chain multiplies the tail only
+    products.clear()
+    assert realize(ring5, [ring5.parse("x1"), ring5.parse("x2^2")], verify=False).sizes == [8, 16, 32]
+    assert len(products) == 1
+    # an uncertified parent: nothing is multiplied when the cone is built,
+    # and the cone's own verdict and findings follow on first use
+    k = fixture_k(ring5)
+    tampered = [[k.A[0][0] + amb.variable("x1"), k.A[0][1]], list(k.A[1])]
+    for a_grid, expected in ((k.A, True), (tampered, False)):
+        C = PeriodicComplex(ring5, a_grid, k.B, k.degrees0, k.degrees1, certified=False)
+        products.clear()
+        cone = cone_mul(C, ring5.parse("x1"))
+        assert products == []
+        fresh = PeriodicComplex(ring5, cone.A, cone.B, cone.degrees0, cone.degrees1, certified=False)
+        assert cone.is_factorization == fresh.is_factorization == expected
+        assert validate_pair(cone).findings == validate_pair(fresh).findings
+    # a certified parent that fails the identity: its own two products, and
+    # the cone is refused
+    liar = PeriodicComplex(ring5, tampered, k.B, k.degrees0, k.degrees1, certified=True)
+    products.clear()
+    with pytest.raises(CertificationFailed, match="cone blocks do not multiply to w\\*I"):
+        cone_mul(liar, ring5.parse("x1"))
+    assert len(products) == 2
 
 
 def test_cone_rank_partition(ring5):

@@ -17,7 +17,7 @@ import ghrv.variety
 from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair
 from ghrv.errors import BoundExceeded, InvalidComplex, RingMismatch, UnsupportedField
 from ghrv.fields import QQ, make_extension, prime_field
-from ghrv.matrix import all_minors, rank_over_field
+from ghrv.matrix import all_minors, identity, mat_mul, rank_over_field
 from ghrv.pipelines import (
     complete_resolution_of_k,
     documented_cone_pair,
@@ -205,6 +205,42 @@ def test_complement_rule_reads_the_grids_not_the_claim(ring5, monkeypatch):
     assert eliminated == [false_claim.A, false_claim.B]
     zero = amb.zero()
     assert ranks_over_R(PeriodicComplex(ring5, [[zero]], [[zero]], (0,), (0,), certified=False)) == (0, 0)
+
+
+# -- the factorization verdict ------------------------------------------------
+
+def _two_product_verdict(C):
+    """A*B = B*A = w*I checked by both products."""
+    amb = C.ring.ambient
+    w_id = identity(amb, C.size, C.ring.w)
+    return mat_mul(C.A, C.B, amb) == w_id and mat_mul(C.B, C.A, amb) == w_id
+
+
+@pytest.mark.parametrize("field", [prime_field(3), prime_field(5), make_extension(3, 2), QQ], ids=str)
+def test_one_product_decides_the_factorization(field):
+    # P is a domain and w is nonzero, so A*B = w*I forces B*A = w*I.  On the
+    # fixtures, the seeded symbolic suite, the 8x8 resolve-k tail and the
+    # 16x16 and 32x32 realize stages, the kept verdict (inherited, for a
+    # cone) and that of a fresh uncertified copy agree with both products.
+    # So do the pairs with one entry changed and with B scaled by x1, which
+    # are never factorizations, and the mod-w pass reads both products.
+    ring = worked_ring(field)
+    amb = ring.ambient
+    x1 = amb.variable(ring.xvars[0])
+    rng = random.Random(18)
+    pairs = _symbolic_suite(ring, rng) + _exact_factorizations(ring) + [trivial_pair(ring)]
+    assert {32, 16, 8} <= {C.size for C in pairs}
+    for C in pairs:
+        fresh = PeriodicComplex(ring, C.A, C.B, C.degrees0, C.degrees1, certified=False)
+        assert C.is_factorization and fresh.is_factorization and _two_product_verdict(C)
+        i, j = rng.randrange(C.size), rng.randrange(C.size)
+        changed = [list(row) for row in C.A]
+        changed[i][j] = changed[i][j] + x1
+        scaled = [[x1 * e for e in row] for row in C.B]
+        for a, b in ((changed, C.B), (C.A, scaled)):
+            bad = PeriodicComplex(ring, a, b, C.degrees0, C.degrees1, certified=True)
+            assert not bad.is_factorization and not _two_product_verdict(bad)
+            assert bad._misfit == (mat_mul(bad.A, bad.B, amb), mat_mul(bad.B, bad.A, amb))
 
 
 # -- minor ideal images -------------------------------------------------------
