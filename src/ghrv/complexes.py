@@ -27,12 +27,15 @@ The Koszul complex here is taken on all m = c + d variables of P.  The
 Shamash resolution of the residue field, G_n = sum_j F_(n-2j) with
 differential d = del + xi-wedge, is 2-periodic past index m, and its tail is
 del + xi-wedge between the even and the odd exterior powers of the Koszul
-complex.  shamash_resolution builds that tail directly and certifies it as
-the pair used as the complete resolution of k.
+complex.  One fold, _koszul_fold, maps each e_S by del + xi-wedge between
+any two lists of subsets.  shamash_resolution is two calls of it, between
+the even and the odd powers, certified as the complete resolution of k;
+koszul_differential and xi_wedge are its restrictions to one power.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations
@@ -94,21 +97,6 @@ class DistinctEntries:
 
     values: tuple[Poly, ...]
     rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-
-    def dense(self, scalars, zero) -> list[list[list]]:
-        """Each grid in full as a list of row lists: scalars[k] at every
-        (column, k) pair and zero elsewhere.  scalars is indexed like
-        values, for example the values evaluated at one point."""
-        out = []
-        for rows in self.rows:
-            grid = []
-            for pairs in rows:
-                row = [zero] * len(rows)
-                for j, k in pairs:
-                    row[j] = scalars[k]
-                grid.append(row)
-            out.append(grid)
-        return out
 
 
 def distinct_entries(grids, image=None) -> DistinctEntries:
@@ -435,38 +423,48 @@ def trivial_pair(ring: RingSpec) -> PeriodicComplex:
 # Koszul complex and the Shamash resolution of the residue field
 # ---------------------------------------------------------------------------
 
-def _exterior_map(ring: RingSpec, n: int, coeffs, up: bool) -> Grid:
-    """A map out of F_n, the n-th exterior power of the free module on all
-    c + d variables, bases ordered by itertools.combinations: contracting
-    e_i to coeffs[i] into F_(n-1), or with `up` wedging with
-    sum coeffs[i] e_i into F_(n+1).  Either way e_S goes to
-    (-1)^#{s in S : s < i} coeffs[i] e_T with T = S minus or plus i, and
-    each (T, S) pair gets exactly one such term."""
-    m = ring.c + ring.d
-    src = list(combinations(range(m), n))
-    tgt = {t: row for row, t in enumerate(combinations(range(m), n + 1 if up else n - 1))}
-    grid = [[ring.ambient.zero() for _ in src] for _ in tgt]
-    for j, s in enumerate(src):
-        for i, coeff in enumerate(coeffs):
-            if (i in s) == up:
+def _koszul_fold(ring: RingSpec, src: list[tuple[int, ...]], tgt: list[tuple[int, ...]]) -> Grid:
+    """The matrix of del + xi-wedge from the span of the e_S, S in `src`,
+    to the span of the e_T, T in `tgt`: a len(tgt) x len(src) grid, each
+    subset a sorted tuple of indices of the c + d variables of P (the
+    x-variables first).  With p = #{s in S : s < i}, e_S goes to
+    (-1)^p v_i e_(S - i) for each i in S, v_i the i-th variable (del), and
+    to (-1)^p f_i e_(S + i) for each x-index i not in S (xi-wedge); a term
+    whose target is not in `tgt` is left out.  Each (T, S) pair gets at
+    most one term, since T and S determine i."""
+    amb = ring.ambient
+    variables = [amb.variable(v) for v in amb.vars]
+    row_of = {t: row for row, t in enumerate(tgt)}
+    zero = amb.zero()
+    grid = [[zero] * len(src) for _ in tgt]
+    for col, s in enumerate(src):
+        for i, v in enumerate(variables):
+            p = bisect_left(s, i)
+            if p < len(s) and s[p] == i:
+                t, coeff = s[:p] + s[p + 1:], v
+            elif i < ring.c:
+                t, coeff = s[:p] + (i,) + s[p:], ring.f[i]
+            else:
                 continue
-            t = tuple(sorted(s + (i,))) if up else tuple(v for v in s if v != i)
-            odd = sum(1 for v in s if v < i) % 2
-            grid[tgt[t]][j] = -coeff if odd else coeff
+            if t in row_of:
+                grid[row_of[t]][col] = -coeff if p % 2 else coeff
     return as_grid(grid)
 
 
 def koszul_differential(ring: RingSpec, n: int) -> Grid:
     """del_n : F_n -> F_(n-1) of the Koszul complex on all c + d variables,
-    bases ordered by itertools.combinations."""
-    amb = ring.ambient
-    return _exterior_map(ring, n, [amb.variable(v) for v in amb.vars], up=False)
+    bases ordered by itertools.combinations: the fold restricted to F_n
+    and F_(n-1)."""
+    m = ring.c + ring.d
+    return _koszul_fold(ring, list(combinations(range(m), n)), list(combinations(range(m), n - 1)))
 
 
 def xi_wedge(ring: RingSpec, n: int) -> Grid:
     """Wedging with xi = sum f_i e_(x_i) : F_n -> F_(n+1); the null-homotopy
-    of multiplication by w on the Koszul complex (Cartan's identity)."""
-    return _exterior_map(ring, n, ring.f, up=True)
+    of multiplication by w on the Koszul complex (Cartan's identity), the
+    fold restricted to F_n and F_(n+1)."""
+    m = ring.c + ring.d
+    return _koszul_fold(ring, list(combinations(range(m), n)), list(combinations(range(m), n + 1)))
 
 
 def shamash_resolution(ring: RingSpec) -> PeriodicComplex:
@@ -474,39 +472,18 @@ def shamash_resolution(ring: RingSpec) -> PeriodicComplex:
     field, G_n = sum_j F_(n-2j) with differential del + xi-wedge, which is
     2-periodic past index m = c + d.  C_0 holds the exterior powers F_k with
     k = m, m-2, .. and C_1 those with k = m-1, m-3, .., each side by
-    descending k and in combinations order within F_k.  From every source
-    summand F_k, A (C_1 -> C_0) and B (C_0 -> C_1) both map by del_k into
-    F_(k-1) and by xi-wedge into F_(k+1), where that target is present.
-    Generator e_S, with s of the x-variables in S, has degree
-    s + (m - k)/2 on C_0 and s + (m + 1 - k)/2 on C_1.  Entries are
-    y-variables, x-variables and the f_i, all already in normal form mod w."""
+    descending k and in combinations order within F_k.  A (C_1 -> C_0) and
+    B (C_0 -> C_1) are both the one fold del + xi-wedge between the two
+    bases (_koszul_fold): from every source summand F_k, del_k into F_(k-1)
+    and xi-wedge into F_(k+1), where that target is present.  Generator
+    e_S, with s of the x-variables in S, has degree s + (m - k)/2 on C_0
+    and s + (m + 1 - k)/2 on C_1.  Entries are y-variables, x-variables and
+    the f_i, all already in normal form mod w."""
     m = ring.c + ring.d
-    amb = ring.ambient
-    sides = []
-    for parity in (0, 1):  # C_0, then C_1
-        offsets, degrees = {}, []
-        for k in range(m - parity, -1, -2):
-            offsets[k] = len(degrees)
-            degrees.extend(sum(1 for i in s if i < ring.c) + (m + parity - k) // 2
-                           for s in combinations(range(m), k))
-        sides.append((offsets, tuple(degrees)))
-
-    def differential(source, target) -> Grid:
-        (src_off, src_deg), (tgt_off, tgt_deg) = source, target
-        grid = [[amb.zero() for _ in src_deg] for _ in tgt_deg]
-
-        def paste(block, row0, col0):
-            for i, row in enumerate(block):
-                for j, e in enumerate(row):
-                    if not e.is_zero():
-                        grid[row0 + i][col0 + j] = e
-
-        for k, col0 in src_off.items():
-            if k - 1 in tgt_off:
-                paste(koszul_differential(ring, k), tgt_off[k - 1], col0)
-            if k + 1 in tgt_off:
-                paste(xi_wedge(ring, k), tgt_off[k + 1], col0)
-        return grid
-
+    sides = [[s for k in range(m - parity, -1, -2) for s in combinations(range(m), k)]
+             for parity in (0, 1)]
+    degrees = [tuple(sum(1 for i in s if i < ring.c) + (m + parity - len(s)) // 2 for s in side)
+               for parity, side in enumerate(sides)]
     even, odd = sides
-    return periodic_from_pair(ring, differential(odd, even), differential(even, odd), even[1], odd[1])
+    return periodic_from_pair(ring, _koszul_fold(ring, odd, even), _koszul_fold(ring, even, odd),
+                              *degrees)

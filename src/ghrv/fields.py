@@ -261,6 +261,15 @@ def _smallest_factor(n: int) -> int:
     return n
 
 
+def _digits(n: int, p: int, e: int) -> list[int]:
+    """The e base-p digits of 0 <= n < p^e, least significant first."""
+    digits = []
+    for _ in range(e):
+        n, d = divmod(n, p)
+        digits.append(d)
+    return digits
+
+
 def _prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n, ascending."""
     out = []
@@ -334,10 +343,11 @@ class ExtensionField(Field):
             self._build_tables()
 
     def _build_tables(self):
+        # _log is still None here, so self.pow multiplies by the list route
         q1 = self.order - 1
         gen = next(
             g for g in self.elements()
-            if g != self.zero and all(self._pow_list(g, q1 // r) != self.one for r in _prime_factors(q1))
+            if g != self.zero and all(self.pow(g, q1 // r) != self.one for r in _prime_factors(q1))
         )
         exp = [self.one]
         for _ in range(q1 - 1):
@@ -420,15 +430,6 @@ class ExtensionField(Field):
         prod = _fp_mul(_fp_trim(list(a)), _fp_trim(list(b)), self.p)
         return self._wrap(_fp_mod(prod, list(self.modulus), self.p))
 
-    def _pow_list(self, a, n: int):
-        acc = self.one
-        while n:
-            if n & 1:
-                acc = self._mul_list(acc, a)
-            a = self._mul_list(a, a)
-            n >>= 1
-        return acc
-
     def _inv_list(self, a):
         if all(c == 0 for c in a):
             raise ZeroDivisionError("inverse of 0")
@@ -452,12 +453,7 @@ class ExtensionField(Field):
 
     def elements(self):
         for n in range(self.order):
-            digits = []
-            m = n
-            for _ in range(self.e):
-                digits.append(m % self.p)
-                m //= self.p
-            yield tuple(digits)
+            yield tuple(_digits(n, self.p, self.e))
 
     def in_prime_subfield(self, a) -> bool:
         return all(c == 0 for c in a[1:])
@@ -531,12 +527,7 @@ def make_extension(p: int, e: int) -> ExtensionField:
 @lru_cache(maxsize=None)
 def _extension(p: int, e: int) -> ExtensionField:
     for n in range(p**e):
-        digits = []
-        m = n
-        for _ in range(e):
-            digits.append(m % p)
-            m //= p
-        candidate = digits + [1]
+        candidate = _digits(n, p, e) + [1]
         if is_irreducible(candidate, p):
             return ExtensionField(p, e, tuple(candidate))
     raise NotIrreducible(f"no irreducible modulus of degree {e} over GF({p})")  # pragma: no cover

@@ -11,13 +11,11 @@ exterior products of rows, v_i1 ^ .. ^ v_ir, whose coefficients are the
 r x r minors on those rows; only nonzero coefficients are kept, so a sparse
 matrix costs in proportion to its nonzero minors rather than to all of them.
 
-The one field-level routine is rank.  It eliminates sparsely on rows kept
-as dicts of their nonzero scalars (rank_of_rows), so it costs in
-proportion to them.  A caller that already holds a matrix by its nonzero
-entries, as a verdict at a point holds the residue pencil, builds those
-dicts directly; a dense grid of field scalars, such as the oracle's
-specialize-then-residue grids, goes through rank_over_field, which
-converts it once.
+The one field-level routine is rank (rank_over_field).  It eliminates
+sparsely on rows given as dicts of their nonzero scalars, so it costs in
+proportion to them.  Its callers hold a matrix by its nonzero entries, as a
+verdict at a point holds the residue pencil and the oracle holds A and B,
+and build those dicts directly; no dense grid of field scalars is formed.
 """
 
 from __future__ import annotations
@@ -288,15 +286,7 @@ def rank_by_minors(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
 # linear algebra over a field
 # ---------------------------------------------------------------------------
 
-def rank_over_field(rows: Sequence[Sequence], field: Field) -> int:
-    """Rank of a dense grid of field scalars: each row is converted once to
-    a dict of its nonzero entries, a scalar being zero when it equals
-    field.zero as Field.is_zero has it, and rank_of_rows eliminates."""
-    zero = field.zero
-    return rank_of_rows([{j: e for j, e in enumerate(row) if e != zero} for row in rows], field)
-
-
-def rank_of_rows(rows: list[dict], field: Field) -> int:
+def rank_over_field(rows: list[dict], field: Field) -> int:
     """Rank by sparse Gauss elimination on rows given as dicts column ->
     nonzero scalar; the dicts are consumed, and an empty one is a zero row.
 

@@ -40,21 +40,21 @@ of A and B, equal images sharing one index, and for each of Abar and Bbar
 rows of (column, index) pairs.  A scan over many points therefore pays for
 y -> 0 once.  A verdict builds one poly.evaluator per point, which looks up
 the embedding once and keeps one power table per coordinate, evaluates
-each distinct entry once, and builds each row's dict of nonzero scalars
-straight from its pairs for the sparse field rank (matrix.rank_of_rows).
-So a verdict costs in proportion to the distinct nonzero entries, and no
-dense grid is formed.  Specializing x -> a along chosen preimages a of
-alpha and then reducing y -> 0 gives the same scalars for every choice of
-preimages; that route is kept as the oracle (_oracle_residues), and only
-the preimage perturbation check runs it.  The oracle substitutes the full
-preimages into each distinct nonzero entry of A and B
-(PeriodicComplex.pair_entries), once per point, and reads the residue from
-the whole specialized polynomial, so it costs more than the verdict it
-checks; no oracle scalar comes from the pencil.  Each preimage keeps its
-powers (Poly.__pow__), so a trial raises each preimage once for all
-entries.  A zero entry skips the oracle, since specialize(0) = 0 exactly.
-A verdict at a ProjPoint validates the point and evaluates the pencil; it
-builds no Alpha and no preimages.
+each distinct entry once, and _ranks builds each row's dict of nonzero
+scalars straight from its pairs for the one field rank
+(matrix.rank_over_field).  So a verdict costs in proportion to the distinct
+nonzero entries, and no dense grid is formed.  Specializing x -> a along
+chosen preimages a of alpha and then reducing y -> 0 gives the same scalars
+for every choice of preimages; that route is kept as the oracle
+(_oracle_scalars), and only the preimage perturbation check runs it, ranked
+by _ranks on the rows of C.pair_entries.  The oracle substitutes the full
+preimages into each distinct nonzero entry of A and B, once per point, and
+reads the residue from the whole specialized polynomial, so it costs more
+than the verdict it checks; no oracle scalar comes from the pencil.  Each
+preimage keeps its powers (Poly.__pow__), so a trial raises each preimage
+once for all entries.  A zero entry skips the oracle, since
+specialize(0) = 0 exactly.  A verdict at a ProjPoint validates the point
+and evaluates the pencil; it builds no Alpha and no preimages.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ from dataclasses import dataclass
 from itertools import product
 from operator import add as _mono_add
 
-from .complexes import PeriodicComplex
+from .complexes import DistinctEntries, PeriodicComplex
 from .errors import BoundExceeded, InvalidComplex, UnsupportedField
 from .fields import ExtensionField, Field, PrimeField, make_extension
-from .matrix import all_minors, rank_of_rows, rank_over_domain, rank_over_field
+from .matrix import all_minors, rank_over_domain, rank_over_field
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import Alpha, RingSpec, make_alpha, point_coords, residue, specialize
 
@@ -345,14 +345,6 @@ def is_empty(V: ZeroSetUnion, bound: int = 4) -> EmptinessVerdict:
 # contractibility at a point
 # ---------------------------------------------------------------------------
 
-def _as_alpha(C: PeriodicComplex, alpha) -> Alpha:
-    if isinstance(alpha, Alpha):
-        return alpha
-    if isinstance(alpha, ProjPoint):
-        return make_alpha(C.ring, alpha.coords, field=alpha.field)
-    return make_alpha(C.ring, tuple(alpha))
-
-
 def _field_and_point(C: PeriodicComplex, alpha) -> tuple[Field, tuple]:
     """alpha's field and coordinates, validated as make_alpha validates
     them but without lifting them to preimages, which the pencil never
@@ -364,22 +356,35 @@ def _field_and_point(C: PeriodicComplex, alpha) -> tuple[Field, tuple]:
     return C.ring.field, point_coords(C.ring, tuple(alpha))
 
 
-def residue_ranks(C: PeriodicComplex, alpha) -> tuple[int, int]:
-    """(rank Abar(alpha), rank Bbar(alpha)), eliminated on rows of the
-    nonzero scalars, each row's dict built straight from its (column,
-    index) pairs; no dense grid is formed.  One evaluator serves the
-    point, so the embedding and the powers of each coordinate are computed
-    once, and each distinct entry of C.pencil_entries.values is evaluated
-    once."""
+def _as_alpha(C: PeriodicComplex, alpha) -> Alpha:
+    """alpha, or the Alpha with constant preimages at _field_and_point's."""
+    if isinstance(alpha, Alpha):
+        return alpha
     fld, point = _field_and_point(C, alpha)
-    at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, point)), fld)
-    scalars = [at(e) for e in C.pencil_entries.values]
-    zero = fld.zero
+    return make_alpha(C.ring, point, field=fld)
+
+
+def _ranks(entries: DistinctEntries, scalars, field: Field) -> tuple[int, int]:
+    """The field ranks of the two grids of `entries` with scalars[k] at each
+    (column, k) pair, eliminated on rows of the nonzero scalars, each row's
+    dict built straight from its pairs; no dense grid is formed."""
+    zero = field.zero
     r_a, r_b = (
-        rank_of_rows([{j: s for j, k in pairs if (s := scalars[k]) != zero} for pairs in rows], fld)
-        for rows in C.pencil_entries.rows
+        rank_over_field([{j: s for j, k in pairs if (s := scalars[k]) != zero} for pairs in rows],
+                        field)
+        for rows in entries.rows
     )
     return r_a, r_b
+
+
+def residue_ranks(C: PeriodicComplex, alpha) -> tuple[int, int]:
+    """(rank Abar(alpha), rank Bbar(alpha)) by _ranks on the kept pencil.
+    One evaluator serves the point, so the embedding and the powers of each
+    coordinate are computed once, and each distinct entry of
+    C.pencil_entries.values is evaluated once."""
+    fld, point = _field_and_point(C, alpha)
+    at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, point)), fld)
+    return _ranks(C.pencil_entries, [at(e) for e in C.pencil_entries.values], fld)
 
 
 def contractible_at(C: PeriodicComplex, alpha) -> bool:
@@ -389,15 +394,14 @@ def contractible_at(C: PeriodicComplex, alpha) -> bool:
     return r_a + r_b == C.size
 
 
-def _oracle_residues(C: PeriodicComplex, alpha: Alpha) -> list:
-    """[Abar, Bbar] at alpha by the oracle route: each distinct nonzero
-    entry of A and B (C.pair_entries) is specialized along alpha's
-    preimages and then reduced y -> 0, once, and the dense grids are filled
-    from those scalars.  A zero entry is fld.zero without that route, which
+def _oracle_scalars(C: PeriodicComplex, alpha: Alpha) -> list:
+    """The scalars of Abar and Bbar at alpha by the oracle route, indexed
+    like C.pair_entries.values: each distinct nonzero entry of A and B is
+    specialized along alpha's preimages and then reduced y -> 0, once.  A
+    zero entry has no pair and so reads as zero without that route, which
     is exact because specialize(0) = 0."""
     ring = C.ring
-    scalars = [residue(specialize(e, alpha, ring), ring) for e in C.pair_entries.values]
-    return C.pair_entries.dense(scalars, alpha.field.zero)
+    return [residue(specialize(e, alpha, ring), ring) for e in C.pair_entries.values]
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +425,8 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
     """Re-test contractibility under seeded random perturbations of the
     preimages by y-terms of degree 1 and 2; the verdict must never move.
     The baseline takes the residue pencil; each perturbed verdict takes the
-    oracle route, specialize then residue (_oracle_residues), so two routes
-    are compared."""
+    oracle route, specialize then residue (_oracle_scalars), ranked by
+    _ranks on the rows of C.pair_entries, so two routes are compared."""
     alpha = _as_alpha(C, alpha)
     fld = alpha.field
     if not fld.finite:
@@ -456,6 +460,5 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
                 terms[m] = elems[rng.randrange(len(elems))]
             preimages.append(Poly(amb, terms))  # zero coefficients drop out
         perturbed = make_alpha(ring, alpha.point, preimages=tuple(preimages), field=fld)
-        a_bar, b_bar = _oracle_residues(C, perturbed)
-        verdicts.append(rank_over_field(a_bar, fld) + rank_over_field(b_bar, fld) == C.size)
+        verdicts.append(sum(_ranks(C.pair_entries, _oracle_scalars(C, perturbed), fld)) == C.size)
     return PerturbationReport(alpha, trials, seed, baseline, verdicts)

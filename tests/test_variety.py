@@ -17,7 +17,7 @@ import ghrv.variety
 from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair
 from ghrv.errors import BoundExceeded, InvalidComplex, RingMismatch, UnsupportedField
 from ghrv.fields import QQ, make_extension, prime_field
-from ghrv.matrix import all_minors, identity, mat_mul, rank_over_field
+from ghrv.matrix import all_minors, identity, mat_mul
 from ghrv.pipelines import (
     complete_resolution_of_k,
     documented_cone_pair,
@@ -46,6 +46,8 @@ from ghrv.variety import (
     ranks_over_R,
     residue_ranks,
 )
+
+from dense import dense_grids, dense_rank
 
 
 # -- ranks over R -------------------------------------------------------------
@@ -485,9 +487,9 @@ def test_residue_pencil_matches_specialize_then_residue(field):
             pencil = _pencil_at(C, pt)
             # the kept pencil, its distinct entries evaluated and laid out
             at = evaluator(ring.kx, dict(zip(ring.xvars, pt.coords)), pt.field)
-            kept = C.pencil_entries.dense([at(e) for e in C.pencil_entries.values], pt.field.zero)
+            kept = dense_grids(C.pencil_entries, [at(e) for e in C.pencil_entries.values], pt.field.zero)
             assert kept == pencil, (C.size, str(pt))
-            ranks = tuple(rank_over_field(g, pt.field) for g in pencil)
+            ranks = tuple(dense_rank(g, pt.field) for g in pencil)
             assert residue_ranks(C, pt) == ranks, (C.size, str(pt))
             for alpha in choices:
                 oracle = [
@@ -525,7 +527,7 @@ def test_realize_stage_verdicts_match_specialize_then_residue(ring5):
                     [[residue(specialize(e, alpha, ring5), ring5) for e in row] for row in grid]
                     for grid in (C.A, C.B)
                 )
-                oracle = tuple(rank_over_field(g, f25) for g in grids)
+                oracle = tuple(dense_rank(g, f25) for g in grids)
                 assert ranks == oracle, (C.size, str(pt))
                 assert verdict == (sum(oracle) == C.size)
             verdicts.append(verdict)
@@ -586,8 +588,9 @@ def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch
             oracle = [[[memo[id(e)] for e in row] for row in grid] for grid in (C.A, C.B)]
             a_bar, b_bar = _pencil_at(C, pt)
             assert [a_bar, b_bar] == oracle, (C.size, str(pt))
-            assert ghrv.variety._oracle_residues(C, alpha) == oracle, (C.size, str(pt))
-            dense = (rank_over_field(a_bar, fld), rank_over_field(b_bar, fld))
+            scalars = ghrv.variety._oracle_scalars(C, alpha)
+            assert dense_grids(C.pair_entries, scalars, fld.zero) == oracle, (C.size, str(pt))
+            dense = (dense_rank(a_bar, fld), dense_rank(b_bar, fld))
             monkeypatch.setattr(ghrv.variety, "evaluator", counting_evaluator)
             evaluated.clear()
             verdict = contractible_at(C, pt)
@@ -764,7 +767,7 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     # go to zero without it
     distinct = len(set(entries))
     assert len(tail.pair_entries.values) == distinct == 10
-    assert len({id(e) for e in entries}) == 31  # what dedup by identity would keep
+    assert len({id(e) for e in entries}) == 25  # what dedup by identity would keep
     assert calls["specialize"] == 2 * distinct
 
     # one perturbed trial specializes every distinct nonzero entry, and
@@ -803,7 +806,7 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
             assert report.verdicts == [report.baseline] == [contractible_at(C, p)], str(p)
         assert C.pencil_entries is not base.pencil_entries
         kept = C.pencil_entries
-        dense = kept.dense(kept.values, ring5.kx.zero())
+        dense = dense_grids(kept, kept.values, ring5.kx.zero())
         assert [tuple(map(tuple, grid)) for grid in dense] == [ring5.image_grid(C.A), ring5.image_grid(C.B)]
     # the cone's variety is Z(x1^2 + 2*x2^2): two points, both over F_25 only
     cone_points = [p for p in points if not contractible_at(derived[2], p)]
