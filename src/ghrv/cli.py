@@ -27,7 +27,7 @@ from .pipelines import (
     realize,
     reproduce_examples,
 )
-from .ring import make_alpha, specialize, specialized_modulus
+from .ring import make_alpha, specialize
 from .serialize import load_complex, load_ring, save_complex, save_trace
 from .variety import (
     _check_point_count,
@@ -217,7 +217,7 @@ def _cmd_specialize(args) -> int:
     alpha = _alpha_from_args(C, args)
     ring = C.ring
     print(f"alpha = {alpha}")
-    print(f"w_alpha = {specialized_modulus(alpha, ring)}")
+    print(f"w_alpha = {specialize(ring.w, alpha, ring)}")
     a_spec = [[specialize(e, alpha, ring) for e in row] for row in C.A]
     b_spec = [[specialize(e, alpha, ring) for e in row] for row in C.B]
     print(_format_matrix("A|alpha", a_spec))

@@ -41,6 +41,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import (
+    BoundExceeded,
     CertificationFailed,
     NotAComplex,
     NotHomogeneous,
@@ -50,6 +51,10 @@ from .errors import (
 from .matrix import Grid, as_grid, block_matrix, identity, mat_mul, mat_neg, mat_shape, mat_transpose, zero_matrix
 from .poly import NEG_INF, Poly
 from .ring import RingSpec
+
+# shamash_resolution refuses more than this many variables c + d before any
+# work: the tail is a dense 2^(c+d-1) square, and 12 already take seconds.
+MAX_KOSZUL_VARIABLES = 12
 
 
 def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
@@ -478,8 +483,12 @@ def shamash_resolution(ring: RingSpec) -> PeriodicComplex:
     and xi-wedge into F_(k+1), where that target is present.  Generator
     e_S, with s of the x-variables in S, has degree s + (m - k)/2 on C_0
     and s + (m + 1 - k)/2 on C_1.  Entries are y-variables, x-variables and
-    the f_i, all already in normal form mod w."""
+    the f_i, all already in normal form mod w.  A ring of more than
+    MAX_KOSZUL_VARIABLES variables raises BoundExceeded before any work."""
     m = ring.c + ring.d
+    if m > MAX_KOSZUL_VARIABLES:
+        raise BoundExceeded(f"the Shamash tail on c + d = {m} variables exceeds the cap of "
+                            f"{MAX_KOSZUL_VARIABLES}")
     sides = [[s for k in range(m - parity, -1, -2) for s in combinations(range(m), k)]
              for parity in (0, 1)]
     degrees = [tuple(sum(1 for i in s if i < ring.c) + (m + parity - len(s)) // 2 for s in side)

@@ -16,9 +16,14 @@ Each GF(p^e) is built once per process.
 Extension elements keep the tuple form at every boundary; only the
 arithmetic behind it changes with the order.  Up to 4096 elements each
 field carries log, antilog and Zech tables keyed by those tuples, so a
-product, sum, negation or inverse is a lookup.  Larger fields multiply
-coefficient lists and reduce by the modulus.  That list route also builds
-the tables and is the reference they are tested against.
+product, sum, negation or inverse is a lookup.  Larger fields add, negate
+and multiply coefficient lists, reducing by the modulus, and invert by the
+extended Euclid that also serves the irreducibility test (_fp_gcd).  That
+list route also builds the tables and is the reference they are tested
+against.
+
+Primality is decided by trial division up to MAX_TRIAL_DIVISOR, so a prime
+characteristic past about 10^14 is refused with BoundExceeded.
 """
 
 from __future__ import annotations
@@ -56,12 +61,6 @@ class Field:
 
     def inv(self, a):
         raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, n: int):
         if n < 0:
@@ -210,8 +209,7 @@ def _fp_mul(a, b, p):
 
 
 def _fp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError
+    """Quotient and remainder of a by a nonzero b."""
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     inv_lead = pow(b[-1], p - 2, p)
@@ -231,12 +229,18 @@ def _fp_mod(a, b, p):
 
 
 def _fp_gcd(a, b, p):
+    """(g, s): g the monic gcd of a and b, and s with s*b = g mod a, by
+    extended Euclid.  The irreducibility test reads g, and an extension
+    field without tables inverts by s."""
+    s0, s1 = [], [1]
     while b:
-        a, b = b, _fp_mod(a, b, p)
+        q, r = _fp_divmod(a, b, p)
+        a, b = b, r
+        s0, s1 = s1, _fp_add(s0, [(-c) % p for c in _fp_mul(q, s1, p)], p)
     if a:
         inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
+        a, s0 = [(c * inv) % p for c in a], [(c * inv) % p for c in s0]
+    return a, s0
 
 
 def _fp_powmod(base, n, mod, p):
@@ -250,14 +254,27 @@ def _fp_powmod(base, n, mod, p):
     return acc
 
 
+# _smallest_factor trial-divides by at most this, so it refuses a prime past
+# about 10^14 (any n past MAX_TRIAL_DIVISOR^2 with no factor up to it), in
+# about half a second.
+MAX_TRIAL_DIVISOR = 10**7
+
+
 @lru_cache(maxsize=None)
 def _smallest_factor(n: int) -> int:
     """The least prime factor of n >= 2, n itself when n is prime.  Trial
-    division stops at isqrt(n); the cache means a large prime is divided
-    once, however many callers ask."""
-    for q in range(2, math.isqrt(n) + 1):
+    division stops at min(isqrt(n), MAX_TRIAL_DIVISOR), and BoundExceeded
+    is raised when it stopped short of isqrt(n) without a factor.  The cache
+    means a large prime is divided once, however many callers ask."""
+    if n % 2 == 0:
+        return 2
+    root = math.isqrt(n)
+    for q in range(3, min(root, MAX_TRIAL_DIVISOR) + 1, 2):
         if n % q == 0:
             return q
+    if root > MAX_TRIAL_DIVISOR:
+        raise BoundExceeded(f"{n} has no factor up to the trial-division cap of "
+                            f"{MAX_TRIAL_DIVISOR}; its primality is not decided")
     return n
 
 
@@ -297,7 +314,7 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
         return False
     for q in _prime_factors(e):
         h = _fp_add(_fp_powmod(t, p ** (e // q), coeffs, p), [0, p - 1], p)
-        if _fp_gcd(h, coeffs, p) != [1]:
+        if _fp_gcd(h, coeffs, p)[0] != [1]:
             return False
     return True
 
@@ -319,9 +336,10 @@ class ExtensionField(Field):
     products and sums with zero need no branch.  A tuple that is not a
     reduced element has no log and raises FieldError.
 
-    The coefficient-list route (`_add_list`, `_mul_list`, ...) builds the
-    tables, does all arithmetic above the cap, and is the reference the
-    tables are tested against.
+    The coefficient-list route (`_add_list`, `_neg_list`, `_mul_list`)
+    builds the tables, adds, negates and multiplies above the cap, and is
+    the reference the tables are tested against.  Above the cap an inverse
+    is the Bezout coefficient of `a` in `_fp_gcd(modulus, a)`.
     """
 
     finite = True
@@ -410,7 +428,10 @@ class ExtensionField(Field):
     def inv(self, a):
         log = self._log
         if log is None:
-            return self._inv_list(self._element(a))
+            a = _fp_trim(list(self._element(a)))
+            if not a:
+                raise ZeroDivisionError("inverse of 0")
+            return self._wrap(_fp_gcd(list(self.modulus), a, self.p)[1])
         try:
             la = log[a]
         except (KeyError, TypeError):
@@ -429,20 +450,6 @@ class ExtensionField(Field):
     def _mul_list(self, a, b):
         prod = _fp_mul(_fp_trim(list(a)), _fp_trim(list(b)), self.p)
         return self._wrap(_fp_mod(prod, list(self.modulus), self.p))
-
-    def _inv_list(self, a):
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("inverse of 0")
-        # extended Euclid in GF(p)[t]
-        r0, r1 = list(self.modulus), _fp_trim(list(a))
-        s0, s1 = [], [1]
-        p = self.p
-        while r1:
-            q, rem = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fp_add(s0, [(-c) % p for c in _fp_mul(q, s1, p)], p)
-        lead_inv = pow(r0[-1], p - 2, p)
-        return self._wrap([(c * lead_inv) % p for c in s0])
 
     def from_int(self, n: int):
         return self._wrap([n % self.p])
@@ -626,21 +633,14 @@ def _horner_embedding(src: ExtensionField, dst: ExtensionField):
     Horner's rule in that root."""
     if dst.e % src.e != 0:
         raise RingMismatch(f"{src} does not embed in {dst}")
-    root = None
-    for cand in dst.elements():
-        acc = dst.zero
-        for c in reversed(src.modulus):
-            acc = dst.add(dst.mul(acc, cand), dst.from_int(c))
-        if acc == dst.zero:
-            root = cand
-            break
-    if root is None:
-        raise RingMismatch(f"modulus of {src} has no root in {dst}")  # pragma: no cover
 
-    def embed(a, _root=root, _dst=dst):
-        acc = _dst.zero
-        for c in reversed(a):
-            acc = _dst.add(_dst.mul(acc, _root), _dst.from_int(c))
+    def horner(coeffs, x):
+        acc = dst.zero
+        for c in reversed(coeffs):
+            acc = dst.add(dst.mul(acc, x), dst.from_int(c))
         return acc
 
-    return embed
+    root = next((x for x in dst.elements() if horner(src.modulus, x) == dst.zero), None)
+    if root is None:
+        raise RingMismatch(f"modulus of {src} has no root in {dst}")  # pragma: no cover
+    return lambda a: horner(a, root)

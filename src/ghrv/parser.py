@@ -124,7 +124,7 @@ class _Parser:
                 den = fld.from_int(dvalue)
                 if fld.is_zero(den):
                     raise ParseError("denominator is zero in the coefficient field", dpos)
-                return self.ring.const(fld.div(fld.from_int(value), den))
+                return self.ring.const(fld.mul(fld.from_int(value), fld.inv(den)))
             return self.ring.from_int(value)
         if kind == "ident":
             if value not in self.ring.vars:

@@ -227,12 +227,6 @@ def specialize(value, alpha: Alpha, ring: RingSpec) -> Poly:
     return out
 
 
-def specialized_modulus(alpha: Alpha, ring: RingSpec) -> Poly:
-    """w after substitution: sum f_i * a_i, the hypersurface equation of the
-    specialized ring K[y]/(w_alpha)."""
-    return specialize(ring.w, alpha, ring)
-
-
 def residue(q: Poly, ring: RingSpec):
     """Evaluate a specialized (y-only) polynomial at y = 0, landing in the
     residue field of the local base."""

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import add as _mono_add
 
 from .complexes import DistinctEntries, PeriodicComplex
@@ -117,8 +117,6 @@ def rank_over_R(rows, ring: RingSpec) -> int:
     """Rank of a matrix of representatives as a matrix over R.  Nonzero
     entries are reduced mod w first; a zero entry is its own normal form."""
     nf_rows = [[ring.normal_form(e) if e.terms else e for e in row] for row in rows]
-    if not nf_rows or not nf_rows[0]:
-        return 0
     return rank_over_domain(_eliminate_x1(nf_rows, ring), ring.ambient)
 
 
@@ -356,14 +354,6 @@ def _field_and_point(C: PeriodicComplex, alpha) -> tuple[Field, tuple]:
     return C.ring.field, point_coords(C.ring, tuple(alpha))
 
 
-def _as_alpha(C: PeriodicComplex, alpha) -> Alpha:
-    """alpha, or the Alpha with constant preimages at _field_and_point's."""
-    if isinstance(alpha, Alpha):
-        return alpha
-    fld, point = _field_and_point(C, alpha)
-    return make_alpha(C.ring, point, field=fld)
-
-
 def _ranks(entries: DistinctEntries, scalars, field: Field) -> tuple[int, int]:
     """The field ranks of the two grids of `entries` with scalars[k] at each
     (column, k) pair, eliminated on rows of the nonzero scalars, each row's
@@ -427,30 +417,23 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
     The baseline takes the residue pencil; each perturbed verdict takes the
     oracle route, specialize then residue (_oracle_scalars), ranked by
     _ranks on the rows of C.pair_entries, so two routes are compared."""
-    alpha = _as_alpha(C, alpha)
+    ring = C.ring
+    if not isinstance(alpha, Alpha):
+        fld, point = _field_and_point(C, alpha)
+        alpha = make_alpha(ring, point, field=fld)
     fld = alpha.field
     if not fld.finite:
         raise UnsupportedField("perturbation sampling needs a finite field")
-    ring = C.ring
     amb = ring.ambient_over(fld)
     baseline = contractible_at(C, alpha)
     rng = random.Random(seed)
     elems = list(fld.elements())
 
-    nx, nd = ring.c, ring.d
-    monos = []
-    for i in range(nd):
-        m = [0] * (nx + nd)
-        m[nx + i] = 1
-        monos.append(tuple(m))
-    for i in range(nd):
-        for j in range(i, nd):
-            m = [0] * (nx + nd)
-            m[nx + i] += 1
-            m[nx + j] += 1
-            monos.append(tuple(m))
+    nvars = ring.c + ring.d
+    monos = [tuple(ys.count(v) for v in range(nvars))
+             for k in (1, 2) for ys in combinations_with_replacement(range(ring.c, nvars), k)]
 
-    constant = (0,) * (nx + nd)
+    constant = (0,) * nvars
     verdicts = []
     for _ in range(trials):
         preimages = []

@@ -21,6 +21,7 @@ import ghrv
 from ghrv.cli import build_parser, run
 from ghrv.fields import prime_field
 from ghrv.pipelines import fixture_k, fixture_rank_one, named_fixture, worked_ring
+from ghrv.ring import make_ring
 from ghrv.serialize import load_complex, save_complex, save_ring
 
 
@@ -63,6 +64,33 @@ def test_points_over_large_fields(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "BoundExceeded: P^1(GF(1000003)) has more than the cap of 1000000 points\n"
+
+
+def test_a_prime_past_the_trial_division_cap_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert run(["points", "--field", "GF(2305843009213693951)", "--c", "2"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("BoundExceeded: 2305843009213693951 has no factor up to the "
+                            "trial-division cap of 10000000; its primality is not decided\n")
+
+
+def test_a_shamash_tail_past_the_cap_is_refused_at_once(tmp_path, capsys):
+    # c + d = 13: the tail would be a dense 4096 x 4096 pair
+    ring = make_ring(prime_field(5), [f"y{i}" for i in range(1, 12)], ["x1", "x2"], ["y1", "y2"])
+    ring_path = tmp_path / "ring.json"
+    save_ring(ring, ring_path)
+    out = tmp_path / "out.json"
+    for argv in (["resolve-k", str(ring_path), "--out", str(out)],
+                 ["realize", str(ring_path), "--p", "x1", "--out", str(out)]):
+        start = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "BoundExceeded: the Shamash tail on c + d = 13 variables exceeds the cap of 12\n"
+        assert not out.exists()
 
 
 def test_check_valid(pair_file, capsys):

@@ -28,6 +28,7 @@ from ghrv.complexes import (
     xi_wedge,
 )
 from ghrv.errors import (
+    BoundExceeded,
     CertificationFailed,
     NotAComplex,
     NotHomogeneous,
@@ -287,6 +288,16 @@ def test_extracted_pair_is_certified_and_minimal(shamash_pairs):
 
 
 # -- periodic pairs -----------------------------------------------------------
+
+def test_shamash_tail_cap(ring5, monkeypatch):
+    # the worked ring has c + d = 4 variables: a cap of 4 builds its tail,
+    # a cap of 3 refuses it
+    monkeypatch.setattr(complexes, "MAX_KOSZUL_VARIABLES", 4)
+    assert shamash_resolution(ring5).size == 8
+    monkeypatch.setattr(complexes, "MAX_KOSZUL_VARIABLES", 3)
+    with pytest.raises(BoundExceeded, match="^the Shamash tail on c \\+ d = 4 variables exceeds the cap of 3$"):
+        shamash_resolution(ring5)
+
 
 def test_trivial_pair(ring5):
     t = trivial_pair(ring5)

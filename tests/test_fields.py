@@ -35,7 +35,7 @@ def test_prime_field_matches_integer_arithmetic():
         a, b = rng.randrange(7), rng.randrange(7)
         assert f.add(a, b) == (a + b) % 7
         assert f.mul(a, b) == (a * b) % 7
-        assert f.sub(a, b) == (a - b) % 7
+        assert f.add(a, f.neg(b)) == (a - b) % 7
         assert f.neg(a) == (-a) % 7
     for a in range(1, 7):
         assert f.mul(a, f.inv(a)) == 1
@@ -45,7 +45,7 @@ def test_prime_field_division_and_pow():
     f = prime_field(13)
     for a in range(1, 13):
         for b in range(1, 13):
-            assert f.mul(f.div(a, b), b) == a
+            assert f.mul(f.mul(a, f.inv(b)), b) == a
         assert f.pow(a, 12) == 1  # Fermat
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
@@ -63,7 +63,7 @@ def test_rationals_are_exact():
 
     q = QQ
     a = q.from_int(1)
-    third = q.div(a, q.from_int(3))
+    third = q.mul(a, q.inv(q.from_int(3)))
     assert third == Fraction(1, 3)
     assert q.add(third, third) == Fraction(2, 3)
     assert not q.finite
@@ -133,16 +133,16 @@ TABLE_FIELDS = [
     make_extension(p, e) for p, e in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4))
 ]
 # above the table cap, so arithmetic takes the coefficient-list route
-LIST_FIELD = make_extension(101, 2)
+LIST_FIELDS = [make_extension(101, 2), make_extension(2, 13)]
 
 
-@pytest.mark.parametrize("f", TABLE_FIELDS + [LIST_FIELD], ids=str)
+@pytest.mark.parametrize("f", TABLE_FIELDS + LIST_FIELDS, ids=str)
 def test_extension_field_is_a_field(f):
     """Field axioms, and every operation equal to the coefficient-list
     route: on all pairs below the table cap, on a seeded sample above it."""
     q = f.order
     rng = random.Random(5)
-    if f is LIST_FIELD:
+    if f in LIST_FIELDS:
         elems = [f.zero, f.one] + rng.sample(list(f.elements()), 30)
     else:
         elems = list(f.elements())
@@ -153,11 +153,11 @@ def test_extension_field_is_a_field(f):
         assert f.pow(a, q) == a  # Frobenius fixed by q-power
         assert f.neg(a) == f._neg_list(a)
         if not f.is_zero(a):
-            assert f.inv(a) == f._inv_list(a)
+            assert f._mul_list(a, f.inv(a)) == f.one
             assert f.mul(a, f.inv(a)) == f.one
         for b in elems:
             assert f.add(a, b) == f._add_list(a, b)
-            assert f.sub(a, b) == f._add_list(a, f._neg_list(b))
+            assert f.add(a, f.neg(b)) == f._add_list(a, f._neg_list(b))
             assert f.mul(a, b) == f._mul_list(a, b)
     # commutativity and distributivity on a sample
     for _ in range(60):
@@ -168,7 +168,7 @@ def test_extension_field_is_a_field(f):
     for bad in ((f.p,) + (0,) * (f.e - 1), (0,) * (f.e + 1), (1,) * (f.e - 1)):
         for op in (
             lambda: f.add(bad, f.zero),
-            lambda: f.sub(f.zero, bad),
+            lambda: f.add(f.zero, f.neg(bad)),
             lambda: f.mul(bad, f.zero),
             lambda: f.mul(f.one, bad),
             lambda: f.neg(bad),
@@ -250,6 +250,24 @@ def test_large_prime_orders_parse_fast():
     for p in (12, 1, 1000003**2):
         with pytest.raises(FieldError, match=f"^{p} is not prime$"):
             PrimeField(p)
+
+
+def test_trial_division_cap():
+    # trial division stops at 10^7: a number with no factor up to it and a
+    # square root past it is refused in under a second; the prime 10^14 + 31,
+    # whose square root is 10^7, squares of primes below 10^7 and numbers
+    # with a small factor are not
+    for n in (2**61 - 1, 10000019 * 10000079):
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match=f"^{n} has no factor up to the trial-division cap"):
+            parse_field(f"GF({n})")
+        assert time.perf_counter() - start < 1.0
+    assert field_name(parse_field("GF(1000000000039)")) == "GF(1000000000039)"
+    assert prime_field(10**14 + 31).p == 10**14 + 31
+    assert parse_field(f"GF({9999991**2})") is make_extension(9999991, 2)
+    assert parse_field(f"GF({2**64})") is make_extension(2, 64)
+    with pytest.raises(FieldError, match=f"^{3 * (2**61 - 1)} is not a prime power$"):
+        finite_field(3 * (2**61 - 1))
 
 
 def test_embedding_is_a_field_homomorphism():

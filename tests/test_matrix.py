@@ -371,7 +371,7 @@ def _dense_rank(rows, field):
             if field.is_zero(factor):
                 continue
             for j in live_cols:
-                M[i][j] = field.sub(M[i][j], field.mul(factor, M[pi][j]))
+                M[i][j] = field.add(M[i][j], field.neg(field.mul(factor, M[pi][j])))
         live_rows.remove(pi)
         live_cols.remove(pj)
         rank += 1

@@ -14,7 +14,7 @@ from ghrv.errors import (
 )
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.poly import Poly
-from ghrv.ring import make_alpha, make_ring, residue, specialize, specialized_modulus
+from ghrv.ring import make_alpha, make_ring, residue, specialize
 
 
 def test_worked_ring_data(ring5):
@@ -136,7 +136,7 @@ def test_specialize_constant_preimages_is_evaluation(ring5):
 
 def test_specialized_modulus(ring5):
     alpha = make_alpha(ring5, (2, 3))
-    w_a = specialized_modulus(alpha, ring5)
+    w_a = specialize(ring5.w, alpha, ring5)
     expected = ring5.ambient.variable("x") ** 2 * 2 + ring5.ambient.variable("y") ** 2 * 3
     assert w_a == expected
 
