@@ -48,7 +48,7 @@ from .errors import (
     NotHomogeneousScalar,
     RingMismatch,
 )
-from .matrix import Grid, as_grid, block_matrix, identity, mat_mul, mat_neg, mat_shape, mat_transpose, zero_matrix
+from .matrix import Grid, as_grid, block_matrix, identity, map_entries, mat_mul, mat_neg, mat_transpose, zero_matrix
 from .poly import NEG_INF, Poly
 from .ring import RingSpec
 
@@ -67,15 +67,18 @@ def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
     each division step by w replaces a term by terms of the same x-degree;
     an entry that is zero or x-homogeneous of the wanted degree therefore
     has a normal form that is too, and is passed without reducing it.  Any
-    other entry is judged, and reported, on its normal form."""
+    other entry is judged, and reported, on its normal form.  The set of
+    x-degrees of the stored terms is formed once per distinct entry object
+    (map_entries), and each position compares it with its wanted degree."""
     xd = ring.ambient.x_degree_of
+    (degrees,) = map_entries(lambda e: {xd(m) for m in e.terms}, grid)
     out = []
-    for i, row in enumerate(grid):
-        for j, e in enumerate(row):
+    for i, row in enumerate(degrees):
+        for j, degs in enumerate(row):
             want = source[j] - target[i]
-            if {xd(m) for m in e.terms} <= {want}:
+            if degs <= {want}:
                 continue
-            nf = ring.normal_form(e)
+            nf = ring.normal_form(grid[i][j])
             if nf.is_zero():
                 continue
             if not nf.is_x_homogeneous():
@@ -95,7 +98,8 @@ class DistinctEntries:
     values holds each distinct nonzero entry once, in the order first met
     (the first grid row by row, then the second).  Entries share an index
     when they are equal as polynomials, whether or not they are one object:
-    mat_neg and the parser make equal entries as separate objects.
+    the Koszul fold signs each entry anew, and a cone negates its parent's
+    A and B apart, so equal entries can be separate objects.
     rows[g][i] lists the (column, index) pairs of the nonzero entries of row
     i of grid g, so entry (i, j) is values[k] for (j, k) in rows[g][i], and
     zero when row i has no pair for column j."""
@@ -107,21 +111,19 @@ class DistinctEntries:
 def distinct_entries(grids, image=None) -> DistinctEntries:
     """The nonzero entries of square `grids`, or their images under `image`
     when it is given, indexed by distinct value (see DistinctEntries).  Only
-    nonzero entries are read, and an image that is zero is left out."""
+    nonzero entries are read, each distinct entry object once (map_entries),
+    and an image that is zero is left out."""
     index: dict[Poly, int] = {}
-    out = []
-    for grid in grids:
-        rows = []
-        for row in grid:
-            pairs = []
-            for j, e in enumerate(row):
-                if e.terms:
-                    v = e if image is None else image(e)
-                    if v.terms:
-                        pairs.append((j, index.setdefault(v, len(index))))
-            rows.append(tuple(pairs))
-        out.append(tuple(rows))
-    return DistinctEntries(tuple(index), tuple(out))
+
+    def slot(e: Poly) -> int | None:
+        if not e.terms:
+            return None
+        v = e if image is None else image(e)
+        return index.setdefault(v, len(index)) if v.terms else None
+
+    rows = tuple(tuple(tuple((j, k) for j, k in enumerate(row) if k is not None) for row in grid)
+                 for grid in map_entries(slot, *grids))
+    return DistinctEntries(tuple(index), rows)
 
 
 class PeriodicComplex:
@@ -131,8 +133,9 @@ class PeriodicComplex:
     ring and the reference degrees of C_0 and C_1, of length n each.  Going
     up in homological degree the module degrees gain 1 per period, so the
     two reference tuples determine every module in the doubly infinite
-    complex.  Entries are coerced with ring.coerce; nothing beyond shapes is
-    checked here.  validate_pair applies the degree rule and the complex
+    complex.  Entries are coerced with ring.coerce, once per distinct entry
+    object of the two grids (map_entries); nothing beyond shapes is checked
+    here.  validate_pair applies the degree rule and the complex
     condition, and periodic_from_pair refuses a pair that fails them.  A and
     B are never reassigned after construction, which is what lets the pair
     keep its residue pencil, its distinct entries and its is_factorization
@@ -146,16 +149,12 @@ class PeriodicComplex:
             raise ValueError("pair must be square of equal size")
         n = len(degrees0)
 
-        def square(grid) -> Grid:
-            grid = as_grid([[ring.coerce(e) for e in row] for row in grid])
-            shape = mat_shape(grid)
+        self.A, self.B = map_entries(ring.coerce, a_grid, b_grid)
+        for grid in (self.A, self.B):
+            shape = (len(grid), len(grid[0]) if grid else 0)
             if shape != (n, n):
                 raise ValueError(f"entry grid is {shape[0]}x{shape[1]}, expected {n}x{n}")
-            return grid
-
         self.ring = ring
-        self.A = square(a_grid)
-        self.B = square(b_grid)
         self.degrees0 = degrees0
         self.degrees1 = degrees1
         self.certified = certified
@@ -192,9 +191,9 @@ class PeriodicComplex:
     @cached_property
     def pencil_entries(self) -> DistinctEntries:
         """The residue pencil (Abar, Bbar) = (A, B)|_{y=0} over k[x], kept by
-        its distinct nonzero entries: image_in_kx runs once on each nonzero
-        entry of A and B, an image that is zero is left out, and equal
-        images share one index.  A verdict at a point evaluates each
+        its distinct nonzero entries: image_in_kx runs once on each distinct
+        nonzero entry object of A and B, an image that is zero is left out,
+        and equal images share one index.  A verdict at a point evaluates each
         distinct entry once and reads the rows of (column, index) pairs, so
         it costs in proportion to the distinct nonzero entries; no dense
         grid is kept.  Built on first use and kept with the pair."""

@@ -1,7 +1,10 @@
 """Exact matrix algebra over the ambient polynomial ring and over fields.
 
 A matrix is a rectangular tuple-of-tuples grid; a periodic pair is two such
-grids plus its generator degrees (complexes.PeriodicComplex).  Everything
+grids plus its generator degrees (complexes.PeriodicComplex).  A pair's
+grids repeat few entry objects at many positions, so a per-entry pass over
+them goes through map_entries, which calls its function once per distinct
+object, and mat_mul forms the product of two entry objects once.  Everything
 here is fraction free: polynomial ranks use Bareiss elimination (each
 division is exact by the minor identity) on sparse rows, where a row the
 pivot column misses is not touched.  Its skipped scalings p_t / p_(t-1)
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import comb
-from operator import add as _mono_add, sub as _mono_sub
+from operator import add as _mono_add, neg as _neg, sub as _mono_sub
 from typing import Sequence
 
 from .errors import BoundExceeded
@@ -49,17 +52,50 @@ def mat_shape(rows: Sequence[Sequence[Poly]]) -> tuple[int, int]:
     return (len(grid), len(grid[0]) if grid else 0)
 
 
+def map_entries(fn, *grids) -> tuple[Grid, ...]:
+    """The grids with fn applied to every entry, one grid out per grid in,
+    calling fn once per distinct entry object.  A pair's grids hold few
+    objects at many positions (a cone's blocks hold its parent's entries
+    again, and a loaded file's equal strings share one polynomial), so the
+    one result of a pure fn serves every position of its object.  Results
+    are memoized by id, shared by all the grids; each object met is held
+    for the whole call, so no id is reused while the memo is read.  fn is
+    called in the order the objects are first met, grid by grid and row by
+    row.  A ragged grid raises ValueError."""
+    memo: dict[int, object] = {}
+    held = []
+    out = []
+    for grid in grids:
+        rows = []
+        for row in grid:
+            new = []
+            for e in row:
+                v = memo.get(id(e), memo)  # the memo itself marks a miss
+                if v is memo:
+                    v = memo[id(e)] = fn(e)
+                    held.append(e)
+                new.append(v)
+            rows.append(new)
+        out.append(as_grid(rows))
+    return tuple(out)
+
+
 def mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]], ring: PolyRing) -> Grid:
     """Sparse product: only nonzero entries of a row of `a` meet the nonzero
-    entries of the matching row of `b`, listed once up front, and each output
-    entry is summed in one monomial -> coefficient dict and becomes one Poly."""
+    entries of the matching row of `b`, listed once up front.  The product
+    of two entry objects is formed once per call, kept by their ids (a and
+    b hold both for the call), and its terms are added wherever that pair
+    meets, since a pair's grids repeat few objects at many positions; each
+    output entry is summed in one monomial -> coefficient dict and becomes
+    one Poly."""
     m, k1 = mat_shape(a)
     k2, n = mat_shape(b)
     if k1 != k2:
         raise ValueError(f"shape mismatch {m}x{k1} times {k2}x{n}")
     fld = ring.field
     add, mul = fld.add, fld.mul
-    b_rows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in b]
+    b_rows = [[(j, id(e), e.terms) for j, e in enumerate(row) if e.terms] for row in b]
+    products: dict[int, dict[int, dict]] = {}  # id of an a entry -> id of a b entry -> terms
     zero = ring.zero()
     out = []
     for row in a:
@@ -67,19 +103,35 @@ def mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]], ring: Poly
         for e, b_row in zip(row, b_rows):
             if not e.terms or not b_row:
                 continue
-            for j, b_terms in b_row:
-                acc = sums.setdefault(j, {})
-                for m1, c1 in e.terms.items():
-                    for m2, c2 in b_terms.items():
-                        mono = tuple(map(_mono_add, m1, m2))
-                        c = mul(c1, c2)
-                        acc[mono] = add(acc[mono], c) if mono in acc else c
-        out.append(tuple(Poly(ring, sums[j]) if j in sums else zero for j in range(n)))
+            by_f = products.get(id(e))
+            if by_f is None:
+                by_f = products[id(e)] = {}
+            for j, key_f, f_terms in b_row:
+                prod = by_f.get(key_f)
+                if prod is None:
+                    prod = by_f[key_f] = {}
+                    for m1, c1 in e.terms.items():
+                        for m2, c2 in f_terms.items():
+                            mono = tuple(map(_mono_add, m1, m2))
+                            c = mul(c1, c2)
+                            prod[mono] = add(prod[mono], c) if mono in prod else c
+                acc = sums.get(j)
+                if acc is None:
+                    sums[j] = dict(prod)
+                    continue
+                for mono, c in prod.items():
+                    acc[mono] = add(acc[mono], c) if mono in acc else c
+        new = [zero] * n
+        for j, acc in sums.items():
+            new[j] = Poly(ring, acc)
+        out.append(tuple(new))
     return tuple(out)
 
 
 def mat_neg(a) -> Grid:
-    return tuple(tuple(-x for x in r) for r in a)
+    """-a, negating each distinct entry object once (map_entries)."""
+    (neg,) = map_entries(_neg, a)
+    return neg
 
 
 def mat_transpose(a) -> Grid:

@@ -28,6 +28,7 @@ from .errors import (
     VariableLeak,
 )
 from .fields import Field, embedding
+from .matrix import map_entries
 from .parser import parse_poly
 from .poly import Poly, PolyRing, divide_single
 
@@ -79,8 +80,10 @@ class RingSpec:
         return Poly(self.kx, {m[:c]: coef for m, coef in terms if not any(m[c:])})
 
     def image_grid(self, rows) -> tuple[tuple[Poly, ...], ...]:
-        """image_in_kx entry by entry: a grid over P as a grid over k[x]."""
-        return tuple(tuple(self.image_in_kx(e) for e in row) for row in rows)
+        """image_in_kx entry by entry: a grid over P as a grid over k[x],
+        mapping each distinct entry object once (map_entries)."""
+        (grid,) = map_entries(self.image_in_kx, rows)
+        return grid
 
     def ambient_over(self, field: Field) -> PolyRing:
         """Same variables over an extension coefficient field; one ring per

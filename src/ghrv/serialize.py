@@ -8,10 +8,14 @@ Trace file:   the complex file format for the final pair, plus a "trace" array
               so every trace file is also loadable as a complex file.
 
 Matrix entries and generators use the expression grammar, so whatever the
-tool writes it can parse back.  Loading a complex parses each distinct entry
-string once and lets equal entries share that one immutable polynomial (a
-32x32 realize trace holds about 2000 entry strings and 15 distinct ones);
-entries are parsed in file order, so the first bad one raises the error.
+tool writes it can parse back.  Saving a complex prints each distinct entry
+object of A and B once (map_entries), which a cone's blocks, holding their
+parent's entries again, repeat at many positions.  Loading a complex parses
+each distinct entry string once and lets equal entries share that one
+immutable polynomial (a 32x32 realize trace holds about 2000 entry strings
+and 15 distinct ones), so every later per-entry pass over the loaded pair
+runs about 15 times rather than 2000; entries are parsed in file order, so
+the first bad one raises the error.
 Loading performs no validation beyond shapes: a matrix, each of its rows,
 a degree list and a ring's variable and coefficient lists must be JSON
 arrays, and a string or number in their place raises ParseError naming the
@@ -30,6 +34,7 @@ from pathlib import Path
 from .complexes import PeriodicComplex
 from .errors import ParseError
 from .fields import field_name, parse_field
+from .matrix import map_entries
 from .parser import parse_poly
 from .pipelines import RealizationTrace
 from .poly import Poly
@@ -82,11 +87,12 @@ def save_ring(ring: RingSpec, path: str | Path):
 
 
 def complex_to_obj(C: PeriodicComplex) -> dict:
+    a, b = map_entries(Poly.to_string, C.A, C.B)
     return {
         "ring": ring_to_obj(C.ring),
         "periodic": {
-            "A": [[e.to_string() for e in row] for row in C.A],
-            "B": [[e.to_string() for e in row] for row in C.B],
+            "A": [list(row) for row in a],
+            "B": [list(row) for row in b],
             "degrees0": list(C.degrees0),
             "degrees1": list(C.degrees1),
             "certified": C.certified,

@@ -67,7 +67,7 @@ from operator import add as _mono_add
 from .complexes import DistinctEntries, PeriodicComplex
 from .errors import BoundExceeded, InvalidComplex, UnsupportedField
 from .fields import ExtensionField, Field, PrimeField, make_extension
-from .matrix import all_minors, rank_over_domain, rank_over_field
+from .matrix import all_minors, map_entries, rank_over_domain, rank_over_field
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import Alpha, RingSpec, make_alpha, point_coords, residue, specialize
 
@@ -115,8 +115,9 @@ def _eliminate_x1(rows, ring: RingSpec):
 
 def rank_over_R(rows, ring: RingSpec) -> int:
     """Rank of a matrix of representatives as a matrix over R.  Nonzero
-    entries are reduced mod w first; a zero entry is its own normal form."""
-    nf_rows = [[ring.normal_form(e) if e.terms else e for e in row] for row in rows]
+    entries are reduced mod w first, each distinct entry object once
+    (map_entries); a zero entry is its own normal form."""
+    (nf_rows,) = map_entries(lambda e: ring.normal_form(e) if e.terms else e, rows)
     return rank_over_domain(_eliminate_x1(nf_rows, ring), ring.ambient)
 
 

@@ -94,6 +94,14 @@ def _field_elems(field):
     return [e for e in field.elements() if not field.is_zero(e)]
 
 
+def _dense_product(a, b, ring):
+    """a * b position by position, one Poly product per pair of entries."""
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), ring.zero()) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
 @pytest.mark.parametrize("field", [make_extension(3, 2), QQ], ids=str)
 def test_mat_mul_matches_the_dense_product(field):
     ring = PolyRing(field, ("a", "b"), ("t",))
@@ -107,18 +115,32 @@ def test_mat_mul_matches_the_dense_product(field):
             zero_col = rng.randrange(n)
             for row in b:  # and a zero column of b
                 row[zero_col] = ring.zero()
-            dense = []
-            for i in range(m):
-                out_row = []
-                for j in range(n):
-                    acc = ring.zero()
-                    for t in range(k):
-                        acc = acc + a[i][t] * b[t][j]
-                    out_row.append(acc)
-                dense.append(tuple(out_row))
+            dense = _dense_product(a, b, ring)
             got = mat_mul(a, b, ring)
-            assert got == tuple(dense)
+            assert got == dense
             assert all(e.terms == d.terms for r, s in zip(got, dense) for e, d in zip(r, s))
+
+    # grids that hold a few objects at many positions, as a cone's blocks
+    # do: the product of two objects is formed once and added wherever the
+    # pair meets, and sums such as p*q + p*(-q) cancel to zero
+    p, q = (_sparse_grid(ring, rng, 1, 1, elems, density=1.0)[0][0] for _ in range(2))
+    pool = [p, q, -p, -q, p * q, ring.zero()]
+    cancelled = 0
+    for m, k, n in ((4, 5, 3), (6, 6, 6), (8, 3, 8)):
+        for _ in range(3):
+            a = [[rng.choice(pool) for _ in range(k)] for _ in range(m)]
+            b = [[rng.choice(pool) for _ in range(n)] for _ in range(k)]
+            dense = _dense_product(a, b, ring)
+            got = mat_mul(a, b, ring)
+            assert got == dense
+            assert all(e.terms == d.terms for r, s in zip(got, dense) for e, d in zip(r, s))
+            if m == k:  # one grid on both sides
+                assert mat_mul(a, a, ring) == _dense_product(a, a, ring)
+            cancelled += sum(
+                1 for i in range(m) for j in range(n)
+                if not dense[i][j].terms and any(a[i][t].terms and b[t][j].terms for t in range(k))
+            )
+    assert cancelled > 0
     with pytest.raises(ValueError, match="shape mismatch 2x3 times 2x2"):
         mat_mul(zero_matrix(ring, 2, 3), zero_matrix(ring, 2, 2), ring)
 

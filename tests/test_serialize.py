@@ -12,9 +12,10 @@ import pytest
 
 from ghrv import serialize
 from ghrv.cli import run
-from ghrv.complexes import PeriodicComplex, validate_pair
+from ghrv.complexes import DistinctEntries, PeriodicComplex, cone_mul, validate_pair
 from ghrv.errors import ParseError
-from ghrv.fields import make_extension
+from ghrv.fields import field_name, make_extension
+from ghrv.matrix import block_matrix, identity, zero_matrix
 from ghrv.pipelines import (
     RealizationTrace,
     TraceStage,
@@ -36,6 +37,8 @@ from ghrv.serialize import (
     save_trace,
     trace_to_obj,
 )
+from ghrv.poly import Poly
+from ghrv.ring import RingSpec
 from ghrv.variety import IdealGens, ZeroSetUnion, proj_point
 
 
@@ -108,6 +111,114 @@ def test_each_distinct_entry_is_parsed_once(ring5, monkeypatch):
         certified=obj["periodic"]["certified"],
     )
     assert loaded == one_by_one
+
+
+def test_each_per_entry_pass_runs_once_per_distinct_object(ring5, monkeypatch):
+    # the 32x32 realize stage repeats its parent's few entry objects at many
+    # positions; each per-entry pass calls its function once per distinct
+    # object and gives what the same function gives position by position
+    trace = realize(ring5, ["x1", "x2"], verify=False)
+    parent, C = trace.stages[-2].complex, trace.final
+    assert C.size == 32
+    amb = ring5.ambient
+
+    def objects(*grids, nonzero=False):
+        return len({id(e) for grid in grids for row in grid for e in row if not nonzero or e.terms})
+
+    calls = {}
+
+    def count(cls, name):
+        fn = getattr(cls, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    # the pencil: image_in_kx once per distinct nonzero object
+    fresh = PeriodicComplex(ring5, C.A, C.B, C.degrees0, C.degrees1, certified=True)
+    count(RingSpec, "image_in_kx")
+    pencil = fresh.pencil_entries
+    assert calls["image_in_kx"] == objects(C.A, C.B, nonzero=True) < 256
+    monkeypatch.undo()
+    index: dict = {}
+    rows = tuple(
+        tuple(tuple((j, index.setdefault(v, len(index))) for j, e in enumerate(row)
+                    if e.terms and (v := ring5.image_in_kx(e)).terms) for row in grid)
+        for grid in (C.A, C.B)
+    )
+    assert pencil == DistinctEntries(tuple(index), rows)
+
+    # the save: to_string once per distinct object, and once per f_i
+    count(Poly, "to_string")
+    obj = complex_to_obj(C)
+    assert calls["to_string"] == objects(C.A, C.B) + len(ring5.f) < 2 * 32 * 32
+    monkeypatch.undo()
+    for key, grid in (("A", C.A), ("B", C.B)):
+        assert obj["periodic"][key] == [[e.to_string() for e in row] for row in grid]
+
+    # the cone: one negation per distinct object of each negated grid
+    count(Poly, "__neg__")
+    cone = cone_mul(parent, trace.stages[-1].scalar)
+    assert calls["__neg__"] == objects(parent.B) + objects(parent.A) < 2 * 16 * 16
+    monkeypatch.undo()
+    n = parent.size
+    p_block = identity(amb, n, trace.stages[-1].scalar)
+    for grid, top, bottom in ((cone.A, parent.A, parent.B), (cone.B, parent.B, parent.A)):
+        assert grid == block_matrix([[top, p_block],
+                                     [zero_matrix(amb, n, n), [[-e for e in row] for row in bottom]]])
+
+    # the constructor: coerce once per distinct object, here the strings of
+    # complex_to_obj, which share one string per distinct entry object
+    count(RingSpec, "coerce")
+    built = PeriodicComplex(ring5, obj["periodic"]["A"], obj["periodic"]["B"], C.degrees0,
+                            C.degrees1, certified=True)
+    texts = (obj["periodic"]["A"], obj["periodic"]["B"])
+    assert calls["coerce"] == objects(*texts) < 2 * 32 * 32
+    monkeypatch.undo()
+    assert built == C
+    assert built.A == tuple(tuple(ring5.coerce(e) for e in row) for row in texts[0])
+    assert built.B == tuple(tuple(ring5.coerce(e) for e in row) for row in texts[1])
+
+
+@pytest.mark.parametrize("ring_name", ["ring5", "ring9", "ringq"])
+def test_saved_bytes_are_the_per_position_json(ring_name, request, tmp_path):
+    # the bytes save_complex and save_trace write are json.dumps, indent 2,
+    # of grids printed entry by entry
+    ring = request.getfixturevalue(ring_name)
+
+    def complex_obj(C):
+        return {
+            "ring": {
+                "field": field_name(ring.field),
+                "yvars": list(ring.yvars),
+                "xvars": list(ring.xvars),
+                "f": [fi.to_string() for fi in ring.f],
+            },
+            "periodic": {
+                "A": [[e.to_string() for e in row] for row in C.A],
+                "B": [[e.to_string() for e in row] for row in C.B],
+                "degrees0": list(C.degrees0),
+                "degrees1": list(C.degrees1),
+                "certified": C.certified,
+            },
+        }
+
+    tail = complete_resolution_of_k(ring)
+    save_complex(tail, tmp_path / "tail.json")
+    assert (tmp_path / "tail.json").read_text() == json.dumps(complex_obj(tail), indent=2) + "\n"
+
+    trace = realize(ring, ["x1 + 2*x2", "x1*x2 + 2*x2^2"])
+    assert trace.sizes == [8, 16, 32]
+    save_trace(trace, tmp_path / "trace.json")
+    want = complex_obj(trace.final)
+    records = trace_to_obj(trace)
+    want["trace"] = records["trace"]
+    want["requested-zero-set"] = records["requested-zero-set"]
+    assert [r["p"] for r in want["trace"]] == [None] + [s.scalar.to_string() for s in trace.stages[1:]]
+    assert (tmp_path / "trace.json").read_text() == json.dumps(want, indent=2) + "\n"
+    assert load_complex(tmp_path / "trace.json") == trace.final
 
 
 def test_first_malformed_entry_is_reported(ring5, tmp_path, capsys):
