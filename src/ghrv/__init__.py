@@ -25,7 +25,6 @@ from .fields import (
 )
 from .parser import parse_poly
 from .pipelines import (
-    ModulePresentation,
     RealizationTrace,
     complete_resolution_of_k,
     fixture_k,

@@ -19,7 +19,6 @@ from .fields import RationalField, field_name, parse_field
 from .parser import parse_poly
 from .pipelines import (
     FIXTURE_NAMES,
-    ModulePresentation,
     complete_resolution_of_k,
     describe_report,
     module_variety,
@@ -283,9 +282,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_module_variety(args) -> int:
-    C = load_complex(args.complex)
-    mp = ModulePresentation(C)
-    V = module_variety(mp)
+    V = module_variety(load_complex(args.complex))
     print("module variety components: " + V.describe())
     return 0
 

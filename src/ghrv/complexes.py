@@ -49,7 +49,7 @@ from .errors import (
     RingMismatch,
 )
 from .matrix import Grid, as_grid, block_matrix, identity, map_entries, mat_mul, mat_neg, mat_transpose, zero_matrix
-from .poly import NEG_INF, Poly
+from .poly import Poly
 from .ring import RingSpec
 
 # shamash_resolution refuses more than this many variables c + d before any
@@ -70,8 +70,7 @@ def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
     other entry is judged, and reported, on its normal form.  The set of
     x-degrees of the stored terms is formed once per distinct entry object
     (map_entries), and each position compares it with its wanted degree."""
-    xd = ring.ambient.x_degree_of
-    (degrees,) = map_entries(lambda e: {xd(m) for m in e.terms}, grid)
+    (degrees,) = map_entries(Poly.x_degrees, grid)
     out = []
     for i, row in enumerate(degrees):
         for j, degs in enumerate(row):
@@ -79,15 +78,14 @@ def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
             if degs <= {want}:
                 continue
             nf = ring.normal_form(grid[i][j])
-            if nf.is_zero():
+            nf_degs = nf.x_degrees()
+            if nf_degs <= {want}:
                 continue
-            if not nf.is_x_homogeneous():
+            if len(nf_degs) > 1:
                 out.append(f"entry ({i},{j}) = {nf} is not x-homogeneous")
-            elif nf.x_homogeneous_degree() != want:
-                out.append(
-                    f"entry ({i},{j}) = {nf} has x-degree "
-                    f"{nf.x_homogeneous_degree()}, expected {want}"
-                )
+            else:
+                (deg,) = nf_degs
+                out.append(f"entry ({i},{j}) = {nf} has x-degree {deg}, expected {want}")
     return out
 
 
@@ -381,7 +379,8 @@ def direct_sum(C: PeriodicComplex, D: PeriodicComplex) -> PeriodicComplex:
 def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     """Mapping cone of multiplication by p on C.
 
-    p must be x-homogeneous as a class mod w (its normal form is tested).
+    p must be x-homogeneous as a class mod w (its normal form is tested);
+    the new summands' degrees shift by its x-degree, 0 for the zero class.
     The blocks [[A, pI], [0, -B]] and [[B, pI], [0, -A]] multiply to
     [[A*B, 0], [0, B*A]], and in the other order to [[B*A, 0], [0, A*B]],
     whatever p is, so the cone is an exact factorization exactly when C is.
@@ -392,10 +391,10 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     """
     ring = C.ring
     rep = ring.normal_form(p)
-    if not rep.is_x_homogeneous():
+    degs = rep.x_degrees()
+    if len(degs) > 1:
         raise NotHomogeneousScalar(f"cone scalar {rep} is not x-homogeneous mod w")
-    g_deg = rep.x_homogeneous_degree()
-    g = 0 if g_deg == NEG_INF else g_deg
+    g = max(degs, default=0)
 
     n = C.size
     amb = ring.ambient

@@ -95,9 +95,11 @@ class Field:
 
 
 class PrimeField(Field):
-    """GF(p), elements are ints reduced to [0, p)."""
+    """GF(p), elements are ints reduced to [0, p).  e = 1 is its degree
+    over GF(p), as ExtensionField.e is for an extension."""
 
     finite = True
+    e = 1
 
     def __init__(self, p: int):
         if p < 2 or _smallest_factor(p) != p:
@@ -578,13 +580,7 @@ def parse_field(text: str) -> Field:
 
 
 def field_name(field: Field) -> str:
-    if isinstance(field, RationalField):
-        return "QQ"
-    if isinstance(field, PrimeField):
-        return f"GF({field.p})"
-    if isinstance(field, ExtensionField):
-        return f"GF({field.order})"
-    raise FieldError(f"unknown field {field!r}")
+    return f"GF({field.order})" if field.finite else "QQ"
 
 
 @lru_cache(maxsize=None)

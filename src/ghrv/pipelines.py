@@ -137,21 +137,13 @@ def realize(ring: RingSpec, scalars, verify: bool = True) -> RealizationTrace:
     return trace
 
 
-@dataclass
-class ModulePresentation:
-    """Maximal Cohen-Macaulay module M = image of the even differential of a
-    certified pair; the pair is its complete resolution."""
-
-    complex: PeriodicComplex
-
-    def __post_init__(self):
-        if not self.complex.certified:
-            raise InvalidComplex("module presentation needs a certified pair")
-
-
-def module_variety(mp: ModulePresentation) -> ZeroSetUnion:
-    """V(M) is the variety of the module's complete resolution."""
-    return rank_variety(mp.complex)
+def module_variety(C: PeriodicComplex) -> ZeroSetUnion:
+    """V(M) for the maximal Cohen-Macaulay module M = image of the even
+    differential of the certified pair C, which is its complete resolution:
+    the variety of C.  An uncertified pair raises InvalidComplex."""
+    if not C.certified:
+        raise InvalidComplex("module presentation needs a certified pair")
+    return rank_variety(C)
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +155,23 @@ def worked_ring(field: Field) -> RingSpec:
     return make_ring(field, yvars=("x", "y"), xvars=("x1", "x2"), f=("x^2", "y^2"))
 
 
-def _require_worked_shape(ring: RingSpec):
+def _worked_variables(ring: RingSpec):
+    """(u, v, s, t): the y- and then the x-variables of a ring of the worked
+    shape, two of each with f = (u^2, v^2); ValueError for any other ring."""
     if ring.c != 2 or ring.d != 2:
         raise ValueError("fixture needs a ring with two x- and two y-variables")
     amb = ring.ambient
     u, v = (amb.variable(n) for n in ring.yvars)
     if ring.f != (u * u, v * v):
         raise ValueError("fixture needs coefficients f = (y1^2, y2^2)")
+    s, t = (amb.variable(n) for n in ring.xvars)
+    return u, v, s, t
 
 
 def fixture_k(ring: RingSpec) -> PeriodicComplex:
     """2x2 complete resolution of k[x1, x2] = R/(y)R, the residue field of
     Q/(f) extended to R, for the worked ring; its variety is all of P^1."""
-    _require_worked_shape(ring)
-    amb = ring.ambient
-    u, v = (amb.variable(n) for n in ring.yvars)
-    s, t = (amb.variable(n) for n in ring.xvars)
+    u, v, s, t = _worked_variables(ring)
     return periodic_from_pair(
         ring,
         [[-v, u * s], [u, v * t]],
@@ -190,10 +183,7 @@ def fixture_k(ring: RingSpec) -> PeriodicComplex:
 
 def fixture_rank_one(ring: RingSpec) -> PeriodicComplex:
     """The 2x2 pair with both ranks one and empty variety."""
-    _require_worked_shape(ring)
-    amb = ring.ambient
-    u, v = (amb.variable(n) for n in ring.yvars)
-    s, t = (amb.variable(n) for n in ring.xvars)
+    u, v, s, t = _worked_variables(ring)
     return periodic_from_pair(
         ring,
         [[s, -(v * v)], [t, u * u]],
@@ -206,11 +196,8 @@ def fixture_rank_one(ring: RingSpec) -> PeriodicComplex:
 def documented_cone_pair(ring: RingSpec):
     """The 4x4 pair the cone of fixture_k by x1*x2 must equal, written out
     entry by entry as an independent reference."""
-    _require_worked_shape(ring)
-    amb = ring.ambient
-    u, v = (amb.variable(n) for n in ring.yvars)
-    s, t = (amb.variable(n) for n in ring.xvars)
-    z = amb.zero()
+    u, v, s, t = _worked_variables(ring)
+    z = ring.ambient.zero()
     p = s * t
     d_grid = (
         (-v, u * s, p, z),
@@ -234,10 +221,8 @@ def named_fixture(name: str, ring: RingSpec) -> PeriodicComplex:
     """Built-in complexes for the CLI: the 4x4 worked cone, the 2x2
     resolution of R/(y)R (fixture_k), and the rank-one pair."""
     if name == "k5-example":
-        k = fixture_k(ring)
-        amb = ring.ambient
-        s, t = (amb.variable(n) for n in ring.xvars)
-        return cone_mul(k, s * t)
+        _, _, s, t = _worked_variables(ring)
+        return cone_mul(fixture_k(ring), s * t)
     if name == "k-resolution":
         return fixture_k(ring)
     if name == "rank-one-pair":
@@ -299,8 +284,7 @@ def reproduce_examples(field: Field | None = None, seed: int = 0) -> ReproReport
     k = fixture_k(ring)
     report.add("2x2 resolution pair of R/(y)R certifies", k.certified)
 
-    amb = ring.ambient
-    s, t = (amb.variable(n) for n in ring.xvars)
+    _, _, s, t = _worked_variables(ring)
     cone = cone_mul(k, s * t)
     d_grid, d_prime_grid = documented_cone_pair(ring)
     report.add("cone by x1*x2 reproduces the documented 4x4 pair exactly",

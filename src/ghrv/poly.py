@@ -6,8 +6,6 @@ indexed by (x_1, .., x_c, y_1, .., y_d); a polynomial is a dict mapping
 monomials to nonzero coefficients.  Monomials are ordered by graded reverse
 lexicographic order with x_1 > .. > x_c > y_1 > .. > y_d, which every
 leading-term computation and the canonical printed form use.
-
-Zero has no terms; its degree queries return NEG_INF.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import RingMismatch
 from .fields import Field, embedding
-
-NEG_INF = float("-inf")
 
 
 def order_key(mono: tuple[int, ...]):
@@ -147,20 +143,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_x_homogeneous(self) -> bool:
+    def x_degrees(self) -> set[int]:
+        """The x-degrees of the terms; empty for zero, one for an
+        x-homogeneous nonzero polynomial."""
         xd = self.ring.x_degree_of
-        degs = {xd(m) for m in self.terms}
-        return len(degs) <= 1
-
-    def x_homogeneous_degree(self):
-        """The common x-degree, NEG_INF for zero; ValueError if inhomogeneous."""
-        xd = self.ring.x_degree_of
-        degs = {xd(m) for m in self.terms}
-        if not degs:
-            return NEG_INF
-        if len(degs) > 1:
-            raise ValueError(f"{self} is not x-homogeneous")
-        return degs.pop()
+        return {xd(m) for m in self.terms}
 
     def leading_monomial(self) -> tuple[int, ...]:
         try:

@@ -66,7 +66,7 @@ from operator import add as _mono_add
 
 from .complexes import DistinctEntries, PeriodicComplex
 from .errors import BoundExceeded, InvalidComplex, UnsupportedField
-from .fields import ExtensionField, Field, PrimeField, make_extension
+from .fields import Field, make_extension
 from .matrix import all_minors, map_entries, rank_over_domain, rank_over_field
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import Alpha, RingSpec, make_alpha, point_coords, residue, specialize
@@ -302,11 +302,9 @@ def extension_of(field: Field, j: int) -> Field:
     j = 1 returns the field itself."""
     if j <= 1:
         return field
-    if isinstance(field, PrimeField):
-        return make_extension(field.p, j)
-    if isinstance(field, ExtensionField):
-        return make_extension(field.p, field.e * j)
-    raise UnsupportedField(f"cannot extend {field}")
+    if not field.finite:
+        raise UnsupportedField(f"cannot extend {field}")
+    return make_extension(field.p, field.e * j)
 
 
 @dataclass(frozen=True)

@@ -309,7 +309,7 @@ def test_module_variety_needs_certification(pair_file, tmp_path, capsys):
     loose = tmp_path / "loose.json"
     loose.write_text(json.dumps(obj))
     assert run(["module-variety", str(loose)]) == 1
-    assert "InvalidComplex" in capsys.readouterr().err
+    assert capsys.readouterr().err == "InvalidComplex: module presentation needs a certified pair\n"
 
 
 def test_reproduce(capsys):

@@ -323,7 +323,9 @@ def test_constructor_rejects_false_certification(ring5):
 
 def _homogeneity_oracle(ring, grid, source, target):
     """homogeneity_violations as it reads when every entry is reduced mod w
-    first: the route the stored-entry check is tested against."""
+    first: the route the stored-entry check is tested against.  The degree
+    set is read off the terms here, not through Poly.x_degrees."""
+    xd = ring.ambient.x_degree_of
     out = []
     for i, row in enumerate(grid):
         for j, e in enumerate(row):
@@ -331,13 +333,12 @@ def _homogeneity_oracle(ring, grid, source, target):
             if nf.is_zero():
                 continue
             want = source[j] - target[i]
-            if not nf.is_x_homogeneous():
+            degs = {xd(m) for m in nf.terms}
+            if len(degs) > 1:
                 out.append(f"entry ({i},{j}) = {nf} is not x-homogeneous")
-            elif nf.x_homogeneous_degree() != want:
-                out.append(
-                    f"entry ({i},{j}) = {nf} has x-degree "
-                    f"{nf.x_homogeneous_degree()}, expected {want}"
-                )
+            elif degs != {want}:
+                (deg,) = degs
+                out.append(f"entry ({i},{j}) = {nf} has x-degree {deg}, expected {want}")
     return out
 
 
@@ -510,7 +511,7 @@ def test_cone_accepts_class_homogeneous_scalars(ring5):
     k = fixture_k(ring5)
     p = ring5.parse("x1*x2")
     q = ring5.parse("x1*x2 + x^2*x1 + y^2*x2")
-    assert not q.is_x_homogeneous()
+    assert len(q.x_degrees()) > 1
     assert cone_mul(k, q) == cone_mul(k, p)
 
 
@@ -529,6 +530,15 @@ def test_cone_by_the_zero_class(ring5):
         cone.A[i][j + 2].is_zero() for i in range(2) for j in range(2)
     )
     assert validate_pair(cone).ok
+    # the zero class and a nonzero y-only class both shift by x-degree 0;
+    # an x-homogeneous class of degree 2 shifts by 2
+    for scalar, degrees0, degrees1 in (
+        (ring5.w, (0, 0, -1, 0), (0, 1, 0, 0)),
+        (ring5.parse("x"), (0, 0, -1, 0), (0, 1, 0, 0)),
+        (ring5.parse("3*x1^2*x + x1*x2*y"), (0, 0, 1, 2), (0, 1, 2, 2)),
+    ):
+        cone = cone_mul(k, scalar)
+        assert (cone.degrees0, cone.degrees1) == (degrees0, degrees1), str(scalar)
 
 
 def test_cone_rechecks_a_false_certification(ring5):

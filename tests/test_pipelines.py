@@ -15,7 +15,6 @@ from ghrv.fields import QQ, prime_field
 from ghrv.matrix import as_grid, mat_mul
 from ghrv.pipelines import (
     FIXTURE_NAMES,
-    ModulePresentation,
     complete_resolution_of_k,
     describe_report,
     fixture_k,
@@ -136,8 +135,7 @@ def test_realize_rejects_inhomogeneous_scalars(ring5):
 
 def test_module_variety_matches_the_complex(ring5):
     pair = fixture_rank_one(ring5)
-    mp = ModulePresentation(pair)
-    assert module_variety(mp).describe() == rank_variety(pair).describe()
+    assert module_variety(pair).describe() == rank_variety(pair).describe()
 
 
 def test_module_presentation_needs_certification(ring5):
@@ -151,7 +149,7 @@ def test_module_presentation_needs_certification(ring5):
         certified=False,
     )
     with pytest.raises(InvalidComplex):
-        ModulePresentation(loose)
+        module_variety(loose)
 
 
 # -- fixtures and the scripted checks -------------------------------------------
