@@ -74,8 +74,10 @@ def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
     out = []
     for i, row in enumerate(degrees):
         for j, degs in enumerate(row):
+            if not degs:  # a zero entry
+                continue
             want = source[j] - target[i]
-            if degs <= {want}:
+            if degs == {want}:
                 continue
             nf = ring.normal_form(grid[i][j])
             nf_degs = nf.x_degrees()

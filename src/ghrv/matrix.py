@@ -6,10 +6,11 @@ grids repeat few entry objects at many positions, so a per-entry pass over
 them goes through map_entries, which calls its function once per distinct
 object, and mat_mul forms the product of two entry objects once.  Everything
 here is fraction free: polynomial ranks use Bareiss elimination (each
-division is exact by the minor identity) on sparse rows, where a row the
-pivot column misses is not touched.  Its skipped scalings p_t / p_(t-1)
-telescope, so one division by the pivot that last wrote it, when the row
-is next touched, is exact and catches it up.  Minor enumeration takes
+division is exact by the minor identity) on sparse rows, with pivots
+chosen against fill-in, where a row the pivot column misses is not
+touched.  Its skipped scalings p_t / p_(t-1) telescope, so one division by
+the pivot that last wrote it, when the row is next touched, is exact and
+catches it up.  Minor enumeration takes
 exterior products of rows, v_i1 ^ .. ^ v_ir, whose coefficients are the
 r x r minors on those rows; only nonzero coefficients are kept, so a sparse
 matrix costs in proportion to its nonzero minors rather than to all of them.
@@ -24,7 +25,7 @@ and build those dicts directly; no dense grid of field scalars is formed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import comb
+from math import comb, inf
 from operator import add as _mono_add, neg as _neg, sub as _mono_sub
 from typing import Sequence
 
@@ -234,71 +235,98 @@ def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
     yield from walk(0, 0, {(): {(0,) * ring.nvars: fld.one}})
 
 
+def _bareiss_update(ring: PolyRing, pivot_terms, e: Poly | None, neg_m_terms, f: Poly | None,
+                    lag: Poly | None) -> Poly:
+    """(pivot * e - m * f) / lag as one Poly, for rank_over_domain: the
+    pivot and -m come as term lists, e or f is None for zero and lag None
+    for one.  The products are summed in one monomial -> coefficient dict.
+    A one-term lag, the usual case, is divided out of that dict in the same
+    pass, and a term it does not divide raises ArithmeticError as exact_div
+    would; any other lag goes to exact_div."""
+    fld = ring.field
+    add, mul = fld.add, fld.mul
+    acc: dict = {}
+    for left, right in ((pivot_terms, e), (neg_m_terms, f)):
+        if right is None:
+            continue
+        for m1, c1 in left:
+            for m2, c2 in right.terms.items():
+                mono = tuple(map(_mono_add, m1, m2))
+                c = mul(c1, c2)
+                acc[mono] = add(acc[mono], c) if mono in acc else c
+    if lag is None:
+        return Poly(ring, acc)
+    if len(lag.terms) != 1:
+        return exact_div(Poly(ring, acc), lag)
+    ((dm, dc),) = lag.terms.items()
+    dc_inv, is_zero = fld.inv(dc), fld.is_zero
+    q = {}
+    for mono, c in acc.items():
+        if is_zero(c):
+            continue
+        shifted = tuple(map(_mono_sub, mono, dm))
+        if min(shifted, default=0) < 0:
+            raise ArithmeticError(f"inexact division: remainder {Poly(ring, {mono: c})}")
+        q[shifted] = mul(c, dc_inv)
+    return Poly(ring, q)
+
+
 def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
     """Rank over the fraction field of the (integral) ambient ring, by
     fraction-free (Bareiss) elimination on rows kept as dicts of their
-    nonzero entries.  The pivot minimizes (term count, live-row index,
-    column), and only rows with an entry in its column are touched.
+    nonzero entries.  The pivot is chosen against fill-in (Markowitz): it
+    minimizes (term count, live entries in its column, entries in its row),
+    the first such entry in row order winning a tie.  Only rows with an
+    entry in its column are touched, so a pivot alone in its column touches
+    none.  Any pivot order is a Bareiss run on a permuted matrix, so the
+    rank and the exactness of each division do not depend on it.
 
-    Each row keeps `lag`, the pivot of the step that last wrote it (one for
-    an input row).  The Bareiss scalings p_t / p_(t-1) it skipped telescope,
-    so its Bareiss row is row * prev / lag, prev the last pivot: a touched
-    row becomes (pivot * row - m * pivot_row) / lag, exactly, and a stale
-    pivot row is first brought up to date as row * prev / lag.
+    Each row keeps `lag`, the pivot of the step that last wrote it (None,
+    standing for one, for an input row).  The Bareiss scalings p_t / p_(t-1)
+    it skipped telescope, so its Bareiss row is row * prev / lag, prev the
+    last pivot: a touched row becomes (pivot * row - m * pivot_row) / lag,
+    exactly, and a stale pivot row is first brought up to date as
+    row * prev / lag.  Each updated entry is one _bareiss_update."""
+    neg = ring.field.neg
 
-    Each updated entry is summed in one monomial -> coefficient dict and
-    becomes one Poly.  A one-term lag, the usual case, is divided out of
-    that dict in the same pass, and a term it does not divide raises
-    ArithmeticError as exact_div would; any other lag goes to exact_div."""
-    one = ring.one()
-    fld = ring.field
-    add, mul, neg, inv, is_zero = fld.add, fld.mul, fld.neg, fld.inv, fld.is_zero
-
-    def div(e: Poly, lag: Poly) -> Poly:
-        return e if lag is one else exact_div(e, lag)
-
-    def update(e: Poly | None, f: Poly | None, pivot_terms, neg_m_terms, lag: Poly, lag_term):
-        # (pivot * e - m * f) / lag as one Poly, e or f None for zero
-        acc: dict = {}
-        for left, right in ((pivot_terms, e), (neg_m_terms, f)):
-            if right is None:
-                continue
-            for m1, c1 in left:
-                for m2, c2 in right.terms.items():
-                    mono = tuple(map(_mono_add, m1, m2))
-                    c = mul(c1, c2)
-                    acc[mono] = add(acc[mono], c) if mono in acc else c
-        if lag is one:
-            return Poly(ring, acc)
-        if lag_term is None:
-            return exact_div(Poly(ring, acc), lag)
-        dm, dc_inv = lag_term
-        q = {}
-        for mono, c in acc.items():
-            if is_zero(c):
-                continue
-            shifted = tuple(map(_mono_sub, mono, dm))
-            if min(shifted, default=0) < 0:
-                raise ArithmeticError(f"inexact division: remainder {Poly(ring, {mono: c})}")
-            q[shifted] = mul(c, dc_inv)
-        return Poly(ring, q)
+    def catch_up(e: Poly, lag: Poly | None) -> Poly:
+        # an entry of a stale row brought up to date, e * prev / lag
+        return e * prev if lag is None else exact_div(e * prev, lag)
 
     sparse = ({j: e for j, e in enumerate(r) if e.terms} for r in as_grid(rows))
-    live = [(row, one) for row in sparse if row]
-    prev, rank = one, 0
+    live = [(row, None) for row in sparse if row]
+    count: dict[int, int] = {}  # column -> live rows with an entry there
+    for row, _ in live:
+        for j in row:
+            count[j] = count.get(j, 0) + 1
+    prev, rank = None, 0
     while live:
-        best = None
+        bt = bc = bw = inf  # the best (terms, column count, row width) so far
         for i, (row, _) in enumerate(live):
+            width = len(row)
             for j, e in row.items():
-                if best is None or (len(e.terms), i, j) < best:
-                    best = (len(e.terms), i, j)
-            if best[0] == 1:
+                t = len(e.terms)
+                if t > bt:
+                    continue
+                c = count[j]
+                if t < bt or c < bc or c == bc and width < bw:
+                    bt, bc, bw, pi, pc = t, c, width, i, j
+            if bt == bc == 1:  # a one-term entry that touches no row
                 break
-        _, pi, pc = best
         pivot_row, lag = live.pop(pi)
-        if lag is not prev:
-            pivot_row = {j: div(e * prev, lag) for j, e in pivot_row.items()}
         pivot = pivot_row.pop(pc)
+        del count[pc]
+        for j in pivot_row:
+            count[j] -= 1
+        rank += 1
+        stale = lag is not prev
+        if stale:
+            pivot = catch_up(pivot, lag)
+        if bc == 1:  # no other row has an entry in the pivot column
+            prev = pivot
+            continue
+        if stale:
+            pivot_row = {j: catch_up(e, lag) for j, e in pivot_row.items()}
         pivot_terms = list(pivot.terms.items())
         kept = []
         for row, lag in live:
@@ -307,18 +335,18 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
                 kept.append((row, lag))
                 continue
             neg_m_terms = [(mono, neg(c)) for mono, c in m.terms.items()]
-            lag_term = None
-            if lag is not one and len(lag.terms) == 1:
-                ((dm, dc),) = lag.terms.items()
-                lag_term = (dm, inv(dc))
             new = {}
             for j in list(row) + [j for j in pivot_row if j not in row]:
-                e = update(row.get(j), pivot_row.get(j), pivot_terms, neg_m_terms, lag, lag_term)
+                e = _bareiss_update(ring, pivot_terms, row.get(j), neg_m_terms, pivot_row.get(j), lag)
                 if e.terms:
                     new[j] = e
+            for j in row:
+                count[j] -= 1
+            for j in new:
+                count[j] += 1
             if new:
                 kept.append((new, pivot))
-        live, prev, rank = kept, pivot, rank + 1
+        live, prev = kept, pivot
     return rank
 
 

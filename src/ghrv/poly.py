@@ -128,8 +128,9 @@ class Poly:
 
     `_powers`, set on the first power of a polynomial with two or more
     terms, holds p^0, p^1, .. as far as they have been computed.  `_lm`,
-    set on the first call of leading_monomial, keeps the leading monomial,
-    so the divisor w of every normal form is not searched again.  Both are
+    set on the first call of leading_monomial (or carried over by monic),
+    keeps the leading monomial, so the divisor w of every normal form and a
+    monic generator are not searched again.  Both are
     derived data and never change `terms`."""
 
     __slots__ = ("ring", "terms", "_powers", "_lm")
@@ -256,13 +257,17 @@ class Poly:
 
     def monic(self) -> "Poly":
         """This polynomial scaled to leading coefficient one; the zero
-        polynomial, and one already monic, come back as they are."""
+        polynomial, and one already monic, come back as they are.  Scaling
+        keeps every monomial, so the copy keeps the leading monomial."""
         if not self.terms:
             return self
-        lc = self.leading_coeff()
+        lm = self.leading_monomial()
+        lc = self.terms[lm]
         if lc == self.ring.field.one:
             return self
-        return self.scale(self.ring.field.inv(lc))
+        out = self.scale(self.ring.field.inv(lc))
+        out._lm = lm
+        return out
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -50,6 +50,9 @@ class RingSpec:
         for name, fi in zip(xvars, f):
             w = w + self.ambient.variable(name) * fi
         self.w = w
+        # derived data: (t, top) -> terms of u^t f_1^(top - t), u = f_1 x_1 - w,
+        # filled by variety._eliminate_x1 as it meets each pair
+        self._x1_multipliers: dict[tuple[int, int], list] = {}
 
     @property
     def c(self) -> int:

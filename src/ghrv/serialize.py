@@ -10,12 +10,18 @@ Trace file:   the complex file format for the final pair, plus a "trace" array
 Matrix entries and generators use the expression grammar, so whatever the
 tool writes it can parse back.  Saving a complex prints each distinct entry
 object of A and B once (map_entries), which a cone's blocks, holding their
-parent's entries again, repeat at many positions.  Loading a complex parses
+parent's entries again, repeat at many positions.  One writer (_write)
+serves ring, complex and trace files: it prints exactly the bytes of
+json.dumps(obj, indent=2), but encodes each list of strings, a matrix row,
+with the C string encoder json.dumps uses, where json.dumps with an indent
+runs its pure-Python encoder over every string.  Loading a complex parses
 each distinct entry string once and lets equal entries share that one
 immutable polynomial (a 32x32 realize trace holds about 2000 entry strings
 and 15 distinct ones), so every later per-entry pass over the loaded pair
-runs about 15 times rather than 2000; entries are parsed in file order, so
-the first bad one raises the error.
+runs about 15 times rather than 2000.  A row whose strings have all been
+parsed is mapped in one C-level pass; a row with a new string, or an entry
+that is not a string, is read entry by entry in file order, so the first
+bad entry of the file, A row by row and then B, raises the error.
 Loading performs no validation beyond shapes: a matrix, each of its rows,
 a degree list and a ring's variable and coefficient lists must be JSON
 arrays, and a string or number in their place raises ParseError naming the
@@ -39,6 +45,8 @@ from .parser import parse_poly
 from .pipelines import RealizationTrace
 from .poly import Poly
 from .ring import RingSpec, make_ring
+
+_encode = json.encoder.encode_basestring_ascii  # the string encoder of json.dumps
 
 
 def ring_to_obj(ring: RingSpec) -> dict:
@@ -77,13 +85,38 @@ def ring_from_obj(obj: dict) -> RingSpec:
     return make_ring(field, obj["yvars"], obj["xvars"], f)
 
 
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for JSON data whose keys are strings, each
+    list of strings encoded by one C-level map of the string encoder.
+    `indent` is the newline and indentation of obj's own line."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_encode(k)}: {_dumps(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            items = list(map(_encode, obj))
+        except TypeError:  # not every item is a string
+            items = [_dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj)
+
+
+def _write(obj, path: str | Path):
+    Path(path).write_text(_dumps(obj) + "\n")
+
+
 def load_ring(path: str | Path) -> RingSpec:
     with open(path) as fh:
         return ring_from_obj(json.load(fh))
 
 
 def save_ring(ring: RingSpec, path: str | Path):
-    Path(path).write_text(json.dumps(ring_to_obj(ring), indent=2) + "\n")
+    _write(ring_to_obj(ring), path)
 
 
 def complex_to_obj(C: PeriodicComplex) -> dict:
@@ -132,9 +165,18 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
             poly = parsed[text] = parse_poly(ring.ambient, text)
         return poly
 
-    def matrix(key: str) -> list[list[Poly]]:
-        rows = _list(periodic[key], f"'periodic' block's {key!r}")
-        return [[entry(e) for e in _list(row, f"row {i} of {key!r}")] for i, row in enumerate(rows)]
+    def matrix(key: str) -> list[tuple[Poly, ...]]:
+        out = []
+        for i, row in enumerate(_list(periodic[key], f"'periodic' block's {key!r}")):
+            row = _list(row, f"row {i} of {key!r}")
+            try:  # every entry a string parsed before: the row in one C-level pass
+                polys = tuple(map(parsed.__getitem__, row))
+            except (KeyError, TypeError):  # a new string, or an entry that is not one
+                polys = None
+            if polys is None:  # outside the handler, so no error chains to its KeyError
+                polys = tuple(map(entry, row))
+            out.append(polys)
+        return out
 
     def degrees(key: str) -> tuple[int, ...]:
         what = f"'periodic' block's {key!r}"
@@ -160,7 +202,7 @@ def load_complex(path: str | Path) -> PeriodicComplex:
 
 
 def save_complex(C: PeriodicComplex, path: str | Path):
-    Path(path).write_text(json.dumps(complex_to_obj(C), indent=2) + "\n")
+    _write(complex_to_obj(C), path)
 
 
 def trace_to_obj(trace: RealizationTrace) -> dict:
@@ -188,4 +230,4 @@ def trace_to_obj(trace: RealizationTrace) -> dict:
 
 
 def save_trace(trace: RealizationTrace, path: str | Path):
-    Path(path).write_text(json.dumps(trace_to_obj(trace), indent=2) + "\n")
+    _write(trace_to_obj(trace), path)

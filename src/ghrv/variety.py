@@ -12,15 +12,17 @@ R[1/f_1] with a localized polynomial ring in (x_2..x_c, y), sending x_1 to
 -(f_2 x_2 + .. + f_c x_c)/f_1, and row scaling by powers of f_1 clears the
 denominators without changing the rank.  With u = f_1 x_1 - w and top a
 row's largest x_1-degree, a term c x_1^t m becomes c m u^t f_1^(top - t).
-Each multiplier u^t f_1^(top - t) is built once per elimination and kept as
-a term list, each entry is summed in one dict, and a row without x_1 passes
-unchanged.  Fraction-free elimination on sparse rows (rank_over_domain)
-then gives the rank.  The exhaustive descending minor search is kept in
-matrix.py as the oracle this path is tested against.  A pair needs one such
-elimination when it is an exact matrix factorization, A*B = B*A = w*I over
-P (PeriodicComplex.is_factorization): then the complex over R is exact,
-because B v = w z gives w v = A B v = w A z and so v = A z in the domain P,
-and exactness over the domain R gives rank(B) = n - rank(A) over its
+Each multiplier u^t f_1^(top - t) is built once per ring and kept on it as
+a term list (u itself only when one is missing), each distinct (entry
+object, top) is expanded once per elimination and summed in one dict, and
+a row without x_1 passes unchanged.  Fraction-free elimination on sparse
+rows (rank_over_domain) then gives the rank.  The exhaustive descending
+minor search is kept in matrix.py as the oracle this path is tested
+against.  A pair needs one such elimination when it is an exact matrix
+factorization, A*B = B*A = w*I over P (PeriodicComplex.is_factorization):
+then the complex over R is exact, because B v = w z gives
+w v = A B v = w A z and so v = A z in the domain P, and exactness over
+the domain R gives rank(B) = n - rank(A) over its
 fraction field (Eisenbud, Trans. AMS 260, 1980).  ranks_over_R applies this
 complement rule and eliminates B as well only when the identity fails.
 
@@ -83,32 +85,43 @@ MAX_POINTS = 10**6
 
 def _eliminate_x1(rows, ring: RingSpec):
     """Image of the grid under x_1 -> u/f_1, each row scaled by f_1^top (see
-    the module docstring); entries stay in the ambient ring, x_1-free."""
+    the module docstring); entries stay in the ambient ring, x_1-free.  The
+    multipliers u^t f_1^(top - t) are kept on the ring (RingSpec._x1_multipliers),
+    u built only when one is missing, and each distinct (entry object, top)
+    is expanded once per call; the rows hold every entry for the call."""
     amb = ring.ambient
     idx = amb.var_index(ring.xvars[0])
     f1 = ring.f[0]
-    u = f1 * amb.variable(ring.xvars[0]) - ring.w  # the x_1-free part, negated
+    multipliers = ring._x1_multipliers
+    u = None
     add, mul = amb.field.add, amb.field.mul
-    multipliers: dict[tuple[int, int], list] = {}
+    expanded: dict[int, dict[int, Poly]] = {}  # top -> id of an entry -> its image
     out = []
     for row in rows:
         top = max((m[idx] for e in row for m in e.terms), default=0)
         if not top:
             out.append(tuple(row))
             continue
+        memo = expanded.setdefault(top, {})
         new_row = []
         for e in row:
-            acc: dict = {}
-            for m, c in e.terms.items():
-                t = m[idx]
-                if (t, top) not in multipliers:
-                    multipliers[t, top] = list((u**t * f1 ** (top - t)).terms.items())
-                stripped = m[:idx] + (0,) + m[idx + 1:]
-                for mm, cc in multipliers[t, top]:
-                    mono = tuple(map(_mono_add, stripped, mm))
-                    v = mul(c, cc)
-                    acc[mono] = add(acc[mono], v) if mono in acc else v
-            new_row.append(Poly(amb, acc) if acc else e)
+            new = memo.get(id(e))
+            if new is None:
+                acc: dict = {}
+                for m, c in e.terms.items():
+                    t = m[idx]
+                    mult = multipliers.get((t, top))
+                    if mult is None:
+                        if u is None:  # the x_1-free part, negated
+                            u = f1 * amb.variable(ring.xvars[0]) - ring.w
+                        mult = multipliers[t, top] = list((u**t * f1 ** (top - t)).terms.items())
+                    stripped = m[:idx] + (0,) + m[idx + 1:]
+                    for mm, cc in mult:
+                        mono = tuple(map(_mono_add, stripped, mm))
+                        v = mul(c, cc)
+                        acc[mono] = add(acc[mono], v) if mono in acc else v
+                new = memo[id(e)] = Poly(amb, acc) if acc else e
+            new_row.append(new)
         out.append(tuple(new_row))
     return tuple(out)
 

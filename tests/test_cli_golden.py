@@ -70,6 +70,11 @@ def invocations(field_text: str) -> list[list[str]]:
         ["realize", "<tmp>/ring.json", "--p", "x1*x2", *realize_points, "--out", "<tmp>/trace.json"],
         ["check", "<tmp>/trace.json"],
         ["rank", "<tmp>/trace.json"],
+        ["realize", "<tmp>/ring.json", "--p", "x1 + 2*x2", "--p", "x1*x2 + 2*x2^2", *realize_points,
+         "--out", "<tmp>/trace32.json"],
+        ["check", "<tmp>/trace32.json"],
+        ["rank", "<tmp>/trace32.json"],
+        ["rank", "<tmp>/trace32.json", "--which", "B"],
         ["variety", "<tmp>/ring.json", "--fixture", "k5-example", *ext_points],
         ["points", "--field", field_text, "--c", "2"],
         ["reproduce", "--field", field_text],

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from ghrv import matrix
 from ghrv.errors import BoundExceeded
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import (
@@ -181,20 +182,24 @@ def test_rank_matches_minor_search_on_sparse_grids(ring):
 def _lagging_grid(ring, rng, elems, extra, tail, dependent):
     """A grid whose sparse Bareiss run is forced through lazy scaling.
 
-    Rows 0..3 have one-term entries on the diagonal of columns 0..3, no
-    other entry there but row 3's in column 2, and nothing in column 4;
-    one-term entries elsewhere lie in later rows, so rows 0..3 are the
-    pivots of steps 1 to 4 in that order, and row 3, touched at step 3,
-    pivots at step 4 up to date.  Row 4 has an entry
-    in column 0, none in columns 1..3 and a one-term entry in column 4: it
-    is touched at step 1, skipped at steps 2 to 4, and is the pivot of step
-    5 while stale.  Row 5 has entries in columns 0 and 3 only among 0..3:
-    it is touched at step 1 and again at step 4, after skipping two steps,
-    so its update divides by the step-1 pivot, which the step-3 pivot does
-    not stand in for.  `extra` further rows carry entries of two terms;
-    `tail` columns after column 4 are filled at random; with `dependent`
-    the last row is a combination of two others, so the grid is rank
-    deficient when it is not wide."""
+    Rows 0..3 hold one one-term entry each, on the diagonal of columns 0..3;
+    every other entry in columns 0..4 has two terms, except row 5's in
+    column 4.  Rows 4..8 fill columns 0..4 so that each holds four entries
+    (row 4: 0, 3, 4; row 5: 0, 4; row 6: 0..4; row 7: 1..4; row 8: 1, 2),
+    and each of the `extra` further rows, and the `dependent` one, adds one
+    to every column.  The pivot rule of rank_over_domain (terms, then column
+    count, then row width, then row order) therefore takes rows 0..3 at
+    steps 1 to 4: a one-term pivot row of width 1 scales the rows it
+    touches by one-term factors, so no other entry in columns 0..4 loses
+    its second term.  Row 4 is touched at step 1, skipped at steps 2 and 3
+    and touched again at step 4, so its update divides by the step-1 pivot,
+    which the step-3 pivot does not stand in for; row 6 divides by the
+    step-1 and step-2 pivots at steps 2 and 3 in between.  Row 5 is touched
+    at step 1 only, and its column-4 entry, then the one one-term entry
+    left, makes it the pivot of step 5 while stale.  `tail` columns after
+    column 4 are filled at random in rows 4 on; with `dependent` a last row
+    is a combination of rows 6 and 7, so the grid is rank deficient when it
+    is not tall."""
 
     def poly(nterms):
         terms = {}
@@ -203,39 +208,59 @@ def _lagging_grid(ring, rng, elems, extra, tail, dependent):
         return Poly(ring, terms)
 
     zero = ring.zero()
-    rows = []
-    for s in range(4):
-        rows.append([poly(1) if j == s else zero for j in range(5)])
-    rows[3][2] = poly(2)
-    rows.append([poly(2), zero, zero, zero, poly(1)])
-    rows.append([poly(2), zero, zero, poly(2), zero])
+    rows = [[poly(1) if j == s else zero for j in range(5)] for s in range(4)]
+    for cols in ((0, 3, 4), (0, 4), (0, 1, 2, 3, 4), (1, 2, 3, 4), (1, 2)):
+        rows.append([poly(2) if j in cols else zero for j in range(5)])
+    rows[5][4] = poly(1)
     for _ in range(extra):
-        rows.append([poly(2) if rng.random() < 0.5 else zero for _ in range(5)])
-    for row in rows:
-        row += [poly(2) if rng.random() < 0.5 else zero for _ in range(tail)]
+        rows.append([poly(2) for _ in range(5)])
+    for i, row in enumerate(rows):
+        row += [poly(2) if i > 3 and rng.random() < 0.5 else zero for _ in range(tail)]
     if dependent:
-        a, b = rng.sample(range(len(rows)), 2)
         ca, cb = poly(1), poly(1)
-        rows.append([ca * x + cb * y for x, y in zip(rows[a], rows[b])])
+        rows.append([ca * x + cb * y for x, y in zip(rows[6], rows[7])])
     return rows
 
 
 @pytest.mark.parametrize("field", [prime_field(3), make_extension(3, 2), QQ], ids=str)
-def test_sparse_bareiss_lazy_scaling_matches_minor_search(field):
+def test_sparse_bareiss_lazy_scaling_matches_minor_search(field, monkeypatch):
     # Each grid makes a touched row skip two pivot steps before its next
     # update and makes a stale row the pivot (see _lagging_grid), on
-    # rectangular and rank-deficient shapes; the transpose has the same
-    # rank and takes other pivots.
+    # tall, square and wide shapes, full rank and deficient; the transpose
+    # has the same rank and takes other pivots.  Wrappers on the lag
+    # divisions see both: row 5 brought up to date by exact_div by the
+    # step-1 pivot, and an update dividing by the step-1 pivot after one
+    # has divided by a later pivot.
     ring = PolyRing(field, ("a", "b"), ("t",))
     elems = _field_elems(field)
     rng = random.Random(107)
+    divisors, lags = [], []
+    exact_div, update = matrix.exact_div, matrix._bareiss_update
+
+    def recording_div(e, d):
+        divisors.append(d)
+        return exact_div(e, d)
+
+    def recording_update(*args):
+        lags.append(args[-1])
+        return update(*args)
+
+    monkeypatch.setattr(matrix, "exact_div", recording_div)
+    monkeypatch.setattr(matrix, "_bareiss_update", recording_update)
     shapes = set()
-    for extra, tail, dependent in [(0, 1, False), (1, 0, False), (2, 1, False), (0, 2, True),
-                                   (0, 3, True), (1, 3, True), (2, 0, True)] * 2:
+    for extra, tail, dependent in [(0, 1, False), (1, 0, False), (0, 4, False), (0, 5, True),
+                                   (0, 6, True), (1, 2, True), (2, 1, False)] * 2:
         g = _lagging_grid(ring, rng, elems, extra, tail, dependent)
         m, n = mat_shape(g)
         want = rank_by_minors(g, ring)
+        divisors.clear()
+        lags.clear()
         assert rank_over_domain(g, ring) == want
+        first = g[0][0]
+        assert any(d is first for d in divisors)  # row 5, the pivot of step 5
+        divided = [lag for lag in lags if lag is not None]
+        later = next(i for i, lag in enumerate(divided) if lag is not first)
+        assert any(lag is first for lag in divided[later:])  # row 4 at step 4
         assert rank_over_domain(mat_transpose(g), ring) == want
         shapes.add((m == n, want < min(m, n)))
     assert shapes >= {(False, False), (False, True), (True, True)}

@@ -254,6 +254,24 @@ def test_monic_returns_a_monic_polynomial_itself(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_monic_keeps_the_leading_monomial(field, monkeypatch):
+    # scaling keeps every monomial, so a scaled monic copy carries the
+    # leading monomial over and never searches its terms for it
+    ring = PolyRing(field, ("x1", "x2"), ("x", "y"))
+    rng = random.Random(43)
+    polys = [p for p in (_random_poly(ring, rng) for _ in range(40)) if p.terms]
+    for p in polys:
+        p.leading_monomial()
+    searched = []
+    monkeypatch.setattr("ghrv.poly.order_key", lambda m: searched.append(m) or m)
+    scaled = [p.monic() for p in polys if p.leading_coeff() != field.one]
+    assert scaled
+    assert [m.leading_monomial() for m in scaled] == [
+        p.leading_monomial() for p in polys if p.leading_coeff() != field.one]
+    assert searched == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_power_equals_repeated_product(field):
     ring = _power_ring(field)
     rng = random.Random(61)

@@ -221,6 +221,46 @@ def test_saved_bytes_are_the_per_position_json(ring_name, request, tmp_path):
     assert load_complex(tmp_path / "trace.json") == trace.final
 
 
+def test_writer_matches_json_dumps():
+    # the one writer of ring, complex and trace files prints exactly what
+    # json.dumps(obj, indent=2) prints
+    cases = [
+        [], {}, None, True, False, 0, -7, 2**70, "", [[]], [{}], {"a": {}}, {"a": []},
+        ["quote \" mark", "back\\slash", "caf\u00e9 \u2603", "tab\tnew\nline"],
+        {"k\"ey": {"nested": {"deep": [1, "two", None, True, [3, []]]}}, "empty": ""},
+        [[1, 2], ["a", "b"], [True, False, None]],
+        {"ring": {"f": ["x^2"], "yvars": []}, "periodic": {"A": [["0", "x1*y"]], "certified": False}},
+    ]
+    for obj in cases:
+        assert serialize._dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.fixture(scope="module")
+def trace32_obj(ring5):
+    trace = realize(ring5, ["x1 + 2*x2", "x1*x2 + 2*x2^2"], verify=False)
+    assert trace.sizes == [8, 16, 32]
+    return trace_to_obj(trace)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({("A", 0, 0): "x1+", ("A", 2): "x1"}, "unexpected end of input (at position 3)"),
+    ({("A", 1, 3): [1], ("A", 4, 0): 7}, "matrix entry [1] is not a string"),
+    ({("B", 0, 0): 3, ("A", 5, 1): "2**"}, "expected a term, got '*' (at position 2)"),
+])
+def test_loader_raises_the_first_error_in_file_order(trace32_obj, edits, message):
+    # two faults in a 32x32 trace: the one met first, reading A row by row
+    # and then B, is the one reported, whatever its kind
+    obj = json.loads(json.dumps(trace32_obj))
+    for (*path, last), value in edits.items():
+        target = obj["periodic"]
+        for key in path:
+            target = target[key]
+        target[last] = value
+    with pytest.raises(ParseError) as err:
+        complex_from_obj(obj)
+    assert str(err.value) == message
+
+
 def test_first_malformed_entry_is_reported(ring5, tmp_path, capsys):
     obj = complex_to_obj(fixture_k(ring5))
     obj["periodic"]["A"][0][1] = "x1 +* 2"

@@ -28,6 +28,7 @@ from ghrv.pipelines import (
 )
 from ghrv.poly import Poly, PolyRing, evaluator, order_key
 from ghrv.ring import RingSpec, make_alpha, make_ring, residue, specialize
+from ghrv.serialize import load_complex, save_trace
 from ghrv.variety import (
     MAX_POINTS,
     ProjPoint,
@@ -143,6 +144,102 @@ def test_eliminate_x1_is_row_scaling_mod_w(ring):
             if top == 0:
                 assert list(new_row) == list(row)
     assert {0, 1, 2} <= tops and max(tops) >= 4
+
+
+def _permuted(grid, rng):
+    """grid with its rows and its columns in a seeded random order."""
+    rows = list(grid)
+    cols = list(range(len(rows[0])))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[row[j] for j in cols] for row in rows]
+
+
+@pytest.mark.parametrize("ring_name", ["ring5", "ring9", "ringq"])
+def test_bareiss_ranks_of_the_realize_stages(ring_name, request):
+    # The 16x16 and 32x32 realize stages, A and B each eliminated
+    # (rank_over_R, not the complement rule): the two ranks partition n,
+    # and seeded row and column permutations, which change the pivots the
+    # fill-in rule takes, leave each rank as it is.
+    ring = request.getfixturevalue(ring_name)
+    trace = realize(ring, ["x1 + 2*x2", "x1*x2 + 2*x2^2"], verify=False)
+    assert trace.sizes == [8, 16, 32]
+    rng = random.Random(131)
+    for stage in trace.stages[1:]:
+        C = stage.complex
+        r_a, r_b = rank_over_R(C.A, ring), rank_over_R(C.B, ring)
+        assert r_a + r_b == C.size
+        for _ in range(2):
+            assert rank_over_R(_permuted(C.A, rng), ring) == r_a
+            assert rank_over_R(_permuted(C.B, rng), ring) == r_b
+
+
+def test_bareiss_fill_in_on_a_loaded_32x32_trace(tmp_path, monkeypatch):
+    # A of the loaded two-scalar 32x32 realize trace over GF(7): Bareiss
+    # builds at most 300 polynomials (274 with the fill-in pivot rule; 484
+    # when the pivot was the first one-term entry in row order).
+    ring = worked_ring(prime_field(7))
+    trace = realize(ring, ["3*x1 + 2*x2", "x1^2 + 4*x1*x2 + 5*x2^2"], verify=False)
+    save_trace(trace, tmp_path / "trace.json")
+    C = load_complex(tmp_path / "trace.json")
+    assert C.size == 32
+    built = 0
+    init = Poly.__init__
+    rank_over_domain = ghrv.variety.rank_over_domain
+
+    def counting_init(self, ring, terms):
+        nonlocal built
+        built += 1
+        init(self, ring, terms)
+
+    def counted(rows, ring):
+        monkeypatch.setattr(Poly, "__init__", counting_init)
+        try:
+            return rank_over_domain(rows, ring)
+        finally:
+            monkeypatch.setattr(Poly, "__init__", init)
+
+    monkeypatch.setattr(ghrv.variety, "rank_over_domain", counted)
+    assert rank_over_R(C.A, C.ring) == 16
+    assert 0 < built <= 300
+
+
+def test_x1_multipliers_are_kept_on_the_ring(monkeypatch):
+    # rank_over_R builds each multiplier u^t f_1^(top - t) once per ring,
+    # however many calls meet it, and _eliminate_x1 expands each distinct
+    # (entry object, top) pair once per call.
+    ring = worked_ring(prime_field(5))  # a ring no other test has ranked over
+    C = realize(ring, ["x1 + 2*x2"], verify=False).final
+    idx = ring.ambient.var_index(ring.xvars[0])
+    powers = built = 0
+    pow_, init = Poly.__pow__, Poly.__init__
+
+    def counting_pow(self, n):
+        nonlocal powers
+        powers += 1
+        return pow_(self, n)
+
+    def counting_init(self, ring, terms):
+        nonlocal built
+        built += 1
+        init(self, ring, terms)
+
+    monkeypatch.setattr(Poly, "__pow__", counting_pow)
+    r = rank_over_R(C.A, ring)
+    first = powers
+    assert first > 0 and ring._x1_multipliers
+    for _ in range(3):
+        assert rank_over_R(C.A, ring) == r
+    assert powers == first
+    pairs = set()
+    for row in C.A:
+        top = max((m[idx] for e in row for m in e.terms), default=0)
+        if top:
+            pairs |= {(id(e), top) for e in row if e.terms}
+    assert len(pairs) < sum(1 for row in C.A for e in row if e.terms)
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    ghrv.variety._eliminate_x1(C.A, ring)
+    assert built == len(pairs)
 
 
 # -- the complement rule ------------------------------------------------------
