@@ -8,18 +8,19 @@ generator degrees for the two underlying modules:
 
     .. --A--> C_0(degrees0) --B(+1 twist)--> C_1(degrees1) --A--> ..
 
-A pair is two n x n grids over the ambient ring plus the two degree tuples.
-PeriodicComplex(ring, a_grid, b_grid, degrees0, degrees1, certified) is the
-only way a pair is built, and it checks shapes only.  validate_pair is the
-one place the degree rule is applied: A maps degrees1 to degrees0, and B maps
-degrees0 twisted by 1 (the x-degree of w) to degrees1.  A is the
-odd-to-even differential.  Homogeneity: a nonzero entry (i, j) of a map has
-x-degree  deg_source(j) - deg_target(i) as an R-class, that is, its normal
-form mod w is zero or x-homogeneous of that degree (homogeneity_violations).
-Every term of w has x-degree 1, so a division step by w removes a term and
-adds terms of that same x-degree: a stored entry that is zero or
-x-homogeneous of the wanted degree has such a normal form, and only the
-other entries are reduced.  Certification (the exact A*B = w*I check over
+A pair is two n x n grids of polynomials of the ambient ring ring.ambient
+plus the two degree tuples.  PeriodicComplex(ring, a_grid, b_grid, degrees0,
+degrees1, certified) is the only way a pair is built; it stores the grids as
+given and checks shapes only.  validate_pair checks that every entry is a
+polynomial of ring.ambient, and is the one place the degree rule is applied:
+A maps degrees1 to degrees0, and B maps degrees0 twisted by 1 (the x-degree
+of w) to degrees1.  A is the odd-to-even differential.  Homogeneity: a
+nonzero entry (i, j) of a map has x-degree deg_source(j) - deg_target(i) as
+an R-class, that is, its normal form mod w is zero or x-homogeneous of that
+degree (homogeneity_violations).  Every term of w has x-degree 1, so a
+division step by w removes a term and adds terms of that same x-degree: a
+stored entry that is zero or x-homogeneous of the wanted degree has such a
+normal form, and only the other entries are reduced.  Certification (the exact A*B = w*I check over
 P) is judged on the stored representatives, by one matrix product per pair,
 and a cone of a certified pair inherits its parent's verdict (cone_mul).
 
@@ -129,17 +130,16 @@ def distinct_entries(grids, image=None) -> DistinctEntries:
 class PeriodicComplex:
     """2-periodic complex of free R-modules, represented by the pair (A, B).
 
-    The only constructor of a pair: two n x n grids A and B over the ambient
-    ring and the reference degrees of C_0 and C_1, of length n each.  Going
-    up in homological degree the module degrees gain 1 per period, so the
-    two reference tuples determine every module in the doubly infinite
-    complex.  Entries are coerced with ring.coerce, once per distinct entry
-    object of the two grids (map_entries); nothing beyond shapes is checked
-    here.  validate_pair applies the degree rule and the complex
-    condition, and periodic_from_pair refuses a pair that fails them.  A and
-    B are never reassigned after construction, which is what lets the pair
-    keep its residue pencil, its distinct entries and its is_factorization
-    verdict.
+    The only constructor of a pair: two n x n grids A and B of polynomials
+    of ring.ambient and the reference degrees of C_0 and C_1, of length n
+    each.  Going up in homological degree the module degrees gain 1 per
+    period, so the two reference tuples determine every module in the
+    doubly infinite complex.  The grids are stored as given, entry objects
+    and all, and nothing beyond shapes is checked here: validate_pair checks
+    the ring of the entries, the degree rule and the complex condition, and
+    periodic_from_pair refuses a pair that fails them.  A and B are never
+    reassigned after construction, which is what lets the pair keep its
+    residue pencil, its distinct entries and its is_factorization verdict.
     """
 
     def __init__(self, ring: RingSpec, a_grid, b_grid, degrees0, degrees1, certified: bool):
@@ -149,7 +149,7 @@ class PeriodicComplex:
             raise ValueError("pair must be square of equal size")
         n = len(degrees0)
 
-        self.A, self.B = map_entries(ring.coerce, a_grid, b_grid)
+        self.A, self.B = as_grid(a_grid), as_grid(b_grid)
         for grid in (self.A, self.B):
             shape = (len(grid), len(grid[0]) if grid else 0)
             if shape != (n, n):
@@ -164,29 +164,18 @@ class PeriodicComplex:
         return len(self.degrees0)
 
     @cached_property
-    def _misfit(self) -> tuple[Grid, Grid] | None:
-        """None when A*B = B*A = w*I exactly over P; otherwise the products
-        A*B and B*A, which only validate_pair's mod-w pass reads.
-
-        A*B = w*I alone decides it.  P is a domain and w is nonzero
-        (make_ring refuses a zero f_i), so det A * det B = w^n is nonzero:
-        A is invertible over the fraction field of P, B = w A^-1, and hence
-        B*A = w*I.  B*A is computed only when A*B fails, so a pair that is
-        a factorization costs one product.  Judged on the stored grids and
-        never on the `certified` flag, which a file may claim falsely.
-        Computed on first use and kept with the pair; cone_mul stores it on
-        the cone of a certified pair, which inherits its parent's verdict."""
-        amb = self.ring.ambient
-        ab = mat_mul(self.A, self.B, amb)
-        if ab == identity(amb, self.size, self.ring.w):
-            return None
-        return ab, mat_mul(self.B, self.A, amb)
-
-    @property
     def is_factorization(self) -> bool:
-        """A*B = B*A = w*I exactly over P, decided by the one product A*B
-        (see _misfit)."""
-        return self._misfit is None
+        """A*B = B*A = w*I exactly over P, decided by the one product A*B.
+
+        P is a domain and w is nonzero (make_ring refuses a zero f_i), so
+        det A * det B = w^n is nonzero: A is invertible over the fraction
+        field of P, B = w A^-1, and hence B*A = w*I.  Judged on the stored
+        grids and never on the `certified` flag, which a file may claim
+        falsely.  Computed on first use and kept with the pair; cone_mul
+        stores True on the cone of a certified pair, which inherits its
+        parent's verdict."""
+        amb = self.ring.ambient
+        return mat_mul(self.A, self.B, amb) == identity(amb, self.size, self.ring.w)
 
     @cached_property
     def pencil_entries(self) -> DistinctEntries:
@@ -255,15 +244,18 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     maps degrees1 to degrees0, and B maps degrees0 twisted by 1 (the x-degree
     of w) to degrees1.
 
+    Its first step checks that every entry is a polynomial of ring.ambient,
+    once per distinct entry object (map_entries): an entry of another ring
+    raises RingMismatch, and one that is not a polynomial TypeError.
     The exact identity A*B = B*A = w*I (C.is_factorization) is tested on
     the stored grids whatever the file claims, by the one product A*B: in
     the domain P with w nonzero, A*B = w*I forces B*A = w*I.  When it holds,
     both products are zero mod w, so the mod-w pass runs only on a pair
-    that fails it, and reads A*B and B*A, which that test computed in this
-    order once A*B failed.  The identity also gives the
-    rank partition by the complement rule: the complex over R is then exact
-    (if B v = w u then w v = A B v = w A u, so v = A u, P being a domain),
-    so over the fraction field of the domain R, rank(B) = size - rank(A).
+    that fails it, and forms A*B and B*A for that pass only then.  The
+    identity also gives the rank partition by the complement rule: the
+    complex over R is then exact (if B v = w u then w v = A B v = w A u, so
+    v = A u, P being a domain), so over the fraction field of the domain R,
+    rank(B) = size - rank(A).
     The RankDefect check therefore runs only on pairs that are complexes
     mod w without being exact factorizations.  Findings come in the order
     NotAComplex, NotHomogeneous, CertificationFailed, RankDefect, so a
@@ -271,11 +263,13 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     before any RankDefect."""
     report = ValidationReport()
     ring = C.ring
+    amb = ring.ambient
+    map_entries(amb.coerce, C.A, C.B)
     if not C.is_factorization:
-        for name, prod in zip(("A*B", "B*A"), C._misfit):
+        for name, left, right in (("A*B", C.A, C.B), ("B*A", C.B, C.A)):
             bad = [
                 (i, j)
-                for i, row in enumerate(prod)
+                for i, row in enumerate(mat_mul(left, right, amb))
                 for j, e in enumerate(row)
                 if not ring.normal_form(e).is_zero()
             ]
@@ -415,7 +409,7 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     if C.certified:
         if not C.is_factorization:
             raise CertificationFailed("cone blocks do not multiply to w*I")
-        cone._misfit = None
+        cone.is_factorization = True
     return cone
 
 

@@ -565,17 +565,20 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def parse_field(text: str) -> Field:
-    """Parse "QQ", "GF(q)" or "GF(p^e)" into a field object."""
+    """Parse "QQ", "GF(q)" or "GF(p^e)" with integers q, p and e >= 1."""
     s = text.strip()
     if s in ("QQ", "Q"):
         return QQ
     if s.startswith("GF(") and s.endswith(")"):
-        body = s[3:-1].strip()
-        if "^" in body:
-            p_str, e_str = body.split("^", 1)
-            p, e = int(p_str), int(e_str)
-            return prime_field(p) if e == 1 else make_extension(p, e)
-        return finite_field(int(body))
+        base, caret, exp = s[3:-1].partition("^")
+        try:
+            q, e = int(base), int(exp) if caret else 1
+        except ValueError:
+            e = 0
+        if e >= 1:
+            if not caret:
+                return finite_field(q)
+            return prime_field(q) if e == 1 else make_extension(q, e)
     raise FieldError(f"unrecognized field {text!r}; expected QQ or GF(q)")
 
 

@@ -100,13 +100,13 @@ class PolyRing:
         return Poly(self, {tuple(mono): coeff})
 
     def coerce(self, value) -> "Poly":
-        if isinstance(value, Poly):
-            if value.ring is not self and value.ring != self:
-                raise RingMismatch(f"{value!r} lives in {value.ring}, not {self}")
-            return value
-        if isinstance(value, int):
-            return self.from_int(value)
-        return self.const(value)
+        """value itself, a polynomial of this ring: RingMismatch for a
+        polynomial of another ring, TypeError for anything else."""
+        if not isinstance(value, Poly):
+            raise TypeError(f"{value!r} is not a polynomial of {self}")
+        if value.ring is not self and value.ring != self:
+            raise RingMismatch(f"{value!r} lives in {value.ring}, not {self}")
+        return value
 
     def __eq__(self, other):
         return (
@@ -283,7 +283,8 @@ class Poly:
 
     # -- substitution and base change ---------------------------------------
     def substitute(self, bindings: Mapping[str, object]) -> "Poly":
-        """Simultaneous substitution; values are coerced into this ring.
+        """Simultaneous substitution; each value must be a polynomial of this
+        ring (PolyRing.coerce).
 
         For each term, the bound variables' powers come from each value's
         own power table (see __pow__), so substituting the same values into

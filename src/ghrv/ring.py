@@ -36,14 +36,13 @@ from .poly import Poly, PolyRing, divide_single
 class RingSpec:
     """Immutable description of R plus its ambient rings."""
 
-    def __init__(self, field: Field, yvars: tuple[str, ...], xvars: tuple[str, ...],
-                 f: tuple[Poly, ...], regularity_verified: bool):
-        self.field = field
-        self.yvars = yvars
-        self.xvars = xvars
-        self.ambient = PolyRing(field, xvars, yvars)
+    def __init__(self, ambient: PolyRing, f: tuple[Poly, ...], regularity_verified: bool):
+        self.field = field = ambient.field
+        self.yvars = ambient.yvars
+        self.xvars = xvars = ambient.xvars
+        self.ambient = ambient
         self.kx = PolyRing(field, xvars, ())
-        self._ambients = {field: self.ambient}
+        self._ambients = {field: ambient}
         self.f = f
         self.regularity_verified = regularity_verified
         w = self.ambient.zero()
@@ -117,7 +116,8 @@ class RingSpec:
 def make_ring(field: Field, yvars, xvars, f) -> RingSpec:
     """Validate and build the hypersurface data.
 
-    f entries may be Poly (in the ambient ring) or expression strings; they
+    f entries may be Poly (in a ring equal to the ambient ring) or expression
+    strings, read into the ring's own ambient, which w is built in too; they
     must involve only y-variables and have zero constant term.  Monomial
     coefficient sequences are certified regular via pairwise coprimality;
     anything else is recorded as unverified.
@@ -130,10 +130,8 @@ def make_ring(field: Field, yvars, xvars, f) -> RingSpec:
     if len(f) != len(xvars):
         raise ValueError(f"expected {len(xvars)} coefficients f_i, got {len(f)}")
 
-    polys: list[Poly] = []
-    for fi in f:
-        p = parse_poly(ambient, fi) if isinstance(fi, str) else ambient.coerce(fi)
-        polys.append(p)
+    polys = [parse_poly(ambient, fi) if isinstance(fi, str) else Poly(ambient, ambient.coerce(fi).terms)
+             for fi in f]
 
     c = len(xvars)
     for name, p in zip(xvars, polys):
@@ -157,7 +155,7 @@ def make_ring(field: Field, yvars, xvars, f) -> RingSpec:
                     raise NotRegularSequence(
                         f"monomial coefficients {polys[i]} and {polys[j]} share a variable"
                     )
-    return RingSpec(field, yvars, xvars, tuple(polys), verified)
+    return RingSpec(ambient, tuple(polys), verified)
 
 
 @dataclass(frozen=True)

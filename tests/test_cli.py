@@ -99,7 +99,7 @@ def test_check_valid(pair_file, capsys):
 
 
 def test_check_corrupted(pair_file, tmp_path, capsys):
-    obj = json.loads(open(pair_file).read())
+    obj = json.loads(Path(pair_file).read_text())
     obj["periodic"]["A"][0][0] = "x1 + 1"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -158,6 +158,41 @@ def test_contractible(k_file, pair_file, capsys):
     assert "contractible at" in capsys.readouterr().out
     assert run(["contractible", pair_file, "--alpha", "1,0"]) == 0
     assert "True (residue ranks 1 + 1 vs size 2)" in capsys.readouterr().out
+
+
+def test_rational_alpha_coordinates(ringq, tmp_path, capsys):
+    # over QQ a coordinate may be a fraction: contractible and specialize on
+    # the resolve-k file at (1/2, 1)
+    ring_path, k_path = tmp_path / "ring.json", tmp_path / "k.json"
+    save_ring(ringq, ring_path)
+    assert run(["resolve-k", str(ring_path), "--out", str(k_path)]) == 0
+    capsys.readouterr()
+    assert run(["contractible", str(k_path), "--alpha", "1/2,1"]) == 0
+    assert capsys.readouterr().out == "contractible at (1/2, 1): True (residue ranks 4 + 4 vs size 8)\n"
+    assert run(["specialize", str(k_path), "--alpha", "1/2,1"]) == 0
+    assert capsys.readouterr().out == """\
+alpha = (1/2, 1)
+w_alpha = 1/2*x^2 + y^2
+A|alpha =
+  [ 0, 0, -y^2, x^2, 0, 0, 0, 0 ]
+  [ x, y, 0, 0, -y^2, x^2, 0, 0 ]
+  [ -1, 0, y, 0, 0, 0, x^2, 0 ]
+  [ 0, -1, -x, 0, 0, 0, 0, x^2 ]
+  [ 1/2, 0, 0, y, 0, 0, y^2, 0 ]
+  [ 0, 1/2, 0, -x, 0, 0, 0, y^2 ]
+  [ 0, 0, 1/2, 1, 0, 0, 0, 0 ]
+  [ 0, 0, 0, 0, 1/2, 1, x, y ]
+B|alpha =
+  [ -y, 0, -y^2, 0, x^2, 0, 0, 0 ]
+  [ x, 0, 0, -y^2, 0, x^2, 0, 0 ]
+  [ -1, 0, 0, 0, 0, 0, x^2, 0 ]
+  [ 1/2, 0, 0, 0, 0, 0, y^2, 0 ]
+  [ 0, -1, -x, -y, 0, 0, 0, x^2 ]
+  [ 0, 1/2, 0, 0, -x, -y, 0, y^2 ]
+  [ 0, 0, 1/2, 0, 1, 0, -y, 0 ]
+  [ 0, 0, 0, 1/2, 0, 1, x, 0 ]
+residue ranks: rank(A) = 4, rank(B) = 4, size = 8
+"""
 
 
 def test_cone(k_file, capsys):
@@ -304,7 +339,7 @@ def test_module_variety(pair_file, capsys):
 
 
 def test_module_variety_needs_certification(pair_file, tmp_path, capsys):
-    obj = json.loads(open(pair_file).read())
+    obj = json.loads(Path(pair_file).read_text())
     obj["periodic"]["certified"] = False
     loose = tmp_path / "loose.json"
     loose.write_text(json.dumps(obj))
@@ -343,7 +378,7 @@ def test_usage_errors(pair_file, tmp_path, capsys):
 def test_check_rejects_non_string_entries(k_file, tmp_path, capsys):
     # a JSON number or null is not an expression; the first such entry in
     # file order (A before B, row by row) is the one named
-    obj = json.loads(open(k_file).read())
+    obj = json.loads(Path(k_file).read_text())
     obj["periodic"]["A"][0][1] = 0
     obj["periodic"]["A"][1][1] = None
     obj["periodic"]["B"][0][0] = 2.5
@@ -353,7 +388,7 @@ def test_check_rejects_non_string_entries(k_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: matrix entry 0 is not a string\n"
-    obj = json.loads(open(k_file).read())
+    obj = json.loads(Path(k_file).read_text())
     obj["periodic"]["B"][1][0] = None
     bad.write_text(json.dumps(obj))
     assert run(["rank", str(bad)]) == 2
@@ -427,7 +462,7 @@ def test_malformed_json_shapes_are_usage_errors(k_file, tmp_path, capsys, path, 
     # "yx" was read as two entries, and a number raised a traceback; nor is a
     # degree, an f_i or the certified flag coerced: 0.5 became 0, "1" became
     # 1, and "false" counted as a claim
-    obj = _replaced(json.loads(open(k_file).read()), path, value)
+    obj = _replaced(json.loads(Path(k_file).read_text()), path, value)
     bad = tmp_path / "shape.json"
     bad.write_text(json.dumps(obj))
     assert run(["rank", str(bad)]) == 2

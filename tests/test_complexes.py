@@ -6,6 +6,7 @@ to be exact by finite linear algebra in each low internal degree, and its
 last two differentials are checked to be the package's canonical pair.
 """
 
+import operator
 import random
 from itertools import combinations
 from math import comb
@@ -13,6 +14,7 @@ from math import comb
 import pytest
 
 import ghrv.complexes as complexes
+import ghrv.matrix as matrix
 from ghrv.complexes import (
     PeriodicComplex,
     cone_mul,
@@ -45,8 +47,9 @@ from ghrv.pipelines import (
     realize,
     worked_ring,
 )
-from ghrv.poly import monomial_divides
+from ghrv.poly import PolyRing, monomial_divides
 from ghrv.ring import RingSpec, make_ring
+from ghrv.serialize import load_complex, save_trace
 from ghrv.variety import rank_over_R
 
 from dense import dense_rank
@@ -305,20 +308,26 @@ def test_trivial_pair(ring5):
     assert validate_pair(t).ok
 
 
+def _parsed(ring, rows):
+    """A grid of expression strings as polynomials of ring.ambient."""
+    return [[ring.parse(e) for e in row] for row in rows]
+
+
 def test_constructor_rejects_non_complexes(ring5):
     with pytest.raises(NotAComplex):
-        periodic_from_pair(ring5, [["x1"]], [["x2"]], (0,), (1,))
+        periodic_from_pair(ring5, _parsed(ring5, [["x1"]]), _parsed(ring5, [["x2"]]), (0,), (1,))
 
 
 def test_constructor_rejects_inhomogeneous_entries(ring5):
     # x1 + x1*x2 is not x-homogeneous
     with pytest.raises(NotHomogeneous):
-        periodic_from_pair(ring5, [["x1 + x1*x2"]], [["0"]], (0,), (1,))
+        periodic_from_pair(ring5, _parsed(ring5, [["x1 + x1*x2"]]), _parsed(ring5, [["0"]]), (0,), (1,))
 
 
 def test_constructor_rejects_false_certification(ring5):
     with pytest.raises(CertificationFailed):
-        periodic_from_pair(ring5, [["2"]], [["x^2*x1 + y^2*x2"]], (0,), (0,))
+        periodic_from_pair(ring5, _parsed(ring5, [["2"]]), _parsed(ring5, [["x^2*x1 + y^2*x2"]]),
+                           (0,), (0,))
 
 
 def _homogeneity_oracle(ring, grid, source, target):
@@ -411,14 +420,16 @@ def test_homogeneity_on_stored_entries_matches_normal_forms(ring_name, request, 
 
 def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     # the mod-w pass runs only on a pair that fails A*B = B*A = w*I, whatever
-    # the pair claims, and reads the two products that test computed: one
-    # mat_mul call for a fresh factorization, since A*B = w*I forces
-    # B*A = w*I, two for a fresh pair that fails, and none once the verdict
-    # is kept
+    # the pair claims: one mat_mul call for a fresh factorization, since
+    # A*B = w*I forces B*A = w*I, and none once the verdict is kept; a fresh
+    # pair that fails costs the verdict's A*B and then the pass's A*B and
+    # B*A
     tail = complete_resolution_of_k(ring5)
     plain = PeriodicComplex(ring5, tail.A, tail.B, tail.degrees0, tail.degrees1, certified=False)
-    false_claim = PeriodicComplex(ring5, [["x1"]], [["1"]], (0,), (1,), certified=True)
-    unclaimed = PeriodicComplex(ring5, [["x1"]], [["y"]], (0,), (1,), certified=False)
+    false_claim = PeriodicComplex(ring5, _parsed(ring5, [["x1"]]), _parsed(ring5, [["1"]]), (0,), (1,),
+                                  certified=True)
+    unclaimed = PeriodicComplex(ring5, _parsed(ring5, [["x1"]]), _parsed(ring5, [["y"]]), (0,), (1,),
+                                certified=False)
     products, normal_forms = [], []
     mat_mul_, normal_form = complexes.mat_mul, RingSpec.normal_form
     monkeypatch.setattr(complexes, "mat_mul", lambda *a: products.append(1) or mat_mul_(*a))
@@ -438,19 +449,24 @@ def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     # a claimed certification that fails the exact comparison takes the
     # pass, with findings in the same order; so does an unclaimed pair
     assert run(false_claim) == ["NotAComplex", "NotAComplex", "CertificationFailed"]
-    assert len(products) == 2 and len(normal_forms) == 2
+    assert len(products) == 3 and len(normal_forms) == 2
+    assert run(unclaimed) == ["NotAComplex", "NotAComplex"]
+    assert len(products) == 3 and len(normal_forms) == 2
+    # the kept verdict spares the A*B of a second report, not the pass
     assert run(unclaimed) == ["NotAComplex", "NotAComplex"]
     assert len(products) == 2 and len(normal_forms) == 2
 
 
 def test_validate_reports_rank_defect(ring5):
-    bad = PeriodicComplex(ring5, [["0"]], [["0"]], (0,), (0,), certified=False)
+    bad = PeriodicComplex(ring5, _parsed(ring5, [["0"]]), _parsed(ring5, [["0"]]), (0,), (0,),
+                          certified=False)
     report = validate_pair(bad)
     assert any(code == "RankDefect" for code, _ in report.findings)
 
 
 def test_validate_notes_uncertified_assumption(ring5):
-    c = PeriodicComplex(ring5, [["x1"]], [["0"]], (0,), (1,), certified=False)
+    c = PeriodicComplex(ring5, _parsed(ring5, [["x1"]]), _parsed(ring5, [["0"]]), (0,), (1,),
+                        certified=False)
     report = validate_pair(c)
     assert report.ok
     assert any("not claimed" in note for note in report.notes)
@@ -543,7 +559,8 @@ def test_cone_by_the_zero_class(ring5):
 
 def test_cone_rechecks_a_false_certification(ring5):
     # the constructor takes the certified flag on trust; cone_mul re-tests it
-    liar = PeriodicComplex(ring5, [["x1"]], [["x2"]], (0,), (1,), certified=True)
+    liar = PeriodicComplex(ring5, _parsed(ring5, [["x1"]]), _parsed(ring5, [["x2"]]), (0,), (1,),
+                           certified=True)
     with pytest.raises(CertificationFailed, match="cone blocks do not multiply to w\\*I"):
         cone_mul(liar, ring5.parse("x1"))
 
@@ -581,13 +598,13 @@ def test_cone_of_a_certified_pair_inherits_its_verdict(ring5, monkeypatch):
         fresh = PeriodicComplex(ring5, cone.A, cone.B, cone.degrees0, cone.degrees1, certified=False)
         assert cone.is_factorization == fresh.is_factorization == expected
         assert validate_pair(cone).findings == validate_pair(fresh).findings
-    # a certified parent that fails the identity: its own two products, and
-    # the cone is refused
+    # a certified parent that fails the identity: its own one product A*B,
+    # and the cone is refused
     liar = PeriodicComplex(ring5, tampered, k.B, k.degrees0, k.degrees1, certified=True)
     products.clear()
     with pytest.raises(CertificationFailed, match="cone blocks do not multiply to w\\*I"):
         cone_mul(liar, ring5.parse("x1"))
-    assert len(products) == 2
+    assert len(products) == 1
 
 
 def test_cone_rank_partition(ring5):
@@ -597,6 +614,47 @@ def test_cone_rank_partition(ring5):
     r_a = rank_over_R(cone.A, ring5)
     r_b = rank_over_R(cone.B, ring5)
     assert r_a + r_b == cone.size
+
+
+def test_pairs_are_built_without_a_per_entry_pass(ring5, tmp_path, monkeypatch):
+    # the constructor stores the grids it is given: building the 16x16 and
+    # 32x32 realize stages, their shift, dual and direct sum, and loading the
+    # 32x32 trace coerce no entry (only the two cone scalars, which
+    # normal_form takes), and call map_entries only for the negation of
+    # cone_mul and shift
+    tail = complete_resolution_of_k(ring5)
+    save_trace(realize(ring5, ["x1", "x2"], verify=False), tmp_path / "trace.json")
+    fns, coerced = [], []
+    map_entries_, coerce_ = matrix.map_entries, PolyRing.coerce
+
+    def counted_map(fn, *grids):
+        fns.append(fn)
+        return map_entries_(fn, *grids)
+
+    for module in (matrix, complexes):
+        monkeypatch.setattr(module, "map_entries", counted_map)
+    monkeypatch.setattr(PolyRing, "coerce", lambda ring, value: coerced.append(value) or coerce_(ring, value))
+    scalars = [ring5.parse("x1"), ring5.parse("x2")]
+    c16 = cone_mul(tail, scalars[0])
+    c32 = cone_mul(c16, scalars[1])
+    built = [c16, c32, shift(c32), dual(c32), direct_sum(c16, c16), load_complex(tmp_path / "trace.json")]
+    assert [C.size for C in built] == [16, 32, 32, 32, 32, 32]
+    assert [id(v) for v in coerced] == [id(v) for v in scalars] and set(fns) == {operator.neg}
+    assert built[-1] == c32
+
+
+def test_validate_checks_the_ring_of_every_entry(ring5):
+    # a GF(5) pair with one GF(7) entry, or one string entry, is built, and
+    # refused by validate_pair and periodic_from_pair
+    ring7 = worked_ring(parse_field("GF(7)"))
+    k = fixture_k(ring5)
+    for entry, error in ((ring7.parse("x1"), RingMismatch), ("x1", TypeError)):
+        for grids in (([[entry, k.A[0][1]], list(k.A[1])], k.B), (k.A, [list(k.B[0]), [k.B[1][0], entry]])):
+            C = PeriodicComplex(ring5, *grids, k.degrees0, k.degrees1, certified=True)
+            with pytest.raises(error):
+                validate_pair(C)
+            with pytest.raises(error):
+                periodic_from_pair(ring5, *grids, k.degrees0, k.degrees1)
 
 
 def test_periodic_rejects_non_square_pair(ring5):
@@ -615,6 +673,7 @@ def test_periodic_rejects_non_square_pair(ring5):
 def test_validate_applies_the_twist_to_b(ring5):
     # A maps degrees1 to degrees0; B maps degrees0 twisted by 1 to degrees1,
     # so x1 fits A here (1 - 0) but not B ((0 + 1) - 1)
-    c = PeriodicComplex(ring5, [["x1"]], [["x1"]], (0,), (1,), certified=False)
+    c = PeriodicComplex(ring5, _parsed(ring5, [["x1"]]), _parsed(ring5, [["x1"]]), (0,), (1,),
+                        certified=False)
     homogeneity = [m for code, m in validate_pair(c).findings if code == "NotHomogeneous"]
     assert homogeneity == ["B: entry (0,0) = x1 has x-degree 1, expected 0"]

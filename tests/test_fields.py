@@ -7,6 +7,7 @@ certificate against trial division over all lower-degree monic polynomials.
 """
 
 import random
+import re
 import time
 
 import pytest
@@ -234,6 +235,10 @@ def test_parse_field_round_trip():
         parse_field("GF(10)")
     with pytest.raises(FieldError):
         parse_field("ZZ")
+    # a body int() rejects, and an exponent below 1, name the text
+    for text in ("GF(x)", "GF()", "GF(5^0)", "GF(5^-1)", "GF(5^x)", "GF(^2)"):
+        with pytest.raises(FieldError, match=f"^unrecognized field {re.escape(repr(text))}; expected QQ or GF\\(q\\)$"):
+            parse_field(text)
 
 
 def test_large_prime_orders_parse_fast():

@@ -9,8 +9,9 @@ entry by entry against fixture_k.
 
 import pytest
 
+import ghrv.pipelines
 from ghrv.complexes import PeriodicComplex, cone_mul, validate_pair
-from ghrv.errors import InvalidComplex, NotHomogeneousScalar, UnsupportedField
+from ghrv.errors import InternalCheckError, InvalidComplex, NotHomogeneousScalar, UnsupportedField
 from ghrv.fields import QQ, prime_field
 from ghrv.matrix import as_grid, mat_mul
 from ghrv.pipelines import (
@@ -109,6 +110,20 @@ def test_realize_grows_by_cones(ring5):
     # must as well (the law only ever shrinks the set)
     for stage in trace.stages:
         assert stage.noncontractible == ()
+
+
+def test_realize_refuses_a_broken_intersection_law(ring5, monkeypatch):
+    # a verdict that breaks the law at one cone stage and one point raises
+    # InternalCheckError naming them: here the 16x16 stage at (1:1)
+    contractible_at = ghrv.pipelines.contractible_at
+
+    def flipped(C, pt):
+        verdict = contractible_at(C, pt)
+        return not verdict if C.size == 16 and str(pt) == "(1:1)" else verdict
+
+    monkeypatch.setattr(ghrv.pipelines, "contractible_at", flipped)
+    with pytest.raises(InternalCheckError, match=r"^cone stage 1 breaks the intersection law at \(1:1\)$"):
+        realize(ring5, ["x1", "x2"])
 
 
 def test_realize_without_verification(ring5):

@@ -13,6 +13,7 @@ from ghrv.errors import (
     VariableLeak,
 )
 from ghrv.fields import QQ, make_extension, prime_field
+from ghrv.pipelines import complete_resolution_of_k, fixture_k, fixture_rank_one
 from ghrv.poly import Poly
 from ghrv.ring import make_alpha, make_ring, residue, specialize
 
@@ -105,6 +106,17 @@ def test_one_ambient_ring_per_field(ring5):
     assert over is ring5.ambient_over(make_extension(5, 2))
     assert over.field == f25 and over.vars == ring5.ambient.vars
     assert make_alpha(ring5, (1, 0), field=f25).preimages[0].ring is over
+
+
+@pytest.mark.parametrize("ring_name", ["ring5", "ring9", "ringq"])
+def test_f_w_and_fixture_entries_live_in_the_ambient(ring_name, request):
+    # make_ring builds f, and with it w, in the ring's own ambient, so every
+    # ring check on them, and on the pairs built from them, is by identity
+    ring = request.getfixturevalue(ring_name)
+    assert all(fi.ring is ring.ambient for fi in ring.f)
+    assert ring.w.ring is ring.ambient
+    for C in (fixture_k(ring), fixture_rank_one(ring), complete_resolution_of_k(ring)):
+        assert all(e.ring is ring.ambient for grid in (C.A, C.B) for row in grid for e in row)
 
 
 def test_make_alpha_guards(ring5):

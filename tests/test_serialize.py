@@ -37,7 +37,7 @@ from ghrv.serialize import (
     save_trace,
     trace_to_obj,
 )
-from ghrv.poly import Poly
+from ghrv.poly import Poly, PolyRing
 from ghrv.ring import RingSpec
 from ghrv.variety import IdealGens, ZeroSetUnion, proj_point
 
@@ -169,17 +169,16 @@ def test_each_per_entry_pass_runs_once_per_distinct_object(ring5, monkeypatch):
         assert grid == block_matrix([[top, p_block],
                                      [zero_matrix(amb, n, n), [[-e for e in row] for row in bottom]]])
 
-    # the constructor: coerce once per distinct object, here the strings of
-    # complex_to_obj, which share one string per distinct entry object
-    count(RingSpec, "coerce")
-    built = PeriodicComplex(ring5, obj["periodic"]["A"], obj["periodic"]["B"], C.degrees0,
-                            C.degrees1, certified=True)
-    texts = (obj["periodic"]["A"], obj["periodic"]["B"])
-    assert calls["coerce"] == objects(*texts) < 2 * 32 * 32
+    # the constructor: no per-entry pass at all; the pair keeps the entry
+    # objects it is given, position by position, and so equals C
+    count(PolyRing, "coerce")
+    built = PeriodicComplex(ring5, [list(row) for row in C.A], [list(row) for row in C.B],
+                            C.degrees0, C.degrees1, certified=True)
+    assert calls["coerce"] == 0
     monkeypatch.undo()
     assert built == C
-    assert built.A == tuple(tuple(ring5.coerce(e) for e in row) for row in texts[0])
-    assert built.B == tuple(tuple(ring5.coerce(e) for e in row) for row in texts[1])
+    for got, given in ((built.A, C.A), (built.B, C.B)):
+        assert all(e is f for row, given_row in zip(got, given) for e, f in zip(row, given_row))
 
 
 @pytest.mark.parametrize("ring_name", ["ring5", "ring9", "ringq"])

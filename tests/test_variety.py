@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 
 import ghrv.variety
-from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair
+from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair, validate_pair
 from ghrv.errors import BoundExceeded, InvalidComplex, RingMismatch, UnsupportedField
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import all_minors, identity, mat_mul
@@ -322,7 +322,8 @@ def test_one_product_decides_the_factorization(field):
     # 16x16 and 32x32 realize stages, the kept verdict (inherited, for a
     # cone) and that of a fresh uncertified copy agree with both products.
     # So do the pairs with one entry changed and with B scaled by x1, which
-    # are never factorizations, and the mod-w pass reads both products.
+    # are never factorizations, and whose findings are those both products
+    # give mod w.
     ring = worked_ring(field)
     amb = ring.ambient
     x1 = amb.variable(ring.xvars[0])
@@ -339,7 +340,15 @@ def test_one_product_decides_the_factorization(field):
         for a, b in ((changed, C.B), (C.A, scaled)):
             bad = PeriodicComplex(ring, a, b, C.degrees0, C.degrees1, certified=True)
             assert not bad.is_factorization and not _two_product_verdict(bad)
-            assert bad._misfit == (mat_mul(bad.A, bad.B, amb), mat_mul(bad.B, bad.A, amb))
+            not_a_complex = []
+            for name, prod in (("A*B", mat_mul(bad.A, bad.B, amb)), ("B*A", mat_mul(bad.B, bad.A, amb))):
+                nonzero = [(i, j) for i, row in enumerate(prod) for j, e in enumerate(row)
+                           if not ring.normal_form(e).is_zero()]
+                if nonzero:
+                    not_a_complex.append(("NotAComplex", f"{name} is nonzero mod w at entries {nonzero[:4]}"))
+            findings = validate_pair(bad).findings
+            assert [f for f in findings if f[0] == "NotAComplex"] == not_a_complex
+            assert ("CertificationFailed", "A*B = B*A = w*I fails on stored representatives") in findings
 
 
 # -- minor ideal images -------------------------------------------------------
