@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -102,21 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a coordinate: a signed number of ASCII decimal digits, or over QQ also a
+# fraction of such a number by a nonzero one of unsigned digits
+_COORD = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_coords(text: str, field):
     coords = []
     for tok in text.split(","):
         tok = tok.strip()
+        m = _COORD.fullmatch(tok)
         try:
-            coords.append(field.from_int(int(tok)))
-            continue
-        except ValueError:
-            pass
-        if "/" in tok and isinstance(field, RationalField):
-            try:
-                coords.append(Fraction(tok))
+            if m is not None and m[2] is None:
+                coords.append(field.from_int(int(m[1])))
                 continue
-            except ValueError:
-                pass
+            if m is not None and isinstance(field, RationalField) and int(m[2]):
+                coords.append(Fraction(int(m[1]), int(m[2])))
+                continue
+        except ValueError:  # more digits than int() converts
+            pass
         raise ParseError(f"bad coordinate {tok!r}")
     return tuple(coords)
 

@@ -24,6 +24,19 @@ normal form, and only the other entries are reduced.  Certification (the exact A
 P) is judged on the stored representatives, by one matrix product per pair,
 and a cone of a certified pair inherits its parent's verdict (cone_mul).
 
+A pair keeps its residue pencil (Abar, Bbar) = (A, B)|_{y=0} by its
+distinct nonzero entries (DistinctEntries).  A cone keeps its parent and
+its reduced scalar, and builds its pencil from its parent's by its own
+block formula (_cone_pencil): y -> 0 is a ring map, so the image of -e is
+minus the image of e, and that costs one image_in_kx, on the scalar.
+Every other pair (fixtures, loaded files, shift, dual, direct_sum) reads
+its pencil from its grids (distinct_entries), which the tests also use as
+the reference for a cone's.  Pairs built here hold one object per value:
+the Shamash tail signs each variable and each f_i once for both folds, and
+cone_mul negates A and B in one pass that reuses an object of equal value,
+so a pass run once per distinct entry object (map_entries) runs once per
+distinct value.
+
 The Koszul complex here is taken on all m = c + d variables of P.  The
 Shamash resolution of the residue field, G_n = sum_j F_(n-2j) with
 differential d = del + xi-wedge, is 2-periodic past index m, and its tail is
@@ -96,11 +109,11 @@ def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
 class DistinctEntries:
     """Two square grids of polynomials by their distinct nonzero entries.
 
-    values holds each distinct nonzero entry once, in the order first met
-    (the first grid row by row, then the second).  Entries share an index
-    when they are equal as polynomials, whether or not they are one object:
-    the Koszul fold signs each entry anew, and a cone negates its parent's
-    A and B apart, so equal entries can be separate objects.
+    values holds each distinct nonzero entry once; distinct_entries lists
+    them in the order first met (the first grid row by row, then the
+    second).  Entries share an index when they are equal as polynomials,
+    whether or not they are one object: a shifted pair, say, negates each
+    grid apart, so equal entries can be separate objects.
     rows[g][i] lists the (column, index) pairs of the nonzero entries of row
     i of grid g, so entry (i, j) is values[k] for (j, k) in rows[g][i], and
     zero when row i has no pair for column j."""
@@ -113,7 +126,9 @@ def distinct_entries(grids, image=None) -> DistinctEntries:
     """The nonzero entries of square `grids`, or their images under `image`
     when it is given, indexed by distinct value (see DistinctEntries).  Only
     nonzero entries are read, each distinct entry object once (map_entries),
-    and an image that is zero is left out."""
+    and an image that is zero is left out.  This builds the pencil of every
+    pair but a cone, and the pencil the tests compare a cone's with, both
+    read from the grids; and the pair's own entries (pair_entries)."""
     index: dict[Poly, int] = {}
 
     def slot(e: Poly) -> int | None:
@@ -158,6 +173,8 @@ class PeriodicComplex:
         self.degrees0 = degrees0
         self.degrees1 = degrees1
         self.certified = certified
+        # (parent, reduced scalar) of a pair built by cone_mul, None otherwise
+        self._cone_of: tuple[PeriodicComplex, Poly] | None = None
 
     @property
     def size(self) -> int:
@@ -180,13 +197,20 @@ class PeriodicComplex:
     @cached_property
     def pencil_entries(self) -> DistinctEntries:
         """The residue pencil (Abar, Bbar) = (A, B)|_{y=0} over k[x], kept by
-        its distinct nonzero entries: image_in_kx runs once on each distinct
-        nonzero entry object of A and B, an image that is zero is left out,
-        and equal images share one index.  A verdict at a point evaluates each
-        distinct entry once and reads the rows of (column, index) pairs, so
-        it costs in proportion to the distinct nonzero entries; no dense
-        grid is kept.  Built on first use and kept with the pair."""
-        return distinct_entries((self.A, self.B), self.ring.image_in_kx)
+        its distinct nonzero entries: an image that is zero is left out, and
+        equal images share one index.  A cone (cone_mul) builds it from its
+        parent's kept pencil by the cone's block formula (_cone_pencil),
+        with one image_in_kx, on the scalar; any other pair reads it from
+        its grids (distinct_entries), image_in_kx running once on each
+        distinct nonzero entry object of A and B.  A verdict at a point
+        evaluates each distinct entry once and reads the rows of (column,
+        index) pairs, so it costs in proportion to the distinct nonzero
+        entries; no dense grid is kept.  Built on first use and kept with
+        the pair."""
+        if self._cone_of is None:
+            return distinct_entries((self.A, self.B), self.ring.image_in_kx)
+        parent, rep = self._cone_of
+        return _cone_pencil(parent.pencil_entries, self.ring.image_in_kx(rep), parent.size)
 
     @cached_property
     def pair_entries(self) -> DistinctEntries:
@@ -384,6 +408,11 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     kept) decides: CertificationFailed when it is false, and otherwise the
     cone keeps it, with no product of the cone's blocks.  An uncertified C
     gives a cone whose verdict is computed on first use, as for any pair.
+
+    The cone keeps C and the reduced scalar, from which its pencil_entries
+    is built on first use, from C's kept pencil (_cone_pencil).  Its blocks
+    hold C's entry objects, and -A, -B and the scalar as _cone_entries
+    gives them, one object per value.
     """
     ring = C.ring
     rep = ring.normal_form(p)
@@ -394,23 +423,69 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
 
     n = C.size
     amb = ring.ambient
+    rep, neg_a, neg_b = _cone_entries(C, rep)
     p_block = identity(amb, n, rep)
     a = block_matrix([
         [C.A, p_block],
-        [zero_matrix(amb, n, n), mat_neg(C.B)],
+        [zero_matrix(amb, n, n), neg_b],
     ])
     b = block_matrix([
         [C.B, p_block],
-        [zero_matrix(amb, n, n), mat_neg(C.A)],
+        [zero_matrix(amb, n, n), neg_a],
     ])
     degrees0 = C.degrees0 + tuple(d + g - 1 for d in C.degrees1)
     degrees1 = C.degrees1 + tuple(d + g for d in C.degrees0)
     cone = PeriodicComplex(ring, a, b, degrees0, degrees1, certified=C.certified)
+    cone._cone_of = (C, rep)
     if C.certified:
         if not C.is_factorization:
             raise CertificationFailed("cone blocks do not multiply to w*I")
         cone.is_factorization = True
     return cone
+
+
+def _cone_entries(C: PeriodicComplex, rep: Poly) -> tuple[Poly, Grid, Grid]:
+    """The scalar, -A and -B that the blocks of cone_mul(C, rep) hold, one
+    object per value: the values of C's entries are indexed first, once per
+    distinct object and the ring's zero first, then rep, then one
+    map_entries pass negates each distinct object of A and B once.  A value
+    met again is the object first indexed, so -(-e) is e itself, and a C
+    with one object per value gives a cone with one object per value."""
+    zero = C.ring.ambient.zero()
+    known = {zero: zero}
+    for e in {id(e): e for grid in (C.A, C.B) for row in grid for e in row}.values():
+        known.setdefault(e, e)
+    rep = known.setdefault(rep, rep)
+
+    def negate(e: Poly) -> Poly:
+        neg = -e
+        return known.setdefault(neg, neg)
+
+    neg_a, neg_b = map_entries(negate, C.A, C.B)
+    return rep, neg_a, neg_b
+
+
+def _cone_pencil(entries: DistinctEntries, p_bar: Poly, n: int) -> DistinctEntries:
+    """The residue pencil of cone_mul(C, p) from `entries`, the pencil of
+    C (of size n), and p_bar, the image of p in k[x]: the cone's blocks
+    read y -> 0 entry by entry, since y -> 0 is a ring map.  The rows of
+    Abar are C's Abar rows, with p_bar at column n + i of row i, then C's
+    Bbar rows with each value negated and each column shifted by n; Bbar
+    is the same with the roles of C's Abar and Bbar swapped.  C's values
+    keep their indices, each negation gets the index of an equal value
+    (a new one if there is none), and p_bar likewise when it is nonzero, so
+    this costs one negation per value and time linear in C's pairs."""
+    index = {v: k for k, v in enumerate(entries.values)}
+    neg = [index.setdefault(-v, len(index)) for v in entries.values]
+    p = index.setdefault(p_bar, len(index)) if p_bar.terms else None
+
+    def block(upper, lower):
+        if p is not None:
+            upper = tuple(row + ((n + i, p),) for i, row in enumerate(upper))
+        return upper + tuple(tuple((n + j, neg[k]) for j, k in row) for row in lower)
+
+    rows_a, rows_b = entries.rows
+    return DistinctEntries(tuple(index), (block(rows_a, rows_b), block(rows_b, rows_a)))
 
 
 def trivial_pair(ring: RingSpec) -> PeriodicComplex:
@@ -422,7 +497,26 @@ def trivial_pair(ring: RingSpec) -> PeriodicComplex:
 # Koszul complex and the Shamash resolution of the residue field
 # ---------------------------------------------------------------------------
 
-def _koszul_fold(ring: RingSpec, src: list[tuple[int, ...]], tgt: list[tuple[int, ...]]) -> Grid:
+def _koszul_signs(ring: RingSpec) -> list:
+    """For each of the c + d variables v_i of P, the pair (v_i, -v_i) and,
+    for an x-index i, the pair (f_i, -f_i), None for a y-index.  Each value
+    is one object, the first one made of that value (-v_i is v_i in
+    characteristic 2, and an f_i equal to an earlier signed value is that
+    value's object)."""
+    amb = ring.ambient
+    known: dict[Poly, Poly] = {}
+
+    def signed(v: Poly) -> tuple[Poly, Poly]:
+        v = known.setdefault(v, v)
+        neg = -v
+        return v, known.setdefault(neg, neg)
+
+    return [(signed(amb.variable(v)), signed(ring.f[i]) if i < ring.c else None)
+            for i, v in enumerate(amb.vars)]
+
+
+def _koszul_fold(ring: RingSpec, signs: list, src: list[tuple[int, ...]],
+                 tgt: list[tuple[int, ...]]) -> Grid:
     """The matrix of del + xi-wedge from the span of the e_S, S in `src`,
     to the span of the e_T, T in `tgt`: a len(tgt) x len(src) grid, each
     subset a sorted tuple of indices of the c + d variables of P (the
@@ -430,23 +524,23 @@ def _koszul_fold(ring: RingSpec, src: list[tuple[int, ...]], tgt: list[tuple[int
     (-1)^p v_i e_(S - i) for each i in S, v_i the i-th variable (del), and
     to (-1)^p f_i e_(S + i) for each x-index i not in S (xi-wedge); a term
     whose target is not in `tgt` is left out.  Each (T, S) pair gets at
-    most one term, since T and S determine i."""
-    amb = ring.ambient
-    variables = [amb.variable(v) for v in amb.vars]
+    most one term, since T and S determine i.  The signed coefficients are
+    the objects of `signs` (_koszul_signs), so every entry of a given value
+    is one object, across calls that share `signs`."""
     row_of = {t: row for row, t in enumerate(tgt)}
-    zero = amb.zero()
+    zero = ring.ambient.zero()
     grid = [[zero] * len(src) for _ in tgt]
     for col, s in enumerate(src):
-        for i, v in enumerate(variables):
+        for i, (var, f) in enumerate(signs):
             p = bisect_left(s, i)
             if p < len(s) and s[p] == i:
-                t, coeff = s[:p] + s[p + 1:], v
-            elif i < ring.c:
-                t, coeff = s[:p] + (i,) + s[p:], ring.f[i]
+                t, coeff = s[:p] + s[p + 1:], var
+            elif f is not None:
+                t, coeff = s[:p] + (i,) + s[p:], f
             else:
                 continue
             if t in row_of:
-                grid[row_of[t]][col] = -coeff if p % 2 else coeff
+                grid[row_of[t]][col] = coeff[p % 2]
     return as_grid(grid)
 
 
@@ -455,7 +549,8 @@ def koszul_differential(ring: RingSpec, n: int) -> Grid:
     bases ordered by itertools.combinations: the fold restricted to F_n
     and F_(n-1)."""
     m = ring.c + ring.d
-    return _koszul_fold(ring, list(combinations(range(m), n)), list(combinations(range(m), n - 1)))
+    return _koszul_fold(ring, _koszul_signs(ring), list(combinations(range(m), n)),
+                        list(combinations(range(m), n - 1)))
 
 
 def xi_wedge(ring: RingSpec, n: int) -> Grid:
@@ -463,7 +558,8 @@ def xi_wedge(ring: RingSpec, n: int) -> Grid:
     of multiplication by w on the Koszul complex (Cartan's identity), the
     fold restricted to F_n and F_(n+1)."""
     m = ring.c + ring.d
-    return _koszul_fold(ring, list(combinations(range(m), n)), list(combinations(range(m), n + 1)))
+    return _koszul_fold(ring, _koszul_signs(ring), list(combinations(range(m), n)),
+                        list(combinations(range(m), n + 1)))
 
 
 def shamash_resolution(ring: RingSpec) -> PeriodicComplex:
@@ -488,5 +584,6 @@ def shamash_resolution(ring: RingSpec) -> PeriodicComplex:
     degrees = [tuple(sum(1 for i in s if i < ring.c) + (m + parity - len(s)) // 2 for s in side)
                for parity, side in enumerate(sides)]
     even, odd = sides
-    return periodic_from_pair(ring, _koszul_fold(ring, odd, even), _koszul_fold(ring, even, odd),
-                              *degrees)
+    signs = _koszul_signs(ring)
+    return periodic_from_pair(ring, _koszul_fold(ring, signs, odd, even),
+                              _koszul_fold(ring, signs, even, odd), *degrees)

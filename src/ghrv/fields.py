@@ -29,6 +29,7 @@ characteristic past about 10^14 is refused with BoundExceeded.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -564,19 +565,24 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
+# GF(q) or GF(p^e), each number ASCII decimal digits
+_GF = re.compile(r"GF\(([0-9]+)(?:\^([0-9]+))?\)")
+
+
 def parse_field(text: str) -> Field:
-    """Parse "QQ", "GF(q)" or "GF(p^e)" with integers q, p and e >= 1."""
+    """Parse "QQ", "GF(q)" or "GF(p^e)" with q, p and e >= 1 written in
+    ASCII decimal digits; anything else is an unrecognized field."""
     s = text.strip()
     if s in ("QQ", "Q"):
         return QQ
-    if s.startswith("GF(") and s.endswith(")"):
-        base, caret, exp = s[3:-1].partition("^")
+    m = _GF.fullmatch(s)
+    if m is not None:
         try:
-            q, e = int(base), int(exp) if caret else 1
-        except ValueError:
+            q, e = int(m[1]), int(m[2] or "1")
+        except ValueError:  # more digits than int() converts
             e = 0
         if e >= 1:
-            if not caret:
+            if m[2] is None:
                 return finite_field(q)
             return prime_field(q) if e == 1 else make_extension(q, e)
     raise FieldError(f"unrecognized field {text!r}; expected QQ or GF(q)")

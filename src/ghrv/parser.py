@@ -7,6 +7,7 @@ Grammar (whitespace insensitive):
     factor := base [ '^' uint ]
     base   := number | ident | '(' expr ')'
     number := uint [ '/' uint ]
+    uint   := [0-9]+
     ident  := [A-Za-z][A-Za-z0-9]*
 
 Idents must be variables of the target ring.  Number literals map through
@@ -22,7 +23,7 @@ import re
 from .errors import ParseError, UnknownVariable
 from .poly import Poly, PolyRing
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^/()]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z][A-Za-z0-9]*)|([-+*^/()]))")
 
 
 def _tokenize(text: str):

@@ -101,7 +101,10 @@ def realize(ring: RingSpec, scalars, verify: bool = True) -> RealizationTrace:
     A violation raises InternalCheckError, since the law holds for every
     matrix factorization; the law is relative, so it does not by itself make
     the final pointwise data match the requested zero set (the base complex
-    has empty variety, see the module docstring).
+    has empty variety, see the module docstring).  The check ranks each
+    stage's whole 2n x 2n pencil at every base-field point (contractible_at);
+    each cone builds that pencil from its parent's (cone_mul), so y -> 0
+    runs over the tail's entries and once per scalar, not over every stage.
     """
     reps = [ring.normal_form(p) for p in scalars]
     current = complete_resolution_of_k(ring)

@@ -195,6 +195,32 @@ residue ranks: rank(A) = 4, rank(B) = 4, size = 8
 """
 
 
+def test_bad_alpha_coordinates(ringq, k_file, tmp_path, capsys):
+    # a coordinate is a signed number of ASCII decimal digits, and over QQ
+    # also a fraction by a nonzero one: anything else is a bad coordinate,
+    # exit 2, for contractible and for specialize (\u0665 is the Arabic-Indic
+    # five, which int() reads as 5)
+    ring_path, q_path = tmp_path / "ring.json", tmp_path / "kq.json"
+    save_ring(ringq, ring_path)
+    assert run(["resolve-k", str(ring_path), "--out", str(q_path)]) == 0
+    capsys.readouterr()
+    cases = [(str(q_path), tok) for tok in ("1/0", "0/0", "1_0", "1_0/3", "1/0_3", "\u0665", "1/\u0665", "+-1")]
+    cases += [(k_file, tok) for tok in ("1_0", "\u0665", "1/2", "1/0")]
+    for path, tok in cases:
+        for verb in ("contractible", "specialize"):
+            assert run([verb, path, "--alpha", f"{tok},1"]) == 2, (verb, tok)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: bad coordinate {tok!r}\n"
+    # a sign and a fraction stay valid over QQ, and a sign over GF(5)
+    for path, alpha, shown in ((str(q_path), "-3,1/2", "(-3, 1/2)"), (str(q_path), "+1/2,-1", "(1/2, -1)"),
+                               (k_file, "-3,1", "(2, 1)")):
+        assert run(["contractible", path, f"--alpha={alpha}"]) == 0
+        assert capsys.readouterr().out.startswith(f"contractible at {shown}: ")
+        assert run(["specialize", path, f"--alpha={alpha}"]) == 0
+        assert capsys.readouterr().out.startswith(f"alpha = {shown}\n")
+
+
 def test_cone(k_file, capsys):
     assert run(["cone", k_file, "--p", "x1*x2"]) == 0
     out = capsys.readouterr().out
@@ -357,6 +383,12 @@ def test_usage_errors(pair_file, tmp_path, capsys):
     assert run(["rank", str(tmp_path / "missing.json")]) == 2
     assert run(["points", "--field", "ZZ", "--c", "2"]) == 2
     capsys.readouterr()
+    # a field body of anything but ASCII decimal digits is an unrecognized field
+    for text in ("GF(1_3)", "GF(\u0665)", "GF(+5)"):
+        assert run(["points", "--field", text, "--c", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized field {text!r}; expected QQ or GF(q)\n"
     for c in ("0", "-2"):
         assert run(["points", "--field", "GF(5)", "--c", c]) == 2
         captured = capsys.readouterr()

@@ -19,6 +19,7 @@ from ghrv.complexes import (
     PeriodicComplex,
     cone_mul,
     direct_sum,
+    distinct_entries,
     dual,
     homogeneity_violations,
     koszul_differential,
@@ -52,7 +53,7 @@ from ghrv.ring import RingSpec, make_ring
 from ghrv.serialize import load_complex, save_trace
 from ghrv.variety import rank_over_R
 
-from dense import dense_rank
+from dense import dense_grids, dense_rank
 
 
 # -- Koszul -------------------------------------------------------------------
@@ -616,12 +617,77 @@ def test_cone_rank_partition(ring5):
     assert r_a + r_b == cone.size
 
 
+def _pencil_grids(C, entries):
+    """`entries`, a pencil of C, as two dense grids over k[x]; its values
+    must be distinct and nonzero, as DistinctEntries promises."""
+    assert len(set(entries.values)) == len(entries.values) and all(v.terms for v in entries.values)
+    return dense_grids(entries, entries.values, C.ring.kx.zero())
+
+
+@pytest.mark.parametrize("field_text", ["GF(5)", "GF(9)", "QQ"])
+def test_a_cone_inherits_the_pencil_of_its_own_grids(field_text, monkeypatch):
+    # a cone builds its residue pencil from its parent's, with one
+    # image_in_kx (on the scalar); expanded, it is the pencil read from the
+    # cone's grids, for every stage of realize chains up to 64x64 (the last
+    # chain ends in a scalar whose image is zero) and for cones, and cones of
+    # cones, of the fixtures, their shifts and duals by the zero class, by
+    # y*x1 (image zero) and by x1*x2
+    ring = worked_ring(parse_field(field_text))
+    calls = []
+    image = RingSpec.image_in_kx
+    monkeypatch.setattr(RingSpec, "image_in_kx", lambda r, p: calls.append(p) or image(r, p))
+    chains = [["x1*x2"], ["x1 + 2*x2", "x1*x2 + 2*x2^2"], ["x2 + y*x1", "x1^2", "y*x1"]]
+    cones = []
+    for scalars in chains:
+        trace = realize(ring, scalars, verify=False)
+        assert trace.sizes == [8 * 2**k for k in range(len(scalars) + 1)]
+        cones += [stage.complex for stage in trace.stages[1:]]
+    for base in (fixture_k(ring), fixture_rank_one(ring)):
+        for parent in (base, shift(base), dual(base)):
+            for p in ("0", "y*x1", "x1*x2"):
+                cone = cone_mul(parent, ring.parse(p))
+                cones += [cone, cone_mul(cone, ring.parse("x1 + x2"))]
+    kept = []
+    for C in cones:
+        parent, rep = C._cone_of
+        parent.pencil_entries  # built first, so the count below is the cone's alone
+        del calls[:]
+        kept.append(C.pencil_entries)
+        assert [id(p) for p in calls] == [id(rep)]
+    monkeypatch.undo()
+    for C, entries in zip(cones, kept):
+        assert _pencil_grids(C, entries) == _pencil_grids(C, distinct_entries((C.A, C.B), ring.image_in_kx)), C.size
+
+
+def test_engine_built_pairs_hold_one_object_per_value(ring5):
+    # the Shamash tail signs each variable and each f_i once for both folds,
+    # and cone_mul negates A and B in one pass that reuses equal values, so
+    # -(-e) is e's own object
+    def nonzero_objects(C):
+        return {id(e): e for grid in (C.A, C.B) for row in grid for e in row if e.terms}.values()
+
+    trace = realize(ring5, ["x1 + 2*x2", "x1*x2 + 2*x2^2"], verify=False)
+    counts = [(len(objs), len(set(objs))) for objs in map(nonzero_objects, (s.complex for s in trace.stages))]
+    assert counts == [(10, 10), (13, 13), (15, 15)]
+    tail, c16 = trace.stages[0].complex, trace.stages[1].complex
+    # -(-e) is e: the bottom right block of the 32x32 A is -(-A) of the tail
+    c32 = trace.final
+    assert all(c32.A[24 + i][24 + j] is e for i, row in enumerate(tail.A) for j, e in enumerate(row))
+    # the scalar, and the zeros, are shared with equal entries of the parent
+    x1 = cone_mul(tail, ring5.parse("x1"))
+    assert x1.A[0][8] is next(e for row in tail.A for e in row if e == x1.A[0][8])
+    zeros = {id(e) for grid in (c16.A, c16.B, x1.A, x1.B) for row in grid for e in row if not e.terms}
+    assert zeros == {id(ring5.ambient.zero())}
+    assert cone_mul(tail, ring5.parse("x^2*x1 + y^2*x2")).A[0][8] is ring5.ambient.zero()
+
+
 def test_pairs_are_built_without_a_per_entry_pass(ring5, tmp_path, monkeypatch):
     # the constructor stores the grids it is given: building the 16x16 and
     # 32x32 realize stages, their shift, dual and direct sum, and loading the
     # 32x32 trace coerce no entry (only the two cone scalars, which
-    # normal_form takes), and call map_entries only for the negation of
-    # cone_mul and shift
+    # normal_form takes), and call map_entries only for the negations: one
+    # pass per cone_mul, negating A and B together and reusing equal values,
+    # and operator.neg for each grid of shift
     tail = complete_resolution_of_k(ring5)
     save_trace(realize(ring5, ["x1", "x2"], verify=False), tmp_path / "trace.json")
     fns, coerced = [], []
@@ -639,7 +705,9 @@ def test_pairs_are_built_without_a_per_entry_pass(ring5, tmp_path, monkeypatch):
     c32 = cone_mul(c16, scalars[1])
     built = [c16, c32, shift(c32), dual(c32), direct_sum(c16, c16), load_complex(tmp_path / "trace.json")]
     assert [C.size for C in built] == [16, 32, 32, 32, 32, 32]
-    assert [id(v) for v in coerced] == [id(v) for v in scalars] and set(fns) == {operator.neg}
+    assert [id(v) for v in coerced] == [id(v) for v in scalars]
+    assert [fn.__qualname__ for fn in fns[:2]] == ["_cone_entries.<locals>.negate"] * 2
+    assert fns[2:] == [operator.neg] * 2
     assert built[-1] == c32
 
 

@@ -235,8 +235,12 @@ def test_parse_field_round_trip():
         parse_field("GF(10)")
     with pytest.raises(FieldError):
         parse_field("ZZ")
-    # a body int() rejects, and an exponent below 1, name the text
-    for text in ("GF(x)", "GF()", "GF(5^0)", "GF(5^-1)", "GF(5^x)", "GF(^2)"):
+    # a body that is not ASCII decimal digits, and an exponent below 1, name
+    # the text: no underscores, signs, spaces or other scripts' digits
+    # (\u0665 is the Arabic-Indic five), which int() would read
+    for text in ("GF(x)", "GF()", "GF(5^0)", "GF(5^-1)", "GF(5^x)", "GF(^2)",
+                 "GF(1_3)", "GF(5_0)", "GF(\u0665)", "GF(+5)", "GF( 5)", "GF(5^+2)", "GF(5^\u0662)",
+                 "GF(5^1_0)", "GF(" + "9" * 5000 + ")"):
         with pytest.raises(FieldError, match=f"^unrecognized field {re.escape(repr(text))}; expected QQ or GF\\(q\\)$"):
             parse_field(text)
 

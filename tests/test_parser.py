@@ -65,6 +65,11 @@ def test_errors(ring):
         parse_poly(ring, "1/0")
     with pytest.raises(ParseError):
         parse_poly(ring, "x1 @ x2")
+    # a number is ASCII decimal digits: another script's digit (\u0665 is the
+    # Arabic-Indic five) or an underscore is an unexpected character
+    for text, bad, pos in (("\u0665*x1", "\u0665", 0), ("x1 + 2\u0665", "\u0665", 6), ("1_0*x1", "_", 1)):
+        with pytest.raises(ParseError, match=f"^unexpected character {bad!r} \\(at position {pos}\\)$"):
+            parse_poly(ring, text)
 
 
 def _random_poly(ring, rng):

@@ -862,21 +862,21 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     assert contractible_at(tail, pt)
     assert calls["specialize"] == 0
     # the pencil is built once, from the nonzero entries of A and B only,
-    # mapping each distinct entry object once
+    # mapping each distinct entry object once; the tail holds one object
+    # per signed variable and signed f_i that it uses
     entries = [e for grid in (tail.A, tail.B) for row in grid for e in row if not e.is_zero()]
     objects = len({id(e) for e in entries})
     assert len(entries) == 48
-    assert calls["image_in_kx"] == objects == 25
+    assert calls["image_in_kx"] == objects == 10
     assert contractible_at(tail, pt) and contractible_at(tail, proj_point(ring3.field, (0, 1)))
     assert calls["image_in_kx"] == objects
     report = preimage_independence_check(tail, pt, trials=2, seed=0)
     assert report.stable and report.baseline
     # the oracle specializes each distinct nonzero entry of A and B once per
-    # trial (equal entries by Poly equality, not by identity); zero entries
-    # go to zero without it
+    # trial (equal entries by Poly equality, which on the tail is identity,
+    # one object per value); zero entries go to zero without it
     distinct = len(set(entries))
-    assert len(tail.pair_entries.values) == distinct == 10
-    assert len({id(e) for e in entries}) == 25  # what dedup by identity would keep
+    assert len(tail.pair_entries.values) == distinct == objects
     assert calls["specialize"] == 2 * distinct
 
     # one perturbed trial specializes every distinct nonzero entry, and
