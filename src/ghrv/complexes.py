@@ -20,22 +20,23 @@ an R-class, that is, its normal form mod w is zero or x-homogeneous of that
 degree (homogeneity_violations).  Every term of w has x-degree 1, so a
 division step by w removes a term and adds terms of that same x-degree: a
 stored entry that is zero or x-homogeneous of the wanted degree has such a
-normal form, and only the other entries are reduced.  Certification (the exact A*B = w*I check over
-P) is judged on the stored representatives, by one matrix product per pair,
-and a cone of a certified pair inherits its parent's verdict (cone_mul).
+normal form, and only the other entries are reduced.  Certification (the
+exact A*B = w*I check over P) is judged on the stored representatives, by
+one matrix product per pair read from a file or built by hand.
 
-A pair keeps its residue pencil (Abar, Bbar) = (A, B)|_{y=0} by its
-distinct nonzero entries (DistinctEntries).  A cone keeps its parent and
-its reduced scalar, and builds its pencil from its parent's by its own
-block formula (_cone_pencil): y -> 0 is a ring map, so the image of -e is
-minus the image of e, and that costs one image_in_kx, on the scalar.
-Every other pair (fixtures, loaded files, shift, dual, direct_sum) reads
-its pencil from its grids (distinct_entries), which the tests also use as
-the reference for a cone's.  Pairs built here hold one object per value:
-the Shamash tail signs each variable and each f_i once for both folds, and
-cone_mul negates A and B in one pass that reuses an object of equal value,
-so a pass run once per distinct entry object (map_entries) runs once per
-distinct value.
+A pair keeps its own entries (pair_entries) and its residue pencil
+(Abar, Bbar) = (A, B)|_{y=0} (pencil_entries) by their distinct nonzero
+entries (DistinctEntries).  Each step (cone_mul, shift, dual, direct_sum)
+is one rule over DistinctEntries, which _derived runs on the parents'
+pair_entries for the new grids and, on first use, on the parents' pencils
+for the new pencil: y -> 0 is a ring map, so it commutes with every step.
+A derived pair's verdict is its parents'.  Every other pair (fixtures,
+loaded files, the Shamash tail) reads both from its grids
+(distinct_entries), the tests' reference.  A rule reuses a parent's object
+for an equal value, and the Shamash tail signs each variable and each f_i
+once for both folds, so pairs built here hold one object per value, -(-e)
+is e, and a pass run once per distinct entry object (map_entries) runs
+once per distinct value.
 
 The Koszul complex here is taken on all m = c + d variables of P.  The
 Shamash resolution of the residue field, G_n = sum_j F_(n-2j) with
@@ -62,7 +63,7 @@ from .errors import (
     NotHomogeneousScalar,
     RingMismatch,
 )
-from .matrix import Grid, as_grid, block_matrix, identity, map_entries, mat_mul, mat_neg, mat_transpose, zero_matrix
+from .matrix import Grid, as_grid, identity, map_entries, mat_mul
 from .poly import Poly
 from .ring import RingSpec
 
@@ -109,14 +110,14 @@ def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
 class DistinctEntries:
     """Two square grids of polynomials by their distinct nonzero entries.
 
-    values holds each distinct nonzero entry once; distinct_entries lists
-    them in the order first met (the first grid row by row, then the
-    second).  Entries share an index when they are equal as polynomials,
-    whether or not they are one object: a shifted pair, say, negates each
-    grid apart, so equal entries can be separate objects.
+    values holds each distinct nonzero entry once, in the order first met
+    (the first grid row by row, then the second); entries share an index
+    when they are equal as polynomials, whether or not they are one object.
     rows[g][i] lists the (column, index) pairs of the nonzero entries of row
-    i of grid g, so entry (i, j) is values[k] for (j, k) in rows[g][i], and
-    zero when row i has no pair for column j."""
+    i of grid g by ascending column, so entry (i, j) is values[k] for (j, k)
+    in rows[g][i], and zero when row i has no pair for column j.
+    distinct_entries reads one from grids, and a step's rule derives one
+    from its parents' (_derived); both give the same for the same grids."""
 
     values: tuple[Poly, ...]
     rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
@@ -126,9 +127,10 @@ def distinct_entries(grids, image=None) -> DistinctEntries:
     """The nonzero entries of square `grids`, or their images under `image`
     when it is given, indexed by distinct value (see DistinctEntries).  Only
     nonzero entries are read, each distinct entry object once (map_entries),
-    and an image that is zero is left out.  This builds the pencil of every
-    pair but a cone, and the pencil the tests compare a cone's with, both
-    read from the grids; and the pair's own entries (pair_entries)."""
+    and an image that is zero is left out.  This builds the entries and the
+    pencil of every pair no step derived (fixtures, loaded files, the
+    Shamash tail), and is the reference the tests compare a derived pair's
+    with."""
     index: dict[Poly, int] = {}
 
     def slot(e: Poly) -> int | None:
@@ -173,8 +175,9 @@ class PeriodicComplex:
         self.degrees0 = degrees0
         self.degrees1 = degrees1
         self.certified = certified
-        # (parent, reduced scalar) of a pair built by cone_mul, None otherwise
-        self._cone_of: tuple[PeriodicComplex, Poly] | None = None
+        # (rule, parents, reduced scalar or None) of a pair a step built
+        # (_derived), None for any other pair
+        self._derivation = None
 
     @property
     def size(self) -> int:
@@ -188,9 +191,13 @@ class PeriodicComplex:
         det A * det B = w^n is nonzero: A is invertible over the fraction
         field of P, B = w A^-1, and hence B*A = w*I.  Judged on the stored
         grids and never on the `certified` flag, which a file may claim
-        falsely.  Computed on first use and kept with the pair; cone_mul
-        stores True on the cone of a certified pair, which inherits its
-        parent's verdict."""
+        falsely.  A pair a step built takes its parents' verdicts and
+        multiplies nothing: (-B)(-A) = B*A, B^t A^t = (A*B)^t, a block sum
+        multiplies block by block, and a cone's blocks multiply to
+        [[A*B, 0], [0, B*A]] (cone_mul), so each is an exact factorization
+        exactly when its parents are.  Computed on first use and kept."""
+        if self._derivation is not None:
+            return all(P.is_factorization for P in self._derivation[1])
         amb = self.ring.ambient
         return mat_mul(self.A, self.B, amb) == identity(amb, self.size, self.ring.w)
 
@@ -198,25 +205,25 @@ class PeriodicComplex:
     def pencil_entries(self) -> DistinctEntries:
         """The residue pencil (Abar, Bbar) = (A, B)|_{y=0} over k[x], kept by
         its distinct nonzero entries: an image that is zero is left out, and
-        equal images share one index.  A cone (cone_mul) builds it from its
-        parent's kept pencil by the cone's block formula (_cone_pencil),
-        with one image_in_kx, on the scalar; any other pair reads it from
-        its grids (distinct_entries), image_in_kx running once on each
-        distinct nonzero entry object of A and B.  A verdict at a point
-        evaluates each distinct entry once and reads the rows of (column,
-        index) pairs, so it costs in proportion to the distinct nonzero
-        entries; no dense grid is kept.  Built on first use and kept with
-        the pair."""
-        if self._cone_of is None:
+        equal images share one index.  A pair a step built runs the step's
+        rule on its parents' pencils, with one image_in_kx for a cone's
+        scalar and none otherwise; any other pair reads it from its grids
+        (distinct_entries), image_in_kx running once on each distinct
+        nonzero entry object of A and B.  A verdict at a point evaluates
+        each distinct entry once and reads the rows of (column, index)
+        pairs, so it costs in proportion to the distinct nonzero entries; no
+        dense grid is kept.  Built on first use and kept with the pair."""
+        if self._derivation is None:
             return distinct_entries((self.A, self.B), self.ring.image_in_kx)
-        parent, rep = self._cone_of
-        return _cone_pencil(parent.pencil_entries, self.ring.image_in_kx(rep), parent.size)
+        rule, parents, rep = self._derivation
+        return rule([P.pencil_entries for P in parents], None if rep is None else self.ring.image_in_kx(rep))
 
     @cached_property
     def pair_entries(self) -> DistinctEntries:
         """A and B over P by their distinct nonzero entries, which the
         specialize-then-residue oracle substitutes into, each once per
-        point.  Built on first use and kept with the pair."""
+        point.  A pair a step built keeps the entries its rule gave
+        (_derived); any other pair reads them from its grids on first use."""
         return distinct_entries((self.A, self.B))
 
     def __eq__(self, other):
@@ -350,50 +357,22 @@ def shift(C: PeriodicComplex) -> PeriodicComplex:
     """Suspension: swaps the roles of A and B with a global sign and drops
     the reference degrees by the appropriate twist.  Involutive up to the
     degree relabeling; shift(shift(C)) has all degrees down by 1."""
-    return PeriodicComplex(
-        C.ring,
-        mat_neg(C.B),
-        mat_neg(C.A),
-        degrees0=tuple(d - 1 for d in C.degrees1),
-        degrees1=C.degrees0,
-        certified=C.certified,
-    )
+    return _derived(_shift, (C,), None, tuple(d - 1 for d in C.degrees1), C.degrees0, C.certified)
 
 
 def dual(C: PeriodicComplex) -> PeriodicComplex:
     """R-linear dual; transposes the pair and negates degrees.  An exact
     involution: dual(dual(C)) == C."""
-    return PeriodicComplex(
-        C.ring,
-        mat_transpose(C.B),
-        mat_transpose(C.A),
-        degrees0=tuple(-d - 1 for d in C.degrees0),
-        degrees1=tuple(-d for d in C.degrees1),
-        certified=C.certified,
-    )
+    return _derived(_dual, (C,), None, tuple(-d - 1 for d in C.degrees0),
+                    tuple(-d for d in C.degrees1), C.certified)
 
 
 def direct_sum(C: PeriodicComplex, D: PeriodicComplex) -> PeriodicComplex:
+    """The block-diagonal pair [[A_C, 0], [0, A_D]], [[B_C, 0], [0, B_D]]."""
     if C.ring != D.ring:
         raise RingMismatch("direct sum of complexes over different rings")
-    ring = C.ring
-    n, m = C.size, D.size
-    a = block_matrix([
-        [C.A, zero_matrix(ring.ambient, n, m)],
-        [zero_matrix(ring.ambient, m, n), D.A],
-    ])
-    b = block_matrix([
-        [C.B, zero_matrix(ring.ambient, n, m)],
-        [zero_matrix(ring.ambient, m, n), D.B],
-    ])
-    return PeriodicComplex(
-        ring,
-        a,
-        b,
-        degrees0=C.degrees0 + D.degrees0,
-        degrees1=C.degrees1 + D.degrees1,
-        certified=C.certified and D.certified,
-    )
+    return _derived(_sum, (C, D), None, C.degrees0 + D.degrees0, C.degrees1 + D.degrees1,
+                    C.certified and D.certified)
 
 
 def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
@@ -403,16 +382,11 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     the new summands' degrees shift by its x-degree, 0 for the zero class.
     The blocks [[A, pI], [0, -B]] and [[B, pI], [0, -A]] multiply to
     [[A*B, 0], [0, B*A]], and in the other order to [[B*A, 0], [0, A*B]],
-    whatever p is, so the cone is an exact factorization exactly when C is.
-    When C is certified, C's kept verdict (computed once if it is not yet
-    kept) decides: CertificationFailed when it is false, and otherwise the
-    cone keeps it, with no product of the cone's blocks.  An uncertified C
-    gives a cone whose verdict is computed on first use, as for any pair.
-
-    The cone keeps C and the reduced scalar, from which its pencil_entries
-    is built on first use, from C's kept pencil (_cone_pencil).  Its blocks
-    hold C's entry objects, and -A, -B and the scalar as _cone_entries
-    gives them, one object per value.
+    whatever p is, so the cone is an exact factorization exactly when C is,
+    and takes C's verdict (is_factorization).  When C is certified, C's
+    verdict (computed once if it is not yet kept) decides at once:
+    CertificationFailed when it is false.  The cone keeps C and the reduced
+    scalar (_derived), from which its pencil is built on first use.
     """
     ring = C.ring
     rep = ring.normal_form(p)
@@ -420,72 +394,114 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     if len(degs) > 1:
         raise NotHomogeneousScalar(f"cone scalar {rep} is not x-homogeneous mod w")
     g = max(degs, default=0)
-
-    n = C.size
-    amb = ring.ambient
-    rep, neg_a, neg_b = _cone_entries(C, rep)
-    p_block = identity(amb, n, rep)
-    a = block_matrix([
-        [C.A, p_block],
-        [zero_matrix(amb, n, n), neg_b],
-    ])
-    b = block_matrix([
-        [C.B, p_block],
-        [zero_matrix(amb, n, n), neg_a],
-    ])
-    degrees0 = C.degrees0 + tuple(d + g - 1 for d in C.degrees1)
-    degrees1 = C.degrees1 + tuple(d + g for d in C.degrees0)
-    cone = PeriodicComplex(ring, a, b, degrees0, degrees1, certified=C.certified)
-    cone._cone_of = (C, rep)
-    if C.certified:
-        if not C.is_factorization:
-            raise CertificationFailed("cone blocks do not multiply to w*I")
-        cone.is_factorization = True
-    return cone
+    if C.certified and not C.is_factorization:
+        raise CertificationFailed("cone blocks do not multiply to w*I")
+    return _derived(_cone, (C,), rep, C.degrees0 + tuple(d + g - 1 for d in C.degrees1),
+                    C.degrees1 + tuple(d + g for d in C.degrees0), C.certified)
 
 
-def _cone_entries(C: PeriodicComplex, rep: Poly) -> tuple[Poly, Grid, Grid]:
-    """The scalar, -A and -B that the blocks of cone_mul(C, rep) hold, one
-    object per value: the values of C's entries are indexed first, once per
-    distinct object and the ring's zero first, then rep, then one
-    map_entries pass negates each distinct object of A and B once.  A value
-    met again is the object first indexed, so -(-e) is e itself, and a C
-    with one object per value gives a cone with one object per value."""
-    zero = C.ring.ambient.zero()
-    known = {zero: zero}
-    for e in {id(e): e for grid in (C.A, C.B) for row in grid for e in row}.values():
-        known.setdefault(e, e)
-    rep = known.setdefault(rep, rep)
+def _derived(rule, parents: tuple[PeriodicComplex, ...], rep: Poly | None, degrees0, degrees1,
+             certified: bool) -> PeriodicComplex:
+    """The pair a step builds from `parents`, with `rep` the reduced scalar
+    of a cone and None otherwise.  rule(parents' entries, scalar) gives the
+    new pair's DistinctEntries; run on the parents' pair_entries and rep, it
+    gives the new entries, expanded here into the dense A and B with
+    values[k] at each (column, k) pair and the ring's one zero elsewhere,
+    and kept as the pair's pair_entries.  The pair keeps (rule, parents,
+    rep), from which its pencil (the rule on the parents' pencils and the
+    image of rep) and its verdict (its parents') follow."""
+    ring = parents[0].ring
+    entries = rule([P.pair_entries for P in parents], rep)
+    zero = ring.ambient.zero()
+    grids = []
+    for rows in entries.rows:
+        grid = []
+        for pairs in rows:
+            row = [zero] * len(rows)
+            for j, k in pairs:
+                row[j] = entries.values[k]
+            grid.append(row)
+        grids.append(grid)
+    C = PeriodicComplex(ring, *grids, degrees0, degrees1, certified)
+    C.pair_entries = entries
+    C._derivation = (rule, parents, rep)
+    return C
 
-    def negate(e: Poly) -> Poly:
-        neg = -e
-        return known.setdefault(neg, neg)
 
-    neg_a, neg_b = map_entries(negate, C.A, C.B)
-    return rep, neg_a, neg_b
+# The step rules.  Each takes its parents' DistinctEntries, of the pairs or
+# of their pencils, and a scalar (a cone's, else None), and gives the new
+# pair's.  `known` indexes values by value, a parent's values first under
+# their own indices, so a value met again is the parent's object, and
+# _indexed keeps the values the new rows meet.
+
+def _index(known: dict, values) -> list[int]:
+    """The index in `known` (value -> index) of each of `values`, a value
+    not yet known getting the next index."""
+    return [known.setdefault(v, len(known)) for v in values]
 
 
-def _cone_pencil(entries: DistinctEntries, p_bar: Poly, n: int) -> DistinctEntries:
-    """The residue pencil of cone_mul(C, p) from `entries`, the pencil of
-    C (of size n), and p_bar, the image of p in k[x]: the cone's blocks
-    read y -> 0 entry by entry, since y -> 0 is a ring map.  The rows of
-    Abar are C's Abar rows, with p_bar at column n + i of row i, then C's
-    Bbar rows with each value negated and each column shifted by n; Bbar
-    is the same with the roles of C's Abar and Bbar swapped.  C's values
-    keep their indices, each negation gets the index of an equal value
-    (a new one if there is none), and p_bar likewise when it is nonzero, so
-    this costs one negation per value and time linear in C's pairs."""
-    index = {v: k for k, v in enumerate(entries.values)}
-    neg = [index.setdefault(-v, len(index)) for v in entries.values]
-    p = index.setdefault(p_bar, len(index)) if p_bar.terms else None
+def _moved(rows, offset: int, to: list[int]) -> tuple:
+    """`rows` with each column moved by `offset` and each index k made to[k]."""
+    return tuple(tuple((j + offset, to[k]) for j, k in row) for row in rows)
+
+
+def _indexed(values, grids) -> DistinctEntries:
+    """The DistinctEntries of `grids`, rows of (column, k) pairs whose k
+    index `values`: the values met, renumbered in the order first met."""
+    new: dict[int, int] = {}
+    rows = tuple(tuple(tuple((j, new.setdefault(k, len(new))) for j, k in row) for row in grid)
+                 for grid in grids)
+    return DistinctEntries(tuple(values[k] for k in new), rows)
+
+
+def _cone(parents, scalar) -> DistinctEntries:
+    """[[A, pI], [0, -B]] and [[B, pI], [0, -A]]; a zero p is left out."""
+    (P,) = parents
+    known = {v: k for k, v in enumerate(P.values)}
+    neg = _index(known, [-v for v in P.values])
+    p = known.setdefault(scalar, len(known)) if scalar.terms else None
+    rows_a, rows_b = P.rows
+    n = len(rows_a)
 
     def block(upper, lower):
         if p is not None:
             upper = tuple(row + ((n + i, p),) for i, row in enumerate(upper))
-        return upper + tuple(tuple((n + j, neg[k]) for j, k in row) for row in lower)
+        return upper + _moved(lower, n, neg)
 
-    rows_a, rows_b = entries.rows
-    return DistinctEntries(tuple(index), (block(rows_a, rows_b), block(rows_b, rows_a)))
+    return _indexed(list(known), (block(rows_a, rows_b), block(rows_b, rows_a)))
+
+
+def _shift(parents, scalar) -> DistinctEntries:
+    """(-B, -A)."""
+    (P,) = parents
+    known = {v: k for k, v in enumerate(P.values)}
+    neg = _index(known, [-v for v in P.values])
+    rows_a, rows_b = P.rows
+    return _indexed(list(known), (_moved(rows_b, 0, neg), _moved(rows_a, 0, neg)))
+
+
+def _dual(parents, scalar) -> DistinctEntries:
+    """(B^t, A^t)."""
+    (P,) = parents
+
+    def transpose(rows):
+        cols = [[] for _ in rows]
+        for i, row in enumerate(rows):
+            for j, k in row:
+                cols[j].append((i, k))
+        return tuple(map(tuple, cols))
+
+    rows_a, rows_b = P.rows
+    return _indexed(P.values, (transpose(rows_b), transpose(rows_a)))
+
+
+def _sum(parents, scalar) -> DistinctEntries:
+    """The block diagonal of the two parents, grid by grid."""
+    C, D = parents
+    known = {v: k for k, v in enumerate(C.values)}
+    to = _index(known, D.values)
+    n = len(C.rows[0])
+    return _indexed(list(known), tuple(top + _moved(low, n, to) for top, low in zip(C.rows, D.rows)))
 
 
 def trivial_pair(ring: RingSpec) -> PeriodicComplex:

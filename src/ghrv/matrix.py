@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import comb, inf
-from operator import add as _mono_add, neg as _neg, sub as _mono_sub
+from operator import add as _mono_add, sub as _mono_sub
 from typing import Sequence
 
 from .errors import BoundExceeded
@@ -129,39 +129,10 @@ def mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]], ring: Poly
     return tuple(out)
 
 
-def mat_neg(a) -> Grid:
-    """-a, negating each distinct entry object once (map_entries)."""
-    (neg,) = map_entries(_neg, a)
-    return neg
-
-
-def mat_transpose(a) -> Grid:
-    m, n = mat_shape(a)
-    return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
-
-
 def identity(ring: PolyRing, n: int, scale: Poly | None = None) -> Grid:
     diag = ring.one() if scale is None else scale
     zero = ring.zero()
     return tuple(tuple(diag if i == j else zero for j in range(n)) for i in range(n))
-
-
-def zero_matrix(ring: PolyRing, m: int, n: int) -> Grid:
-    zero = ring.zero()
-    return tuple((zero,) * n for _ in range(m))
-
-
-def block_matrix(blocks: Sequence[Sequence[Sequence[Sequence[Poly]]]]) -> Grid:
-    """Assemble a 2D arrangement of compatible blocks."""
-    out: list[tuple[Poly, ...]] = []
-    for block_row in blocks:
-        grids = [as_grid(b) for b in block_row]
-        height = len(grids[0])
-        if any(len(g) != height for g in grids):
-            raise ValueError("block heights differ")
-        for i in range(height):
-            out.append(tuple(x for g in grids for x in g[i]))
-    return as_grid(out)
 
 
 # ---------------------------------------------------------------------------

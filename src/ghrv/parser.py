@@ -19,6 +19,7 @@ strings this grammar accepts, giving the parse/print round trip.
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import ParseError, UnknownVariable
 from .poly import Poly, PolyRing
@@ -36,7 +37,12 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            try:
+                value = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"number literal of {len(m.group(1))} digits exceeds the limit of "
+                                 f"{sys.get_int_max_str_digits()} digits", m.start(1)) from None
+            tokens.append(("int", value, m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("ident", m.group(2), m.start(2)))
         else:

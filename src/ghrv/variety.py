@@ -40,10 +40,11 @@ pair keeps its pencil by its distinct nonzero entries
 (PeriodicComplex.pencil_entries): the images y -> 0 of the nonzero entries
 of A and B, equal images sharing one index, and for each of Abar and Bbar
 rows of (column, index) pairs.  A scan over many points therefore pays for
-y -> 0 once.  A cone (complexes.cone_mul) builds its pencil from its
-parent's by its own block formula, since y -> 0 is a ring map, with one
-image_in_kx on its scalar; any other pair maps each distinct nonzero entry
-object of A and B once (complexes.distinct_entries).  A verdict builds one poly.evaluator per point, which looks up
+y -> 0 once.  A pair built by a step (cone_mul, shift, dual,
+direct_sum) runs the step's rule on its parents' pencils, since y -> 0 is
+a ring map, with one image_in_kx on a cone's scalar and none otherwise;
+any other pair maps each distinct nonzero entry object of A and B once
+(complexes.distinct_entries).  A verdict builds one poly.evaluator per point, which looks up
 the embedding once and keeps one power table per coordinate, evaluates
 each distinct entry once, and _ranks builds each row's dict of nonzero
 scalars straight from its pairs for the one field rank

@@ -233,6 +233,18 @@ def test_cone_rejects_bad_scalar(k_file, capsys):
     assert "NotHomogeneousScalar" in capsys.readouterr().err
 
 
+def test_cone_rejects_a_literal_past_the_digit_limit(k_file, capsys):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(["cone", k_file, "--p", "9" * 5000 + "*x1"]) == 2
+    finally:
+        sys.set_int_max_str_digits(old)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: number literal of 5000 digits exceeds the limit of 4300 digits (at position 0)\n"
+
+
 def test_cone_rechecks_a_false_certification(ring_file, tmp_path, capsys):
     path = tmp_path / "liar.json"
     periodic = {"A": [["x1"]], "B": [["x2"]], "degrees0": [0], "degrees1": [1], "certified": True}

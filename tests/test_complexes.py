@@ -6,7 +6,6 @@ to be exact by finite linear algebra in each low internal degree, and its
 last two differentials are checked to be the package's canonical pair.
 """
 
-import operator
 import random
 from itertools import combinations
 from math import comb
@@ -39,7 +38,7 @@ from ghrv.errors import (
     RingMismatch,
 )
 from ghrv.fields import parse_field
-from ghrv.matrix import as_grid, identity, mat_mul, mat_neg, rank_over_domain
+from ghrv.matrix import as_grid, identity, mat_mul, rank_over_domain
 from ghrv.pipelines import (
     complete_resolution_of_k,
     documented_cone_pair,
@@ -53,7 +52,7 @@ from ghrv.ring import RingSpec, make_ring
 from ghrv.serialize import load_complex, save_trace
 from ghrv.variety import rank_over_R
 
-from dense import dense_grids, dense_rank
+from dense import dense_rank
 
 
 # -- Koszul -------------------------------------------------------------------
@@ -478,8 +477,8 @@ def test_shift_swaps_the_pair(ring5):
     s = shift(k)
     assert s.certified
     assert validate_pair(s).ok
-    assert s.A == mat_neg(k.B)
-    assert s.B == mat_neg(k.A)
+    assert s.A == tuple(tuple(-e for e in row) for row in k.B)
+    assert s.B == tuple(tuple(-e for e in row) for row in k.A)
     ss = shift(s)
     assert ss.A == k.A
     assert ss.degrees0 == tuple(d - 1 for d in k.degrees0)
@@ -617,19 +616,12 @@ def test_cone_rank_partition(ring5):
     assert r_a + r_b == cone.size
 
 
-def _pencil_grids(C, entries):
-    """`entries`, a pencil of C, as two dense grids over k[x]; its values
-    must be distinct and nonzero, as DistinctEntries promises."""
-    assert len(set(entries.values)) == len(entries.values) and all(v.terms for v in entries.values)
-    return dense_grids(entries, entries.values, C.ring.kx.zero())
-
-
 @pytest.mark.parametrize("field_text", ["GF(5)", "GF(9)", "QQ"])
 def test_a_cone_inherits_the_pencil_of_its_own_grids(field_text, monkeypatch):
     # a cone builds its residue pencil from its parent's, with one
-    # image_in_kx (on the scalar); expanded, it is the pencil read from the
-    # cone's grids, for every stage of realize chains up to 64x64 (the last
-    # chain ends in a scalar whose image is zero) and for cones, and cones of
+    # image_in_kx (on the scalar); it is the pencil read from the cone's
+    # grids, for every stage of realize chains up to 64x64 (the last chain
+    # ends in a scalar whose image is zero) and for cones, and cones of
     # cones, of the fixtures, their shifts and duals by the zero class, by
     # y*x1 (image zero) and by x1*x2
     ring = worked_ring(parse_field(field_text))
@@ -637,58 +629,69 @@ def test_a_cone_inherits_the_pencil_of_its_own_grids(field_text, monkeypatch):
     image = RingSpec.image_in_kx
     monkeypatch.setattr(RingSpec, "image_in_kx", lambda r, p: calls.append(p) or image(r, p))
     chains = [["x1*x2"], ["x1 + 2*x2", "x1*x2 + 2*x2^2"], ["x2 + y*x1", "x1^2", "y*x1"]]
-    cones = []
+    cones = []  # (cone, parent, scalar)
     for scalars in chains:
         trace = realize(ring, scalars, verify=False)
         assert trace.sizes == [8 * 2**k for k in range(len(scalars) + 1)]
-        cones += [stage.complex for stage in trace.stages[1:]]
+        cones += [(s.complex, parent.complex, s.scalar) for parent, s in zip(trace.stages, trace.stages[1:])]
     for base in (fixture_k(ring), fixture_rank_one(ring)):
         for parent in (base, shift(base), dual(base)):
             for p in ("0", "y*x1", "x1*x2"):
                 cone = cone_mul(parent, ring.parse(p))
-                cones += [cone, cone_mul(cone, ring.parse("x1 + x2"))]
+                cones += [(cone, parent, ring.parse(p)), (cone_mul(cone, ring.parse("x1 + x2")), cone, ring.parse("x1 + x2"))]
     kept = []
-    for C in cones:
-        parent, rep = C._cone_of
+    for C, parent, p in cones:
         parent.pencil_entries  # built first, so the count below is the cone's alone
         del calls[:]
         kept.append(C.pencil_entries)
-        assert [id(p) for p in calls] == [id(rep)]
+        assert calls == [ring.normal_form(p)]
     monkeypatch.undo()
-    for C, entries in zip(cones, kept):
-        assert _pencil_grids(C, entries) == _pencil_grids(C, distinct_entries((C.A, C.B), ring.image_in_kx)), C.size
+    for (C, _, _), entries in zip(cones, kept):
+        assert entries == distinct_entries((C.A, C.B), ring.image_in_kx), C.size
+
+
+def _nonzero_objects(C):
+    return {id(e): e for grid in (C.A, C.B) for row in grid for e in row if e.terms}.values()
+
+
+def _objects_and_values(C):
+    objs = _nonzero_objects(C)
+    return len(objs), len(set(objs))
 
 
 def test_engine_built_pairs_hold_one_object_per_value(ring5):
     # the Shamash tail signs each variable and each f_i once for both folds,
-    # and cone_mul negates A and B in one pass that reuses equal values, so
-    # -(-e) is e's own object
-    def nonzero_objects(C):
-        return {id(e): e for grid in (C.A, C.B) for row in grid for e in row if e.terms}.values()
-
+    # and each step indexes its values by value, reusing a parent's object
+    # for an equal value, so -(-e) is e's own object
     trace = realize(ring5, ["x1 + 2*x2", "x1*x2 + 2*x2^2"], verify=False)
-    counts = [(len(objs), len(set(objs))) for objs in map(nonzero_objects, (s.complex for s in trace.stages))]
-    assert counts == [(10, 10), (13, 13), (15, 15)]
-    tail, c16 = trace.stages[0].complex, trace.stages[1].complex
+    stages = [s.complex for s in trace.stages]
+    assert [_objects_and_values(C) for C in stages] == [(10, 10), (13, 13), (15, 15)]
+    tail, c16, c32 = stages
+    # shift, dual and direct sum keep it: the shifted 32x32 stage holds 15
+    # objects for 15 values
+    for C in stages:
+        for D in (shift(C), dual(C), direct_sum(C, C)):
+            assert _objects_and_values(D) == _objects_and_values(C)
+    assert _objects_and_values(shift(c32)) == (15, 15)
     # -(-e) is e: the bottom right block of the 32x32 A is -(-A) of the tail
-    c32 = trace.final
     assert all(c32.A[24 + i][24 + j] is e for i, row in enumerate(tail.A) for j, e in enumerate(row))
     # the scalar, and the zeros, are shared with equal entries of the parent
     x1 = cone_mul(tail, ring5.parse("x1"))
     assert x1.A[0][8] is next(e for row in tail.A for e in row if e == x1.A[0][8])
-    zeros = {id(e) for grid in (c16.A, c16.B, x1.A, x1.B) for row in grid for e in row if not e.terms}
+    zeros = {id(e) for C in (c16, x1, shift(c16), dual(c16), direct_sum(tail, c16))
+             for grid in (C.A, C.B) for row in grid for e in row if not e.terms}
     assert zeros == {id(ring5.ambient.zero())}
     assert cone_mul(tail, ring5.parse("x^2*x1 + y^2*x2")).A[0][8] is ring5.ambient.zero()
 
 
 def test_pairs_are_built_without_a_per_entry_pass(ring5, tmp_path, monkeypatch):
-    # the constructor stores the grids it is given: building the 16x16 and
-    # 32x32 realize stages, their shift, dual and direct sum, and loading the
-    # 32x32 trace coerce no entry (only the two cone scalars, which
-    # normal_form takes), and call map_entries only for the negations: one
-    # pass per cone_mul, negating A and B together and reusing equal values,
-    # and operator.neg for each grid of shift
+    # the constructor stores the grids it is given, and a step derives its
+    # entries from its parents' (the tail's read from its grids first):
+    # building the 16x16 and 32x32 realize stages, their shift, dual and
+    # direct sum, and loading the 32x32 trace coerce no entry (only the two
+    # cone scalars, which normal_form takes) and call map_entries not at all
     tail = complete_resolution_of_k(ring5)
+    tail.pair_entries
     save_trace(realize(ring5, ["x1", "x2"], verify=False), tmp_path / "trace.json")
     fns, coerced = [], []
     map_entries_, coerce_ = matrix.map_entries, PolyRing.coerce
@@ -706,9 +709,109 @@ def test_pairs_are_built_without_a_per_entry_pass(ring5, tmp_path, monkeypatch):
     built = [c16, c32, shift(c32), dual(c32), direct_sum(c16, c16), load_complex(tmp_path / "trace.json")]
     assert [C.size for C in built] == [16, 32, 32, 32, 32, 32]
     assert [id(v) for v in coerced] == [id(v) for v in scalars]
-    assert [fn.__qualname__ for fn in fns[:2]] == ["_cone_entries.<locals>.negate"] * 2
-    assert fns[2:] == [operator.neg] * 2
+    assert fns == []
     assert built[-1] == c32
+
+
+def test_a_derived_pair_takes_its_parents_verdict(ring5, monkeypatch):
+    # (-B)(-A) = B*A, B^t A^t = (A*B)^t and a block sum multiplies block by
+    # block: the shift, dual and direct sums of the fixtures and the Shamash
+    # tail, and a cone of each of those, decide is_factorization with no
+    # product once their parents' verdicts are kept
+    bases = [fixture_k(ring5), fixture_rank_one(ring5), complete_resolution_of_k(ring5)]
+    assert all(C.is_factorization for C in bases)
+    products = []
+    mat_mul_ = complexes.mat_mul
+    monkeypatch.setattr(complexes, "mat_mul", lambda *a: products.append(1) or mat_mul_(*a))
+    derived = [step(C) for C in bases for step in (shift, dual)] + [direct_sum(C, D) for C in bases for D in bases]
+    derived += [cone_mul(C, ring5.parse("x1*x2")) for C in derived]
+    assert all(C.is_factorization for C in derived)
+    assert products == []
+
+
+def _negated(grid):
+    return [[-e for e in row] for row in grid]
+
+
+def _step_grids(step, parents, p):
+    """A and B of one step written out in full, entry by entry: the
+    reference the step rules of complexes are checked against."""
+    C = parents[0]
+    zero = C.ring.ambient.zero()
+    A, B = [list(row) for row in C.A], [list(row) for row in C.B]
+
+    def blocks(top_left, top_right, bottom_left, bottom_right):
+        return ([l + r for l, r in zip(top_left, top_right)]
+                + [l + r for l, r in zip(bottom_left, bottom_right)])
+
+    def zeros(m, n):
+        return [[zero] * n for _ in range(m)]
+
+    n = C.size
+    if step == "shift":
+        return _negated(B), _negated(A)
+    if step == "dual":
+        return [list(col) for col in zip(*B)], [list(col) for col in zip(*A)]
+    if step == "sum":
+        D = parents[1]
+        m = D.size
+        return tuple(blocks(X, zeros(n, m), zeros(m, n), [list(row) for row in Y])
+                     for X, Y in ((A, D.A), (B, D.B)))
+    rep = C.ring.normal_form(p)
+    p_block = [[rep if i == j else zero for j in range(n)] for i in range(n)]
+    return blocks(A, p_block, zeros(n, n), _negated(B)), blocks(B, p_block, zeros(n, n), _negated(A))
+
+
+@pytest.mark.parametrize("field_text", ["GF(5)", "GF(9)", "QQ", "GF(2)"])
+def test_seeded_chains_of_steps_derive_entries_pencil_and_verdict(field_text, monkeypatch):
+    # seeded chains of cone_mul, shift, dual and direct_sum up to 64x64,
+    # from the fixtures, the Shamash tail and a fixture with one entry
+    # changed (no factorization): each step's grids are the dense layout
+    # written out here; its derived entries and pencil are those read from
+    # its grids, the pencil built with one image_in_kx for a cone and none
+    # otherwise; its verdict is a fresh copy's; and it holds one object per
+    # value, every zero the ring's one zero
+    ring = worked_ring(parse_field(field_text))
+    k = fixture_k(ring)
+    tampered = PeriodicComplex(ring, [[k.A[0][0] + ring.parse("x1"), k.A[0][1]], list(k.A[1])], k.B,
+                               k.degrees0, k.degrees1, certified=False)
+    leaves = [k, fixture_rank_one(ring), complete_resolution_of_k(ring), tampered]
+    scalars = ["0", "x1", "x2", "x1 + 2*x2", "x1*x2", "y*x1", "x1*x2 + 2*x2^2", "x^2*x1 + y^2*x2"]
+    calls = []
+    image = RingSpec.image_in_kx
+    monkeypatch.setattr(RingSpec, "image_in_kx", lambda r, p: calls.append(p) or image(r, p))
+    for leaf in leaves:
+        leaf.pencil_entries
+    steps = {"cone": 0, "shift": 0, "dual": 0, "sum": 0}
+    for seed in range(10):
+        rng = random.Random(f"{field_text} {seed}")
+        chain = [rng.choice(leaves)]
+        for _ in range(6):
+            C = chain[-1]
+            partners = [D for D in chain + leaves if C.size + D.size <= 64]
+            step = rng.choice(["shift", "dual"] + ["cone"] * (2 * C.size <= 64) + ["sum"] * bool(partners))
+            parents, p = (C,), None
+            if step == "sum":
+                parents = (C, rng.choice(partners))
+                D = direct_sum(*parents)
+            elif step == "cone":
+                p = ring.parse(rng.choice(scalars))
+                D = cone_mul(C, p)
+            else:
+                D = {"shift": shift, "dual": dual}[step](C)
+            steps[step] += 1
+            assert ([list(row) for row in D.A], [list(row) for row in D.B]) == tuple(_step_grids(step, parents, p))
+            del calls[:]
+            pencil = D.pencil_entries
+            assert calls == ([ring.normal_form(p)] if step == "cone" else [])
+            assert pencil == distinct_entries((D.A, D.B), ring.image_in_kx), (seed, step)
+            assert D.pair_entries == distinct_entries((D.A, D.B)), (seed, step)
+            fresh = PeriodicComplex(ring, D.A, D.B, D.degrees0, D.degrees1, D.certified)
+            assert D.is_factorization == fresh.is_factorization == all(P.is_factorization for P in parents)
+            assert len(set(_nonzero_objects(D))) == len(_nonzero_objects(D))
+            assert {id(e) for grid in (D.A, D.B) for row in grid for e in row if not e.terms} <= {id(ring.ambient.zero())}
+            chain.append(D)
+    assert min(steps.values()) > 0
 
 
 def test_validate_checks_the_ring_of_every_entry(ring5):

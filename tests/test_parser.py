@@ -1,6 +1,7 @@
 """Expression grammar and the parse/print round trip."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,20 @@ def test_errors(ring):
     for text, bad, pos in (("\u0665*x1", "\u0665", 0), ("x1 + 2\u0665", "\u0665", 6), ("1_0*x1", "_", 1)):
         with pytest.raises(ParseError, match=f"^unexpected character {bad!r} \\(at position {pos}\\)$"):
             parse_poly(ring, text)
+
+
+def test_a_literal_past_the_digit_limit_is_a_parse_error(ring):
+    # int() refuses a decimal string longer than the interpreter's limit; the
+    # parser names the limit and the literal's position instead
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert parse_poly(ring, "9" * 4300) == ring.from_int(4)
+        with pytest.raises(ParseError, match=r"^number literal of 5000 digits exceeds the limit of 4300 "
+                                             r"digits \(at position 5\)$"):
+            parse_poly(ring, "x1 + " + "9" * 5000)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _random_poly(ring, rng):

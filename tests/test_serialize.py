@@ -15,7 +15,6 @@ from ghrv.cli import run
 from ghrv.complexes import DistinctEntries, PeriodicComplex, cone_mul, validate_pair
 from ghrv.errors import ParseError
 from ghrv.fields import field_name, make_extension
-from ghrv.matrix import block_matrix, identity, zero_matrix
 from ghrv.pipelines import (
     RealizationTrace,
     TraceStage,
@@ -158,17 +157,18 @@ def test_each_per_entry_pass_runs_once_per_distinct_object(ring5, monkeypatch):
     for key, grid in (("A", C.A), ("B", C.B)):
         assert obj["periodic"][key] == [[e.to_string() for e in row] for row in grid]
 
-    # the cone: one negation per distinct object of the two negated grids,
-    # negated in one pass
+    # the cone: one negation per distinct nonzero value of the parent's A
+    # and B together, which the parent holds one object each
     count(Poly, "__neg__")
     cone = cone_mul(parent, trace.stages[-1].scalar)
-    assert calls["__neg__"] == objects(parent.A, parent.B) < 2 * 16 * 16
+    assert calls["__neg__"] == objects(parent.A, parent.B, nonzero=True) == 12
     monkeypatch.undo()
     n = parent.size
-    p_block = identity(amb, n, trace.stages[-1].scalar)
+    zero = amb.zero()
+    p_block = [[trace.stages[-1].scalar if j == i else zero for j in range(n)] for i in range(n)]
     for grid, top, bottom in ((cone.A, parent.A, parent.B), (cone.B, parent.B, parent.A)):
-        assert grid == block_matrix([[top, p_block],
-                                     [zero_matrix(amb, n, n), [[-e for e in row] for row in bottom]]])
+        want = [list(l) + r for l, r in zip(top, p_block)] + [[zero] * n + [-e for e in row] for row in bottom]
+        assert [list(row) for row in grid] == want
 
     # the constructor: no per-entry pass at all; the pair keeps the entry
     # objects it is given, position by position, and so equals C
