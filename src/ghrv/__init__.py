@@ -35,7 +35,7 @@ from .pipelines import (
     worked_ring,
 )
 from .poly import Poly, PolyRing
-from .ring import Alpha, RingSpec, make_alpha, make_ring, specialize
+from .ring import RingSpec, lift_point, make_ring, specialize
 from .variety import (
     EmptinessVerdict,
     IdealGens,

@@ -27,7 +27,7 @@ from .pipelines import (
     realize,
     reproduce_examples,
 )
-from .ring import make_alpha, specialize
+from .ring import lift_point, specialize
 from .serialize import load_complex, load_ring, save_complex, save_trace
 from .variety import (
     _check_point_count,
@@ -35,7 +35,6 @@ from .variety import (
     extension_of,
     membership,
     minor_ideal_image,
-    rank_over_R,
     rank_variety,
     ranks_over_R,
     residue_ranks,
@@ -153,13 +152,8 @@ def _print_points(V, field, ext_bound: int):
         print(f"points over {field_name(fld)}: {{{body}}}")
 
 
-def _alpha_from_args(C, args):
-    field = C.ring.field
-    coords = _parse_coords(args.alpha, field)
-    preimages = None
-    if getattr(args, "preimages", None):
-        preimages = tuple(tok.strip() for tok in args.preimages.split(","))
-    return make_alpha(C.ring, coords, preimages=preimages)
+def _format_point(field, coords) -> str:
+    return "(" + ", ".join(field.format(a) for a in coords) + ")"
 
 
 def _cmd_check(args) -> int:
@@ -183,8 +177,8 @@ def _cmd_rank(args) -> int:
 
 def _cmd_ideal(args) -> int:
     C = load_complex(args.complex)
-    grid = C.A if args.which == "A" else C.B
-    r = rank_over_R(grid, C.ring)
+    r_a, r_b = ranks_over_R(C)
+    grid, r = (C.A, r_a) if args.which == "A" else (C.B, r_b)
     ideal = minor_ideal_image(grid, r, C.ring)
     print(f"image of I_{r}({args.which}) in k[x]: {ideal.describe()}")
     return 0
@@ -218,25 +212,28 @@ def _cmd_points(args) -> int:
 
 def _cmd_specialize(args) -> int:
     C = load_complex(args.complex)
-    alpha = _alpha_from_args(C, args)
     ring = C.ring
-    print(f"alpha = {alpha}")
-    print(f"w_alpha = {specialize(ring.w, alpha, ring)}")
-    a_spec = [[specialize(e, alpha, ring) for e in row] for row in C.A]
-    b_spec = [[specialize(e, alpha, ring) for e in row] for row in C.B]
+    coords = _parse_coords(args.alpha, ring.field)
+    given = tuple(tok.strip() for tok in args.preimages.split(",")) if args.preimages else None
+    preimages = lift_point(ring, coords, given)
+    print(f"alpha = {_format_point(ring.field, coords)}")
+    print(f"w_alpha = {specialize(ring.w, preimages, ring)}")
+    a_spec = [[specialize(e, preimages, ring) for e in row] for row in C.A]
+    b_spec = [[specialize(e, preimages, ring) for e in row] for row in C.B]
     print(_format_matrix("A|alpha", a_spec))
     print(_format_matrix("B|alpha", b_spec))
-    r_a, r_b = residue_ranks(C, alpha)
+    r_a, r_b = residue_ranks(C, coords)
     print(f"residue ranks: rank(A) = {r_a}, rank(B) = {r_b}, size = {C.size}")
     return 0
 
 
 def _cmd_contractible(args) -> int:
     C = load_complex(args.complex)
-    alpha = _alpha_from_args(C, args)
-    r_a, r_b = residue_ranks(C, alpha)
+    coords = _parse_coords(args.alpha, C.ring.field)
+    r_a, r_b = residue_ranks(C, coords)
     verdict = r_a + r_b == C.size
-    print(f"contractible at {alpha}: {verdict} (residue ranks {r_a} + {r_b} vs size {C.size})")
+    print(f"contractible at {_format_point(C.ring.field, coords)}: {verdict} "
+          f"(residue ranks {r_a} + {r_b} vs size {C.size})")
     return 0
 
 

@@ -41,8 +41,8 @@ from .variety import (
     is_empty,
     membership,
     preimage_independence_check,
-    rank_over_R,
     rank_variety,
+    ranks_over_R,
 )
 
 
@@ -267,8 +267,7 @@ def reproduce_examples(field: Field | None = None, seed: int = 0) -> ReproReport
     pair = fixture_rank_one(ring)
     report.add("rank-one pair certifies as a matrix factorization", pair.certified)
 
-    r_a = rank_over_R(pair.A, ring)
-    r_b = rank_over_R(pair.B, ring)
+    r_a, r_b = ranks_over_R(pair)
     report.add("both differentials of the pair have rank one over R",
                r_a == 1 and r_b == 1, f"ranks {r_a}, {r_b}")
 

@@ -11,15 +11,13 @@ The f_i must be nonconstant (classes in the maximal ideal); when every f_i is
 a monomial, the regular-sequence hypothesis is certified by pairwise
 coprimality, otherwise it is recorded as unverified and trusted.
 
-Specialization at a point alpha with chosen preimages a_i in K[y] is the ring
-map x_i -> a_i; reps land in K[y] and the residue map then evaluates y -> 0.
-Composing the two equals evaluating at (x, y) = (alpha, 0) whenever the
-preimages are constants.
+Specialization at a point alpha of K^c is the ring map x_i -> a_i along
+preimages a_i in K[y] with constant terms alpha_i, a plain tuple built by
+lift_point; reps land in K[y], and the residue map y -> 0 then gives their
+value at (x, y) = (alpha, 0), whichever preimages were chosen.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     BadArity,
@@ -158,23 +156,6 @@ def make_ring(field: Field, yvars, xvars, f) -> RingSpec:
     return RingSpec(ambient, tuple(polys), verified)
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """A nonzero point of K^c together with chosen preimages in K[y].
-
-    Preimage i is a y-only polynomial whose constant term is coordinate i;
-    the defaults are the constants themselves.  Every downstream verdict is
-    independent of the choice, which the perturbation harness checks.
-    """
-
-    field: Field
-    point: tuple
-    preimages: tuple[Poly, ...]
-
-    def __str__(self):
-        return "(" + ", ".join(self.field.format(a) for a in self.point) + ")"
-
-
 def point_coords(ring: RingSpec, coords, field: Field | None = None) -> tuple:
     """Validate point data against the ring: `field` (default the ring's)
     must contain the ring's field, and there must be c coordinates, not all
@@ -190,44 +171,41 @@ def point_coords(ring: RingSpec, coords, field: Field | None = None) -> tuple:
     return point
 
 
-def make_alpha(ring: RingSpec, coords, preimages=None, field: Field | None = None) -> Alpha:
+def lift_point(ring: RingSpec, coords, preimages=None, field: Field | None = None) -> tuple[Poly, ...]:
     """Validate point data against the ring (see point_coords) and lift it
-    to preimages in K[y]: the constants themselves by default."""
+    to preimages in K[y], the constants by default; given preimages, Polys
+    or strings, must be y-only with the coordinates as constant terms."""
     fld = field if field is not None else ring.field
     point = point_coords(ring, coords, fld)
     ambient = ring.ambient_over(fld)
     if preimages is None:
-        lifted = tuple(ambient.const(a) for a in point)
-    else:
-        if len(preimages) != ring.c:
-            raise ValueError(f"expected {ring.c} preimages, got {len(preimages)}")
-        lifted = []
-        for a, pre in zip(point, preimages):
-            p = parse_poly(ambient, pre) if isinstance(pre, str) else ambient.coerce(pre)
-            cdx = ring.c
-            if any(any(m[:cdx]) for m in p.terms):
-                raise VariableLeak(f"preimage {p} mentions an x-variable")
-            if p.constant_term() != a:
-                raise ValueError(
-                    f"preimage {p} has constant term {fld.format(p.constant_term())}, "
-                    f"expected {fld.format(a)}"
-                )
-            lifted.append(p)
-        lifted = tuple(lifted)
-    return Alpha(fld, point, lifted)
+        return tuple(ambient.const(a) for a in point)
+    if len(preimages) != ring.c:
+        raise ValueError(f"expected {ring.c} preimages, got {len(preimages)}")
+    lifted = []
+    for a, pre in zip(point, preimages):
+        p = parse_poly(ambient, pre) if isinstance(pre, str) else ambient.coerce(pre)
+        if any(any(m[:ring.c]) for m in p.terms):
+            raise VariableLeak(f"preimage {p} mentions an x-variable")
+        if p.constant_term() != a:
+            raise ValueError(
+                f"preimage {p} has constant term {fld.format(p.constant_term())}, "
+                f"expected {fld.format(a)}"
+            )
+        lifted.append(p)
+    return tuple(lifted)
 
 
-def specialize(value, alpha: Alpha, ring: RingSpec) -> Poly:
-    """Apply x_i -> a_i to a representative; result is a y-only polynomial
-    over alpha's field, representing the image in the specialized ring."""
+def specialize(value, preimages: tuple[Poly, ...], ring: RingSpec) -> Poly:
+    """Apply x_i -> preimages[i] to a representative, over the preimages'
+    field; any tuple may be passed, so an x-variable left raises VariableLeak."""
     p = ring.coerce(value)
-    ambient = ring.ambient_over(alpha.field)
+    ambient = ring.ambient_over(preimages[0].ring.field)
     if ambient is not ring.ambient:
         p = p.map_coefficients(ambient)
-    bindings = dict(zip(ring.xvars, alpha.preimages))
-    out = p.substitute(bindings)
+    out = p.substitute(dict(zip(ring.xvars, preimages)))
     if any(any(m[: ring.c]) for m in out.terms):
-        raise VariableLeak("specialization left an x-variable behind")  # pragma: no cover
+        raise VariableLeak("specialization left an x-variable behind")
     return out
 
 

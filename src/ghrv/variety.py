@@ -34,7 +34,8 @@ minor-ideal images are the minors of the pencil, with no reduction mod w.
 
 Membership of a point is evaluation of generators, optionally through a
 deterministic field embedding, so a variety computed over GF(p) can be
-scanned over GF(p^j) towers.  Contractibility at a point alpha evaluates the
+scanned over GF(p^j) towers.  A point alpha is a ProjPoint or a tuple of
+coordinates in the ring's field.  Contractibility at alpha evaluates the
 pencil at alpha and tests rank(Abar(alpha)) + rank(Bbar(alpha)) = n.  Each
 pair keeps its pencil by its distinct nonzero entries
 (PeriodicComplex.pencil_entries): the images y -> 0 of the nonzero entries
@@ -59,8 +60,8 @@ reads the residue from the whole specialized polynomial, so it costs more
 than the verdict it checks; no oracle scalar comes from the pencil.  Each
 preimage keeps its powers (Poly.__pow__), so a trial raises each preimage
 once for all entries.  A zero entry skips the oracle, since
-specialize(0) = 0 exactly.  A verdict at a ProjPoint validates the point
-and evaluates the pencil; it builds no Alpha and no preimages.
+specialize(0) = 0 exactly.  A verdict validates its point and evaluates the
+pencil; it builds no preimages, which only the oracle reads.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .errors import BoundExceeded, InvalidComplex, UnsupportedField
 from .fields import Field, make_extension
 from .matrix import all_minors, map_entries, rank_over_domain, rank_over_field
 from .poly import Poly, PolyRing, evaluator, order_key
-from .ring import Alpha, RingSpec, make_alpha, point_coords, residue, specialize
+from .ring import RingSpec, point_coords, residue, specialize
 
 
 # enumerate_points refuses a projective space with more than this many
@@ -340,13 +341,16 @@ class EmptinessVerdict:
 def is_empty(V: ZeroSetUnion, bound: int = 4) -> EmptinessVerdict:
     """Bounded semi-decision: scan P^(c-1)(F_(q^j)) for j = 1..bound in
     deterministic order and report the first witness, if any.  bound < 1
-    raises ValueError: a scan over no extension decides nothing."""
+    raises ValueError: a scan over no extension decides nothing, and one
+    over an extension of more than MAX_POINTS points raises BoundExceeded
+    before any point is scanned."""
     base = V.ring.field
     if not base.finite:
         raise UnsupportedField("emptiness scan needs a finite base field")
     if bound < 1:
         raise ValueError(f"emptiness scan needs bound >= 1, got {bound}")
     c = len(V.ring.vars)
+    _check_point_count(base, c, bound)
     for j in range(1, bound + 1):
         fld = extension_of(base, j)
         for pt in enumerate_points(fld, c):
@@ -360,11 +364,9 @@ def is_empty(V: ZeroSetUnion, bound: int = 4) -> EmptinessVerdict:
 # ---------------------------------------------------------------------------
 
 def _field_and_point(C: PeriodicComplex, alpha) -> tuple[Field, tuple]:
-    """alpha's field and coordinates, validated as make_alpha validates
-    them but without lifting them to preimages, which the pencil never
-    reads."""
-    if isinstance(alpha, Alpha):
-        return alpha.field, alpha.point
+    """The field and coordinates of a ProjPoint, or of coordinates in the
+    ring's field, validated by point_coords (as lift_point validates them)
+    without lifting them to preimages, which the pencil never reads."""
     if isinstance(alpha, ProjPoint):
         return alpha.field, point_coords(C.ring, alpha.coords, alpha.field)
     return C.ring.field, point_coords(C.ring, tuple(alpha))
@@ -400,14 +402,14 @@ def contractible_at(C: PeriodicComplex, alpha) -> bool:
     return r_a + r_b == C.size
 
 
-def _oracle_scalars(C: PeriodicComplex, alpha: Alpha) -> list:
-    """The scalars of Abar and Bbar at alpha by the oracle route, indexed
-    like C.pair_entries.values: each distinct nonzero entry of A and B is
-    specialized along alpha's preimages and then reduced y -> 0, once.  A
-    zero entry has no pair and so reads as zero without that route, which
-    is exact because specialize(0) = 0."""
+def _oracle_scalars(C: PeriodicComplex, preimages: tuple[Poly, ...]) -> list:
+    """The scalars of Abar and Bbar at the point the preimages lift, by the
+    oracle route, indexed like C.pair_entries.values: each distinct nonzero
+    entry of A and B is specialized along the preimages and then reduced
+    y -> 0, once.  A zero entry has no pair and so reads as zero without
+    that route, which is exact because specialize(0) = 0."""
     ring = C.ring
-    return [residue(specialize(e, alpha, ring), ring) for e in C.pair_entries.values]
+    return [residue(specialize(e, preimages, ring), ring) for e in C.pair_entries.values]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +418,10 @@ def _oracle_scalars(C: PeriodicComplex, alpha: Alpha) -> list:
 
 @dataclass
 class PerturbationReport:
-    alpha: Alpha
+    """alpha as given, the pencil's verdict (baseline) and the oracle's
+    verdict in each seeded trial (verdicts)."""
+
+    point: object
     trials: int
     seed: int
     baseline: bool
@@ -428,16 +433,16 @@ class PerturbationReport:
 
 
 def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: int) -> PerturbationReport:
-    """Re-test contractibility under seeded random perturbations of the
-    preimages by y-terms of degree 1 and 2; the verdict must never move.
-    The baseline takes the residue pencil; each perturbed verdict takes the
-    oracle route, specialize then residue (_oracle_scalars), ranked by
-    _ranks on the rows of C.pair_entries, so two routes are compared."""
+    """Re-test contractibility at alpha, over a finite field, under seeded
+    random preimages: constant term the coordinate plus y-terms of degree 1
+    and 2, built directly, so there is nothing to validate per trial.  The
+    verdict must never move.  The baseline takes the residue pencil; each
+    perturbed verdict takes the oracle route, specialize then residue
+    (_oracle_scalars), ranked by _ranks on the rows of C.pair_entries, so
+    two routes are compared.  alpha is validated here and once more by the
+    baseline contractible_at, whatever `trials` is."""
     ring = C.ring
-    if not isinstance(alpha, Alpha):
-        fld, point = _field_and_point(C, alpha)
-        alpha = make_alpha(ring, point, field=fld)
-    fld = alpha.field
+    fld, coords = _field_and_point(C, alpha)
     if not fld.finite:
         raise UnsupportedField("perturbation sampling needs a finite field")
     amb = ring.ambient_over(fld)
@@ -452,12 +457,7 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
     constant = (0,) * nvars
     verdicts = []
     for _ in range(trials):
-        preimages = []
-        for a in alpha.point:
-            terms = {constant: a}
-            for m in monos:
-                terms[m] = elems[rng.randrange(len(elems))]
-            preimages.append(Poly(amb, terms))  # zero coefficients drop out
-        perturbed = make_alpha(ring, alpha.point, preimages=tuple(preimages), field=fld)
-        verdicts.append(sum(_ranks(C.pair_entries, _oracle_scalars(C, perturbed), fld)) == C.size)
+        preimages = tuple(Poly(amb, {constant: a} | {m: elems[rng.randrange(len(elems))] for m in monos})
+                          for a in coords)  # zero coefficients drop out
+        verdicts.append(sum(_ranks(C.pair_entries, _oracle_scalars(C, preimages), fld)) == C.size)
     return PerturbationReport(alpha, trials, seed, baseline, verdicts)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import ghrv
+import ghrv.variety
 
 from ghrv.cli import build_parser, run
 from ghrv.fields import prime_field
@@ -117,9 +118,17 @@ def test_rank(pair_file, capsys):
     assert "rank(A) = 1" in out and "rank(B)" not in out
 
 
-def test_ideal(pair_file, capsys):
+def test_ideal(pair_file, capsys, monkeypatch):
+    # ranks come from ranks_over_R; the pair is an exact factorization, so
+    # B's rank is n - rank A by the complement rule and only A is eliminated
+    eliminated = []
+    rank_over_R = ghrv.variety.rank_over_R
+    monkeypatch.setattr(ghrv.variety, "rank_over_R",
+                        lambda rows, ring: eliminated.append(rows) or rank_over_R(rows, ring))
     assert run(["ideal", pair_file, "--which", "B"]) == 0
     assert "image of I_1(B) in k[x]: (x1, x2)" in capsys.readouterr().out
+    assert eliminated == [load_complex(pair_file).A]
+    monkeypatch.undo()
     # --which is mandatory here
     assert run(["ideal", pair_file]) == 2
 
@@ -391,7 +400,7 @@ def test_reproduce(capsys):
     assert "all claims hold" in out
 
 
-def test_usage_errors(pair_file, tmp_path, capsys):
+def test_usage_errors(pair_file, k_file, tmp_path, capsys):
     assert run(["rank", str(tmp_path / "missing.json")]) == 2
     assert run(["points", "--field", "ZZ", "--c", "2"]) == 2
     capsys.readouterr()
@@ -412,6 +421,22 @@ def test_usage_errors(pair_file, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == f"error: --ext-bound needs a degree >= 1, got {bound}\n"
     assert run(["contractible", pair_file, "--alpha", "1,oops"]) == 2
+    capsys.readouterr()
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    ring3 = tmp_path / "ring3.json"
+    save_ring(make_ring(prime_field(5), ("u", "v", "z"), ("x1", "x2", "x3"), ("u^2", "v^2", "z^3")), ring3)
+    for argv, message in (
+        (["resolve-k", str(array), "--out", str(tmp_path / "out.json")], "ring object is not a JSON object"),
+        (["specialize", k_file, "--alpha", "1,2", "--preimages", "1+y"], "expected 2 preimages, got 1"),
+        (["variety", str(ring3), "--fixture", "k5-example"],
+         "fixture needs a ring with two x- and two y-variables"),
+        (["cone", k_file, "--p", "1/x1"], "denominator must be a nonnegative integer (at position 2)"),
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
     assert run(["frobnicate"]) == 2
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")

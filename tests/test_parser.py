@@ -26,6 +26,8 @@ def test_basic_expressions(ring):
     assert parse_poly(ring, "3") == ring.from_int(3)
     assert parse_poly(ring, "-x1") == -x1
     assert parse_poly(ring, "x1 - x1") == ring.zero()
+    trailing = parse_poly(ring, "x1 + 1   ")  # trailing blanks
+    assert trailing == x1 + ring.one() and str(trailing) == "x1 + 1"
 
 
 def test_precedence_and_parentheses(ring):

@@ -15,7 +15,7 @@ from ghrv.errors import (
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.pipelines import complete_resolution_of_k, fixture_k, fixture_rank_one
 from ghrv.poly import Poly
-from ghrv.ring import make_alpha, make_ring, residue, specialize
+from ghrv.ring import lift_point, make_ring, residue, specialize
 
 
 def test_worked_ring_data(ring5):
@@ -105,7 +105,7 @@ def test_one_ambient_ring_per_field(ring5):
     over = ring5.ambient_over(f25)
     assert over is ring5.ambient_over(make_extension(5, 2))
     assert over.field == f25 and over.vars == ring5.ambient.vars
-    assert make_alpha(ring5, (1, 0), field=f25).preimages[0].ring is over
+    assert lift_point(ring5, (1, 0), field=f25)[0].ring is over
 
 
 @pytest.mark.parametrize("ring_name", ["ring5", "ring9", "ringq"])
@@ -119,17 +119,28 @@ def test_f_w_and_fixture_entries_live_in_the_ambient(ring_name, request):
         assert all(e.ring is ring.ambient for grid in (C.A, C.B) for row in grid for e in row)
 
 
-def test_make_alpha_guards(ring5):
-    with pytest.raises(ValueError):
-        make_alpha(ring5, (0, 0))
-    with pytest.raises(ValueError):
-        make_alpha(ring5, (1,))
-    with pytest.raises(ValueError):
-        make_alpha(ring5, (1, 0), preimages=("1 + y", "1"))  # wrong constant term
+def test_lift_point_guards(ring5):
+    with pytest.raises(ValueError, match="^the zero tuple is not a point$"):
+        lift_point(ring5, (0, 0))
+    with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
+        lift_point(ring5, (1,))
+    with pytest.raises(ValueError, match="^expected 2 preimages, got 1$"):
+        lift_point(ring5, (1, 2), preimages=("1 + y",))
+    with pytest.raises(ValueError, match="^preimage 1 has constant term 1, expected 0$"):
+        lift_point(ring5, (1, 0), preimages=("1 + y", "1"))  # wrong constant term
     with pytest.raises(VariableLeak):
-        make_alpha(ring5, (1, 0), preimages=("1 + x1", "0"))
-    a = make_alpha(ring5, (3, 1), preimages=("3 + y", "1 + x*y"))
-    assert a.point == (3, 1)
+        lift_point(ring5, (1, 0), preimages=("1 + x1", "0"))
+    # the preimages are a plain tuple, with the coordinates as constant terms
+    lifted = lift_point(ring5, (3, 1), preimages=("3 + y", "1 + x*y"))
+    assert lifted == (ring5.parse("3 + y"), ring5.parse("1 + x*y"))
+    assert lift_point(ring5, (3, 1)) == (ring5.ambient.from_int(3), ring5.ambient.one())
+
+
+def test_specialize_refuses_a_preimage_tuple_with_an_x_variable(ring5):
+    # lift_point refuses such preimages, but specialize takes any tuple
+    leaky = (ring5.parse("x1"), ring5.parse("1 + y"))
+    with pytest.raises(VariableLeak, match="^specialization left an x-variable behind$"):
+        specialize(ring5.parse("x1 + x2"), leaky, ring5)
 
 
 def test_specialize_constant_preimages_is_evaluation(ring5):
@@ -137,9 +148,8 @@ def test_specialize_constant_preimages_is_evaluation(ring5):
     fld = ring5.field
     for _ in range(20):
         coords = (fld.from_int(rng.randrange(5)), fld.from_int(rng.randrange(1, 5)))
-        alpha = make_alpha(ring5, coords)
         p = ring5.parse("x1^2*x2 + x*y*x1 + y^3")
-        spec = specialize(p, alpha, ring5)
+        spec = specialize(p, lift_point(ring5, coords), ring5)
         # reducing y -> 0 afterwards equals full evaluation at (alpha, 0)
         assert residue(spec, ring5) == p.evaluate(
             {"x1": coords[0], "x2": coords[1], "x": fld.zero, "y": fld.zero}
@@ -147,16 +157,15 @@ def test_specialize_constant_preimages_is_evaluation(ring5):
 
 
 def test_specialized_modulus(ring5):
-    alpha = make_alpha(ring5, (2, 3))
-    w_a = specialize(ring5.w, alpha, ring5)
+    w_a = specialize(ring5.w, lift_point(ring5, (2, 3)), ring5)
     expected = ring5.ambient.variable("x") ** 2 * 2 + ring5.ambient.variable("y") ** 2 * 3
     assert w_a == expected
 
 
 def test_specialize_with_nonconstant_preimages(ring5):
-    alpha = make_alpha(ring5, (1, 2), preimages=("1 + y", "2 + x^2"))
+    preimages = lift_point(ring5, (1, 2), preimages=("1 + y", "2 + x^2"))
     p = ring5.parse("x1 + x2")
-    spec = specialize(p, alpha, ring5)
+    spec = specialize(p, preimages, ring5)
     assert spec == ring5.parse("3 + y + x^2")
     # residue ignores the perturbation
     assert residue(spec, ring5) == ring5.field.from_int(3)

@@ -9,10 +9,12 @@ before the image in k[x], and specialize-then-residue along preimages.
 """
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
+import ghrv.ring
 import ghrv.variety
 from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair, validate_pair
 from ghrv.errors import BoundExceeded, InvalidComplex, RingMismatch, UnsupportedField
@@ -27,7 +29,7 @@ from ghrv.pipelines import (
     worked_ring,
 )
 from ghrv.poly import Poly, PolyRing, evaluator, order_key
-from ghrv.ring import RingSpec, make_alpha, make_ring, residue, specialize
+from ghrv.ring import RingSpec, lift_point, make_ring, residue, specialize
 from ghrv.serialize import load_complex, save_trace
 from ghrv.variety import (
     MAX_POINTS,
@@ -401,6 +403,21 @@ def test_variety_of_the_resolution_pair_is_everything(ring5):
             is_empty(v, bound=bound)
 
 
+def test_emptiness_is_refused_up_front_past_the_point_cap(ring5, ringq):
+    # P^1(GF(5^9)) has more than MAX_POINTS points: the scan is refused
+    # before any point is built, both on an empty variety, which would
+    # otherwise be scanned over every degree up to 8 first, and on
+    # fixture_k's, which has a witness at degree 1
+    for C in (fixture_rank_one(ring5), fixture_k(ring5)):
+        v = rank_variety(C)
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match="^P\\^1\\(GF\\(1953125\\)\\) has more than the cap of 1000000 points$"):
+            is_empty(v, bound=9)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(UnsupportedField, match="^emptiness scan needs a finite base field$"):
+        is_empty(rank_variety(fixture_rank_one(ringq)), bound=1)
+
+
 def test_variety_needs_a_valid_pair(ring5):
     zero = ring5.ambient.zero()
     bad = PeriodicComplex(ring5, [[zero]], [[zero]], (0,), (0,), certified=False)
@@ -525,7 +542,7 @@ def _perturbation_check(C, pt):
 
 
 def test_points_are_checked_against_the_ring(ring5):
-    """A ProjPoint is checked as make_alpha checks it: the same errors with
+    """A ProjPoint is checked as lift_point checks it: the same errors with
     the same messages, from every pointwise entry point."""
     f5, f7 = ring5.field, prime_field(7)
     k = fixture_k(ring5)
@@ -536,7 +553,7 @@ def test_points_are_checked_against_the_ring(ring5):
     ]
     for pt, error in bad:
         with pytest.raises(error) as expected:
-            make_alpha(ring5, pt.coords, field=pt.field)
+            lift_point(ring5, pt.coords, field=pt.field)
         for check in (contractible_at, residue_ranks, _perturbation_check):
             with pytest.raises(error) as got:
                 check(k, pt)
@@ -558,6 +575,53 @@ def test_preimage_perturbations_never_move_the_verdict(ring5):
     assert rep_off.baseline is True and rep_off.stable
     again = preimage_independence_check(cone, on, trials=6, seed=5)
     assert again.verdicts == rep_on.verdicts
+    assert rep_on.point is on
+
+
+def test_perturbation_check_validates_its_point_twice_and_lifts_nothing(ring5, ringq, monkeypatch):
+    # the point is validated once by the check and once by its baseline
+    # contractible_at, however many trials run: point_coords is counted
+    # wherever it is called from.  Each trial builds its preimages itself,
+    # so lift_point is never called, and the seeded draws are pinned by the
+    # preimages of two trials
+    cone = cone_mul(fixture_k(ring5), ring5.parse("x1*x2"))
+    validated, drawn = [0], []
+    point_coords, oracle = ghrv.variety.point_coords, ghrv.variety._oracle_scalars
+
+    def counted(*args, **kwargs):
+        validated[0] += 1
+        return point_coords(*args, **kwargs)
+
+    def recorded(C, preimages):
+        drawn.append(tuple(str(p) for p in preimages))
+        return oracle(C, preimages)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("lift_point called")
+
+    monkeypatch.setattr(ghrv.variety, "point_coords", counted)
+    monkeypatch.setattr(ghrv.ring, "point_coords", counted)
+    monkeypatch.setattr(ghrv.variety, "_oracle_scalars", recorded)
+    monkeypatch.setattr(ghrv.ring, "lift_point", refused)
+    assert not hasattr(ghrv.variety, "lift_point")
+    for coords, baseline in (((1, 0), False), ((1, 1), True)):
+        for pt in (proj_point(ring5.field, coords), coords):
+            for trials in (0, 1, 6):
+                for seed in (0, 5):
+                    validated[0] = 0
+                    report = preimage_independence_check(cone, pt, trials=trials, seed=seed)
+                    assert validated[0] == 2
+                    assert report.baseline is baseline
+                    assert report.verdicts == [baseline] * trials
+    drawn.clear()
+    preimage_independence_check(cone, (1, 1), trials=2, seed=5)
+    assert drawn == [
+        ("2*x^2 + 4*x*y + 4*x + 2*y + 1", "x*y + 3*x + y + 1"),
+        ("x^2 + 3*x*y + 4*y^2 + 2*x + 3*y + 1", "x^2 + y^2 + 4*y + 1"),
+    ]
+    monkeypatch.undo()
+    with pytest.raises(UnsupportedField, match="^perturbation sampling needs a finite field$"):
+        preimage_independence_check(fixture_k(ringq), (1, 1), trials=1, seed=0)
 
 
 # -- the residue pencil against its oracles -----------------------------------
@@ -586,8 +650,8 @@ def test_residue_pencil_matches_specialize_then_residue(field):
         x, y = (amb.variable(n) for n in ring.yvars)
         a1, a2 = (amb.const(a) for a in pt.coords)
         choices = [
-            make_alpha(ring, pt.coords, field=pt.field),
-            make_alpha(ring, pt.coords, preimages=(a1 + y, a2 + x * y + x * x), field=pt.field),
+            lift_point(ring, pt.coords, field=pt.field),
+            lift_point(ring, pt.coords, preimages=(a1 + y, a2 + x * y + x * x), field=pt.field),
         ]
         for C in suite:
             pencil = _pencil_at(C, pt)
@@ -597,12 +661,12 @@ def test_residue_pencil_matches_specialize_then_residue(field):
             assert kept == pencil, (C.size, str(pt))
             ranks = tuple(dense_rank(g, pt.field) for g in pencil)
             assert residue_ranks(C, pt) == ranks, (C.size, str(pt))
-            for alpha in choices:
+            for preimages in choices:
                 oracle = [
-                    [[residue(specialize(e, alpha, ring), ring) for e in row] for row in grid]
+                    [[residue(specialize(e, preimages, ring), ring) for e in row] for row in grid]
                     for grid in (C.A, C.B)
                 ]
-                assert pencil == oracle, (C.size, str(pt), alpha.preimages)
+                assert pencil == oracle, (C.size, str(pt), preimages)
 
 
 def test_realize_stage_verdicts_match_specialize_then_residue(ring5):
@@ -622,15 +686,15 @@ def test_realize_stage_verdicts_match_specialize_then_residue(ring5):
     for pt in enumerate_points(f25, 2):
         a1, a2 = (amb.const(a) for a in pt.coords)
         choices = [
-            make_alpha(ring5, pt.coords, field=f25),
-            make_alpha(ring5, pt.coords, preimages=(a1 + x * y, a2 + y), field=f25),
+            lift_point(ring5, pt.coords, field=f25),
+            lift_point(ring5, pt.coords, preimages=(a1 + x * y, a2 + y), field=f25),
         ]
         for C in stages:
             verdict = contractible_at(C, pt)
             ranks = residue_ranks(C, pt)
-            for alpha in choices:
+            for preimages in choices:
                 grids = (
-                    [[residue(specialize(e, alpha, ring5), ring5) for e in row] for row in grid]
+                    [[residue(specialize(e, preimages, ring5), ring5) for e in row] for row in grid]
                     for grid in (C.A, C.B)
                 )
                 oracle = tuple(dense_rank(g, f25) for g in grids)
@@ -686,15 +750,15 @@ def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch
             amb = ring.ambient_over(fld)
             x, y = (amb.variable(n) for n in ring.yvars)
             a1, a2 = (amb.const(a) for a in pt.coords)
-            alpha = make_alpha(ring, pt.coords, preimages=(a1 + x * y, a2 + y + x * x), field=fld)
+            preimages = lift_point(ring, pt.coords, preimages=(a1 + x * y, a2 + y + x * x), field=fld)
             memo = {}
             for e in (e for grid in (C.A, C.B) for row in grid for e in row):
                 if id(e) not in memo:
-                    memo[id(e)] = residue(specialize(e, alpha, ring), ring)
+                    memo[id(e)] = residue(specialize(e, preimages, ring), ring)
             oracle = [[[memo[id(e)] for e in row] for row in grid] for grid in (C.A, C.B)]
             a_bar, b_bar = _pencil_at(C, pt)
             assert [a_bar, b_bar] == oracle, (C.size, str(pt))
-            scalars = ghrv.variety._oracle_scalars(C, alpha)
+            scalars = ghrv.variety._oracle_scalars(C, preimages)
             assert dense_grids(C.pair_entries, scalars, fld.zero) == oracle, (C.size, str(pt))
             dense = (dense_rank(a_bar, fld), dense_rank(b_bar, fld))
             monkeypatch.setattr(ghrv.variety, "evaluator", counting_evaluator)
