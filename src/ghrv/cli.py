@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .complexes import cone_mul, validate_pair
-from .errors import FieldError, GhrvError, ParseError, UnsupportedField
+from .errors import FieldError, GhrvError, ParseError
 from .fields import RationalField, field_name, parse_field
 from .parser import parse_poly
 from .pipelines import (
@@ -30,11 +30,10 @@ from .pipelines import (
 from .ring import lift_point, specialize
 from .serialize import load_complex, load_ring, save_complex, save_trace
 from .variety import (
-    _check_point_count,
     enumerate_points,
-    extension_of,
     membership,
     minor_ideal_image,
+    points_up_to,
     rank_variety,
     ranks_over_R,
     residue_ranks,
@@ -132,23 +131,10 @@ def _format_matrix(name: str, grid) -> str:
     return "\n".join(lines)
 
 
-def _check_points(args, ring, ext_bound: int = 1):
-    """--points lists points over finite fields only, and over extensions of
-    degree up to ext_bound with at most MAX_POINTS points each: refuse any
-    other field, or the first extension over the cap, before the verb
-    computes or prints anything."""
-    if not args.points:
-        return
-    if not ring.field.finite:
-        raise UnsupportedField("point enumeration needs a finite field")
-    _check_point_count(ring.field, ring.c, ext_bound)
-
-
-def _print_points(V, field, ext_bound: int):
-    for j in range(1, ext_bound + 1):
-        fld = extension_of(field, j)
-        members = [pt for pt in enumerate_points(fld, len(V.ring.vars)) if membership(V, pt)]
-        body = ", ".join(str(pt) for pt in members)
+def _print_points(V, scan):
+    """V's points per listing of `scan`: points_up_to's, or () without --points."""
+    for fld, points in scan:
+        body = ", ".join(str(pt) for pt in points if membership(V, pt))
         print(f"points over {field_name(fld)}: {{{body}}}")
 
 
@@ -189,15 +175,14 @@ def _cmd_variety(args) -> int:
         raise ValueError(f"--ext-bound needs a degree >= 1, got {args.ext_bound}")
     if args.fixture:
         ring = load_ring(args.complex)
-        _check_points(args, ring, args.ext_bound)
+        scan = points_up_to(ring.field, ring.c, args.ext_bound) if args.points else ()
         C = named_fixture(args.fixture, ring)
     else:
         C = load_complex(args.complex)
-        _check_points(args, C.ring, args.ext_bound)
+        scan = points_up_to(C.ring.field, C.ring.c, args.ext_bound) if args.points else ()
     V = rank_variety(C)
     print("components: " + V.describe())
-    if args.points:
-        _print_points(V, C.ring.field, args.ext_bound)
+    _print_points(V, scan)
     return 0
 
 
@@ -261,7 +246,7 @@ def _cmd_resolve_k(args) -> int:
 
 def _cmd_realize(args) -> int:
     ring = load_ring(args.ring)
-    _check_points(args, ring)
+    scan = points_up_to(ring.field, ring.c, 1) if args.points else ()
     scalars = [parse_poly(ring.ambient, p) for p in args.ps]
     trace = realize(ring, scalars)
     print("trace sizes: " + " -> ".join(str(s) for s in trace.sizes))
@@ -275,8 +260,7 @@ def _cmd_realize(args) -> int:
             print(f"noncontractible base-field points: {names}")
         else:
             print("contractible at every base-field point")
-    if args.points:
-        _print_points(trace.requested, ring.field, 1)
+    _print_points(trace.requested, scan)
     if args.out:
         save_trace(trace, args.out)
         print(f"wrote {args.out}")

@@ -30,13 +30,13 @@ entries (DistinctEntries).  Each step (cone_mul, shift, dual, direct_sum)
 is one rule over DistinctEntries, which _derived runs on the parents'
 pair_entries for the new grids and, on first use, on the parents' pencils
 for the new pencil: y -> 0 is a ring map, so it commutes with every step.
-A derived pair's verdict is its parents'.  Every other pair (fixtures,
-loaded files, the Shamash tail) reads both from its grids
-(distinct_entries), the tests' reference.  A rule reuses a parent's object
-for an equal value, and the Shamash tail signs each variable and each f_i
-once for both folds, so pairs built here hold one object per value, -(-e)
-is e, and a pass run once per distinct entry object (map_entries) runs
-once per distinct value.
+A derived pair's verdict and certification claim are its parents'.  Every
+other pair (fixtures, loaded files, the Shamash tail) reads both DistinctEntries
+from its grids (distinct_entries), the tests' reference.  A rule reuses a
+parent's object for an equal value, and the Shamash tail signs each
+variable and each f_i once for both folds, so pairs built here hold one
+object per value, -(-e) is e, and a pass run once per distinct entry object
+(map_entries) runs once per distinct value.
 
 The Koszul complex here is taken on all m = c + d variables of P.  The
 Shamash resolution of the residue field, G_n = sum_j F_(n-2j) with
@@ -58,9 +58,11 @@ from itertools import combinations
 from .errors import (
     BoundExceeded,
     CertificationFailed,
+    GhrvError,
     NotAComplex,
     NotHomogeneous,
     NotHomogeneousScalar,
+    RankDefect,
     RingMismatch,
 )
 from .matrix import Grid, as_grid, identity, map_entries, mat_mul
@@ -189,10 +191,14 @@ class PeriodicComplex:
 
         P is a domain and w is nonzero (make_ring refuses a zero f_i), so
         det A * det B = w^n is nonzero: A is invertible over the fraction
-        field of P, B = w A^-1, and hence B*A = w*I.  Judged on the stored
-        grids and never on the `certified` flag, which a file may claim
-        falsely.  A pair a step built takes its parents' verdicts and
-        multiplies nothing: (-B)(-A) = B*A, B^t A^t = (A*B)^t, a block sum
+        field of P, B = w A^-1, and hence B*A = w*I.  The identity also
+        gives the rank partition, the complement rule: the complex over R is
+        then exact (if B v = w u then w v = A B v = w A u, so v = A u, P
+        being a domain), so over the fraction field of the domain R,
+        rank(B) = size - rank(A) (Eisenbud, Trans. AMS 260, 1980).  Judged
+        on the stored grids and never on the `certified` flag, which a file
+        may claim falsely.  A pair a step built takes its parents' verdicts
+        and multiplies nothing: (-B)(-A) = B*A, B^t A^t = (A*B)^t, a block sum
         multiplies block by block, and a cone's blocks multiply to
         [[A*B, 0], [0, B*A]] (cone_mul), so each is an exact factorization
         exactly when its parents are.  Computed on first use and kept."""
@@ -244,25 +250,26 @@ class PeriodicComplex:
 @dataclass
 class ValidationReport:
     """Outcome of structural checks; findings is empty iff everything asked
-    for passed.  notes record assumptions that were not certified."""
+    for passed.  A finding is (exception class, message), printed "finding
+    <class name>: <message>"; notes record uncertified assumptions."""
 
-    findings: list[tuple[str, str]] = dc_field(default_factory=list)
+    findings: list[tuple[type[GhrvError], str]] = dc_field(default_factory=list)
     notes: list[str] = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
-    def add(self, code: str, message: str):
-        self.findings.append((code, message))
+    def add(self, kind: type[GhrvError], message: str):
+        self.findings.append((kind, message))
 
     def describe(self) -> str:
         lines = []
         if self.ok:
             lines.append("valid: no findings")
         else:
-            for code, message in self.findings:
-                lines.append(f"finding {code}: {message}")
+            for kind, message in self.findings:
+                lines.append(f"finding {kind.__name__}: {message}")
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
@@ -283,69 +290,51 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     the domain P with w nonzero, A*B = w*I forces B*A = w*I.  When it holds,
     both products are zero mod w, so the mod-w pass runs only on a pair
     that fails it, and forms A*B and B*A for that pass only then.  The
-    identity also gives the rank partition by the complement rule: the
-    complex over R is then exact (if B v = w u then w v = A B v = w A u, so
-    v = A u, P being a domain), so over the fraction field of the domain R,
-    rank(B) = size - rank(A).
-    The RankDefect check therefore runs only on pairs that are complexes
-    mod w without being exact factorizations.  Findings come in the order
-    NotAComplex, NotHomogeneous, CertificationFailed, RankDefect, so a
-    certified pair that fails the identity reports CertificationFailed
-    before any RankDefect."""
+    identity also gives the rank partition by the complement rule
+    (PeriodicComplex.is_factorization), so the RankDefect check runs only
+    on pairs that are complexes mod w without being exact factorizations.
+    Findings come in the order NotAComplex, NotHomogeneous,
+    CertificationFailed, RankDefect, so a certified pair that fails the
+    identity reports CertificationFailed before any RankDefect."""
     report = ValidationReport()
     ring = C.ring
     amb = ring.ambient
     map_entries(amb.coerce, C.A, C.B)
     if not C.is_factorization:
         for name, left, right in (("A*B", C.A, C.B), ("B*A", C.B, C.A)):
-            bad = [
-                (i, j)
-                for i, row in enumerate(mat_mul(left, right, amb))
-                for j, e in enumerate(row)
-                if not ring.normal_form(e).is_zero()
-            ]
+            bad = [(i, j) for i, row in enumerate(mat_mul(left, right, amb))
+                   for j, e in enumerate(row) if not ring.normal_form(e).is_zero()]
             if bad:
-                report.add("NotAComplex", f"{name} is nonzero mod w at entries {bad[:4]}")
+                report.add(NotAComplex, f"{name} is nonzero mod w at entries {bad[:4]}")
 
     twisted0 = tuple(d + 1 for d in C.degrees0)
     for label, grid, source, target in (("A", C.A, C.degrees1, C.degrees0),
                                         ("B", C.B, twisted0, C.degrees1)):
         for msg in homogeneity_violations(ring, grid, source, target):
-            report.add("NotHomogeneous", f"{label}: {msg}")
+            report.add(NotHomogeneous, f"{label}: {msg}")
 
     if not C.certified:
         report.notes.append("certification not claimed; total acyclicity is assumed, not checked")
     elif not C.is_factorization:
-        report.add("CertificationFailed", "A*B = B*A = w*I fails on stored representatives")
+        report.add(CertificationFailed, "A*B = B*A = w*I fails on stored representatives")
 
-    if not C.is_factorization and not any(code == "NotAComplex" for code, _ in report.findings):
+    if not C.is_factorization and not any(kind is NotAComplex for kind, _ in report.findings):
         from .variety import ranks_over_R  # local: variety imports this module
 
         r_a, r_b = ranks_over_R(C)
         if r_a + r_b != C.size:
-            report.add("RankDefect", f"rank(A) + rank(B) = {r_a} + {r_b} != {C.size}")
+            report.add(RankDefect, f"rank(A) + rank(B) = {r_a} + {r_b} != {C.size}")
     return report
 
 
-# the exception periodic_from_pair raises for the first finding of
-# validate_pair; no RankDefect is needed, since periodic_from_pair marks the
-# pair certified, and a certified pair reaches the rank check only after
-# CertificationFailed is reported
-_FINDING_ERRORS = {
-    "NotAComplex": NotAComplex,
-    "NotHomogeneous": NotHomogeneous,
-    "CertificationFailed": CertificationFailed,
-}
-
-
 def periodic_from_pair(ring: RingSpec, a_grid, b_grid, degrees0, degrees1) -> PeriodicComplex:
-    """Validating constructor: the pair must satisfy the exact w*I identity,
-    and the result is marked certified."""
+    """Validating constructor: the pair, marked certified, must pass
+    validate_pair; its first finding is raised as its class(message)."""
     C = PeriodicComplex(ring, a_grid, b_grid, degrees0, degrees1, certified=True)
     findings = validate_pair(C).findings
     if findings:
-        code, message = findings[0]
-        raise _FINDING_ERRORS[code](message)
+        kind, message = findings[0]
+        raise kind(message)
     return C
 
 
@@ -356,23 +345,24 @@ def periodic_from_pair(ring: RingSpec, a_grid, b_grid, degrees0, degrees1) -> Pe
 def shift(C: PeriodicComplex) -> PeriodicComplex:
     """Suspension: swaps the roles of A and B with a global sign and drops
     the reference degrees by the appropriate twist.  Involutive up to the
-    degree relabeling; shift(shift(C)) has all degrees down by 1."""
-    return _derived(_shift, (C,), None, tuple(d - 1 for d in C.degrees1), C.degrees0, C.certified)
+    degree relabeling; shift(shift(C)) has all degrees down by 1.  Takes
+    C's verdict and claim (_derived)."""
+    return _derived(_shift, (C,), None, tuple(d - 1 for d in C.degrees1), C.degrees0)
 
 
 def dual(C: PeriodicComplex) -> PeriodicComplex:
     """R-linear dual; transposes the pair and negates degrees.  An exact
-    involution: dual(dual(C)) == C."""
+    involution: dual(dual(C)) == C.  Takes C's verdict and claim (_derived)."""
     return _derived(_dual, (C,), None, tuple(-d - 1 for d in C.degrees0),
-                    tuple(-d for d in C.degrees1), C.certified)
+                    tuple(-d for d in C.degrees1))
 
 
 def direct_sum(C: PeriodicComplex, D: PeriodicComplex) -> PeriodicComplex:
-    """The block-diagonal pair [[A_C, 0], [0, A_D]], [[B_C, 0], [0, B_D]]."""
+    """The block-diagonal pair [[A_C, 0], [0, A_D]], [[B_C, 0], [0, B_D]],
+    whose verdict and claim hold when both parents' do (_derived)."""
     if C.ring != D.ring:
         raise RingMismatch("direct sum of complexes over different rings")
-    return _derived(_sum, (C, D), None, C.degrees0 + D.degrees0, C.degrees1 + D.degrees1,
-                    C.certified and D.certified)
+    return _derived(_sum, (C, D), None, C.degrees0 + D.degrees0, C.degrees1 + D.degrees1)
 
 
 def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
@@ -383,10 +373,10 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     The blocks [[A, pI], [0, -B]] and [[B, pI], [0, -A]] multiply to
     [[A*B, 0], [0, B*A]], and in the other order to [[B*A, 0], [0, A*B]],
     whatever p is, so the cone is an exact factorization exactly when C is,
-    and takes C's verdict (is_factorization).  When C is certified, C's
-    verdict (computed once if it is not yet kept) decides at once:
-    CertificationFailed when it is false.  The cone keeps C and the reduced
-    scalar (_derived), from which its pencil is built on first use.
+    and takes C's verdict (is_factorization) and claim (certified).  When C
+    is certified, C's verdict (computed once if it is not yet kept) decides
+    at once: CertificationFailed when it is false.  The cone keeps C and the
+    reduced scalar (_derived), from which its pencil is built on first use.
     """
     ring = C.ring
     rep = ring.normal_form(p)
@@ -397,19 +387,19 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     if C.certified and not C.is_factorization:
         raise CertificationFailed("cone blocks do not multiply to w*I")
     return _derived(_cone, (C,), rep, C.degrees0 + tuple(d + g - 1 for d in C.degrees1),
-                    C.degrees1 + tuple(d + g for d in C.degrees0), C.certified)
+                    C.degrees1 + tuple(d + g for d in C.degrees0))
 
 
-def _derived(rule, parents: tuple[PeriodicComplex, ...], rep: Poly | None, degrees0, degrees1,
-             certified: bool) -> PeriodicComplex:
+def _derived(rule, parents: tuple[PeriodicComplex, ...], rep: Poly | None, degrees0,
+             degrees1) -> PeriodicComplex:
     """The pair a step builds from `parents`, with `rep` the reduced scalar
     of a cone and None otherwise.  rule(parents' entries, scalar) gives the
     new pair's DistinctEntries; run on the parents' pair_entries and rep, it
     gives the new entries, expanded here into the dense A and B with
     values[k] at each (column, k) pair and the ring's one zero elsewhere,
-    and kept as the pair's pair_entries.  The pair keeps (rule, parents,
-    rep), from which its pencil (the rule on the parents' pencils and the
-    image of rep) and its verdict (its parents') follow."""
+    and kept as the pair's pair_entries.  The pair claims certification when
+    every parent does, and keeps (rule, parents, rep), from which its pencil
+    (the rule on the parents' pencils and rep's image) and verdict follow."""
     ring = parents[0].ring
     entries = rule([P.pair_entries for P in parents], rep)
     zero = ring.ambient.zero()
@@ -422,7 +412,7 @@ def _derived(rule, parents: tuple[PeriodicComplex, ...], rep: Poly | None, degre
                 row[j] = entries.values[k]
             grid.append(row)
         grids.append(grid)
-    C = PeriodicComplex(ring, *grids, degrees0, degrees1, certified)
+    C = PeriodicComplex(ring, *grids, degrees0, degrees1, all(P.certified for P in parents))
     C.pair_entries = entries
     C._derivation = (rule, parents, rep)
     return C

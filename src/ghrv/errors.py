@@ -83,6 +83,10 @@ class InvalidComplex(GhrvError):
     """Operation requires a structurally valid (or certified) complex."""
 
 
+class RankDefect(InvalidComplex):
+    """A complex mod w whose ranks over R do not partition its size."""
+
+
 class UnsupportedField(GhrvError):
     """Operation needs a finite field (or a prime one) and got something else."""
 

@@ -534,6 +534,12 @@ def make_extension(p: int, e: int) -> ExtensionField:
     return _extension(p, e)
 
 
+# embedding refuses a tower into a field of more elements than this before
+# its root search, which would scan them all; a source then has at most 1000
+# elements, within the table cap.  The value of variety.MAX_POINTS.
+MAX_EMBEDDING_ORDER = 10**6
+
+
 @lru_cache(maxsize=None)
 def _extension(p: int, e: int) -> ExtensionField:
     for n in range(p**e):
@@ -600,9 +606,10 @@ def embedding(src: Field, dst: Field):
     same characteristic; for extension towers GF(p^m) -> GF(p^(mj)) the image
     of the generator is the first root of src's modulus in dst's element
     order, which pins the embedding deterministically.  Each pair of fields
-    gets one embedding.  A source of at most _TABLE_MAX elements is mapped
-    by a table of the images of all its elements, built here by Horner's
-    rule; a larger one is mapped by Horner's rule on every call.
+    gets one embedding.  Degrees that do not divide raise RingMismatch, and
+    a destination of more than MAX_EMBEDDING_ORDER elements BoundExceeded,
+    before the root search; a source is mapped by a table of the images of
+    all its elements, built here by Horner's rule.
     """
     if src == dst:
         return lambda a: a
@@ -613,10 +620,7 @@ def embedding(src: Field, dst: Field):
     if isinstance(src, PrimeField):
         return dst.from_int
     if isinstance(src, ExtensionField) and isinstance(dst, ExtensionField):
-        embed = _horner_embedding(src, dst)
-        if src.order > _TABLE_MAX:
-            return embed
-        return _Images(src, embed).__getitem__
+        return _Images(src, _horner_embedding(src, dst)).__getitem__
     raise RingMismatch(f"no embedding {src} -> {dst}")
 
 
@@ -638,6 +642,9 @@ def _horner_embedding(src: ExtensionField, dst: ExtensionField):
     Horner's rule in that root."""
     if dst.e % src.e != 0:
         raise RingMismatch(f"{src} does not embed in {dst}")
+    if dst.order > MAX_EMBEDDING_ORDER:
+        raise BoundExceeded(f"embedding {src} -> {dst} searches more than the cap of "
+                            f"{MAX_EMBEDDING_ORDER} elements")
 
     def horner(coeffs, x):
         acc = dst.zero
@@ -645,7 +652,6 @@ def _horner_embedding(src: ExtensionField, dst: ExtensionField):
             acc = dst.add(dst.mul(acc, x), dst.from_int(c))
         return acc
 
-    root = next((x for x in dst.elements() if horner(src.modulus, x) == dst.zero), None)
-    if root is None:
-        raise RingMismatch(f"modulus of {src} has no root in {dst}")  # pragma: no cover
+    # src's degree divides dst's, so dst holds every root of src's modulus
+    root = next(x for x in dst.elements() if horner(src.modulus, x) == dst.zero)
     return lambda a: horner(a, root)

@@ -19,12 +19,9 @@ a row without x_1 passes unchanged.  Fraction-free elimination on sparse
 rows (rank_over_domain) then gives the rank.  The exhaustive descending
 minor search is kept in matrix.py as the oracle this path is tested
 against.  A pair needs one such elimination when it is an exact matrix
-factorization, A*B = B*A = w*I over P (PeriodicComplex.is_factorization):
-then the complex over R is exact, because B v = w z gives
-w v = A B v = w A z and so v = A z in the domain P, and exactness over
-the domain R gives rank(B) = n - rank(A) over its
-fraction field (Eisenbud, Trans. AMS 260, 1980).  ranks_over_R applies this
-complement rule and eliminates B as well only when the identity fails.
+factorization, A*B = B*A = w*I over P: then rank(B) = n - rank(A) by the
+complement rule (PeriodicComplex.is_factorization).  ranks_over_R applies
+it and eliminates B as well only when the identity fails.
 
 Both sides rest on one reduction, the ring map P = Q[x] -> k[x], y -> 0.
 It kills w, because every term of w has positive y-degree, so it factors
@@ -79,8 +76,8 @@ from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import RingSpec, point_coords, residue, specialize
 
 
-# enumerate_points refuses a projective space with more than this many
-# points, before building any: a scan over them would not finish.
+# points_up_to refuses a projective space with more than this many points,
+# before building any: a scan over them would not finish.
 MAX_POINTS = 10**6
 
 
@@ -267,13 +264,13 @@ def proj_point(field: Field, coords) -> ProjPoint:
     return ProjPoint(field, tuple(field.mul(a, inv) for a in coords))
 
 
-def _check_point_count(field: Field, c: int, degree: int = 1):
-    """Refuse, with BoundExceeded, a listing of P^(c-1) over the extensions
-    of the finite `field` of degree 1..degree when one of them has more than
-    MAX_POINTS points, naming the first such extension.  Only point counts
-    are computed, never a field or a point.  Once the order passes
-    MAX_POINTS, P^(c-1) has either been refused (c >= 2) or has one point
-    over every extension (c = 1), so the scan stops there."""
+def _check_point_count(field: Field, c: int, degree: int):
+    """Refuse, with BoundExceeded, a points_up_to listing of P^(c-1) over
+    the extensions of the finite `field` of degree 1..degree when one has
+    more than MAX_POINTS points, naming the first.  Only point counts are
+    computed, never a field or a point.  Once the order passes MAX_POINTS,
+    P^(c-1) has either been refused (c >= 2) or has one point over every
+    extension (c = 1), so the scan stops there."""
     order = 1
     for _ in range(degree):
         order *= field.order
@@ -288,28 +285,42 @@ def _check_point_count(field: Field, c: int, degree: int = 1):
             return
 
 
-def enumerate_points(field: Field, c: int) -> list[ProjPoint]:
-    """All of P^(c-1) over a finite field: leading-one position ascending,
-    trailing coordinates in field element order.  c < 1 raises ValueError;
-    more than MAX_POINTS points raise BoundExceeded before any is built."""
+def points_up_to(field: Field, c: int, degree: int):
+    """(F_(q^j), P^(c-1)(F_(q^j))) for j = 1..degree, F_q the finite `field`,
+    each list built when reached, in enumerate_points' order.  Every refusal
+    comes at the call, before any point is built: UnsupportedField for a
+    field that is not finite, ValueError for c or degree below 1, and
+    BoundExceeded for too many points (_check_point_count)."""
     if not field.finite:
         raise UnsupportedField("point enumeration needs a finite field")
     if c < 1:
         raise ValueError(f"point enumeration needs c >= 1 coordinates, got {c}")
-    _check_point_count(field, c)
-    pts = []
-    elems = list(field.elements()) if c > 1 else []  # P^0 needs no element list
-    one = field.one
-    zero = field.zero
-    for lead in range(c):
-        for rest in product(elems, repeat=c - lead - 1):
-            pts.append(ProjPoint(field, (zero,) * lead + (one,) + rest))
-    return pts
+    if degree < 1:
+        raise ValueError(f"point enumeration needs a degree >= 1, got {degree}")
+    _check_point_count(field, c, degree)
+
+    def listing(fld: Field) -> list[ProjPoint]:
+        elems = list(fld.elements()) if c > 1 else []  # P^0 needs no element list
+        return [ProjPoint(fld, (fld.zero,) * lead + (fld.one,) + rest)
+                for lead in range(c) for rest in product(elems, repeat=c - lead - 1)]
+
+    extensions = (extension_of(field, j) for j in range(1, degree + 1))
+    return ((fld, listing(fld)) for fld in extensions)
+
+
+def enumerate_points(field: Field, c: int) -> list[ProjPoint]:
+    """All of P^(c-1) over a finite field: leading-one position ascending,
+    trailing coordinates in field element order.  The one listing of
+    points_up_to(field, c, 1), refused as that refuses."""
+    return next(points_up_to(field, c, 1))[1]
 
 
 def membership(V: ZeroSetUnion, point: ProjPoint) -> bool:
     """Evaluation test; scaling invariance holds because generators are
-    homogeneous.  The point may live in an extension of V's field."""
+    homogeneous.  The point may live in an extension of V's field, and needs
+    one coordinate per variable of V's ring (else ValueError)."""
+    if len(point.coords) != len(V.ring.vars):
+        raise ValueError(f"expected {len(V.ring.vars)} coordinates, got {len(point.coords)}")
     at = evaluator(V.ring, dict(zip(V.ring.vars, point.coords)), point.field)
     is_zero = point.field.is_zero
     return any(all(is_zero(at(g)) for g in comp.gens) for comp in V.components)
@@ -340,20 +351,17 @@ class EmptinessVerdict:
 
 def is_empty(V: ZeroSetUnion, bound: int = 4) -> EmptinessVerdict:
     """Bounded semi-decision: scan P^(c-1)(F_(q^j)) for j = 1..bound in
-    deterministic order and report the first witness, if any.  bound < 1
-    raises ValueError: a scan over no extension decides nothing, and one
-    over an extension of more than MAX_POINTS points raises BoundExceeded
-    before any point is scanned."""
+    deterministic order (points_up_to) and report the first witness, if
+    any.  bound < 1 raises ValueError: a scan over no extension decides
+    nothing, and one over an extension of more than MAX_POINTS points
+    raises BoundExceeded before any point is scanned."""
     base = V.ring.field
     if not base.finite:
         raise UnsupportedField("emptiness scan needs a finite base field")
     if bound < 1:
         raise ValueError(f"emptiness scan needs bound >= 1, got {bound}")
-    c = len(V.ring.vars)
-    _check_point_count(base, c, bound)
-    for j in range(1, bound + 1):
-        fld = extension_of(base, j)
-        for pt in enumerate_points(fld, c):
+    for j, (_, points) in enumerate(points_up_to(base, len(V.ring.vars), bound), start=1):
+        for pt in points:
             if membership(V, pt):
                 return EmptinessVerdict(False, bound, witness=pt, witness_degree=j)
     return EmptinessVerdict(True, bound)

@@ -432,6 +432,7 @@ def test_usage_errors(pair_file, k_file, tmp_path, capsys):
         (["variety", str(ring3), "--fixture", "k5-example"],
          "fixture needs a ring with two x- and two y-variables"),
         (["cone", k_file, "--p", "1/x1"], "denominator must be a nonnegative integer (at position 2)"),
+        (["points", "--field", "GF(1)", "--c", "2"], "1 is not a prime power"),
     ):
         assert run(argv) == 2
         captured = capsys.readouterr()

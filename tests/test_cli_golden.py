@@ -52,6 +52,7 @@ def invocations(field_text: str) -> list[list[str]]:
     return [
         ["check", "<tmp>/pair.json"],
         ["check", "<tmp>/bad.json"],
+        ["check", "<tmp>/loose.json"],
         ["rank", "<tmp>/pair.json"],
         ["rank", "<tmp>/pair.json", "--which", "B"],
         ["ideal", "<tmp>/pair.json", "--which", "A"],

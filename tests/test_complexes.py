@@ -35,6 +35,7 @@ from ghrv.errors import (
     NotAComplex,
     NotHomogeneous,
     NotHomogeneousScalar,
+    RankDefect,
     RingMismatch,
 )
 from ghrv.fields import parse_field
@@ -306,6 +307,7 @@ def test_trivial_pair(ring5):
     t = trivial_pair(ring5)
     assert t.certified and t.size == 1
     assert validate_pair(t).ok
+    assert repr(fixture_k(ring5)) == "<periodic pair, size 2, certified>"
 
 
 def _parsed(ring, rows):
@@ -314,18 +316,18 @@ def _parsed(ring, rows):
 
 
 def test_constructor_rejects_non_complexes(ring5):
-    with pytest.raises(NotAComplex):
+    with pytest.raises(NotAComplex, match="^A\\*B is nonzero mod w at entries \\[\\(0, 0\\)\\]$"):
         periodic_from_pair(ring5, _parsed(ring5, [["x1"]]), _parsed(ring5, [["x2"]]), (0,), (1,))
 
 
 def test_constructor_rejects_inhomogeneous_entries(ring5):
     # x1 + x1*x2 is not x-homogeneous
-    with pytest.raises(NotHomogeneous):
+    with pytest.raises(NotHomogeneous, match="^A: entry \\(0,0\\) = x1\\*x2 \\+ x1 is not x-homogeneous$"):
         periodic_from_pair(ring5, _parsed(ring5, [["x1 + x1*x2"]]), _parsed(ring5, [["0"]]), (0,), (1,))
 
 
 def test_constructor_rejects_false_certification(ring5):
-    with pytest.raises(CertificationFailed):
+    with pytest.raises(CertificationFailed, match="^A\\*B = B\\*A = w\\*I fails on stored representatives$"):
         periodic_from_pair(ring5, _parsed(ring5, [["2"]]), _parsed(ring5, [["x^2*x1 + y^2*x2"]]),
                            (0,), (0,))
 
@@ -438,7 +440,7 @@ def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     def run(C):
         products.clear()
         normal_forms.clear()
-        return [code for code, _ in validate_pair(C).findings]
+        return [kind for kind, _ in validate_pair(C).findings]
 
     assert run(tail) == [] and products == []
     certified_calls = len(normal_forms)
@@ -448,12 +450,12 @@ def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     assert run(plain) == [] and products == []
     # a claimed certification that fails the exact comparison takes the
     # pass, with findings in the same order; so does an unclaimed pair
-    assert run(false_claim) == ["NotAComplex", "NotAComplex", "CertificationFailed"]
+    assert run(false_claim) == [NotAComplex, NotAComplex, CertificationFailed]
     assert len(products) == 3 and len(normal_forms) == 2
-    assert run(unclaimed) == ["NotAComplex", "NotAComplex"]
+    assert run(unclaimed) == [NotAComplex, NotAComplex]
     assert len(products) == 3 and len(normal_forms) == 2
     # the kept verdict spares the A*B of a second report, not the pass
-    assert run(unclaimed) == ["NotAComplex", "NotAComplex"]
+    assert run(unclaimed) == [NotAComplex, NotAComplex]
     assert len(products) == 2 and len(normal_forms) == 2
 
 
@@ -461,7 +463,9 @@ def test_validate_reports_rank_defect(ring5):
     bad = PeriodicComplex(ring5, _parsed(ring5, [["0"]]), _parsed(ring5, [["0"]]), (0,), (0,),
                           certified=False)
     report = validate_pair(bad)
-    assert any(code == "RankDefect" for code, _ in report.findings)
+    assert report.findings == [(RankDefect, "rank(A) + rank(B) = 0 + 0 != 1")]
+    assert report.describe() == ("finding RankDefect: rank(A) + rank(B) = 0 + 0 != 1\n"
+                                 "note: certification not claimed; total acyclicity is assumed, not checked")
 
 
 def test_validate_notes_uncertified_assumption(ring5):
@@ -470,6 +474,7 @@ def test_validate_notes_uncertified_assumption(ring5):
     report = validate_pair(c)
     assert report.ok
     assert any("not claimed" in note for note in report.notes)
+    assert repr(c) == "<periodic pair, size 1, uncertified>"
 
 
 def test_shift_swaps_the_pair(ring5):
@@ -769,8 +774,9 @@ def test_seeded_chains_of_steps_derive_entries_pencil_and_verdict(field_text, mo
     # changed (no factorization): each step's grids are the dense layout
     # written out here; its derived entries and pencil are those read from
     # its grids, the pencil built with one image_in_kx for a cone and none
-    # otherwise; its verdict is a fresh copy's; and it holds one object per
-    # value, every zero the ring's one zero
+    # otherwise; its verdict is a fresh copy's; its certification claim is
+    # its parents'; and it holds one object per value, every zero the
+    # ring's one zero
     ring = worked_ring(parse_field(field_text))
     k = fixture_k(ring)
     tampered = PeriodicComplex(ring, [[k.A[0][0] + ring.parse("x1"), k.A[0][1]], list(k.A[1])], k.B,
@@ -783,6 +789,7 @@ def test_seeded_chains_of_steps_derive_entries_pencil_and_verdict(field_text, mo
     for leaf in leaves:
         leaf.pencil_entries
     steps = {"cone": 0, "shift": 0, "dual": 0, "sum": 0}
+    claims = set()
     for seed in range(10):
         rng = random.Random(f"{field_text} {seed}")
         chain = [rng.choice(leaves)]
@@ -808,10 +815,13 @@ def test_seeded_chains_of_steps_derive_entries_pencil_and_verdict(field_text, mo
             assert D.pair_entries == distinct_entries((D.A, D.B)), (seed, step)
             fresh = PeriodicComplex(ring, D.A, D.B, D.degrees0, D.degrees1, D.certified)
             assert D.is_factorization == fresh.is_factorization == all(P.is_factorization for P in parents)
+            assert D.certified == all(P.certified for P in parents)
+            claims.add(D.certified)
             assert len(set(_nonzero_objects(D))) == len(_nonzero_objects(D))
             assert {id(e) for grid in (D.A, D.B) for row in grid for e in row if not e.terms} <= {id(ring.ambient.zero())}
             chain.append(D)
     assert min(steps.values()) > 0
+    assert claims == {True, False}
 
 
 def test_validate_checks_the_ring_of_every_entry(ring5):
@@ -846,5 +856,5 @@ def test_validate_applies_the_twist_to_b(ring5):
     # so x1 fits A here (1 - 0) but not B ((0 + 1) - 1)
     c = PeriodicComplex(ring5, _parsed(ring5, [["x1"]]), _parsed(ring5, [["x1"]]), (0,), (1,),
                         certified=False)
-    homogeneity = [m for code, m in validate_pair(c).findings if code == "NotHomogeneous"]
+    homogeneity = [m for kind, m in validate_pair(c).findings if kind is NotHomogeneous]
     assert homogeneity == ["B: entry (0,0) = x1 has x-degree 1, expected 0"]

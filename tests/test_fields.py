@@ -14,6 +14,7 @@ import pytest
 
 from ghrv.errors import BoundExceeded, FieldError, NotIrreducible
 from ghrv.fields import (
+    MAX_EMBEDDING_ORDER,
     QQ,
     ExtensionField,
     PrimeField,
@@ -335,3 +336,22 @@ def test_incompatible_embedding_rejected():
         embedding(prime_field(3), prime_field(5))
     with pytest.raises(RingMismatch):
         embedding(make_extension(3, 2), make_extension(3, 3))
+    # degrees that do not divide are refused before the destination's size
+    with pytest.raises(RingMismatch, match="^GF\\(3\\^2\\) does not embed in GF\\(3\\^21\\)$"):
+        embedding(make_extension(3, 2), make_extension(3, 21))
+    for src, dst in ((QQ, prime_field(5)), (prime_field(5), QQ)):
+        with pytest.raises(RingMismatch):
+            embedding(src, dst)
+
+
+@pytest.mark.parametrize("p, m, e", [(2, 13, 26), (2, 12, 24), (3, 7, 14), (3, 2, 20), (5, 2, 12), (67, 2, 4)])
+def test_embedding_refuses_a_destination_past_the_cap(p, m, e):
+    # the root search would scan more than MAX_EMBEDDING_ORDER elements of
+    # the destination; it is refused before the search, naming both fields
+    src, dst = make_extension(p, m), make_extension(p, e)
+    assert MAX_EMBEDDING_ORDER == 10**6 < dst.order
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match=re.escape(f"embedding {src} -> {dst} searches more than the cap "
+                                                      f"of {MAX_EMBEDDING_ORDER} elements")):
+        embedding(src, dst)
+    assert time.perf_counter() - start < 1.0

@@ -261,6 +261,11 @@ def test_sparse_bareiss_lazy_scaling_matches_minor_search(field, monkeypatch):
         assert rank_over_domain(list(zip(*g)), ring) == want
         shapes.add((m == n, want < min(m, n)))
     assert shapes >= {(False, False), (False, True), (True, True)}
+    # a one-term lag that does not divide the update raises, as exact_div
+    # would: (a * 1) / b
+    a, b = ring.variable("a"), ring.variable("b")
+    with pytest.raises(ArithmeticError, match="^inexact division: remainder a$"):
+        update(ring, list(a.terms.items()), ring.one(), None, None, b)
 
 
 def test_zero_and_identity_ranks(ring):

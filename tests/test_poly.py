@@ -134,6 +134,8 @@ def test_division_contract(r5):
 def test_division_by_zero(r5):
     with pytest.raises(ZeroDivisionError):
         divide_single(r5.one(), r5.zero())
+    with pytest.raises(RingMismatch, match="^divisor in a different ring$"):
+        divide_single(r5.one(), PolyRing(r5.field, ("a",), ()).variable("a"))
 
 
 def test_exact_div_round_trip(r5):
@@ -147,6 +149,10 @@ def test_exact_div_round_trip(r5):
     x1 = r5.variable("x1")
     with pytest.raises(ArithmeticError):
         exact_div(x1 + r5.one(), x1)
+    # a divisor of two terms goes through divide_single
+    x2 = r5.variable("x2")
+    with pytest.raises(ArithmeticError):
+        exact_div(x1**2 + x2, x1 + x2)
 
 
 def test_monic_and_scale(r5):

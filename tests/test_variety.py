@@ -17,7 +17,14 @@ import pytest
 import ghrv.ring
 import ghrv.variety
 from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair, validate_pair
-from ghrv.errors import BoundExceeded, InvalidComplex, RingMismatch, UnsupportedField
+from ghrv.errors import (
+    BoundExceeded,
+    CertificationFailed,
+    InvalidComplex,
+    NotAComplex,
+    RingMismatch,
+    UnsupportedField,
+)
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import all_minors, identity, mat_mul
 from ghrv.pipelines import (
@@ -41,6 +48,7 @@ from ghrv.variety import (
     is_empty,
     membership,
     minor_ideal_image,
+    points_up_to,
     preimage_independence_check,
     proj_point,
     rank_over_R,
@@ -62,6 +70,8 @@ def test_rank_matches_minor_oracle_on_fixtures(ring5):
     grids.extend(documented_cone_pair(ring5))
     for g in grids:
         assert rank_over_R(g, ring5) == rank_over_R_by_minors(g, ring5)
+    zero = [[ring5.ambient.zero()] * 2] * 2
+    assert rank_over_R(zero, ring5) == rank_over_R_by_minors(zero, ring5) == 0
 
 
 def _random_grid(rng, ring, m, n, max_terms=3):
@@ -347,10 +357,10 @@ def test_one_product_decides_the_factorization(field):
                 nonzero = [(i, j) for i, row in enumerate(prod) for j, e in enumerate(row)
                            if not ring.normal_form(e).is_zero()]
                 if nonzero:
-                    not_a_complex.append(("NotAComplex", f"{name} is nonzero mod w at entries {nonzero[:4]}"))
+                    not_a_complex.append((NotAComplex, f"{name} is nonzero mod w at entries {nonzero[:4]}"))
             findings = validate_pair(bad).findings
-            assert [f for f in findings if f[0] == "NotAComplex"] == not_a_complex
-            assert ("CertificationFailed", "A*B = B*A = w*I fails on stored representatives") in findings
+            assert [f for f in findings if f[0] is NotAComplex] == not_a_complex
+            assert (CertificationFailed, "A*B = B*A = w*I fails on stored representatives") in findings
 
 
 # -- minor ideal images -------------------------------------------------------
@@ -472,6 +482,27 @@ def test_point_enumeration_cap(f2, monkeypatch):
         enumerate_points(f2, 4)
 
 
+def test_points_up_to_refuses_at_the_call_and_lists_lazily(f3, f5, monkeypatch):
+    # every refusal comes at the call, before any point is built
+    built = []
+    monkeypatch.setattr(ghrv.variety, "ProjPoint", lambda *args: built.append(args) or ProjPoint(*args))
+    for field, c, degree, error, message in (
+        (QQ, 2, 1, UnsupportedField, "^point enumeration needs a finite field$"),
+        (f5, 0, 1, ValueError, "^point enumeration needs c >= 1 coordinates, got 0$"),
+        (f5, 2, 0, ValueError, "^point enumeration needs a degree >= 1, got 0$"),
+        (f5, 2, 9, BoundExceeded, "^P\\^1\\(GF\\(1953125\\)\\) has more than the cap of 1000000 points$"),
+    ):
+        with pytest.raises(error, match=message):
+            points_up_to(field, c, degree)
+    assert built == []
+    # one listing per degree, ascending, each built when it is reached
+    seen = [(fld, points, len(built)) for fld, points in points_up_to(f3, 2, 3)]
+    assert [(fld, n) for fld, _, n in seen] == [(extension_of(f3, 1), 4), (extension_of(f3, 2), 14),
+                                                (extension_of(f3, 3), 42)]
+    for fld, points, _ in seen:
+        assert points == enumerate_points(fld, 2)
+
+
 def test_extension_tower(f3, f5, f9):
     assert extension_of(f5, 1) is f5
     e = extension_of(f3, 2)
@@ -511,6 +542,14 @@ def test_membership_is_scale_invariant(ring5):
     scaled = proj_point(f25, (f25.zero, g))
     assert scaled == proj_point(f25, (0, 1))
     assert membership(v, scaled)
+    # a point with other than one coordinate per x-variable is refused, not
+    # truncated or left short
+    v = rank_variety(cone_mul(fixture_k(ring5), ring5.parse("x1*x2")))
+    assert v.describe() == "Z(x1^2*x2^2) union Z(x1^2*x2^2)"
+    assert membership(v, proj_point(ring5.field, (1, 0)))
+    for coords in ((1, 0, 3), (1,)):
+        with pytest.raises(ValueError, match=f"^expected 2 coordinates, got {len(coords)}$"):
+            membership(v, proj_point(ring5.field, coords))
 
 
 # -- pointwise data -----------------------------------------------------------
