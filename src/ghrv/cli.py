@@ -12,7 +12,6 @@ import argparse
 import functools
 import re
 import sys
-from fractions import Fraction
 
 from .complexes import cone_mul, validate_pair
 from .errors import FieldError, GhrvError, ParseError
@@ -116,7 +115,8 @@ def _parse_coords(text: str, field):
                 coords.append(field.from_int(int(m[1])))
                 continue
             if m is not None and isinstance(field, RationalField) and int(m[2]):
-                coords.append(Fraction(int(m[1]), int(m[2])))
+                num, den = field.from_int(int(m[1])), field.from_int(int(m[2]))
+                coords.append(field.mul(num, field.inv(den)))
                 continue
         except ValueError:  # more digits than int() converts
             pass

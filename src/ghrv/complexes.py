@@ -204,8 +204,11 @@ class PeriodicComplex:
         exactly when its parents are.  Computed on first use and kept."""
         if self._derivation is not None:
             return all(P.is_factorization for P in self._derivation[1])
-        amb = self.ring.ambient
-        return mat_mul(self.A, self.B, amb) == identity(amb, self.size, self.ring.w)
+        return self._is_w_identity(mat_mul(self.A, self.B, self.ring.ambient))
+
+    def _is_w_identity(self, ab) -> bool:
+        """Whether ab, the product A*B, is w*I."""
+        return ab == identity(self.ring.ambient, self.size, self.ring.w)
 
     @cached_property
     def pencil_entries(self) -> DistinctEntries:
@@ -289,7 +292,9 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     the stored grids whatever the file claims, by the one product A*B: in
     the domain P with w nonzero, A*B = w*I forces B*A = w*I.  When it holds,
     both products are zero mod w, so the mod-w pass runs only on a pair
-    that fails it, and forms A*B and B*A for that pass only then.  The
+    that fails it, and forms B*A for that pass only then.  A*B is formed
+    at most once: a verdict decided here keeps its product for the pass,
+    and only a pair judged before forms A*B again.  The
     identity also gives the rank partition by the complement rule
     (PeriodicComplex.is_factorization), so the RankDefect check runs only
     on pairs that are complexes mod w without being exact factorizations.
@@ -300,9 +305,14 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     ring = C.ring
     amb = ring.ambient
     map_entries(amb.coerce, C.A, C.B)
+    ab = None
+    if C._derivation is None and "is_factorization" not in vars(C):
+        ab = mat_mul(C.A, C.B, amb)
+        C.is_factorization = C._is_w_identity(ab)
     if not C.is_factorization:
         for name, left, right in (("A*B", C.A, C.B), ("B*A", C.B, C.A)):
-            bad = [(i, j) for i, row in enumerate(mat_mul(left, right, amb))
+            prod = ab if name == "A*B" and ab is not None else mat_mul(left, right, amb)
+            bad = [(i, j) for i, row in enumerate(prod)
                    for j, e in enumerate(row) if not ring.normal_form(e).is_zero()]
             if bad:
                 report.add(NotAComplex, f"{name} is nonzero mod w at entries {bad[:4]}")

@@ -3,8 +3,9 @@
 Elements are plain hashable Python values so they can sit in polynomial
 coefficient dicts: ints in [0, p) for a prime field, coefficient tuples of
 length e for an extension field (coordinates w.r.t. powers of the generator),
-and fractions.Fraction for QQ.  The field object owns the arithmetic; values
-never know their field.
+and for QQ an int when the value is integral and a fractions.Fraction in
+lowest terms otherwise.  The field object owns the arithmetic; values never
+know their field.
 
 Extension fields are built deterministically: moduli are enumerated in base-p
 coefficient order (constant coefficient fastest) and the first monic degree-e
@@ -142,31 +143,39 @@ class PrimeField(Field):
 
 
 class RationalField(Field):
-    """QQ via fractions.Fraction."""
+    """QQ: an integral rational is an int, any other a Fraction in lowest
+    terms with denominator above 1.  Fraction-free elimination and minors
+    keep almost every coefficient integral, so most arithmetic is on ints.
+    add, mul and inv return that form and neg keeps it.  An int and a
+    Fraction of equal value are equal and hash alike, so callers may pass
+    either."""
 
     finite = False
     char = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s.numerator if s.denominator == 1 else s
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        s = a * b
+        return s.numerator if s.denominator == 1 else s
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        n, d = a.numerator, a.denominator  # 1 / (n/d) = d/n, an int when n = +-1
+        return d * n if n in (1, -1) else Fraction(d, n)
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -65,12 +65,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from operator import add as _mono_add
 
 from .complexes import DistinctEntries, PeriodicComplex
 from .errors import BoundExceeded, InvalidComplex, UnsupportedField
-from .fields import Field, make_extension
+from .fields import MAX_EXTENSION_DEGREE, Field, make_extension
 from .matrix import all_minors, map_entries, rank_over_domain, rank_over_field
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import RingSpec, point_coords, residue, specialize
@@ -176,10 +177,21 @@ class IdealGens:
         return "(" + ", ".join(g.to_string(strict=False) for g in self.gens) + ")"
 
 
+def _tie_key(g: Poly) -> str:
+    """The repr of g's sorted terms with each QQ coefficient as a Fraction.
+    An integral rational is an int (RationalField), and repr(n) sorts apart
+    from repr(Fraction(n, 1)); rendering both as Fractions keeps the printed
+    order of generators one and the same whichever form a value takes."""
+    terms = g.sorted_terms()
+    if not g.ring.field.finite:
+        terms = [(m, Fraction(c)) for m, c in terms]
+    return repr(terms)
+
+
 def _canonical_gens(ring: PolyRing, gens) -> tuple[Poly, ...]:
     """The distinct monic generators by leading monomial, descending; those
-    sharing one are ordered by the repr of their sorted terms, descending,
-    a key built only for such groups.  A constant generator gives (1)."""
+    sharing one are ordered by _tie_key, descending, a key built only for
+    such groups.  A constant generator gives (1)."""
     seen = {}
     for g in gens:
         if g.terms:
@@ -194,7 +206,7 @@ def _canonical_gens(ring: PolyRing, gens) -> tuple[Poly, ...]:
     for lm in sorted(groups, key=order_key, reverse=True):
         group = groups[lm]
         if len(group) > 1:
-            group.sort(key=lambda g: repr(g.sorted_terms()), reverse=True)
+            group.sort(key=_tie_key, reverse=True)
         ordered += group
     return tuple(ordered)
 
@@ -202,10 +214,18 @@ def _canonical_gens(ring: PolyRing, gens) -> tuple[Poly, ...]:
 def minor_ideal_image(rows, r: int, ring: RingSpec) -> IdealGens:
     """Image in k[x] of the ideal of r x r minors, taken mod w: the r x r
     minors of rows|_{y=0}, since y -> 0 is a ring map that kills w.  r <= 0
-    gives the unit ideal by the usual convention I_0 = (1)."""
+    gives the unit ideal by the usual convention I_0 = (1).
+
+    The image's rows are walked sparsest first (a stable sort by nonzero
+    entry count), so zero rows lead and all_minors prunes them at their
+    first wedge, and the dense rows are wedged onto few partial minors.
+    Reordering rows changes only the order and signs of the minors, and
+    _canonical_gens makes each monic, drops repeats and orders them, so
+    the generators are the same."""
     if r <= 0:
         return IdealGens(ring.kx, (ring.kx.one(),))
-    gens = all_minors(ring.image_grid(rows), r, ring.kx)
+    image = sorted(ring.image_grid(rows), key=lambda row: sum(1 for e in row if e.terms))
+    gens = all_minors(image, r, ring.kx)
     return IdealGens(ring.kx, _canonical_gens(ring.kx, gens))
 
 
@@ -290,7 +310,8 @@ def points_up_to(field: Field, c: int, degree: int):
     each list built when reached, in enumerate_points' order.  Every refusal
     comes at the call, before any point is built: UnsupportedField for a
     field that is not finite, ValueError for c or degree below 1, and
-    BoundExceeded for too many points (_check_point_count)."""
+    BoundExceeded for too many points (_check_point_count) or for an
+    extension past MAX_EXTENSION_DEGREE, which make_extension refuses."""
     if not field.finite:
         raise UnsupportedField("point enumeration needs a finite field")
     if c < 1:
@@ -298,6 +319,9 @@ def points_up_to(field: Field, c: int, degree: int):
     if degree < 1:
         raise ValueError(f"point enumeration needs a degree >= 1, got {degree}")
     _check_point_count(field, c, degree)
+    top = field.e * degree  # the degree over GF(p) of the last extension
+    if top > MAX_EXTENSION_DEGREE:
+        raise BoundExceeded(f"extension degree {top} exceeds bound {MAX_EXTENSION_DEGREE}")
 
     def listing(fld: Field) -> list[ProjPoint]:
         elems = list(fld.elements()) if c > 1 else []  # P^0 needs no element list

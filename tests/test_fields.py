@@ -9,6 +9,7 @@ certificate against trial division over all lower-degree monic polynomials.
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -61,14 +62,51 @@ def test_prime_field_requires_prime_modulus():
 
 
 def test_rationals_are_exact():
-    from fractions import Fraction
-
     q = QQ
     a = q.from_int(1)
     third = q.mul(a, q.inv(q.from_int(3)))
     assert third == Fraction(1, 3)
     assert q.add(third, third) == Fraction(2, 3)
     assert not q.finite
+
+
+def _in_form(v) -> bool:
+    """An int, or a Fraction in lowest terms with denominator above 1."""
+    return type(v) is int or type(v) is Fraction and v.denominator > 1
+
+
+def test_rationals_match_fraction_arithmetic_in_their_form():
+    # an integral rational is an int and any other a Fraction; on seeded
+    # operands in that form, and on Fractions with denominator 1 as a
+    # caller may pass them, every result equals Fraction arithmetic's, and
+    # add, mul, inv and pow give the form (neg keeps it), never a float
+    rng = random.Random(30)
+
+    def operand():
+        v = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+        return v.numerator if v.denominator == 1 and rng.random() < 0.7 else v
+
+    for _ in range(400):
+        a, b, k = operand(), operand(), rng.randint(0, 4)
+        fa, fb = Fraction(a), Fraction(b)
+        for got, want in ((QQ.add(a, b), fa + fb), (QQ.mul(a, b), fa * fb), (QQ.pow(a, k), fa**k)):
+            assert got == want and _in_form(got), (a, b, k, got)
+        assert QQ.neg(a) == -fa
+        if _in_form(a):
+            assert _in_form(QQ.neg(a))
+        if a != 0:
+            n = rng.randint(-4, -1)
+            assert QQ.inv(a) == 1 / fa and _in_form(QQ.inv(a)), a
+            assert QQ.pow(a, n) == fa**n and _in_form(QQ.pow(a, n)), (a, n)
+    assert type(QQ.mul(QQ.inv(2), 4)) is int and QQ.mul(QQ.inv(2), 4) == 2
+    assert type(QQ.inv(3)) is Fraction and QQ.inv(3) == Fraction(1, 3)
+    assert [type(QQ.inv(v)) for v in (1, -1, Fraction(1, 5), Fraction(-1, 5))] == [int] * 4
+    assert QQ.inv(Fraction(-1, 5)) == -5
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert (QQ.zero, QQ.one, QQ.from_int(7)) == (0, 1, 7)
+    assert all(type(v) is int for v in (QQ.zero, QQ.one, QQ.from_int(7)))
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
 
 
 # -- extension fields -------------------------------------------------------

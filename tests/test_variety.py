@@ -10,6 +10,7 @@ before the image in k[x], and specialize-then-residue along preimages.
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -491,6 +492,7 @@ def test_points_up_to_refuses_at_the_call_and_lists_lazily(f3, f5, monkeypatch):
         (f5, 0, 1, ValueError, "^point enumeration needs c >= 1 coordinates, got 0$"),
         (f5, 2, 0, ValueError, "^point enumeration needs a degree >= 1, got 0$"),
         (f5, 2, 9, BoundExceeded, "^P\\^1\\(GF\\(1953125\\)\\) has more than the cap of 1000000 points$"),
+        (prime_field(2), 1, 66, BoundExceeded, "^extension degree 66 exceeds bound 64$"),
     ):
         with pytest.raises(error, match=message):
             points_up_to(field, c, degree)
@@ -829,15 +831,76 @@ def test_minor_images_match_the_normal_form_route(field):
         for grid in (C.A, C.B):
             for r in range(1, C.size + 1):
                 assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
+    # the tail, its shift and its dual, whose dense rows come first, and
+    # seeded row permutations of their grids: minor_ideal_image walks the
+    # rows sparsest first, the normal-form route in the order given
     tail = complete_resolution_of_k(ring)
-    for grid in (tail.A, tail.B):
-        r = rank_over_R(grid, ring)
-        assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
+    rng = random.Random(30)
+    for C in (tail, shift(tail), dual(tail)):
+        for grid in (C.A, C.B):
+            r = rank_over_R(grid, ring)
+            want = minor_ideal_image(grid, r, ring).gens
+            assert want == _minor_image_by_normal_form(grid, r, ring)
+            for _ in range(3):
+                permuted = rng.sample(grid, len(grid))
+                assert minor_ideal_image(permuted, r, ring).gens == want
+                assert _minor_image_by_normal_form(permuted, r, ring) == want
+
+
+def test_minor_images_walk_the_sparsest_rows_first(ring5, monkeypatch):
+    # the dual of the tail stores its dense rows first and its zero rows
+    # last; walked sparsest first, its minor images take exactly the field
+    # products the tail's take (walked as stored they took 170 against 74)
+    tail = complete_resolution_of_k(ring5)
+    mul, products = type(ring5.field).mul, []
+    monkeypatch.setattr(type(ring5.field), "mul", lambda *a: products.append(1) or mul(*a))
+    counts = []
+    for C in (tail, shift(tail), dual(tail)):
+        ranks = ranks_over_R(C)
+        products.clear()
+        for grid, r in zip((C.A, C.B), ranks):
+            minor_ideal_image(grid, r, ring5)
+        counts.append(len(products))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+# rank_variety over QQ of cone_mul(cone_mul(fixture_k, p), q) for these
+# (p, q), printed when every QQ value was a Fraction; both components print
+# alike.  Their generators share leading monomials and are tied by the
+# Fraction form of their coefficients (_tie_key), which repr of an int would
+# order otherwise.
+_PINNED_QQ_GENS = {
+    ("x1", "2*x1 + x2"):
+        "x1^4, x1^4 + 3/2*x1^3*x2 + 3/4*x1^2*x2^2 + 1/8*x1*x2^3, "
+        "x1^4 + 2*x1^3*x2 + 3/2*x1^2*x2^2 + 1/2*x1*x2^3 + 1/16*x2^4, x1^4 + 1/2*x1^3*x2, "
+        "x1^4 + x1^3*x2 + 1/4*x1^2*x2^2",
+    ("2*x1 + x2", "x1 - x2"):
+        "x1^4 + 2*x1^3*x2 + 3/2*x1^2*x2^2 + 1/2*x1*x2^3 + 1/16*x2^4, "
+        "x1^4 + 1/2*x1^3*x2 - 3/4*x1^2*x2^2 - 5/8*x1*x2^3 - 1/8*x2^4, "
+        "x1^4 - 5/2*x1^3*x2 + 3/2*x1^2*x2^2 + 1/2*x1*x2^3 - 1/2*x2^4, "
+        "x1^4 - 4*x1^3*x2 + 6*x1^2*x2^2 - 4*x1*x2^3 + x2^4, "
+        "x1^4 - x1^3*x2 - 3/4*x1^2*x2^2 + 1/2*x1*x2^3 + 1/4*x2^4",
+    ("2*x1 + x2", "x1 + 2*x2"):
+        "x1^4 + 8*x1^3*x2 + 24*x1^2*x2^2 + 32*x1*x2^3 + 16*x2^4, "
+        "x1^4 + 7/2*x1^3*x2 + 15/4*x1^2*x2^2 + 13/8*x1*x2^3 + 1/4*x2^4, "
+        "x1^4 + 5*x1^3*x2 + 33/4*x1^2*x2^2 + 5*x1*x2^3 + x2^4, "
+        "x1^4 + 2*x1^3*x2 + 3/2*x1^2*x2^2 + 1/2*x1*x2^3 + 1/16*x2^4, "
+        "x1^4 + 13/2*x1^3*x2 + 15*x1^2*x2^2 + 14*x1*x2^3 + 4*x2^4",
+}
+
+
+@pytest.mark.parametrize("p, q", list(_PINNED_QQ_GENS), ids=[f"{p}; {q}" for p, q in _PINNED_QQ_GENS])
+def test_qq_generators_keep_their_pinned_order(ringq, p, q):
+    C = cone_mul(cone_mul(fixture_k(ringq), ringq.parse(p)), ringq.parse(q))
+    gens = _PINNED_QQ_GENS[p, q]
+    assert rank_variety(C).describe() == f"Z({gens}) union Z({gens})"
 
 
 def _canonical_by_one_key(ring, gens):
     """The order _canonical_gens replaced, kept as its oracle: one sort key
-    (leading monomial, repr of the sorted terms) for every generator."""
+    (leading monomial, repr of the sorted terms, QQ coefficients as
+    Fractions) for every generator."""
+    as_written = (lambda c: c) if ring.field.finite else Fraction
     seen = {}
     for g in gens:
         if not g.is_zero():
@@ -847,7 +910,8 @@ def _canonical_by_one_key(ring, gens):
         seen.values(),
         key=lambda g: (
             order_key(g.leading_monomial()),
-            sorted(g.terms.items(), key=lambda kv: order_key(kv[0]), reverse=True).__repr__(),
+            repr([(m, as_written(c)) for m, c in sorted(g.terms.items(), key=lambda kv: order_key(kv[0]),
+                                                         reverse=True)]),
         ),
         reverse=True,
     )
