@@ -195,9 +195,13 @@ class PeriodicComplex:
         gives the rank partition, the complement rule: the complex over R is
         then exact (if B v = w u then w v = A B v = w A u, so v = A u, P
         being a domain), so over the fraction field of the domain R,
-        rank(B) = size - rank(A) (Eisenbud, Trans. AMS 260, 1980).  Judged
-        on the stored grids and never on the `certified` flag, which a file
-        may claim falsely.  A pair a step built takes its parents' verdicts
+        rank(B) = size - rank(A) (Eisenbud, Trans. AMS 260, 1980).  Its
+        users: variety.ranks_over_R, which then reads a derived pair's
+        rank(A) from its step's law and eliminates no B and no A but a
+        leaf's, and validate_pair, which then skips the mod-w pass and the
+        RankDefect check.  Judged on the stored grids and never on the
+        `certified` flag, which a file may claim falsely.  A pair a step
+        built takes its parents' verdicts
         and multiplies nothing: (-B)(-A) = B*A, B^t A^t = (A*B)^t, a block sum
         multiplies block by block, and a cone's blocks multiply to
         [[A*B, 0], [0, B*A]] (cone_mul), so each is an exact factorization

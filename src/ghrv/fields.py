@@ -237,7 +237,17 @@ def _fp_divmod(a, b, p):
 
 
 def _fp_mod(a, b, p):
-    return _fp_divmod(a, b, p)[1]
+    """Remainder of a by a nonzero b, _fp_divmod's without the quotient."""
+    a = list(a)
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        coef = (a[-1] * inv_lead) % p
+        if coef:
+            shift = len(a) - len(b)
+            for i, cb in enumerate(b):
+                a[shift + i] = (a[shift + i] - coef * cb) % p
+        a.pop()
+    return _fp_trim(a)
 
 
 def _fp_gcd(a, b, p):

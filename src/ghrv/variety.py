@@ -18,10 +18,14 @@ object, top) is expanded once per elimination and summed in one dict, and
 a row without x_1 passes unchanged.  Fraction-free elimination on sparse
 rows (rank_over_domain) then gives the rank.  The exhaustive descending
 minor search is kept in matrix.py as the oracle this path is tested
-against.  A pair needs one such elimination when it is an exact matrix
-factorization, A*B = B*A = w*I over P: then rank(B) = n - rank(A) by the
-complement rule (PeriodicComplex.is_factorization).  ranks_over_R applies
-it and eliminates B as well only when the identity fails.
+against.  An exact matrix factorization, A*B = B*A = w*I over P, has
+rank(B) = n - rank(A) by the complement rule
+(PeriodicComplex.is_factorization), and when a step (cone_mul, shift,
+dual, direct_sum) built it, rank(A) follows from its parents' by the
+step's law (ranks_over_R): only the leaves its derivation reaches
+through shifts, duals and sums are eliminated, each on its A, and a
+cone's rank is its parent's size, read with no elimination at all.  ranks_over_R eliminates both A and B only
+when the identity fails.
 
 Both sides rest on one reduction, the ring map P = Q[x] -> k[x], y -> 0.
 It kills w, because every term of w has positive y-degree, so it factors
@@ -69,7 +73,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from operator import add as _mono_add
 
-from .complexes import DistinctEntries, PeriodicComplex
+from .complexes import DistinctEntries, PeriodicComplex, _cone, _sum
 from .errors import BoundExceeded, InvalidComplex, UnsupportedField
 from .fields import MAX_EXTENSION_DEGREE, Field, make_extension
 from .matrix import all_minors, map_entries, rank_over_domain, rank_over_field
@@ -138,12 +142,49 @@ def rank_over_R(rows, ring: RingSpec) -> int:
 
 
 def ranks_over_R(C: PeriodicComplex) -> tuple[int, int]:
-    """(rank A, rank B) over R.  B's rank is n - rank A by the complement
-    rule when C.is_factorization holds, and is eliminated otherwise."""
-    r_a = rank_over_R(C.A, C.ring)
-    if C.is_factorization:
-        return r_a, C.size - r_a
-    return r_a, rank_over_R(C.B, C.ring)
+    """(rank A, rank B) over R.  A pair that is not an exact factorization
+    has both matrices eliminated.  When C.is_factorization holds, every
+    ancestor of C is an exact factorization too, and the ranks follow from
+    the complement rule, rank B = n - rank A, and the law of the step that
+    built C (shift and dual swap the roles of A and B):
+
+    - a leaf (a pair no step built): rank A is eliminated;
+    - cone_mul(P, p), A = [[A_P, pI], [0, -B_P]]: rank A = P.size, whatever
+      p is.  If p is nonzero in the domain the elimination ranks over,
+      multiplying on the right by [[I, 0], [-A_P/p, I]] gives
+      [[0, pI], [B_P A_P/p, -B_P]], and B_P A_P = wI is zero there, so the
+      rank is that of pI; if p is zero, A = diag(A_P, -B_P) has rank
+      rank A_P + rank B_P = P.size by the complement rule;
+    - shift(P) = (-B_P, -A_P) and dual(P) = (B_P^t, A_P^t): rank A =
+      rank B_P = P.size - rank A_P;
+    - direct_sum(P, Q): rank A = rank A_P + rank A_Q.
+
+    So only the A of each leaf the derivation reaches before a cone is
+    eliminated, leaves in order.  The derivation is walked with a stack of
+    (pair, swapped), so its depth is not bounded by Python's recursion
+    limit.  Nothing is kept: each call walks to the leaves again."""
+    if not C.is_factorization:
+        return rank_over_R(C.A, C.ring), rank_over_R(C.B, C.ring)
+    r_a = r_b = 0
+    todo = [(C, False)]
+    while todo:
+        P, swapped = todo.pop()
+        if P._derivation is None:
+            a = rank_over_R(P.A, P.ring)
+            b = P.size - a
+        else:
+            rule, parents, _ = P._derivation
+            if rule is _sum:
+                todo += [(Q, swapped) for Q in reversed(parents)]
+                continue
+            if rule is not _cone:  # shift or dual
+                todo.append((parents[0], not swapped))
+                continue
+            a = b = parents[0].size
+        if swapped:
+            a, b = b, a
+        r_a, r_b = r_a + a, r_b + b
+    return r_a, r_b
 
 
 def rank_over_R_by_minors(rows, ring: RingSpec) -> int:

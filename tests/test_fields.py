@@ -19,6 +19,8 @@ from ghrv.fields import (
     QQ,
     ExtensionField,
     PrimeField,
+    _fp_divmod,
+    _fp_mod,
     _horner_embedding,
     embedding,
     field_name,
@@ -154,6 +156,20 @@ def test_irreducibility_certificate_matches_trial_division():
                     for d in _all_monic(p, deg)
                 )
                 assert is_irreducible(coeffs, p) == naive, coeffs
+
+
+def test_remainder_alone_matches_divmod():
+    # _fp_mod forms no quotient; its remainder is _fp_divmod's, on seeded
+    # dividends of degree up to 12 (some with trailing zeros, some shorter
+    # than the divisor) by divisors of every leading coefficient.
+    rng = random.Random(31)
+    for p in (2, 5, 7):
+        for _ in range(150):
+            b = [rng.randrange(p) for _ in range(rng.randrange(6))] + [rng.randrange(1, p)]
+            a = [rng.randrange(p) for _ in range(rng.randrange(14))]
+            r = _fp_divmod(a, b, p)[1]
+            assert _fp_mod(a, b, p) == r, (p, a, b)
+            assert len(r) < len(b) and (not r or r[-1])
 
 
 def test_reducible_product_of_two_quadratics_is_rejected():

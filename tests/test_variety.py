@@ -257,6 +257,14 @@ def test_x1_multipliers_are_kept_on_the_ring(monkeypatch):
 
 # -- the complement rule ------------------------------------------------------
 
+def _eliminations(monkeypatch) -> list:
+    """The grids ranks_over_R eliminates (ghrv.variety.rank_over_R is
+    called on) from now on, in order."""
+    eliminated = []
+    monkeypatch.setattr(ghrv.variety, "rank_over_R", lambda g, R: eliminated.append(g) or rank_over_R(g, R))
+    return eliminated
+
+
 def _exact_factorizations(ring):
     """Every exact factorization the tests build over a worked ring: the
     fixtures and the 8x8 resolution tail, their shifts, duals, cones and
@@ -292,13 +300,20 @@ def test_complement_rule_on_every_exact_factorization(ring_name, request, monkey
         for pt in points:
             s_a, s_b = residue_ranks(C, pt)
             assert r_a >= s_a and r_b >= s_b, (C.size, str(pt))
-    # ranks_over_R eliminates A only
-    eliminated = []
-    rank = ghrv.variety.rank_over_R
-    monkeypatch.setattr(ghrv.variety, "rank_over_R", lambda g, R: eliminated.append(g) or rank(g, R))
-    for C in pairs:
+    # ranks_over_R eliminates no B: a leaf its own A only, a shift, dual or
+    # sum the A of each leaf it reaches, and a cone (the realize stages too)
+    # nothing, its rank being its parent's size
+    base = pairs[0:12:4]
+    expected = []
+    for C in base:
+        expected += [[C.A], [C.A], [C.A], []]
+    expected += [[C.A, D.A] for C, D in combinations(base, 2)] + [[], []]
+    assert len(expected) == len(pairs) and all(C._derivation is None for C in base)
+    eliminated = _eliminations(monkeypatch)
+    for C, want in zip(pairs, expected):
         ranks_over_R(C)
-        assert eliminated.pop() is C.A and not eliminated
+        assert [id(g) for g in eliminated] == [id(A) for A in want]
+        eliminated.clear()
 
 
 def test_complement_rule_reads_the_grids_not_the_claim(ring5, monkeypatch):
@@ -310,13 +325,162 @@ def test_complement_rule_reads_the_grids_not_the_claim(ring5, monkeypatch):
     tampered = [[k.A[0][0] + amb.variable("x1"), k.A[0][1]], list(k.A[1])]
     false_claim = PeriodicComplex(ring5, tampered, k.B, k.degrees0, k.degrees1, certified=True)
     assert not false_claim.is_factorization
-    eliminated = []
-    rank = ghrv.variety.rank_over_R
-    monkeypatch.setattr(ghrv.variety, "rank_over_R", lambda g, R: eliminated.append(g) or rank(g, R))
+    eliminated = _eliminations(monkeypatch)
     assert ranks_over_R(false_claim) == (2, 1)
     assert eliminated == [false_claim.A, false_claim.B]
+    # so do a shift and a cone of it, whose verdict is their parent's; the
+    # cone's parent is built uncertified, as cone_mul refuses a false claim
+    unclaimed_false = PeriodicComplex(ring5, tampered, k.B, k.degrees0, k.degrees1, certified=False)
+    for D in (shift(false_claim), cone_mul(unclaimed_false, amb.variable("x1"))):
+        assert not D.is_factorization
+        eliminated.clear()
+        assert ranks_over_R(D) == (rank_over_R(D.A, ring5), rank_over_R(D.B, ring5))
+        assert [id(g) for g in eliminated] == [id(D.A), id(D.B)]
     zero = amb.zero()
     assert ranks_over_R(PeriodicComplex(ring5, [[zero]], [[zero]], (0,), (0,), certified=False)) == (0, 0)
+
+
+# -- the steps' rank laws -----------------------------------------------------
+
+def _koszul_pair(ring):
+    """The 2^(c-1)-square factorization of w = f_1 x_1 + .. + f_c x_c, built
+    term by term from ([[f_1]], [[x_1]]): a pair (A, B) of w' and a term
+    f x give [[A, f I], [-x I, B]] and [[B, -f I], [x I, A]], a pair of
+    w' + f x.  A leaf of any ring, with every degree 0 (ranks read none)."""
+    amb = ring.ambient
+    xs = [amb.variable(name) for name in ring.xvars]
+    a, b = [[ring.f[0]]], [[xs[0]]]
+    for f, x in zip(ring.f[1:], xs[1:]):
+        n = len(a)
+        eye = [[amb.one() if i == j else amb.zero() for j in range(n)] for i in range(n)]
+
+        def block(tl, tr, bl, br):
+            return ([row + [e * tr for e in eye_row] for row, eye_row in zip(tl, eye)]
+                    + [[e * bl for e in eye_row] + row for row, eye_row in zip(br, eye)])
+
+        a, b = block(a, f, -x, b), block(b, -f, x, a)
+    n = len(a)
+    return PeriodicComplex(ring, a, b, (0,) * n, (0,) * n, certified=True)
+
+
+def _law_rings():
+    """The worked ring over GF(3), GF(5), GF(9) and QQ, and the c = 3 and
+    non-monomial-f_1 rings of _elimination_rings."""
+    return [worked_ring(f) for f in (prime_field(3), prime_field(5), make_extension(3, 2), QQ)] \
+        + _elimination_rings()[1:]
+
+
+def _law_chains(ring, rng, count=40):
+    """Seeded chains of 1 to 3 steps on the ring's leaves, none past size
+    32: shift, dual, a sum with a leaf, cone_mul by a random x-form of
+    degree 1 or 2 (with y-factors), by w and by the zero scalar; then
+    cones on duals of the largest leaf up to size 32, and shifts and duals
+    of trivial_pair and of its sums with the Koszul pair.  Leaves:
+    trivial_pair, the Koszul pair, the Shamash tail when it is at most
+    8x8, the fixtures of a worked ring, and an uncertified Koszul pair
+    with A tampered, which is no factorization, so nor is any chain from
+    it."""
+    amb = ring.ambient
+    xs = [amb.variable(name) for name in ring.xvars]
+    ys = [amb.one()] + [amb.variable(name) for name in ring.yvars]
+    coeffs = [ring.field.from_int(a) for a in (1, 2, -1, 3)]
+    koszul = _koszul_pair(ring)
+    tampered = [list(row) for row in koszul.A]
+    tampered[0][-1] = tampered[0][-1] + xs[0]
+    leaves = [trivial_pair(ring), koszul,
+              PeriodicComplex(ring, tampered, koszul.B, koszul.degrees0, koszul.degrees1, certified=False)]
+    if ring.c + ring.d <= 4:
+        leaves.append(complete_resolution_of_k(ring))
+    if ring.c == 2 and ring.d == 2 and ring.f == (ys[1] * ys[1], ys[2] * ys[2]):
+        leaves += [fixture_k(ring), fixture_rank_one(ring)]
+
+    def form():
+        g = rng.choice((1, 2))
+        return sum(((rng.choice(ys) * xs[rng.randrange(ring.c)]
+                     * (xs[rng.randrange(ring.c)] if g == 2 else amb.one())).scale(rng.choice(coeffs))
+                    for _ in range(rng.randrange(1, 4))), amb.zero())
+
+    chains = []
+    while len(chains) < count:
+        C = rng.choice(leaves)
+        for _ in range(rng.randrange(1, 4)):
+            step = rng.choice(("shift", "dual", "sum", "cone", "cone", "cone by w", "cone by 0"))
+            if step == "shift":
+                C = shift(C)
+            elif step == "dual":
+                C = dual(C)
+            elif step == "sum":
+                fits = [L for L in leaves if L.size + C.size <= 32]
+                C = direct_sum(C, rng.choice(fits)) if fits else shift(C)
+            elif 2 * C.size <= 32:
+                C = cone_mul(C, {"cone": form, "cone by w": lambda: ring.w,
+                                 "cone by 0": amb.zero}[step]())
+        chains.append(C)
+    C = max(leaves, key=lambda L: L.size)
+    while 2 * C.size <= 32:
+        C = cone_mul(dual(C), form())
+    one = leaves[0]  # rank A = 1 of 1: a shift or dual moves it
+    return chains + [C, shift(one), dual(one), shift(direct_sum(leaves[1], one)),
+                     dual(direct_sum(one, leaves[1]))]
+
+
+@pytest.mark.parametrize("ring", _law_rings(), ids=["gf3", "gf5", "gf9", "qq", "c3", "nonmonomial"])
+def test_step_laws_match_elimination(ring):
+    # ranks_over_R reads a derived factorization's rank of A from its
+    # step's law and eliminates only the leaves; on seeded chains up to
+    # size 32 it gives the ranks Bareiss gives on A and B themselves, pairs
+    # that are no factorization included.  The chains reach a cone by a
+    # form, by w and by 0, and ranks that do not halve the size.
+    chains = _law_chains(ring, random.Random(311))
+    unbalanced = cones = non_exact = 0
+    for C in chains:
+        want = (rank_over_R(C.A, ring), rank_over_R(C.B, ring))
+        assert ranks_over_R(C) == want, (C.size, C._derivation)
+        unbalanced += 2 * want[0] != C.size
+        cones += C._derivation is not None and C._derivation[2] is not None
+        non_exact += not C.is_factorization
+    assert unbalanced and cones and non_exact and max(C.size for C in chains) == 32
+
+
+def test_a_cone_reads_no_elimination(ring5, monkeypatch):
+    # The 32x32 stage of realize is a cone: its ranks are its parent's size,
+    # so rank_variety reaches the minor enumeration, which refuses it with
+    # BoundExceeded, without a single Bareiss run, not even the 16x16's.
+    amb = ring5.ambient
+    x1, x2 = (amb.variable(n) for n in ring5.xvars)
+    final = realize(ring5, [x1, x1 * x1 + x2 * x2], verify=False).final
+    assert final.size == 32
+    eliminated = _eliminations(monkeypatch)
+    with pytest.raises(BoundExceeded):
+        rank_variety(final)
+    assert eliminated == []
+
+
+def test_no_rank_is_kept_on_a_pair(ring5, monkeypatch):
+    # Each call eliminates the leaves again: two calls on a leaf are two
+    # eliminations of its A, and two on a shift of a sum are four.
+    k, r1 = fixture_k(ring5), fixture_rank_one(ring5)
+    eliminated = _eliminations(monkeypatch)
+    assert ranks_over_R(k) == ranks_over_R(k) == (1, 1)
+    assert [id(g) for g in eliminated] == [id(k.A)] * 2
+    eliminated.clear()
+    D = shift(direct_sum(k, r1))
+    assert ranks_over_R(D) == ranks_over_R(D) == (2, 2)
+    assert [id(g) for g in eliminated] == [id(k.A), id(r1.A)] * 2
+
+
+def test_ranks_walk_a_deep_derivation(ring5, monkeypatch):
+    # 1500 shifts of fixture_k, each verdict taken as the chain is built:
+    # the walk to the leaf is not bounded by the recursion limit, and it
+    # eliminates the leaf's A once.
+    k = fixture_k(ring5)
+    C = k
+    for _ in range(1500):
+        C = shift(C)
+        assert C.is_factorization
+    eliminated = _eliminations(monkeypatch)
+    assert ranks_over_R(C) == (1, 1)
+    assert [id(g) for g in eliminated] == [id(k.A)]
 
 
 # -- the factorization verdict ------------------------------------------------
