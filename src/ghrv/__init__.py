@@ -42,6 +42,7 @@ from .variety import (
     ProjPoint,
     ZeroSetUnion,
     contractible_at,
+    critical_images,
     enumerate_points,
     is_empty,
     membership,

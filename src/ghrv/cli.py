@@ -29,9 +29,9 @@ from .pipelines import (
 from .ring import lift_point, specialize
 from .serialize import load_complex, load_ring, save_complex, save_trace
 from .variety import (
+    critical_images,
     enumerate_points,
     membership,
-    minor_ideal_image,
     points_up_to,
     rank_variety,
     ranks_over_R,
@@ -164,8 +164,8 @@ def _cmd_rank(args) -> int:
 def _cmd_ideal(args) -> int:
     C = load_complex(args.complex)
     r_a, r_b = ranks_over_R(C)
-    grid, r = (C.A, r_a) if args.which == "A" else (C.B, r_b)
-    ideal = minor_ideal_image(grid, r, C.ring)
+    r = r_a if args.which == "A" else r_b
+    (ideal,) = critical_images(C, (r_a, r_b), args.which)
     print(f"image of I_{r}({args.which}) in k[x]: {ideal.describe()}")
     return 0
 

@@ -205,10 +205,12 @@ class PeriodicComplex:
         and multiplies nothing: (-B)(-A) = B*A, B^t A^t = (A*B)^t, a block sum
         multiplies block by block, and a cone's blocks multiply to
         [[A*B, 0], [0, B*A]] (cone_mul), so each is an exact factorization
-        exactly when its parents are.  Computed on first use and kept."""
-        if self._derivation is not None:
-            return all(P.is_factorization for P in self._derivation[1])
-        return self._is_w_identity(mat_mul(self.A, self.B, self.ring.ambient))
+        exactly when its parents are.  Computed on first use and kept, for
+        a derived pair by _from_parents."""
+        if self._derivation is None:
+            return self._is_w_identity(mat_mul(self.A, self.B, self.ring.ambient))
+        return self._from_parents("is_factorization",
+                                  lambda P: all(Q.is_factorization for Q in P._derivation[1]))
 
     def _is_w_identity(self, ab) -> bool:
         """Whether ab, the product A*B, is w*I."""
@@ -225,11 +227,37 @@ class PeriodicComplex:
         nonzero entry object of A and B.  A verdict at a point evaluates
         each distinct entry once and reads the rows of (column, index)
         pairs, so it costs in proportion to the distinct nonzero entries; no
-        dense grid is kept.  Built on first use and kept with the pair."""
+        dense grid is kept.  Built on first use and kept with the pair, for
+        a derived pair by _from_parents."""
         if self._derivation is None:
             return distinct_entries((self.A, self.B), self.ring.image_in_kx)
-        rule, parents, rep = self._derivation
-        return rule([P.pencil_entries for P in parents], None if rep is None else self.ring.image_in_kx(rep))
+
+        def derive(P):
+            rule, parents, rep = P._derivation
+            return rule([Q.pencil_entries for Q in parents], None if rep is None else P.ring.image_in_kx(rep))
+
+        return self._from_parents("pencil_entries", derive)
+
+    def _from_parents(self, name: str, derive):
+        """The kept property `name` of this derived pair, derive(P) giving a
+        derived pair's value from the values its parents keep.  The
+        derivation is walked with a stack, parents before children and every
+        ancestor met keeping its value (a leaf computes its own), so its
+        depth is not bounded by Python's recursion limit."""
+        todo = [self]
+        while todo:
+            P = todo[-1]
+            if name in vars(P):
+                todo.pop()
+            elif P._derivation is None:
+                getattr(P, name)
+            else:
+                missing = [Q for Q in P._derivation[1] if name not in vars(Q)]
+                if missing:
+                    todo += reversed(missing)
+                else:
+                    vars(P)[name] = derive(P)
+        return vars(self)[name]
 
     @cached_property
     def pair_entries(self) -> DistinctEntries:

@@ -10,10 +10,13 @@ division is exact by the minor identity) on sparse rows, with pivots
 chosen against fill-in, where a row the pivot column misses is not
 touched.  Its skipped scalings p_t / p_(t-1) telescope, so one division by
 the pivot that last wrote it, when the row is next touched, is exact and
-catches it up.  Minor enumeration takes
-exterior products of rows, v_i1 ^ .. ^ v_ir, whose coefficients are the
-r x r minors on those rows; only nonzero coefficients are kept, so a sparse
-matrix costs in proportion to its nonzero minors rather than to all of them.
+catches it up.  Minor enumeration takes a matrix by sparse rows, the
+(column, entry) pairs of each row's nonzero entries, and takes exterior
+products of rows, v_i1 ^ .. ^ v_ir, whose coefficients are the r x r minors
+on those rows; only nonzero coefficients are kept, so a sparse matrix costs
+in proportion to its nonzero minors rather than to all of them, and each
+nonzero minor is built as a polynomial once, from its wedge's terms.  A
+caller holding a dense grid converts it at the edge (sparse_rows).
 
 The one field-level routine is rank (rank_over_field).  It eliminates
 sparsely on rows given as dicts of their nonzero scalars, so it costs in
@@ -139,20 +142,30 @@ def identity(ring: PolyRing, n: int, scale: Poly | None = None) -> Grid:
 # minors and ranks
 # ---------------------------------------------------------------------------
 
-def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
-    """Yield every nonzero r x r minor determinant, in ascending
-    lexicographic order of (row set, column set); zero minors are left out.
+def sparse_rows(rows: Sequence[Sequence[Poly]]) -> list[list[tuple[int, Poly]]]:
+    """The rows of a grid as all_minors takes them: each the list of
+    (column, entry) pairs of its nonzero entries, by ascending column."""
+    return [[(j, e) for j, e in enumerate(row) if e.terms] for row in as_grid(rows)]
+
+
+def all_minors(rows: Sequence[Sequence[tuple[int, Poly]]], ncols: int, r: int, ring: PolyRing):
+    """Yield every nonzero r x r minor determinant of the matrix with ncols
+    columns whose rows are `rows`, each the (column, entry) pairs of its
+    nonzero entries by ascending column (sparse_rows of a grid), in
+    ascending lexicographic order of (row set, column set); zero minors are
+    left out.
 
     Row subsets i1 < .. < ik are walked depth first, keeping the exterior
     product w = v_i1 ^ .. ^ v_ik of their rows as a dict from a sorted
     column tuple to the terms of its nonzero coefficient, which is the minor
     on those rows and columns.  A prefix whose w is empty is pruned, since
-    every minor through it is zero.  r = 0 yields the one empty minor, 1.
+    every minor through it is zero.  Each wedge keeps only nonzero
+    coefficients, so each minor is a Poly on its wedge's terms, built once
+    with no second filter.  r = 0 yields the one empty minor, 1.
 
     Raises BoundExceeded, before any minor is computed, when there are more
     than MAX_MINORS r x r minors, zero or not."""
-    grid = as_grid(rows)
-    m, n = mat_shape(grid)
+    m, n = len(rows), ncols
     if r < 0 or r > min(m, n):
         return
     count = comb(m, r) * comb(n, r)
@@ -165,7 +178,7 @@ def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
         return
     fld = ring.field
     add, mul, neg, is_zero = fld.add, fld.mul, fld.neg, fld.is_zero
-    row_entries = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in grid]
+    row_entries = [[(j, e.terms) for j, e in row] for row in rows]
 
     def wedge(w: dict, entries: list) -> dict:
         # w ^ v: coefficient w_S v_j lands on S + {j} with sign
@@ -199,7 +212,7 @@ def all_minors(rows: Sequence[Sequence[Poly]], r: int, ring: PolyRing):
                 continue
             if depth + 1 == r:
                 for cols in sorted(ext):
-                    yield Poly(ring, ext[cols])
+                    yield Poly._of_nonzero(ring, ext[cols])
             else:
                 yield from walk(i + 1, depth + 1, ext)
 
@@ -325,10 +338,10 @@ def rank_by_minors(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
     """Reference implementation: the largest r for which all_minors yields
     anything, searched downward by exhaustive enumeration.  Exponential;
     used as an independent oracle for small matrices."""
-    grid = as_grid(rows)
-    m, n = mat_shape(grid)
+    m, n = mat_shape(rows)
+    sparse = sparse_rows(rows)
     for r in range(min(m, n), 0, -1):
-        if next(all_minors(grid, r, ring), None) is not None:
+        if next(all_minors(sparse, n, r, ring), None) is not None:
             return r
     return 0
 

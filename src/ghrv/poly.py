@@ -140,6 +140,16 @@ class Poly:
         fld = ring.field
         self.terms = {m: c for m, c in terms.items() if not fld.is_zero(c)}
 
+    @classmethod
+    def _of_nonzero(cls, ring: PolyRing, terms: dict) -> "Poly":
+        """The polynomial on `terms` itself, with no zero filter: for a dict
+        whose coefficients are all nonzero and that nothing writes
+        afterwards, since the Poly keeps it as its terms."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
+
     # -- predicates and degree data ---------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -195,8 +205,8 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        fld = self.ring.field
-        return Poly(self.ring, {m: fld.neg(c) for m, c in self.terms.items()})
+        neg = self.ring.field.neg
+        return Poly._of_nonzero(self.ring, {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -263,9 +273,11 @@ class Poly:
             return self
         lm = self.leading_monomial()
         lc = self.terms[lm]
-        if lc == self.ring.field.one:
+        fld = self.ring.field
+        if lc == fld.one:
             return self
-        out = self.scale(self.ring.field.inv(lc))
+        mul, s = fld.mul, fld.inv(lc)
+        out = Poly._of_nonzero(self.ring, {m: mul(c, s) for m, c in self.terms.items()})
         out._lm = lm
         return out
 
@@ -421,7 +433,10 @@ def divide_single(p: Poly, d: Poly) -> tuple[Poly, Poly]:
     When LM(d) divides no term of p, p is already its own remainder and
     (0, p) is returned at once, with no ordered walk over p's terms; this is
     the common case of a normal form mod w.  LM(d) comes from the divisor's
-    kept leading monomial."""
+    kept leading monomial.  Each step's leading term is below the last (the
+    order is multiplicative and the other terms of d are below LM(d)), so
+    each quotient monomial is met once, and every coefficient kept in the
+    quotient and the remainder is nonzero."""
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     ring = p.ring
@@ -441,8 +456,7 @@ def divide_single(p: Poly, d: Poly) -> tuple[Poly, Poly]:
         c = work.pop(m)
         if monomial_divides(lm, m):
             factor_mono = monomial_div(m, lm)
-            factor_coeff = fld.mul(c, lc_inv)
-            q[factor_mono] = fld.add(q.get(factor_mono, fld.zero), factor_coeff)
+            factor_coeff = q[factor_mono] = fld.mul(c, lc_inv)
             for dm, dc in d.terms.items():
                 if dm == lm:
                     continue
@@ -458,7 +472,7 @@ def divide_single(p: Poly, d: Poly) -> tuple[Poly, Poly]:
                     work[mm] = cc
         else:
             r[m] = c
-    return Poly(ring, q), Poly(ring, r)
+    return Poly._of_nonzero(ring, q), Poly._of_nonzero(ring, r)
 
 
 def exact_div(p: Poly, d: Poly) -> Poly:
@@ -488,7 +502,7 @@ def exact_div(p: Poly, d: Poly) -> Poly:
                 q[shifted] = fld.mul(c, inv)
         if rest:
             raise ArithmeticError(f"inexact division: remainder {Poly(ring, rest)}")
-        return Poly(ring, q)
+        return Poly._of_nonzero(ring, q)
     q, r = divide_single(p, d)
     if not r.is_zero():
         raise ArithmeticError(f"inexact division: remainder {r}")

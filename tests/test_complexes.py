@@ -51,9 +51,9 @@ from ghrv.pipelines import (
 from ghrv.poly import PolyRing, monomial_divides
 from ghrv.ring import RingSpec, make_ring
 from ghrv.serialize import load_complex, save_trace
-from ghrv.variety import rank_over_R
+from ghrv.variety import contractible_at, enumerate_points, extension_of, rank_over_R, rank_variety
 
-from dense import dense_rank
+from dense import dense_grids, dense_rank
 
 
 # -- Koszul -------------------------------------------------------------------
@@ -822,6 +822,37 @@ def test_seeded_chains_of_steps_derive_entries_pencil_and_verdict(field_text, mo
             chain.append(D)
     assert min(steps.values()) > 0
     assert claims == {True, False}
+
+
+def _long_chain(base, steps, length):
+    C = base
+    for i in range(length):
+        C = steps[i % len(steps)](C)
+    return C
+
+
+@pytest.mark.parametrize("steps", [(shift,), (shift, dual)], ids=["shift", "shift-dual"])
+def test_a_long_derivation_is_walked_with_a_stack(ring5, steps):
+    # Chains of 1500 and 1501 steps from fixture_k, with no verdict read
+    # while they are built: is_factorization, pencil_entries, contractible_at
+    # and rank_variety each walk the derivation on a fresh chain, deeper
+    # than Python's recursion limit, and agree with the same steps on
+    # fixture_k taken as far as the chain's parity (shift twice, and
+    # (shift, dual) twice, give the grids back)
+    base = fixture_k(ring5)
+    points = enumerate_points(ring5.field, 2) + enumerate_points(extension_of(ring5.field, 2), 2)
+    zero = ring5.kx.zero()
+    for length in (1500, 1501):
+        ref = _long_chain(base, steps, length % (2 * len(steps)))
+        assert _long_chain(base, steps, length).is_factorization is ref.is_factorization is True
+        pencil = _long_chain(base, steps, length).pencil_entries
+        assert (dense_grids(pencil, pencil.values, zero)
+                == dense_grids(ref.pencil_entries, ref.pencil_entries.values, zero))
+        C = _long_chain(base, steps, length)
+        assert [contractible_at(C, pt) for pt in points] == [contractible_at(ref, pt) for pt in points]
+        C = _long_chain(base, steps, length)
+        assert rank_variety(C).describe() == rank_variety(ref).describe()
+        assert (C.A, C.B) == (ref.A, ref.B)
 
 
 def test_validate_checks_the_ring_of_every_entry(ring5):

@@ -21,11 +21,12 @@ from ghrv.matrix import (
     mat_shape,
     rank_by_minors,
     rank_over_domain,
+    sparse_rows,
 )
 from ghrv.pipelines import complete_resolution_of_k
 from ghrv.poly import Poly, PolyRing
 
-from dense import dense_rank
+from dense import dense_minors, dense_rank, image_grid
 
 
 @pytest.fixture(scope="module")
@@ -307,10 +308,12 @@ def _nonzero_minors_by_leibniz(grid, r, ring):
 def _assert_minors_match_leibniz(grid, ring):
     m, n = len(grid), len(grid[0])
     for r in range(min(m, n) + 1):
-        got = list(all_minors(grid, r, ring))
+        got = list(dense_minors(grid, r, ring))
         want = _nonzero_minors_by_leibniz(grid, r, ring)
         assert got == want, (r, m, n)
         assert all(g.terms == w.terms for g, w in zip(got, want))
+        # each minor keeps its wedge's terms unfiltered: none may be zero
+        assert not any(ring.field.is_zero(c) for g in got for c in g.terms.values())
 
 
 @pytest.mark.parametrize("field", [prime_field(5), make_extension(3, 2), QQ], ids=str)
@@ -330,12 +333,12 @@ def test_all_minors_are_the_nonzero_leibniz_minors(field):
     v = _sparse_grid(ring, rng, 1, 4, elems, density=1.0)
     g = mat_mul(u, v, ring)
     _assert_minors_match_leibniz(g, ring)
-    assert list(all_minors(g, 2, ring)) == []
+    assert list(dense_minors(g, 2, ring)) == []
 
 
 def test_all_minors_on_the_resolution_of_k_pencils(ring5):
     C = complete_resolution_of_k(ring5)
-    for grid in (ring5.image_grid(C.A), ring5.image_grid(C.B)):
+    for grid in (image_grid(ring5, C.A), image_grid(ring5, C.B)):
         assert mat_shape(grid) == (8, 8)
         _assert_minors_match_leibniz(grid, ring5.kx)
 
@@ -344,14 +347,37 @@ def test_all_minors_counts(ring):
     g = _random_grid(ring, random.Random(67), 3, 4)
     nonzero = _nonzero_minors_by_leibniz(g, 2, ring)
     assert len(nonzero) == 3 * 6 - 4  # four of the eighteen 2 x 2 minors vanish
-    assert len(list(all_minors(g, 2, ring))) == len(nonzero)
-    assert len(list(all_minors(g, 5, ring))) == 0
-    assert list(all_minors(g, 0, ring)) == [ring.one()]
+    assert len(list(dense_minors(g, 2, ring))) == len(nonzero)
+    assert len(list(dense_minors(g, 5, ring))) == 0
+    assert list(dense_minors(g, 0, ring)) == [ring.one()]
     # C(12, 6)^2 = 853,776 minors are enumerated; C(13, 6)^2 = 2,944,656
     # exceed MAX_MINORS and are refused before the first one is computed.
-    assert next(all_minors(identity(ring, 12), 6, ring)) == ring.one()
+    assert next(dense_minors(identity(ring, 12), 6, ring)) == ring.one()
     with pytest.raises(BoundExceeded):
-        next(all_minors(identity(ring, 13), 6, ring))
+        next(dense_minors(identity(ring, 13), 6, ring))
+
+
+def test_all_minors_take_sparse_rows(ring, monkeypatch):
+    # Rows come as the (column, entry) pairs of their nonzero entries and
+    # the column count is given: a row with no pairs is a zero row, and
+    # trailing zero columns count toward the cap.  The cap refuses before
+    # any wedge, so no field product is formed.
+    a, b, t = (ring.variable(v) for v in ("a", "b", "t"))
+    rows = [[(0, a), (3, t)], [], [(1, b), (3, a)]]
+    assert sparse_rows([[a, ring.zero(), ring.zero(), t], [ring.zero()] * 4, [ring.zero(), b, ring.zero(), a]]) == rows
+    assert list(all_minors(rows, 5, 1, ring)) == [a, t, b, a]
+    assert list(all_minors(rows, 5, 2, ring)) == [a * b, a * a, -(b * t)]
+    assert list(all_minors(rows, 5, 3, ring)) == []
+    assert list(all_minors(rows, 2, 3, ring)) == []  # r above the column count
+    products = []
+    mul = type(ring.field).mul
+    monkeypatch.setattr(type(ring.field), "mul", lambda *args: products.append(1) or mul(*args))
+    unit_rows = [[(i, ring.one())] for i in range(13)]
+    with pytest.raises(BoundExceeded, match="^2944656 minors of size 6 in a 13x13 matrix exceed the cap of 1000000$"):
+        next(all_minors(unit_rows, 13, 6, ring))
+    with pytest.raises(BoundExceeded, match="^1000016 minors of size 1 in a 1x1000016 matrix"):
+        next(all_minors(unit_rows[:1], 10**6 + 16, 1, ring))
+    assert products == []
 
 
 def test_field_rank_planted(f5):

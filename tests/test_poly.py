@@ -404,3 +404,38 @@ def test_kept_leading_monomial_stays_the_largest_term(field):
     for _ in range(2):  # a failed search is not kept
         with pytest.raises(ValueError):
             ring.zero().leading_monomial()
+
+
+@pytest.mark.parametrize("field", [prime_field(3), make_extension(3, 2), QQ], ids=str)
+def test_results_built_unfiltered_hold_no_zero_coefficient(field):
+    # -p, p.monic(), both parts of divide_single and the one-term quotient
+    # of exact_div keep their dicts with no zero filter (Poly._of_nonzero);
+    # each equals the filtered construction and holds no zero coefficient
+    ring = _power_ring(field)
+    rng = random.Random(83)
+    elems = _nonzero_elems(field)
+    neg, mul, inv = field.neg, field.mul, field.inv
+
+    def check(got, want):
+        assert got == want == Poly(ring, dict(got.terms))
+        assert not any(field.is_zero(c) for c in got.terms.values())
+
+    divided = 0
+    for _ in range(60):
+        p = _sized_poly(ring, rng, elems, rng.randrange(7))
+        d = _sized_poly(ring, rng, elems, rng.randrange(1, 4))
+        check(-p, Poly(ring, {m: neg(c) for m, c in p.terms.items()}))
+        if p.terms:
+            check(p.monic(), p.scale(inv(p.leading_coeff())))
+        for dividend in (p, p * d, p * d + p):
+            q, r = divide_single(dividend, d)
+            check(q, Poly(ring, dict(q.terms)))
+            check(r, Poly(ring, dict(r.terms)))
+            assert q * d + r == dividend
+            divided += bool(q.terms)
+        if len(d.terms) == 1 and p.terms:
+            ((dm, dc),) = d.terms.items()
+            want = Poly(ring, {tuple(a - b for a, b in zip(m, dm)): mul(c, inv(dc))
+                               for m, c in (p * d).terms.items()})
+            check(exact_div(p * d, d), want)
+    assert divided > 60

@@ -11,7 +11,7 @@ before the image in k[x], and specialize-then-residue along preimages.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -27,7 +27,7 @@ from ghrv.errors import (
     UnsupportedField,
 )
 from ghrv.fields import QQ, make_extension, prime_field
-from ghrv.matrix import all_minors, identity, mat_mul
+from ghrv.matrix import identity, mat_mul
 from ghrv.pipelines import (
     complete_resolution_of_k,
     documented_cone_pair,
@@ -41,9 +41,12 @@ from ghrv.ring import RingSpec, lift_point, make_ring, residue, specialize
 from ghrv.serialize import load_complex, save_trace
 from ghrv.variety import (
     MAX_POINTS,
+    IdealGens,
     ProjPoint,
+    ZeroSetUnion,
     _canonical_gens,
     contractible_at,
+    critical_images,
     enumerate_points,
     extension_of,
     is_empty,
@@ -59,7 +62,7 @@ from ghrv.variety import (
     residue_ranks,
 )
 
-from dense import dense_grids, dense_rank
+from dense import dense_grids, dense_minors, dense_rank, image_grid, image_rows
 
 
 # -- ranks over R -------------------------------------------------------------
@@ -531,7 +534,7 @@ def test_one_product_decides_the_factorization(field):
 # -- minor ideal images -------------------------------------------------------
 
 def test_minor_image_unit_convention(ring5):
-    ideal = minor_ideal_image([[ring5.ambient.zero()]], 0, ring5)
+    ideal = minor_ideal_image(image_rows(ring5, [[ring5.ambient.zero()]]), 0, ring5)
     assert ideal.gens == (ring5.kx.one(),)
     assert ideal.describe() == "(1)"
 
@@ -541,11 +544,11 @@ def test_minor_images_of_the_rank_one_pair(ring5):
     x1 = ring5.kx.variable("x1")
     x2 = ring5.kx.variable("x2")
     for grid in (pair.A, pair.B):
-        ideal = minor_ideal_image(grid, 1, ring5)
+        ideal = minor_ideal_image(image_rows(ring5, grid), 1, ring5)
         assert ideal.gens == (x1, x2)
         assert ideal.describe() == "(x1, x2)"
     # the 2x2 minor is det = +-w, which is zero in R
-    top = minor_ideal_image(pair.A, 2, ring5)
+    top = minor_ideal_image(image_rows(ring5, pair.A), 2, ring5)
     assert top.gens == ()
     assert top.describe() == "(0)"
 
@@ -833,12 +836,12 @@ def test_perturbation_check_validates_its_point_twice_and_lifts_nothing(ring5, r
 
 def _pencil_at(C, pt):
     """The residue pencil at pt as dense grids, each entry's image y -> 0
-    (ring.image_grid) evaluated on its own: a route that does not read
+    (image_grid) evaluated on its own: a route that does not read
     C.pencil_entries."""
     ring = C.ring
     assignment = dict(zip(ring.xvars, pt.coords))
     return [
-        [[e.evaluate(assignment, target=pt.field) for e in row] for row in ring.image_grid(grid)]
+        [[e.evaluate(assignment, target=pt.field) for e in row] for row in image_grid(ring, grid)]
         for grid in (C.A, C.B)
     ]
 
@@ -981,7 +984,7 @@ def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch
 
 def _minor_image_by_normal_form(rows, r, ring):
     nf_rows = [[ring.normal_form(e) for e in row] for row in rows]
-    images = (ring.image_in_kx(ring.normal_form(m)) for m in all_minors(nf_rows, r, ring.ambient))
+    images = (ring.image_in_kx(ring.normal_form(m)) for m in dense_minors(nf_rows, r, ring.ambient))
     return _canonical_gens(ring.kx, images)
 
 
@@ -994,7 +997,8 @@ def test_minor_images_match_the_normal_form_route(field):
     for C in cones:
         for grid in (C.A, C.B):
             for r in range(1, C.size + 1):
-                assert minor_ideal_image(grid, r, ring).gens == _minor_image_by_normal_form(grid, r, ring)
+                got = minor_ideal_image(image_rows(ring, grid), r, ring).gens
+                assert got == _minor_image_by_normal_form(grid, r, ring)
     # the tail, its shift and its dual, whose dense rows come first, and
     # seeded row permutations of their grids: minor_ideal_image walks the
     # rows sparsest first, the normal-form route in the order given
@@ -1003,11 +1007,11 @@ def test_minor_images_match_the_normal_form_route(field):
     for C in (tail, shift(tail), dual(tail)):
         for grid in (C.A, C.B):
             r = rank_over_R(grid, ring)
-            want = minor_ideal_image(grid, r, ring).gens
+            want = minor_ideal_image(image_rows(ring, grid), r, ring).gens
             assert want == _minor_image_by_normal_form(grid, r, ring)
             for _ in range(3):
                 permuted = rng.sample(grid, len(grid))
-                assert minor_ideal_image(permuted, r, ring).gens == want
+                assert minor_ideal_image(image_rows(ring, permuted), r, ring).gens == want
                 assert _minor_image_by_normal_form(permuted, r, ring) == want
 
 
@@ -1021,9 +1025,10 @@ def test_minor_images_walk_the_sparsest_rows_first(ring5, monkeypatch):
     counts = []
     for C in (tail, shift(tail), dual(tail)):
         ranks = ranks_over_R(C)
+        rows = [image_rows(ring5, grid) for grid in (C.A, C.B)]
         products.clear()
-        for grid, r in zip((C.A, C.B), ranks):
-            minor_ideal_image(grid, r, ring5)
+        for grid_rows, r in zip(rows, ranks):
+            minor_ideal_image(grid_rows, r, ring5)
         counts.append(len(products))
     assert counts[0] > 0 and counts == [counts[0]] * 3
 
@@ -1114,7 +1119,7 @@ def test_canonical_gens_keep_the_one_key_order(field):
     for C in _symbolic_suite(ring, random.Random(127)):
         for grid, r in zip((C.A, C.B), ranks_over_R(C)):
             for size in {r, r - 1} - {0}:
-                gens = list(all_minors(ring.image_grid(grid), size, ring.kx))
+                gens = list(dense_minors(image_grid(ring, grid), size, ring.kx))
                 got = _canonical_gens(ring.kx, gens)
                 want = _canonical_by_one_key(ring.kx, gens)
                 assert got == want
@@ -1134,7 +1139,7 @@ def test_canonical_gens_unchanged_when_monic_returns_itself(field, monkeypatch):
     for C in _symbolic_suite(ring, random.Random(127)):
         for grid, r in zip((C.A, C.B), ranks_over_R(C)):
             for size in {r, r - 1} - {0}:
-                lists.append(list(all_minors(ring.image_grid(grid), size, ring.kx)))
+                lists.append(list(dense_minors(image_grid(ring, grid), size, ring.kx)))
     got = [[g.to_string(strict=False) for g in _canonical_gens(ring.kx, gens)] for gens in lists]
     monkeypatch.setattr(Poly, "monic", lambda p: p.scale(field.inv(p.leading_coeff())) if p.terms else p)
     want = [[g.to_string(strict=False) for g in _canonical_gens(ring.kx, gens)] for gens in lists]
@@ -1148,12 +1153,13 @@ def test_minor_images_visit_only_nonzero_minors(ring5, monkeypatch):
     # few hundred polynomials for both images; visiting every (row set,
     # column set) pair built over 11000, one of them a fresh zero per pair.
     # ring.zero() is counted too: it returns a shared zero, which would hide
-    # a return to that route from a count of constructions alone.
+    # a return to that route from a count of constructions alone, and so is
+    # Poly._of_nonzero, which builds without __init__.
     tail = complete_resolution_of_k(ring5)
     ranks = ranks_over_R(tail)
     assert tail.pencil_entries.values and ranks == (4, 4)
     built = [0]
-    init, zero = Poly.__init__, PolyRing.zero
+    init, zero, of_nonzero = Poly.__init__, PolyRing.zero, Poly._of_nonzero
 
     def counted_init(self, ring, terms):
         built[0] += 1
@@ -1163,9 +1169,14 @@ def test_minor_images_visit_only_nonzero_minors(ring5, monkeypatch):
         built[0] += 1
         return zero(self)
 
+    def counted_of_nonzero(cls, ring, terms):
+        built[0] += 1
+        return of_nonzero(ring, terms)
+
     monkeypatch.setattr(Poly, "__init__", counted_init)
     monkeypatch.setattr(PolyRing, "zero", counted_zero)
-    images = [minor_ideal_image(grid, r, ring5) for grid, r in zip((tail.A, tail.B), ranks)]
+    monkeypatch.setattr(Poly, "_of_nonzero", classmethod(counted_of_nonzero))
+    images = critical_images(tail, ranks)
     monkeypatch.undo()
     assert all(image.gens for image in images)
     assert built[0] <= 1000
@@ -1186,9 +1197,9 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     monkeypatch.setattr(RingSpec, "normal_form", counted("normal_form", RingSpec.normal_form))
     monkeypatch.setattr(ghrv.variety, "specialize", counted("specialize", specialize))
     monkeypatch.setattr(RingSpec, "image_in_kx", counted("image_in_kx", RingSpec.image_in_kx))
-    assert minor_ideal_image(tail.A, r_a, ring3).gens
+    assert critical_images(tail, (r_a, tail.size - r_a), "A")[0].gens
     assert calls["normal_form"] == 0
-    assert calls["image_in_kx"] > 0  # the symbolic path takes its own residue grid
+    assert calls["image_in_kx"] > 0  # the symbolic path maps its own entries
     calls["image_in_kx"] = 0
     assert contractible_at(tail, pt)
     assert calls["specialize"] == 0
@@ -1247,7 +1258,144 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
         assert C.pencil_entries is not base.pencil_entries
         kept = C.pencil_entries
         dense = dense_grids(kept, kept.values, ring5.kx.zero())
-        assert [tuple(map(tuple, grid)) for grid in dense] == [ring5.image_grid(C.A), ring5.image_grid(C.B)]
+        assert [tuple(map(tuple, grid)) for grid in dense] == [image_grid(ring5, C.A), image_grid(ring5, C.B)]
     # the cone's variety is Z(x1^2 + 2*x2^2): two points, both over F_25 only
     cone_points = [p for p in points if not contractible_at(derived[2], p)]
     assert len(cone_points) == 2 and all(p.field != ring5.field for p in cone_points)
+
+
+# -- minor-ideal images from the pair's distinct entries ----------------------
+
+def _dense_rank_variety(C) -> str:
+    """rank_variety(C).describe() by the dense route rank_variety replaced,
+    kept as its reference: for each of A and B at its rank over R, the image
+    grid y -> 0 of the whole matrix (image_grid), its rows sparsest first,
+    every nonzero minor of it, and _canonical_gens; rank 0 gives (1)."""
+    ring = C.ring
+    kx = ring.kx
+    parts = []
+    for grid, r in zip((C.A, C.B), ranks_over_R(C)):
+        if r <= 0:
+            gens = (kx.one(),)
+        else:
+            image = sorted(image_grid(ring, grid), key=lambda row: sum(1 for e in row if e.terms))
+            gens = _canonical_gens(kx, dense_minors(image, r, kx))
+        parts.append(IdealGens(kx, gens))
+    return ZeroSetUnion(kx, tuple(parts)).describe()
+
+
+def _form(ring, rng, degree):
+    """A random x-homogeneous form of the given degree, nonzero."""
+    fld = ring.field
+    units = ([e for e in fld.elements() if not fld.is_zero(e)] if fld.finite
+             else [fld.from_int(a) for a in (1, 2, -1, -3)])
+    monos = [m for m in combinations_with_replacement(range(ring.c), degree)]
+    terms = {}
+    for m in rng.sample(monos, rng.randrange(1, len(monos) + 1)):
+        terms[tuple(m.count(i) for i in range(ring.c)) + (0,) * ring.d] = rng.choice(units)
+    return Poly(ring.ambient, terms)
+
+
+def _image_leaves(ring):
+    """The Koszul pair of the ring, and on a worked ring also its fixtures
+    and its Shamash tail."""
+    if ring != worked_ring(ring.field):
+        return [_koszul_pair(ring)]
+    return [_koszul_pair(ring), fixture_k(ring), fixture_rank_one(ring), complete_resolution_of_k(ring)]
+
+
+@pytest.mark.parametrize("ring", _law_rings(), ids=["GF(3)", "GF(5)", "GF(9)", "QQ", "c3", "nonmonomial"])
+def test_rank_variety_matches_the_dense_image_route(ring):
+    # seeded chains of shift, dual, direct_sum and cone_mul up to 8x8: the
+    # images read from the pair's distinct entries and walked on sparse
+    # rows print byte-identical to the dense route, every generator monic
+    rng = random.Random(f"{ring} images")
+    leaves = _image_leaves(ring)
+    one = ring.field.one
+    steps = {"shift": 0, "dual": 0, "sum": 0, "cone": 0}
+    for _ in range(8):
+        chain = [rng.choice(leaves)]
+        for _ in range(5):
+            C = chain[-1]
+            partners = [D for D in chain + leaves if C.size + D.size <= 8]
+            step = rng.choice(["shift", "dual"] + ["cone"] * (2 * C.size <= 8) + ["sum"] * bool(partners))
+            if step == "sum":
+                D = direct_sum(C, rng.choice(partners))
+            elif step == "cone":
+                D = cone_mul(C, _form(ring, rng, rng.choice((0, 1, 1, 2))))
+            else:
+                D = {"shift": shift, "dual": dual}[step](C)
+            steps[step] += 1
+            V = rank_variety(D)
+            assert V.describe() == _dense_rank_variety(D), (D.size, step)
+            assert all(g.leading_coeff() == one for comp in V.components for g in comp.gens)
+            chain.append(D)
+    assert min(steps.values()) > 0
+
+
+def test_minor_images_at_the_edges(ring5, ringq):
+    kx = ring5.kx
+    x1 = kx.variable("x1")
+    # r = 0 gives (1) whatever the rows; no rows at r = 1 give (0)
+    assert minor_ideal_image([], 0, ring5).describe() == "(1)"
+    assert minor_ideal_image([[(0, x1)]], 0, ring5).describe() == "(1)"
+    assert minor_ideal_image([[], []], 1, ring5).describe() == "(0)"
+    # fixture_k's entries all lie in (y): its pencil is zero, and so are
+    # both images, at ranks one
+    k = fixture_k(ring5)
+    assert k.pencil_entries.values == () and ranks_over_R(k) == (1, 1)
+    assert rank_variety(k).describe() == "Z(0) union Z(0)"
+    # a constant minor gives (1): the pair (1, w), whose B has rank 0, and
+    # a cone by a unit, whose 2 x 2 minors include det(2I)
+    assert rank_variety(trivial_pair(ring5)).describe() == "Z(1) union Z(1)"
+    assert rank_variety(cone_mul(k, ring5.parse("2"))).describe() == "Z(1) union Z(1)"
+    # QQ generators that share a leading monomial keep the _tie_key order
+    for p, q in _PINNED_QQ_GENS:
+        C = cone_mul(cone_mul(fixture_k(ringq), ringq.parse(p)), ringq.parse(q))
+        V = rank_variety(C)
+        assert V.describe() == _dense_rank_variety(C)
+        for comp in V.components:
+            lms = [g.leading_monomial() for g in comp.gens]
+            assert len(set(lms)) < len(lms)
+            for lm in set(lms):
+                keys = [ghrv.variety._tie_key(g) for g in comp.gens if g.leading_monomial() == lm]
+                assert keys == sorted(keys, reverse=True)
+
+
+def test_rank_variety_maps_each_distinct_value_once(ring5, monkeypatch):
+    # one call maps each distinct nonzero value of C.pair_entries y -> 0
+    # once, in order, and nothing else; the tail's dual and the cones hold
+    # one value at many positions
+    image = RingSpec.image_in_kx
+    calls = []
+    repeated = 0
+    for C in _symbolic_suite(ring5, random.Random(137)):
+        values = C.pair_entries.values
+        positions = sum(1 for grid in (C.A, C.B) for row in grid for e in row if e.terms)
+        repeated += positions > len(values)
+        monkeypatch.setattr(RingSpec, "image_in_kx", lambda r, p: calls.append(p) or image(r, p))
+        rank_variety(C)
+        monkeypatch.undo()
+        assert [id(p) for p in calls] == [id(v) for v in values], C.size
+        calls.clear()
+    assert repeated > 0
+
+
+def test_a_minor_count_refusal_names_its_matrix_before_any_wedge(ring5, monkeypatch):
+    # the 16x16 realize stage at its ranks (8, 8) has C(16, 8)^2 minors of
+    # size 8 in each matrix: the refusal names the matrix and comes before
+    # any wedge, so no field product is formed
+    final = realize(ring5, ["x1*x2"], verify=False).final
+    ranks = ranks_over_R(final)
+    assert final.size == 16 and ranks == (8, 8)
+    products = []
+    mul = type(ring5.field).mul
+    monkeypatch.setattr(type(ring5.field), "mul", lambda *a: products.append(1) or mul(*a))
+    for names, name in (("AB", "A"), ("B", "B")):
+        with pytest.raises(BoundExceeded, match=f"^{name}: 165636900 minors of size 8 in a 16x16 "
+                                                "matrix exceed the cap of 1000000$"):
+            critical_images(final, ranks, names)
+    assert products == []
+    monkeypatch.undo()
+    with pytest.raises(BoundExceeded, match="^A: 165636900 minors of size 8 in a 16x16 matrix"):
+        rank_variety(final)
