@@ -16,6 +16,7 @@ import sys
 from .complexes import cone_mul, validate_pair
 from .errors import FieldError, GhrvError, ParseError
 from .fields import RationalField, field_name, parse_field
+from .matrix import map_entries
 from .parser import parse_poly
 from .pipelines import (
     FIXTURE_NAMES,
@@ -203,8 +204,7 @@ def _cmd_specialize(args) -> int:
     preimages = lift_point(ring, coords, given)
     print(f"alpha = {_format_point(ring.field, coords)}")
     print(f"w_alpha = {specialize(ring.w, preimages, ring)}")
-    a_spec = [[specialize(e, preimages, ring) for e in row] for row in C.A]
-    b_spec = [[specialize(e, preimages, ring) for e in row] for row in C.B]
+    a_spec, b_spec = map_entries(lambda e: specialize(e, preimages, ring), C.A, C.B)
     print(_format_matrix("A|alpha", a_spec))
     print(_format_matrix("B|alpha", b_spec))
     r_a, r_b = residue_ranks(C, coords)

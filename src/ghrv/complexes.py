@@ -28,15 +28,16 @@ A pair keeps its own entries (pair_entries) and its residue pencil
 (Abar, Bbar) = (A, B)|_{y=0} (pencil_entries) by their distinct nonzero
 entries (DistinctEntries).  Each step (cone_mul, shift, dual, direct_sum)
 is one rule over DistinctEntries, which _derived runs on the parents'
-pair_entries for the new grids and, on first use, on the parents' pencils
-for the new pencil: y -> 0 is a ring map, so it commutes with every step.
-A derived pair's verdict and certification claim are its parents'.  Every
-other pair (fixtures, loaded files, the Shamash tail) reads both DistinctEntries
-from its grids (distinct_entries), the tests' reference.  A rule reuses a
-parent's object for an equal value, and the Shamash tail signs each
-variable and each f_i once for both folds, so pairs built here hold one
-object per value, -(-e) is e, and a pass run once per distinct entry object
-(map_entries) runs once per distinct value.
+pair_entries for the new grids; every other pair (fixtures, loaded files,
+the Shamash tail) reads its entries from its grids (distinct_entries).
+The pencil has one route for every pair, whatever built it: y -> 0 is a
+ring map, so the pencil is the image of the pair's own distinct entries,
+each value of pair_entries mapped once.  A derived pair's verdict and
+certification claim are its parents'.  A rule reuses a parent's object for
+an equal value, and the Shamash tail signs each variable and each f_i once
+for both folds, so pairs built here hold one object per value, -(-e) is e,
+and a pass run once per distinct entry object (map_entries) runs once per
+distinct value.
 
 The Koszul complex here is taken on all m = c + d variables of P.  The
 Shamash resolution of the residue field, G_n = sum_j F_(n-2j) with
@@ -118,28 +119,24 @@ class DistinctEntries:
     rows[g][i] lists the (column, index) pairs of the nonzero entries of row
     i of grid g by ascending column, so entry (i, j) is values[k] for (j, k)
     in rows[g][i], and zero when row i has no pair for column j.
-    distinct_entries reads one from grids, and a step's rule derives one
-    from its parents' (_derived); both give the same for the same grids."""
+    distinct_entries reads one from grids, a step's rule derives one from
+    its parents' (_derived), and both give the same for the same grids; a
+    pair's pencil is the image of its own (pencil_entries)."""
 
     values: tuple[Poly, ...]
     rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
-def distinct_entries(grids, image=None) -> DistinctEntries:
-    """The nonzero entries of square `grids`, or their images under `image`
-    when it is given, indexed by distinct value (see DistinctEntries).  Only
-    nonzero entries are read, each distinct entry object once (map_entries),
-    and an image that is zero is left out.  This builds the entries and the
-    pencil of every pair no step derived (fixtures, loaded files, the
-    Shamash tail), and is the reference the tests compare a derived pair's
-    with."""
+def distinct_entries(grids) -> DistinctEntries:
+    """The nonzero entries of square `grids` indexed by distinct value (see
+    DistinctEntries), each distinct entry object read once (map_entries).
+    This builds the entries of every pair no step derived (fixtures, loaded
+    files, the Shamash tail), and is the reference the tests compare a
+    derived pair's with."""
     index: dict[Poly, int] = {}
 
     def slot(e: Poly) -> int | None:
-        if not e.terms:
-            return None
-        v = e if image is None else image(e)
-        return index.setdefault(v, len(index)) if v.terms else None
+        return index.setdefault(e, len(index)) if e.terms else None
 
     rows = tuple(tuple(tuple((j, k) for j, k in enumerate(row) if k is not None) for row in grid)
                  for grid in map_entries(slot, *grids))
@@ -177,8 +174,8 @@ class PeriodicComplex:
         self.degrees0 = degrees0
         self.degrees1 = degrees1
         self.certified = certified
-        # (rule, parents, reduced scalar or None) of a pair a step built
-        # (_derived), None for any other pair
+        # (rule, parents) of a pair a step built (_derived), None for any
+        # other pair
         self._derivation = None
 
     @property
@@ -201,16 +198,26 @@ class PeriodicComplex:
         leaf's, and validate_pair, which then skips the mod-w pass and the
         RankDefect check.  Judged on the stored grids and never on the
         `certified` flag, which a file may claim falsely.  A pair a step
-        built takes its parents' verdicts
-        and multiplies nothing: (-B)(-A) = B*A, B^t A^t = (A*B)^t, a block sum
-        multiplies block by block, and a cone's blocks multiply to
+        built multiplies nothing: (-B)(-A) = B*A, B^t A^t = (A*B)^t, a block
+        sum multiplies block by block, and a cone's blocks multiply to
         [[A*B, 0], [0, B*A]] (cone_mul), so each is an exact factorization
-        exactly when its parents are.  Computed on first use and kept, for
-        a derived pair by _from_parents."""
+        exactly when its parents are, and so exactly when every leaf its
+        derivation reaches is.  Its derivation is walked with a stack, as
+        ranks_over_R walks it, leaves in order, to the leaves or to an
+        ancestor whose verdict is kept, and stops at the first false one;
+        each leaf reached keeps its verdict, so a leaf met again multiplies
+        nothing.  Computed on first use and kept."""
         if self._derivation is None:
             return self._is_w_identity(mat_mul(self.A, self.B, self.ring.ambient))
-        return self._from_parents("is_factorization",
-                                  lambda P: all(Q.is_factorization for Q in P._derivation[1]))
+        todo = list(reversed(self._derivation[1]))
+        while todo:
+            P = todo.pop()
+            if P._derivation is None or "is_factorization" in vars(P):
+                if not P.is_factorization:
+                    return False
+            else:
+                todo += reversed(P._derivation[1])
+        return True
 
     def _is_w_identity(self, ab) -> bool:
         """Whether ab, the product A*B, is w*I."""
@@ -219,45 +226,21 @@ class PeriodicComplex:
     @cached_property
     def pencil_entries(self) -> DistinctEntries:
         """The residue pencil (Abar, Bbar) = (A, B)|_{y=0} over k[x], kept by
-        its distinct nonzero entries: an image that is zero is left out, and
-        equal images share one index.  A pair a step built runs the step's
-        rule on its parents' pencils, with one image_in_kx for a cone's
-        scalar and none otherwise; any other pair reads it from its grids
-        (distinct_entries), image_in_kx running once on each distinct
-        nonzero entry object of A and B.  A verdict at a point evaluates
-        each distinct entry once and reads the rows of (column, index)
-        pairs, so it costs in proportion to the distinct nonzero entries; no
-        dense grid is kept.  Built on first use and kept with the pair, for
-        a derived pair by _from_parents."""
-        if self._derivation is None:
-            return distinct_entries((self.A, self.B), self.ring.image_in_kx)
-
-        def derive(P):
-            rule, parents, rep = P._derivation
-            return rule([Q.pencil_entries for Q in parents], None if rep is None else P.ring.image_in_kx(rep))
-
-        return self._from_parents("pencil_entries", derive)
-
-    def _from_parents(self, name: str, derive):
-        """The kept property `name` of this derived pair, derive(P) giving a
-        derived pair's value from the values its parents keep.  The
-        derivation is walked with a stack, parents before children and every
-        ancestor met keeping its value (a leaf computes its own), so its
-        depth is not bounded by Python's recursion limit."""
-        todo = [self]
-        while todo:
-            P = todo[-1]
-            if name in vars(P):
-                todo.pop()
-            elif P._derivation is None:
-                getattr(P, name)
-            else:
-                missing = [Q for Q in P._derivation[1] if name not in vars(Q)]
-                if missing:
-                    todo += reversed(missing)
-                else:
-                    vars(P)[name] = derive(P)
-        return vars(self)[name]
+        its distinct nonzero entries.  It is the image of pair_entries under
+        the ring map y -> 0, for every pair whatever built it: image_in_kx
+        runs once per value, in order, an image that is zero is left out,
+        and equal images share one index in the order first met, so it is
+        the DistinctEntries of the image grids.  A verdict at a point
+        evaluates each distinct entry once and reads the rows of (column,
+        index) pairs, so it costs in proportion to the distinct nonzero
+        entries; no dense grid is kept.  Built on first use and kept."""
+        entries = self.pair_entries
+        index: dict[Poly, int] = {}
+        to = [index.setdefault(v, len(index)) if (v := self.ring.image_in_kx(e)).terms else None
+              for e in entries.values]
+        rows = tuple(tuple(tuple((j, to[k]) for j, k in row if to[k] is not None) for row in grid)
+                     for grid in entries.rows)
+        return DistinctEntries(tuple(index), rows)
 
     @cached_property
     def pair_entries(self) -> DistinctEntries:
@@ -417,8 +400,8 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
     whatever p is, so the cone is an exact factorization exactly when C is,
     and takes C's verdict (is_factorization) and claim (certified).  When C
     is certified, C's verdict (computed once if it is not yet kept) decides
-    at once: CertificationFailed when it is false.  The cone keeps C and the
-    reduced scalar (_derived), from which its pencil is built on first use.
+    at once: CertificationFailed when it is false.  The reduced scalar
+    enters the cone's entries (_derived) and is not kept apart from them.
     """
     ring = C.ring
     rep = ring.normal_form(p)
@@ -435,13 +418,13 @@ def cone_mul(C: PeriodicComplex, p) -> PeriodicComplex:
 def _derived(rule, parents: tuple[PeriodicComplex, ...], rep: Poly | None, degrees0,
              degrees1) -> PeriodicComplex:
     """The pair a step builds from `parents`, with `rep` the reduced scalar
-    of a cone and None otherwise.  rule(parents' entries, scalar) gives the
-    new pair's DistinctEntries; run on the parents' pair_entries and rep, it
-    gives the new entries, expanded here into the dense A and B with
-    values[k] at each (column, k) pair and the ring's one zero elsewhere,
-    and kept as the pair's pair_entries.  The pair claims certification when
-    every parent does, and keeps (rule, parents, rep), from which its pencil
-    (the rule on the parents' pencils and rep's image) and verdict follow."""
+    of a cone and None otherwise.  rule(parents' pair_entries, rep) gives
+    the new pair's DistinctEntries, expanded here into the dense A and B
+    with values[k] at each (column, k) pair and the ring's one zero
+    elsewhere, and kept as the pair's pair_entries, whose image is its
+    pencil.  The pair claims certification when every parent does, and
+    keeps (rule, parents), from which its verdict (is_factorization) and
+    its ranks over R (variety.ranks_over_R) follow."""
     ring = parents[0].ring
     entries = rule([P.pair_entries for P in parents], rep)
     zero = ring.ambient.zero()
@@ -456,15 +439,15 @@ def _derived(rule, parents: tuple[PeriodicComplex, ...], rep: Poly | None, degre
         grids.append(grid)
     C = PeriodicComplex(ring, *grids, degrees0, degrees1, all(P.certified for P in parents))
     C.pair_entries = entries
-    C._derivation = (rule, parents, rep)
+    C._derivation = (rule, parents)
     return C
 
 
-# The step rules.  Each takes its parents' DistinctEntries, of the pairs or
-# of their pencils, and a scalar (a cone's, else None), and gives the new
-# pair's.  `known` indexes values by value, a parent's values first under
-# their own indices, so a value met again is the parent's object, and
-# _indexed keeps the values the new rows meet.
+# The step rules.  Each takes its parents' pair_entries and a scalar (a
+# cone's, else None), and gives the new pair's.  `known` indexes values by
+# value, a parent's values first under their own indices, so a value met
+# again is the parent's object, and _indexed keeps the values the new rows
+# meet.
 
 def _index(known: dict, values) -> list[int]:
     """The index in `known` (value -> index) of each of `values`, a value

@@ -49,12 +49,10 @@ pair keeps its pencil by its distinct nonzero entries
 (PeriodicComplex.pencil_entries): the images y -> 0 of the nonzero entries
 of A and B, equal images sharing one index, and for each of Abar and Bbar
 rows of (column, index) pairs.  A scan over many points therefore pays for
-y -> 0 once.  A pair built by a step (cone_mul, shift, dual,
-direct_sum) runs the step's rule on its parents' pencils, since y -> 0 is
-a ring map, with one image_in_kx on a cone's scalar and none otherwise;
-any other pair maps each distinct nonzero entry object of A and B once
-(complexes.distinct_entries).  A verdict builds one poly.evaluator per point, which looks up
-the embedding once and keeps one power table per coordinate, evaluates
+y -> 0 once.  Every pair, whatever built it, reaches its pencil by the same
+route: each value of its own C.pair_entries is mapped y -> 0 once, a zero
+image dropped.  A verdict builds one poly.evaluator per point, which looks
+up the embedding once and keeps one power table per coordinate, evaluates
 each distinct entry once, and _ranks builds each row's dict of nonzero
 scalars straight from its pairs for the one field rank
 (matrix.rank_over_field).  So a verdict costs in proportion to the distinct
@@ -180,7 +178,7 @@ def ranks_over_R(C: PeriodicComplex) -> tuple[int, int]:
             a = rank_over_R(P.A, P.ring)
             b = P.size - a
         else:
-            rule, parents, _ = P._derivation
+            rule, parents = P._derivation
             if rule is _sum:
                 todo += [(Q, swapped) for Q in reversed(parents)]
                 continue
@@ -284,11 +282,13 @@ def minor_ideal_image(rows, r: int, ring: RingSpec) -> IdealGens:
 def critical_images(C: PeriodicComplex, ranks: tuple[int, int], names: str = "AB") -> tuple[IdealGens, ...]:
     """The minor-ideal images of the matrices of C named in `names` ("A",
     "B" or both), I_rA(A) and I_rB(B) with (rA, rB) = ranks, in that order.
-    They are read from C.pair_entries: each distinct nonzero value of A and
-    B is mapped y -> 0 once, a zero image is dropped, and each matrix's
-    image rows are its (column, index) rows over those images.  A refusal
-    of minor_ideal_image (BoundExceeded, by MAX_MINORS) names its matrix,
-    "A: " or "B: " before the message.  Nothing is kept on the pair."""
+    They are read from C.pair_entries by the pencil's own route: each
+    distinct nonzero value of A and B is mapped y -> 0 once, a zero image
+    is dropped, and each matrix's image rows are its (column, index) rows
+    over those images.  Equal images are not merged here, which the minors
+    do not need.  A refusal of minor_ideal_image (BoundExceeded, by
+    MAX_MINORS) names its matrix, "A: " or "B: " before the message.
+    Nothing is kept on the pair."""
     ring = C.ring
     entries = C.pair_entries
     # The kept pencil (C.pencil_entries) holds these images already, and

@@ -2,6 +2,7 @@
 scalars by their nonzero entries only, and tests that build a dense grid,
 or compare grids entry by entry, go through these."""
 
+from ghrv.complexes import distinct_entries
 from ghrv.matrix import all_minors, map_entries, rank_over_field, sparse_rows
 
 
@@ -35,6 +36,14 @@ def image_grid(ring, rows):
     mapped once (map_entries)."""
     (grid,) = map_entries(ring.image_in_kx, rows)
     return grid
+
+
+def image_entries(ring, grids):
+    """The DistinctEntries of the image grids y -> 0 of `grids` (image_grid,
+    then distinct_entries): the reference a pair's kept pencil is compared
+    with, zero images dropped and equal images sharing one index in the
+    order first met, row by row."""
+    return distinct_entries([image_grid(ring, grid) for grid in grids])
 
 
 def image_rows(ring, rows):

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import ghrv
+import ghrv.cli
 import ghrv.variety
 
 from ghrv.cli import build_parser, run
@@ -154,6 +155,27 @@ def test_specialize(k_file, capsys):
     assert "w_alpha = x^2 + y^2" in out
     assert "A|alpha =" in out
     assert "residue ranks: rank(A) = 0, rank(B) = 0, size = 2" in out
+
+
+def test_specialize_maps_each_entry_object_once(ring_file, tmp_path, capsys, monkeypatch):
+    # specialize prints A|alpha and B|alpha position by position, but
+    # specializes w and then each distinct entry object of the loaded pair
+    # once, in the order first met: on the 32x32 trace, 17 calls (w and 16
+    # objects) where one call per position, w included, made 2049
+    trace = str(tmp_path / "trace.json")
+    assert run(["realize", ring_file, "--p", "x1*x2", "--p", "x1+x2", "--out", trace]) == 0
+    C = load_complex(trace)
+    objects = list({id(e): e for grid in (C.A, C.B) for row in grid for e in row}.values())
+    calls = []
+    specialize = ghrv.cli.specialize
+    monkeypatch.setattr(ghrv.cli, "specialize", lambda e, *a: calls.append(e) or specialize(e, *a))
+    monkeypatch.setattr(ghrv.cli, "load_complex", lambda path: C)
+    capsys.readouterr()
+    assert run(["specialize", trace, "--alpha", "1,2"]) == 0
+    out = capsys.readouterr().out
+    assert C.size == 32 and len(objects) == 16
+    assert [id(e) for e in calls[1:]] == [id(e) for e in objects] and calls[0] == C.ring.w
+    assert out.count("\n  [ ") == 64
 
 
 def test_specialize_with_preimages(k_file, capsys):

@@ -76,6 +76,8 @@ def invocations(field_text: str) -> list[list[str]]:
         ["check", "<tmp>/trace32.json"],
         ["rank", "<tmp>/trace32.json"],
         ["rank", "<tmp>/trace32.json", "--which", "B"],
+        ["specialize", "<tmp>/trace32.json", "--alpha", "1,2"],
+        ["contractible", "<tmp>/trace32.json", "--alpha", "1,0"],
         ["variety", "<tmp>/ring.json", "--fixture", "k5-example", *ext_points],
         ["points", "--field", field_text, "--c", "2"],
         ["reproduce", "--field", field_text],

@@ -53,7 +53,7 @@ from ghrv.ring import RingSpec, make_ring
 from ghrv.serialize import load_complex, save_trace
 from ghrv.variety import contractible_at, enumerate_points, extension_of, rank_over_R, rank_variety
 
-from dense import dense_grids, dense_rank
+from dense import dense_grids, dense_rank, image_entries
 
 
 # -- Koszul -------------------------------------------------------------------
@@ -623,12 +623,13 @@ def test_cone_rank_partition(ring5):
 
 @pytest.mark.parametrize("field_text", ["GF(5)", "GF(9)", "QQ"])
 def test_a_cone_inherits_the_pencil_of_its_own_grids(field_text, monkeypatch):
-    # a cone builds its residue pencil from its parent's, with one
-    # image_in_kx (on the scalar); it is the pencil read from the cone's
-    # grids, for every stage of realize chains up to 64x64 (the last chain
-    # ends in a scalar whose image is zero) and for cones, and cones of
-    # cones, of the fixtures, their shifts and duals by the zero class, by
-    # y*x1 (image zero) and by x1*x2
+    # a cone's residue pencil is the image of its own distinct entries, the
+    # scalar among them: one image_in_kx per value of its pair_entries, in
+    # order, and none for a pencil already kept.  It is the pencil of the
+    # cone's image grids, for every stage of realize chains up to 64x64
+    # (the last chain ends in a scalar whose image is zero) and for cones,
+    # and cones of cones, of the fixtures, their shifts and duals by the
+    # zero class, by y*x1 (image zero) and by x1*x2
     ring = worked_ring(parse_field(field_text))
     calls = []
     image = RingSpec.image_in_kx
@@ -646,13 +647,17 @@ def test_a_cone_inherits_the_pencil_of_its_own_grids(field_text, monkeypatch):
                 cones += [(cone, parent, ring.parse(p)), (cone_mul(cone, ring.parse("x1 + x2")), cone, ring.parse("x1 + x2"))]
     kept = []
     for C, parent, p in cones:
-        parent.pencil_entries  # built first, so the count below is the cone's alone
+        assert "pencil_entries" not in vars(C)
+        values = C.pair_entries.values
+        assert ring.normal_form(p) in values or not ring.normal_form(p).terms
         del calls[:]
         kept.append(C.pencil_entries)
-        assert calls == [ring.normal_form(p)]
+        assert [id(e) for e in calls] == [id(v) for v in values]
+        del calls[:]
+        assert C.pencil_entries is kept[-1] and calls == []
     monkeypatch.undo()
     for (C, _, _), entries in zip(cones, kept):
-        assert entries == distinct_entries((C.A, C.B), ring.image_in_kx), C.size
+        assert entries == image_entries(ring, (C.A, C.B)), C.size
 
 
 def _nonzero_objects(C):
@@ -772,11 +777,11 @@ def test_seeded_chains_of_steps_derive_entries_pencil_and_verdict(field_text, mo
     # seeded chains of cone_mul, shift, dual and direct_sum up to 64x64,
     # from the fixtures, the Shamash tail and a fixture with one entry
     # changed (no factorization): each step's grids are the dense layout
-    # written out here; its derived entries and pencil are those read from
-    # its grids, the pencil built with one image_in_kx for a cone and none
-    # otherwise; its verdict is a fresh copy's; its certification claim is
-    # its parents'; and it holds one object per value, every zero the
-    # ring's one zero
+    # written out here; its derived entries are those read from its grids,
+    # and its pencil, one image_in_kx per value of those entries in order
+    # and none once kept, is that of its image grids; its verdict is a
+    # fresh copy's; its certification claim is its parents'; and it holds
+    # one object per value, every zero the ring's one zero
     ring = worked_ring(parse_field(field_text))
     k = fixture_k(ring)
     tampered = PeriodicComplex(ring, [[k.A[0][0] + ring.parse("x1"), k.A[0][1]], list(k.A[1])], k.B,
@@ -787,7 +792,10 @@ def test_seeded_chains_of_steps_derive_entries_pencil_and_verdict(field_text, mo
     image = RingSpec.image_in_kx
     monkeypatch.setattr(RingSpec, "image_in_kx", lambda r, p: calls.append(p) or image(r, p))
     for leaf in leaves:
-        leaf.pencil_entries
+        del calls[:]
+        pencil = leaf.pencil_entries
+        assert [id(e) for e in calls] == [id(v) for v in leaf.pair_entries.values]
+        assert pencil == image_entries(ring, (leaf.A, leaf.B))
     steps = {"cone": 0, "shift": 0, "dual": 0, "sum": 0}
     claims = set()
     for seed in range(10):
@@ -810,8 +818,10 @@ def test_seeded_chains_of_steps_derive_entries_pencil_and_verdict(field_text, mo
             assert ([list(row) for row in D.A], [list(row) for row in D.B]) == tuple(_step_grids(step, parents, p))
             del calls[:]
             pencil = D.pencil_entries
-            assert calls == ([ring.normal_form(p)] if step == "cone" else [])
-            assert pencil == distinct_entries((D.A, D.B), ring.image_in_kx), (seed, step)
+            assert [id(e) for e in calls] == [id(v) for v in D.pair_entries.values]
+            del calls[:]
+            assert D.pencil_entries is pencil and calls == []
+            assert pencil == image_entries(ring, (D.A, D.B)), (seed, step)
             assert D.pair_entries == distinct_entries((D.A, D.B)), (seed, step)
             fresh = PeriodicComplex(ring, D.A, D.B, D.degrees0, D.degrees1, D.certified)
             assert D.is_factorization == fresh.is_factorization == all(P.is_factorization for P in parents)
@@ -853,6 +863,60 @@ def test_a_long_derivation_is_walked_with_a_stack(ring5, steps):
         C = _long_chain(base, steps, length)
         assert rank_variety(C).describe() == rank_variety(ref).describe()
         assert (C.A, C.B) == (ref.A, ref.B)
+
+
+def test_the_verdict_walk_reaches_each_leaf_once(ring5, monkeypatch):
+    # a derived pair's verdict walks its derivation to the leaves, or to an
+    # ancestor whose verdict is kept, forming at most one product A*B per
+    # distinct leaf: direct_sum(D, D) nested 5 deep reaches its one leaf 32
+    # times and multiplies once.  Leaves are judged in order, and the walk
+    # stops at the first false verdict.  An uncertified leaf with one entry
+    # changed gives False under a cone, under 1500 shifts and duals, and
+    # under shifts, duals, sums and cones beside good leaves.  Every verdict
+    # is that of a fresh copy of the pair, judged by its own product.
+    k = fixture_k(ring5)
+
+    def leaves():
+        bad = PeriodicComplex(ring5, [[k.A[0][0] + ring5.parse("x1"), k.A[0][1]], list(k.A[1])], k.B,
+                              k.degrees0, k.degrees1, certified=False)
+        good = [PeriodicComplex(ring5, C.A, C.B, C.degrees0, C.degrees1, certified=False)
+                for C in (k, fixture_rank_one(ring5))]
+        return bad, *good
+
+    products = []
+    mat_mul_ = complexes.mat_mul
+    monkeypatch.setattr(complexes, "mat_mul", lambda *a: products.append(id(a[0])) or mat_mul_(*a))
+    judged = []
+
+    def verdict(C, want, reached):
+        products.clear()
+        assert C.is_factorization is want
+        assert products == [id(L.A) for L in reached]
+        products.clear()
+        assert C.is_factorization is want and products == []
+        judged.append(C)
+
+    for leaf, want in zip(leaves(), (False, True)):
+        D = leaf
+        for _ in range(5):
+            D = direct_sum(D, D)
+        assert D.size == 64
+        verdict(D, want, [leaf])
+        verdict(direct_sum(D, D), D.is_factorization, [])  # stops at D's kept verdict
+    bad, good, one = leaves()
+    verdict(cone_mul(bad, ring5.parse("x1*x2")), False, [bad])
+    bad, good, one = leaves()
+    verdict(cone_mul(_long_chain(bad, (shift, dual), 1500), ring5.parse("x1")), False, [bad])
+    bad, good, one = leaves()
+    mixed = direct_sum(shift(cone_mul(good, ring5.parse("x1"))), dual(direct_sum(one, good)))
+    verdict(cone_mul(mixed, ring5.parse("x2")), True, [good, one])
+    verdict(direct_sum(cone_mul(bad, ring5.parse("x1")), mixed), False, [bad])
+    bad, good, one = leaves()
+    verdict(direct_sum(direct_sum(good, bad), cone_mul(one, ring5.parse("x2"))), False, [good, bad])
+    monkeypatch.undo()
+    for C in judged:
+        fresh = PeriodicComplex(ring5, C.A, C.B, C.degrees0, C.degrees1, certified=False)
+        assert fresh.is_factorization is C.is_factorization, C.size
 
 
 def test_validate_checks_the_ring_of_every_entry(ring5):

@@ -40,6 +40,8 @@ from ghrv.poly import Poly, PolyRing
 from ghrv.ring import RingSpec
 from ghrv.variety import IdealGens, ZeroSetUnion, proj_point
 
+from dense import image_entries
+
 
 def test_ring_round_trip(ring5, ringq, tmp_path):
     for i, ring in enumerate((ring5, ringq, worked_ring(make_extension(3, 2)))):
@@ -135,11 +137,12 @@ def test_each_per_entry_pass_runs_once_per_distinct_object(ring5, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
 
-    # the pencil: image_in_kx once per distinct nonzero object
+    # the pencil: image_in_kx once per value of the pair's entries, which
+    # here hold one object per value
     fresh = PeriodicComplex(ring5, C.A, C.B, C.degrees0, C.degrees1, certified=True)
     count(RingSpec, "image_in_kx")
     pencil = fresh.pencil_entries
-    assert calls["image_in_kx"] == objects(C.A, C.B, nonzero=True) < 256
+    assert calls["image_in_kx"] == len(fresh.pair_entries.values) == objects(C.A, C.B, nonzero=True) < 256
     monkeypatch.undo()
     index: dict = {}
     rows = tuple(
@@ -219,6 +222,38 @@ def test_saved_bytes_are_the_per_position_json(ring_name, request, tmp_path):
     assert [r["p"] for r in want["trace"]] == [None] + [s.scalar.to_string() for s in trace.stages[1:]]
     assert (tmp_path / "trace.json").read_text() == json.dumps(want, indent=2) + "\n"
     assert load_complex(tmp_path / "trace.json") == trace.final
+
+
+@pytest.mark.parametrize("ring_name", ["ring5", "ring9", "ringq"])
+def test_a_loaded_pair_maps_each_value_of_its_entries_once(ring_name, request, tmp_path, monkeypatch):
+    # a loaded pair is a leaf, and its pencil is the image of its own
+    # distinct entries: one image_in_kx per value of its pair_entries, in
+    # order, and none once kept.  It is the image-grid reference on the
+    # 32x32 trace, and on the rank-one pair with B's x1 and x^2 spelt
+    # "1*x1" and "1*x^2", two objects of one value each, whose entries x^2
+    # and y^2 have image zero (6 values, 3 nonzero images)
+    ring = request.getfixturevalue(ring_name)
+    save_trace(realize(ring, ["x1 + 2*x2", "x1*x2 + 2*x2^2"], verify=False), tmp_path / "trace.json")
+    save_complex(fixture_rank_one(ring), tmp_path / "pair.json")
+    obj = json.loads((tmp_path / "pair.json").read_text())
+    a, b = obj["periodic"]["A"], obj["periodic"]["B"]
+    assert (b[1][1], b[0][0]) == (a[0][0], a[1][1]) == ("x1", "x^2")
+    b[1][1], b[0][0] = "1*x1", "1*x^2"
+    (tmp_path / "respelt.json").write_text(json.dumps(obj))
+    image = RingSpec.image_in_kx
+    calls = []
+    monkeypatch.setattr(RingSpec, "image_in_kx", lambda r, p: calls.append(p) or image(r, p))
+    for name, objects, values, images in (("trace.json", 15, 15, None), ("respelt.json", 8, 6, 3)):
+        C = load_complex(tmp_path / name)
+        assert len({id(e) for grid in (C.A, C.B) for row in grid for e in row if e.terms}) == objects
+        del calls[:]
+        pencil = C.pencil_entries
+        assert [id(e) for e in calls] == [id(v) for v in C.pair_entries.values]
+        assert len(calls) == values
+        del calls[:]
+        assert C.pencil_entries is pencil and calls == []
+        assert pencil == image_entries(ring, (C.A, C.B))
+        assert images is None or len(pencil.values) == images
 
 
 def test_writer_matches_json_dumps():

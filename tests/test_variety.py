@@ -17,7 +17,7 @@ import pytest
 
 import ghrv.ring
 import ghrv.variety
-from ghrv.complexes import PeriodicComplex, cone_mul, direct_sum, dual, shift, trivial_pair, validate_pair
+from ghrv.complexes import PeriodicComplex, _cone, cone_mul, direct_sum, dual, shift, trivial_pair, validate_pair
 from ghrv.errors import (
     BoundExceeded,
     CertificationFailed,
@@ -440,7 +440,7 @@ def test_step_laws_match_elimination(ring):
         want = (rank_over_R(C.A, ring), rank_over_R(C.B, ring))
         assert ranks_over_R(C) == want, (C.size, C._derivation)
         unbalanced += 2 * want[0] != C.size
-        cones += C._derivation is not None and C._derivation[2] is not None
+        cones += C._derivation is not None and C._derivation[0] is _cone
         non_exact += not C.is_factorization
     assert unbalanced and cones and non_exact and max(C.size for C in chains) == 32
 
@@ -1204,8 +1204,8 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     assert contractible_at(tail, pt)
     assert calls["specialize"] == 0
     # the pencil is built once, from the nonzero entries of A and B only,
-    # mapping each distinct entry object once; the tail holds one object
-    # per signed variable and signed f_i that it uses
+    # mapping each value of tail.pair_entries once; the tail holds one
+    # object per signed variable and signed f_i that it uses
     entries = [e for grid in (tail.A, tail.B) for row in grid for e in row if not e.is_zero()]
     objects = len({id(e) for e in entries})
     assert len(entries) == 48
@@ -1243,15 +1243,24 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     assert 0 < calls["mul"] <= mixed + chain
     monkeypatch.undo()
 
-    # pairs built from a scanned pair get their own pencils, and their
-    # verdicts agree with the specialize-then-residue oracle everywhere; the
-    # kept pencil, expanded, is the image grid of A and B
+    # pairs built from a scanned pair get their own pencils, each the image
+    # of the pair's own distinct entries, one image_in_kx per value of its
+    # pair_entries in order and none once kept, and their verdicts agree
+    # with the specialize-then-residue oracle everywhere; the kept pencil,
+    # expanded, is the image grid of A and B
     base = fixture_k(ring5)
     points = enumerate_points(ring5.field, 2) + enumerate_points(extension_of(ring5.field, 2), 2)
     assert not any(contractible_at(base, p) for p in points)
     derived = [shift(base), dual(base), cone_mul(base, ring5.parse("x1^2 + 2*x2^2"))]
+    image = RingSpec.image_in_kx
     for C in derived:
         assert "pencil_entries" not in vars(C)
+        mapped = []
+        monkeypatch.setattr(RingSpec, "image_in_kx", lambda r, p: mapped.append(p) or image(r, p))
+        C.pencil_entries
+        contractible_at(C, points[0])  # reads the kept pencil, mapping nothing
+        assert [id(e) for e in mapped] == [id(v) for v in C.pair_entries.values]
+        monkeypatch.undo()
         for p in points:
             report = preimage_independence_check(C, p, trials=1, seed=3)
             assert report.verdicts == [report.baseline] == [contractible_at(C, p)], str(p)
