@@ -184,7 +184,8 @@ class PeriodicComplex:
 
     @cached_property
     def is_factorization(self) -> bool:
-        """A*B = B*A = w*I exactly over P, decided by the one product A*B.
+        """A*B = B*A = w*I exactly over P, decided on a leaf by the one
+        product A*B, of which only the verdict is kept.
 
         P is a domain and w is nonzero (make_ring refuses a zero f_i), so
         det A * det B = w^n is nonzero: A is invertible over the fraction
@@ -196,8 +197,9 @@ class PeriodicComplex:
         users: variety.ranks_over_R, which then reads a derived pair's
         rank(A) from its step's law and eliminates no B and no A but a
         leaf's, and validate_pair, which then skips the mod-w pass and the
-        RankDefect check.  Judged on the stored grids and never on the
-        `certified` flag, which a file may claim falsely.  A pair a step
+        RankDefect check (a pair that fails forms A*B again in that pass).
+        Judged on the stored grids and never on the `certified` flag, which
+        a file may claim falsely.  A pair a step
         built multiplies nothing: (-B)(-A) = B*A, B^t A^t = (A*B)^t, a block
         sum multiplies block by block, and a cone's blocks multiply to
         [[A*B, 0], [0, B*A]] (cone_mul), so each is an exact factorization
@@ -208,7 +210,8 @@ class PeriodicComplex:
         each leaf reached keeps its verdict, so a leaf met again multiplies
         nothing.  Computed on first use and kept."""
         if self._derivation is None:
-            return self._is_w_identity(mat_mul(self.A, self.B, self.ring.ambient))
+            amb = self.ring.ambient
+            return mat_mul(self.A, self.B, amb) == identity(amb, self.size, self.ring.w)
         todo = list(reversed(self._derivation[1]))
         while todo:
             P = todo.pop()
@@ -218,10 +221,6 @@ class PeriodicComplex:
             else:
                 todo += reversed(P._derivation[1])
         return True
-
-    def _is_w_identity(self, ab) -> bool:
-        """Whether ab, the product A*B, is w*I."""
-        return ab == identity(self.ring.ambient, self.size, self.ring.w)
 
     @cached_property
     def pencil_entries(self) -> DistinctEntries:
@@ -303,14 +302,11 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     Its first step checks that every entry is a polynomial of ring.ambient,
     once per distinct entry object (map_entries): an entry of another ring
     raises RingMismatch, and one that is not a polynomial TypeError.
-    The exact identity A*B = B*A = w*I (C.is_factorization) is tested on
-    the stored grids whatever the file claims, by the one product A*B: in
-    the domain P with w nonzero, A*B = w*I forces B*A = w*I.  When it holds,
+    The exact identity A*B = B*A = w*I is read from C.is_factorization,
+    which judges the stored grids whatever the file claims.  When it holds,
     both products are zero mod w, so the mod-w pass runs only on a pair
-    that fails it, and forms B*A for that pass only then.  A*B is formed
-    at most once: a verdict decided here keeps its product for the pass,
-    and only a pair judged before forms A*B again.  The
-    identity also gives the rank partition by the complement rule
+    that fails it; the pass forms its own A*B and B*A.  The identity also
+    gives the rank partition by the complement rule
     (PeriodicComplex.is_factorization), so the RankDefect check runs only
     on pairs that are complexes mod w without being exact factorizations.
     Findings come in the order NotAComplex, NotHomogeneous,
@@ -320,13 +316,9 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     ring = C.ring
     amb = ring.ambient
     map_entries(amb.coerce, C.A, C.B)
-    ab = None
-    if C._derivation is None and "is_factorization" not in vars(C):
-        ab = mat_mul(C.A, C.B, amb)
-        C.is_factorization = C._is_w_identity(ab)
     if not C.is_factorization:
         for name, left, right in (("A*B", C.A, C.B), ("B*A", C.B, C.A)):
-            prod = ab if name == "A*B" and ab is not None else mat_mul(left, right, amb)
+            prod = mat_mul(left, right, amb)
             bad = [(i, j) for i, row in enumerate(prod)
                    for j, e in enumerate(row) if not ring.normal_form(e).is_zero()]
             if bad:

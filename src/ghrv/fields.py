@@ -18,10 +18,11 @@ Extension elements keep the tuple form at every boundary; only the
 arithmetic behind it changes with the order.  Up to 4096 elements each
 field carries log, antilog and Zech tables keyed by those tuples, so a
 product, sum, negation or inverse is a lookup.  Larger fields add, negate
-and multiply coefficient lists, reducing by the modulus, and invert by the
-extended Euclid that also serves the irreducibility test (_fp_gcd).  That
-list route also builds the tables and is the reference they are tested
-against.
+and multiply coefficient lists, and invert by the extended Euclid that also
+serves the irreducibility test (_fp_gcd).  One division with remainder in
+GF(p)[t], _fp_divmod, does every reduction: a product by the modulus, each
+power in the irreducibility test, and each step of Euclid.  That list
+route also builds the tables and is the reference they are tested against.
 
 Primality is decided by trial division up to MAX_TRIAL_DIVISOR, so a prime
 characteristic past about 10^14 is refused with BoundExceeded.
@@ -221,7 +222,8 @@ def _fp_mul(a, b, p):
 
 
 def _fp_divmod(a, b, p):
-    """Quotient and remainder of a by a nonzero b."""
+    """(q, r) with a = q*b + r and len(r) < len(b), both trimmed, for a
+    nonzero b."""
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     inv_lead = pow(b[-1], p - 2, p)
@@ -234,20 +236,6 @@ def _fp_divmod(a, b, p):
                 a[shift + i] = (a[shift + i] - coef * cb) % p
         a.pop()
     return _fp_trim(q), _fp_trim(a)
-
-
-def _fp_mod(a, b, p):
-    """Remainder of a by a nonzero b, _fp_divmod's without the quotient."""
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        coef = (a[-1] * inv_lead) % p
-        if coef:
-            shift = len(a) - len(b)
-            for i, cb in enumerate(b):
-                a[shift + i] = (a[shift + i] - coef * cb) % p
-        a.pop()
-    return _fp_trim(a)
 
 
 def _fp_gcd(a, b, p):
@@ -267,11 +255,11 @@ def _fp_gcd(a, b, p):
 
 def _fp_powmod(base, n, mod, p):
     acc = [1]
-    base = _fp_mod(base, mod, p)
+    base = _fp_divmod(base, mod, p)[1]
     while n:
         if n & 1:
-            acc = _fp_mod(_fp_mul(acc, base, p), mod, p)
-        base = _fp_mod(_fp_mul(base, base, p), mod, p)
+            acc = _fp_divmod(_fp_mul(acc, base, p), mod, p)[1]
+        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
         n >>= 1
     return acc
 
@@ -471,7 +459,7 @@ class ExtensionField(Field):
 
     def _mul_list(self, a, b):
         prod = _fp_mul(_fp_trim(list(a)), _fp_trim(list(b)), self.p)
-        return self._wrap(_fp_mod(prod, list(self.modulus), self.p))
+        return self._wrap(_fp_divmod(prod, list(self.modulus), self.p)[1])
 
     def from_int(self, n: int):
         return self._wrap([n % self.p])

@@ -10,13 +10,17 @@ division is exact by the minor identity) on sparse rows, with pivots
 chosen against fill-in, where a row the pivot column misses is not
 touched.  Its skipped scalings p_t / p_(t-1) telescope, so one division by
 the pivot that last wrote it, when the row is next touched, is exact and
-catches it up.  Minor enumeration takes a matrix by sparse rows, the
-(column, entry) pairs of each row's nonzero entries, and takes exterior
-products of rows, v_i1 ^ .. ^ v_ir, whose coefficients are the r x r minors
-on those rows; only nonzero coefficients are kept, so a sparse matrix costs
-in proportion to its nonzero minors rather than to all of them, and each
-nonzero minor is built as a polynomial once, from its wedge's terms.  A
-caller holding a dense grid converts it at the edge (sparse_rows).
+catches it up.  That division is exact_div (divide_single with a zero
+remainder), but for the one-term lag of an updated entry, which
+_bareiss_update divides out as it sums the products.
+
+Minor enumeration takes a matrix by sparse rows, the (column, entry) pairs
+of each row's nonzero entries, and takes exterior products of rows,
+v_i1 ^ .. ^ v_ir, whose coefficients are the r x r minors on those rows;
+only nonzero coefficients are kept, so a sparse matrix costs in proportion
+to its nonzero minors rather than to all of them, and each nonzero minor is
+built as a polynomial once, from its wedge's terms.  A caller holding a
+dense grid converts it at the edge (sparse_rows).
 
 The one field-level routine is rank (rank_over_field).  It eliminates
 sparsely on rows given as dicts of their nonzero scalars, so it costs in
@@ -224,9 +228,10 @@ def _bareiss_update(ring: PolyRing, pivot_terms, e: Poly | None, neg_m_terms, f:
     """(pivot * e - m * f) / lag as one Poly, for rank_over_domain: the
     pivot and -m come as term lists, e or f is None for zero and lag None
     for one.  The products are summed in one monomial -> coefficient dict.
-    A one-term lag, the usual case, is divided out of that dict in the same
-    pass, and a term it does not divide raises ArithmeticError as exact_div
-    would; any other lag goes to exact_div."""
+    A one-term lag, the lag of every update the benchmark workloads make,
+    is divided out of that dict in the same pass, and a term it does not
+    divide raises ArithmeticError as exact_div would; a lag of several
+    terms goes to exact_div."""
     fld = ring.field
     add, mul = fld.add, fld.mul
     acc: dict = {}
@@ -270,7 +275,8 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
     it skipped telescope, so its Bareiss row is row * prev / lag, prev the
     last pivot: a touched row becomes (pivot * row - m * pivot_row) / lag,
     exactly, and a stale pivot row is first brought up to date as
-    row * prev / lag.  Each updated entry is one _bareiss_update."""
+    row * prev / lag, by exact_div when it has a lag.  Each updated entry
+    is one _bareiss_update."""
     neg = ring.field.neg
 
     def catch_up(e: Poly, lag: Poly | None) -> Poly:
@@ -295,21 +301,14 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
                 c = count[j]
                 if t < bt or c < bc or c == bc and width < bw:
                     bt, bc, bw, pi, pc = t, c, width, i, j
-            if bt == bc == 1:  # a one-term entry that touches no row
-                break
         pivot_row, lag = live.pop(pi)
         pivot = pivot_row.pop(pc)
         del count[pc]
         for j in pivot_row:
             count[j] -= 1
         rank += 1
-        stale = lag is not prev
-        if stale:
+        if lag is not prev:  # a stale pivot row
             pivot = catch_up(pivot, lag)
-        if bc == 1:  # no other row has an entry in the pivot column
-            prev = pivot
-            continue
-        if stale:
             pivot_row = {j: catch_up(e, lag) for j, e in pivot_row.items()}
         pivot_terms = list(pivot.terms.items())
         kept = []

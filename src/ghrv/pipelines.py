@@ -103,8 +103,8 @@ def realize(ring: RingSpec, scalars, verify: bool = True) -> RealizationTrace:
     the final pointwise data match the requested zero set (the base complex
     has empty variety, see the module docstring).  The check ranks each
     stage's whole 2n x 2n pencil at every base-field point (contractible_at);
-    each cone builds that pencil from its parent's (cone_mul), so y -> 0
-    runs over the tail's entries and once per scalar, not over every stage.
+    each stage builds that pencil by mapping each value of its own
+    pair_entries y -> 0 once (PeriodicComplex.pencil_entries).
     """
     reps = [ring.normal_form(p) for p in scalars]
     current = complete_resolution_of_k(ring)

@@ -476,33 +476,10 @@ def divide_single(p: Poly, d: Poly) -> tuple[Poly, Poly]:
 
 
 def exact_div(p: Poly, d: Poly) -> Poly:
-    """Quotient p/d when the division is exact; ArithmeticError otherwise.
-    This is the denominator-clearing step of fraction-free elimination.
-
-    A one-term divisor, which is what Bareiss divides by almost always,
-    takes a direct path: each term's exponents are shifted and its
-    coefficient scaled, and any term the monomial does not divide is the
-    remainder divide_single would leave."""
-    if p.is_zero():
-        return p
-    if len(d.terms) == 1:
-        ring = p.ring
-        if d.ring is not ring and d.ring != ring:
-            raise RingMismatch("divisor in a different ring")
-        fld = ring.field
-        ((dm, dc),) = d.terms.items()
-        inv = fld.inv(dc)
-        q: dict = {}
-        rest: dict = {}
-        for m, c in p.terms.items():
-            shifted = tuple(map(_mono_sub, m, dm))
-            if min(shifted, default=0) < 0:
-                rest[m] = c
-            else:
-                q[shifted] = fld.mul(c, inv)
-        if rest:
-            raise ArithmeticError(f"inexact division: remainder {Poly(ring, rest)}")
-        return Poly._of_nonzero(ring, q)
+    """Quotient p/d when d divides p; otherwise ArithmeticError naming the
+    remainder.  This is the denominator-clearing step of fraction-free
+    elimination (matrix.rank_over_domain): divide_single, and a check that
+    its remainder is zero."""
     q, r = divide_single(p, d)
     if not r.is_zero():
         raise ArithmeticError(f"inexact division: remainder {r}")

@@ -424,8 +424,7 @@ def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     # the mod-w pass runs only on a pair that fails A*B = B*A = w*I, whatever
     # the pair claims: one mat_mul call for a fresh factorization, since
     # A*B = w*I forces B*A = w*I, and none once the verdict is kept; a fresh
-    # pair that fails costs the verdict's A*B, which the pass reuses, and
-    # the pass's B*A
+    # pair that fails costs the verdict's A*B and the pass's own A*B and B*A
     tail = complete_resolution_of_k(ring5)
     plain = PeriodicComplex(ring5, tail.A, tail.B, tail.degrees0, tail.degrees1, certified=False)
     false_claim = PeriodicComplex(ring5, _parsed(ring5, [["x1"]]), _parsed(ring5, [["1"]]), (0,), (1,),
@@ -451,9 +450,9 @@ def test_validate_skips_the_mod_w_pass_when_certified(ring5, monkeypatch):
     # a claimed certification that fails the exact comparison takes the
     # pass, with findings in the same order; so does an unclaimed pair
     assert run(false_claim) == [NotAComplex, NotAComplex, CertificationFailed]
-    assert len(products) == 2 and len(normal_forms) == 2
+    assert len(products) == 3 and len(normal_forms) == 2
     assert run(unclaimed) == [NotAComplex, NotAComplex]
-    assert len(products) == 2 and len(normal_forms) == 2
+    assert len(products) == 3 and len(normal_forms) == 2
     # the kept verdict spares the A*B of a second report, not the pass
     assert run(unclaimed) == [NotAComplex, NotAComplex]
     assert len(products) == 2 and len(normal_forms) == 2

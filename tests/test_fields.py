@@ -19,8 +19,10 @@ from ghrv.fields import (
     QQ,
     ExtensionField,
     PrimeField,
+    _fp_add,
     _fp_divmod,
-    _fp_mod,
+    _fp_mul,
+    _fp_trim,
     _horner_embedding,
     embedding,
     field_name,
@@ -158,18 +160,19 @@ def test_irreducibility_certificate_matches_trial_division():
                 assert is_irreducible(coeffs, p) == naive, coeffs
 
 
-def test_remainder_alone_matches_divmod():
-    # _fp_mod forms no quotient; its remainder is _fp_divmod's, on seeded
-    # dividends of degree up to 12 (some with trailing zeros, some shorter
-    # than the divisor) by divisors of every leading coefficient.
+def test_divmod_gives_a_trimmed_quotient_and_remainder():
+    # a = q*b + r with len(r) < len(b), q and r without trailing zeros, on
+    # seeded dividends of degree up to 12 (some with trailing zeros, some
+    # shorter than the divisor) by divisors of every leading coefficient.
     rng = random.Random(31)
     for p in (2, 5, 7):
         for _ in range(150):
             b = [rng.randrange(p) for _ in range(rng.randrange(6))] + [rng.randrange(1, p)]
             a = [rng.randrange(p) for _ in range(rng.randrange(14))]
-            r = _fp_divmod(a, b, p)[1]
-            assert _fp_mod(a, b, p) == r, (p, a, b)
-            assert len(r) < len(b) and (not r or r[-1])
+            q, r = _fp_divmod(a, b, p)
+            assert _fp_add(_fp_mul(q, b, p), r, p) == _fp_trim(list(a)), (p, a, b)
+            assert len(r) < len(b), (p, a, b)
+            assert (not q or q[-1]) and (not r or r[-1]), (p, a, b)
 
 
 def test_reducible_product_of_two_quadratics_is_rejected():

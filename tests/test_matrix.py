@@ -7,6 +7,7 @@ matrices of planted rank r built as products of r-column factors.
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -177,6 +178,58 @@ def test_rank_matches_minor_search_on_sparse_grids(ring):
         assert rank_over_domain(g, ring) == rank_by_minors(g, ring) <= r
 
 
+def _seeded_poly(ring, rng, elems, nterms):
+    """A polynomial of exactly nterms terms, exponents below 3."""
+    terms = {}
+    while len(terms) < nterms:
+        terms[tuple(rng.randrange(3) for _ in range(ring.nvars))] = rng.choice(elems)
+    return Poly(ring, terms)
+
+
+def _alone_grid(ring, rng, elems, b_terms):
+    """A 4x4 grid of rank 4 whose pivots are one-term entries alone in their
+    columns:
+
+        [x, 0,   0,   0]      x, u, q, a of one term, y of two,
+        [y, 0,   u,   0]      c a nonzero scalar, b of b_terms terms
+        [0, q,   a,   0]
+        [0, c*q, c*a, b]
+
+    With a one-term b the pivots are b, q, u and x, each alone in its column
+    when taken, so no row is ever touched.  With b of two terms, step 1
+    takes x and writes row 1 as x*u with lag x; step 2 takes q, and row 3's
+    column-2 entry cancels, since it is c times row 2 there; so at step 3
+    row 1's x*u is a one-term pivot alone in its column on a row that still
+    holds the lag x, two pivots old."""
+
+    poly = partial(_seeded_poly, ring, rng, elems)
+    x, y, u, q, a, b = poly(1), poly(2), poly(1), poly(1), poly(1), poly(b_terms)
+    c = rng.choice(elems)
+    zero = ring.zero()
+    return [[x, zero, zero, zero], [y, zero, u, zero], [zero, q, a, zero],
+            [zero, q.scale(c), a.scale(c), b]]
+
+
+def _catch_up_grid(ring, rng, elems, lag_terms):
+    """A 4x4 grid in which a stale row becomes the pivot row and is caught
+    up, entry by entry, by a lag of lag_terms terms:
+
+        [A, 0, 0, B]      A and E of lag_terms terms,
+        [C, 0, D, 0]      every other entry of two
+        [0, E, 0, F]
+        [0, G, H, K]
+
+    Step 1 takes A and writes row 1 with lag A; step 2 takes E, which row 1
+    misses; step 3 takes row 1, whose entries have the fewest terms, and
+    brings both up to date as e * prev / A."""
+
+    poly = partial(_seeded_poly, ring, rng, elems)
+    zero = ring.zero()
+    A, E = poly(lag_terms), poly(lag_terms)
+    return [[A, zero, zero, poly(2)], [poly(2), zero, poly(2), zero], [zero, E, zero, poly(2)],
+            [zero, poly(2), poly(2), poly(2)]]
+
+
 def _lagging_grid(ring, rng, elems, extra, tail, dependent):
     """A grid whose sparse Bareiss run is forced through lazy scaling.
 
@@ -199,12 +252,7 @@ def _lagging_grid(ring, rng, elems, extra, tail, dependent):
     is a combination of rows 6 and 7, so the grid is rank deficient when it
     is not tall."""
 
-    def poly(nterms):
-        terms = {}
-        while len(terms) < nterms:
-            terms[tuple(rng.randrange(3) for _ in range(ring.nvars))] = rng.choice(elems)
-        return Poly(ring, terms)
-
+    poly = partial(_seeded_poly, ring, rng, elems)
     zero = ring.zero()
     rows = [[poly(1) if j == s else zero for j in range(5)] for s in range(4)]
     for cols in ((0, 3, 4), (0, 4), (0, 1, 2, 3, 4), (1, 2, 3, 4), (1, 2)):
@@ -262,6 +310,26 @@ def test_sparse_bareiss_lazy_scaling_matches_minor_search(field, monkeypatch):
         assert rank_over_domain(list(zip(*g)), ring) == want
         shapes.add((m == n, want < min(m, n)))
     assert shapes >= {(False, False), (False, True), (True, True)}
+    # one-term pivots alone in their columns, with no lag (a one-term b) and
+    # on a stale row holding a lag (b of two terms); and a stale pivot row
+    # caught up by a one-term and by a two-term lag.  Row 1 is caught up by
+    # the step-1 pivot and never updated by it.
+    for build, terms in [(_alone_grid, 1), (_alone_grid, 2), (_catch_up_grid, 1),
+                         (_catch_up_grid, 2)] * 2:
+        g = build(ring, rng, elems, terms)
+        want = rank_by_minors(g, ring)
+        divisors.clear()
+        lags.clear()
+        assert rank_over_domain(g, ring) == want
+        first = g[0][0]
+        if build is _alone_grid:
+            assert want == 4
+        if (build, terms) == (_alone_grid, 1):
+            assert divisors == lags == []  # no row was touched
+        else:
+            assert any(d is first for d in divisors)
+            assert not any(lag is first for lag in lags)
+        assert rank_over_domain(list(zip(*g)), ring) == want
     # a one-term lag that does not divide the update raises, as exact_div
     # would: (a * 1) / b
     a, b = ring.variable("a"), ring.variable("b")

@@ -149,7 +149,7 @@ def test_exact_div_round_trip(r5):
     x1 = r5.variable("x1")
     with pytest.raises(ArithmeticError):
         exact_div(x1 + r5.one(), x1)
-    # a divisor of two terms goes through divide_single
+    # and by a divisor of two terms
     x2 = r5.variable("x2")
     with pytest.raises(ArithmeticError):
         exact_div(x1**2 + x2, x1 + x2)
@@ -408,8 +408,8 @@ def test_kept_leading_monomial_stays_the_largest_term(field):
 
 @pytest.mark.parametrize("field", [prime_field(3), make_extension(3, 2), QQ], ids=str)
 def test_results_built_unfiltered_hold_no_zero_coefficient(field):
-    # -p, p.monic(), both parts of divide_single and the one-term quotient
-    # of exact_div keep their dicts with no zero filter (Poly._of_nonzero);
+    # -p, p.monic(), both parts of divide_single and so the quotient of
+    # exact_div keep their dicts with no zero filter (Poly._of_nonzero);
     # each equals the filtered construction and holds no zero coefficient
     ring = _power_ring(field)
     rng = random.Random(83)
