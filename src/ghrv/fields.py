@@ -112,6 +112,9 @@ class PrimeField(Field):
         self.order = p
         self.zero = 0
         self.one = 1 % p
+        # hashed once, as embedding's cache hashes both fields per verdict;
+        # from ints alone, so the value holds in any process
+        self._hash = hash((p, 1))
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -137,7 +140,7 @@ class PrimeField(Field):
         return isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self):
-        return hash(("PrimeField", self.p))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -366,6 +369,7 @@ class ExtensionField(Field):
         self.modulus = tuple(c % p for c in modulus)
         self.zero = (0,) * e
         self.one = tuple([1 % p] + [0] * (e - 1))
+        self._hash = hash((p, e, self.modulus))  # once, from ints, as GF(p)
         self._log = None
         if self.order <= _TABLE_MAX:
             self._build_tables()
@@ -506,7 +510,7 @@ class ExtensionField(Field):
         )
 
     def __hash__(self):
-        return hash(("ExtensionField", self.p, self.e, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})"

@@ -22,11 +22,14 @@ to its nonzero minors rather than to all of them, and each nonzero minor is
 built as a polynomial once, from its wedge's terms.  A caller holding a
 dense grid converts it at the edge (sparse_rows).
 
-The one field-level routine is rank (rank_over_field).  It eliminates
-sparsely on rows given as dicts of their nonzero scalars, so it costs in
-proportion to them.  Its callers hold a matrix by its nonzero entries, as a
-verdict at a point holds the residue pencil and the oracle holds A and B,
-and build those dicts directly; no dense grid of field scalars is formed.
+The one field-level routine is rank (rank_over_field).  It inserts rows
+given as dicts of their nonzero scalars into an echelon of pivots keyed by
+least column, so a row is reduced only by the pivots it meets, and the
+shorter of two rows sharing a least column is kept as the pivot; it costs
+in proportion to the nonzero scalars it touches.  Its callers hold a
+matrix by its nonzero entries, as a verdict at a point holds the residue
+pencil and the oracle holds A and B, and build those dicts directly; no
+dense grid of field scalars is formed.
 """
 
 from __future__ import annotations
@@ -350,46 +353,49 @@ def rank_by_minors(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
 # ---------------------------------------------------------------------------
 
 def rank_over_field(rows: list[dict], field: Field) -> int:
-    """Rank by sparse Gauss elimination on rows given as dicts column ->
-    nonzero scalar; the dicts are consumed, and an empty one is a zero row.
+    """Rank by echelon insertion on rows given as dicts column -> nonzero
+    scalar; the dicts are consumed, and an empty one is a zero row.
 
-    A step takes a shortest live row as the pivot row, which keeps fill-in
-    low, and its first stored entry as the pivot.  Only rows with an entry
-    in the pivot column are updated, and only at the pivot row's other
-    nonzero columns: with f = -1/pivot computed once, each touched entry
-    costs one mul and one add.  An entry that cancels is deleted and a row
-    left empty is dropped, so the cost follows the nonzero entries, not the
-    shape.  Rank does not depend on pivot order."""
+    The rows are taken in order, and each stored pivot row is keyed by its
+    least column.  A row is reduced against the pivot keyed by its own
+    least column j: with f = -1/pivot[j], formed on that pivot's first use
+    and kept beside it, row[j] * f times the pivot row is added to it, one
+    mul and one add per other entry of the pivot row.  That clears j and
+    leaves a larger least column, so a row meets only the pivots of the
+    least columns it passes through, never every stored row.  It goes on
+    until it is empty or its least column keys no pivot, where it is
+    stored.  When the row is shorter than the pivot it meets, the row takes
+    the key and the old pivot is reduced in its place, which keeps pivots
+    short and fill-in low.  An entry that cancels is deleted, so the cost
+    follows the nonzero entries, not the shape.  Each step adds a multiple
+    of one row to another, so the pivots and the rows still to come span
+    what the input rows span; the pivots have distinct least columns, so
+    they are independent, and the rank is their count."""
     zero = field.zero
-    live = [row for row in rows if row]
     add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    rank = 0
-    while live:
-        pivot_row = min(live, key=len)
-        rank += 1
-        entries = iter(pivot_row.items())
-        pj, pivot = next(entries)
-        rest = list(entries)
-        f = neg(inv(pivot))
-        kept = []
-        for row in live:
-            if row is pivot_row:
-                continue
-            c = row.pop(pj, None)
-            if c is not None:
-                s = mul(c, f)
-                for j, e in rest:
+    pivots: dict = {}  # least column -> [pivot row, its -1/pivot or None]
+    for row in rows:
+        while row:
+            j = min(row)
+            slot = pivots.get(j)
+            if slot is None:
+                pivots[j] = [row, None]
+                break
+            if len(row) < len(slot[0]):
+                row, slot[0], slot[1] = slot[0], row, None
+            pivot_row, f = slot
+            if f is None:
+                f = slot[1] = neg(inv(pivot_row[j]))
+            s = mul(row.pop(j), f)
+            for k, e in pivot_row.items():
+                if k != j:
                     t = mul(s, e)
-                    if j in row:
-                        v = add(row[j], t)
+                    if k in row:
+                        v = add(row[k], t)
                         if v == zero:
-                            del row[j]
+                            del row[k]
                         else:
-                            row[j] = v
+                            row[k] = v
                     else:
-                        row[j] = t
-                if not row:
-                    continue
-            kept.append(row)
-        live = kept
-    return rank
+                        row[k] = t
+    return len(pivots)

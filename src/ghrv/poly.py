@@ -128,7 +128,8 @@ class Poly:
 
     `_powers`, set on the first power of a polynomial with two or more
     terms, holds p^0, p^1, .. as far as they have been computed.  `_lm`,
-    set on the first call of leading_monomial (or carried over by monic),
+    set on the first call of leading_monomial (or carried over by monic
+    and by variety._canonical_gens, which scale without moving it),
     keeps the leading monomial, so the divisor w of every normal form and a
     monic generator are not searched again.  Both are
     derived data and never change `terms`."""

@@ -37,8 +37,9 @@ rank_variety reads them from the pair's distinct entries
 y -> 0 once, and the sparse rows of Abar and Bbar are the pair's
 (column, index) rows over those images, a zero image dropped.  all_minors
 walks those rows, sparsest first, and builds each nonzero minor as a Poly
-once, from its wedge's terms; _canonical_gens makes each monic in one
-scaling and orders them.  No dense image grid is formed.
+once, from its wedge's terms; _canonical_gens keys repeats by their monic
+terms, builds a Poly only for a new key, and orders them.  No dense image
+grid is formed.
 
 Membership of a point is evaluation of generators, optionally through a
 deterministic field embedding, so a variety computed over GF(p) can be
@@ -55,19 +56,21 @@ image dropped.  A verdict builds one poly.evaluator per point, which looks
 up the embedding once and keeps one power table per coordinate, evaluates
 each distinct entry once, and _ranks builds each row's dict of nonzero
 scalars straight from its pairs for the one field rank
-(matrix.rank_over_field).  So a verdict costs in proportion to the distinct
-nonzero entries, and no dense grid is formed.  Specializing x -> a along
-chosen preimages a of alpha and then reducing y -> 0 gives the same scalars
-for every choice of preimages; that route is kept as the oracle
-(_oracle_scalars), and only the preimage perturbation check runs it, ranked
-by _ranks on the rows of C.pair_entries.  The oracle substitutes the full
-preimages into each distinct nonzero entry of A and B, once per point, and
-reads the residue from the whole specialized polynomial, so it costs more
-than the verdict it checks; no oracle scalar comes from the pencil.  Each
-preimage keeps its powers (Poly.__pow__), so a trial raises each preimage
-once for all entries.  A zero entry skips the oracle, since
-specialize(0) = 0 exactly.  A verdict validates its point and evaluates the
-pencil; it builds no preimages, which only the oracle reads.
+(matrix.rank_over_field), which inserts each row into an echelon keyed by
+least column, so a row meets only the pivots of the columns it reaches.
+So a verdict costs in proportion to the distinct nonzero entries, and no
+dense grid is formed.  Specializing x -> a along chosen preimages a of
+alpha and then reducing y -> 0 gives the same scalars for every choice of
+preimages; that route is kept as the oracle (_oracle_scalars), and only
+the preimage perturbation check runs it, ranked by _ranks on the rows of
+C.pair_entries.  The oracle substitutes the full preimages into each
+distinct nonzero entry of A and B, once per point, and reads the residue
+from the whole specialized polynomial, so it costs more than the verdict
+it checks; no oracle scalar comes from the pencil.  Each preimage keeps
+its powers (Poly.__pow__), so a trial raises each preimage once for all
+entries.  A zero entry skips the oracle, since specialize(0) = 0
+exactly.  A verdict validates its point and evaluates the pencil; it
+builds no preimages, which only the oracle reads.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from operator import add as _mono_add
 
@@ -237,14 +241,26 @@ def _tie_key(g: Poly) -> str:
 def _canonical_gens(ring: PolyRing, gens) -> tuple[Poly, ...]:
     """The distinct monic generators by leading monomial, descending; those
     sharing one are ordered by _tie_key, descending, a key built only for
-    such groups.  A constant generator gives (1).  Poly.monic finds each
-    leading monomial once, scales into one new dict with no zero filter,
-    and keeps the monomial, so grouping does not search for it again."""
+    such groups.  A constant generator gives (1).  Repeats are keyed by
+    their terms scaled to leading coefficient one in a plain dict, with no
+    zero filter, so a Poly is built only for a new key (a monic generator
+    is kept itself) and keeps its leading monomial, which grouping then
+    reads without a search."""
+    one, mul, inv = ring.field.one, ring.field.mul, ring.field.inv
     seen = {}
     for g in gens:
         if g.terms:
-            g = g.monic()
-            seen[frozenset(g.terms.items())] = g
+            lm = g.leading_monomial()
+            terms, lc = g.terms, g.terms[lm]
+            if lc != one:
+                s = inv(lc)
+                terms = {m: mul(c, s) for m, c in terms.items()}
+            key = frozenset(terms.items())
+            if key not in seen:
+                if terms is not g.terms:
+                    g = Poly._of_nonzero(ring, terms)
+                    g._lm = lm
+                seen[key] = g
     if any(g.is_constant() for g in seen.values()):
         return (ring.one(),)
     groups: dict = {}
@@ -536,6 +552,17 @@ class PerturbationReport:
         return all(v == self.baseline for v in self.verdicts)
 
 
+@lru_cache(maxsize=None)
+def _y_monomials(c: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors over the c x-variables and d y-variables of the
+    y-monomials of degree 1, then of degree 2, each degree in
+    combinations_with_replacement order: the terms a perturbed preimage
+    draws a coefficient for, in the order the seeded draws follow."""
+    nvars = c + d
+    return tuple(tuple(ys.count(v) for v in range(nvars))
+                 for k in (1, 2) for ys in combinations_with_replacement(range(c, nvars), k))
+
+
 def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: int) -> PerturbationReport:
     """Re-test contractibility at alpha, over a finite field, under seeded
     random preimages: constant term the coordinate plus y-terms of degree 1
@@ -554,11 +581,8 @@ def preimage_independence_check(C: PeriodicComplex, alpha, trials: int, seed: in
     rng = random.Random(seed)
     elems = list(fld.elements())
 
-    nvars = ring.c + ring.d
-    monos = [tuple(ys.count(v) for v in range(nvars))
-             for k in (1, 2) for ys in combinations_with_replacement(range(ring.c, nvars), k)]
-
-    constant = (0,) * nvars
+    monos = _y_monomials(ring.c, ring.d)
+    constant = (0,) * (ring.c + ring.d)
     verdicts = []
     for _ in range(trials):
         preimages = tuple(Poly(amb, {constant: a} | {m: elems[rng.randrange(len(elems))] for m in monos})

@@ -246,6 +246,19 @@ def test_each_extension_is_built_once():
     assert extension_of(prime_field(3), 2) is f9
 
 
+def test_equal_fields_hash_alike_and_unequal_ones_differ():
+    # a field's hash is formed in __init__ from ints alone; fields built
+    # apart with equal parameters must still be one key of embedding's cache
+    f9 = make_extension(3, 2)
+    again = ExtensionField(3, 2, f9.modulus)
+    other = ExtensionField(3, 2, (2, 2, 1))  # t^2 + 2t + 2, irreducible mod 3
+    assert again == f9 and hash(again) == hash(f9)
+    assert other != f9 and PrimeField(5) != PrimeField(7) and PrimeField(3) != f9
+    assert PrimeField(5) == prime_field(5) and hash(PrimeField(5)) == hash(prime_field(5))
+    assert len({f9, again, other, PrimeField(3), PrimeField(3), QQ}) == 4
+    assert embedding(PrimeField(3), again) is embedding(prime_field(3), f9)
+
+
 def test_extension_field_multiplicative_group_order():
     f8 = make_extension(2, 3)
     orders = set()

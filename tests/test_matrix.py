@@ -13,6 +13,7 @@ from itertools import combinations
 import pytest
 
 from ghrv import matrix
+from ghrv.complexes import cone_mul
 from ghrv.errors import BoundExceeded
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import (
@@ -24,10 +25,12 @@ from ghrv.matrix import (
     rank_over_domain,
     sparse_rows,
 )
-from ghrv.pipelines import complete_resolution_of_k
-from ghrv.poly import Poly, PolyRing
+from ghrv.pipelines import complete_resolution_of_k, fixture_k, realize, worked_ring
+from ghrv.poly import Poly, PolyRing, evaluator
+from ghrv.ring import make_ring
+from ghrv.variety import enumerate_points, extension_of
 
-from dense import dense_minors, dense_rank, image_grid
+from dense import dense_grids, dense_minors, dense_rank, image_grid
 
 
 @pytest.fixture(scope="module")
@@ -563,3 +566,145 @@ def test_sparse_field_rank_edge_cases(field):
     grid[2][2] = one
     assert dense_rank(grid, field) == _dense_rank(grid, field) == 3
     assert dense_rank([[zero, one], [zero, zero], [one, zero]], field) == 2
+
+
+def _pencil_grids(C, pt):
+    """Both residue grids of C at the point pt, dense, from the scalars
+    residue_ranks ranks: each distinct pencil entry evaluated once."""
+    at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, pt.coords)), pt.field)
+    return dense_grids(C.pencil_entries, [at(e) for e in C.pencil_entries.values], pt.field.zero)
+
+
+def _engine_pencils():
+    """(label, complex, points): Shamash tails over GF(3) for (c, d) up to
+    (3, 4), f_i = y_i^2, the realize stages 8, 16, 32, 64 over GF(5) and
+    the same cones on fixture_k; each at every point of P^(c-1)(F_q) and at a seeded sample of
+    P^(c-1)(F_(q^2))."""
+    rng = random.Random(353)
+    out = []
+    f3 = prime_field(3)
+    for c, d in ((2, 2), (2, 3), (3, 3), (3, 4)):
+        ys = tuple(f"y{i}" for i in range(1, d + 1))
+        ring = make_ring(f3, yvars=ys, xvars=tuple(f"x{i}" for i in range(1, c + 1)),
+                         f=tuple(f"{y}^2" for y in ys[:c]))
+        tail = complete_resolution_of_k(ring)
+        pts = enumerate_points(f3, c) + rng.sample(enumerate_points(extension_of(f3, 2), c), 3)
+        out.append((f"tail c={c} d={d}", tail, pts))
+    ring5 = worked_ring(prime_field(5))
+    scalars = [ring5.parse(p) for p in ("x1 + 2*x2", "x1^2 + x2^2", "x1*x2")]
+    trace = realize(ring5, scalars, verify=False)
+    pts = enumerate_points(ring5.field, 2) + rng.sample(enumerate_points(extension_of(ring5.field, 2), 2), 4)
+    for i, stage in enumerate(trace.stages):
+        out.append((f"realize stage {i}", stage.complex, pts))
+    # the same cones on fixture_k, whose variety is everything: a cone is
+    # not contractible where its scalars vanish, so some ranks fall
+    C = fixture_k(ring5)
+    for i, p in enumerate(scalars):
+        C = cone_mul(C, p)
+        out.append((f"cone {i + 1} on k", C, pts))
+    return out
+
+
+def test_field_rank_matches_the_dense_oracle_on_engine_pencils():
+    # the pencils that verdicts and realize's check rank: sizes 4 to 64, sparse
+    # rows of few entries, over GF(q) and GF(q^2), contractible at some
+    # points and not at others
+    sizes, noncontractible = set(), 0
+    for label, C, pts in _engine_pencils():
+        sizes.add(C.size)
+        for pt in pts:
+            ranks = [dense_rank(grid, pt.field) for grid in _pencil_grids(C, pt)]
+            assert ranks == [_dense_rank(grid, pt.field) for grid in _pencil_grids(C, pt)], f"{label} at {pt}"
+            noncontractible += sum(ranks) < C.size
+    assert sizes == {4, 8, 16, 32, 64}
+    assert noncontractible > 0
+
+
+def _insertion_cases(field):
+    """Grids that reach each branch of the insertion, with their ranks:
+    a row colliding with a longer stored pivot, which it displaces; a
+    displaced pivot that keys a new column; one that reduces to zero; and a
+    displaced pivot that displaces the next pivot in turn."""
+    one, zero = field.one, field.zero
+    two = field.add(one, one)
+    n1 = field.neg(one)
+    return [
+        # [1 1 1] is displaced by [1 1 0] and keys column 2 as [0 0 1]
+        ([[one, one, one], [one, one, zero]], 2),
+        # [1 1 1] is displaced by [1 0 1]; their difference [0 1 0] keys a new column
+        ([[one, one, one], [one, zero, one], [zero, zero, one]], 3),
+        # displaced [1 1 1] -> [0 0 1] meets the stored [0 0 -1] and empties
+        ([[zero, zero, n1], [one, one, one], [one, one, zero]], 2),
+        # the displaced [1 1 1 1] -> [0 1 1 0] is shorter than the stored
+        # [0 1 1 1] and displaces it in turn; that one keys column 3
+        ([[zero, one, one, one], [one, one, one, one], [one, zero, zero, one]], 3),
+        # a chain that cancels: row 3 = row 1 - row 2, and row 4 = -row 1
+        ([[one, two, zero, one], [zero, one, one, zero], [one, one, n1, one], [n1, field.neg(two), zero, n1]], 2),
+    ]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
+def test_field_rank_insertion_branches_and_seeded_matrices(field):
+    for grid, rank in _insertion_cases(field):
+        assert dense_rank(grid, field) == _dense_rank(grid, field) == rank, grid
+    # seeded sparse matrices of a few entries per row (collisions with
+    # longer pivots and displaced pivots are common), and dense ones
+    elems = _field_elems(field)
+    nonzero = [e for e in elems if e != field.zero]
+    rng = random.Random(409)
+    for m, n, per_row in ((12, 12, 2), (24, 24, 3), (40, 32, 4), (20, 40, 3), (16, 16, 16), (9, 14, 14)):
+        for _ in range(6):
+            grid = [[field.zero] * n for _ in range(m)]
+            for row in grid:
+                for j in rng.sample(range(n), rng.randrange(per_row + 1)):
+                    row[j] = rng.choice(nonzero)
+            if rng.random() < 0.5:  # a dependent row: a combination of two others
+                a, b, s = rng.randrange(m), rng.randrange(m), rng.choice(nonzero)
+                grid[rng.randrange(m)] = [field.add(x, field.mul(s, y)) for x, y in zip(grid[a], grid[b])]
+            assert dense_rank(grid, field) == _dense_rank(grid, field)
+
+
+class _CountingField:
+    """A field that counts its add, mul, neg and inv calls."""
+
+    def __init__(self, field):
+        self.zero, self.one = field.zero, field.one
+        self.calls = dict.fromkeys(("add", "mul", "neg", "inv"), 0)
+        for name in self.calls:
+            setattr(self, name, self._counted(name, getattr(field, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args):
+            self.calls[name] += 1
+            return fn(*args)
+        return counted
+
+
+@pytest.mark.parametrize("field", [prime_field(5), make_extension(3, 2), QQ], ids=str)
+def test_field_rank_operation_counts(field):
+    one, zero = field.one, field.zero
+    two = field.add(one, one)
+    # rows with distinct least columns, given in any order, each store a
+    # pivot and meet none: no field operation at all
+    rng = random.Random(5)
+    grid = [[zero] * i + [rng.choice([one, two]) for _ in range(8 - i)] for i in range(8)]
+    rng.shuffle(grid)
+    counting = _CountingField(field)
+    assert dense_rank(grid, counting) == 8
+    assert counting.calls == dict.fromkeys(("add", "mul", "neg", "inv"), 0)
+    # each pivot is inverted on its first use only: row 0 is e_0 + e_1 and
+    # row i > 0 is e_0 + e_(i+1), which meets the pivots of columns 0 .. i-1
+    # (each a difference e_k - e_(k+1) up to sign, never shorter than the
+    # row) and is stored at column i: 9 pivots, the first 8 inverted once,
+    # where a pivot inverted per use would cost 1 + 2 + .. + 8
+    grid = [[one if j in (0, i + 1) else zero for j in range(10)] for i in range(9)]
+    counting = _CountingField(field)
+    assert dense_rank(grid, counting) == 9
+    assert counting.calls["inv"] == counting.calls["neg"] == 8
+    # a displacement stores one pivot more: [1 1 1] is stored, displaced by
+    # [1 1 0] and stored again as [0 0 1]; of the three pivots stored only
+    # [1 1 0] is used, and inverted once
+    grid, rank = _insertion_cases(field)[0]
+    counting = _CountingField(field)
+    assert dense_rank(grid, counting) == rank
+    assert counting.calls["inv"] == 1

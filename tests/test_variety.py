@@ -832,6 +832,34 @@ def test_perturbation_check_validates_its_point_twice_and_lifts_nothing(ring5, r
         preimage_independence_check(fixture_k(ringq), (1, 1), trials=1, seed=0)
 
 
+def test_perturbation_monomials_are_built_once_per_ring_shape(f3, monkeypatch):
+    # the y-monomials a preimage draws coefficients for depend on (c, d)
+    # alone: built once, in the order the seeded draws follow, so the
+    # preimages and the report at a fixed seed are those of a per-call build
+    # (pinned on a ring with c = d = 3; the c = d = 2 pin is above)
+    monos = ghrv.variety._y_monomials
+    assert monos(3, 3) is monos(3, 3)
+    for c, d in ((1, 1), (2, 2), (3, 3), (2, 4)):
+        ys = range(c, c + d)
+        assert list(monos(c, d)) == [
+            tuple(sel.count(v) for v in range(c + d))
+            for k in (1, 2) for sel in combinations_with_replacement(ys, k)
+        ]
+    ring = make_ring(f3, yvars=("a", "b", "c"), xvars=("x1", "x2", "x3"), f=("a^2", "b^2", "c^2"))
+    K = complete_resolution_of_k(ring)
+    drawn = []
+    oracle = ghrv.variety._oracle_scalars
+    monkeypatch.setattr(ghrv.variety, "_oracle_scalars",
+                        lambda C, preimages: drawn.append(tuple(map(str, preimages))) or oracle(C, preimages))
+    report = preimage_independence_check(K, (1, 2, 0), trials=2, seed=7)
+    assert (report.baseline, report.verdicts) == (True, [True, True])
+    assert drawn == [
+        ("2*a^2 + 2*b^2 + c^2 + a + c + 1", "b^2 + b*c + 2*a + 2*c + 2", "a^2 + 2*a*c + 2*c^2 + 2*c"),
+        ("2*a^2 + 2*a*b + a*c + 2*a + 2*b + 1", "a^2 + 2*a*c + 2*b*c + c^2 + 2*a + c + 2",
+         "2*a*b + 2*b^2 + 2*a*c + c^2 + 2*a + 2*b"),
+    ]
+
+
 # -- the residue pencil against its oracles -----------------------------------
 
 def _pencil_at(C, pt):
@@ -1131,18 +1159,38 @@ def test_canonical_gens_keep_the_one_key_order(field):
 
 @pytest.mark.parametrize("field", [prime_field(3), prime_field(5), make_extension(3, 2), QQ], ids=str)
 def test_canonical_gens_unchanged_when_monic_returns_itself(field, monkeypatch):
-    # Poly.monic returns a monic generator itself instead of a scaled copy;
-    # on every critical minor list of the symbolic suite, and the lists one
-    # size below, _canonical_gens prints the same as with the scaling monic
+    # _canonical_gens keeps a monic generator itself instead of a scaled
+    # copy, and builds a Poly only for a scaled key it has not seen; on every
+    # critical minor list of the symbolic suite, and the lists one size
+    # below, it prints the same as the one-key oracle with a monic that
+    # scales every generator into a copy.  Each Poly it builds is kept: a
+    # repeat costs none, though some lists hold scaled repeats
     ring = worked_ring(field)
     lists = []
     for C in _symbolic_suite(ring, random.Random(127)):
         for grid, r in zip((C.A, C.B), ranks_over_R(C)):
             for size in {r, r - 1} - {0}:
                 lists.append(list(dense_minors(image_grid(ring, grid), size, ring.kx)))
-    got = [[g.to_string(strict=False) for g in _canonical_gens(ring.kx, gens)] for gens in lists]
+    built, of_nonzero = [], Poly._of_nonzero
+
+    def counted(cls, ring_, terms):
+        built.append(of_nonzero(ring_, terms))
+        return built[-1]
+
+    monkeypatch.setattr(Poly, "_of_nonzero", classmethod(counted))
+    got, repeats = [], 0
+    for gens in lists:
+        built.clear()
+        kept = _canonical_gens(ring.kx, gens)
+        got.append([g.to_string(strict=False) for g in kept])
+        kept_ids = {id(g) for g in kept}
+        assert all(id(p) in kept_ids for p in built) or kept == (ring.kx.one(),)
+        nonmonic = [g for g in gens if g.terms and g.leading_coeff() != field.one]
+        repeats += len(nonmonic) > len(built)
+    monkeypatch.undo()
+    assert repeats > 0
     monkeypatch.setattr(Poly, "monic", lambda p: p.scale(field.inv(p.leading_coeff())) if p.terms else p)
-    want = [[g.to_string(strict=False) for g in _canonical_gens(ring.kx, gens)] for gens in lists]
+    want = [[g.to_string(strict=False) for g in _canonical_by_one_key(ring.kx, gens)] for gens in lists]
     assert got == want
     assert any(g.leading_coeff() == field.one for gens in lists for g in gens)
 
