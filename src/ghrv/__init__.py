@@ -37,7 +37,6 @@ from .pipelines import (
 from .poly import Poly, PolyRing
 from .ring import RingSpec, lift_point, make_ring, specialize
 from .variety import (
-    EmptinessVerdict,
     IdealGens,
     ProjPoint,
     ZeroSetUnion,

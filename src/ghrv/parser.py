@@ -145,5 +145,10 @@ class _Parser:
 
 
 def parse_poly(ring: PolyRing, text: str) -> Poly:
-    """Parse an expression into a polynomial of `ring`."""
-    return _Parser(ring, text).parse()
+    """Parse an expression into a polynomial of `ring`.  The descent
+    recurses once per level of parentheses, so an expression nested past
+    Python's recursion limit raises ParseError, not RecursionError."""
+    try:
+        return _Parser(ring, text).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None

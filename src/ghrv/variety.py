@@ -41,6 +41,13 @@ once, from its wedge's terms; _canonical_gens keys repeats by their monic
 terms, builds a Poly only for a new key, and orders them.  No dense image
 grid is formed.
 
+Emptiness over the algebraic closure is decided, not scanned (is_empty):
+forms with no common projective zero generate every form of Lazard's
+degree D = d_1 + .. + d_c - c + 1 (Lazard, EUROCAL '83, after Macaulay),
+so one field rank of the multiples of the generators in degree D decides
+each component, over QQ as over F_q, since a rank does not change under
+field extension.
+
 Membership of a point is evaluation of generators, optionally through a
 deterministic field embedding, so a variety computed over GF(p) can be
 scanned over GF(p^j) towers.  A point alpha is a ProjPoint or a tuple of
@@ -80,6 +87,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from math import comb
 from operator import add as _mono_add
 
 from .complexes import DistinctEntries, PeriodicComplex, _cone, _sum
@@ -93,6 +101,13 @@ from .ring import RingSpec, point_coords, residue, specialize
 # points_up_to refuses a projective space with more than this many points,
 # before building any: a scan over them would not finish.
 MAX_POINTS = 10**6
+
+# is_empty refuses a Macaulay matrix with more than this many columns (the
+# monomials of its degree), before building any row: on three dense random
+# forms in three variables its rank took 5.6 s at 630 columns over GF(5),
+# and 9.9 s at 276 columns over QQ, where the coefficients grow (CPython
+# 3.11, one core of a 2-CPU x86_64 machine).
+MAX_MACAULAY_COLUMNS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -448,35 +463,41 @@ def extension_of(field: Field, j: int) -> Field:
     return make_extension(field.p, field.e * j)
 
 
-@dataclass(frozen=True)
-class EmptinessVerdict:
-    empty_up_to: bool
-    bound: int
-    witness: ProjPoint | None = None
-    witness_degree: int | None = None
-
-    def describe(self) -> str:
-        if self.empty_up_to:
-            return f"no points over extensions of degree <= {self.bound}"
-        return f"point {self.witness} found over the degree-{self.witness_degree} extension"
-
-
-def is_empty(V: ZeroSetUnion, bound: int = 4) -> EmptinessVerdict:
-    """Bounded semi-decision: scan P^(c-1)(F_(q^j)) for j = 1..bound in
-    deterministic order (points_up_to) and report the first witness, if
-    any.  bound < 1 raises ValueError: a scan over no extension decides
-    nothing, and one over an extension of more than MAX_POINTS points
-    raises BoundExceeded before any point is scanned."""
-    base = V.ring.field
-    if not base.finite:
-        raise UnsupportedField("emptiness scan needs a finite base field")
-    if bound < 1:
-        raise ValueError(f"emptiness scan needs bound >= 1, got {bound}")
-    for j, (_, points) in enumerate(points_up_to(base, len(V.ring.vars), bound), start=1):
-        for pt in points:
-            if membership(V, pt):
-                return EmptinessVerdict(False, bound, witness=pt, witness_degree=j)
-    return EmptinessVerdict(True, bound)
+def is_empty(V: ZeroSetUnion) -> bool:
+    """Whether V has no point in P^(c-1) over the algebraic closure of its
+    field, decided exactly, component by component, stopping at the first
+    nonempty one.  A component with a constant generator is empty, and one
+    with fewer than c nonconstant generators is not (a projective zero set
+    of fewer than c forms in c variables is never empty).  Otherwise, with
+    d_1 >= d_2 >= .. the generators' degrees, forms with no common zero
+    generate every form of degree D = d_1 + .. + d_c - c + 1 (Lazard,
+    "Groebner bases, Gaussian elimination and resolution of systems of
+    algebraic equations", EUROCAL '83, LNCS 162; after Macaulay), while
+    forms with a common zero miss some form of every degree.  So it is
+    empty iff the rows x^a g_j with |a| = D - d_j, keyed by exponent tuple,
+    span all C(D + c - 1, c - 1) monomials of degree D: one rank_over_field,
+    whose value does not change under field extension, so the answer holds
+    over QQ as over F_q.  A matrix of more than MAX_MACAULAY_COLUMNS
+    columns raises BoundExceeded before any row is built."""
+    c = len(V.ring.vars)
+    for comp in V.components:
+        if any(g.is_constant() for g in comp.gens):
+            continue
+        if len(comp.gens) < c:
+            return False
+        degrees = [sum(g.leading_monomial()) for g in comp.gens]
+        degree = sum(sorted(degrees)[-c:]) - c + 1
+        columns = comb(degree + c - 1, c - 1)
+        if columns > MAX_MACAULAY_COLUMNS:
+            raise BoundExceeded(f"Macaulay matrix of degree {degree} has {columns} columns, "
+                                f"more than the cap of {MAX_MACAULAY_COLUMNS}")
+        rows = [{tuple(map(_mono_add, m, shift)): v for m, v in g.terms.items()}
+                for g, d in zip(comp.gens, degrees)
+                for a in combinations_with_replacement(range(c), degree - d)
+                for shift in [tuple(map(a.count, range(c)))]]
+        if rank_over_field(rows, V.ring.field) < columns:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,8 @@ def test_criterion_1_rank_one_pair_reproduction():
     for which, ideal in zip("AB", critical_images(pair, (r_a, r_b))):
         if ideal.gens != (x1, x2):
             failures.append(f"image of I_1({which}) is {ideal.describe()}, expected (x1, x2)")
-    verdict = is_empty(rank_variety(pair), bound=2)
-    if not verdict.empty_up_to:
-        failures.append(f"variety not empty: {verdict.describe()}")
+    if not is_empty(rank_variety(pair)):
+        failures.append("variety not empty over the algebraic closure")
     _finish(1, 1.0, t0, failures)
 
 
@@ -193,13 +192,16 @@ def test_criterion_3_residue_field_resolution_variety():
 
     # The 8x8 tail resolves R/(y, x); specializing x -> alpha kills it, so its
     # variety is empty.  Symbolic route: (x1, x2)^4 holds x1^4 and x2^4, so it
-    # has no projective zero over any extension.
+    # has no projective zero over any extension; the exact decision (a
+    # Macaulay rank at Lazard's degree) must say so too.
     v8 = rank_variety(res)
     x1, x2 = ring.kx.variable("x1"), ring.kx.variable("x2")
     fourth_power = {x1 ** (4 - i) * x2 ** i for i in range(5)}
     for which, comp in zip("AB", v8.components):
         if set(comp.gens) != fourth_power:
             failures.append(f"image for {which} is {comp.describe()}, expected (x1, x2)^4")
+    if not is_empty(v8):
+        failures.append("8x8 pair's variety is not empty over the algebraic closure")
     # Pointwise route: no member, and contractible, at every point.
     inside = [pt for pt in pts if membership(v8, pt)]
     if inside:

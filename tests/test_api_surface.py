@@ -12,10 +12,15 @@ a fixture the tests share; those are listed below with their reason.
 perfbench/tracer.py wraps the functions and methods of ghrv and reads its
 metrics by span name, module.function or module.Class.method; a metric whose
 span is never wrapped stops the traced run with a ValueError.
+
+The package declares no dependencies, so every import in src/ghrv is of the
+package itself or of the standard library; the tests may use more (sympy is
+their oracle for emptiness), the package may not.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,3 +126,30 @@ def test_every_traced_name_is_defined():
     assert names
     missing = sorted(name for name in names if not _wrapped(name))
     assert missing == [], "names perfbench/tracer.py reads that src/ghrv lacks: " + ", ".join(missing)
+
+
+def foreign_imports(paths) -> list[str]:
+    """Each import in the files, nested ones included, of a module that is
+    neither relative, __future__ nor in the standard library, as
+    file:line: module."""
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            out += [f"{path.name}:{node.lineno}: {module}" for module in modules
+                    if module != "__future__" and module.split(".")[0] not in sys.stdlib_module_names]
+    return out
+
+
+def test_the_package_imports_only_itself_and_the_standard_library(tmp_path):
+    paths = sorted(SRC.glob("*.py"))
+    assert foreign_imports(paths) == []
+    # a nested import is seen too
+    nested = tmp_path / "nested.py"
+    nested.write_text("def f():\n    from sympy import groebner\n    import numpy.linalg, json\n")
+    assert foreign_imports([nested]) == ["nested.py:2: sympy", "nested.py:3: numpy.linalg"]

@@ -276,6 +276,26 @@ def test_cone_rejects_a_literal_past_the_digit_limit(k_file, capsys):
     assert captured.err == "error: number literal of 5000 digits exceeds the limit of 4300 digits (at position 0)\n"
 
 
+def test_deep_nesting_is_a_usage_error(ring_file, k_file, tmp_path, capsys):
+    # a scalar or a file entry nested past the recursion limit exits 2 with
+    # the parser's message, not a traceback; 200 levels still parse
+    nested = "(" * 300 + "x1" + ")" * 300
+    assert run(["realize", ring_file, "--p", nested]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expression nested too deeply\n"
+    assert run(["cone", k_file, "--p", "(" * 200 + "x1" + ")" * 200]) == 0
+    capsys.readouterr()
+    obj = json.loads(Path(k_file).read_text())
+    obj["periodic"]["A"][0][0] = "(" * 400 + obj["periodic"]["A"][0][0] + ")" * 400
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(obj))
+    assert run(["check", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expression nested too deeply\n"
+
+
 def test_cone_rechecks_a_false_certification(ring_file, tmp_path, capsys):
     path = tmp_path / "liar.json"
     periodic = {"A": [["x1"]], "B": [["x2"]], "degrees0": [0], "degrees1": [1], "certified": True}

@@ -75,6 +75,17 @@ def test_errors(ring):
             parse_poly(ring, text)
 
 
+def test_deep_nesting_is_a_parse_error(ring):
+    # each level of parentheses is one level of the recursive descent
+    x1 = ring.variable("x1")
+    assert parse_poly(ring, "(" * 100 + "x1" + ")" * 100) == x1
+    for depth in (300, 10**4):
+        with pytest.raises(ParseError, match="^expression nested too deeply$"):
+            parse_poly(ring, "(" * depth + "x1" + ")" * depth)
+    # the parser is left usable
+    assert parse_poly(ring, "((x1))") == x1
+
+
 def test_a_literal_past_the_digit_limit_is_a_parse_error(ring):
     # int() refuses a decimal string longer than the interpreter's limit; the
     # parser names the limit and the literal's position instead

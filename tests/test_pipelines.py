@@ -61,7 +61,7 @@ def test_complete_resolution_is_contractible_at_every_point(ring5):
     res = complete_resolution_of_k(ring5)
     for pt in enumerate_points(ring5.field, 2):
         assert residue_ranks(res, pt) == (4, 4)
-    assert is_empty(rank_variety(res), bound=2).empty_up_to
+    assert is_empty(rank_variety(res))
 
 
 def test_fixture_k_is_the_folded_y_koszul(ring5):

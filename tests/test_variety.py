@@ -8,12 +8,14 @@ verdicts read, is played against the routes it replaced: normal forms mod w
 before the image in k[x], and specialize-then-residue along preimages.
 """
 
+import inspect
 import random
 import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+import sympy
 
 import ghrv.ring
 import ghrv.variety
@@ -556,10 +558,7 @@ def test_minor_images_of_the_rank_one_pair(ring5):
 def test_variety_of_the_rank_one_pair_is_empty(ring5):
     v = rank_variety(fixture_rank_one(ring5))
     assert v.describe() == "Z(x1, x2) union Z(x1, x2)"
-    verdict = is_empty(v, bound=2)
-    assert verdict.empty_up_to
-    assert verdict.witness is None
-    assert "degree <= 2" in verdict.describe()
+    assert is_empty(v) is True
 
 
 def test_variety_of_the_resolution_pair_is_everything(ring5):
@@ -569,31 +568,187 @@ def test_variety_of_the_resolution_pair_is_everything(ring5):
     assert all(comp.gens == () for comp in v.components)
     pts = enumerate_points(ring5.field, 2)
     assert all(membership(v, pt) for pt in pts)
-    verdict = is_empty(v, bound=1)
-    assert not verdict.empty_up_to
-    assert str(verdict.witness) == "(1:0)"
-    assert verdict.witness_degree == 1
-    assert "(1:0)" in verdict.describe()
-    # a scan over no extension would report no points, here where every
-    # point is one
-    for bound in (0, -3):
-        with pytest.raises(ValueError, match=f"emptiness scan needs bound >= 1, got {bound}"):
-            is_empty(v, bound=bound)
+    assert is_empty(v) is False
+    # the decision takes the variety alone: there is no degree to scan to
+    assert list(inspect.signature(is_empty).parameters) == ["V"]
 
 
-def test_emptiness_is_refused_up_front_past_the_point_cap(ring5, ringq):
-    # P^1(GF(5^9)) has more than MAX_POINTS points: the scan is refused
-    # before any point is built, both on an empty variety, which would
-    # otherwise be scanned over every degree up to 8 first, and on
-    # fixture_k's, which has a witness at degree 1
-    for C in (fixture_rank_one(ring5), fixture_k(ring5)):
-        v = rank_variety(C)
-        start = time.perf_counter()
-        with pytest.raises(BoundExceeded, match="^P\\^1\\(GF\\(1953125\\)\\) has more than the cap of 1000000 points$"):
-            is_empty(v, bound=9)
-        assert time.perf_counter() - start < 1.0
-    with pytest.raises(UnsupportedField, match="^emptiness scan needs a finite base field$"):
-        is_empty(rank_variety(fixture_rank_one(ringq)), bound=1)
+def test_emptiness_is_decided_over_qq(ringq):
+    # a rank does not change under field extension, so QQ is decided like
+    # any finite field, with no point scan
+    assert is_empty(rank_variety(fixture_rank_one(ringq))) is True
+    assert is_empty(rank_variety(complete_resolution_of_k(ringq))) is True
+    assert is_empty(rank_variety(fixture_k(ringq))) is False
+    cone = cone_mul(fixture_k(ringq), ringq.parse("x1^2 + x2^2"))  # no rational point
+    assert is_empty(rank_variety(cone)) is False
+
+
+# -- exact emptiness ----------------------------------------------------------
+
+def _groebner_empty(ideal: IdealGens) -> bool:
+    """sympy.groebner's verdict on Z(ideal) over the algebraic closure:
+    empty iff, for every variable, some leading monomial of a Groebner
+    basis is a power of that variable alone (1 counts for every one)."""
+    if not ideal.gens:
+        return False
+    syms = sympy.symbols(ideal.ring.vars)
+    field = ideal.ring.field
+    opts = {"modulus": field.p} if field.finite else {"domain": sympy.QQ}
+    exprs = [sympy.Add(*(sympy.Rational(c) * sympy.Mul(*(x**e for x, e in zip(syms, m)))
+                         for m, c in g.terms.items()))
+             for g in ideal.gens]
+    basis = sympy.groebner(exprs, *syms, order="grevlex", **opts)
+    leads = [p.monoms(order="grevlex")[0] for p in basis.polys]
+    return all(any(not any(e for j, e in enumerate(lm) if j != i) for lm in leads)
+               for i in range(len(syms)))
+
+
+def _emptiness_chains(ring, rng, count):
+    """Seeded chains of 1 to 3 shifts, duals and cones on the worked ring's
+    leaves (fixture_k, drawn twice as often as each other, the rank-one
+    pair, the Shamash tail, trivial_pair), none past size 8.  A cone's
+    scalar is a random form of degree 1 to 3,
+    or x1 + x2 times one of degree 0 to 2, so that two cones in a chain
+    often share the point (1:-1)."""
+    leaves = [fixture_k(ring)] * 2 + [fixture_rank_one(ring), complete_resolution_of_k(ring), trivial_pair(ring)]
+    shared = ring.parse("x1 + x2")
+    chains = []
+    for _ in range(count):
+        C = rng.choice(leaves)
+        for _ in range(rng.randrange(1, 4)):
+            step = rng.choice(("shift", "dual", "cone", "cone", "shared cone"))
+            if step == "shift":
+                C = shift(C)
+            elif step == "dual":
+                C = dual(C)
+            elif 2 * C.size <= 8:
+                C = cone_mul(C, _form(ring, rng, rng.randrange(1, 4)) if step == "cone"
+                             else shared * _form(ring, rng, rng.randrange(3)))
+        chains.append(C)
+    return chains
+
+
+def _distinct_components(chains):
+    """The distinct components of the chains' rank varieties, by describe()."""
+    out = {}
+    for C in chains:
+        for comp in rank_variety(C).components:
+            out.setdefault(comp.describe(), comp)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("field", [prime_field(3), prime_field(5), QQ], ids=str)
+def test_emptiness_matches_groebner_on_rank_varieties(field):
+    # c = 2: every component of the rank varieties of seeded chains on the
+    # worked ring, decided by one Macaulay rank and by a Groebner basis
+    ring = worked_ring(field)
+    verdicts = []
+    for comp in _distinct_components(_emptiness_chains(ring, random.Random(3601), 30)):
+        want = _groebner_empty(comp)
+        assert is_empty(ZeroSetUnion(ring.kx, (comp,))) is want, comp.describe()
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("field", [prime_field(3), prime_field(5), QQ], ids=str)
+def test_emptiness_matches_groebner_on_ideals_in_three_variables(field):
+    # c = 3: seeded ideals of 2 to 4 random forms of degree 1 to 3; every
+    # third one has all its generators share a linear factor l, so Z(l)
+    # lies in its zero set
+    kx = PolyRing(field, ("x1", "x2", "x3"), ())
+    units = ([e for e in field.elements() if not field.is_zero(e)] if field.finite
+             else [field.from_int(a) for a in (1, 2, -1, -3)])
+    rng = random.Random(3602)
+
+    def form(degree):
+        monos = list(combinations_with_replacement(range(3), degree))
+        return Poly(kx, {tuple(map(m.count, range(3))): rng.choice(units)
+                         for m in rng.sample(monos, rng.randrange(1, len(monos) + 1))})
+
+    verdicts = []
+    for trial in range(45):
+        gens = [form(rng.randrange(1, 4)) for _ in range(rng.randrange(2, 5))]
+        if trial % 3 == 0:
+            factor = form(1)
+            gens = [g * factor for g in gens]
+        ideal = IdealGens(kx, _canonical_gens(kx, gens))
+        want = _groebner_empty(ideal)
+        assert is_empty(ZeroSetUnion(kx, (ideal,))) is want, ideal.describe()
+        verdicts.append(want)
+    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+
+
+def test_emptiness_is_nonempty_wherever_the_scan_finds_a_point(ring9):
+    # over GF(9), which sympy does not take: the scan of P^1(F_9) and
+    # P^1(F_81) is the oracle in one direction, a point found means nonempty
+    listings = list(points_up_to(ring9.field, 2, 2))
+    found = empty = 0
+    for comp in _distinct_components(_emptiness_chains(ring9, random.Random(3603), 30)):
+        V = ZeroSetUnion(ring9.kx, (comp,))
+        decided = is_empty(V)
+        if any(membership(V, pt) for _, points in listings for pt in points):
+            assert decided is False, comp.describe()
+            found += 1
+        empty += decided
+    assert found and empty
+
+
+def test_a_variety_with_points_only_over_gf125_is_not_empty(ring5):
+    # h is irreducible over GF(5): its three roots lie in GF(125), so a scan
+    # to degree 2 finds nothing where the exact decision says nonempty
+    h = ring5.parse("x1^3 + x1*x2^2 + x2^3")
+    v = rank_variety(cone_mul(fixture_k(ring5), h))
+    hh = ring5.image_in_kx(h * h)
+    assert all(comp.gens == (hh,) for comp in v.components)
+    assert [sum(membership(v, pt) for pt in points) for _, points in points_up_to(ring5.field, 2, 3)] == [0, 0, 3]
+    assert is_empty(v) is False
+    # with c generators the rank decides it: Z(x1*h, x2*h) = Z(h)
+    kx = ring5.kx
+    hbar = ring5.image_in_kx(h)
+    ideal = IdealGens(kx, _canonical_gens(kx, [kx.variable("x1") * hbar, kx.variable("x2") * hbar]))
+    assert is_empty(ZeroSetUnion(kx, (ideal,))) is False
+
+
+@pytest.mark.parametrize("exponents", [(1, 1), (2, 3), (4, 2), (5, 7), (2, 3, 2), (1, 4, 3)], ids=str)
+def test_a_complete_intersection_is_empty_at_lazards_degree(f5, exponents):
+    # (x1^a1, .., xc^ac) holds every form of degree a1 + .. + ac - c + 1 but
+    # misses x1^(a1-1)*..*xc^(ac-1) one degree lower: Lazard's degree is
+    # tight here, so the decision needs all of it
+    c = len(exponents)
+    kx = PolyRing(f5, tuple(f"x{i + 1}" for i in range(c)), ())
+    gens = [kx.variable(f"x{i + 1}") ** a for i, a in enumerate(exponents)]
+    ideal = IdealGens(kx, _canonical_gens(kx, gens))
+    assert is_empty(ZeroSetUnion(kx, (ideal,))) is True
+    # one generator short, the set is never empty
+    assert is_empty(ZeroSetUnion(kx, (IdealGens(kx, ideal.gens[1:]),))) is False
+
+
+def test_fewer_than_c_generators_never_cut_out_the_empty_set(ring5):
+    v = rank_variety(cone_mul(fixture_k(ring5), ring5.parse("x1")))
+    assert v.describe() == "Z(x1^2) union Z(x1^2)"
+    assert is_empty(v) is False
+
+
+def test_a_macaulay_matrix_past_the_column_cap_is_refused_before_any_row(ring5, monkeypatch):
+    # (x1^300, x2^300) has Lazard degree 599 and 600 columns, past the cap
+    # of 500: refused before any multiplier monomial, let alone a row, is
+    # formed
+    kx = ring5.kx
+    v = ZeroSetUnion(kx, (IdealGens(kx, (kx.variable("x1") ** 300, kx.variable("x2") ** 300)),))
+    assert ghrv.variety.MAX_MACAULAY_COLUMNS == 500
+    built = []
+    real = ghrv.variety.combinations_with_replacement
+    monkeypatch.setattr(ghrv.variety, "combinations_with_replacement",
+                        lambda *args: built.append(args) or real(*args))
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="^Macaulay matrix of degree 599 has 600 columns, "
+                                            "more than the cap of 500$"):
+        is_empty(v)
+    assert time.perf_counter() - start < 1.0
+    assert built == []
+    # the cap itself is allowed
+    monkeypatch.setattr(ghrv.variety, "MAX_MACAULAY_COLUMNS", 600)
+    assert is_empty(v) is True
 
 
 def test_variety_needs_a_valid_pair(ring5):
@@ -606,7 +761,7 @@ def test_variety_needs_a_valid_pair(ring5):
 def test_trivial_pair_has_empty_variety(ring5):
     v = rank_variety(trivial_pair(ring5))
     assert all(comp.gens == (ring5.kx.one(),) for comp in v.components)
-    assert is_empty(v, bound=2).empty_up_to
+    assert is_empty(v) is True
 
 
 # -- projective points --------------------------------------------------------
@@ -699,9 +854,7 @@ def test_membership_agrees_with_contractibility_through_extensions(ring3):
         assert inside == (not contractible_at(cone, pt)), str(pt)
         hits += inside
     assert hits == 2
-    verdict = is_empty(v, bound=2)
-    assert not verdict.empty_up_to
-    assert verdict.witness_degree == 2
+    assert is_empty(v) is False
 
 
 def test_membership_is_scale_invariant(ring5):
