@@ -3,20 +3,23 @@
 Verb-style interface over the engine modules; human-readable report on
 stdout, machine artifacts only through --out.  Exit codes: 0 success, 1
 mathematical failure (validation findings, invalid inputs at the math level),
-2 usage or parse errors.  Output is deterministic for fixed inputs and seed.
+2 usage or parse errors, and 141 (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ended) when the reader of a pipe goes away, as stdout's
+does in `ghrv points --field "GF(101)" --c 3 | head -2`; that prints
+nothing on stderr.  Output is deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 
 from .complexes import cone_mul, validate_pair
 from .errors import FieldError, GhrvError, ParseError
 from .fields import RationalField, field_name, parse_field
-from .matrix import map_entries
 from .parser import parse_poly
 from .pipelines import (
     FIXTURE_NAMES,
@@ -125,10 +128,14 @@ def _parse_coords(text: str, field):
     return tuple(coords)
 
 
-def _format_matrix(name: str, grid) -> str:
-    lines = [f"{name} ="]
-    for row in grid:
-        lines.append("  [ " + ", ".join(str(e) for e in row) + " ]")
+def _format_pair(names, entries, texts) -> str:
+    """The two matrices of a pair's DistinctEntries, named `names`, with
+    texts[k], one string per distinct value, at each (column, k) pair and 0
+    elsewhere."""
+    lines = []
+    for name, grid in zip(names, entries.grids(texts, "0")):
+        lines.append(f"{name} =")
+        lines += ["  [ " + ", ".join(row) + " ]" for row in grid]
     return "\n".join(lines)
 
 
@@ -204,9 +211,9 @@ def _cmd_specialize(args) -> int:
     preimages = lift_point(ring, coords, given)
     print(f"alpha = {_format_point(ring.field, coords)}")
     print(f"w_alpha = {specialize(ring.w, preimages, ring)}")
-    a_spec, b_spec = map_entries(lambda e: specialize(e, preimages, ring), C.A, C.B)
-    print(_format_matrix("A|alpha", a_spec))
-    print(_format_matrix("B|alpha", b_spec))
+    entries = C.pair_entries
+    texts = [str(specialize(e, preimages, ring)) for e in entries.values]
+    print(_format_pair(("A|alpha", "B|alpha"), entries, texts))
     r_a, r_b = residue_ranks(C, coords)
     print(f"residue ranks: rank(A) = {r_a}, rank(B) = {r_b}, size = {C.size}")
     return 0
@@ -230,8 +237,7 @@ def _cmd_cone(args) -> int:
           f"certified {cone.certified}")
     print(f"degrees0 = {list(cone.degrees0)}")
     print(f"degrees1 = {list(cone.degrees1)}")
-    print(_format_matrix("A", cone.A))
-    print(_format_matrix("B", cone.B))
+    print(_format_pair("AB", cone.pair_entries, [str(v) for v in cone.pair_entries.values]))
     return 0
 
 
@@ -309,6 +315,8 @@ def run(argv=None) -> int:
     try:
         return _DISPATCH[args.verb](args)
     except (ParseError, FieldError, OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError):  # a reader went away: end silently, as SIGPIPE would
+            return 141
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GhrvError as exc:
@@ -317,7 +325,14 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:  # output that fit in stdout's buffer meets a closed pipe only here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    if code == 141:  # what stdout still holds goes nowhere, and exit has no flush to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

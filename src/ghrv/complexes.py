@@ -22,22 +22,27 @@ division step by w removes a term and adds terms of that same x-degree: a
 stored entry that is zero or x-homogeneous of the wanted degree has such a
 normal form, and only the other entries are reduced.  Certification (the
 exact A*B = w*I check over P) is judged on the stored representatives, by
-one matrix product per pair read from a file or built by hand.
+one sparse matrix product per pair read from a file or built by hand.
 
 A pair keeps its own entries (pair_entries) and its residue pencil
 (Abar, Bbar) = (A, B)|_{y=0} (pencil_entries) by their distinct nonzero
-entries (DistinctEntries).  Each step (cone_mul, shift, dual, direct_sum)
-is one rule over DistinctEntries, which _derived runs on the parents'
-pair_entries for the new grids; every other pair (fixtures, loaded files,
-the Shamash tail) reads its entries from its grids (distinct_entries).
-The pencil has one route for every pair, whatever built it: y -> 0 is a
-ring map, so the pencil is the image of the pair's own distinct entries,
-each value of pair_entries mapped once.  A derived pair's verdict and
-certification claim are its parents'.  A rule reuses a parent's object for
-an equal value, and the Shamash tail signs each variable and each f_i once
-for both folds, so pairs built here hold one object per value, -(-e) is e,
-and a pass run once per distinct entry object (map_entries) runs once per
-distinct value.
+entries (DistinctEntries), and every per-entry pass over a pair reads
+pair_entries, not the grids: the certifying product, the degree check,
+the ranks over R, the pencil and the writer each run once per distinct
+value, or on the sparse rows over those values, and never walk the n^2
+positions.  Each step (cone_mul, shift, dual, direct_sum) is
+one rule over DistinctEntries, which _derived runs on the parents'
+pair_entries for the new grids; a loaded file's entries are indexed as
+its strings are parsed (serialize.complex_from_obj); every other pair
+(fixtures, the Shamash tail, pairs built by hand) reads its entries from
+its grids (distinct_entries), the one pass over the positions, which also
+checks each entry object's ring.  The pencil has one route for every pair,
+whatever built it: y -> 0 is a ring map, so the pencil is the image of the
+pair's own distinct entries, each value of pair_entries mapped once.  A
+derived pair's verdict and certification claim are its parents'.  A rule
+reuses a parent's object for an equal value, and the Shamash tail signs
+each variable and each f_i once for both folds, so pairs built here hold
+one object per value, and -(-e) is e.
 
 The Koszul complex here is taken on all m = c + d variables of P.  The
 Shamash resolution of the residue field, G_n = sum_j F_(n-2j) with
@@ -66,8 +71,8 @@ from .errors import (
     RankDefect,
     RingMismatch,
 )
-from .matrix import Grid, as_grid, identity, map_entries, mat_mul
-from .poly import Poly
+from .matrix import Grid, as_grid, mat_mul
+from .poly import Poly, PolyRing
 from .ring import RingSpec
 
 # shamash_resolution refuses more than this many variables c + d before any
@@ -75,29 +80,31 @@ from .ring import RingSpec
 MAX_KOSZUL_VARIABLES = 12
 
 
-def homogeneity_violations(ring: RingSpec, grid: Grid, source: tuple[int, ...],
+def homogeneity_violations(ring: RingSpec, rows, source: tuple[int, ...],
                            target: tuple[int, ...]) -> list[str]:
-    """Entries of `grid`, the matrix of a degree-0 map from generators of
-    degrees `source` to generators of degrees `target`, whose normal form mod
-    w is neither zero nor x-homogeneous of degree source[j] - target[i].
+    """Entries of the matrix with sparse rows `rows` (matrix.sparse_rows),
+    the matrix of a degree-0 map from generators of degrees `source` to
+    generators of degrees `target`, whose normal form mod w is neither zero
+    nor x-homogeneous of degree source[j] - target[i].
 
     The stored entry is looked at first.  Every term of w has x-degree 1, so
     each division step by w replaces a term by terms of the same x-degree;
-    an entry that is zero or x-homogeneous of the wanted degree therefore
-    has a normal form that is too, and is passed without reducing it.  Any
-    other entry is judged, and reported, on its normal form.  The set of
-    x-degrees of the stored terms is formed once per distinct entry object
-    (map_entries), and each position compares it with its wanted degree."""
-    (degrees,) = map_entries(Poly.x_degrees, grid)
+    an entry that is x-homogeneous of the wanted degree therefore has a
+    normal form that is zero or is too, and is passed without reducing it.
+    Any other entry is judged, and reported, on its normal form.  The set
+    of x-degrees of the stored terms is formed once per distinct entry
+    object, and each position compares it with its wanted degree."""
+    degrees: dict[int, set[int]] = {}  # id of an entry -> the x-degrees of its terms
     out = []
-    for i, row in enumerate(degrees):
-        for j, degs in enumerate(row):
-            if not degs:  # a zero entry
-                continue
+    for i, row in enumerate(rows):
+        for j, e in row:
+            degs = degrees.get(id(e))
+            if degs is None:
+                degs = degrees[id(e)] = e.x_degrees()
             want = source[j] - target[i]
             if degs == {want}:
                 continue
-            nf = ring.normal_form(grid[i][j])
+            nf = ring.normal_form(e)
             nf_degs = nf.x_degrees()
             if nf_degs <= {want}:
                 continue
@@ -120,26 +127,50 @@ class DistinctEntries:
     i of grid g by ascending column, so entry (i, j) is values[k] for (j, k)
     in rows[g][i], and zero when row i has no pair for column j.
     distinct_entries reads one from grids, a step's rule derives one from
-    its parents' (_derived), and both give the same for the same grids; a
-    pair's pencil is the image of its own (pencil_entries)."""
+    its parents' (_derived), the loader indexes one as it parses a file
+    (serialize.complex_from_obj), and all give the same for the same
+    grids; a pair's pencil is the image of its own (pencil_entries)."""
 
     values: tuple[Poly, ...]
     rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
+    def sparse_rows(self, g: int, values=None) -> list[list[tuple[int, Poly]]]:
+        """The sparse rows (matrix.sparse_rows) of grid g with values[k] at
+        each (column, k) pair, a zero value left out.  values is indexed
+        like self.values (for example their images y -> 0), and is
+        self.values when not given."""
+        values = self.values if values is None else values
+        return [[(j, e) for j, k in pairs if (e := values[k]).terms] for pairs in self.rows[g]]
 
-def distinct_entries(grids) -> DistinctEntries:
+    def grids(self, values, zero) -> tuple[list[list], ...]:
+        """Both grids in full, as lists of row lists: values[k] at every
+        (column, k) pair, values indexed like self.values (the values
+        themselves, or one string or scalar per value), and zero
+        elsewhere."""
+        out = []
+        for rows in self.rows:
+            grid = []
+            for pairs in rows:
+                row = [zero] * len(rows)
+                for j, k in pairs:
+                    row[j] = values[k]
+                grid.append(row)
+            out.append(grid)
+        return tuple(out)
+
+
+def distinct_entries(grids, ring: PolyRing) -> DistinctEntries:
     """The nonzero entries of square `grids` indexed by distinct value (see
-    DistinctEntries), each distinct entry object read once (map_entries).
-    This builds the entries of every pair no step derived (fixtures, loaded
-    files, the Shamash tail), and is the reference the tests compare a
-    derived pair's with."""
+    DistinctEntries), each entry checked to be a polynomial of `ring`
+    (PolyRing.coerce: RingMismatch for one of another ring, TypeError for
+    anything else), a zero entry too.  This is the one pass over the
+    positions of a pair: it builds the entries of every pair that no step
+    derived and no file was loaded into (fixtures, the Shamash tail, pairs
+    built by hand), and is the reference the tests compare a derived or
+    loaded pair's with."""
     index: dict[Poly, int] = {}
-
-    def slot(e: Poly) -> int | None:
-        return index.setdefault(e, len(index)) if e.terms else None
-
-    rows = tuple(tuple(tuple((j, k) for j, k in enumerate(row) if k is not None) for row in grid)
-                 for grid in map_entries(slot, *grids))
+    rows = tuple(tuple(tuple((j, index.setdefault(e, len(index))) for j, e in enumerate(row)
+                             if ring.coerce(e).terms) for row in grid) for grid in grids)
     return DistinctEntries(tuple(index), rows)
 
 
@@ -185,7 +216,8 @@ class PeriodicComplex:
     @cached_property
     def is_factorization(self) -> bool:
         """A*B = B*A = w*I exactly over P, decided on a leaf by the one
-        product A*B, of which only the verdict is kept.
+        sparse product A*B of the rows of its pair_entries (mat_mul), whose
+        row i must be exactly w at column i; only the verdict is kept.
 
         P is a domain and w is nonzero (make_ring refuses a zero f_i), so
         det A * det B = w^n is nonzero: A is invertible over the fraction
@@ -210,8 +242,9 @@ class PeriodicComplex:
         each leaf reached keeps its verdict, so a leaf met again multiplies
         nothing.  Computed on first use and kept."""
         if self._derivation is None:
-            amb = self.ring.ambient
-            return mat_mul(self.A, self.B, amb) == identity(amb, self.size, self.ring.w)
+            entries, w = self.pair_entries, self.ring.w
+            prod = mat_mul(entries.sparse_rows(0), entries.sparse_rows(1), self.ring.ambient)
+            return all(row == [(i, w)] for i, row in enumerate(prod))
         todo = list(reversed(self._derivation[1]))
         while todo:
             P = todo.pop()
@@ -243,11 +276,13 @@ class PeriodicComplex:
 
     @cached_property
     def pair_entries(self) -> DistinctEntries:
-        """A and B over P by their distinct nonzero entries, which the
-        specialize-then-residue oracle substitutes into, each once per
-        point.  A pair a step built keeps the entries its rule gave
-        (_derived); any other pair reads them from its grids on first use."""
-        return distinct_entries((self.A, self.B))
+        """A and B over P by their distinct nonzero entries, which every
+        per-entry pass over the pair reads (see the module docstring).  A
+        pair a step built keeps the entries its rule gave (_derived), and a
+        loaded pair those its loader indexed; any other pair reads them from
+        its grids on first use (distinct_entries), which checks the ring of
+        each entry."""
+        return distinct_entries((self.A, self.B), self.ring.ambient)
 
     def __eq__(self, other):
         return (
@@ -299,13 +334,17 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     maps degrees1 to degrees0, and B maps degrees0 twisted by 1 (the x-degree
     of w) to degrees1.
 
-    Its first step checks that every entry is a polynomial of ring.ambient,
-    once per distinct entry object (map_entries): an entry of another ring
-    raises RingMismatch, and one that is not a polynomial TypeError.
-    The exact identity A*B = B*A = w*I is read from C.is_factorization,
-    which judges the stored grids whatever the file claims.  When it holds,
-    both products are zero mod w, so the mod-w pass runs only on a pair
-    that fails it; the pass forms its own A*B and B*A.  The identity also
+    Every pass reads C.pair_entries.  Reading it first checks that every
+    entry is a polynomial of ring.ambient: a pair read from its grids has
+    each entry checked (distinct_entries), so an entry of another
+    ring raises RingMismatch, and one that is not a polynomial TypeError;
+    a loaded pair's entries were parsed in that ring, and a derived pair's
+    are its parents' and its cone scalar's normal form.  The exact identity
+    A*B = B*A = w*I is read from C.is_factorization, which judges the
+    stored entries whatever the file claims.  When it holds, both products
+    are zero mod w, so the mod-w pass runs only on a pair that fails it;
+    the pass forms its own A*B and B*A (mat_mul), and reduces each nonzero
+    entry of each.  The identity also
     gives the rank partition by the complement rule
     (PeriodicComplex.is_factorization), so the RankDefect check runs only
     on pairs that are complexes mod w without being exact factorizations.
@@ -314,20 +353,18 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     identity reports CertificationFailed before any RankDefect."""
     report = ValidationReport()
     ring = C.ring
-    amb = ring.ambient
-    map_entries(amb.coerce, C.A, C.B)
+    rows = C.pair_entries.sparse_rows(0), C.pair_entries.sparse_rows(1)
     if not C.is_factorization:
-        for name, left, right in (("A*B", C.A, C.B), ("B*A", C.B, C.A)):
-            prod = mat_mul(left, right, amb)
-            bad = [(i, j) for i, row in enumerate(prod)
-                   for j, e in enumerate(row) if not ring.normal_form(e).is_zero()]
+        a, b = rows
+        for name, left, right in (("A*B", a, b), ("B*A", b, a)):
+            prod = mat_mul(left, right, ring.ambient)
+            bad = [(i, j) for i, row in enumerate(prod) for j, e in row if not ring.normal_form(e).is_zero()]
             if bad:
                 report.add(NotAComplex, f"{name} is nonzero mod w at entries {bad[:4]}")
 
     twisted0 = tuple(d + 1 for d in C.degrees0)
-    for label, grid, source, target in (("A", C.A, C.degrees1, C.degrees0),
-                                        ("B", C.B, twisted0, C.degrees1)):
-        for msg in homogeneity_violations(ring, grid, source, target):
+    for label, g, source, target in (("A", 0, C.degrees1, C.degrees0), ("B", 1, twisted0, C.degrees1)):
+        for msg in homogeneity_violations(ring, rows[g], source, target):
             report.add(NotHomogeneous, f"{label}: {msg}")
 
     if not C.certified:
@@ -419,17 +456,8 @@ def _derived(rule, parents: tuple[PeriodicComplex, ...], rep: Poly | None, degre
     its ranks over R (variety.ranks_over_R) follow."""
     ring = parents[0].ring
     entries = rule([P.pair_entries for P in parents], rep)
-    zero = ring.ambient.zero()
-    grids = []
-    for rows in entries.rows:
-        grid = []
-        for pairs in rows:
-            row = [zero] * len(rows)
-            for j, k in pairs:
-                row[j] = entries.values[k]
-            grid.append(row)
-        grids.append(grid)
-    C = PeriodicComplex(ring, *grids, degrees0, degrees1, all(P.certified for P in parents))
+    C = PeriodicComplex(ring, *entries.grids(entries.values, ring.ambient.zero()), degrees0, degrees1,
+                        all(P.certified for P in parents))
     C.pair_entries = entries
     C._derivation = (rule, parents)
     return C

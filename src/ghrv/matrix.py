@@ -1,26 +1,29 @@
 """Exact matrix algebra over the ambient polynomial ring and over fields.
 
 A matrix is a rectangular tuple-of-tuples grid; a periodic pair is two such
-grids plus its generator degrees (complexes.PeriodicComplex).  A pair's
-grids repeat few entry objects at many positions, so a per-entry pass over
-them goes through map_entries, which calls its function once per distinct
-object, and mat_mul forms the product of two entry objects once.  Everything
-here is fraction free: polynomial ranks use Bareiss elimination (each
-division is exact by the minor identity) on sparse rows, with pivots
-chosen against fill-in, where a row the pivot column misses is not
-touched.  Its skipped scalings p_t / p_(t-1) telescope, so one division by
-the pivot that last wrote it, when the row is next touched, is exact and
-catches it up.  That division is exact_div (divide_single with a zero
-remainder), but for the one-term lag of an updated entry, which
-_bareiss_update divides out as it sums the products.
+grids plus its generator degrees (complexes.PeriodicComplex), and keeps them
+by their distinct nonzero entries as well (complexes.DistinctEntries).  The
+routines here that read polynomial entries, but for the rank_by_minors
+oracle, take a matrix by sparse rows, the (column, entry) pairs of each
+row's nonzero entries by ascending column, which a pair hands out over its
+distinct entries and a caller holding a dense grid converts at the edge
+(sparse_rows).  A pair's rows repeat few entry objects at many positions,
+so mat_mul forms the product of two entry objects once, and its callers'
+per-entry passes run once per distinct object.  Everything here is
+fraction free: polynomial ranks use Bareiss elimination (each division is
+exact by the minor identity) on sparse rows, with pivots chosen against
+fill-in, where a row the pivot column misses is not touched.  Its skipped
+scalings p_t / p_(t-1) telescope, so one division by the pivot that last
+wrote it, when the row is next touched, is exact and catches it up.  That
+division is exact_div (divide_single with a zero remainder), but for a
+one-term lag, whose coefficient is inverted once per row and which
+_bareiss_update divides out of each updated entry as it sums the products.
 
-Minor enumeration takes a matrix by sparse rows, the (column, entry) pairs
-of each row's nonzero entries, and takes exterior products of rows,
-v_i1 ^ .. ^ v_ir, whose coefficients are the r x r minors on those rows;
-only nonzero coefficients are kept, so a sparse matrix costs in proportion
-to its nonzero minors rather than to all of them, and each nonzero minor is
-built as a polynomial once, from its wedge's terms.  A caller holding a
-dense grid converts it at the edge (sparse_rows).
+Minor enumeration takes exterior products of sparse rows, v_i1 ^ .. ^ v_ir,
+whose coefficients are the r x r minors on those rows; only nonzero
+coefficients are kept, so a sparse matrix costs in proportion to its
+nonzero minors rather than to all of them, and each nonzero minor is built
+as a polynomial once, from its wedge's terms.
 
 The one field-level routine is rank (rank_over_field).  It inserts rows
 given as dicts of their nonzero scalars into an echelon of pivots keyed by
@@ -63,66 +66,37 @@ def mat_shape(rows: Sequence[Sequence[Poly]]) -> tuple[int, int]:
     return (len(grid), len(grid[0]) if grid else 0)
 
 
-def map_entries(fn, *grids) -> tuple[Grid, ...]:
-    """The grids with fn applied to every entry, one grid out per grid in,
-    calling fn once per distinct entry object.  A pair's grids hold few
-    objects at many positions (a cone's blocks hold its parent's entries
-    again, and a loaded file's equal strings share one polynomial), so the
-    one result of a pure fn serves every position of its object.  Results
-    are memoized by id, shared by all the grids; each object met is held
-    for the whole call, so no id is reused while the memo is read.  fn is
-    called in the order the objects are first met, grid by grid and row by
-    row.  A ragged grid raises ValueError."""
-    memo: dict[int, object] = {}
-    held = []
-    out = []
-    for grid in grids:
-        rows = []
-        for row in grid:
-            new = []
-            for e in row:
-                v = memo.get(id(e), memo)  # the memo itself marks a miss
-                if v is memo:
-                    v = memo[id(e)] = fn(e)
-                    held.append(e)
-                new.append(v)
-            rows.append(new)
-        out.append(as_grid(rows))
-    return tuple(out)
+def sparse_rows(rows: Sequence[Sequence[Poly]]) -> list[list[tuple[int, Poly]]]:
+    """The rows of a grid as the routines here take them: each the list of
+    (column, entry) pairs of its nonzero entries, by ascending column."""
+    return [[(j, e) for j, e in enumerate(row) if e.terms] for row in as_grid(rows)]
 
 
-def mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]], ring: PolyRing) -> Grid:
-    """Sparse product: only nonzero entries of a row of `a` meet the nonzero
-    entries of the matching row of `b`, listed once up front.  The product
-    of two entry objects is formed once per call, kept by their ids (a and
-    b hold both for the call), and its terms are added wherever that pair
-    meets, since a pair's grids repeat few objects at many positions; each
-    output entry is summed in one monomial -> coefficient dict and becomes
-    one Poly."""
-    m, k1 = mat_shape(a)
-    k2, n = mat_shape(b)
-    if k1 != k2:
-        raise ValueError(f"shape mismatch {m}x{k1} times {k2}x{n}")
+def mat_mul(a, b, ring: PolyRing) -> list[list[tuple[int, Poly]]]:
+    """The product of two matrices given by sparse rows (sparse_rows), as
+    sparse rows: row i of a*b sums e times row l of b over the pairs (l, e)
+    of row i of a, so only nonzero entries meet.  The product of two entry
+    objects is formed once per call, kept by their ids (a and b hold both
+    for the call), and its terms are added wherever that pair meets, since
+    a pair's rows repeat few objects at many positions; each output entry
+    is summed in one monomial -> coefficient dict, whose zero coefficients
+    are dropped once, and becomes one Poly unless nothing is left."""
     fld = ring.field
-    add, mul = fld.add, fld.mul
-    b_rows = [[(j, id(e), e.terms) for j, e in enumerate(row) if e.terms] for row in b]
+    add, mul, is_zero = fld.add, fld.mul, fld.is_zero
     products: dict[int, dict[int, dict]] = {}  # id of an a entry -> id of a b entry -> terms
-    zero = ring.zero()
     out = []
     for row in a:
         sums: dict[int, dict] = {}
-        for e, b_row in zip(row, b_rows):
-            if not e.terms or not b_row:
-                continue
+        for col, e in row:
             by_f = products.get(id(e))
             if by_f is None:
                 by_f = products[id(e)] = {}
-            for j, key_f, f_terms in b_row:
-                prod = by_f.get(key_f)
+            for j, f in b[col]:
+                prod = by_f.get(id(f))
                 if prod is None:
-                    prod = by_f[key_f] = {}
+                    prod = by_f[id(f)] = {}
                     for m1, c1 in e.terms.items():
-                        for m2, c2 in f_terms.items():
+                        for m2, c2 in f.terms.items():
                             mono = tuple(map(_mono_add, m1, m2))
                             c = mul(c1, c2)
                             prod[mono] = add(prod[mono], c) if mono in prod else c
@@ -132,35 +106,23 @@ def mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]], ring: Poly
                     continue
                 for mono, c in prod.items():
                     acc[mono] = add(acc[mono], c) if mono in acc else c
-        new = [zero] * n
-        for j, acc in sums.items():
-            new[j] = Poly(ring, acc)
-        out.append(tuple(new))
-    return tuple(out)
-
-
-def identity(ring: PolyRing, n: int, scale: Poly | None = None) -> Grid:
-    diag = ring.one() if scale is None else scale
-    zero = ring.zero()
-    return tuple(tuple(diag if i == j else zero for j in range(n)) for i in range(n))
+        new = []
+        for j in sorted(sums):
+            terms = {mono: c for mono, c in sums[j].items() if not is_zero(c)}
+            if terms:
+                new.append((j, Poly._of_nonzero(ring, terms)))
+        out.append(new)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # minors and ranks
 # ---------------------------------------------------------------------------
 
-def sparse_rows(rows: Sequence[Sequence[Poly]]) -> list[list[tuple[int, Poly]]]:
-    """The rows of a grid as all_minors takes them: each the list of
-    (column, entry) pairs of its nonzero entries, by ascending column."""
-    return [[(j, e) for j, e in enumerate(row) if e.terms] for row in as_grid(rows)]
-
-
 def all_minors(rows: Sequence[Sequence[tuple[int, Poly]]], ncols: int, r: int, ring: PolyRing):
     """Yield every nonzero r x r minor determinant of the matrix with ncols
-    columns whose rows are `rows`, each the (column, entry) pairs of its
-    nonzero entries by ascending column (sparse_rows of a grid), in
-    ascending lexicographic order of (row set, column set); zero minors are
-    left out.
+    columns whose sparse rows are `rows` (sparse_rows), in ascending
+    lexicographic order of (row set, column set); zero minors are left out.
 
     Row subsets i1 < .. < ik are walked depth first, keeping the exterior
     product w = v_i1 ^ .. ^ v_ik of their rows as a dict from a sorted
@@ -227,14 +189,15 @@ def all_minors(rows: Sequence[Sequence[tuple[int, Poly]]], ncols: int, r: int, r
 
 
 def _bareiss_update(ring: PolyRing, pivot_terms, e: Poly | None, neg_m_terms, f: Poly | None,
-                    lag: Poly | None) -> Poly:
+                    lag: Poly | None, one_term) -> Poly:
     """(pivot * e - m * f) / lag as one Poly, for rank_over_domain: the
     pivot and -m come as term lists, e or f is None for zero and lag None
     for one.  The products are summed in one monomial -> coefficient dict.
     A one-term lag, the lag of every update the benchmark workloads make,
-    is divided out of that dict in the same pass, and a term it does not
-    divide raises ArithmeticError as exact_div would; a lag of several
-    terms goes to exact_div."""
+    comes as one_term, its (monomial, inverse coefficient), formed once per
+    row; it is divided out of that dict in the same pass, and a term it
+    does not divide raises ArithmeticError as exact_div would.  A lag of
+    several terms (one_term None) goes to exact_div."""
     fld = ring.field
     add, mul = fld.add, fld.mul
     acc: dict = {}
@@ -248,10 +211,10 @@ def _bareiss_update(ring: PolyRing, pivot_terms, e: Poly | None, neg_m_terms, f:
                 acc[mono] = add(acc[mono], c) if mono in acc else c
     if lag is None:
         return Poly(ring, acc)
-    if len(lag.terms) != 1:
+    if one_term is None:
         return exact_div(Poly(ring, acc), lag)
-    ((dm, dc),) = lag.terms.items()
-    dc_inv, is_zero = fld.inv(dc), fld.is_zero
+    dm, dc_inv = one_term
+    is_zero = fld.is_zero
     q = {}
     for mono, c in acc.items():
         if is_zero(c):
@@ -260,18 +223,19 @@ def _bareiss_update(ring: PolyRing, pivot_terms, e: Poly | None, neg_m_terms, f:
         if min(shifted, default=0) < 0:
             raise ArithmeticError(f"inexact division: remainder {Poly(ring, {mono: c})}")
         q[shifted] = mul(c, dc_inv)
-    return Poly(ring, q)
+    return Poly._of_nonzero(ring, q)
 
 
-def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
-    """Rank over the fraction field of the (integral) ambient ring, by
-    fraction-free (Bareiss) elimination on rows kept as dicts of their
-    nonzero entries.  The pivot is chosen against fill-in (Markowitz): it
-    minimizes (term count, live entries in its column, entries in its row),
-    the first such entry in row order winning a tie.  Only rows with an
-    entry in its column are touched, so a pivot alone in its column touches
-    none.  Any pivot order is a Bareiss run on a permuted matrix, so the
-    rank and the exactness of each division do not depend on it.
+def rank_over_domain(rows, ring: PolyRing) -> int:
+    """Rank over the fraction field of the (integral) ambient ring of the
+    matrix with sparse rows `rows` (sparse_rows), by fraction-free
+    (Bareiss) elimination on rows kept as dicts of their nonzero entries.
+    The pivot is chosen against fill-in (Markowitz): it minimizes (term
+    count, live entries in its column, entries in its row), the first such
+    entry in row order winning a tie.  Only rows with an entry in its
+    column are touched, so a pivot alone in its column touches none.  Any
+    pivot order is a Bareiss run on a permuted matrix, so the rank and the
+    exactness of each division do not depend on it.
 
     Each row keeps `lag`, the pivot of the step that last wrote it (None,
     standing for one, for an input row).  The Bareiss scalings p_t / p_(t-1)
@@ -279,15 +243,15 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
     last pivot: a touched row becomes (pivot * row - m * pivot_row) / lag,
     exactly, and a stale pivot row is first brought up to date as
     row * prev / lag, by exact_div when it has a lag.  Each updated entry
-    is one _bareiss_update."""
-    neg = ring.field.neg
+    is one _bareiss_update, and a touched row's one-term lag is inverted
+    once for all its entries."""
+    neg, inv = ring.field.neg, ring.field.inv
 
     def catch_up(e: Poly, lag: Poly | None) -> Poly:
         # an entry of a stale row brought up to date, e * prev / lag
         return e * prev if lag is None else exact_div(e * prev, lag)
 
-    sparse = ({j: e for j, e in enumerate(r) if e.terms} for r in as_grid(rows))
-    live = [(row, None) for row in sparse if row]
+    live = [(dict(row), None) for row in rows if row]
     count: dict[int, int] = {}  # column -> live rows with an entry there
     for row, _ in live:
         for j in row:
@@ -321,9 +285,14 @@ def rank_over_domain(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> int:
                 kept.append((row, lag))
                 continue
             neg_m_terms = [(mono, neg(c)) for mono, c in m.terms.items()]
+            one_term = None
+            if lag is not None and len(lag.terms) == 1:
+                ((dm, dc),) = lag.terms.items()
+                one_term = dm, inv(dc)
             new = {}
             for j in list(row) + [j for j in pivot_row if j not in row]:
-                e = _bareiss_update(ring, pivot_terms, row.get(j), neg_m_terms, pivot_row.get(j), lag)
+                e = _bareiss_update(ring, pivot_terms, row.get(j), neg_m_terms, pivot_row.get(j), lag,
+                                    one_term)
                 if e.terms:
                     new[j] = e
             for j in row:

@@ -8,20 +8,24 @@ Trace file:   the complex file format for the final pair, plus a "trace" array
               so every trace file is also loadable as a complex file.
 
 Matrix entries and generators use the expression grammar, so whatever the
-tool writes it can parse back.  Saving a complex prints each distinct entry
-object of A and B once (map_entries), which a cone's blocks, holding their
-parent's entries again, repeat at many positions.  One writer (_write)
-serves ring, complex and trace files: it prints exactly the bytes of
-json.dumps(obj, indent=2), but encodes each list of strings, a matrix row,
-with the C string encoder json.dumps uses, where json.dumps with an indent
-runs its pure-Python encoder over every string.  Loading a complex parses
-each distinct entry string once and lets equal entries share that one
-immutable polynomial (a 32x32 realize trace holds about 2000 entry strings
-and 15 distinct ones), so every later per-entry pass over the loaded pair
-runs about 15 times rather than 2000.  A row whose strings have all been
-parsed is mapped in one C-level pass; a row with a new string, or an entry
-that is not a string, is read entry by entry in file order, so the first
-bad entry of the file, A row by row and then B, raises the error.
+tool writes it can parse back.  Saving a complex formats each distinct
+value of the pair's entries (PeriodicComplex.pair_entries) once, and writes
+it at every position that holds it, with "0" elsewhere.  One writer
+(_write) serves ring, complex and trace files: it prints exactly the bytes
+of json.dumps(obj, indent=2), but encodes each list of strings, a matrix
+row, with the C string encoder json.dumps uses, where json.dumps with an
+indent runs its pure-Python encoder over every string.  Loading a complex
+parses each distinct entry string once, and indexes the pair's distinct
+entries as it goes: equal values, even when spelled apart ("x1 + x2" and
+"x2 + x1"), share one polynomial and one index, and a string that parses
+to zero gets none.  The loaded pair keeps those entries as its
+pair_entries, so every later per-entry pass runs once per distinct value
+and on sparse rows: a 32x32 realize trace holds 2048 positions and 15
+distinct values, and no pass walks the positions again.  A row whose
+strings have all been parsed is looked up in one C-level pass; a row with
+a new string, or an entry that is not a string, is read entry by entry in
+file order, so the first bad entry of the file, A row by row and then B,
+raises the error.
 Loading performs no validation beyond shapes: a matrix, each of its rows,
 a degree list and a ring's variable and coefficient lists must be JSON
 arrays, and a string or number in their place raises ParseError naming the
@@ -37,10 +41,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .complexes import PeriodicComplex
+from .complexes import DistinctEntries, PeriodicComplex
 from .errors import ParseError
 from .fields import field_name, parse_field
-from .matrix import map_entries
 from .parser import parse_poly
 from .pipelines import RealizationTrace
 from .poly import Poly
@@ -120,12 +123,13 @@ def save_ring(ring: RingSpec, path: str | Path):
 
 
 def complex_to_obj(C: PeriodicComplex) -> dict:
-    a, b = map_entries(Poly.to_string, C.A, C.B)
+    entries = C.pair_entries
+    a, b = entries.grids([v.to_string() for v in entries.values], "0")
     return {
         "ring": ring_to_obj(C.ring),
         "periodic": {
-            "A": [list(row) for row in a],
-            "B": [list(row) for row in b],
+            "A": a,
+            "B": b,
             "degrees0": list(C.degrees0),
             "degrees1": list(C.degrees1),
             "certified": C.certified,
@@ -155,28 +159,40 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
     certified = periodic.get("certified", False)
     if not isinstance(certified, bool):
         raise ParseError("'periodic' block's 'certified' is not a boolean")
-    parsed: dict[str, Poly] = {}
+    values: list[Poly] = []  # the distinct nonzero values, in the order first met
+    index: dict[Poly, int] = {}  # each of values -> its index
+    polys: dict[str, Poly] = {}  # entry string -> its value, one object per value
+    slots: dict[str, int | None] = {}  # entry string -> its index, None for zero
 
-    def entry(text) -> Poly:
+    def parse(text):
+        """Parse a string no row has held yet, and index its value."""
         if not isinstance(text, str):
             raise ParseError(f"matrix entry {json.dumps(text)} is not a string")
-        poly = parsed.get(text)
-        if poly is None:
-            poly = parsed[text] = parse_poly(ring.ambient, text)
-        return poly
+        poly, k = parse_poly(ring.ambient, text), None
+        if poly.terms:
+            k = index.setdefault(poly, len(values))
+            if k == len(values):
+                values.append(poly)
+            poly = values[k]
+        polys[text], slots[text] = poly, k
 
-    def matrix(key: str) -> list[tuple[Poly, ...]]:
-        out = []
+    def matrix(key: str) -> tuple[list, tuple]:
+        """The grid of `key` and its rows of (column, index) pairs."""
+        grid, rows = [], []
         for i, row in enumerate(_list(periodic[key], f"'periodic' block's {key!r}")):
             row = _list(row, f"row {i} of {key!r}")
             try:  # every entry a string parsed before: the row in one C-level pass
-                polys = tuple(map(parsed.__getitem__, row))
+                got = tuple(map(polys.__getitem__, row))
             except (KeyError, TypeError):  # a new string, or an entry that is not one
-                polys = None
-            if polys is None:  # outside the handler, so no error chains to its KeyError
-                polys = tuple(map(entry, row))
-            out.append(polys)
-        return out
+                got = None
+            if got is None:  # outside the handler, so no error chains to its KeyError
+                for text in row:  # the new strings, in file order
+                    if not isinstance(text, str) or text not in polys:
+                        parse(text)
+                got = tuple(map(polys.__getitem__, row))
+            grid.append(got)
+            rows.append(tuple([(j, k) for j, k in enumerate(map(slots.__getitem__, row)) if k is not None]))
+        return grid, tuple(rows)
 
     def degrees(key: str) -> tuple[int, ...]:
         what = f"'periodic' block's {key!r}"
@@ -185,14 +201,11 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
             raise ParseError(f"{what} holds a degree that is not an integer")
         return tuple(values)
 
-    return PeriodicComplex(
-        ring,
-        matrix("A"),
-        matrix("B"),
-        degrees("degrees0"),
-        degrees("degrees1"),
-        certified=certified,
-    )
+    (a_grid, a_rows), (b_grid, b_rows) = matrix("A"), matrix("B")
+    C = PeriodicComplex(ring, a_grid, b_grid, degrees("degrees0"), degrees("degrees1"),
+                        certified=certified)
+    C.pair_entries = DistinctEntries(tuple(values), (a_rows, b_rows))
+    return C
 
 
 def load_complex(path: str | Path) -> PeriodicComplex:

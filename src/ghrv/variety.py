@@ -7,7 +7,10 @@ ideals:
 
     V(C) = Z(image I_rA(A)) union Z(image I_rB(B)),   rA + rB = n.
 
-Ranks over R are computed by eliminating x_1: inverting f_1 identifies
+Ranks over R are computed on sparse rows (matrix.sparse_rows), which
+ranks_over_R reads from the pair's distinct entries (C.pair_entries), so
+the normal form mod w and the elimination below run once per distinct
+entry, not once per position.  Eliminating x_1: inverting f_1 identifies
 R[1/f_1] with a localized polynomial ring in (x_2..x_c, y), sending x_1 to
 -(f_2 x_2 + .. + f_c x_c)/f_1, and row scaling by powers of f_1 clears the
 denominators without changing the rank.  With u = f_1 x_1 - w and top a
@@ -35,7 +38,8 @@ minor-ideal images are the minors of the pencil, with no reduction mod w.
 rank_variety reads them from the pair's distinct entries
 (critical_images): each distinct nonzero value of C.pair_entries is mapped
 y -> 0 once, and the sparse rows of Abar and Bbar are the pair's
-(column, index) rows over those images, a zero image dropped.  all_minors
+(column, index) rows over those images (DistinctEntries.sparse_rows), a
+zero image dropped.  all_minors
 walks those rows, sparsest first, and builds each nonzero minor as a Poly
 once, from its wedge's terms; _canonical_gens keys repeats by their monic
 terms, builds a Poly only for a new key, and orders them.  No dense image
@@ -93,7 +97,7 @@ from operator import add as _mono_add
 from .complexes import DistinctEntries, PeriodicComplex, _cone, _sum
 from .errors import BoundExceeded, InvalidComplex, UnsupportedField
 from .fields import MAX_EXTENSION_DEGREE, Field, make_extension
-from .matrix import all_minors, map_entries, rank_over_domain, rank_over_field, sparse_rows
+from .matrix import all_minors, rank_over_domain, rank_over_field, sparse_rows
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import RingSpec, point_coords, residue, specialize
 
@@ -114,12 +118,14 @@ MAX_MACAULAY_COLUMNS = 500
 # rank over R
 # ---------------------------------------------------------------------------
 
-def _eliminate_x1(rows, ring: RingSpec):
-    """Image of the grid under x_1 -> u/f_1, each row scaled by f_1^top (see
-    the module docstring); entries stay in the ambient ring, x_1-free.  The
-    multipliers u^t f_1^(top - t) are kept on the ring (RingSpec._x1_multipliers),
-    u built only when one is missing, and each distinct (entry object, top)
-    is expanded once per call; the rows hold every entry for the call."""
+def _eliminate_x1(rows, ring: RingSpec) -> list:
+    """Image of the matrix with sparse rows `rows` under x_1 -> u/f_1, each
+    row scaled by f_1^top (see the module docstring), as sparse rows;
+    entries stay in the ambient ring, x_1-free.  The multipliers
+    u^t f_1^(top - t) are kept on the ring (RingSpec._x1_multipliers), u
+    built only when one is missing, and each distinct (entry object, top)
+    is expanded once per call; the rows hold every entry for the call.  An
+    image that cancels to zero is left out."""
     amb = ring.ambient
     idx = amb.var_index(ring.xvars[0])
     f1 = ring.f[0]
@@ -129,13 +135,13 @@ def _eliminate_x1(rows, ring: RingSpec):
     expanded: dict[int, dict[int, Poly]] = {}  # top -> id of an entry -> its image
     out = []
     for row in rows:
-        top = max((m[idx] for e in row for m in e.terms), default=0)
+        top = max((m[idx] for _, e in row for m in e.terms), default=0)
         if not top:
-            out.append(tuple(row))
+            out.append(row)
             continue
         memo = expanded.setdefault(top, {})
         new_row = []
-        for e in row:
+        for j, e in row:
             new = memo.get(id(e))
             if new is None:
                 acc: dict = {}
@@ -151,18 +157,29 @@ def _eliminate_x1(rows, ring: RingSpec):
                         mono = tuple(map(_mono_add, stripped, mm))
                         v = mul(c, cc)
                         acc[mono] = add(acc[mono], v) if mono in acc else v
-                new = memo[id(e)] = Poly(amb, acc) if acc else e
-            new_row.append(new)
-        out.append(tuple(new_row))
-    return tuple(out)
+                new = memo[id(e)] = Poly(amb, acc)
+            if new.terms:
+                new_row.append((j, new))
+        out.append(new_row)
+    return out
 
 
 def rank_over_R(rows, ring: RingSpec) -> int:
-    """Rank of a matrix of representatives as a matrix over R.  Nonzero
-    entries are reduced mod w first, each distinct entry object once
-    (map_entries); a zero entry is its own normal form."""
-    (nf_rows,) = map_entries(lambda e: ring.normal_form(e) if e.terms else e, rows)
-    return rank_over_domain(_eliminate_x1(nf_rows, ring), ring.ambient)
+    """Rank over R of the matrix of representatives with sparse rows `rows`
+    (matrix.sparse_rows).  Each entry is reduced mod w first, once per
+    distinct entry object, and one whose normal form is zero is left out."""
+    normal: dict[int, Poly] = {}  # id of an entry -> its normal form
+    reduced = []
+    for row in rows:
+        new = []
+        for j, e in row:
+            nf = normal.get(id(e))
+            if nf is None:
+                nf = normal[id(e)] = ring.normal_form(e)
+            if nf.terms:
+                new.append((j, nf))
+        reduced.append(new)
+    return rank_over_domain(_eliminate_x1(reduced, ring), ring.ambient)
 
 
 def ranks_over_R(C: PeriodicComplex) -> tuple[int, int]:
@@ -184,17 +201,20 @@ def ranks_over_R(C: PeriodicComplex) -> tuple[int, int]:
     - direct_sum(P, Q): rank A = rank A_P + rank A_Q.
 
     So only the A of each leaf the derivation reaches before a cone is
-    eliminated, leaves in order.  The derivation is walked with a stack of
-    (pair, swapped), so its depth is not bounded by Python's recursion
-    limit.  Nothing is kept: each call walks to the leaves again."""
+    eliminated, leaves in order, each as the sparse rows of its pair's
+    distinct entries (C.pair_entries).  The derivation is walked with a
+    stack of (pair, swapped), so its depth is not bounded by Python's
+    recursion limit.  Nothing is kept: each call walks to the leaves
+    again."""
     if not C.is_factorization:
-        return rank_over_R(C.A, C.ring), rank_over_R(C.B, C.ring)
+        entries = C.pair_entries
+        return rank_over_R(entries.sparse_rows(0), C.ring), rank_over_R(entries.sparse_rows(1), C.ring)
     r_a = r_b = 0
     todo = [(C, False)]
     while todo:
         P, swapped = todo.pop()
         if P._derivation is None:
-            a = rank_over_R(P.A, P.ring)
+            a = rank_over_R(P.pair_entries.sparse_rows(0), P.ring)
             b = P.size - a
         else:
             rule, parents = P._derivation
@@ -212,8 +232,8 @@ def ranks_over_R(C: PeriodicComplex) -> tuple[int, int]:
 
 
 def rank_over_R_by_minors(rows, ring: RingSpec) -> int:
-    """Oracle path: largest r with some r x r minor nonzero mod w,
-    descending exhaustive search.  Exponential; small matrices only."""
+    """Oracle path, on a grid: largest r with some r x r minor nonzero mod
+    w, descending exhaustive search.  Exponential; small matrices only."""
     nf_rows = sparse_rows([[ring.normal_form(e) for e in row] for row in rows])
     m = len(nf_rows)
     n = len(rows[0]) if m else 0
@@ -330,9 +350,8 @@ def critical_images(C: PeriodicComplex, ranks: tuple[int, int], names: str = "AB
     out = []
     for name in names:
         g = "AB".index(name)
-        rows = [[(j, e) for j, k in pairs if (e := images[k]).terms] for pairs in entries.rows[g]]
         try:
-            out.append(minor_ideal_image(rows, ranks[g], ring))
+            out.append(minor_ideal_image(entries.sparse_rows(g, images), ranks[g], ring))
         except BoundExceeded as exc:
             raise BoundExceeded(f"{name}: {exc}") from None
     return tuple(out)

@@ -3,7 +3,7 @@ scalars by their nonzero entries only, and tests that build a dense grid,
 or compare grids entry by entry, go through these."""
 
 from ghrv.complexes import distinct_entries
-from ghrv.matrix import all_minors, map_entries, rank_over_field, sparse_rows
+from ghrv.matrix import all_minors, mat_mul, rank_over_field, sparse_rows
 
 
 def dense_rank(grid, field) -> int:
@@ -14,28 +14,43 @@ def dense_rank(grid, field) -> int:
     return rank_over_field([{j: e for j, e in enumerate(row) if e != zero} for row in grid], field)
 
 
-def dense_grids(entries, scalars, zero) -> list:
-    """Both grids of a DistinctEntries in full, as lists of row lists:
-    scalars[k] at every (column, k) pair and zero elsewhere.  scalars is
-    indexed like entries.values, for example the values at one point."""
+def identity(ring, n, scale=None):
+    """The n x n grid with `scale` (default one) on the diagonal."""
+    diag = ring.one() if scale is None else scale
+    zero = ring.zero()
+    return tuple(tuple(diag if i == j else zero for j in range(n)) for i in range(n))
+
+
+def dense_product(a, b, ring):
+    """a * b of two grids position by position, one Poly product per pair
+    of entries: the schoolbook product mat_mul is tested against."""
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), ring.zero()) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def grid_of(rows, ncols, zero):
+    """The grid of sparse rows (column, entry), zero at every other place."""
     out = []
-    for rows in entries.rows:
-        grid = []
-        for pairs in rows:
-            row = [zero] * len(rows)
-            for j, k in pairs:
-                row[j] = scalars[k]
-            grid.append(row)
-        out.append(grid)
-    return out
+    for row in rows:
+        full = [zero] * ncols
+        for j, e in row:
+            full[j] = e
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def grid_product(a, b, ring):
+    """mat_mul of two grids, taken as sparse rows and written out as a
+    grid: the product of matrices that the tests hold densely."""
+    return grid_of(mat_mul(sparse_rows(a), sparse_rows(b), ring), len(b[0]), ring.zero())
 
 
 def image_grid(ring, rows):
     """The image y -> 0 (ring.image_in_kx) of a grid over the ambient ring,
-    entry by entry, as a grid over k[x]; each distinct entry object is
-    mapped once (map_entries)."""
-    (grid,) = map_entries(ring.image_in_kx, rows)
-    return grid
+    entry by entry, as a grid over k[x]."""
+    return tuple(tuple(ring.image_in_kx(e) for e in row) for row in rows)
 
 
 def image_entries(ring, grids):
@@ -43,7 +58,7 @@ def image_entries(ring, grids):
     then distinct_entries): the reference a pair's kept pencil is compared
     with, zero images dropped and equal images sharing one index in the
     order first met, row by row."""
-    return distinct_entries([image_grid(ring, grid) for grid in grids])
+    return distinct_entries([image_grid(ring, grid) for grid in grids], ring.kx)
 
 
 def image_rows(ring, rows):

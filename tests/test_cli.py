@@ -128,7 +128,7 @@ def test_ideal(pair_file, capsys, monkeypatch):
                         lambda rows, ring: eliminated.append(rows) or rank_over_R(rows, ring))
     assert run(["ideal", pair_file, "--which", "B"]) == 0
     assert "image of I_1(B) in k[x]: (x1, x2)" in capsys.readouterr().out
-    assert eliminated == [load_complex(pair_file).A]
+    assert eliminated == [load_complex(pair_file).pair_entries.sparse_rows(0)]
     monkeypatch.undo()
     # --which is mandatory here
     assert run(["ideal", pair_file]) == 2
@@ -159,13 +159,15 @@ def test_specialize(k_file, capsys):
 
 def test_specialize_maps_each_entry_object_once(ring_file, tmp_path, capsys, monkeypatch):
     # specialize prints A|alpha and B|alpha position by position, but
-    # specializes w and then each distinct entry object of the loaded pair
-    # once, in the order first met: on the 32x32 trace, 17 calls (w and 16
-    # objects) where one call per position, w included, made 2049
+    # specializes w and then each distinct nonzero value of the loaded
+    # pair's entries once, in the order first met, printing "0" at every
+    # other position: on the 32x32 trace, 16 calls (w and 15 values) where
+    # one call per position, w included, made 2049.  The loader gives each
+    # value one object, so that is one call per nonzero entry object.
     trace = str(tmp_path / "trace.json")
     assert run(["realize", ring_file, "--p", "x1*x2", "--p", "x1+x2", "--out", trace]) == 0
     C = load_complex(trace)
-    objects = list({id(e): e for grid in (C.A, C.B) for row in grid for e in row}.values())
+    objects = list({id(e): e for grid in (C.A, C.B) for row in grid for e in row if e.terms}.values())
     calls = []
     specialize = ghrv.cli.specialize
     monkeypatch.setattr(ghrv.cli, "specialize", lambda e, *a: calls.append(e) or specialize(e, *a))
@@ -173,8 +175,9 @@ def test_specialize_maps_each_entry_object_once(ring_file, tmp_path, capsys, mon
     capsys.readouterr()
     assert run(["specialize", trace, "--alpha", "1,2"]) == 0
     out = capsys.readouterr().out
-    assert C.size == 32 and len(objects) == 16
-    assert [id(e) for e in calls[1:]] == [id(e) for e in objects] and calls[0] == C.ring.w
+    assert C.size == 32 and len(objects) == 15
+    assert [id(e) for e in calls[1:]] == [id(e) for e in objects] == [id(v) for v in C.pair_entries.values]
+    assert calls[0] == C.ring.w
     assert out.count("\n  [ ") == 64
 
 
@@ -640,3 +643,42 @@ def test_console_script(ring5, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert "rank(A) = 1" in proc.stdout
+
+
+def _main_command():
+    """The command and environment that run ghrv.cli.main in a fresh
+    interpreter on this source tree."""
+    src = str(Path(ghrv.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    entry = "import sys; from ghrv.cli import main; sys.exit(main())"
+    return [sys.executable, "-c", entry], dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def test_a_closed_stdout_pipe_ends_the_verb_quietly(pair_file):
+    # The reader of stdout goes away: the verb ends with exit status 141
+    # (128 + SIGPIPE) and nothing on stderr, not even the interpreter's
+    # report of a failed flush at exit.  points prints 10303 lines, more
+    # than the pipe, the reader's and stdout's buffers hold, so its pipe
+    # breaks while it prints, after the reader has taken one line; rank
+    # prints three short lines, which meet the pipe, closed before the
+    # process starts, only when stdout is flushed at exit.
+    command, env = _main_command()
+    proc = subprocess.Popen(command + ["points", "--field", "GF(101)", "--c", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"P^2(GF(101)): 10303 points\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(command + ["rank", pair_file], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+    # any other OSError is still a usage error, reported on stderr
+    proc = subprocess.run(command + ["rank", pair_file + ".missing"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: [Errno 2] No such file")

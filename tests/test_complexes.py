@@ -13,7 +13,6 @@ from math import comb
 import pytest
 
 import ghrv.complexes as complexes
-import ghrv.matrix as matrix
 from ghrv.complexes import (
     PeriodicComplex,
     cone_mul,
@@ -39,7 +38,7 @@ from ghrv.errors import (
     RingMismatch,
 )
 from ghrv.fields import parse_field
-from ghrv.matrix import as_grid, identity, mat_mul, rank_over_domain
+from ghrv.matrix import as_grid, mat_mul, rank_over_domain, sparse_rows
 from ghrv.pipelines import (
     complete_resolution_of_k,
     documented_cone_pair,
@@ -53,7 +52,7 @@ from ghrv.ring import RingSpec, make_ring
 from ghrv.serialize import load_complex, save_trace
 from ghrv.variety import contractible_at, enumerate_points, extension_of, rank_over_R, rank_variety
 
-from dense import dense_grids, dense_rank, image_entries
+from dense import dense_product, dense_rank, grid_product, identity, image_entries
 
 
 # -- Koszul -------------------------------------------------------------------
@@ -72,11 +71,11 @@ def test_koszul_is_a_complex(ring5):
     amb = ring5.ambient
     diffs = {n: koszul_differential(ring5, n) for n in range(1, m + 1)}
     for n in range(2, m + 1):
-        prod = mat_mul(diffs[n - 1], diffs[n], amb)
+        prod = grid_product(diffs[n - 1], diffs[n], amb)
         assert all(e.is_zero() for row in prod for e in row), n
     for n in range(1, m + 1):
         src, tgt = _koszul_degrees(ring5, n), _koszul_degrees(ring5, n - 1)
-        assert homogeneity_violations(ring5, diffs[n], src, tgt) == [], n
+        assert homogeneity_violations(ring5, sparse_rows(diffs[n]), src, tgt) == [], n
     shapes = [(len(diffs[n]), len(diffs[n][0])) for n in range(1, m + 1)]
     assert shapes == [(1, 4), (4, 6), (6, 4), (4, 1)]
 
@@ -86,7 +85,7 @@ def test_koszul_generic_exactness(ring5):
     # of H_0, so consecutive ranks partition each module: rank d_n + rank
     # d_(n+1) = C(4, n) with rank d_1 = 1
     amb = ring5.ambient
-    ranks = [rank_over_domain(koszul_differential(ring5, n), amb) for n in range(1, 5)]
+    ranks = [rank_over_domain(sparse_rows(koszul_differential(ring5, n)), amb) for n in range(1, 5)]
     assert ranks[0] == 1
     for n in range(1, 4):
         assert ranks[n - 1] + ranks[n] == len(_koszul_degrees(ring5, n))
@@ -100,12 +99,12 @@ def test_wedge_is_a_null_homotopy_for_w(ring5):
         size = len(list(combinations(range(m), n)))
         want = identity(amb, size, ring5.w)
         if n == 0:
-            got = mat_mul(koszul_differential(ring5, 1), xi_wedge(ring5, 0), amb)
+            got = grid_product(koszul_differential(ring5, 1), xi_wedge(ring5, 0), amb)
         elif n == m:
-            got = mat_mul(xi_wedge(ring5, m - 1), koszul_differential(ring5, m), amb)
+            got = grid_product(xi_wedge(ring5, m - 1), koszul_differential(ring5, m), amb)
         else:
-            a = mat_mul(koszul_differential(ring5, n + 1), xi_wedge(ring5, n), amb)
-            b = mat_mul(xi_wedge(ring5, n - 1), koszul_differential(ring5, n), amb)
+            a = grid_product(koszul_differential(ring5, n + 1), xi_wedge(ring5, n), amb)
+            b = grid_product(xi_wedge(ring5, n - 1), koszul_differential(ring5, n), amb)
             got = as_grid([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
         assert got == want, f"homotopy identity fails at index {n}"
 
@@ -114,7 +113,7 @@ def test_wedge_squares_to_zero(ring5):
     m = ring5.c + ring5.d
     amb = ring5.ambient
     for n in range(m - 1):
-        prod = mat_mul(xi_wedge(ring5, n + 1), xi_wedge(ring5, n), amb)
+        prod = grid_product(xi_wedge(ring5, n + 1), xi_wedge(ring5, n), amb)
         assert all(e.is_zero() for row in prod for e in row), n
 
 
@@ -411,7 +410,7 @@ def test_homogeneity_on_stored_entries_matches_normal_forms(ring_name, request, 
                 row.append(e)
             grid.append(row)
         calls.clear()
-        fast = homogeneity_violations(ring, grid, source, target)
+        fast = homogeneity_violations(ring, sparse_rows(grid), source, target)
         # only entries that are neither zero nor of the wanted degree as
         # stored are reduced mod w
         assert len(calls) == reduced
@@ -615,8 +614,8 @@ def test_cone_rank_partition(ring5):
     # rank(A) + rank(B) = size survives the cone construction
     k = fixture_k(ring5)
     cone = cone_mul(k, ring5.parse("x1"))
-    r_a = rank_over_R(cone.A, ring5)
-    r_b = rank_over_R(cone.B, ring5)
+    r_a = rank_over_R(sparse_rows(cone.A), ring5)
+    r_b = rank_over_R(sparse_rows(cone.B), ring5)
     assert r_a + r_b == cone.size
 
 
@@ -694,31 +693,28 @@ def test_engine_built_pairs_hold_one_object_per_value(ring5):
 
 
 def test_pairs_are_built_without_a_per_entry_pass(ring5, tmp_path, monkeypatch):
-    # the constructor stores the grids it is given, and a step derives its
-    # entries from its parents' (the tail's read from its grids first):
-    # building the 16x16 and 32x32 realize stages, their shift, dual and
-    # direct sum, and loading the 32x32 trace coerce no entry (only the two
-    # cone scalars, which normal_form takes) and call map_entries not at all
+    # the constructor stores the grids it is given, a step derives its
+    # entries from its parents' (the tail's read from its grids first), and
+    # the loader indexes a file's entries as it parses them: building the
+    # 16x16 and 32x32 realize stages, their shift, dual and direct sum, and
+    # loading the 32x32 trace, then reading each one's pair_entries, coerce
+    # no entry (only the two cone scalars, which normal_form takes) and
+    # read no grid (distinct_entries)
     tail = complete_resolution_of_k(ring5)
     tail.pair_entries
     save_trace(realize(ring5, ["x1", "x2"], verify=False), tmp_path / "trace.json")
-    fns, coerced = [], []
-    map_entries_, coerce_ = matrix.map_entries, PolyRing.coerce
-
-    def counted_map(fn, *grids):
-        fns.append(fn)
-        return map_entries_(fn, *grids)
-
-    for module in (matrix, complexes):
-        monkeypatch.setattr(module, "map_entries", counted_map)
+    read, coerced = [], []
+    distinct_entries_, coerce_ = complexes.distinct_entries, PolyRing.coerce
+    monkeypatch.setattr(complexes, "distinct_entries", lambda *a: read.append(a) or distinct_entries_(*a))
     monkeypatch.setattr(PolyRing, "coerce", lambda ring, value: coerced.append(value) or coerce_(ring, value))
     scalars = [ring5.parse("x1"), ring5.parse("x2")]
     c16 = cone_mul(tail, scalars[0])
     c32 = cone_mul(c16, scalars[1])
     built = [c16, c32, shift(c32), dual(c32), direct_sum(c16, c16), load_complex(tmp_path / "trace.json")]
     assert [C.size for C in built] == [16, 32, 32, 32, 32, 32]
+    assert [len(C.pair_entries.values) for C in built] == [12] * 6
     assert [id(v) for v in coerced] == [id(v) for v in scalars]
-    assert fns == []
+    assert read == []
     assert built[-1] == c32
 
 
@@ -821,7 +817,7 @@ def test_seeded_chains_of_steps_derive_entries_pencil_and_verdict(field_text, mo
             del calls[:]
             assert D.pencil_entries is pencil and calls == []
             assert pencil == image_entries(ring, (D.A, D.B)), (seed, step)
-            assert D.pair_entries == distinct_entries((D.A, D.B)), (seed, step)
+            assert D.pair_entries == distinct_entries((D.A, D.B), ring.ambient), (seed, step)
             fresh = PeriodicComplex(ring, D.A, D.B, D.degrees0, D.degrees1, D.certified)
             assert D.is_factorization == fresh.is_factorization == all(P.is_factorization for P in parents)
             assert D.certified == all(P.certified for P in parents)
@@ -855,8 +851,7 @@ def test_a_long_derivation_is_walked_with_a_stack(ring5, steps):
         ref = _long_chain(base, steps, length % (2 * len(steps)))
         assert _long_chain(base, steps, length).is_factorization is ref.is_factorization is True
         pencil = _long_chain(base, steps, length).pencil_entries
-        assert (dense_grids(pencil, pencil.values, zero)
-                == dense_grids(ref.pencil_entries, ref.pencil_entries.values, zero))
+        assert pencil.grids(pencil.values, zero) == ref.pencil_entries.grids(ref.pencil_entries.values, zero)
         C = _long_chain(base, steps, length)
         assert [contractible_at(C, pt) for pt in points] == [contractible_at(ref, pt) for pt in points]
         C = _long_chain(base, steps, length)
@@ -884,13 +879,13 @@ def test_the_verdict_walk_reaches_each_leaf_once(ring5, monkeypatch):
 
     products = []
     mat_mul_ = complexes.mat_mul
-    monkeypatch.setattr(complexes, "mat_mul", lambda *a: products.append(id(a[0])) or mat_mul_(*a))
+    monkeypatch.setattr(complexes, "mat_mul", lambda *a: products.append(a[0]) or mat_mul_(*a))
     judged = []
 
     def verdict(C, want, reached):
         products.clear()
         assert C.is_factorization is want
-        assert products == [id(L.A) for L in reached]
+        assert products == [sparse_rows(L.A) for L in reached]
         products.clear()
         assert C.is_factorization is want and products == []
         judged.append(C)
@@ -916,6 +911,59 @@ def test_the_verdict_walk_reaches_each_leaf_once(ring5, monkeypatch):
     for C in judged:
         fresh = PeriodicComplex(ring5, C.A, C.B, C.degrees0, C.degrees1, certified=False)
         assert fresh.is_factorization is C.is_factorization, C.size
+
+
+def _broken_off_the_diagonal(C, rng):
+    """C, uncertified, with x1 added to an entry A[i][l] where B[l][i] is
+    zero and row l of B is not: A*B then differs from w*I off the diagonal
+    only, in row i.  Returns the pair and whether a column before i is hit."""
+    n = C.size
+    choices = [(i, l) for i in range(n) for l in range(n)
+               if not C.B[l][i].terms and any(e.terms for e in C.B[l])]
+    i, l = rng.choice(choices)
+    a = [list(row) for row in C.A]
+    a[i][l] = a[i][l] + C.ring.parse("x1")
+    before = any(C.B[l][j].terms for j in range(i))
+    return PeriodicComplex(C.ring, a, C.B, C.degrees0, C.degrees1, certified=False), before
+
+
+@pytest.mark.parametrize("field_text", ["GF(5)", "GF(9)", "QQ", "GF(2)"])
+def test_the_sparse_product_and_verdict_are_the_dense_ones(field_text):
+    # On a leaf, is_factorization is one sparse mat_mul of the rows of its
+    # pair_entries.  On the fixtures, the Shamash tail, fresh copies of
+    # derived pairs (shifts, duals, a sum, cones, a 16x16 realize stage)
+    # and hand-broken pairs (one entry changed, B scaled by x1, and entries
+    # changed so that A*B differs from w*I off the diagonal only, before
+    # and after it in its row), both sparse products are the sparse rows of
+    # the schoolbook products of the grids, and the verdict is that of
+    # comparing A*B with w*I position by position.
+    ring = worked_ring(parse_field(field_text))
+    amb = ring.ambient
+    rng = random.Random(f"verdict {field_text}")
+    k, one, tail = fixture_k(ring), fixture_rank_one(ring), complete_resolution_of_k(ring)
+    pairs = [k, one, tail, shift(k), dual(one), shift(dual(tail)), direct_sum(k, one),
+             cone_mul(k, ring.parse("x1*x2")), realize(ring, ["x1 + x2"], verify=False).final]
+    for C in (k, one, tail):
+        changed = [list(row) for row in C.A]
+        changed[0][0] = changed[0][0] + ring.parse("x2")
+        pairs.append(PeriodicComplex(ring, changed, C.B, C.degrees0, C.degrees1, certified=False))
+        pairs.append(PeriodicComplex(ring, C.A, [[ring.parse("x1") * e for e in row] for row in C.B],
+                                     C.degrees0, C.degrees1, certified=False))
+    broken = {}
+    while len(broken) < 2:
+        pair, before = _broken_off_the_diagonal(tail, rng)
+        broken.setdefault(before, pair)
+    pairs += broken.values()
+    verdicts = []
+    for C in pairs:
+        fresh = PeriodicComplex(ring, C.A, C.B, C.degrees0, C.degrees1, certified=False)
+        a, b = fresh.pair_entries.sparse_rows(0), fresh.pair_entries.sparse_rows(1)
+        ab = dense_product(C.A, C.B, amb)
+        assert mat_mul(a, b, amb) == sparse_rows(ab)
+        assert mat_mul(b, a, amb) == sparse_rows(dense_product(C.B, C.A, amb))
+        verdicts.append(fresh.is_factorization)
+        assert fresh.is_factorization == (ab == identity(amb, C.size, ring.w)), C.size
+    assert verdicts == [True] * 9 + [False] * 8
 
 
 def test_validate_checks_the_ring_of_every_entry(ring5):

@@ -18,7 +18,6 @@ from ghrv.errors import BoundExceeded
 from ghrv.fields import QQ, make_extension, prime_field
 from ghrv.matrix import (
     all_minors,
-    identity,
     mat_mul,
     mat_shape,
     rank_by_minors,
@@ -30,7 +29,7 @@ from ghrv.poly import Poly, PolyRing, evaluator
 from ghrv.ring import make_ring
 from ghrv.variety import enumerate_points, extension_of
 
-from dense import dense_grids, dense_minors, dense_rank, image_grid
+from dense import dense_minors, dense_product, dense_rank, grid_product, identity, image_grid
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +56,7 @@ def test_rank_matches_minor_search(ring):
     for _ in range(25):
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
         g = _random_grid(ring, rng, m, n, max_terms=2)
-        assert rank_over_domain(g, ring) == rank_by_minors(g, ring)
+        assert rank_over_domain(sparse_rows(g), ring) == rank_by_minors(g, ring)
 
 
 def test_rank_of_outer_products(ring):
@@ -68,8 +67,8 @@ def test_rank_of_outer_products(ring):
         v = [[_random_poly(ring, rng, 2) for _ in range(3)]]
         if all(e[0].is_zero() for e in u) or all(e.is_zero() for e in v[0]):
             continue
-        g = mat_mul(u, v, ring)
-        assert rank_over_domain(g, ring) == 1
+        g = grid_product(u, v, ring)
+        assert rank_over_domain(sparse_rows(g), ring) == 1
         assert rank_by_minors(g, ring) == 1
 
 
@@ -97,14 +96,6 @@ def _field_elems(field):
     return [e for e in field.elements() if not field.is_zero(e)]
 
 
-def _dense_product(a, b, ring):
-    """a * b position by position, one Poly product per pair of entries."""
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), ring.zero()) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
 @pytest.mark.parametrize("field", [make_extension(3, 2), QQ], ids=str)
 def test_mat_mul_matches_the_dense_product(field):
     ring = PolyRing(field, ("a", "b"), ("t",))
@@ -118,10 +109,7 @@ def test_mat_mul_matches_the_dense_product(field):
             zero_col = rng.randrange(n)
             for row in b:  # and a zero column of b
                 row[zero_col] = ring.zero()
-            dense = _dense_product(a, b, ring)
-            got = mat_mul(a, b, ring)
-            assert got == dense
-            assert all(e.terms == d.terms for r, s in zip(got, dense) for e, d in zip(r, s))
+            _assert_product(a, b, ring)
 
     # grids that hold a few objects at many positions, as a cone's blocks
     # do: the product of two objects is formed once and added wherever the
@@ -133,35 +121,39 @@ def test_mat_mul_matches_the_dense_product(field):
         for _ in range(3):
             a = [[rng.choice(pool) for _ in range(k)] for _ in range(m)]
             b = [[rng.choice(pool) for _ in range(n)] for _ in range(k)]
-            dense = _dense_product(a, b, ring)
-            got = mat_mul(a, b, ring)
-            assert got == dense
-            assert all(e.terms == d.terms for r, s in zip(got, dense) for e, d in zip(r, s))
+            dense = _assert_product(a, b, ring)
             if m == k:  # one grid on both sides
-                assert mat_mul(a, a, ring) == _dense_product(a, a, ring)
+                _assert_product(a, a, ring)
             cancelled += sum(
                 1 for i in range(m) for j in range(n)
                 if not dense[i][j].terms and any(a[i][t].terms and b[t][j].terms for t in range(k))
             )
     assert cancelled > 0
-    with pytest.raises(ValueError, match="shape mismatch 2x3 times 2x2"):
-        mat_mul([[ring.zero()] * 3] * 2, [[ring.zero()] * 2] * 2, ring)
+
+
+def _assert_product(a, b, ring):
+    """mat_mul of the sparse rows of grids a and b is the sparse rows of
+    their schoolbook product, term by term, with every entry that cancels
+    left out; returns the schoolbook product."""
+    dense = dense_product(a, b, ring)
+    got = mat_mul(sparse_rows(a), sparse_rows(b), ring)
+    want = sparse_rows(dense)
+    assert got == want
+    assert [[(j, e.terms) for j, e in row] for row in got] == [[(j, e.terms) for j, e in row] for row in want]
+    return dense
 
 
 def test_cancelled_entries_of_a_factorization_product_have_no_terms(ring5):
     # A*B = w*I: every off-diagonal sum in which nonzero products meet
-    # cancels, so mat_mul must drop the zero coefficients it leaves (a
-    # constructor that trusted its terms to be nonzero would keep them)
+    # cancels, so the sparse product is w alone in each row, on the
+    # diagonal, with no entry whose terms cancelled (a constructor that
+    # trusted its terms to be nonzero would keep them)
     C = complete_resolution_of_k(ring5)
-    prod = mat_mul(C.A, C.B, ring5.ambient)
-    cancelled = 0
-    for i, row in enumerate(prod):
-        for j, e in enumerate(row):
-            if i == j:
-                assert e == ring5.w
-                continue
-            assert e.terms == {}
-            cancelled += any(not C.A[i][t].is_zero() and not C.B[t][j].is_zero() for t in range(C.size))
+    prod = mat_mul(sparse_rows(C.A), sparse_rows(C.B), ring5.ambient)
+    assert prod == [[(i, ring5.w)] for i in range(C.size)]
+    assert all(row[0][1].terms == ring5.w.terms for row in prod)
+    cancelled = sum(any(not C.A[i][t].is_zero() and not C.B[t][j].is_zero() for t in range(C.size))
+                    for i in range(C.size) for j in range(C.size) if i != j)
     assert cancelled > 0
 
 
@@ -173,12 +165,12 @@ def test_rank_matches_minor_search_on_sparse_grids(ring):
     for _ in range(30):
         m, n = rng.randrange(1, 6), rng.randrange(1, 6)
         g = _sparse_grid(ring, rng, m, n, elems)
-        assert rank_over_domain(g, ring) == rank_by_minors(g, ring)
+        assert rank_over_domain(sparse_rows(g), ring) == rank_by_minors(g, ring)
         r = rng.randrange(1, 4)
         u = _sparse_grid(ring, rng, m, r, elems, density=0.5)
         v = _sparse_grid(ring, rng, r, n, elems, density=0.5)
-        g = mat_mul(u, v, ring)
-        assert rank_over_domain(g, ring) == rank_by_minors(g, ring) <= r
+        g = grid_product(u, v, ring)
+        assert rank_over_domain(sparse_rows(g), ring) == rank_by_minors(g, ring) <= r
 
 
 def _seeded_poly(ring, rng, elems, nterms):
@@ -291,7 +283,7 @@ def test_sparse_bareiss_lazy_scaling_matches_minor_search(field, monkeypatch):
         return exact_div(e, d)
 
     def recording_update(*args):
-        lags.append(args[-1])
+        lags.append(args[5])
         return update(*args)
 
     monkeypatch.setattr(matrix, "exact_div", recording_div)
@@ -304,13 +296,13 @@ def test_sparse_bareiss_lazy_scaling_matches_minor_search(field, monkeypatch):
         want = rank_by_minors(g, ring)
         divisors.clear()
         lags.clear()
-        assert rank_over_domain(g, ring) == want
+        assert rank_over_domain(sparse_rows(g), ring) == want
         first = g[0][0]
         assert any(d is first for d in divisors)  # row 5, the pivot of step 5
         divided = [lag for lag in lags if lag is not None]
         later = next(i for i, lag in enumerate(divided) if lag is not first)
         assert any(lag is first for lag in divided[later:])  # row 4 at step 4
-        assert rank_over_domain(list(zip(*g)), ring) == want
+        assert rank_over_domain(sparse_rows(list(zip(*g))), ring) == want
         shapes.add((m == n, want < min(m, n)))
     assert shapes >= {(False, False), (False, True), (True, True)}
     # one-term pivots alone in their columns, with no lag (a one-term b) and
@@ -323,7 +315,7 @@ def test_sparse_bareiss_lazy_scaling_matches_minor_search(field, monkeypatch):
         want = rank_by_minors(g, ring)
         divisors.clear()
         lags.clear()
-        assert rank_over_domain(g, ring) == want
+        assert rank_over_domain(sparse_rows(g), ring) == want
         first = g[0][0]
         if build is _alone_grid:
             assert want == 4
@@ -332,17 +324,18 @@ def test_sparse_bareiss_lazy_scaling_matches_minor_search(field, monkeypatch):
         else:
             assert any(d is first for d in divisors)
             assert not any(lag is first for lag in lags)
-        assert rank_over_domain(list(zip(*g)), ring) == want
+        assert rank_over_domain(sparse_rows(list(zip(*g))), ring) == want
     # a one-term lag that does not divide the update raises, as exact_div
     # would: (a * 1) / b
     a, b = ring.variable("a"), ring.variable("b")
     with pytest.raises(ArithmeticError, match="^inexact division: remainder a$"):
-        update(ring, list(a.terms.items()), ring.one(), None, None, b)
+        update(ring, list(a.terms.items()), ring.one(), None, None, b, (next(iter(b.terms)), field.one))
 
 
 def test_zero_and_identity_ranks(ring):
-    assert rank_over_domain([[ring.zero()] * 4] * 3, ring) == 0
-    assert rank_over_domain(identity(ring, 4), ring) == 4
+    assert rank_over_domain(sparse_rows([[ring.zero()] * 4] * 3), ring) == 0
+    assert rank_over_domain([[], [], []], ring) == 0
+    assert rank_over_domain(sparse_rows(identity(ring, 4)), ring) == 4
 
 
 def _leibniz_det(grid, rset, cset, ring):
@@ -402,7 +395,7 @@ def test_all_minors_are_the_nonzero_leibniz_minors(field):
     # rank-one rows cancel in every 2 x 2 minor
     u = _sparse_grid(ring, rng, 4, 1, elems, density=1.0)
     v = _sparse_grid(ring, rng, 1, 4, elems, density=1.0)
-    g = mat_mul(u, v, ring)
+    g = grid_product(u, v, ring)
     _assert_minors_match_leibniz(g, ring)
     assert list(dense_minors(g, 2, ring)) == []
 
@@ -572,7 +565,7 @@ def _pencil_grids(C, pt):
     """Both residue grids of C at the point pt, dense, from the scalars
     residue_ranks ranks: each distinct pencil entry evaluated once."""
     at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, pt.coords)), pt.field)
-    return dense_grids(C.pencil_entries, [at(e) for e in C.pencil_entries.values], pt.field.zero)
+    return list(C.pencil_entries.grids([at(e) for e in C.pencil_entries.values], pt.field.zero))
 
 
 def _engine_pencils():

@@ -13,7 +13,7 @@ import ghrv.pipelines
 from ghrv.complexes import PeriodicComplex, cone_mul, validate_pair
 from ghrv.errors import InternalCheckError, InvalidComplex, NotHomogeneousScalar, UnsupportedField
 from ghrv.fields import QQ, prime_field
-from ghrv.matrix import as_grid, mat_mul
+from ghrv.matrix import as_grid
 from ghrv.pipelines import (
     FIXTURE_NAMES,
     complete_resolution_of_k,
@@ -32,6 +32,8 @@ from ghrv.variety import (
     rank_variety,
     residue_ranks,
 )
+
+from dense import grid_product
 
 
 def test_worked_ring_shape(ring5, ringq):
@@ -77,15 +79,15 @@ def test_fixture_k_is_the_folded_y_koszul(ring5):
 
     # the homotopy identities d s + s d = w and s s = 0
     w = ring5.w
-    assert mat_mul(d1, s0, amb)[0][0] == w
-    assert mat_mul(s1, d2, amb)[0][0] == w
-    mid = mat_mul(s0, d1, amb)
-    mid2 = mat_mul(d2, s1, amb)
+    assert grid_product(d1, s0, amb)[0][0] == w
+    assert grid_product(s1, d2, amb)[0][0] == w
+    mid = grid_product(s0, d1, amb)
+    mid2 = grid_product(d2, s1, amb)
     for i in range(2):
         for j in range(2):
             total = mid[i][j] + mid2[i][j]
             assert total == (w if i == j else amb.zero())
-    assert mat_mul(s1, s0, amb)[0][0].is_zero()
+    assert grid_product(s1, s0, amb)[0][0].is_zero()
 
     # folding: G_3 = F1, G_2 = F2 + F0, G_4 = F2 + F0; the two differentials
     # of the periodic tail stack [s1 / d1] and [d2 | s0]

@@ -5,6 +5,7 @@ file must itself be loadable as a complex file.
 """
 
 import json
+import random
 import re
 from pathlib import Path
 
@@ -12,9 +13,9 @@ import pytest
 
 from ghrv import serialize
 from ghrv.cli import run
-from ghrv.complexes import DistinctEntries, PeriodicComplex, cone_mul, validate_pair
+from ghrv.complexes import DistinctEntries, PeriodicComplex, cone_mul, distinct_entries, validate_pair
 from ghrv.errors import ParseError
-from ghrv.fields import field_name, make_extension
+from ghrv.fields import field_name, make_extension, parse_field
 from ghrv.pipelines import (
     RealizationTrace,
     TraceStage,
@@ -38,9 +39,10 @@ from ghrv.serialize import (
 )
 from ghrv.poly import Poly, PolyRing
 from ghrv.ring import RingSpec
-from ghrv.variety import IdealGens, ZeroSetUnion, proj_point
+from ghrv.variety import IdealGens, ZeroSetUnion, proj_point, ranks_over_R
 
 from dense import image_entries
+from test_cli_golden import invocations, write_inputs
 
 
 def test_ring_round_trip(ring5, ringq, tmp_path):
@@ -152,10 +154,11 @@ def test_each_per_entry_pass_runs_once_per_distinct_object(ring5, monkeypatch):
     )
     assert pencil == DistinctEntries(tuple(index), rows)
 
-    # the save: to_string once per distinct object, and once per f_i
+    # the save: to_string once per distinct value of the pair's entries,
+    # and once per f_i; a zero entry is written as "0" with no call
     count(Poly, "to_string")
     obj = complex_to_obj(C)
-    assert calls["to_string"] == objects(C.A, C.B) + len(ring5.f) < 2 * 32 * 32
+    assert calls["to_string"] == len(C.pair_entries.values) + len(ring5.f) < 2 * 32 * 32
     monkeypatch.undo()
     for key, grid in (("A", C.A), ("B", C.B)):
         assert obj["periodic"][key] == [[e.to_string() for e in row] for row in grid]
@@ -230,8 +233,9 @@ def test_a_loaded_pair_maps_each_value_of_its_entries_once(ring_name, request, t
     # distinct entries: one image_in_kx per value of its pair_entries, in
     # order, and none once kept.  It is the image-grid reference on the
     # 32x32 trace, and on the rank-one pair with B's x1 and x^2 spelt
-    # "1*x1" and "1*x^2", two objects of one value each, whose entries x^2
-    # and y^2 have image zero (6 values, 3 nonzero images)
+    # "1*x1" and "1*x^2", two strings of one value each, which the loader
+    # reads as one object each, and whose entries x^2 and y^2 have image
+    # zero (6 values, 3 nonzero images)
     ring = request.getfixturevalue(ring_name)
     save_trace(realize(ring, ["x1 + 2*x2", "x1*x2 + 2*x2^2"], verify=False), tmp_path / "trace.json")
     save_complex(fixture_rank_one(ring), tmp_path / "pair.json")
@@ -243,7 +247,7 @@ def test_a_loaded_pair_maps_each_value_of_its_entries_once(ring_name, request, t
     image = RingSpec.image_in_kx
     calls = []
     monkeypatch.setattr(RingSpec, "image_in_kx", lambda r, p: calls.append(p) or image(r, p))
-    for name, objects, values, images in (("trace.json", 15, 15, None), ("respelt.json", 8, 6, 3)):
+    for name, objects, values, images in (("trace.json", 15, 15, None), ("respelt.json", 6, 6, 3)):
         C = load_complex(tmp_path / name)
         assert len({id(e) for grid in (C.A, C.B) for row in grid for e in row if e.terms}) == objects
         del calls[:]
@@ -351,3 +355,103 @@ def test_trace_summaries(ring5):
     obj = trace_to_obj(hand)
     assert obj["trace"][0]["variety-summary"] == "noncontractible over GF(5): (1:0), (0:1)"
     assert obj["requested-zero-set"] == []
+
+
+def _loaded_as_its_grids(path):
+    """Load the complex file at `path` and check it against the pair built
+    from its grids alone: the loader's pair_entries are those its grids give
+    (distinct_entries), values and rows, with one object per value at every
+    position, and the verdict, the findings and the ranks over R are that
+    pair's.  Returns the loaded pair."""
+    C = load_complex(path)
+    entries = C.pair_entries
+    assert entries == distinct_entries((C.A, C.B), C.ring.ambient)
+    assert {id(e) for grid in (C.A, C.B) for row in grid for e in row if e.terms} == {id(v) for v in entries.values}
+    fresh = PeriodicComplex(C.ring, C.A, C.B, C.degrees0, C.degrees1, C.certified)
+    assert C.is_factorization == fresh.is_factorization
+    assert validate_pair(C).findings == validate_pair(fresh).findings
+    assert ranks_over_R(C) == ranks_over_R(fresh)
+    return C
+
+
+@pytest.mark.parametrize("field_text", ["GF(5)", "GF(9)", "QQ"])
+def test_a_loaded_pair_indexes_the_entries_of_its_grids(field_text, tmp_path):
+    # every complex file of the CLI's golden table: its input pairs (bad.json
+    # included, which fails the identity and the degree rule) and the files
+    # resolve-k and realize write there
+    write_inputs(field_text, tmp_path)
+    for argv in invocations(field_text):
+        if "--out" in argv:
+            assert run([arg.replace("<tmp>", str(tmp_path)) for arg in argv]) == 0
+    names = sorted(path.name for path in tmp_path.glob("*.json") if path.name != "ring.json")
+    assert names == ["bad.json", "k.json", "loose.json", "pair.json", "tail.json", "trace.json", "trace32.json"]
+    verdicts = {name: _loaded_as_its_grids(tmp_path / name).is_factorization for name in names}
+    assert [name for name, ok in verdicts.items() if not ok] == ["bad.json"]
+
+
+def _form_text(rng, p, degree):
+    """A random binary form of `degree` with coefficients 1 .. p - 1."""
+    return " + ".join(f"{rng.randrange(1, p)}*x1^{i}*x2^{degree - i}" for i in range(degree + 1))
+
+
+def test_realize_traces_load_as_their_grids(tmp_path):
+    # the realize --out traces of seeds 0 to 5 over GF(5), GF(7) and GF(9),
+    # each by one scalar (8 -> 16) and by two (8 -> 16 -> 32) of degrees 1
+    # and 2: the scalar lists the cli-realize benchmark writes and reads
+    sizes = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        for field_text in ("GF(5)", "GF(7)", "GF(9)"):
+            field = parse_field(field_text)
+            ring_path = tmp_path / "ring.json"
+            save_ring(worked_ring(field), ring_path)
+            for degrees in ((1,), (1, 2), (2, 1)):
+                argv = ["realize", str(ring_path), "--out", str(tmp_path / "trace.json")]
+                for d in degrees:
+                    argv += ["--p", _form_text(rng, field.char, d)]
+                assert run(argv) == 0
+                sizes.append(_loaded_as_its_grids(tmp_path / "trace.json").size)
+    assert sorted(set(sizes)) == [16, 32]
+
+
+def _respelt(poly):
+    """poly written with its terms in reverse order, so x1 + x2 reads
+    x2 + x1."""
+    text = ""
+    for m, c in reversed(poly.sorted_terms()):
+        term = Poly(poly.ring, {m: c}).to_string()
+        text += term if not text else f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return text
+
+
+@pytest.mark.parametrize("ring_name", ["ring5", "ring9", "ringq"])
+def test_a_value_spelt_two_ways_is_one_entry(ring_name, request, tmp_path):
+    # seeded rewrites of the 32x32 trace and of the rank-one pair: entries
+    # respelt with their terms in another order (x1 + x2 and x2 + x1), or
+    # with terms that cancel or are zero (e + x2 - x2, e + 0*x1), and zeros
+    # written as 0*x1, x1 - x1 or 0*y^2; each file's entries are indexed by
+    # value, so a value keeps one index and one object, and a zero gets none
+    ring = request.getfixturevalue(ring_name)
+    save_trace(realize(ring, ["x1 + 2*x2", "x1*x2 + 2*x2^2"], verify=False), tmp_path / "trace.json")
+    save_complex(fixture_rank_one(ring), tmp_path / "pair.json")
+    rng = random.Random(f"respelt {ring_name}")
+    respelt = 0
+    for name in ("trace.json", "pair.json"):
+        obj = json.loads((tmp_path / name).read_text())
+        want = load_complex(tmp_path / name)
+        for key in ("A", "B"):
+            for row in obj["periodic"][key]:
+                for j, text in enumerate(row):
+                    if rng.random() < 0.5:
+                        continue
+                    poly = ring.parse(text)
+                    if not poly.terms:
+                        row[j] = rng.choice(["0*x1", "x1 - x1", "0*y^2"])
+                    else:
+                        row[j] = rng.choice([_respelt(poly), f"{text} + x2 - x2", f"{text} + 0*x1"])
+                    respelt += row[j] != text
+        path = tmp_path / f"respelt-{name}"
+        path.write_text(json.dumps(obj))
+        C = _loaded_as_its_grids(path)
+        assert C == want and C.pair_entries == want.pair_entries
+    assert respelt > 500

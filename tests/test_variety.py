@@ -29,7 +29,7 @@ from ghrv.errors import (
     UnsupportedField,
 )
 from ghrv.fields import QQ, make_extension, prime_field
-from ghrv.matrix import identity, mat_mul
+from ghrv.matrix import sparse_rows
 from ghrv.pipelines import (
     complete_resolution_of_k,
     documented_cone_pair,
@@ -64,7 +64,7 @@ from ghrv.variety import (
     residue_ranks,
 )
 
-from dense import dense_grids, dense_minors, dense_rank, image_grid, image_rows
+from dense import dense_minors, dense_rank, grid_of, grid_product, identity, image_grid, image_rows
 
 
 # -- ranks over R -------------------------------------------------------------
@@ -75,9 +75,9 @@ def test_rank_matches_minor_oracle_on_fixtures(ring5):
         grids.extend([c.A, c.B])
     grids.extend(documented_cone_pair(ring5))
     for g in grids:
-        assert rank_over_R(g, ring5) == rank_over_R_by_minors(g, ring5)
+        assert rank_over_R(sparse_rows(g), ring5) == rank_over_R_by_minors(g, ring5)
     zero = [[ring5.ambient.zero()] * 2] * 2
-    assert rank_over_R(zero, ring5) == rank_over_R_by_minors(zero, ring5) == 0
+    assert rank_over_R(sparse_rows(zero), ring5) == rank_over_R_by_minors(zero, ring5) == 0
 
 
 def _random_grid(rng, ring, m, n, max_terms=3):
@@ -101,21 +101,21 @@ def test_rank_matches_minor_oracle_random(ring5):
     rng = random.Random(101)
     for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)] * 3:
         g = _random_grid(rng, ring5, m, n)
-        rank = rank_over_R(g, ring5)
+        rank = rank_over_R(sparse_rows(g), ring5)
         assert rank == rank_over_R_by_minors(g, ring5), g
         # The same classes by representatives outside normal form: random
         # multiples of w on every entry, so rank_over_R's normal_form acts.
         shifts = _random_grid(rng, ring5, m, n)
         perturbed = [[e + ring5.w * (q + 1) for e, q in zip(row, qs)] for row, qs in zip(g, shifts)]
         assert any(ring5.normal_form(e) != e for row in perturbed for e in row)
-        assert rank_over_R(perturbed, ring5) == rank_over_R_by_minors(perturbed, ring5) == rank, g
+        assert rank_over_R(sparse_rows(perturbed), ring5) == rank_over_R_by_minors(perturbed, ring5) == rank, g
 
 
 def test_rank_degenerate_inputs(ring5):
     assert rank_over_R([], ring5) == 0
-    assert rank_over_R([[ring5.ambient.zero()]], ring5) == 0
-    assert rank_over_R([[ring5.w]], ring5) == 0  # w is zero in R
-    assert rank_over_R([[ring5.ambient.one()]], ring5) == 1
+    assert rank_over_R([[]], ring5) == 0
+    assert rank_over_R([[(0, ring5.w)]], ring5) == 0  # w is zero in R
+    assert rank_over_R([[(0, ring5.ambient.one())]], ring5) == 1
 
 
 def _elimination_rings():
@@ -131,6 +131,8 @@ def _elimination_rings():
 def test_eliminate_x1_is_row_scaling_mod_w(ring):
     # Row i of the image is f_1^top_i times row i mod w, top_i the row's
     # largest x_1-degree, with x_1 gone; a row without x_1 is passed as is.
+    # Rows go in and come out sparse, an image that cancels (that of w)
+    # left out.
     amb = ring.ambient
     idx = amb.var_index(ring.xvars[0])
     rng = random.Random(113)
@@ -149,9 +151,13 @@ def test_eliminate_x1_is_row_scaling_mod_w(ring):
     grids.append([list(ring.f), [amb.zero()] * ring.c, [ring.w] * ring.c])
     tops = set()
     for grid in grids:
-        out = ghrv.variety._eliminate_x1(grid, ring)
+        rows = sparse_rows(grid)
+        out = ghrv.variety._eliminate_x1(rows, ring)
         assert len(out) == len(grid)
-        for row, new_row in zip(grid, out):
+        assert all(image.terms for row in out for _, image in row)
+        assert [out[i] is row for i, row in enumerate(rows)] == [
+            not any(m[idx] for e in row for m in e.terms) for row in grid]
+        for row, new_row in zip(grid, grid_of(out, len(grid[0]), amb.zero())):
             top = max((m[idx] for e in row for m in e.terms), default=0)
             tops.add(top)
             scale = ring.f[0] ** top
@@ -185,11 +191,11 @@ def test_bareiss_ranks_of_the_realize_stages(ring_name, request):
     rng = random.Random(131)
     for stage in trace.stages[1:]:
         C = stage.complex
-        r_a, r_b = rank_over_R(C.A, ring), rank_over_R(C.B, ring)
+        r_a, r_b = rank_over_R(sparse_rows(C.A), ring), rank_over_R(sparse_rows(C.B), ring)
         assert r_a + r_b == C.size
         for _ in range(2):
-            assert rank_over_R(_permuted(C.A, rng), ring) == r_a
-            assert rank_over_R(_permuted(C.B, rng), ring) == r_b
+            assert rank_over_R(sparse_rows(_permuted(C.A, rng)), ring) == r_a
+            assert rank_over_R(sparse_rows(_permuted(C.B, rng)), ring) == r_b
 
 
 def test_bareiss_fill_in_on_a_loaded_32x32_trace(tmp_path, monkeypatch):
@@ -218,7 +224,7 @@ def test_bareiss_fill_in_on_a_loaded_32x32_trace(tmp_path, monkeypatch):
             monkeypatch.setattr(Poly, "__init__", init)
 
     monkeypatch.setattr(ghrv.variety, "rank_over_domain", counted)
-    assert rank_over_R(C.A, C.ring) == 16
+    assert rank_over_R(C.pair_entries.sparse_rows(0), C.ring) == 16
     assert 0 < built <= 300
 
 
@@ -243,11 +249,12 @@ def test_x1_multipliers_are_kept_on_the_ring(monkeypatch):
         init(self, ring, terms)
 
     monkeypatch.setattr(Poly, "__pow__", counting_pow)
-    r = rank_over_R(C.A, ring)
+    rows = C.pair_entries.sparse_rows(0)
+    r = rank_over_R(rows, ring)
     first = powers
     assert first > 0 and ring._x1_multipliers
     for _ in range(3):
-        assert rank_over_R(C.A, ring) == r
+        assert rank_over_R(rows, ring) == r
     assert powers == first
     pairs = set()
     for row in C.A:
@@ -256,14 +263,14 @@ def test_x1_multipliers_are_kept_on_the_ring(monkeypatch):
             pairs |= {(id(e), top) for e in row if e.terms}
     assert len(pairs) < sum(1 for row in C.A for e in row if e.terms)
     monkeypatch.setattr(Poly, "__init__", counting_init)
-    ghrv.variety._eliminate_x1(C.A, ring)
+    ghrv.variety._eliminate_x1(rows, ring)
     assert built == len(pairs)
 
 
 # -- the complement rule ------------------------------------------------------
 
 def _eliminations(monkeypatch) -> list:
-    """The grids ranks_over_R eliminates (ghrv.variety.rank_over_R is
+    """The sparse rows ranks_over_R eliminates (ghrv.variety.rank_over_R is
     called on) from now on, in order."""
     eliminated = []
     monkeypatch.setattr(ghrv.variety, "rank_over_R", lambda g, R: eliminated.append(g) or rank_over_R(g, R))
@@ -299,7 +306,7 @@ def test_complement_rule_on_every_exact_factorization(ring_name, request, monkey
         points = [proj_point(ring.field, c) for c in ((1, 0), (0, 1), (1, 1), (1, -2), (2, 1))]
     for C in pairs:
         assert C.certified and C.is_factorization
-        r_a, r_b = rank_over_R(C.A, ring), rank_over_R(C.B, ring)
+        r_a, r_b = rank_over_R(sparse_rows(C.A), ring), rank_over_R(sparse_rows(C.B), ring)
         assert r_b == C.size - r_a
         assert ranks_over_R(C) == (r_a, r_b)
         for pt in points:
@@ -317,7 +324,7 @@ def test_complement_rule_on_every_exact_factorization(ring_name, request, monkey
     eliminated = _eliminations(monkeypatch)
     for C, want in zip(pairs, expected):
         ranks_over_R(C)
-        assert [id(g) for g in eliminated] == [id(A) for A in want]
+        assert eliminated == [sparse_rows(A) for A in want]
         eliminated.clear()
 
 
@@ -332,15 +339,15 @@ def test_complement_rule_reads_the_grids_not_the_claim(ring5, monkeypatch):
     assert not false_claim.is_factorization
     eliminated = _eliminations(monkeypatch)
     assert ranks_over_R(false_claim) == (2, 1)
-    assert eliminated == [false_claim.A, false_claim.B]
+    assert eliminated == [sparse_rows(false_claim.A), sparse_rows(false_claim.B)]
     # so do a shift and a cone of it, whose verdict is their parent's; the
     # cone's parent is built uncertified, as cone_mul refuses a false claim
     unclaimed_false = PeriodicComplex(ring5, tampered, k.B, k.degrees0, k.degrees1, certified=False)
     for D in (shift(false_claim), cone_mul(unclaimed_false, amb.variable("x1"))):
         assert not D.is_factorization
         eliminated.clear()
-        assert ranks_over_R(D) == (rank_over_R(D.A, ring5), rank_over_R(D.B, ring5))
-        assert [id(g) for g in eliminated] == [id(D.A), id(D.B)]
+        assert ranks_over_R(D) == (rank_over_R(sparse_rows(D.A), ring5), rank_over_R(sparse_rows(D.B), ring5))
+        assert eliminated == [sparse_rows(D.A), sparse_rows(D.B)]
     zero = amb.zero()
     assert ranks_over_R(PeriodicComplex(ring5, [[zero]], [[zero]], (0,), (0,), certified=False)) == (0, 0)
 
@@ -439,7 +446,7 @@ def test_step_laws_match_elimination(ring):
     chains = _law_chains(ring, random.Random(311))
     unbalanced = cones = non_exact = 0
     for C in chains:
-        want = (rank_over_R(C.A, ring), rank_over_R(C.B, ring))
+        want = (rank_over_R(sparse_rows(C.A), ring), rank_over_R(sparse_rows(C.B), ring))
         assert ranks_over_R(C) == want, (C.size, C._derivation)
         unbalanced += 2 * want[0] != C.size
         cones += C._derivation is not None and C._derivation[0] is _cone
@@ -467,11 +474,11 @@ def test_no_rank_is_kept_on_a_pair(ring5, monkeypatch):
     k, r1 = fixture_k(ring5), fixture_rank_one(ring5)
     eliminated = _eliminations(monkeypatch)
     assert ranks_over_R(k) == ranks_over_R(k) == (1, 1)
-    assert [id(g) for g in eliminated] == [id(k.A)] * 2
+    assert eliminated == [sparse_rows(k.A)] * 2
     eliminated.clear()
     D = shift(direct_sum(k, r1))
     assert ranks_over_R(D) == ranks_over_R(D) == (2, 2)
-    assert [id(g) for g in eliminated] == [id(k.A), id(r1.A)] * 2
+    assert eliminated == [sparse_rows(k.A), sparse_rows(r1.A)] * 2
 
 
 def test_ranks_walk_a_deep_derivation(ring5, monkeypatch):
@@ -485,7 +492,7 @@ def test_ranks_walk_a_deep_derivation(ring5, monkeypatch):
         assert C.is_factorization
     eliminated = _eliminations(monkeypatch)
     assert ranks_over_R(C) == (1, 1)
-    assert [id(g) for g in eliminated] == [id(k.A)]
+    assert eliminated == [sparse_rows(k.A)]
 
 
 # -- the factorization verdict ------------------------------------------------
@@ -494,7 +501,7 @@ def _two_product_verdict(C):
     """A*B = B*A = w*I checked by both products."""
     amb = C.ring.ambient
     w_id = identity(amb, C.size, C.ring.w)
-    return mat_mul(C.A, C.B, amb) == w_id and mat_mul(C.B, C.A, amb) == w_id
+    return grid_product(C.A, C.B, amb) == w_id and grid_product(C.B, C.A, amb) == w_id
 
 
 @pytest.mark.parametrize("field", [prime_field(3), prime_field(5), make_extension(3, 2), QQ], ids=str)
@@ -523,7 +530,7 @@ def test_one_product_decides_the_factorization(field):
             bad = PeriodicComplex(ring, a, b, C.degrees0, C.degrees1, certified=True)
             assert not bad.is_factorization and not _two_product_verdict(bad)
             not_a_complex = []
-            for name, prod in (("A*B", mat_mul(bad.A, bad.B, amb)), ("B*A", mat_mul(bad.B, bad.A, amb))):
+            for name, prod in (("A*B", grid_product(bad.A, bad.B, amb)), ("B*A", grid_product(bad.B, bad.A, amb))):
                 nonzero = [(i, j) for i, row in enumerate(prod) for j, e in enumerate(row)
                            if not ring.normal_form(e).is_zero()]
                 if nonzero:
@@ -1046,7 +1053,7 @@ def test_residue_pencil_matches_specialize_then_residue(field):
             pencil = _pencil_at(C, pt)
             # the kept pencil, its distinct entries evaluated and laid out
             at = evaluator(ring.kx, dict(zip(ring.xvars, pt.coords)), pt.field)
-            kept = dense_grids(C.pencil_entries, [at(e) for e in C.pencil_entries.values], pt.field.zero)
+            kept = list(C.pencil_entries.grids([at(e) for e in C.pencil_entries.values], pt.field.zero))
             assert kept == pencil, (C.size, str(pt))
             ranks = tuple(dense_rank(g, pt.field) for g in pencil)
             assert residue_ranks(C, pt) == ranks, (C.size, str(pt))
@@ -1148,7 +1155,7 @@ def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch
             a_bar, b_bar = _pencil_at(C, pt)
             assert [a_bar, b_bar] == oracle, (C.size, str(pt))
             scalars = ghrv.variety._oracle_scalars(C, preimages)
-            assert dense_grids(C.pair_entries, scalars, fld.zero) == oracle, (C.size, str(pt))
+            assert list(C.pair_entries.grids(scalars, fld.zero)) == oracle, (C.size, str(pt))
             dense = (dense_rank(a_bar, fld), dense_rank(b_bar, fld))
             monkeypatch.setattr(ghrv.variety, "evaluator", counting_evaluator)
             evaluated.clear()
@@ -1187,7 +1194,7 @@ def test_minor_images_match_the_normal_form_route(field):
     rng = random.Random(30)
     for C in (tail, shift(tail), dual(tail)):
         for grid in (C.A, C.B):
-            r = rank_over_R(grid, ring)
+            r = rank_over_R(sparse_rows(grid), ring)
             want = minor_ideal_image(image_rows(ring, grid), r, ring).gens
             assert want == _minor_image_by_normal_form(grid, r, ring)
             for _ in range(3):
@@ -1385,7 +1392,7 @@ def test_minor_images_visit_only_nonzero_minors(ring5, monkeypatch):
 
 def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
     tail = complete_resolution_of_k(ring3)
-    r_a = rank_over_R(tail.A, ring3)
+    r_a = rank_over_R(sparse_rows(tail.A), ring3)
     pt = proj_point(ring3.field, (1, 2))
     calls = {"normal_form": 0, "specialize": 0, "image_in_kx": 0, "mul": 0}
 
@@ -1467,7 +1474,7 @@ def test_fast_paths_skip_normal_form_and_specialize(ring3, ring5, monkeypatch):
             assert report.verdicts == [report.baseline] == [contractible_at(C, p)], str(p)
         assert C.pencil_entries is not base.pencil_entries
         kept = C.pencil_entries
-        dense = dense_grids(kept, kept.values, ring5.kx.zero())
+        dense = kept.grids(kept.values, ring5.kx.zero())
         assert [tuple(map(tuple, grid)) for grid in dense] == [image_grid(ring5, C.A), image_grid(ring5, C.B)]
     # the cone's variety is Z(x1^2 + 2*x2^2): two points, both over F_25 only
     cone_points = [p for p in points if not contractible_at(derived[2], p)]
