@@ -22,7 +22,9 @@ division step by w removes a term and adds terms of that same x-degree: a
 stored entry that is zero or x-homogeneous of the wanted degree has such a
 normal form, and only the other entries are reduced.  Certification (the
 exact A*B = w*I check over P) is judged on the stored representatives, by
-one sparse matrix product per pair read from a file or built by hand.
+one matrix product per pair read from a file or built by hand (mat_mul on
+the pair's values and index rows), which sums field coefficients per
+(column, monic value pair) and forms a polynomial only where one survives.
 
 A pair keeps its own entries (pair_entries) and its residue pencil
 (Abar, Bbar) = (A, B)|_{y=0} (pencil_entries) by their distinct nonzero
@@ -160,7 +162,8 @@ class DistinctEntries:
 
 
 def distinct_entries(grids, ring: PolyRing) -> DistinctEntries:
-    """The nonzero entries of square `grids` indexed by distinct value (see
+    """The nonzero entries of `grids`, a pair's two square grids (other
+    grids are read the same way), indexed by distinct value (see
     DistinctEntries), each entry checked to be a polynomial of `ring`
     (PolyRing.coerce: RingMismatch for one of another ring, TypeError for
     anything else), a zero entry too.  This is the one pass over the
@@ -216,8 +219,12 @@ class PeriodicComplex:
     @cached_property
     def is_factorization(self) -> bool:
         """A*B = B*A = w*I exactly over P, decided on a leaf by the one
-        sparse product A*B of the rows of its pair_entries (mat_mul), whose
-        row i must be exactly w at column i; only the verdict is kept.
+        product A*B of its pair_entries, values and index rows (mat_mul),
+        whose row i must be exactly w at column i; only the verdict is
+        kept.  mat_mul sums field coefficients per (column, monic value
+        pair), so in a factorization the off-diagonal keys, which cancel
+        as c u u' - c u' u, form no polynomial, and row i forms only the
+        products that sum to w at column i.
 
         P is a domain and w is nonzero (make_ring refuses a zero f_i), so
         det A * det B = w^n is nonzero: A is invertible over the fraction
@@ -243,7 +250,7 @@ class PeriodicComplex:
         nothing.  Computed on first use and kept."""
         if self._derivation is None:
             entries, w = self.pair_entries, self.ring.w
-            prod = mat_mul(entries.sparse_rows(0), entries.sparse_rows(1), self.ring.ambient)
+            prod = mat_mul(entries.values, *entries.rows, self.ring.ambient)
             return all(row == [(i, w)] for i, row in enumerate(prod))
         todo = list(reversed(self._derivation[1]))
         while todo:
@@ -285,13 +292,18 @@ class PeriodicComplex:
         return distinct_entries((self.A, self.B), self.ring.ambient)
 
     def __eq__(self, other):
+        """Equal rings and degrees, and equal entries position by position.
+        The two rings are compared once; the entries, polynomials of that
+        ring, are then compared by their terms, so a pair loaded from a file,
+        whose ring is a new object, pays no ring comparison per position."""
         return (
             isinstance(other, PeriodicComplex)
-            and other.ring == self.ring
-            and other.A == self.A
-            and other.B == self.B
             and other.degrees0 == self.degrees0
             and other.degrees1 == self.degrees1
+            and other.ring == self.ring
+            and all(x.terms == y.terms
+                    for g, h in ((self.A, other.A), (self.B, other.B))
+                    for r, s in zip(g, h) for x, y in zip(r, s))
         )
 
     def __repr__(self):
@@ -343,8 +355,9 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     A*B = B*A = w*I is read from C.is_factorization, which judges the
     stored entries whatever the file claims.  When it holds, both products
     are zero mod w, so the mod-w pass runs only on a pair that fails it;
-    the pass forms its own A*B and B*A (mat_mul), and reduces each nonzero
-    entry of each.  The identity also
+    the pass forms its own A*B and B*A, each by mat_mul on the values and
+    index rows of C.pair_entries, summed per (column, monic value pair),
+    and reduces each nonzero entry of each.  The identity also
     gives the rank partition by the complement rule
     (PeriodicComplex.is_factorization), so the RankDefect check runs only
     on pairs that are complexes mod w without being exact factorizations.
@@ -353,18 +366,18 @@ def validate_pair(C: PeriodicComplex) -> ValidationReport:
     identity reports CertificationFailed before any RankDefect."""
     report = ValidationReport()
     ring = C.ring
-    rows = C.pair_entries.sparse_rows(0), C.pair_entries.sparse_rows(1)
+    entries = C.pair_entries
     if not C.is_factorization:
-        a, b = rows
+        a, b = entries.rows
         for name, left, right in (("A*B", a, b), ("B*A", b, a)):
-            prod = mat_mul(left, right, ring.ambient)
+            prod = mat_mul(entries.values, left, right, ring.ambient)
             bad = [(i, j) for i, row in enumerate(prod) for j, e in row if not ring.normal_form(e).is_zero()]
             if bad:
                 report.add(NotAComplex, f"{name} is nonzero mod w at entries {bad[:4]}")
 
     twisted0 = tuple(d + 1 for d in C.degrees0)
     for label, g, source, target in (("A", 0, C.degrees1, C.degrees0), ("B", 1, twisted0, C.degrees1)):
-        for msg in homogeneity_violations(ring, rows[g], source, target):
+        for msg in homogeneity_violations(ring, entries.sparse_rows(g), source, target):
             report.add(NotHomogeneous, f"{label}: {msg}")
 
     if not C.certified:

@@ -2,22 +2,28 @@
 
 A matrix is a rectangular tuple-of-tuples grid; a periodic pair is two such
 grids plus its generator degrees (complexes.PeriodicComplex), and keeps them
-by their distinct nonzero entries as well (complexes.DistinctEntries).  The
-routines here that read polynomial entries, but for the rank_by_minors
-oracle, take a matrix by sparse rows, the (column, entry) pairs of each
-row's nonzero entries by ascending column, which a pair hands out over its
-distinct entries and a caller holding a dense grid converts at the edge
-(sparse_rows).  A pair's rows repeat few entry objects at many positions,
-so mat_mul forms the product of two entry objects once, and its callers'
-per-entry passes run once per distinct object.  Everything here is
-fraction free: polynomial ranks use Bareiss elimination (each division is
-exact by the minor identity) on sparse rows, with pivots chosen against
-fill-in, where a row the pivot column misses is not touched.  Its skipped
-scalings p_t / p_(t-1) telescope, so one division by the pivot that last
-wrote it, when the row is next touched, is exact and catches it up.  That
-division is exact_div (divide_single with a zero remainder), but for a
-one-term lag, whose coefficient is inverted once per row and which
-_bareiss_update divides out of each updated entry as it sums the products.
+by their distinct nonzero entries as well (complexes.DistinctEntries): its
+values, and rows of (column, index) pairs.  mat_mul multiplies two matrices
+given that way, over one tuple of values.  A pair's rows repeat few values
+at many positions, and many of its values are scalar multiples of one
+another, so mat_mul writes each value once as c * u with u monic and sums
+the field coefficients c * c' per (output column, unordered monic pair)
+before it forms any polynomial: a product u * u' is formed once per call,
+and only where its summed coefficient is nonzero.  The other routines here
+that read polynomial entries, but for the rank_by_minors oracle, take a
+matrix by sparse rows, the (column, entry) pairs of each row's nonzero
+entries by ascending column, which a pair hands out over its distinct
+entries and a caller holding a dense grid converts at the edge
+(sparse_rows), and their callers' per-entry passes run once per distinct
+object.  Everything here is fraction free: polynomial ranks use Bareiss
+elimination (each division is exact by the minor identity) on sparse rows,
+with pivots chosen against fill-in, where a row the pivot column misses
+is not touched.  Its skipped scalings p_t / p_(t-1) telescope, so one
+division by the pivot that last wrote it, when the row is next touched,
+is exact and catches it up.  That division is exact_div (divide_single
+with a zero remainder), but for a one-term lag, whose coefficient is
+inverted once per row and which _bareiss_update divides out of each
+updated entry as it sums the products.
 
 Minor enumeration takes exterior products of sparse rows, v_i1 ^ .. ^ v_ir,
 whose coefficients are the r x r minors on those rows; only nonzero
@@ -72,47 +78,73 @@ def sparse_rows(rows: Sequence[Sequence[Poly]]) -> list[list[tuple[int, Poly]]]:
     return [[(j, e) for j, e in enumerate(row) if e.terms] for row in as_grid(rows)]
 
 
-def mat_mul(a, b, ring: PolyRing) -> list[list[tuple[int, Poly]]]:
-    """The product of two matrices given by sparse rows (sparse_rows), as
-    sparse rows: row i of a*b sums e times row l of b over the pairs (l, e)
-    of row i of a, so only nonzero entries meet.  The product of two entry
-    objects is formed once per call, kept by their ids (a and b hold both
-    for the call), and its terms are added wherever that pair meets, since
-    a pair's rows repeat few objects at many positions; each output entry
-    is summed in one monomial -> coefficient dict, whose zero coefficients
-    are dropped once, and becomes one Poly unless nothing is left."""
+def mat_mul(values, left, right, ring: PolyRing) -> list[list[tuple[int, Poly]]]:
+    """The product of two matrices over the distinct nonzero `values` of a
+    pair, each matrix given by rows of (column, index) pairs as
+    DistinctEntries.rows holds them (entry (i, j) is values[k] for (j, k)
+    in row i), as sparse rows (sparse_rows).
+
+    Each value is written once as c * u, with u monic, so scalar multiples
+    share one u.  Row i of left*right meets left's (col, k) with right's
+    (j, k') over row col of right, and each meeting adds c_k * c_k' to the
+    field coefficient of the key (j, {u, u'}), the output column and the
+    unordered pair of monic values; the pair {u, u'} and c_k * c_k' are
+    formed once per call for each two values that meet.  Only a key whose
+    summed coefficient is nonzero forms a polynomial: u * u' is formed once
+    per call, on first need, and its scaled terms are added into entry
+    (i, j).  A matrix factorization's off-diagonal keys cancel as
+    c u u' - c u' u before any polynomial exists.  Each entry is summed in
+    one monomial -> coefficient dict, whose zero coefficients are dropped
+    once, and becomes one Poly unless nothing is left: keys that survive
+    may still cancel as polynomials."""
     fld = ring.field
     add, mul, is_zero = fld.add, fld.mul, fld.is_zero
-    products: dict[int, dict[int, dict]] = {}  # id of an a entry -> id of a b entry -> terms
+    units: dict[Poly, int] = {}  # each distinct monic value -> its index
+    scale, unit = [], []  # values[k] = scale[k] * monics[unit[k]]
+    for v in values:
+        u = v.monic()
+        scale.append(v.terms[u.leading_monomial()])
+        unit.append(units.setdefault(u, len(units)))
+    monics = tuple(units)
+    # meets[k][k2]: the monic pair (a, b), a <= b, of values[k] * values[k2]
+    # and its coefficient, formed the first time the two values meet
+    meets: list[dict] = [{} for _ in values]
+    products: dict[tuple[int, int], dict] = {}  # (a, b) -> the terms of monics[a] * monics[b]
     out = []
-    for row in a:
-        sums: dict[int, dict] = {}
-        for col, e in row:
-            by_f = products.get(id(e))
-            if by_f is None:
-                by_f = products[id(e)] = {}
-            for j, f in b[col]:
-                prod = by_f.get(id(f))
+    for row in left:
+        sums: dict = {}  # (j, (a, b)) -> summed coefficient
+        for col, k in row:
+            met = meets[k]
+            for j, k2 in right[col]:
+                pair = met.get(k2)
+                if pair is None:
+                    a, b = unit[k], unit[k2]
+                    pair = met[k2] = ((a, b) if a <= b else (b, a), mul(scale[k], scale[k2]))
+                key = (j, pair[0])
+                s = pair[1]
+                sums[key] = add(sums[key], s) if key in sums else s
+        entries: dict[int, dict] = {}  # column -> its terms
+        for (j, ab), s in sums.items():
+            if not is_zero(s):
+                prod = products.get(ab)
                 if prod is None:
-                    prod = by_f[id(f)] = {}
-                    for m1, c1 in e.terms.items():
-                        for m2, c2 in f.terms.items():
-                            mono = tuple(map(_mono_add, m1, m2))
-                            c = mul(c1, c2)
-                            prod[mono] = add(prod[mono], c) if mono in prod else c
-                acc = sums.get(j)
-                if acc is None:
-                    sums[j] = dict(prod)
-                    continue
-                for mono, c in prod.items():
-                    acc[mono] = add(acc[mono], c) if mono in acc else c
+                    prod = products[ab] = (monics[ab[0]] * monics[ab[1]]).terms
+                _add_scaled(entries.setdefault(j, {}), prod, s, fld)
         new = []
-        for j in sorted(sums):
-            terms = {mono: c for mono, c in sums[j].items() if not is_zero(c)}
+        for j in sorted(entries):
+            terms = {mono: c for mono, c in entries[j].items() if not is_zero(c)}
             if terms:
                 new.append((j, Poly._of_nonzero(ring, terms)))
         out.append(new)
     return out
+
+
+def _add_scaled(acc: dict, terms: dict, s, fld: Field) -> None:
+    """acc += s * terms, on monomial -> coefficient dicts, in place."""
+    add, mul = fld.add, fld.mul
+    for mono, c in terms.items():
+        c = mul(s, c)
+        acc[mono] = add(acc[mono], c) if mono in acc else c
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,18 @@ def _write(obj, path: str | Path):
     Path(path).write_text(_dumps(obj) + "\n")
 
 
-def load_ring(path: str | Path) -> RingSpec:
+def _load_json(path: str | Path):
+    """The JSON data of the file at path; ParseError naming the file when
+    it is not JSON."""
     with open(path) as fh:
-        return ring_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not JSON: {exc}") from None
+
+
+def load_ring(path: str | Path) -> RingSpec:
+    return ring_from_obj(_load_json(path))
 
 
 def save_ring(ring: RingSpec, path: str | Path):
@@ -210,8 +219,7 @@ def complex_from_obj(obj: dict, base_dir: str | Path | None = None) -> PeriodicC
 
 def load_complex(path: str | Path) -> PeriodicComplex:
     path = Path(path)
-    with open(path) as fh:
-        return complex_from_obj(json.load(fh), base_dir=path.parent)
+    return complex_from_obj(_load_json(path), base_dir=path.parent)
 
 
 def save_complex(C: PeriodicComplex, path: str | Path):

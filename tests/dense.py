@@ -23,9 +23,10 @@ def identity(ring, n, scale=None):
 
 def dense_product(a, b, ring):
     """a * b of two grids position by position, one Poly product per pair
-    of entries: the schoolbook product mat_mul is tested against."""
+    of nonzero entries: the schoolbook product mat_mul is tested against."""
     return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), ring.zero()) for j in range(len(b[0])))
+        tuple(sum((a[i][t] * b[t][j] for t in range(len(b)) if a[i][t].terms and b[t][j].terms), ring.zero())
+              for j in range(len(b[0])))
         for i in range(len(a))
     )
 
@@ -41,10 +42,17 @@ def grid_of(rows, ncols, zero):
     return tuple(out)
 
 
+def index_product(a, b, ring):
+    """mat_mul of two grids, their entries indexed by value together
+    (distinct_entries, which reads rectangular grids too), as sparse rows."""
+    entries = distinct_entries((a, b), ring)
+    return mat_mul(entries.values, *entries.rows, ring)
+
+
 def grid_product(a, b, ring):
-    """mat_mul of two grids, taken as sparse rows and written out as a
-    grid: the product of matrices that the tests hold densely."""
-    return grid_of(mat_mul(sparse_rows(a), sparse_rows(b), ring), len(b[0]), ring.zero())
+    """mat_mul of two grids (index_product), written out as a grid: the
+    product of matrices that the tests hold densely."""
+    return grid_of(index_product(a, b, ring), len(b[0]), ring.zero())
 
 
 def image_grid(ring, rows):

@@ -31,7 +31,6 @@ ALLOWED = {
     "variety.rank_over_R_by_minors": "oracle: exhaustive minor search for rank_over_R",
     "complexes.trivial_pair": "shared fixture: the contractible pair (1, w)",
     "fields.ExtensionField.generator": "shared fixture: a named element outside the prime subfield",
-    "poly.Poly.monic": "oracle: the scaling _canonical_gens does inline to key repeats, for its one-key oracle",
     "complexes.koszul_differential": "oracle: the fold at one degree, for criterion 8 and the Shamash window",
     "complexes.xi_wedge": "oracle: the fold at one degree, for criterion 8 and the Shamash window",
 }

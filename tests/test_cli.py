@@ -592,6 +592,43 @@ def test_malformed_json_shapes_are_usage_errors(k_file, tmp_path, capsys, path, 
     assert captured.err == f"error: {message}\n"
 
 
+def test_malformed_json_names_its_file(ring_file, k_file, tmp_path, capsys):
+    # a file that is not JSON is a usage error that names the file: an
+    # empty ring file read by realize, a truncated complex file read by
+    # check, and a complex file whose ring path points at a truncated ring
+    # file, which names the ring file and not the complex file
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    assert run(["realize", str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {empty} is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+    text = Path(k_file).read_text()
+    cut = tmp_path / "cut.json"
+    cut.write_text(text[: len(text) // 2])
+    assert run(["check", str(cut)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {cut} is not JSON: ")
+
+    bad_ring = tmp_path / "bad-ring.json"
+    bad_ring.write_text(Path(ring_file).read_text()[:-3])
+    obj = json.loads(text)
+    obj["ring"] = "bad-ring.json"
+    pair = tmp_path / "pair-by-path.json"
+    pair.write_text(json.dumps(obj))
+    for argv in (["check", str(pair)], ["rank", str(pair)], ["variety", str(pair)]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad_ring} is not JSON: ")
+        assert str(pair) not in captured.err
+    obj["ring"] = "ring.json"  # the good ring file beside it loads
+    pair.write_text(json.dumps(obj))
+    assert run(["check", str(pair)]) == 0
+    assert capsys.readouterr().out.startswith("valid: no findings")
+
+
 def test_one_parser_serves_every_run(ring_file, capsys):
     # --p appends to a fresh list on every run, so scalars never carry over
     # from one run to the next, and a bad flag still exits 2 afterwards

@@ -879,7 +879,10 @@ def test_the_verdict_walk_reaches_each_leaf_once(ring5, monkeypatch):
 
     products = []
     mat_mul_ = complexes.mat_mul
-    monkeypatch.setattr(complexes, "mat_mul", lambda *a: products.append(a[0]) or mat_mul_(*a))
+    # the left factor of each product, as sparse rows: its (column, index)
+    # rows over the values
+    monkeypatch.setattr(complexes, "mat_mul", lambda *a: products.append(
+        [[(j, a[0][k]) for j, k in row] for row in a[1]]) or mat_mul_(*a))
     judged = []
 
     def verdict(C, want, reached):
@@ -929,14 +932,14 @@ def _broken_off_the_diagonal(C, rng):
 
 @pytest.mark.parametrize("field_text", ["GF(5)", "GF(9)", "QQ", "GF(2)"])
 def test_the_sparse_product_and_verdict_are_the_dense_ones(field_text):
-    # On a leaf, is_factorization is one sparse mat_mul of the rows of its
-    # pair_entries.  On the fixtures, the Shamash tail, fresh copies of
-    # derived pairs (shifts, duals, a sum, cones, a 16x16 realize stage)
-    # and hand-broken pairs (one entry changed, B scaled by x1, and entries
-    # changed so that A*B differs from w*I off the diagonal only, before
-    # and after it in its row), both sparse products are the sparse rows of
-    # the schoolbook products of the grids, and the verdict is that of
-    # comparing A*B with w*I position by position.
+    # On a leaf, is_factorization is one mat_mul of the values and index
+    # rows of its pair_entries.  On the fixtures, the Shamash tail, fresh
+    # copies of derived pairs (shifts, duals, a sum, cones, a 16x16 realize
+    # stage) and hand-broken pairs (one entry changed, B scaled by x1, and
+    # entries changed so that A*B differs from w*I off the diagonal only,
+    # before and after it in its row), both sparse products are the sparse
+    # rows of the schoolbook products of the grids, and the verdict is that
+    # of comparing A*B with w*I position by position.
     ring = worked_ring(parse_field(field_text))
     amb = ring.ambient
     rng = random.Random(f"verdict {field_text}")
@@ -957,10 +960,10 @@ def test_the_sparse_product_and_verdict_are_the_dense_ones(field_text):
     verdicts = []
     for C in pairs:
         fresh = PeriodicComplex(ring, C.A, C.B, C.degrees0, C.degrees1, certified=False)
-        a, b = fresh.pair_entries.sparse_rows(0), fresh.pair_entries.sparse_rows(1)
+        values, (a, b) = fresh.pair_entries.values, fresh.pair_entries.rows
         ab = dense_product(C.A, C.B, amb)
-        assert mat_mul(a, b, amb) == sparse_rows(ab)
-        assert mat_mul(b, a, amb) == sparse_rows(dense_product(C.B, C.A, amb))
+        assert mat_mul(values, a, b, amb) == sparse_rows(ab)
+        assert mat_mul(values, b, a, amb) == sparse_rows(dense_product(C.B, C.A, amb))
         verdicts.append(fresh.is_factorization)
         assert fresh.is_factorization == (ab == identity(amb, C.size, ring.w)), C.size
     assert verdicts == [True] * 9 + [False] * 8

@@ -25,11 +25,13 @@ from ghrv.matrix import (
     sparse_rows,
 )
 from ghrv.pipelines import complete_resolution_of_k, fixture_k, realize, worked_ring
+from ghrv.parser import parse_poly
 from ghrv.poly import Poly, PolyRing, evaluator
 from ghrv.ring import make_ring
+from ghrv.serialize import load_complex, save_trace
 from ghrv.variety import enumerate_points, extension_of
 
-from dense import dense_minors, dense_product, dense_rank, grid_product, identity, image_grid
+from dense import dense_minors, dense_product, dense_rank, grid_product, identity, image_grid, index_product
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +134,11 @@ def test_mat_mul_matches_the_dense_product(field):
 
 
 def _assert_product(a, b, ring):
-    """mat_mul of the sparse rows of grids a and b is the sparse rows of
-    their schoolbook product, term by term, with every entry that cancels
-    left out; returns the schoolbook product."""
+    """mat_mul of grids a and b, their entries indexed by value, is the
+    sparse rows of their schoolbook product, term by term, with every entry
+    that cancels left out; returns the schoolbook product."""
     dense = dense_product(a, b, ring)
-    got = mat_mul(sparse_rows(a), sparse_rows(b), ring)
+    got = index_product(a, b, ring)
     want = sparse_rows(dense)
     assert got == want
     assert [[(j, e.terms) for j, e in row] for row in got] == [[(j, e.terms) for j, e in row] for row in want]
@@ -149,12 +151,83 @@ def test_cancelled_entries_of_a_factorization_product_have_no_terms(ring5):
     # diagonal, with no entry whose terms cancelled (a constructor that
     # trusted its terms to be nonzero would keep them)
     C = complete_resolution_of_k(ring5)
-    prod = mat_mul(sparse_rows(C.A), sparse_rows(C.B), ring5.ambient)
+    entries = C.pair_entries
+    prod = mat_mul(entries.values, *entries.rows, ring5.ambient)
     assert prod == [[(i, ring5.w)] for i in range(C.size)]
     assert all(row[0][1].terms == ring5.w.terms for row in prod)
     cancelled = sum(any(not C.A[i][t].is_zero() and not C.B[t][j].is_zero() for t in range(C.size))
                     for i in range(C.size) for j in range(C.size) if i != j)
     assert cancelled > 0
+
+
+# Monic values for the scalar-multiple grids: x1 * (x1*x2) and x1^2 * x2
+# are one monomial reached by two monic pairs, and so are x1 * (x2*y) and
+# (x1*x2) * y, so two keys that both survive can cancel as polynomials.
+_UNITS = ("x1", "x2", "x1*x2", "x1^2", "y", "x2*y", "x1 + x2", "x1*y + x2^2", "1")
+
+
+@pytest.mark.parametrize("field", [prime_field(2), make_extension(2, 2), prime_field(5),
+                                   make_extension(3, 2), QQ], ids=str)
+def test_mat_mul_sums_scalar_multiples_per_monic_pair(field, monkeypatch):
+    # mat_mul writes each value as c * u with u monic and sums the field
+    # coefficients c * c' per (column, unordered monic pair) before it forms
+    # any polynomial: seeded grids whose entries are scalar multiples of a
+    # few monic values (x1, 2*x1 and -x1 share u = x1), against the
+    # schoolbook product, term by term
+    ring = PolyRing(field, ("x1", "x2"), ("y",))
+    units = [parse_poly(ring, u) for u in _UNITS]
+    elems = _field_elems(field)
+    rng = random.Random(f"monic pairs {field}")
+    shared = cancelled = 0
+    for _ in range(200):
+        m, k, n = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
+        a, b = ([[rng.choice(units).scale(rng.choice(elems)) if rng.random() < 0.6 else ring.zero()
+                  for _ in range(cols)] for _ in range(rows)] for rows, cols in ((m, k), (k, n)))
+        dense = _assert_product(a, b, ring)
+        values = [e for grid in (a, b) for row in grid for e in row if e.terms]
+        shared += len(set(values)) > len({e.monic() for e in values})
+        cancelled += sum(1 for i in range(m) for j in range(n)
+                         if not dense[i][j].terms and any(a[i][t].terms and b[t][j].terms for t in range(k)))
+    assert cancelled > 0 and (shared > 100 or len(elems) == 1)  # GF(2) has no other scalar
+
+    # keys that both survive and cancel only as polynomials:
+    # x1 * (x1*x2) - x1^2 * x2 at (0, 0) and x1 * (x2*y) - (x1*x2) * y at
+    # (0, 1); with x2 in place of x2*y, entry (0, 1) is x1*x2 - x1*x2*y
+    x1, x2, y = (parse_poly(ring, v) for v in ("x1", "x2", "y"))
+    minus = field.neg(field.one)
+    a = [[x1, x1 * x1, x1 * x2]]
+    b = [[x1 * x2, x2 * y], [x2.scale(minus), ring.zero()], [ring.zero(), y.scale(minus)]]
+    added = []
+    add_scaled = matrix._add_scaled
+    monkeypatch.setattr(matrix, "_add_scaled", lambda *args: added.append(args[1]) or add_scaled(*args))
+    assert index_product(a, b, ring) == [[]]
+    assert len(added) == 4  # four surviving keys, two per entry, whose sums are zero
+    b[0][1] = x2
+    monkeypatch.undo()
+    assert index_product(a, b, ring) == [[(1, x1 * x2 - x1 * x2 * y)]]
+    _assert_product(a, b, ring)
+
+
+def test_a_loaded_32x32_trace_sums_polynomials_for_its_diagonal_keys_only(ring5, tmp_path, monkeypatch):
+    # A*B = w*I with w = x1*x^2 + x2*y^2: in each row of the certifying
+    # product the two keys (i, {x1, x^2}) and (i, {x2, y^2}) survive, and
+    # every off-diagonal key cancels as +-c u u' -+ c u' u on its field
+    # coefficient, so the product forms polynomial sums for the 64 diagonal
+    # keys only, two monic products in all, where hundreds of pairs of
+    # values meet
+    path = tmp_path / "trace.json"
+    save_trace(realize(ring5, ["x1 + 2*x2", "x1*x2 + 2*x2^2"], verify=False), path)
+    C = load_complex(path)
+    entries = C.pair_entries
+    meetings = sum(len(entries.rows[1][col]) for row in entries.rows[0] for col, _ in row)
+    added, products = [], []
+    add_scaled, poly_mul = matrix._add_scaled, Poly.__mul__
+    monkeypatch.setattr(matrix, "_add_scaled", lambda *args: added.append(args[1]) or add_scaled(*args))
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or poly_mul(p, q))
+    assert C.size == 32 and C.is_factorization
+    assert len(added) == 64 and meetings > 400
+    assert {frozenset(terms) for terms in added} == {frozenset([m]) for m in ring5.w.terms}
+    assert len(products) == 2
 
 
 def test_rank_matches_minor_search_on_sparse_grids(ring):

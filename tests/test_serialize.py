@@ -16,6 +16,7 @@ from ghrv.cli import run
 from ghrv.complexes import DistinctEntries, PeriodicComplex, cone_mul, distinct_entries, validate_pair
 from ghrv.errors import ParseError
 from ghrv.fields import field_name, make_extension, parse_field
+from ghrv.matrix import mat_mul, sparse_rows
 from ghrv.pipelines import (
     RealizationTrace,
     TraceStage,
@@ -38,10 +39,10 @@ from ghrv.serialize import (
     trace_to_obj,
 )
 from ghrv.poly import Poly, PolyRing
-from ghrv.ring import RingSpec
+from ghrv.ring import RingSpec, make_ring
 from ghrv.variety import IdealGens, ZeroSetUnion, proj_point, ranks_over_R
 
-from dense import image_entries
+from dense import dense_product, image_entries
 from test_cli_golden import invocations, write_inputs
 
 
@@ -71,6 +72,37 @@ def test_complex_round_trip(ring5, tmp_path):
         assert loaded.certified == c.certified
         assert loaded.degrees0 == c.degrees0
         assert loaded.degrees1 == c.degrees1
+
+
+def test_a_loaded_pair_compares_its_ring_once(ring5, tmp_path, monkeypatch):
+    # a loaded 32x32 trace holds a ring of its own, equal to the realized
+    # pair's but not the same object: equality compares the two rings once
+    # and then the entries' terms, so the ring comparisons are a constant
+    # number (those of the f_i), not one per position
+    final = realize(ring5, ["x1 + 2*x2", "x1*x2 + 2*x2^2"], verify=False).final
+    save_complex(final, tmp_path / "trace.json")
+    C = load_complex(tmp_path / "trace.json")
+    assert C.size == 32 and C.ring is not final.ring
+    calls = []
+    ring_eq = PolyRing.__eq__
+    monkeypatch.setattr(PolyRing, "__eq__", lambda p, q: calls.append(1) or ring_eq(p, q))
+    assert C == final and final == C
+    assert 0 < len(calls) <= 4 * len(ring5.f)
+    monkeypatch.undo()
+
+    # still unequal: one entry, a degree, the ring, or not a pair at all
+    for g in (0, 1):
+        grids = [[list(row) for row in final.A], [list(row) for row in final.B]]
+        grids[g][31][0] = grids[g][31][0] + ring5.parse("x1*x2")
+        changed = PeriodicComplex(ring5, *grids, final.degrees0, final.degrees1, final.certified)
+        assert C != changed and changed != C
+    shifted = PeriodicComplex(ring5, final.A, final.B, final.degrees0[:-1] + (final.degrees0[-1] + 1,),
+                              final.degrees1, final.certified)
+    assert C != shifted and shifted != C
+    other_ring = make_ring(ring5.field, ring5.yvars, ring5.xvars, ["x^3", "y^2"])
+    assert C != PeriodicComplex(other_ring, C.A, C.B, C.degrees0, C.degrees1, C.certified)
+    assert C != "pair" and C != None and C != C.A
+    assert C == PeriodicComplex(ring5, C.A, C.B, C.degrees0, C.degrees1, certified=False)
 
 
 def test_complex_with_ring_by_path(ring5, tmp_path):
@@ -362,10 +394,15 @@ def _loaded_as_its_grids(path):
     from its grids alone: the loader's pair_entries are those its grids give
     (distinct_entries), values and rows, with one object per value at every
     position, and the verdict, the findings and the ranks over R are that
-    pair's.  Returns the loaded pair."""
+    pair's.  Both products mat_mul forms from the loaded values and rows are
+    the schoolbook products of the grids.  Returns the loaded pair."""
     C = load_complex(path)
     entries = C.pair_entries
     assert entries == distinct_entries((C.A, C.B), C.ring.ambient)
+    amb = C.ring.ambient
+    a, b = entries.rows
+    assert mat_mul(entries.values, a, b, amb) == sparse_rows(dense_product(C.A, C.B, amb))
+    assert mat_mul(entries.values, b, a, amb) == sparse_rows(dense_product(C.B, C.A, amb))
     assert {id(e) for grid in (C.A, C.B) for row in grid for e in row if e.terms} == {id(v) for v in entries.values}
     fresh = PeriodicComplex(C.ring, C.A, C.B, C.degrees0, C.degrees1, C.certified)
     assert C.is_factorization == fresh.is_factorization
