@@ -15,15 +15,15 @@ matrix by sparse rows, the (column, entry) pairs of each row's nonzero
 entries by ascending column, which a pair hands out over its distinct
 entries and a caller holding a dense grid converts at the edge
 (sparse_rows), and their callers' per-entry passes run once per distinct
-object.  Everything here is fraction free: polynomial ranks use Bareiss
-elimination (each division is exact by the minor identity) on sparse rows,
-with pivots chosen against fill-in, where a row the pivot column misses
-is not touched.  Its skipped scalings p_t / p_(t-1) telescope, so one
-division by the pivot that last wrote it, when the row is next touched,
-is exact and catches it up.  That division is exact_div (divide_single
-with a zero remainder), but for a one-term lag, whose coefficient is
-inverted once per row and which _bareiss_update divides out of each
-updated entry as it sums the products.
+object.  The polynomial rank (rank_over_domain) eliminates on sparse rows
+with pivots chosen against fill-in, in two phases.  A one-term pivot is a
+unit of the Laurent ring, which has the ambient ring's fraction field, so
+it clears its column by plain row subtraction, with no scaling and no
+division; only the rows it meets are touched.  When no entry has one
+term, the rows left are shifted back to polynomial rows by monomials and
+ranked by textbook fraction-free (Bareiss) elimination, each division
+exact by the minor identity and done by exact_div (divide_single with a
+zero remainder).
 
 Minor enumeration takes exterior products of sparse rows, v_i1 ^ .. ^ v_ir,
 whose coefficients are the r x r minors on those rows; only nonzero
@@ -85,7 +85,8 @@ def mat_mul(values, left, right, ring: PolyRing) -> list[list[tuple[int, Poly]]]
     in row i), as sparse rows (sparse_rows).
 
     Each value is written once as c * u, with u monic, so scalar multiples
-    share one u.  Row i of left*right meets left's (col, k) with right's
+    share one u, and each distinct leading coefficient is inverted once per
+    call.  Row i of left*right meets left's (col, k) with right's
     (j, k') over row col of right, and each meeting adds c_k * c_k' to the
     field coefficient of the key (j, {u, u'}), the output column and the
     unordered pair of monic values; the pair {u, u'} and c_k * c_k' are
@@ -101,8 +102,9 @@ def mat_mul(values, left, right, ring: PolyRing) -> list[list[tuple[int, Poly]]]
     add, mul, is_zero = fld.add, fld.mul, fld.is_zero
     units: dict[Poly, int] = {}  # each distinct monic value -> its index
     scale, unit = [], []  # values[k] = scale[k] * monics[unit[k]]
+    inverses: dict = {}  # each leading coefficient met -> its inverse
     for v in values:
-        u = v.monic()
+        u = v.monic(inverses)
         scale.append(v.terms[u.leading_monomial()])
         unit.append(units.setdefault(u, len(units)))
     monics = tuple(units)
@@ -221,15 +223,11 @@ def all_minors(rows: Sequence[Sequence[tuple[int, Poly]]], ncols: int, r: int, r
 
 
 def _bareiss_update(ring: PolyRing, pivot_terms, e: Poly | None, neg_m_terms, f: Poly | None,
-                    lag: Poly | None, one_term) -> Poly:
-    """(pivot * e - m * f) / lag as one Poly, for rank_over_domain: the
-    pivot and -m come as term lists, e or f is None for zero and lag None
-    for one.  The products are summed in one monomial -> coefficient dict.
-    A one-term lag, the lag of every update the benchmark workloads make,
-    comes as one_term, its (monomial, inverse coefficient), formed once per
-    row; it is divided out of that dict in the same pass, and a term it
-    does not divide raises ArithmeticError as exact_div would.  A lag of
-    several terms (one_term None) goes to exact_div."""
+                    prev: Poly | None) -> Poly:
+    """(pivot * e - m * f) / prev as one Poly, for rank_over_domain's second
+    phase: the pivot and -m come as term lists, e or f is None for zero and
+    prev None for one.  The products are summed in one monomial ->
+    coefficient dict, and the division is exact_div."""
     fld = ring.field
     add, mul = fld.add, fld.mul
     acc: dict = {}
@@ -241,57 +239,49 @@ def _bareiss_update(ring: PolyRing, pivot_terms, e: Poly | None, neg_m_terms, f:
                 mono = tuple(map(_mono_add, m1, m2))
                 c = mul(c1, c2)
                 acc[mono] = add(acc[mono], c) if mono in acc else c
-    if lag is None:
-        return Poly(ring, acc)
-    if one_term is None:
-        return exact_div(Poly(ring, acc), lag)
-    dm, dc_inv = one_term
-    is_zero = fld.is_zero
-    q = {}
-    for mono, c in acc.items():
-        if is_zero(c):
-            continue
-        shifted = tuple(map(_mono_sub, mono, dm))
-        if min(shifted, default=0) < 0:
-            raise ArithmeticError(f"inexact division: remainder {Poly(ring, {mono: c})}")
-        q[shifted] = mul(c, dc_inv)
-    return Poly._of_nonzero(ring, q)
+    return Poly(ring, acc) if prev is None else exact_div(Poly(ring, acc), prev)
 
 
 def rank_over_domain(rows, ring: PolyRing) -> int:
     """Rank over the fraction field of the (integral) ambient ring of the
-    matrix with sparse rows `rows` (sparse_rows), by fraction-free
-    (Bareiss) elimination on rows kept as dicts of their nonzero entries.
-    The pivot is chosen against fill-in (Markowitz): it minimizes (term
-    count, live entries in its column, entries in its row), the first such
-    entry in row order winning a tie.  Only rows with an entry in its
-    column are touched, so a pivot alone in its column touches none.  Any
-    pivot order is a Bareiss run on a permuted matrix, so the rank and the
-    exactness of each division do not depend on it.
+    matrix with sparse rows `rows` (sparse_rows), by elimination on rows
+    kept as dicts of their nonzero entries, in two phases.  Each pivot is
+    chosen against fill-in (Markowitz): it minimizes (term count, live
+    entries in its column, entries in its row), the first such entry in
+    row order winning a tie, and the count of live entries in each column
+    is kept up to date through fill-in and cancellation.  Any pivot order
+    is an elimination of a permuted matrix, so the rank does not depend on
+    it.
 
-    Each row keeps `lag`, the pivot of the step that last wrote it (None,
-    standing for one, for an input row).  The Bareiss scalings p_t / p_(t-1)
-    it skipped telescope, so its Bareiss row is row * prev / lag, prev the
-    last pivot: a touched row becomes (pivot * row - m * pivot_row) / lag,
-    exactly, and a stale pivot row is first brought up to date as
-    row * prev / lag, by exact_div when it has a lag.  Each updated entry
-    is one _bareiss_update, and a touched row's one-term lag is inverted
-    once for all its entries."""
-    neg, inv = ring.field.neg, ring.field.inv
+    Phase 1 runs while some live entry has one term, so each pivot is a
+    monomial p = c * x^a: a unit of the Laurent ring k[vars^(+-1)], a
+    localization of the ambient ring with the same fraction field.  So the
+    rank does not change when each row with an entry e in the pivot's
+    column becomes row - (e / p) * pivot_row; no other row is touched.  The
+    pivot row is scaled by -1/p once, one Poly product per entry, and each
+    touched entry sums its products in one monomial -> coefficient dict.
+    Exponents may go negative, and there is no scaling or division.  After
+    k steps each entry is the (k+1)-minor that Bareiss would hold there
+    times a Laurent monomial (Sylvester's identity), so it has no more
+    terms.
 
-    def catch_up(e: Poly, lag: Poly | None) -> Poly:
-        # an entry of a stale row brought up to date, e * prev / lag
-        return e * prev if lag is None else exact_div(e * prev, lag)
-
-    live = [(dict(row), None) for row in rows if row]
+    Phase 2 starts when no live entry has one term.  Each row is shifted by
+    a monomial, a unit scaling, so that its least exponent of each variable
+    is zero, and what is left is ranked by textbook fraction-free (Bareiss)
+    elimination: every live row becomes (pivot * row - m * pivot_row) /
+    prev, m its entry in the pivot's column and prev the last pivot (one at
+    first), and each division is exact by the minor identity."""
+    fld = ring.field
+    add, mul, neg, inv, is_zero = fld.add, fld.mul, fld.neg, fld.inv, fld.is_zero
+    live = [dict(row) for row in rows if row]
     count: dict[int, int] = {}  # column -> live rows with an entry there
-    for row, _ in live:
+    for row in live:
         for j in row:
             count[j] = count.get(j, 0) + 1
-    prev, rank = None, 0
+    rank, prev, laurent = 0, None, True
     while live:
         bt = bc = bw = inf  # the best (terms, column count, row width) so far
-        for i, (row, _) in enumerate(live):
+        for i, row in enumerate(live):
             width = len(row)
             for j, e in row.items():
                 t = len(e.terms)
@@ -300,40 +290,75 @@ def rank_over_domain(rows, ring: PolyRing) -> int:
                 c = count[j]
                 if t < bt or c < bc or c == bc and width < bw:
                     bt, bc, bw, pi, pc = t, c, width, i, j
-        pivot_row, lag = live.pop(pi)
+        if laurent and bt > 1:  # phase 2: each row shifted to a polynomial row
+            laurent = False
+            for i, row in enumerate(live):
+                # the row's least exponent of each variable (its entries have
+                # two terms or more, so map is given two monomials or more)
+                low = tuple(map(min, *(m for e in row.values() for m in e.terms)))
+                if any(low):
+                    live[i] = {j: Poly._of_nonzero(ring, {tuple(map(_mono_sub, m, low)): c
+                                                          for m, c in e.terms.items()})
+                               for j, e in row.items()}
+        pivot_row = live.pop(pi)
         pivot = pivot_row.pop(pc)
         del count[pc]
         for j in pivot_row:
             count[j] -= 1
         rank += 1
-        if lag is not prev:  # a stale pivot row
-            pivot = catch_up(pivot, lag)
-            pivot_row = {j: catch_up(e, lag) for j, e in pivot_row.items()}
-        pivot_terms = list(pivot.terms.items())
         kept = []
-        for row, lag in live:
-            m = row.pop(pc, None)
-            if m is None:
-                kept.append((row, lag))
-                continue
-            neg_m_terms = [(mono, neg(c)) for mono, c in m.terms.items()]
-            one_term = None
-            if lag is not None and len(lag.terms) == 1:
-                ((dm, dc),) = lag.terms.items()
-                one_term = dm, inv(dc)
-            new = {}
-            for j in list(row) + [j for j in pivot_row if j not in row]:
-                e = _bareiss_update(ring, pivot_terms, row.get(j), neg_m_terms, pivot_row.get(j), lag,
-                                    one_term)
-                if e.terms:
-                    new[j] = e
-            for j in row:
-                count[j] -= 1
-            for j in new:
-                count[j] += 1
-            if new:
-                kept.append((new, pivot))
-        live, prev = kept, pivot
+        if laurent:  # row - (e / pivot) * pivot_row
+            ((pm, p),) = pivot.terms.items()
+            unit = Poly._of_nonzero(ring, {tuple(-a for a in pm): neg(inv(p))})  # -1/pivot
+            scaled = [(j, (f * unit).terms.items()) for j, f in pivot_row.items()]
+            for row in live:
+                e = row.pop(pc, None)
+                if e is not None:
+                    e_terms = e.terms.items()
+                    for j, s_terms in scaled:
+                        old = row.get(j)
+                        acc = {} if old is None else dict(old.terms)
+                        for m1, c1 in e_terms:
+                            for m2, c2 in s_terms:
+                                mono = tuple(map(_mono_add, m1, m2))
+                                c = mul(c1, c2)
+                                if mono in acc:
+                                    c = add(acc[mono], c)
+                                    if is_zero(c):
+                                        del acc[mono]
+                                        continue
+                                acc[mono] = c
+                        if acc:
+                            row[j] = Poly._of_nonzero(ring, acc)
+                            if old is None:
+                                count[j] += 1
+                        elif old is not None:
+                            del row[j]
+                            count[j] -= 1
+                if row:
+                    kept.append(row)
+        else:  # (pivot * row - m * pivot_row) / prev
+            pivot_terms = list(pivot.terms.items())
+            for row in live:
+                m = row.pop(pc, None)
+                if m is None:
+                    neg_m_terms, cols = [], list(row)
+                else:
+                    neg_m_terms = [(mono, neg(c)) for mono, c in m.terms.items()]
+                    cols = list(row) + [j for j in pivot_row if j not in row]
+                new = {}
+                for j in cols:
+                    e = _bareiss_update(ring, pivot_terms, row.get(j), neg_m_terms, pivot_row.get(j), prev)
+                    if e.terms:
+                        new[j] = e
+                for j in row:
+                    count[j] -= 1
+                for j in new:
+                    count[j] += 1
+                if new:
+                    kept.append(new)
+            prev = pivot
+        live = kept
     return rank
 
 

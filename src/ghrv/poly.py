@@ -266,10 +266,13 @@ class Poly:
         fld = self.ring.field
         return Poly(self.ring, {m: fld.mul(coef, c) for m, coef in self.terms.items()})
 
-    def monic(self) -> "Poly":
+    def monic(self, inverses: dict | None = None) -> "Poly":
         """This polynomial scaled to leading coefficient one; the zero
         polynomial, and one already monic, come back as they are.  Scaling
-        keeps every monomial, so the copy keeps the leading monomial."""
+        keeps every monomial, so the copy keeps the leading monomial.  A
+        caller scaling many polynomials may pass `inverses`, a dict from
+        leading coefficient to its inverse kept across its calls, so each
+        distinct coefficient is inverted once."""
         if not self.terms:
             return self
         lm = self.leading_monomial()
@@ -277,7 +280,13 @@ class Poly:
         fld = self.ring.field
         if lc == fld.one:
             return self
-        mul, s = fld.mul, fld.inv(lc)
+        if inverses is None:
+            s = fld.inv(lc)
+        else:
+            s = inverses.get(lc)
+            if s is None:
+                s = inverses[lc] = fld.inv(lc)
+        mul = fld.mul
         out = Poly._of_nonzero(self.ring, {m: mul(c, s) for m, c in self.terms.items()})
         out._lm = lm
         return out

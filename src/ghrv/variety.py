@@ -18,8 +18,9 @@ row's largest x_1-degree, a term c x_1^t m becomes c m u^t f_1^(top - t).
 Each multiplier u^t f_1^(top - t) is built once per ring and kept on it as
 a term list (u itself only when one is missing), each distinct (entry
 object, top) is expanded once per elimination and summed in one dict, and
-a row without x_1 passes unchanged.  Fraction-free elimination on sparse
-rows (rank_over_domain) then gives the rank.  The exhaustive descending
+a row without x_1 passes unchanged.  Elimination on sparse rows
+(rank_over_domain: one-term pivots as Laurent units, then Bareiss on any
+rows left) then gives the rank.  The exhaustive descending
 minor search is kept in matrix.py as the oracle this path is tested
 against.  An exact matrix factorization, A*B = B*A = w*I over P, has
 rank(B) = n - rank(A) by the complement rule
@@ -50,7 +51,8 @@ forms with no common projective zero generate every form of Lazard's
 degree D = d_1 + .. + d_c - c + 1 (Lazard, EUROCAL '83, after Macaulay),
 so one field rank of the multiples of the generators in degree D decides
 each component, over QQ as over F_q, since a rank does not change under
-field extension.
+field extension.  Over QQ that rank is taken modulo a large prime first,
+and a full rank there decides it at finite-field speed.
 
 Membership of a point is evaluation of generators, optionally through a
 deterministic field embedding, so a variety computed over GF(p) can be
@@ -96,7 +98,7 @@ from operator import add as _mono_add
 
 from .complexes import DistinctEntries, PeriodicComplex, _cone, _sum
 from .errors import BoundExceeded, InvalidComplex, UnsupportedField
-from .fields import MAX_EXTENSION_DEGREE, Field, make_extension
+from .fields import MAX_EXTENSION_DEGREE, Field, _smallest_factor, make_extension, prime_field
 from .matrix import all_minors, rank_over_domain, rank_over_field, sparse_rows
 from .poly import Poly, PolyRing, evaluator, order_key
 from .ring import RingSpec, point_coords, residue, specialize
@@ -110,8 +112,13 @@ MAX_POINTS = 10**6
 # monomials of its degree), before building any row: on three dense random
 # forms in three variables its rank took 5.6 s at 630 columns over GF(5),
 # and 9.9 s at 276 columns over QQ, where the coefficients grow (CPython
-# 3.11, one core of a 2-CPU x86_64 machine).
+# 3.11, one core of a 2-CPU x86_64 machine).  Over QQ it is first ranked
+# modulo MACAULAY_PRIME, at finite-field speed.
 MAX_MACAULAY_COLUMNS = 500
+
+# is_empty ranks a Macaulay matrix over QQ modulo this prime first, or
+# modulo the next prime that divides no denominator of its entries.
+MACAULAY_PRIME = 2**31 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +174,10 @@ def _eliminate_x1(rows, ring: RingSpec) -> list:
 def rank_over_R(rows, ring: RingSpec) -> int:
     """Rank over R of the matrix of representatives with sparse rows `rows`
     (matrix.sparse_rows).  Each entry is reduced mod w first, once per
-    distinct entry object, and one whose normal form is zero is left out."""
+    distinct entry object, and one whose normal form is zero is left out;
+    x_1 is eliminated (_eliminate_x1) and rank_over_domain ranks the rows
+    over the domain that leaves, by one-term pivots while there are any
+    and Bareiss on what is left."""
     normal: dict[int, Poly] = {}  # id of an entry -> its normal form
     reduced = []
     for row in rows:
@@ -494,9 +504,10 @@ def is_empty(V: ZeroSetUnion) -> bool:
     algebraic equations", EUROCAL '83, LNCS 162; after Macaulay), while
     forms with a common zero miss some form of every degree.  So it is
     empty iff the rows x^a g_j with |a| = D - d_j, keyed by exponent tuple,
-    span all C(D + c - 1, c - 1) monomials of degree D: one rank_over_field,
-    whose value does not change under field extension, so the answer holds
-    over QQ as over F_q.  A matrix of more than MAX_MACAULAY_COLUMNS
+    span all C(D + c - 1, c - 1) monomials of degree D: one field rank
+    (_spans, which over QQ ranks modulo a prime first), whose value does
+    not change under field extension, so the answer holds over QQ as over
+    F_q.  A matrix of more than MAX_MACAULAY_COLUMNS
     columns raises BoundExceeded before any row is built."""
     c = len(V.ring.vars)
     for comp in V.components:
@@ -514,9 +525,29 @@ def is_empty(V: ZeroSetUnion) -> bool:
                 for g, d in zip(comp.gens, degrees)
                 for a in combinations_with_replacement(range(c), degree - d)
                 for shift in [tuple(map(a.count, range(c)))]]
-        if rank_over_field(rows, V.ring.field) < columns:
+        if not _spans(rows, columns, V.ring.field):
             return False
     return True
+
+
+def _spans(rows: list[dict], columns: int, field: Field) -> bool:
+    """Whether the rows, dicts column -> nonzero scalar, have rank
+    `columns`; the dicts are consumed.  Over QQ they are ranked modulo a
+    prime p first, MACAULAY_PRIME or the next prime dividing none of their
+    denominators, with each a/b read as a * b^-1 mod p.  A minor that is
+    nonzero mod p is nonzero over QQ, so a full rank mod p answers at once;
+    a deficient one may be p's alone, and the rows are then ranked over
+    QQ."""
+    if not field.finite:
+        denominators = {v.denominator for row in rows for v in row.values()}
+        p = MACAULAY_PRIME
+        while any(b % p == 0 for b in denominators) or _smallest_factor(p) != p:
+            p += 1
+        modular = [{k: r for k, v in row.items() if (r := v.numerator * pow(v.denominator, -1, p) % p)}
+                   for row in rows]
+        if rank_over_field(modular, prime_field(p)) == columns:
+            return True
+    return rank_over_field(rows, field) == columns
 
 
 # ---------------------------------------------------------------------------

@@ -173,18 +173,24 @@ def test_mat_mul_sums_scalar_multiples_per_monic_pair(field, monkeypatch):
     # coefficients c * c' per (column, unordered monic pair) before it forms
     # any polynomial: seeded grids whose entries are scalar multiples of a
     # few monic values (x1, 2*x1 and -x1 share u = x1), against the
-    # schoolbook product, term by term
+    # schoolbook product, term by term.  Each call inverts each distinct
+    # leading coefficient other than one once.
     ring = PolyRing(field, ("x1", "x2"), ("y",))
     units = [parse_poly(ring, u) for u in _UNITS]
     elems = _field_elems(field)
     rng = random.Random(f"monic pairs {field}")
+    inverted = []
+    inv = field.inv
+    monkeypatch.setattr(field, "inv", lambda c: inverted.append(c) or inv(c))
     shared = cancelled = 0
     for _ in range(200):
         m, k, n = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 6)
         a, b = ([[rng.choice(units).scale(rng.choice(elems)) if rng.random() < 0.6 else ring.zero()
                   for _ in range(cols)] for _ in range(rows)] for rows, cols in ((m, k), (k, n)))
+        inverted.clear()
         dense = _assert_product(a, b, ring)
         values = [e for grid in (a, b) for row in grid for e in row if e.terms]
+        assert sorted(map(str, inverted)) == sorted(map(str, {e.leading_coeff() for e in values} - {field.one}))
         shared += len(set(values)) > len({e.monic() for e in values})
         cancelled += sum(1 for i in range(m) for j in range(n)
                          if not dense[i][j].terms and any(a[i][t].terms and b[t][j].terms for t in range(k)))
@@ -197,6 +203,7 @@ def test_mat_mul_sums_scalar_multiples_per_monic_pair(field, monkeypatch):
     minus = field.neg(field.one)
     a = [[x1, x1 * x1, x1 * x2]]
     b = [[x1 * x2, x2 * y], [x2.scale(minus), ring.zero()], [ring.zero(), y.scale(minus)]]
+    monkeypatch.undo()
     added = []
     add_scaled = matrix._add_scaled
     monkeypatch.setattr(matrix, "_add_scaled", lambda *args: added.append(args[1]) or add_scaled(*args))
@@ -255,20 +262,19 @@ def _seeded_poly(ring, rng, elems, nterms):
 
 
 def _alone_grid(ring, rng, elems, b_terms):
-    """A 4x4 grid of rank 4 whose pivots are one-term entries alone in their
-    columns:
+    """A 4x4 grid of rank 4 whose one-term pivots are each alone in their
+    columns when taken:
 
         [x, 0,   0,   0]      x, u, q, a of one term, y of two,
         [y, 0,   u,   0]      c a nonzero scalar, b of b_terms terms
         [0, q,   a,   0]
         [0, c*q, c*a, b]
 
-    With a one-term b the pivots are b, q, u and x, each alone in its column
-    when taken, so no row is ever touched.  With b of two terms, step 1
-    takes x and writes row 1 as x*u with lag x; step 2 takes q, and row 3's
-    column-2 entry cancels, since it is c times row 2 there; so at step 3
-    row 1's x*u is a one-term pivot alone in its column on a row that still
-    holds the lag x, two pivots old."""
+    With a one-term b the pivots are b, q, u and x, each alone in its
+    column when taken, so no row is ever touched.  With b of two terms, step 1 takes x and row
+    1 loses y; step 2 takes q, and row 3's column-2 entry cancels, since it
+    is c times row 2 there, so that column's count falls to one; u is then
+    alone in its column, and b is left for the second phase, alone."""
 
     poly = partial(_seeded_poly, ring, rng, elems)
     x, y, u, q, a, b = poly(1), poly(2), poly(1), poly(1), poly(1), poly(b_terms)
@@ -279,17 +285,17 @@ def _alone_grid(ring, rng, elems, b_terms):
 
 
 def _catch_up_grid(ring, rng, elems, lag_terms):
-    """A 4x4 grid in which a stale row becomes the pivot row and is caught
-    up, entry by entry, by a lag of lag_terms terms:
+    """A 4x4 grid whose first two pivots are A and E when they have one
+    term, and which is Bareiss's alone when they have more:
 
         [A, 0, 0, B]      A and E of lag_terms terms,
         [C, 0, D, 0]      every other entry of two
         [0, E, 0, F]
         [0, G, H, K]
 
-    Step 1 takes A and writes row 1 with lag A; step 2 takes E, which row 1
-    misses; step 3 takes row 1, whose entries have the fewest terms, and
-    brings both up to date as e * prev / A."""
+    With one-term A and E, row 1 becomes [D, -C*B/A] and row 3 [H, K -
+    G*F/E], with negative exponents where A and E do not divide, and the
+    second phase ranks those two rows."""
 
     poly = partial(_seeded_poly, ring, rng, elems)
     zero = ring.zero()
@@ -299,26 +305,24 @@ def _catch_up_grid(ring, rng, elems, lag_terms):
 
 
 def _lagging_grid(ring, rng, elems, extra, tail, dependent):
-    """A grid whose sparse Bareiss run is forced through lazy scaling.
+    """A grid whose one-term pivots leave multi-term rows for the second
+    phase.
 
     Rows 0..3 hold one one-term entry each, on the diagonal of columns 0..3;
     every other entry in columns 0..4 has two terms, except row 5's in
     column 4.  Rows 4..8 fill columns 0..4 so that each holds four entries
     (row 4: 0, 3, 4; row 5: 0, 4; row 6: 0..4; row 7: 1..4; row 8: 1, 2),
     and each of the `extra` further rows, and the `dependent` one, adds one
-    to every column.  The pivot rule of rank_over_domain (terms, then column
-    count, then row width, then row order) therefore takes rows 0..3 at
-    steps 1 to 4: a one-term pivot row of width 1 scales the rows it
-    touches by one-term factors, so no other entry in columns 0..4 loses
-    its second term.  Row 4 is touched at step 1, skipped at steps 2 and 3
-    and touched again at step 4, so its update divides by the step-1 pivot,
-    which the step-3 pivot does not stand in for; row 6 divides by the
-    step-1 and step-2 pivots at steps 2 and 3 in between.  Row 5 is touched
-    at step 1 only, and its column-4 entry, then the one one-term entry
-    left, makes it the pivot of step 5 while stale.  `tail` columns after
-    column 4 are filled at random in rows 4 on; with `dependent` a last row
-    is a combination of rows 6 and 7, so the grid is rank deficient when it
-    is not tall."""
+    to every column.  The pivot rule of rank_over_domain (one term, then
+    column count, then row width, then row order) therefore takes rows 0..3
+    at steps 1 to 4, each of width 1, so a touched row only loses the
+    pivot's column.  Row 5's column-4 entry, then the one one-term entry
+    left, is the pivot of step 5, and its row's `tail` entries, scaled by
+    the inverse of that monomial, are added into the rows with an entry in
+    column 4.  `tail` columns after column 4 are filled at random in rows 4
+    on, and what is left of them goes to the second phase; with `dependent`
+    a last row is a combination of rows 6 and 7, so the grid is rank
+    deficient when it is not tall."""
 
     poly = partial(_seeded_poly, ring, rng, elems)
     zero = ring.zero()
@@ -337,29 +341,22 @@ def _lagging_grid(ring, rng, elems, extra, tail, dependent):
 
 
 @pytest.mark.parametrize("field", [prime_field(3), make_extension(3, 2), QQ], ids=str)
-def test_sparse_bareiss_lazy_scaling_matches_minor_search(field, monkeypatch):
-    # Each grid makes a touched row skip two pivot steps before its next
-    # update and makes a stale row the pivot (see _lagging_grid), on
-    # tall, square and wide shapes, full rank and deficient; the transpose
-    # has the same rank and takes other pivots.  Wrappers on the lag
-    # divisions see both: row 5 brought up to date by exact_div by the
-    # step-1 pivot, and an update dividing by the step-1 pivot after one
-    # has divided by a later pivot.
+def test_sparse_rank_through_both_phases_matches_minor_search(field, monkeypatch):
+    # One-term pivots first, then Bareiss on the rows they leave (see
+    # _lagging_grid), on tall, square and wide shapes, full rank and
+    # deficient; the transpose has the same rank and takes other pivots.
+    # A wrapper on the second phase's update sees it reached, and dividing
+    # by an earlier pivot.
     ring = PolyRing(field, ("a", "b"), ("t",))
     elems = _field_elems(field)
     rng = random.Random(107)
-    divisors, lags = [], []
-    exact_div, update = matrix.exact_div, matrix._bareiss_update
-
-    def recording_div(e, d):
-        divisors.append(d)
-        return exact_div(e, d)
+    divisors = []
+    update = matrix._bareiss_update
 
     def recording_update(*args):
-        lags.append(args[5])
+        divisors.append(args[5])
         return update(*args)
 
-    monkeypatch.setattr(matrix, "exact_div", recording_div)
     monkeypatch.setattr(matrix, "_bareiss_update", recording_update)
     shapes = set()
     for extra, tail, dependent in [(0, 1, False), (1, 0, False), (0, 4, False), (0, 5, True),
@@ -368,41 +365,106 @@ def test_sparse_bareiss_lazy_scaling_matches_minor_search(field, monkeypatch):
         m, n = mat_shape(g)
         want = rank_by_minors(g, ring)
         divisors.clear()
-        lags.clear()
         assert rank_over_domain(sparse_rows(g), ring) == want
-        first = g[0][0]
-        assert any(d is first for d in divisors)  # row 5, the pivot of step 5
-        divided = [lag for lag in lags if lag is not None]
-        later = next(i for i, lag in enumerate(divided) if lag is not first)
-        assert any(lag is first for lag in divided[later:])  # row 4 at step 4
+        if tail > 3:
+            assert any(d is not None for d in divisors)  # the second phase's exact divisions
         assert rank_over_domain(sparse_rows(list(zip(*g))), ring) == want
         shapes.add((m == n, want < min(m, n)))
     assert shapes >= {(False, False), (False, True), (True, True)}
-    # one-term pivots alone in their columns, with no lag (a one-term b) and
-    # on a stale row holding a lag (b of two terms); and a stale pivot row
-    # caught up by a one-term and by a two-term lag.  Row 1 is caught up by
-    # the step-1 pivot and never updated by it.
+    # one-term pivots alone in their columns, and a cancellation that lowers
+    # a column's count; a grid that reaches the second phase after one-term
+    # pivots (one-term A and E), and one that is Bareiss's alone
     for build, terms in [(_alone_grid, 1), (_alone_grid, 2), (_catch_up_grid, 1),
                          (_catch_up_grid, 2)] * 2:
         g = build(ring, rng, elems, terms)
         want = rank_by_minors(g, ring)
         divisors.clear()
-        lags.clear()
         assert rank_over_domain(sparse_rows(g), ring) == want
-        first = g[0][0]
         if build is _alone_grid:
-            assert want == 4
-        if (build, terms) == (_alone_grid, 1):
-            assert divisors == lags == []  # no row was touched
+            assert want == 4 and divisors == []
         else:
-            assert any(d is first for d in divisors)
-            assert not any(lag is first for lag in lags)
+            assert divisors and (terms == 1) == (divisors == [None] * len(divisors))
         assert rank_over_domain(sparse_rows(list(zip(*g))), ring) == want
-    # a one-term lag that does not divide the update raises, as exact_div
-    # would: (a * 1) / b
+    # a pivot that does not divide the update raises, as exact_div would:
+    # (a * 1) / b
     a, b = ring.variable("a"), ring.variable("b")
     with pytest.raises(ArithmeticError, match="^inexact division: remainder a$"):
-        update(ring, list(a.terms.items()), ring.one(), None, None, b, (next(iter(b.terms)), field.one))
+        update(ring, list(a.terms.items()), ring.one(), [], None, b)
+
+
+def _phase_grid(ring, rng, elems, kind, m, n):
+    """An m x n seeded grid of one kind, and a last row that is a
+    combination of two others by one-term multipliers when m > 1, so that
+    it is rank deficient when it is not tall: "units", one-term entries only;
+    "mixed", one to three terms; "no unit", two or three terms, so only the
+    second phase runs; "units then Bareiss", a one-term entry on the
+    diagonal of the first min(m, n) - 3 rows and entries of two or three
+    terms about it, so the one-term pivots scale multi-term entries by
+    Laurent monomials and leave them, shifted, to the second phase."""
+    if kind in ("units", "mixed"):
+        grid = _sparse_grid(ring, rng, m, n, elems, density=0.5, max_terms=1 if kind == "units" else 3)
+    else:
+        zero = ring.zero()
+        grid = [[_seeded_poly(ring, rng, elems, rng.randrange(2, 4)) if rng.random() < 0.6 else zero
+                 for _ in range(n)] for _ in range(m)]
+    if kind == "units then Bareiss":
+        for i in range(min(m, n) - 3):
+            grid[i][i] = _seeded_poly(ring, rng, elems, 1)
+    if m > 1:
+        i, j = rng.sample(range(m), 2)
+        x, y = _seeded_poly(ring, rng, elems, 1), _seeded_poly(ring, rng, elems, 1)
+        grid.append([x * p + y * q for p, q in zip(grid[i], grid[j])])
+    return grid
+
+
+@pytest.mark.parametrize("field", [prime_field(3), make_extension(3, 2), QQ], ids=str)
+def test_rank_by_unit_pivots_matches_minor_search(field, monkeypatch):
+    # seeded grids of each kind (_phase_grid) and their transposes against
+    # the minor oracle; a grid with no one-term entry forms no scaled pivot
+    # row, and the last kind makes exact divisions in the second phase.  A
+    # two-term pivot taken as a unit breaks the planted dependency.
+    ring = PolyRing(field, ("a", "b"), ("t",))
+    elems = _field_elems(field)
+    rng = random.Random(f"unit pivots {field}")
+    scaled, divisors = [], []
+    mul, update = Poly.__mul__, matrix._bareiss_update
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: scaled.append(p) or mul(p, q))
+    monkeypatch.setattr(matrix, "_bareiss_update", lambda *args: divisors.append(args[5]) or update(*args))
+    divided = 0
+    for kind in ("units", "mixed", "no unit", "units then Bareiss"):
+        low = 4 if kind == "units then Bareiss" else 1
+        for _ in range(12):
+            m, n = rng.randrange(low, 6), rng.randrange(low, 6)
+            g = _phase_grid(ring, rng, elems, kind, m, n)
+            want = rank_by_minors(g, ring)
+            for grid in (g, list(zip(*g))):
+                scaled.clear()
+                divisors.clear()
+                assert rank_over_domain(sparse_rows(grid), ring) == want
+                if not any(len(e.terms) == 1 for row in grid for e in row):
+                    assert scaled == []
+                if kind == "units then Bareiss":
+                    divided += any(d is not None for d in divisors)
+    assert divided > 3
+
+
+def test_unit_pivots_count_the_fill_in(ring, monkeypatch):
+    # [a, 0,   0  ]    column counts 3, 2, 2: step 1 takes t, the first
+    # [b, 0,   t  ]    one-term entry of least (column count, row width),
+    # [0, a*b, a*t]    and row 2 - a * row 1 fills column 0 with -a*b, so
+    # [1, b,   0  ]    column 0 still holds three entries; step 2 takes a*b
+    # (count 2) before a (count 3, alone in its row) and scales its row's
+    # -a*b.  A count that missed the fill-in would take a, and scale nothing
+    # at step 2.
+    a, b, t = (ring.variable(v) for v in ("a", "b", "t"))
+    zero = ring.zero()
+    ab = a * b
+    g = [[a, zero, zero], [b, zero, t], [zero, ab, a * t], [ring.one(), b, zero]]
+    scaled = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: scaled.append(p) or mul(p, q))
+    assert rank_over_domain(sparse_rows(g), ring) == 3
+    assert scaled == [b, -ab]
 
 
 def test_zero_and_identity_ranks(ring):

@@ -199,16 +199,18 @@ def test_bareiss_ranks_of_the_realize_stages(ring_name, request):
 
 
 def test_bareiss_fill_in_on_a_loaded_32x32_trace(tmp_path, monkeypatch):
-    # A of the loaded two-scalar 32x32 realize trace over GF(7): Bareiss
-    # builds at most 300 polynomials (274 with the fill-in pivot rule; 484
-    # when the pivot was the first one-term entry in row order).
+    # A of the loaded two-scalar 32x32 realize trace over GF(7): the
+    # elimination builds at most 300 polynomials, by either constructor
+    # (120 with one-term pivots taken as Laurent units; 274 by fraction-free
+    # elimination with the same pivot rule, and 484 when its pivot was the
+    # first one-term entry in row order).
     ring = worked_ring(prime_field(7))
     trace = realize(ring, ["3*x1 + 2*x2", "x1^2 + 4*x1*x2 + 5*x2^2"], verify=False)
     save_trace(trace, tmp_path / "trace.json")
     C = load_complex(tmp_path / "trace.json")
     assert C.size == 32
     built = 0
-    init = Poly.__init__
+    init, of_nonzero = Poly.__init__, Poly._of_nonzero
     rank_over_domain = ghrv.variety.rank_over_domain
 
     def counting_init(self, ring, terms):
@@ -216,12 +218,19 @@ def test_bareiss_fill_in_on_a_loaded_32x32_trace(tmp_path, monkeypatch):
         built += 1
         init(self, ring, terms)
 
+    def counting_of_nonzero(ring, terms):
+        nonlocal built
+        built += 1
+        return of_nonzero(ring, terms)
+
     def counted(rows, ring):
         monkeypatch.setattr(Poly, "__init__", counting_init)
+        monkeypatch.setattr(Poly, "_of_nonzero", counting_of_nonzero)
         try:
             return rank_over_domain(rows, ring)
         finally:
             monkeypatch.setattr(Poly, "__init__", init)
+            monkeypatch.setattr(Poly, "_of_nonzero", of_nonzero)
 
     monkeypatch.setattr(ghrv.variety, "rank_over_domain", counted)
     assert rank_over_R(C.pair_entries.sparse_rows(0), C.ring) == 16
@@ -588,6 +597,30 @@ def test_emptiness_is_decided_over_qq(ringq):
     assert is_empty(rank_variety(fixture_k(ringq))) is False
     cone = cone_mul(fixture_k(ringq), ringq.parse("x1^2 + x2^2"))  # no rational point
     assert is_empty(rank_variety(cone)) is False
+
+
+def test_emptiness_over_qq_is_ranked_modulo_a_prime_first(monkeypatch):
+    # A full rank mod p is a full rank over QQ, so it answers alone; a
+    # deficient one may be p's alone ([1 p; 1 0] has determinant -p), and
+    # QQ then decides.  A denominator p makes the rows p-integral only past
+    # p, so the next prime is taken.
+    kx = PolyRing(QQ, ("x1", "x2"), ())
+    p = ghrv.variety.MACAULAY_PRIME
+    assert p == 2**31 - 1
+    x1, x2 = kx.variable("x1"), kx.variable("x2")
+    fields = []
+    rank_over_field = ghrv.variety.rank_over_field
+    monkeypatch.setattr(ghrv.variety, "rank_over_field", lambda rows, f: fields.append(f) or rank_over_field(rows, f))
+
+    def empty(*gens):
+        fields.clear()
+        return is_empty(ZeroSetUnion(kx, (IdealGens(kx, gens),)))
+
+    assert empty(x1, x2) is True and fields == [prime_field(p)]
+    assert empty(x1 + x2.scale(p), x1) is True and fields == [prime_field(p), QQ]
+    assert empty(x1 + x2, x1 * x1 - x2 * x2) is False and fields == [prime_field(p), QQ]  # (1:-1)
+    assert empty(x1 + x2.scale(Fraction(1, p)), x1 - x2) is True
+    assert len(fields) == 1 and fields[0].p > p
 
 
 # -- exact emptiness ----------------------------------------------------------
