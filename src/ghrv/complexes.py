@@ -28,8 +28,9 @@ the pair's values and index rows), which sums field coefficients per
 
 A pair keeps its own entries (pair_entries) and its residue pencil
 (Abar, Bbar) = (A, B)|_{y=0} (pencil_entries) by their distinct nonzero
-entries (DistinctEntries), and every per-entry pass over a pair reads
-pair_entries, not the grids: the certifying product, the degree check,
+entries (DistinctEntries), with the pencil's evaluation plan for each
+point field beside them (pencil_plan), and every per-entry pass over a
+pair reads pair_entries, not the grids: the certifying product, the degree check,
 the ranks over R, the pencil and the writer each run once per distinct
 value, or on the sparse rows over those values, and never walk the n^2
 positions.  Each step (cone_mul, shift, dual, direct_sum) is
@@ -62,6 +63,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     BoundExceeded,
@@ -73,6 +75,7 @@ from .errors import (
     RankDefect,
     RingMismatch,
 )
+from .fields import Field, embedding
 from .matrix import Grid, as_grid, mat_mul
 from .poly import Poly, PolyRing
 from .ring import RingSpec
@@ -161,6 +164,56 @@ class DistinctEntries:
         return tuple(out)
 
 
+class EvaluationPlan(NamedTuple):
+    """Polynomials of one ring laid out for evaluation at many points.
+    terms[k] lists the terms of the k-th polynomial as (coefficient,
+    ((variable index, exponent), ...)), zero exponents dropped, and
+    degrees[i] is the largest exponent of variable i in any term, the
+    length a table of its powers needs.  _evaluation_plan builds one from
+    polynomials, and poly.evaluator is the general route it is tested
+    against."""
+
+    terms: tuple[tuple[tuple[object, tuple[tuple[int, int], ...]], ...], ...]
+    degrees: tuple[int, ...]
+
+    def mapped(self, embed) -> EvaluationPlan:
+        """The same plan with every coefficient mapped by `embed`, for
+        example a field embedding (fields.embedding)."""
+        return EvaluationPlan(tuple(tuple((embed(c), factors) for c, factors in terms)
+                                    for terms in self.terms), self.degrees)
+
+    def values_at(self, point: tuple, field: Field) -> list:
+        """The value of each polynomial, in order, at `point`, one scalar
+        of `field` per variable; the coefficients must be scalars of
+        `field` too (mapped).  Each coordinate's powers are tabled once, up
+        to its degree, and a term is then one product per variable it
+        has."""
+        mul, add, zero = field.mul, field.add, field.zero
+        powers = []
+        for a, top in zip(point, self.degrees):
+            table = [field.one, a]
+            while len(table) <= top:
+                table.append(mul(table[-1], a))
+            powers.append(table)
+        out = []
+        for terms in self.terms:
+            acc = zero
+            for t, factors in terms:
+                for i, e in factors:
+                    t = mul(t, powers[i][e])
+                acc = add(acc, t)
+            out.append(acc)
+        return out
+
+
+def _evaluation_plan(polys, nvars: int) -> EvaluationPlan:
+    """The EvaluationPlan of `polys`, polynomials in `nvars` variables."""
+    terms = tuple(tuple((c, tuple((i, e) for i, e in enumerate(m) if e)) for m, c in p.terms.items())
+                  for p in polys)
+    degrees = tuple(max((m[i] for p in polys for m in p.terms), default=0) for i in range(nvars))
+    return EvaluationPlan(terms, degrees)
+
+
 def distinct_entries(grids, ring: PolyRing) -> DistinctEntries:
     """The nonzero entries of `grids`, a pair's two square grids (other
     grids are read the same way), indexed by distinct value (see
@@ -211,6 +264,8 @@ class PeriodicComplex:
         # (rule, parents) of a pair a step built (_derived), None for any
         # other pair
         self._derivation = None
+        # field -> the pencil's evaluation plan over it (pencil_plan)
+        self._pencil_plans: dict[Field, EvaluationPlan] = {}
 
     @property
     def size(self) -> int:
@@ -270,9 +325,10 @@ class PeriodicComplex:
         runs once per value, in order, an image that is zero is left out,
         and equal images share one index in the order first met, so it is
         the DistinctEntries of the image grids.  A verdict at a point
-        evaluates each distinct entry once and reads the rows of (column,
-        index) pairs, so it costs in proportion to the distinct nonzero
-        entries; no dense grid is kept.  Built on first use and kept."""
+        evaluates each distinct value once, from the plan kept beside it
+        (pencil_plan), and reads the rows of (column, index) pairs, so it
+        costs in proportion to the distinct nonzero entries; no dense grid
+        is kept.  Built on first use and kept."""
         entries = self.pair_entries
         index: dict[Poly, int] = {}
         to = [index.setdefault(v, len(index)) if (v := self.ring.image_in_kx(e)).terms else None
@@ -280,6 +336,25 @@ class PeriodicComplex:
         rows = tuple(tuple(tuple((j, to[k]) for j, k in row if to[k] is not None) for row in grid)
                      for grid in entries.rows)
         return DistinctEntries(tuple(index), rows)
+
+    def pencil_plan(self, field: Field) -> EvaluationPlan:
+        """The evaluation plan (EvaluationPlan) of the pencil's distinct
+        values, pencil_entries.values in order, with its coefficients in
+        `field`, the ring's field or an extension of it.  The exponents
+        are walked once per pair, from pencil_entries on first use, and
+        the coefficients mapped into each other field once
+        (fields.embedding); every plan is kept, so a scan over many points
+        and fields builds nothing after its first point in each field."""
+        plans = self._pencil_plans
+        plan = plans.get(field)
+        if plan is None:
+            base = self.ring.field
+            plan = plans.get(base)
+            if plan is None:
+                plan = plans[base] = _evaluation_plan(self.pencil_entries.values, self.ring.c)
+            if field != base:
+                plan = plans[field] = plan.mapped(embedding(base, field))
+        return plan
 
     @cached_property
     def pair_entries(self) -> DistinctEntries:

@@ -84,6 +84,11 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
+    def contains(self, a) -> bool:
+        """Whether a is an element of this field in the form its arithmetic
+        takes (see the module docstring)."""
+        raise NotImplementedError
+
     def elements(self) -> Iterator:
         """All elements in deterministic order (finite fields only)."""
         raise UnsupportedField(f"{self} is not finite")
@@ -133,6 +138,9 @@ class PrimeField(Field):
     def from_int(self, n: int):
         return n % self.p
 
+    def contains(self, a) -> bool:
+        return type(a) is int and 0 <= a < self.p
+
     def elements(self):
         return iter(range(self.p))
 
@@ -180,6 +188,9 @@ class RationalField(Field):
 
     def from_int(self, n: int):
         return n
+
+    def contains(self, a) -> bool:
+        return type(a) is int or type(a) is Fraction
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -401,7 +412,7 @@ class ExtensionField(Field):
 
     def _element(self, a):
         """a itself when it is a reduced length-e tuple; FieldError otherwise."""
-        if len(a) != self.e or any(not 0 <= c < self.p for c in a):
+        if not self.contains(a):
             raise FieldError(f"{a!r} is not an element of {self}")
         return a
 
@@ -467,6 +478,20 @@ class ExtensionField(Field):
 
     def from_int(self, n: int):
         return self._wrap([n % self.p])
+
+    def contains(self, a) -> bool:
+        """Whether a is an element: a length-e tuple of ints in [0, p).
+        With tables this is one lookup, which also takes a tuple equal to
+        an element, as the table arithmetic does."""
+        if type(a) is not tuple:
+            return False
+        if self._log is not None:
+            try:
+                return a in self._log
+            except TypeError:  # an unhashable component
+                return False
+        p = self.p
+        return len(a) == self.e and all(type(c) is int and 0 <= c < p for c in a)
 
     def generator(self):
         """The class of t, a root of the modulus."""

@@ -104,7 +104,8 @@ def realize(ring: RingSpec, scalars, verify: bool = True) -> RealizationTrace:
     has empty variety, see the module docstring).  The check ranks each
     stage's whole 2n x 2n pencil at every base-field point (contractible_at);
     each stage builds that pencil by mapping each value of its own
-    pair_entries y -> 0 once (PeriodicComplex.pencil_entries).
+    pair_entries y -> 0 once (PeriodicComplex.pencil_entries), and its
+    evaluation plan once (PeriodicComplex.pencil_plan).
     """
     reps = [ring.normal_form(p) for p in scalars]
     current = complete_resolution_of_k(ring)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from .errors import (
     BadArity,
+    FieldError,
     NotInMaximalIdeal,
     NotRegularSequence,
     VariableLeak,
@@ -152,16 +153,23 @@ def make_ring(field: Field, yvars, xvars, f) -> RingSpec:
 def point_coords(ring: RingSpec, coords, field: Field | None = None) -> tuple:
     """Validate point data against the ring: `field` (default the ring's)
     must contain the ring's field, and there must be c coordinates, not all
-    zero.  Coordinates may be ints (mapped through the field) or scalars of
-    `field`; the result holds scalars only."""
+    zero.  Coordinates may be ints (mapped through the field) or elements
+    of `field` (Field.contains), and any other raises FieldError naming it;
+    the result holds scalars only."""
     fld = field if field is not None else ring.field
-    embedding(ring.field, fld)  # compatibility check
-    if len(coords) != ring.c:
+    if fld is not ring.field:
+        embedding(ring.field, fld)  # compatibility check
+    if len(coords) != len(ring.xvars):
         raise ValueError(f"expected {ring.c} coordinates, got {len(coords)}")
-    point = tuple(fld.from_int(a) if isinstance(a, int) else a for a in coords)
-    if all(fld.is_zero(a) for a in point):
-        raise ValueError("the zero tuple is not a point")
-    return point
+    for a in coords:
+        if not isinstance(a, int) and not fld.contains(a):
+            raise FieldError(f"coordinate {a!r} is not an element of {fld}")
+    point = tuple([fld.from_int(a) if isinstance(a, int) else a for a in coords])
+    zero = fld.zero
+    for a in point:
+        if a != zero:
+            return point
+    raise ValueError("the zero tuple is not a point")
 
 
 def lift_point(ring: RingSpec, coords, preimages=None, field: Field | None = None) -> tuple[Poly, ...]:
@@ -197,7 +205,8 @@ def specialize(value, preimages: tuple[Poly, ...], ring: RingSpec) -> Poly:
     if ambient is not ring.ambient:
         p = p.map_coefficients(ambient)
     out = p.substitute(dict(zip(ring.xvars, preimages)))
-    if any(any(m[: ring.c]) for m in out.terms):
+    cdx = ring.c
+    if any(any(m[:cdx]) for m in out.terms):
         raise VariableLeak("specialization left an x-variable behind")
     return out
 

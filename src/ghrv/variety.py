@@ -65,12 +65,17 @@ of A and B, equal images sharing one index, and for each of Abar and Bbar
 rows of (column, index) pairs.  A scan over many points therefore pays for
 y -> 0 once.  Every pair, whatever built it, reaches its pencil by the same
 route: each value of its own C.pair_entries is mapped y -> 0 once, a zero
-image dropped.  A verdict builds one poly.evaluator per point, which looks
-up the embedding once and keeps one power table per coordinate, evaluates
-each distinct entry once, and _ranks builds each row's dict of nonzero
-scalars straight from its pairs for the one field rank
-(matrix.rank_over_field), which inserts each row into an echelon keyed by
-least column, so a row meets only the pivots of the columns it reaches.
+image dropped.  Next to its pencil each pair keeps an evaluation plan
+(PeriodicComplex.pencil_plan): each distinct value as its terms
+(coefficient, ((variable index, exponent), ...)), zero exponents dropped,
+its exponents walked once per pair and its coefficients mapped into each
+point field once.  A verdict checks its point (point_coords, which refuses
+a coordinate that is not an element of the point's field), tables each
+coordinate's powers once, evaluates every distinct value in one loop over
+the plan, and _ranks builds each row's dict of nonzero scalars straight
+from its pairs for the one field rank (matrix.rank_over_field), which
+inserts each row into an echelon keyed by least column, so a row meets
+only the pivots of the columns it reaches.
 So a verdict costs in proportion to the distinct nonzero entries, and no
 dense grid is formed.  Specializing x -> a along chosen preimages a of
 alpha and then reducing y -> 0 gives the same scalars for every choice of
@@ -577,13 +582,11 @@ def _ranks(entries: DistinctEntries, scalars, field: Field) -> tuple[int, int]:
 
 
 def residue_ranks(C: PeriodicComplex, alpha) -> tuple[int, int]:
-    """(rank Abar(alpha), rank Bbar(alpha)) by _ranks on the kept pencil.
-    One evaluator serves the point, so the embedding and the powers of each
-    coordinate are computed once, and each distinct entry of
-    C.pencil_entries.values is evaluated once."""
+    """(rank Abar(alpha), rank Bbar(alpha)) by _ranks on the kept pencil,
+    its distinct values evaluated at alpha, once each, from the plan the
+    pair keeps for alpha's field (C.pencil_plan)."""
     fld, point = _field_and_point(C, alpha)
-    at = evaluator(C.ring.kx, dict(zip(C.ring.xvars, point)), fld)
-    return _ranks(C.pencil_entries, [at(e) for e in C.pencil_entries.values], fld)
+    return _ranks(C.pencil_entries, C.pencil_plan(fld).values_at(point, fld), fld)
 
 
 def contractible_at(C: PeriodicComplex, alpha) -> bool:

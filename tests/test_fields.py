@@ -46,6 +46,9 @@ def test_prime_field_matches_integer_arithmetic():
         assert f.neg(a) == (-a) % 7
     for a in range(1, 7):
         assert f.mul(a, f.inv(a)) == 1
+    # an element is an int in [0, p); nothing else is one
+    assert all(f.contains(a) for a in f.elements())
+    assert not any(f.contains(a) for a in (-1, 7, 1.0, "a", (1,), Fraction(1, 2)))
 
 
 def test_prime_field_division_and_pow():
@@ -72,6 +75,8 @@ def test_rationals_are_exact():
     assert third == Fraction(1, 3)
     assert q.add(third, third) == Fraction(2, 3)
     assert not q.finite
+    assert q.contains(-4) and q.contains(third)
+    assert not any(q.contains(a) for a in (0.5, "1/3", (1, 3)))
 
 
 def _in_form(v) -> bool:
@@ -223,8 +228,12 @@ def test_extension_field_is_a_field(f):
         a, b, c = (rng.choice(elems) for _ in range(3))
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    # a tuple that is not a reduced element raises; it is never read as zero
+    # a tuple that is not a reduced element is no element, and raises; it is
+    # never read as zero
+    assert all(f.contains(a) for a in elems)
+    assert not any(f.contains(a) for a in (list(f.one), "a", 1, ([1],) + f.one[1:]))
     for bad in ((f.p,) + (0,) * (f.e - 1), (0,) * (f.e + 1), (1,) * (f.e - 1)):
+        assert not f.contains(bad)
         for op in (
             lambda: f.add(bad, f.zero),
             lambda: f.add(f.zero, f.neg(bad)),

@@ -17,12 +17,14 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 import sympy
 
+import ghrv.complexes
 import ghrv.ring
 import ghrv.variety
-from ghrv.complexes import PeriodicComplex, _cone, cone_mul, direct_sum, dual, shift, trivial_pair, validate_pair
+from ghrv.complexes import EvaluationPlan, PeriodicComplex, _cone, cone_mul, direct_sum, dual, shift, trivial_pair, validate_pair
 from ghrv.errors import (
     BoundExceeded,
     CertificationFailed,
+    FieldError,
     InvalidComplex,
     NotAComplex,
     RingMismatch,
@@ -47,6 +49,7 @@ from ghrv.variety import (
     ProjPoint,
     ZeroSetUnion,
     _canonical_gens,
+    _ranks,
     contractible_at,
     critical_images,
     enumerate_points,
@@ -945,24 +948,33 @@ def _perturbation_check(C, pt):
 def test_points_are_checked_against_the_ring(ring5):
     """A ProjPoint is checked as lift_point checks it: the same errors with
     the same messages, from every pointwise entry point."""
-    f5, f7 = ring5.field, prime_field(7)
+    f5, f7, f25 = ring5.field, prime_field(7), extension_of(ring5.field, 2)
     k = fixture_k(ring5)
+    cone = cone_mul(k, ring5.parse("x1*x2"))
     bad = [
         (ProjPoint(f5, (f5.one, f5.zero, f5.zero)), ValueError),
         (ProjPoint(f5, (f5.zero, f5.zero)), ValueError),
         (ProjPoint(f7, (f7.one, f7.zero)), RingMismatch),
+        # coordinates that are not elements of the point's field
+        (ProjPoint(f25, ((1, 0), (7, 0))), FieldError),
+        (ProjPoint(f5, (1, "a")), FieldError),
     ]
     for pt, error in bad:
         with pytest.raises(error) as expected:
             lift_point(ring5, pt.coords, field=pt.field)
-        for check in (contractible_at, residue_ranks, _perturbation_check):
-            with pytest.raises(error) as got:
-                check(k, pt)
-            assert str(got.value) == str(expected.value)
+        for C in (k, cone):
+            for check in (contractible_at, residue_ranks, _perturbation_check):
+                with pytest.raises(error) as got:
+                    check(C, pt)
+                assert str(got.value) == str(expected.value)
     with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
         contractible_at(k, bad[0][0])
     with pytest.raises(RingMismatch, match="characteristic mismatch"):
         contractible_at(k, bad[2][0])
+    with pytest.raises(FieldError, match=r"coordinate \(7, 0\) is not an element of GF\(5\^2\)"):
+        contractible_at(k, bad[3][0])
+    with pytest.raises(FieldError, match="coordinate 'a' is not an element of GF\\(5\\)"):
+        contractible_at(cone, bad[4][0])
 
 
 def test_preimage_perturbations_never_move_the_verdict(ring5):
@@ -1151,6 +1163,12 @@ def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch
     # The reference specializes each entry object once per point (a shared
     # zero block is one object), which does not depend on equal entries
     # sharing an index.
+    # The verdict's scalars come from the plan the pair keeps
+    # (C.pencil_plan): they equal poly.evaluator's on each pencil value, and
+    # its ranks equal _ranks on those and on the oracle's scalars along the
+    # constant preimages.  The plan's exponents are walked once per pair and
+    # its coefficients mapped once per pair and extension field, however
+    # many points are scanned.
     ring = worked_ring(field)
     stages = realize(ring, [ring.parse("x1 + 2*x2"), ring.parse("x1^2 + x1*x2 + 2*x2^2")], verify=False).stages
     assert [stage.size for stage in stages] == [8, 16, 32]
@@ -1160,20 +1178,17 @@ def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch
     else:
         points = [proj_point(field, pt) for pt in QQ_POINTS]
 
-    evaluated = []
-
-    def counting_evaluator(*args, **kwargs):
-        at = evaluator(*args, **kwargs)
-
-        def counted(p):
-            evaluated.append(p)
-            return at(p)
-        return counted
+    built, mapped = [], []
+    plan_of, plan_mapped = ghrv.complexes._evaluation_plan, EvaluationPlan.mapped
+    monkeypatch.setattr(ghrv.complexes, "_evaluation_plan", lambda *args: built.append(1) or plan_of(*args))
+    monkeypatch.setattr(EvaluationPlan, "mapped", lambda *args: mapped.append(1) or plan_mapped(*args))
 
     verdicts = set()
     for C in suite:
-        entries = [e for grid in (C.A, C.B) for row in grid for e in row if not e.is_zero()]
-        images = {ring.image_in_kx(e) for e in entries} - {ring.kx.zero()}
+        images = {ring.image_in_kx(e) for grid in (C.A, C.B) for row in grid for e in row} - {ring.kx.zero()}
+        # each distinct nonzero image is planned once, and nothing else
+        assert len(C.pencil_entries.values) == len(images)
+        assert set(C.pencil_entries.values) == images
         for pt in points:
             fld = pt.field
             amb = ring.ambient_over(fld)
@@ -1190,17 +1205,19 @@ def test_sparse_verdicts_match_the_dense_grids_and_the_oracle(field, monkeypatch
             scalars = ghrv.variety._oracle_scalars(C, preimages)
             assert list(C.pair_entries.grids(scalars, fld.zero)) == oracle, (C.size, str(pt))
             dense = (dense_rank(a_bar, fld), dense_rank(b_bar, fld))
-            monkeypatch.setattr(ghrv.variety, "evaluator", counting_evaluator)
-            evaluated.clear()
+            at = evaluator(ring.kx, dict(zip(ring.xvars, pt.coords)), fld)
+            by_evaluator = [at(v) for v in C.pencil_entries.values]
+            assert C.pencil_plan(fld).values_at(pt.coords, fld) == by_evaluator, (C.size, str(pt))
+            ranks = residue_ranks(C, pt)
+            assert ranks == _ranks(C.pencil_entries, by_evaluator, fld) == dense, (C.size, str(pt))
+            constant = lift_point(ring, pt.coords, field=fld)
+            assert ranks == _ranks(C.pair_entries, ghrv.variety._oracle_scalars(C, constant), fld)
             verdict = contractible_at(C, pt)
-            # each distinct nonzero image is evaluated once, and nothing else
-            assert len(evaluated) == len(set(evaluated)) == len(images)
-            assert set(evaluated) == images
-            monkeypatch.undo()
-            assert residue_ranks(C, pt) == dense, (C.size, str(pt))
             assert verdict == (sum(dense) == C.size), (C.size, str(pt))
             verdicts.add(verdict)
     assert verdicts == {True, False}
+    assert len(built) == len(suite)
+    assert len(mapped) == (len(suite) if field.finite else 0)
 
 
 def _minor_image_by_normal_form(rows, r, ring):
